@@ -31,11 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .enumeration import BilevelFeasibleSet
 from .network import ArcId, Commodity, InstanceError, Network, Node
-from .shortest_path import INFINITY, distances_to
+from .shortest_path import NO_EXCLUSIONS, _distances, _regime_prices
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,11 @@ class BigMParams:
             total += self.N[aid]
         return total
 
+    @cached_property
+    def _toll_cap(self) -> Fraction:
+        """The largest toll cap, computed once (a :meth:`scaled` copy has its own)."""
+        return max(self.N.values(), default=Fraction(0))
+
     def r_value(
         self,
         commodity: int,
@@ -81,8 +87,7 @@ class BigMParams:
         """
         bound = cost - self.lam_lo[(commodity, orig_tail)] + self.lam_hi[(commodity, orig_head)]
         if tolled:
-            cap = max(self.N.values(), default=Fraction(0))
-            bound += cap
+            bound += self._toll_cap
         return bound
 
     def scaled(self, factor: int) -> "BigMParams":
@@ -108,61 +113,74 @@ def compute_bigm(
 
     ``bfsets`` is only needed for the path bounds ``S``; pass the feasible
     sets of whichever commodities will be modeled with path rows.
+
+    Every value is computed on integers over ``network.scale`` and becomes a
+    ``Fraction`` once, when it is stored.  The toll cap is such a value, so
+    the capped distances stay over the same denominator.
     """
+    scale = network.scale
+    int_costs = network.int_costs
+    free_prices, _ = _regime_prices(network, "infinite", None)
+
+    def exact(value: int) -> Fraction:
+        return Fraction(value, scale)
+
     lam_lo: dict[tuple[int, Node], Fraction] = {}
     lam_hi: dict[tuple[int, Node], Fraction] = {}
-    L_lo: dict[int, Fraction] = {}
-    pi_cost: dict[int, Fraction] = {}
-
-    zero_dist: list[dict[Node, object]] = []
+    zero_dist: list[list[Optional[int]]] = []
+    lo_int: list[int] = []
+    pi_int: list[int] = []
     for k, com in enumerate(commodities):
-        dist = distances_to(network, com.destination, "zero")
+        dist = _distances(network, com.destination, int_costs, NO_EXCLUSIONS)
         zero_dist.append(dist)
-        for node, value in dist.items():
-            if value != INFINITY:
-                lam_lo[(k, node)] = Fraction(value)
-        free = distances_to(network, com.destination, "infinite")
-        pi = free[com.origin]
-        if pi == INFINITY:
+        for node, value in enumerate(dist):
+            if value is not None:
+                lam_lo[(k, node)] = exact(value)
+        pi = _distances(network, com.destination, free_prices, NO_EXCLUSIONS)[com.origin]
+        if pi is None:
             raise InstanceError(
                 f"commodity {k} has no toll-free path; toll caps are undefined"
             )
-        pi_cost[k] = Fraction(pi)
-        L_lo[k] = lam_lo[(k, com.origin)]
+        pi_int.append(pi)
+        lo_int.append(dist[com.origin])  # type: ignore[arg-type]
+    L_lo = {k: lam_lo[(k, com.origin)] for k, com in enumerate(commodities)}
+    pi_cost = {k: exact(pi) for k, pi in enumerate(pi_int)}
 
-    gaps = {k: max(Fraction(0), pi_cost[k] - L_lo[k]) for k in range(len(commodities))}
-    cap = max(gaps.values(), default=Fraction(0))
+    gaps = [max(0, pi - lo) for pi, lo in zip(pi_int, lo_int)]
+    cap_int = max(gaps, default=0)
+    cap = exact(cap_int)
     N = {aid: cap for aid in network.tolled_ids}
-    M = {
-        (k, aid): min(cap, gaps[k])
-        for k in range(len(commodities))
-        for aid in network.tolled_ids
-    }
+    M: dict[tuple[int, ArcId], Fraction] = {}
+    for k, gap in enumerate(gaps):
+        bound = exact(min(cap_int, gap))
+        for aid in network.tolled_ids:
+            M[(k, aid)] = bound
 
+    # Tolled arcs priced at base + cap, over the same denominator.
+    capped_prices = [
+        cost + cap_int if arc.tolled else cost
+        for arc, cost in zip(network.arcs, int_costs)
+    ]
     R: dict[tuple[int, ArcId], Fraction] = {}
     for k, com in enumerate(commodities):
-        capped = distances_to(network, com.destination, "capped", caps=N)
-        for node, value in capped.items():
-            if value != INFINITY:
-                lam_hi[(k, node)] = Fraction(value)
-        for arc in network.arcs:
-            lo = zero_dist[k][arc.tail]
-            hi = capped[arc.head]
-            if lo == INFINITY or hi == INFINITY:
+        capped = _distances(network, com.destination, capped_prices, NO_EXCLUSIONS)
+        for node, value in enumerate(capped):
+            if value is not None:
+                lam_hi[(k, node)] = exact(value)
+        lo = zero_dist[k]
+        for arc, price in zip(network.arcs, capped_prices):
+            lo_tail = lo[arc.tail]
+            hi_head = capped[arc.head]
+            if lo_tail is None or hi_head is None:
                 continue  # arc can never carry k's flow; no bound needed or defined
-            bound = arc.cost - Fraction(lo) + Fraction(hi)
-            if arc.tolled:
-                bound += cap
-            R[(k, arc.index)] = bound
+            # The tolled arc's price already carries the cap.
+            R[(k, arc.index)] = exact(price - lo_tail + hi_head)
 
     S: dict[tuple[int, int], Fraction] = {}
     if bfsets:
         for k, bfset in bfsets.items():
             for pos, path in enumerate(bfset.paths):
-                S[(k, pos)] = (
-                    path.cost
-                    + sum((N[a] for a in path.tolled_set), Fraction(0))
-                    - L_lo[k]
-                )
+                base = sum(int_costs[a] for a in path.arcs)
+                S[(k, pos)] = exact(base + cap_int * len(path.tolled_set) - lo_int[k])
 
     return BigMParams(N, M, R, S, lam_lo, lam_hi, L_lo, pi_cost)

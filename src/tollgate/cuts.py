@@ -24,10 +24,9 @@ from .enumeration import ConsistencyError
 from .formulations import (
     CommodityAssignment,
     HybridModel,
+    _flow_name,
     var_L,
     var_T,
-    var_x,
-    var_y,
 )
 from .network import Arc, Path
 from .solver import (
@@ -46,8 +45,7 @@ MAX_CUT_ROUNDS = 200
 
 
 def _flow_value(assignment: Mapping[str, float], k: int, arc: Arc) -> float:
-    name = var_x(k, arc.index) if arc.tolled else var_y(k, arc.index)
-    return assignment.get(name, 0.0)
+    return assignment.get(_flow_name(k, arc), 0.0)
 
 
 def selected_path(
@@ -143,10 +141,6 @@ def _decompose_flow(
             break
         cycles.append(_pop_cycle(out_pool, start, k))
     return walk, cycles
-
-
-def _flow_name(k: int, arc: Arc) -> str:
-    return var_x(k, arc.index) if arc.tolled else var_y(k, arc.index)
 
 
 def vfcs_feasibility_cut(

@@ -157,13 +157,16 @@ def enumerate_paths(
     if first is None:
         raise ConsistencyError(f"no path from {origin} to {dest}")
 
+    int_costs, scale = network.int_costs, network.scale
     counter = itertools.count()
-    # Heap entries: (cost, arc sequence, tiebreak, spur position, excluded arcs).
-    # The spur position indexes the path's node sequence; arcs before it are
-    # pinned, and the excluded set carries the deviations that define this
-    # candidate's region of the path space.
-    heap: list[tuple[Fraction, tuple[ArcId, ...], int, Path, int, frozenset[ArcId]]] = []
-    heap.append((first.cost, first.arcs, next(counter), first, 0, frozenset()))
+    # Heap entries: (cost times scale, arc sequence, tiebreak, path, spur
+    # position, excluded arcs).  The spur position indexes the path's node
+    # sequence; arcs before it are pinned, and the excluded set carries the
+    # deviations that define this candidate's region of the path space.
+    heap: list[tuple[int, tuple[ArcId, ...], int, Path, int, frozenset[ArcId]]] = []
+    heap.append(
+        (sum(int_costs[a] for a in first.arcs), first.arcs, next(counter), first, 0, frozenset())
+    )
 
     emitted: list[Path] = []
     stopped_at_tollfree = False
@@ -175,9 +178,9 @@ def enumerate_paths(
             break
 
         arcs = [network.arc(a) for a in path.arcs]
-        prefix_costs = [Fraction(0)]
-        for arc in arcs:
-            prefix_costs.append(prefix_costs[-1] + arc.cost)
+        prefix_costs = [0]
+        for aid in path.arcs:
+            prefix_costs.append(prefix_costs[-1] + int_costs[aid])
 
         # One subproblem per tolled arc on the suffix that starts at the spur
         # node.  For the i-th of them the prefix is pinned through the head of
@@ -199,11 +202,11 @@ def enumerate_paths(
             if replacement is not None:
                 child_arcs = path.arcs[:spur] + replacement.arcs
                 child_nodes = path.nodes[:spur] + replacement.nodes
-                child_cost = prefix_costs[spur] + replacement.cost
+                child_cost = prefix_costs[spur] + sum(int_costs[a] for a in replacement.arcs)
                 child = Path(
                     child_arcs,
                     child_nodes,
-                    child_cost,
+                    Fraction(child_cost, scale),
                     frozenset(path.tolled_set & set(child_arcs[:spur]))
                     | replacement.tolled_set,
                     commodity_index,

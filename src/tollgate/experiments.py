@@ -158,26 +158,7 @@ def run_sweep(
                     cells,
                 )
             )
-    _log_enum_monotonicity(records)
     return records
-
-
-def _log_enum_monotonicity(records: Sequence[RunRecord]) -> None:
-    """Enumeration with a higher cap should not get cheaper; log when it does.
-
-    Wall-clock jitter makes this a diagnostic, not an invariant.
-    """
-    by_pair: dict[tuple[str, str], list[RunRecord]] = {}
-    for rec in records:
-        by_pair.setdefault((rec.instance, rec.kind), []).append(rec)
-    for (instance, kind), group in by_pair.items():
-        group = sorted(group, key=lambda r: r.breakpoint)
-        for small, big in zip(group, group[1:]):
-            if big.enum_s < small.enum_s * 0.5:
-                log.info(
-                    "enumeration at N=%d ran faster than at N=%d on %s (%s)",
-                    big.breakpoint, small.breakpoint, instance, kind,
-                )
 
 
 def write_csv(records: Sequence[RunRecord], stream: TextIO) -> None:

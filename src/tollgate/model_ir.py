@@ -55,15 +55,12 @@ class Constraint:
 
 def _merge_terms(terms: Iterable[tuple[Union[int, Fraction], str]]) -> tuple[Term, ...]:
     """Sum duplicate variables, drop zeros, keep first-appearance order."""
-    order: list[str] = []
     acc: dict[str, Fraction] = {}
     for coef, name in terms:
         coef = as_fraction(coef)
-        if name not in acc:
-            acc[name] = Fraction(0)
-            order.append(name)
-        acc[name] += coef
-    return tuple((acc[name], name) for name in order if acc[name] != 0)
+        seen = acc.get(name)
+        acc[name] = coef if seen is None else seen + coef
+    return tuple((coef, name) for name, coef in acc.items() if coef)
 
 
 class ModelIR:

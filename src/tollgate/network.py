@@ -5,6 +5,14 @@ toll-free set.  Arc costs are exact rationals and stay exact through every
 transformation in this package; floating point only appears when a model is
 handed to a numeric solver.
 
+Costs have two exact forms.  At the edges of the graph layer (instance I/O,
+``Arc.cost``, ``Path.cost``) they are ``Fraction`` values.  Inside it they
+are Python integers over one common denominator: :attr:`Network.scale` is
+the least common multiple of the arc-cost denominators, and
+``Network.int_costs[a]`` equals ``arcs[a].cost * scale``.  Searches add and
+compare those integers, which orders paths exactly as the rationals would,
+and convert back to ``Fraction`` only for the values they return.
+
 The instance file format is line oriented::
 
     npp <num_nodes> <num_arcs> <num_commodities>
@@ -18,7 +26,8 @@ self-loops are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path as FilePath
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -27,6 +36,9 @@ Node = int
 ArcId = int
 
 RationalLike = Union[int, Fraction, str]
+
+# Model builders pass these coefficients by the thousand.
+_SMALL_INTS = {-1: Fraction(-1), 0: Fraction(0), 1: Fraction(1)}
 
 
 class InstanceError(ValueError):
@@ -37,8 +49,15 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Convert an exact input (int, Fraction, or literal string) to Fraction.
 
     Floats are rejected on purpose: they would silently break the exactness
-    guarantees the rest of the package relies on.
+    guarantees the rest of the package relies on.  A ``Fraction`` is
+    returned as is (it is immutable), and -1, 0 and 1 as shared constants.
     """
+    # Exact type tests first: isinstance against Fraction is an ABC check.
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        small = _SMALL_INTS.get(value)
+        return Fraction(value) if small is None else small
     if isinstance(value, bool):
         raise TypeError("bool is not a valid rational value")
     if isinstance(value, (int, Fraction)):
@@ -140,7 +159,14 @@ class Path:
 
 
 class Network:
-    """An immutable directed multigraph with exact arc costs."""
+    """An immutable directed multigraph with exact arc costs.
+
+    Besides the :class:`Arc` records it keeps the integer form of the costs
+    that the searches run on: ``scale``, the common denominator of the arc
+    costs; ``int_costs``, each arc's cost times ``scale``; and ``out_adj`` /
+    ``in_adj``, per node, one ``(other endpoint, arc id)`` pair per outgoing /
+    incoming arc, in arc order.
+    """
 
     def __init__(self, num_nodes: int, arcs: Sequence[Arc]):
         if num_nodes < 2:
@@ -159,6 +185,16 @@ class Network:
             self._in[arc.head].append(arc)
         self.tolled_ids: tuple[ArcId, ...] = tuple(a.index for a in self.arcs if a.tolled)
         self.toll_free_ids: tuple[ArcId, ...] = tuple(a.index for a in self.arcs if not a.tolled)
+        self.scale: int = math.lcm(*(a.cost.denominator for a in self.arcs))
+        self.int_costs: tuple[int, ...] = tuple(
+            a.cost.numerator * (self.scale // a.cost.denominator) for a in self.arcs
+        )
+        self.out_adj: tuple[tuple[tuple[Node, ArcId], ...], ...] = tuple(
+            tuple((a.head, a.index) for a in out) for out in self._out
+        )
+        self.in_adj: tuple[tuple[tuple[Node, ArcId], ...], ...] = tuple(
+            tuple((a.tail, a.index) for a in into) for into in self._in
+        )
 
     @property
     def num_arcs(self) -> int:
@@ -193,7 +229,7 @@ class Network:
             nodes.append(arc.head)
         if len(set(nodes)) != len(nodes):
             raise InstanceError("path revisits a node")
-        cost = sum((a.cost for a in arcs), Fraction(0))
+        cost = Fraction(sum(self.int_costs[a] for a in arc_ids), self.scale)
         tolled = frozenset(a.index for a in arcs if a.tolled)
         return Path(tuple(arc_ids), tuple(nodes), cost, tolled, commodity)
 

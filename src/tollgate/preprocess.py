@@ -57,16 +57,24 @@ class ReducedGraph:
     node_origin: tuple[Node, ...]
     arc_origin: tuple[tuple[ArcId, ...], ...]
     _node_map: dict[Node, Node] = field(default_factory=dict, repr=False, compare=False)
+    # Reduced arc id by the first original arc of its chain.
+    _first_arc: dict[ArcId, ArcId] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._node_map.update(
             {orig: red for red, orig in enumerate(self.node_origin)}
         )
+        self._first_arc.update(
+            {chain[0]: rid for rid, chain in enumerate(self.arc_origin)}
+        )
+        origin_costs, origin_scale = self.origin_network.int_costs, self.origin_network.scale
         for rid, chain in enumerate(self.arc_origin):
             arc = self.network.arc(rid)
-            total = sum((self.origin_network.arc(a).cost for a in chain), Fraction(0))
-            if total != arc.cost:
-                raise ConsistencyError(f"reduced arc {rid}: chain cost {total} != {arc.cost}")
+            total = sum(origin_costs[a] for a in chain)
+            if total * arc.cost.denominator != arc.cost.numerator * origin_scale:
+                raise ConsistencyError(
+                    f"reduced arc {rid}: chain cost {Fraction(total, origin_scale)} != {arc.cost}"
+                )
             if arc.tolled and len(chain) != 1:
                 raise ConsistencyError(f"tolled reduced arc {rid} maps to a chain")
 
@@ -107,13 +115,10 @@ class ReducedGraph:
         chains (which path-based reduction guarantees for every path of the
         feasible set it was built from).
         """
-        by_first: dict[ArcId, ArcId] = {}
-        for rid, chain in enumerate(self.arc_origin):
-            by_first[chain[0]] = rid
         reduced: list[ArcId] = []
         pos = 0
         while pos < len(path.arcs):
-            rid = by_first.get(path.arcs[pos])
+            rid = self._first_arc.get(path.arcs[pos])
             if rid is None:
                 raise ConsistencyError(
                     f"arc {path.arcs[pos]} of the path is not represented in the reduction"

@@ -9,6 +9,13 @@ base cost:
 
 Ties between equal-cost paths break toward the lexicographically smallest arc
 index sequence, which makes every search in this package deterministic.
+
+The searches run on exact integers: every arc's regime price is its cost
+times a common denominator (the network's ``scale``, or under ``"capped"``
+the least common multiple of ``scale`` and the cap denominators).  Scaling
+by one positive integer preserves every sum and comparison, so the results
+equal those of a search on the rationals.  Values leave this module as
+``Fraction``: :attr:`Path.cost` and the entries of :func:`distances_to`.
 """
 
 from __future__ import annotations
@@ -17,14 +24,17 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from .network import Arc, ArcId, Network, Node, Path
+from .network import ArcId, Network, Node, Path
 
 REGIMES = ("zero", "capped", "infinite")
 
 Cost = Union[Fraction, float]  # float only for math.inf markers
 INFINITY: float = math.inf
+
+# Integer price per arc id; None marks an arc the regime makes unusable.
+Prices = Sequence[Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -37,13 +47,6 @@ class ExclusionSet:
 
     arcs: frozenset[ArcId] = frozenset()
     nodes: frozenset[Node] = frozenset()
-
-    def blocks(self, arc: Arc) -> bool:
-        return (
-            arc.index in self.arcs
-            or arc.tail in self.nodes
-            or arc.head in self.nodes
-        )
 
 
 NO_EXCLUSIONS = ExclusionSet()
@@ -60,15 +63,59 @@ def _check_regime(network: Network, regime: str, caps: Optional[Mapping[ArcId, F
             raise ValueError(f"capped regime is missing caps for tolled arcs {missing}")
 
 
-def _arc_cost(arc: Arc, regime: str, caps: Optional[Mapping[ArcId, Fraction]]) -> Optional[Fraction]:
-    """Price of the arc under the regime; None means the arc is unusable."""
-    if not arc.tolled:
-        return arc.cost
+def _regime_prices(
+    network: Network, regime: str, caps: Optional[Mapping[ArcId, Fraction]]
+) -> tuple[Prices, int]:
+    """Integer price of every arc under the regime, and their denominator."""
     if regime == "zero":
-        return arc.cost
-    if regime == "capped":
-        return arc.cost + caps[arc.index]  # type: ignore[index]
-    return None  # infinite regime removes tolled arcs
+        return network.int_costs, network.scale
+    if regime == "infinite":
+        return [
+            None if arc.tolled else cost
+            for arc, cost in zip(network.arcs, network.int_costs)
+        ], network.scale
+    tolled_caps = {aid: Fraction(caps[aid]) for aid in network.tolled_ids}  # type: ignore[index]
+    scale = math.lcm(network.scale, *(c.denominator for c in tolled_caps.values()))
+    factor = scale // network.scale
+    prices = [cost * factor for cost in network.int_costs]
+    for aid, cap in tolled_caps.items():
+        prices[aid] += cap.numerator * (scale // cap.denominator)
+    return prices, scale
+
+
+def _distances(
+    network: Network, target: Node, prices: Prices, excluded: ExclusionSet
+) -> list[Optional[int]]:
+    """Integer cost of the cheapest path from every node to ``target``.
+
+    One backward Dijkstra sweep over reversed arcs; None marks a node that
+    cannot reach ``target``.
+    """
+    dist: list[Optional[int]] = [None] * network.num_nodes
+    if target in excluded.nodes:
+        return dist
+    banned_arcs, banned_nodes = excluded.arcs, excluded.nodes
+    in_adj = network.in_adj
+    dist[target] = 0
+    heap: list[tuple[int, Node]] = [(0, target)]
+    settled: set[Node] = set()
+    while heap:
+        cost, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        for tail, aid in in_adj[node]:
+            if tail in settled or aid in banned_arcs or tail in banned_nodes:
+                continue
+            price = prices[aid]
+            if price is None:
+                continue
+            candidate = cost + price
+            best = dist[tail]
+            if best is None or candidate < best:
+                dist[tail] = candidate
+                heapq.heappush(heap, (candidate, tail))
+    return dist
 
 
 def shortest_path(
@@ -95,9 +142,12 @@ def shortest_path(
     if source == target:
         raise ValueError("source equals target")
 
+    prices, _ = _regime_prices(network, regime, caps)
+    banned_arcs, banned_nodes = excluded.arcs, excluded.nodes
+    out_adj = network.out_adj
     # Entries are (regime cost, arc sequence, node); with strictly positive
     # costs the first pop per node carries its minimal (cost, sequence) label.
-    heap: list[tuple[Fraction, tuple[ArcId, ...], Node]] = [(Fraction(0), (), source)]
+    heap: list[tuple[int, tuple[ArcId, ...], Node]] = [(0, (), source)]
     settled: set[Node] = set()
     while heap:
         cost, arcs, node = heapq.heappop(heap)
@@ -106,13 +156,13 @@ def shortest_path(
         settled.add(node)
         if node == target:
             return network.path(arcs, commodity)
-        for arc in network.out_arcs(node):
-            if arc.head in settled or excluded.blocks(arc):
+        for head, aid in out_adj[node]:
+            if head in settled or aid in banned_arcs or head in banned_nodes:
                 continue
-            price = _arc_cost(arc, regime, caps)
+            price = prices[aid]
             if price is None:
                 continue
-            heapq.heappush(heap, (cost + price, arcs + (arc.index,), arc.head))
+            heapq.heappush(heap, (cost + price, arcs + (aid,), head))
     return None
 
 
@@ -131,25 +181,8 @@ def distances_to(
     _check_regime(network, regime, caps)
     if not (0 <= target < network.num_nodes):
         raise ValueError("target out of range")
-    dist: dict[Node, Cost] = {node: INFINITY for node in range(network.num_nodes)}
-    if target in excluded.nodes:
-        return dist
-    dist[target] = Fraction(0)
-    heap: list[tuple[Fraction, Node]] = [(Fraction(0), target)]
-    settled: set[Node] = set()
-    while heap:
-        cost, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        for arc in network.in_arcs(node):
-            if arc.tail in settled or excluded.blocks(arc):
-                continue
-            price = _arc_cost(arc, regime, caps)
-            if price is None:
-                continue
-            candidate = cost + price
-            if candidate < dist[arc.tail]:
-                dist[arc.tail] = candidate
-                heapq.heappush(heap, (candidate, arc.tail))
-    return dist
+    prices, scale = _regime_prices(network, regime, caps)
+    return {
+        node: INFINITY if value is None else Fraction(value, scale)
+        for node, value in enumerate(_distances(network, target, prices, excluded))
+    }

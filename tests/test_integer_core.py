@@ -1,0 +1,201 @@
+"""The integer cost core, checked against Fraction references.
+
+Searches, enumeration and big-M run on integers over ``Network.scale``.  On
+perturbed generated instances that scale is about 2^59, so these tests pit
+the integer code against slow references written on ``Fraction`` from the
+definitions: brute-force path lists, Bellman-Ford distances, and the big-M
+formulas of :mod:`tollgate.bigm`'s docstring.
+"""
+
+from __future__ import annotations
+
+import warnings
+from fractions import Fraction
+
+import pytest
+
+from tollgate.bigm import BigMParams, compute_bigm
+from tollgate.enumeration import enumerate_paths, perturb_costs
+from tollgate.generator import GenConfig, generate, parse_topology
+from tollgate.network import Arc, Network, ProblemInstance
+from tollgate.shortest_path import INFINITY, distances_to, shortest_path
+
+from bruteforce import all_simple_paths, path_cost, tolled_part
+
+TOPOLOGIES = ("grid:4x4", "delaunay:10")
+
+
+@pytest.fixture(scope="module", params=TOPOLOGIES)
+def perturbed(request) -> ProblemInstance:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        raw = generate(GenConfig(parse_topology(request.param), 3, seed=0))
+    net = perturb_costs(raw.network, seed=0)
+    return ProblemInstance(net, raw.commodities, raw.label)
+
+
+def fraction_distances(network: Network, target: int, price) -> dict:
+    """Bellman-Ford to ``target`` on Fractions; ``price(arc)`` None = unusable."""
+    dist = {node: None for node in range(network.num_nodes)}
+    dist[target] = Fraction(0)
+    for _ in range(network.num_nodes):
+        for arc in network.arcs:
+            cost = price(arc)
+            if cost is None or dist[arc.head] is None:
+                continue
+            candidate = cost + dist[arc.head]
+            if dist[arc.tail] is None or candidate < dist[arc.tail]:
+                dist[arc.tail] = candidate
+    return dist
+
+
+def reference_bigm(network: Network, commodities, bfsets) -> BigMParams:
+    """The big-M families from their definitions, on Fractions throughout."""
+    zero = [
+        fraction_distances(network, com.destination, lambda a: a.cost)
+        for com in commodities
+    ]
+    free = [
+        fraction_distances(
+            network, com.destination, lambda a: None if a.tolled else a.cost
+        )
+        for com in commodities
+    ]
+    L_lo = {k: zero[k][com.origin] for k, com in enumerate(commodities)}
+    pi_cost = {k: free[k][com.origin] for k, com in enumerate(commodities)}
+    gaps = {k: max(Fraction(0), pi_cost[k] - L_lo[k]) for k in L_lo}
+    cap = max(gaps.values())
+    N = {a: cap for a in network.tolled_ids}
+    M = {(k, a): min(cap, gaps[k]) for k in gaps for a in network.tolled_ids}
+    capped = [
+        fraction_distances(
+            network, com.destination, lambda a: a.cost + cap if a.tolled else a.cost
+        )
+        for com in commodities
+    ]
+    lam_lo, lam_hi, R = {}, {}, {}
+    for k in range(len(commodities)):
+        for node in range(network.num_nodes):
+            if zero[k][node] is not None:
+                lam_lo[(k, node)] = zero[k][node]
+            if capped[k][node] is not None:
+                lam_hi[(k, node)] = capped[k][node]
+        for arc in network.arcs:
+            lo, hi = zero[k][arc.tail], capped[k][arc.head]
+            if lo is not None and hi is not None:
+                R[(k, arc.index)] = arc.cost - lo + hi + (cap if arc.tolled else 0)
+    S = {
+        (k, pos): path.cost + cap * len(path.tolled_set) - L_lo[k]
+        for k, bfset in bfsets.items()
+        for pos, path in enumerate(bfset.paths)
+    }
+    return BigMParams(N, M, R, S, lam_lo, lam_hi, L_lo, pi_cost)
+
+
+def test_scale_is_the_common_denominator():
+    arcs = [
+        Arc(0, 0, 1, Fraction(1, 2), True),
+        Arc(1, 1, 2, Fraction(2, 3), False),
+        Arc(2, 0, 2, Fraction(5), False),
+    ]
+    net = Network(3, arcs)
+    assert net.scale == 6
+    assert net.int_costs == (3, 4, 30)
+    assert net.out_adj[0] == ((1, 0), (2, 2))
+    assert net.in_adj[2] == ((1, 1), (0, 2))
+    assert net.path([0, 1]).cost == Fraction(7, 6)
+
+
+def test_perturbed_instances_need_a_wide_scale(perturbed):
+    assert perturbed.network.scale.bit_length() > 50
+    for arc, cost in zip(perturbed.network.arcs, perturbed.network.int_costs):
+        assert Fraction(cost, perturbed.network.scale) == arc.cost
+
+
+def test_enumeration_follows_the_brute_force_cost_order(perturbed):
+    net = perturbed.network
+    for k, com in enumerate(perturbed.commodities):
+        ranked = sorted(
+            all_simple_paths(net, com.origin, com.destination),
+            key=lambda arcs: (path_cost(net, arcs), arcs),
+        )
+        stop = next(i for i, arcs in enumerate(ranked) if not tolled_part(net, arcs))
+        ranked = ranked[: stop + 1]
+        result = enumerate_paths(net, com, commodity_index=k)
+        assert result.stopped_at_tollfree
+        emitted = [p.arcs for p in result.paths]
+        # The emitted paths appear in the ranked list, in its order, and end
+        # at the cheapest toll-free path.
+        positions = [ranked.index(arcs) for arcs in emitted]
+        assert positions == sorted(positions)
+        assert emitted[-1] == ranked[-1]
+        assert [p.cost for p in result.paths] == [path_cost(net, a) for a in emitted]
+        # A skipped path keeps the tolled arcs of a cheaper emitted one.
+        for arcs in ranked:
+            if arcs not in emitted:
+                tolled = tolled_part(net, arcs)
+                cost = path_cost(net, arcs)
+                assert any(
+                    p.tolled_set <= tolled and p.cost < cost for p in result.paths
+                )
+
+
+def test_capped_caps_outside_the_scale_stay_exact():
+    # Half-integer costs (scale 2) with caps in thirds: the search runs over 6.
+    arcs = [
+        Arc(0, 0, 1, Fraction(1, 2), True),
+        Arc(1, 1, 3, Fraction(1, 2), True),
+        Arc(2, 0, 2, Fraction(3, 2), False),
+        Arc(3, 2, 3, Fraction(1, 2), False),
+        Arc(4, 1, 2, Fraction(1, 2), False),
+        Arc(5, 0, 3, Fraction(5, 2), True),
+    ]
+    net = Network(4, arcs)
+    assert net.scale == 2
+    caps = {0: Fraction(1, 3), 1: Fraction(2, 3), 5: Fraction(1, 3)}
+    price = lambda a: a.cost + caps[a.index] if a.tolled else a.cost
+    expected = fraction_distances(net, 3, price)
+    assert distances_to(net, 3, "capped", caps=caps) == {
+        node: INFINITY if value is None else value for node, value in expected.items()
+    }
+    # 0->1->2->3 costs 1/2+1/3 + 1/2 + 1/2 = 11/6, below 0->2->3 (2) and 0->1->3 (2).
+    assert expected[0] == Fraction(11, 6)
+    best = shortest_path(net, 0, 3, "capped", caps=caps)
+    assert best.arcs == (0, 4, 3)
+    assert best.cost == Fraction(3, 2)
+
+
+def test_capped_search_matches_brute_force(perturbed):
+    net = perturbed.network
+    caps = {a: Fraction(1, 3) + Fraction(a, 7) for a in net.tolled_ids}
+    price = lambda a: a.cost + caps[a.index] if a.tolled else a.cost
+    for com in perturbed.commodities:
+        ranked = sorted(
+            all_simple_paths(net, com.origin, com.destination),
+            key=lambda arcs: (sum(price(net.arc(a)) for a in arcs), arcs),
+        )
+        best = shortest_path(net, com.origin, com.destination, "capped", caps=caps)
+        assert best.arcs == ranked[0]
+        assert best.cost == path_cost(net, ranked[0])
+        assert distances_to(net, com.destination, "capped", caps=caps)[com.origin] == sum(
+            price(net.arc(a)) for a in ranked[0]
+        )
+
+
+def test_compute_bigm_matches_a_fraction_reference(perturbed):
+    net, commodities = perturbed.network, perturbed.commodities
+    bfsets = {
+        k: enumerate_paths(net, com, commodity_index=k).feasible_set()
+        for k, com in enumerate(commodities)
+    }
+    assert compute_bigm(net, commodities, bfsets) == reference_bigm(
+        net, commodities, bfsets
+    )
+
+
+def test_r_value_cap_follows_scaled(fig, fig_bigm):
+    tripled = fig_bigm.scaled(3)
+    arc = fig.network.arc(0)
+    base = fig_bigm.r_value(0, arc.cost, False, arc.tail, arc.head)
+    assert fig_bigm.r_value(0, arc.cost, True, arc.tail, arc.head) == base + 7
+    assert tripled.r_value(0, arc.cost, True, arc.tail, arc.head) == base + 21

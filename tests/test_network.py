@@ -22,12 +22,15 @@ from tollgate.network import (
 def test_as_fraction_exact_inputs():
     assert as_fraction(3) == Fraction(3)
     assert as_fraction("7/2") == Fraction(7, 2)
-    assert as_fraction(Fraction(5, 3)) == Fraction(5, 3)
+    value = Fraction(5, 3)
+    assert as_fraction(value) is value
+    assert as_fraction(-1) == Fraction(-1) and as_fraction(1) is as_fraction(1)
 
 
 def test_as_fraction_rejects_floats():
-    with pytest.raises(TypeError):
-        as_fraction(0.1)
+    for bad in (0.1, 1.0, True, False):
+        with pytest.raises(TypeError):
+            as_fraction(bad)
 
 
 def test_format_rational_round_trips():
