@@ -15,8 +15,6 @@ From these:
   any commodity could ever be charged, ``max_k max(0, pi_cost - L_lo)``,
 * ``M[k, a]``  per-commodity cap on collected toll, ``min(N, pi_cost - L_lo)``
   clamped at zero,
-* ``R[k, a]``  slack bound for dual rows, ``cost (+ N if tolled) - lam_lo[tail]
-  + lam_hi[head]``,
 * ``S[k, p]``  slack bound for path rows, ``base(p) + sum of N over p's tolled
   arcs - L_lo``.
 
@@ -25,6 +23,10 @@ arc id, which keeps them valid on every reduced graph (the witness dual
 vector for any optimal toll lives on the original network and transfers to
 subgraphs).  Entries whose supporting distance is infinite are simply absent;
 builders raise when they need one, naming the arc.
+
+The slack bound of a dual arc row, ``cost (+ N if tolled) - lam_lo[tail] +
+lam_hi[head]``, is not stored: :meth:`BigMParams.r_value` evaluates it from
+the arc's original endpoints, which also covers contracted arcs.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class BigMParams:
 
     N: Mapping[ArcId, Fraction]
     M: Mapping[tuple[int, ArcId], Fraction]
-    R: Mapping[tuple[int, ArcId], Fraction]
     S: Mapping[tuple[int, int], Fraction]
     lam_lo: Mapping[tuple[int, Node], Fraction]
     lam_hi: Mapping[tuple[int, Node], Fraction]
@@ -99,7 +100,6 @@ class BigMParams:
             self,
             N={k: v * f for k, v in self.N.items()},
             M={k: v * f for k, v in self.M.items()},
-            R={k: v * f for k, v in self.R.items()},
             S={k: v * f for k, v in self.S.items()},
         )
 
@@ -127,12 +127,10 @@ def compute_bigm(
 
     lam_lo: dict[tuple[int, Node], Fraction] = {}
     lam_hi: dict[tuple[int, Node], Fraction] = {}
-    zero_dist: list[list[Optional[int]]] = []
     lo_int: list[int] = []
     pi_int: list[int] = []
     for k, com in enumerate(commodities):
         dist = _distances(network, com.destination, int_costs, NO_EXCLUSIONS)
-        zero_dist.append(dist)
         for node, value in enumerate(dist):
             if value is not None:
                 lam_lo[(k, node)] = exact(value)
@@ -161,20 +159,11 @@ def compute_bigm(
         cost + cap_int if arc.tolled else cost
         for arc, cost in zip(network.arcs, int_costs)
     ]
-    R: dict[tuple[int, ArcId], Fraction] = {}
     for k, com in enumerate(commodities):
         capped = _distances(network, com.destination, capped_prices, NO_EXCLUSIONS)
         for node, value in enumerate(capped):
             if value is not None:
                 lam_hi[(k, node)] = exact(value)
-        lo = zero_dist[k]
-        for arc, price in zip(network.arcs, capped_prices):
-            lo_tail = lo[arc.tail]
-            hi_head = capped[arc.head]
-            if lo_tail is None or hi_head is None:
-                continue  # arc can never carry k's flow; no bound needed or defined
-            # The tolled arc's price already carries the cap.
-            R[(k, arc.index)] = exact(price - lo_tail + hi_head)
 
     S: dict[tuple[int, int], Fraction] = {}
     if bfsets:
@@ -183,4 +172,4 @@ def compute_bigm(
                 base = sum(int_costs[a] for a in path.arcs)
                 S[(k, pos)] = exact(base + cap_int * len(path.tolled_set) - lo_int[k])
 
-    return BigMParams(N, M, R, S, lam_lo, lam_hi, L_lo, pi_cost)
+    return BigMParams(N, M, S, lam_lo, lam_hi, L_lo, pi_cost)

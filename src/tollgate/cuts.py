@@ -8,11 +8,12 @@ overstated.  On graphs with opposite twin arcs the flow balance rows even
 admit a lit cycle riding along with the routed path, pocketing the tolls
 of the cycle arcs without paying their cost.  The fix is iterative: solve,
 decompose each commodity's lit arcs into the routed path plus cycles, and
-add one row per round.  A lit cycle gets a row forbidding it outright (a
-genuine routing is a simple path, so no true solution ever lights a full
-cycle); an uncovered routed path gets the slackness row that makes its
-dual bound tight.  Cycles and paths are both finite families and each cut
-permanently removes one member, so the loop terminates.
+add one row per offending commodity per round.  A lit cycle gets a row
+forbidding it outright (a genuine routing is a simple path, so no true
+solution ever lights a full cycle); an uncovered routed path gets the
+slackness row that makes its dual bound tight.  Cycles and paths are both
+finite families and each cut permanently removes one member, so the loop
+terminates.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .formulations import (
     var_L,
     var_T,
 )
-from .network import Arc, Path
+from .network import Arc
 from .solver import (
     DEFAULT_BUDGET,
     STATUS_BUDGET,
@@ -46,39 +47,6 @@ MAX_CUT_ROUNDS = 200
 
 def _flow_value(assignment: Mapping[str, float], k: int, arc: Arc) -> float:
     return assignment.get(_flow_name(k, arc), 0.0)
-
-
-def selected_path(
-    context: HybridModel, part: CommodityAssignment, values: Mapping[str, float]
-) -> Path:
-    """Read commodity ``part.commodity``'s routed path out of a solution.
-
-    Follows the unit flow from origin to destination on the working graph.
-    Ambiguous flow (zero or several out-arcs carrying flow at a node) raises
-    :class:`ConsistencyError`.  Mid-loop incumbents of the slackness kinds
-    can be ambiguous when a cycle is lit alongside the path, so this reader
-    is only for solutions the cut loop has certified.
-    """
-    assert part.graph is not None
-    k = part.commodity
-    net = part.graph.network
-    com = context.instance.commodities[k]
-    node = part.graph.reduced_node(com.origin)
-    dest = part.graph.reduced_node(com.destination)
-    seen = {node}
-    arcs: list[int] = []
-    while node != dest:
-        hot = [a for a in net.out_arcs(node) if _flow_value(values, k, a) > 0.5]
-        if len(hot) != 1:
-            raise ConsistencyError(
-                f"commodity {k}: flow leaves node {node} on {len(hot)} arcs"
-            )
-        arcs.append(hot[0].index)
-        node = hot[0].head
-        if node in seen:
-            raise ConsistencyError(f"commodity {k}: flow revisits node {node}")
-        seen.add(node)
-    return net.path(arcs, k)
 
 
 def _pop_cycle(
@@ -146,66 +114,77 @@ def _decompose_flow(
 def vfcs_feasibility_cut(
     context: HybridModel, result: SolveResult
 ) -> Optional[str]:
-    """Add one row against an uncovered routed path or a lit cycle.
+    """Add one row per commodity with an uncovered routed path or a lit cycle.
 
     Scans the commodities modeled with arc flows against a path dual, in
     order, decomposing each one's lit arcs into its routed path plus any
-    cycles the flow balance rows let ride along.  The first offense gets a
-    row and its tag is returned: a cycle is forbidden outright (no genuine
-    routing lights all arcs of a cycle), and a routed path that neither the
-    feasible set nor an earlier cut covers gets its slackness row.  Returns
-    None when every commodity is clean, which certifies the incumbent.
+    cycles the flow balance rows let ride along.  Each offending commodity
+    gets one row: its first cycle is forbidden outright (no genuine routing
+    lights all arcs of a cycle), or else its routed path, when neither the
+    feasible set nor an earlier cut covers it, gets its slackness row.
+    Returns the tag of the first row added, or None when every commodity is
+    clean, which certifies the incumbent.
     """
+    first: Optional[str] = None
     for part in context.assignments:
         if part.kind is None or not part.kind.needs_cut_loop:
             continue
-        assert part.graph is not None and part.bfset is not None
-        k = part.commodity
-        graph = part.graph
-        com = context.instance.commodities[k]
-        lit = [
-            a
-            for a in graph.network.arcs
-            if _flow_value(result.assignment, k, a) > 0.5
-        ]
-        if not lit:
-            raise ConsistencyError(f"commodity {k}: no flow in the solution")
-        routed, cycles = _decompose_flow(
-            lit,
-            graph.reduced_node(com.origin),
-            graph.reduced_node(com.destination),
-            k,
-        )
+        tag = _commodity_cut(context, part, result)
+        if first is None:
+            first = tag
+    return first
 
-        if cycles:
-            banned = context.cut_cycles.setdefault(k, set())
-            cycle = cycles[0]
-            terms = [(1, _flow_name(k, arc)) for arc in cycle]
-            tag = f"cut-cycle[{k},{len(banned)}]"
-            context.ir.add_constraint(tag, terms, "<=", len(cycle) - 1)
-            banned.add(tuple(sorted(arc.index for arc in cycle)))
-            return tag
 
-        arcs = tuple(sorted(arc.index for arc in routed))
-        covered = {tuple(sorted(p.arcs)) for p in part.bfset.paths}
-        cut = context.cut_paths.setdefault(k, set())
-        if arcs in covered or arcs in cut:
-            continue
-        cost = sum(arc.cost for arc in routed)
-        tolled = [arc.index for arc in routed if arc.tolled]
-        s_val = context.bigm.s_value(
-            k, cost, [graph.original_tolled_id(r) for r in tolled]
-        )
-        terms = [(1, var_L(k))]
-        for rid in tolled:
-            terms.append((-1, var_T(graph.original_tolled_id(rid))))
-        for arc in routed:
-            terms.append((-s_val, _flow_name(k, arc)))
-        tag = f"lin-cs-ap[{k},cut{len(cut)}]"
-        context.ir.add_constraint(tag, terms, ">=", cost - s_val * len(routed))
-        cut.add(arcs)
+def _commodity_cut(
+    context: HybridModel, part: CommodityAssignment, result: SolveResult
+) -> Optional[str]:
+    """The row against one commodity's offense, or None when it is clean."""
+    assert part.graph is not None and part.bfset is not None
+    k = part.commodity
+    graph = part.graph
+    com = context.instance.commodities[k]
+    lit = [
+        a
+        for a in graph.network.arcs
+        if _flow_value(result.assignment, k, a) > 0.5
+    ]
+    if not lit:
+        raise ConsistencyError(f"commodity {k}: no flow in the solution")
+    routed, cycles = _decompose_flow(
+        lit,
+        graph.reduced_node(com.origin),
+        graph.reduced_node(com.destination),
+        k,
+    )
+
+    if cycles:
+        banned = context.cut_cycles.setdefault(k, set())
+        cycle = cycles[0]
+        terms = [(1, _flow_name(k, arc)) for arc in cycle]
+        tag = f"cut-cycle[{k},{len(banned)}]"
+        context.ir.add_constraint(tag, terms, "<=", len(cycle) - 1)
+        banned.add(tuple(sorted(arc.index for arc in cycle)))
         return tag
-    return None
+
+    arcs = tuple(sorted(arc.index for arc in routed))
+    covered = {tuple(sorted(p.arcs)) for p in part.bfset.paths}
+    cut = context.cut_paths.setdefault(k, set())
+    if arcs in covered or arcs in cut:
+        return None
+    cost = sum(arc.cost for arc in routed)
+    tolled = [arc.index for arc in routed if arc.tolled]
+    s_val = context.bigm.s_value(
+        k, cost, [graph.original_tolled_id(r) for r in tolled]
+    )
+    terms = [(1, var_L(k))]
+    for rid in tolled:
+        terms.append((-1, var_T(graph.original_tolled_id(rid))))
+    for arc in routed:
+        terms.append((-s_val, _flow_name(k, arc)))
+    tag = f"lin-cs-ap[{k},cut{len(cut)}]"
+    context.ir.add_constraint(tag, terms, ">=", cost - s_val * len(routed))
+    cut.add(arcs)
+    return tag
 
 
 def solve_with_vfcs_cuts(

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .network import ArcId, Commodity, Network, Path
-from .shortest_path import ExclusionSet, shortest_path
+from .shortest_path import NO_EXCLUSIONS, ExclusionSet, _distances, _search, shortest_path
 
 
 class ConsistencyError(RuntimeError):
@@ -153,33 +153,39 @@ def enumerate_paths(
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1 (or None for unbounded)")
     origin, dest = commodity.origin, commodity.destination
-    first = shortest_path(network, origin, dest, commodity=commodity_index)
+    int_costs, scale = network.int_costs, network.scale
+    # Every search runs toward ``dest``, so its exact zero-regime distances
+    # are an A* potential for all of them (see shortest_path).
+    potential = _distances(network, dest, int_costs, NO_EXCLUSIONS)
+    first = _search(network, origin, dest, int_costs, NO_EXCLUSIONS, potential)
     if first is None:
         raise ConsistencyError(f"no path from {origin} to {dest}")
 
-    int_costs, scale = network.int_costs, network.scale
+    tolled = [arc.tolled for arc in network.arcs]
+    heads = [arc.head for arc in network.arcs]
     counter = itertools.count()
-    # Heap entries: (cost times scale, arc sequence, tiebreak, path, spur
-    # position, excluded arcs).  The spur position indexes the path's node
-    # sequence; arcs before it are pinned, and the excluded set carries the
-    # deviations that define this candidate's region of the path space.
-    heap: list[tuple[int, tuple[ArcId, ...], int, Path, int, frozenset[ArcId]]] = []
-    heap.append(
-        (sum(int_costs[a] for a in first.arcs), first.arcs, next(counter), first, 0, frozenset())
-    )
+    # Heap entries: (cost times scale, arc sequence, tiebreak, spur position,
+    # excluded arcs).  The spur position indexes the path's node sequence;
+    # arcs before it are pinned, and the excluded set carries the deviations
+    # that define this candidate's region of the path space.  A candidate
+    # becomes a Path only when it is emitted.
+    heap: list[tuple[int, tuple[ArcId, ...], int, int, frozenset[ArcId]]] = [
+        (first[0], first[1], next(counter), 0, frozenset())
+    ]
 
     emitted: list[Path] = []
     stopped_at_tollfree = False
     while heap and (cap is None or len(emitted) < cap):
-        _, _, _, path, spur_pos, banned = heapq.heappop(heap)
-        emitted.append(path)
-        if path.is_toll_free():
+        cost, arcs, _, spur_pos, banned = heapq.heappop(heap)
+        nodes = (origin,) + tuple(heads[a] for a in arcs)
+        tolled_set = frozenset(a for a in arcs if tolled[a])
+        emitted.append(Path(arcs, nodes, Fraction(cost, scale), tolled_set, commodity_index))
+        if not tolled_set:
             stopped_at_tollfree = True
             break
 
-        arcs = [network.arc(a) for a in path.arcs]
         prefix_costs = [0]
-        for aid in path.arcs:
+        for aid in arcs:
             prefix_costs.append(prefix_costs[-1] + int_costs[aid])
 
         # One subproblem per tolled arc on the suffix that starts at the spur
@@ -188,32 +194,27 @@ def enumerate_paths(
         # the new spur node are removed so the replacement stays simple.
         spur = spur_pos
         for pos in range(spur_pos, len(arcs)):
-            if not arcs[pos].tolled:
+            if not tolled[arcs[pos]]:
                 continue
-            child_banned = banned | {arcs[pos].index}
-            blocked_nodes = frozenset(path.nodes[:spur])
-            replacement = shortest_path(
+            child_banned = banned | {arcs[pos]}
+            replacement = _search(
                 network,
-                path.nodes[spur],
+                nodes[spur],
                 dest,
-                excluded=ExclusionSet(arcs=child_banned, nodes=blocked_nodes),
-                commodity=commodity_index,
+                int_costs,
+                ExclusionSet(arcs=child_banned, nodes=frozenset(nodes[:spur])),
+                potential,
             )
             if replacement is not None:
-                child_arcs = path.arcs[:spur] + replacement.arcs
-                child_nodes = path.nodes[:spur] + replacement.nodes
-                child_cost = prefix_costs[spur] + sum(int_costs[a] for a in replacement.arcs)
-                child = Path(
-                    child_arcs,
-                    child_nodes,
-                    Fraction(child_cost, scale),
-                    frozenset(path.tolled_set & set(child_arcs[:spur]))
-                    | replacement.tolled_set,
-                    commodity_index,
-                )
                 heapq.heappush(
                     heap,
-                    (child_cost, child_arcs, next(counter), child, spur, child_banned),
+                    (
+                        prefix_costs[spur] + replacement[0],
+                        arcs[:spur] + replacement[1],
+                        next(counter),
+                        spur,
+                        child_banned,
+                    ),
                 )
             spur = pos + 1
     return EnumerationResult(commodity_index, emitted, stopped_at_tollfree)

@@ -163,6 +163,11 @@ def _flow_name(k: int, arc: Arc) -> str:
     return var_x(k, arc.index) if arc.tolled else var_y(k, arc.index)
 
 
+def _flow_names(k: int, net: Network) -> list[str]:
+    """Commodity ``k``'s flow variable name for every arc, by arc id."""
+    return [_flow_name(k, arc) for arc in net.arcs]
+
+
 def _reduced_endpoint(graph: ReducedGraph, node: int, k: int, which: str) -> int:
     try:
         return graph.reduced_node(node)
@@ -187,11 +192,15 @@ def _require_path_set(
     return bfset
 
 
-def _toll_name(model: ModelIR, graph: ReducedGraph, rid: ArcId) -> str:
-    name = var_T(graph.original_tolled_id(rid))
-    if not model.has_variable(name):
-        raise BuildError(f"{name} is not declared; call declare_tolls first")
-    return name
+def _toll_names(model: ModelIR, graph: ReducedGraph) -> dict[ArcId, str]:
+    """The shared ``T`` variable of every tolled working arc, by working arc id."""
+    names: dict[ArcId, str] = {}
+    for rid in graph.network.tolled_ids:
+        name = var_T(graph.original_tolled_id(rid))
+        if not model.has_variable(name):
+            raise BuildError(f"{name} is not declared; call declare_tolls first")
+        names[rid] = name
+    return names
 
 
 def _r_bound(bigm: BigMParams, k: int, arc: Arc, graph: ReducedGraph) -> Fraction:
@@ -237,14 +246,12 @@ def build_primal(
         raise BuildError(f"unknown primal representation {rep!r}")
     origin = _reduced_endpoint(graph, com.origin, k, "origin")
     dest = _reduced_endpoint(graph, com.destination, k, "destination")
-    for arc in net.arcs:
-        if arc.tolled:
-            model.add_variable(var_x(k, arc.index), 0, 1, binary=True)
-        else:
-            model.add_variable(var_y(k, arc.index), 0, 1, binary=binary_y)
+    flows = _flow_names(k, net)
+    for arc, name in zip(net.arcs, flows):
+        model.add_variable(name, 0, 1, binary=arc.tolled or binary_y)
     for node in range(net.num_nodes):
-        terms = [(1, _flow_name(k, a)) for a in net.out_arcs(node)]
-        terms += [(-1, _flow_name(k, a)) for a in net.in_arcs(node)]
+        terms = [(1, flows[aid]) for _, aid in net.out_adj[node]]
+        terms += [(-1, flows[aid]) for _, aid in net.in_adj[node]]
         rhs = 1 if node == origin else -1 if node == dest else 0
         if not terms:
             if rhs:
@@ -268,16 +275,15 @@ def build_dual(
     representation: a free bound ``L[k]`` with one row per feasible path.
     """
     net = graph.network
+    tolls = _toll_names(model, graph)
     if rep == ARC:
-        for node in range(net.num_nodes):
-            model.add_variable(var_lambda(k, node), None, None)
+        potentials = [var_lambda(k, node) for node in range(net.num_nodes)]
+        for name in potentials:
+            model.add_variable(name, None, None)
         for arc in net.arcs:
-            terms = [
-                (1, var_lambda(k, arc.tail)),
-                (-1, var_lambda(k, arc.head)),
-            ]
+            terms = [(1, potentials[arc.tail]), (-1, potentials[arc.head])]
             if arc.tolled:
-                terms.append((-1, _toll_name(model, graph, arc.index)))
+                terms.append((-1, tolls[arc.index]))
                 model.add_constraint(f"da1[{k},{arc.index}]", terms, "<=", arc.cost)
             else:
                 model.add_constraint(f"da2[{k},{arc.index}]", terms, "<=", arc.cost)
@@ -285,26 +291,24 @@ def build_dual(
     if rep != PATH:
         raise BuildError(f"unknown dual representation {rep!r}")
     bfset = _require_path_set(bfset, k, "the dual path block")
-    model.add_variable(var_L(k), None, None)
+    bound = model.add_variable(var_L(k), None, None)
     for pos, path in enumerate(bfset.paths):
-        terms = [(1, var_L(k))]
-        for rid in sorted(path.tolled_set):
-            terms.append((-1, _toll_name(model, graph, rid)))
+        terms = [(1, bound)]
+        terms += [(-1, tolls[rid]) for rid in sorted(path.tolled_set)]
         model.add_constraint(f"dp[{k},{pos}]", terms, "<=", path.cost)
 
 
 def _base_cost_terms(
     kind: FormulationKind,
-    k: int,
     graph: ReducedGraph,
     bfset: Optional[BilevelFeasibleSet],
+    primal: Sequence[str],
 ) -> list[tuple[Fraction, str]]:
     """The chosen route's toll-free cost, in whichever primal variables exist."""
-    net = graph.network
     if kind.primal_rep == ARC:
-        return [(a.cost, _flow_name(k, a)) for a in net.arcs if a.cost]
+        return [(a.cost, name) for a, name in zip(graph.network.arcs, primal)]
     assert bfset is not None
-    return [(p.cost, var_z(k, pos)) for pos, p in enumerate(bfset.paths) if p.cost]
+    return [(p.cost, name) for p, name in zip(bfset.paths, primal)]
 
 
 def _dual_objective_terms(
@@ -330,6 +334,8 @@ def _emit_direct_rows(
     graph: ReducedGraph,
     bfset: Optional[BilevelFeasibleSet],
     bigm: BigMParams,
+    tolls: Mapping[ArcId, str],
+    primal: Sequence[str],
     two_sided: bool,
 ) -> None:
     """Tie each per-arc revenue ``t`` to ``T`` times the arc's usage.
@@ -339,32 +345,27 @@ def _emit_direct_rows(
     slackness; with a strong duality equality in the model it is implied.
     """
     net = graph.network
+    suffix = "a" if kind.primal_rep == ARC else "p"
     for rid in net.tolled_ids:
         orig = graph.original_tolled_id(rid)
         tname = var_t(k, orig)
-        toll = _toll_name(model, graph, rid)
+        toll = tolls[rid]
         m_val = bigm.M[(k, orig)]
         n_val = bigm.N[orig]
         if kind.primal_rep == ARC:
-            suffix = "a"
-            usage = [(1, var_x(k, rid))]
+            usage = [primal[rid]]
         else:
             assert bfset is not None
-            suffix = "p"
-            usage = [
-                (1, var_z(k, pos))
-                for pos, p in enumerate(bfset.paths)
-                if rid in p.tolled_set
-            ]
+            usage = [name for p, name in zip(bfset.paths, primal) if rid in p.tolled_set]
         model.add_constraint(
             f"direct{suffix}1[{k},{rid}]",
-            [(1, tname)] + [(-m_val * c, n) for c, n in usage],
+            [(1, tname)] + [(-m_val, name) for name in usage],
             "<=",
             0,
         )
         model.add_constraint(
             f"direct{suffix}2[{k},{rid}]",
-            [(1, toll), (-1, tname)] + [(n_val * c, n) for c, n in usage],
+            [(1, toll), (-1, tname)] + [(n_val, name) for name in usage],
             "<=",
             n_val,
         )
@@ -381,52 +382,51 @@ def _emit_cs_rows(
     graph: ReducedGraph,
     bfset: Optional[BilevelFeasibleSet],
     bigm: BigMParams,
+    tolls: Mapping[ArcId, str],
+    primal: Sequence[str],
 ) -> None:
     """Force the dual row of every used arc or path to be tight."""
     net = graph.network
     if kind.dual_rep == ARC:
+        potentials = [var_lambda(k, node) for node in range(net.num_nodes)]
         for arc in net.arcs:
             r_val = _r_bound(bigm, k, arc, graph)
-            terms = [
-                (Fraction(1), var_lambda(k, arc.tail)),
-                (Fraction(-1), var_lambda(k, arc.head)),
-            ]
+            terms = [(1, potentials[arc.tail]), (-1, potentials[arc.head])]
             if arc.tolled:
-                terms.append((Fraction(-1), _toll_name(model, graph, arc.index)))
+                terms.append((-1, tolls[arc.index]))
             if kind.primal_rep == ARC:
-                terms.append((-r_val, _flow_name(k, arc)))
+                terms.append((-r_val, primal[arc.index]))
                 tag = "lin-cs-aa1" if arc.tolled else "lin-cs-aa2"
             else:
                 assert bfset is not None
-                for pos, p in enumerate(bfset.paths):
+                for p, name in zip(bfset.paths, primal):
                     used = (
                         arc.index in p.tolled_set if arc.tolled else arc.index in p.arcs
                     )
                     if used:
-                        terms.append((-r_val, var_z(k, pos)))
+                        terms.append((-r_val, name))
                 tag = "lin-cs-pa1" if arc.tolled else "lin-cs-pa2"
             model.add_constraint(
                 f"{tag}[{k},{arc.index}]", terms, ">=", arc.cost - r_val
             )
         return
     bfset = _require_path_set(bfset, k, "the slackness block")
+    bound = var_L(k)
     for pos, path in enumerate(bfset.paths):
         s_val = bigm.S.get((k, pos))
         if s_val is None:
             s_val = bigm.s_value(
                 k, path.cost, [graph.original_tolled_id(r) for r in path.tolled_set]
             )
-        terms: list[tuple[Fraction, str]] = [(Fraction(1), var_L(k))]
-        for rid in sorted(path.tolled_set):
-            terms.append((Fraction(-1), _toll_name(model, graph, rid)))
+        terms: list[tuple[Union[int, Fraction], str]] = [(1, bound)]
+        terms += [(-1, tolls[rid]) for rid in sorted(path.tolled_set)]
         if kind.primal_rep == PATH:
-            terms.append((-s_val, var_z(k, pos)))
+            terms.append((-s_val, primal[pos]))
             model.add_constraint(
                 f"lin-cs-pp[{k},{pos}]", terms, ">=", path.cost - s_val
             )
         else:
-            for rid in path.arcs:
-                terms.append((-s_val, _flow_name(k, net.arc(rid))))
+            terms += [(-s_val, primal[rid]) for rid in path.arcs]
             model.add_constraint(
                 f"lin-cs-ap[{k},{pos}]",
                 terms,
@@ -456,29 +456,42 @@ def build_coupling(
     if kind.needs_paths:
         bfset = _require_path_set(bfset, k, f"kind {kind}")
     net = graph.network
-    if kind.linearization == DIRECT:
-        for rid in net.tolled_ids:
-            model.add_variable(var_t(k, graph.original_tolled_id(rid)), 0, None)
+    tolls = _toll_names(model, graph)
+    # The primal variable names: flows by arc id, or z by feasible-set position.
+    if kind.primal_rep == ARC:
+        primal = _flow_names(k, net)
     else:
-        model.add_variable(var_tau(k), 0, None)
+        assert bfset is not None
+        primal = [var_z(k, pos) for pos in range(len(bfset.paths))]
+    # Revenue: per-arc t under direct linearization, else one substituted tau.
+    if kind.linearization == DIRECT:
+        revenue = [var_t(k, graph.original_tolled_id(rid)) for rid in net.tolled_ids]
+    else:
+        revenue = [var_tau(k)]
+    for name in revenue:
+        model.add_variable(name, 0, None)
+
+    def tie_value(tag: str) -> None:
+        """Route cost plus revenue equals the dual objective."""
+        terms = _base_cost_terms(kind, graph, bfset, primal)
+        terms += [(1, name) for name in revenue]
+        terms += _dual_objective_terms(kind, k, com, graph)
+        model.add_constraint(tag, terms, "=", 0)
 
     if kind.opt_cond == STRONG_DUALITY:
-        terms = list(_base_cost_terms(kind, k, graph, bfset))
-        for rid in net.tolled_ids:
-            terms.append((Fraction(1), var_t(k, graph.original_tolled_id(rid))))
-        terms += _dual_objective_terms(kind, k, com, graph)
-        model.add_constraint(f"lin-sd-{suffix}[{k}]", terms, "=", 0)
-        _emit_direct_rows(model, kind, k, graph, bfset, bigm, two_sided=False)
+        tie_value(f"lin-sd-{suffix}[{k}]")
+        _emit_direct_rows(
+            model, kind, k, graph, bfset, bigm, tolls, primal, two_sided=False
+        )
         return
 
-    _emit_cs_rows(model, kind, k, graph, bfset, bigm)
+    _emit_cs_rows(model, kind, k, graph, bfset, bigm, tolls, primal)
     if kind.linearization == DIRECT:
-        _emit_direct_rows(model, kind, k, graph, bfset, bigm, two_sided=True)
+        _emit_direct_rows(
+            model, kind, k, graph, bfset, bigm, tolls, primal, two_sided=True
+        )
     else:
-        terms = list(_base_cost_terms(kind, k, graph, bfset))
-        terms.append((Fraction(1), var_tau(k)))
-        terms += _dual_objective_terms(kind, k, com, graph)
-        model.add_constraint(f"lin-subs-sd-{suffix}[{k}]", terms, "=", 0)
+        tie_value(f"lin-subs-sd-{suffix}[{k}]")
 
 
 def emit_block(
@@ -615,6 +628,8 @@ def assemble_hybrid(
     model = ModelIR(name)
     declare_tolls(model, instance.network, bigm)
     assignments: list[CommodityAssignment] = []
+    # Every fallback commodity works on the unreduced graph.
+    identity: Optional[ReducedGraph] = None
     for k, com in enumerate(instance.commodities):
         bfset = sets[k]
         if bfset is None:
@@ -633,10 +648,11 @@ def assemble_hybrid(
                 CommodityAssignment(k, ROLE_MAIN, main, graph, working)
             )
             continue
-        graph = ReducedGraph.identity(instance.network)
-        emit_block(model, fallback, k, com, graph, None, bigm)
+        if identity is None:
+            identity = ReducedGraph.identity(instance.network)
+        emit_block(model, fallback, k, com, identity, None, bigm)
         assignments.append(
-            CommodityAssignment(k, ROLE_FALLBACK, fallback, graph, None)
+            CommodityAssignment(k, ROLE_FALLBACK, fallback, identity, None)
         )
     return HybridModel(model, instance, bigm, breakpoint, tuple(assignments))
 

@@ -10,20 +10,24 @@ checked against the model it was given.
 
 from __future__ import annotations
 
-import io
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Mapping, Sequence, Union
 
-from .model_ir import ModelIR
+from .model_ir import Coef, ModelIR, Term
 
 
-def _fmt(value: Union[int, Fraction]) -> str:
-    if isinstance(value, Fraction) and value.denominator == 1:
+def _float_text(value: Fraction) -> str:
+    # The quotient of two ints is correctly rounded, as float() is.
+    return f"{value.numerator / value.denominator:.12g}"
+
+
+def _fmt(value: Coef) -> str:
+    if type(value) is not int:
+        if value.denominator != 1:
+            return _float_text(value)
         value = value.numerator
-    if isinstance(value, int):
-        return str(value)
-    return f"{float(value):.12g}"
+    return str(value)
 
 
 def _encode(name: str) -> str:
@@ -31,24 +35,35 @@ def _encode(name: str) -> str:
     return name.replace("[", "__").replace("]", "").replace(",", "_")
 
 
-def _terms_text(terms: Iterable[tuple[Fraction, str]]) -> str:
+def _terms_text(terms: Sequence[Term], ident: Mapping[str, str]) -> str:
+    """``terms`` (at least one) as LP text; ``ident`` maps names to identifiers."""
     parts: list[str] = []
     for coef, name in terms:
-        ident = _encode(name)
-        if not parts:
-            if coef == 1:
-                parts.append(ident)
-            elif coef == -1:
-                parts.append(f"- {ident}")
-            else:
-                parts.append(f"{_fmt(coef)} {ident}")
-            continue
-        if coef < 0:
-            mag = -coef
-            parts.append(f"- {ident}" if mag == 1 else f"- {_fmt(mag)} {ident}")
+        text = ident[name]
+        if type(coef) is not int:
+            if coef.denominator != 1:
+                number = _float_text(coef)
+                if number[0] == "-":
+                    parts.append(f"- {number[1:]} {text}")
+                else:
+                    parts.append(f"+ {number} {text}")
+                continue
+            coef = coef.numerator
+        if coef == 1:
+            parts.append("+ " + text)
+        elif coef == -1:
+            parts.append("- " + text)
+        elif coef > 0:
+            parts.append(f"+ {coef} {text}")
         else:
-            parts.append(f"+ {ident}" if coef == 1 else f"+ {_fmt(coef)} {ident}")
-    return " ".join(parts) if parts else "0 " + "__zero"
+            parts.append(f"- {-coef} {text}")
+    # The first term carries no "+", and a number's sign is glued to it.
+    head = parts[0]
+    if head[0] == "+":
+        parts[0] = head[2:]
+    elif terms[0][0] != -1:
+        parts[0] = "-" + head[2:]
+    return " ".join(parts)
 
 
 def lp_name_map(model: ModelIR) -> dict[str, str]:
@@ -66,41 +81,38 @@ def lp_name_map(model: ModelIR) -> dict[str, str]:
 
 def write_lp(model: ModelIR) -> str:
     """Render ``model`` as LP text.  Deterministic: same model, same bytes."""
-    lp_name_map(model)  # runs the name checks
-    stream = io.StringIO()
-    stream.write(f"\\ {model.label}\n")
-    stream.write("Maximize\n")
+    ident = {name: text for text, name in lp_name_map(model).items()}
+    out = [f"\\ {model.label}\n", "Maximize\n"]
     obj = model.objective
-    fallback = "0 " + _encode(model.variables[0].name) if model.variables else "0"
-    stream.write(" obj: " + (_terms_text(obj) if obj else fallback) + "\n")
-    stream.write("Subject To\n")
+    fallback = "0 " + ident[model.variables[0].name] if model.variables else "0"
+    out.append(" obj: " + (_terms_text(obj, ident) if obj else fallback) + "\n")
+    out.append("Subject To\n")
     for idx, con in enumerate(model.constraints):
-        lhs = _terms_text(con.terms)
-        stream.write(f" c{idx}: {lhs} {con.sense} {_fmt(con.rhs)}\n")
-    stream.write("Bounds\n")
+        out.append(f" c{idx}: {_terms_text(con.terms, ident)} {con.sense} {_fmt(con.rhs)}\n")
+    out.append("Bounds\n")
+    binaries: list[str] = []
     for var in model.variables:
+        name = ident[var.name]
         if var.binary:
+            binaries.append(f" {name}\n")
             continue
-        ident = _encode(var.name)
         lo = var.lower
         hi = var.upper
         if lo is None and hi is None:
-            stream.write(f" {ident} free\n")
+            out.append(f" {name} free\n")
         elif hi is None:
             if lo != 0:
-                stream.write(f" {_fmt(lo)} <= {ident}\n")
+                out.append(f" {_fmt(lo)} <= {name}\n")
             # lower bound 0, no upper: the LP-format default, nothing to write
         elif lo is None:
-            stream.write(f" -inf <= {ident} <= {_fmt(hi)}\n")
+            out.append(f" -inf <= {name} <= {_fmt(hi)}\n")
         else:
-            stream.write(f" {_fmt(lo)} <= {ident} <= {_fmt(hi)}\n")
-    binaries = [var.name for var in model.variables if var.binary]
+            out.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}\n")
     if binaries:
-        stream.write("Binaries\n")
-        for name in binaries:
-            stream.write(f" {_encode(name)}\n")
-    stream.write("End\n")
-    return stream.getvalue()
+        out.append("Binaries\n")
+        out += binaries
+    out.append("End\n")
+    return "".join(out)
 
 
 _SECTION_RE = re.compile(

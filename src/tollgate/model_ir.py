@@ -2,10 +2,16 @@
 
 A model is a list of variables (with bounds and an optional binary mark), a
 list of tagged linear constraints, and a linear objective that is always
-maximized.  Coefficients are exact rationals; conversion to floats happens in
-the backends and in the LP writer.  Tags are unique and follow the row-family
-naming used by the builders (``pa[k,i]``, ``da1[k,a]``, ``lin-cs-pp[k,p]``,
-...), which makes the assembled models auditable constraint by constraint.
+maximized.  Tags are unique and follow the row-family naming used by the
+builders (``pa[k,i]``, ``da1[k,a]``, ``lin-cs-pp[k,p]``, ...), which makes
+the assembled models auditable constraint by constraint.
+
+Coefficients, right-hand sides and bounds are exact: each is a Python
+``int`` or a ``fractions.Fraction``, kept as given (an ``int`` stays an
+``int``; the two compare and hash alike).  Any other input goes through
+:func:`~tollgate.network.as_fraction`, which parses literal strings and
+rejects floats and bools.  Conversion to floats happens only in the
+backends and in the LP writer.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .network import as_fraction
 
-Term = tuple[Fraction, str]
+Coef = Union[int, Fraction]
+Term = tuple[Coef, str]
 
 SENSES = ("<=", "=", ">=")
 
@@ -26,8 +33,8 @@ class Variable:
     """A decision variable.  ``None`` bounds mean unbounded on that side."""
 
     name: str
-    lower: Optional[Fraction] = Fraction(0)
-    upper: Optional[Fraction] = None
+    lower: Optional[Coef] = 0
+    upper: Optional[Coef] = None
     binary: bool = False
 
     def __post_init__(self) -> None:
@@ -44,7 +51,7 @@ class Constraint:
     tag: str
     terms: tuple[Term, ...]
     sense: str
-    rhs: Fraction
+    rhs: Coef
 
     def __post_init__(self) -> None:
         if self.sense not in SENSES:
@@ -53,14 +60,22 @@ class Constraint:
             raise ValueError(f"constraint {self.tag}: no terms")
 
 
-def _merge_terms(terms: Iterable[tuple[Union[int, Fraction], str]]) -> tuple[Term, ...]:
-    """Sum duplicate variables, drop zeros, keep first-appearance order."""
-    acc: dict[str, Fraction] = {}
+def _exact(value) -> Coef:
+    """``value`` itself if it is an int or a Fraction, else :func:`as_fraction` of it."""
+    kind = type(value)
+    return value if kind is int or kind is Fraction else as_fraction(value)
+
+
+def _merge_terms(terms: Iterable[tuple[Coef, str]]) -> tuple[Term, ...]:
+    """Make coefficients exact, sum duplicate variables, drop zeros.
+
+    Variables keep the order of their first appearance.
+    """
+    merged: dict[str, Coef] = {}
     for coef, name in terms:
-        coef = as_fraction(coef)
-        seen = acc.get(name)
-        acc[name] = coef if seen is None else seen + coef
-    return tuple((coef, name) for name, coef in acc.items() if coef)
+        coef = _exact(coef)
+        merged[name] = merged[name] + coef if name in merged else coef
+    return tuple((coef, name) for name, coef in merged.items() if coef)
 
 
 class ModelIR:
@@ -71,22 +86,22 @@ class ModelIR:
         self._variables: dict[str, Variable] = {}
         self.constraints: list[Constraint] = []
         self._tags: set[str] = set()
-        self._objective: dict[str, Fraction] = {}
+        self._objective: dict[str, Coef] = {}
 
     # -- variables ---------------------------------------------------------
 
     def add_variable(
         self,
         name: str,
-        lower: Optional[Union[int, Fraction]] = 0,
-        upper: Optional[Union[int, Fraction]] = None,
+        lower: Optional[Coef] = 0,
+        upper: Optional[Coef] = None,
         binary: bool = False,
     ) -> str:
         """Declare a variable.  Re-declaring with identical shape is a no-op."""
         var = Variable(
             name,
-            None if lower is None else as_fraction(lower),
-            None if upper is None else as_fraction(upper),
+            None if lower is None else _exact(lower),
+            None if upper is None else _exact(upper),
             binary,
         )
         existing = self._variables.get(name)
@@ -115,25 +130,37 @@ class ModelIR:
     def add_constraint(
         self,
         tag: str,
-        terms: Iterable[tuple[Union[int, Fraction], str]],
+        terms: Iterable[tuple[Coef, str]],
         sense: str,
-        rhs: Union[int, Fraction],
+        rhs: Coef,
     ) -> Constraint:
+        """Add one row.  Duplicate variables are summed and zero terms dropped."""
         if tag in self._tags:
             raise ValueError(f"duplicate constraint tag {tag}")
-        merged = _merge_terms(terms)
-        for _, name in merged:
-            if name not in self._variables:
+        row = tuple(terms)
+        variables = self._variables
+        names: set[str] = set()
+        # Rows of distinct variables with nonzero int or Fraction coefficients
+        # are stored as given; only the others go through _merge_terms.
+        plain = True
+        for coef, name in row:
+            if name not in variables:
                 raise ValueError(f"constraint {tag} references undeclared variable {name}")
-        row = Constraint(tag, merged, sense, as_fraction(rhs))
-        self.constraints.append(row)
+            kind = type(coef)
+            if (kind is not int and kind is not Fraction) or not coef:
+                plain = False
+            names.add(name)
+        if not plain or len(names) < len(row):
+            row = _merge_terms(row)
+        con = Constraint(tag, row, sense, _exact(rhs))
+        self.constraints.append(con)
         self._tags.add(tag)
-        return row
+        return con
 
-    def add_objective_term(self, coef: Union[int, Fraction], name: str) -> None:
+    def add_objective_term(self, coef: Coef, name: str) -> None:
         if name not in self._variables:
             raise ValueError(f"objective references undeclared variable {name}")
-        self._objective[name] = self._objective.get(name, Fraction(0)) + as_fraction(coef)
+        self._objective[name] = self._objective.get(name, 0) + _exact(coef)
 
     @property
     def objective(self) -> tuple[Term, ...]:

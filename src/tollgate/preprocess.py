@@ -14,9 +14,7 @@ Two reductions are provided:
   the cheapest.  It never needs enumeration, only the graph.
 
 Both return a :class:`ReducedGraph` that remembers how reduced arcs map back
-to original arc chains, so paths, tolls, and solutions lift faithfully.  The
-two compose: apply :func:`spgm_transform` to a reduced graph's network and
-merge the bookkeeping with :func:`compose_reductions`.
+to original arc chains, so paths, tolls, and solutions lift faithfully.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .enumeration import BilevelFeasibleSet, ConsistencyError
 from .network import Arc, ArcId, Commodity, InstanceError, Network, Node, Path
@@ -283,13 +281,3 @@ def spgm_transform(network: Network, commodity: Commodity) -> ReducedGraph:
     protos = _dedup_toll_free(protos)
     return _finish(network, protos, nodes)
 
-
-def compose_reductions(first: ReducedGraph, second: ReducedGraph) -> ReducedGraph:
-    """Chain two reductions (``second`` must be built on ``first.network``)."""
-    if second.origin_network is not first.network:
-        raise ValueError("second reduction was not built on the first one's network")
-    arc_origin = tuple(
-        first.lift_arcs(chain) for chain in second.arc_origin
-    )
-    node_origin = tuple(first.node_origin[n] for n in second.node_origin)
-    return ReducedGraph(second.network, first.origin_network, node_origin, arc_origin)

@@ -16,6 +16,26 @@ the least common multiple of ``scale`` and the cap denominators).  Scaling
 by one positive integer preserves every sum and comparison, so the results
 equal those of a search on the rationals.  Values leave this module as
 ``Fraction``: :attr:`Path.cost` and the entries of :func:`distances_to`.
+
+One search loop serves every point-to-point query: A* (Hart, Nilsson &
+Raphael, 1968) over a per-node integer *potential*, a lower bound on the
+cost still to go.  Plain Dijkstra is the zero potential, which
+:func:`shortest_path` uses; path enumeration passes the exact zero-regime
+distances to the target, computed once per commodity, so its spur searches
+head straight for the target.  Those distances stay a valid potential under
+any exclusion set, since excluding arcs or nodes only lengthens paths, and
+a node they mark unreachable is never entered.
+
+The potential must be *consistent*: ``h[u] <= price(u, v) + h[v]`` for every
+usable arc.  Then goal direction changes no result, tie-breaks included.
+Heap entries are ``(cost + h[node], cost, arc sequence, node)``.  Two labels
+at the same node share ``h[node]``, so they compare exactly as
+``(cost, arc sequence)`` does without a potential.  A node's minimal label
+is popped before any other label of that node: while it is pending, some
+prefix of its path is on the heap, and by consistency that prefix's key is
+no larger, and its cost strictly smaller, since arc costs are positive.
+Every node A* settles, the target included, therefore gets the label
+plain Dijkstra gives it.
 """
 
 from __future__ import annotations
@@ -35,6 +55,9 @@ INFINITY: float = math.inf
 
 # Integer price per arc id; None marks an arc the regime makes unusable.
 Prices = Sequence[Optional[int]]
+# Integer lower bound per node on the cost still to go; None marks a node
+# that cannot reach the target.
+Potential = Sequence[Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -118,6 +141,58 @@ def _distances(
     return dist
 
 
+def _search(
+    network: Network,
+    source: Node,
+    target: Node,
+    prices: Prices,
+    excluded: ExclusionSet,
+    potential: Potential,
+) -> Optional[tuple[int, tuple[ArcId, ...]]]:
+    """Integer cost and arc sequence of the cheapest ``source -> target`` path.
+
+    A* with ``potential`` as the estimate of each node's remaining cost; a
+    node whose potential is None is never entered.  Returns None when no
+    path exists.  See the module docstring for the conditions the potential
+    must meet.
+    """
+    start = potential[source]
+    if start is None:
+        return None
+    banned_arcs, banned_nodes = excluded.arcs, excluded.nodes
+    out_adj = network.out_adj
+    # Entries are (cost + potential, cost, arc sequence, node).  Positive
+    # costs and a consistent potential make the first pop per node carry its
+    # minimal (cost, sequence) label.
+    heap: list[tuple[int, int, tuple[ArcId, ...], Node]] = [(start, 0, (), source)]
+    # Cheapest cost pushed per node; a strictly dearer label is never pushed.
+    best: dict[Node, int] = {}
+    settled: set[Node] = set()
+    while heap:
+        _, cost, arcs, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        if node == target:
+            return cost, arcs
+        settled.add(node)
+        for head, aid in out_adj[node]:
+            if head in settled or aid in banned_arcs or head in banned_nodes:
+                continue
+            price = prices[aid]
+            if price is None:
+                continue
+            estimate = potential[head]
+            if estimate is None:
+                continue
+            candidate = cost + price
+            known = best.get(head)
+            if known is not None and candidate > known:
+                continue
+            best[head] = candidate
+            heapq.heappush(heap, (candidate + estimate, candidate, arcs + (aid,), head))
+    return None
+
+
 def shortest_path(
     network: Network,
     source: Node,
@@ -143,27 +218,8 @@ def shortest_path(
         raise ValueError("source equals target")
 
     prices, _ = _regime_prices(network, regime, caps)
-    banned_arcs, banned_nodes = excluded.arcs, excluded.nodes
-    out_adj = network.out_adj
-    # Entries are (regime cost, arc sequence, node); with strictly positive
-    # costs the first pop per node carries its minimal (cost, sequence) label.
-    heap: list[tuple[int, tuple[ArcId, ...], Node]] = [(0, (), source)]
-    settled: set[Node] = set()
-    while heap:
-        cost, arcs, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == target:
-            return network.path(arcs, commodity)
-        for head, aid in out_adj[node]:
-            if head in settled or aid in banned_arcs or head in banned_nodes:
-                continue
-            price = prices[aid]
-            if price is None:
-                continue
-            heapq.heappush(heap, (cost + price, arcs + (aid,), head))
-    return None
+    found = _search(network, source, target, prices, excluded, [0] * network.num_nodes)
+    return None if found is None else network.path(found[1], commodity)
 
 
 def distances_to(

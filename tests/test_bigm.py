@@ -30,8 +30,11 @@ def test_potential_bounds(fig_bigm):
     assert {n: fig_bigm.lam_hi[(0, n)] for n in range(5)} == LAM_HI
 
 
-def test_dual_slack_bounds(fig_bigm):
-    assert {a: fig_bigm.R[(0, a)] for a in range(7)} == R_BY_ARC
+def test_dual_slack_bounds(fig, fig_bigm):
+    assert {
+        arc.index: fig_bigm.r_value(0, arc.cost, arc.tolled, arc.tail, arc.head)
+        for arc in fig.network.arcs
+    } == R_BY_ARC
 
 
 def test_r_value_matches_table(fig, fig_bigm):
@@ -67,7 +70,9 @@ def test_dead_arcs_carry_no_r_bound(fig):
     arcs = list(net.arcs) + [Arc(7, 1, 5, Fraction(1), False)]
     widened = Network(6, arcs)
     params = compute_bigm(widened, fig.commodities)
-    assert (0, 7) not in params.R
+    dead = widened.arc(7)
+    with pytest.raises(KeyError):
+        params.r_value(0, dead.cost, dead.tolled, dead.tail, dead.head)
     assert (0, 5) not in params.lam_lo
 
 
@@ -90,11 +95,14 @@ def test_no_toll_free_route_is_an_error():
         compute_bigm(net, (Commodity(0, 1, Fraction(1)),))
 
 
-def test_scaled_multiplies_only_big_ms(fig_bigm):
+def test_scaled_multiplies_only_big_ms(fig, fig_bigm):
     doubled = fig_bigm.scaled(2)
     assert doubled.N[0] == 14
     assert doubled.M[(0, 1)] == 14
-    assert doubled.R[(0, 3)] == 6
+    # The dual slack bound grows only through the toll cap it contains.
+    for aid, expected in ((0, 8 + 7), (3, 3)):
+        arc = fig.network.arc(aid)
+        assert doubled.r_value(0, arc.cost, arc.tolled, arc.tail, arc.head) == expected
     assert doubled.S[(0, 1)] == 16
     assert doubled.lam_lo == fig_bigm.lam_lo
     assert doubled.L_lo == fig_bigm.L_lo

@@ -7,15 +7,16 @@ substitution variant the detour can never look attractive, so that one
 solves clean.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from tollgate.cuts import (
-    selected_path,
-    solve_with_vfcs_cuts,
-    vfcs_feasibility_cut,
-)
-from tollgate.formulations import build_single
-from tollgate.solver import SolverError, solve
+from tollgate.bigm import compute_bigm
+from tollgate.cuts import solve_with_vfcs_cuts, vfcs_feasibility_cut
+from tollgate.enumeration import enumerate_paths
+from tollgate.formulations import _flow_name, build_single
+from tollgate.network import Commodity, ProblemInstance
+from tollgate.solver import SolveResult, SolverError, solve
 
 
 def identity_model(fig, fig_enum, fig_bigm, kind):
@@ -79,23 +80,6 @@ def test_round_limit_guards_against_runaway(fig, fig_enum, fig_bigm):
         solve_with_vfcs_cuts(context, budget=120, max_rounds=0)
 
 
-def test_selected_path_reads_the_routed_arcs(fig, fig_enum, fig_bigm):
-    context = build_single(fig, "STD", fig_bigm, [fig_enum], preprocess="none")
-    res = solve(context.ir, budget=60)
-    part = context.assignments[0]
-    path = selected_path(context, part, res.assignment)
-    assert path.arcs == (0, 1, 2)
-    assert path.cost == 3
-
-
-def test_selected_path_rejects_ambiguous_flow(fig, fig_enum, fig_bigm):
-    context = build_single(fig, "STD", fig_bigm, [fig_enum], preprocess="none")
-    from tollgate.enumeration import ConsistencyError
-
-    with pytest.raises(ConsistencyError):
-        selected_path(context, context.assignments[0], {})
-
-
 def test_manual_cut_application(fig, fig_enum, fig_bigm):
     context = identity_model(fig, fig_enum, fig_bigm, "VFCS1")
     first = solve(context.ir, budget=60)
@@ -107,3 +91,39 @@ def test_manual_cut_application(fig, fig_enum, fig_bigm):
     else:
         assert tag == "lin-cs-ap[0,cut0]"
         assert len(context.ir.constraints) == rows_before + 1
+
+
+def test_one_round_cuts_every_offending_commodity(fig):
+    # Commodity 0 routed over the dominated detour 0-1-2-3-4, commodity 1
+    # over 1-2-3-4: neither path is in its feasible set, so one round adds
+    # a slackness row for each of them.
+    inst = ProblemInstance(
+        fig.network,
+        (fig.commodities[0], Commodity(1, 4, Fraction(2))),
+        "five-node-two",
+    )
+    enums = [
+        enumerate_paths(inst.network, com, commodity_index=k)
+        for k, com in enumerate(inst.commodities)
+    ]
+    bigm = compute_bigm(
+        inst.network, inst.commodities, {k: e.feasible_set() for k, e in enumerate(enums)}
+    )
+    context = build_single(
+        inst, "VFCS1", bigm, enums, preprocess="none", allow_vfcs=True
+    )
+    routed = {0: (0, 1, 3, 4), 1: (1, 3, 4)}
+    assignment = {
+        _flow_name(k, inst.network.arc(a)): 1.0
+        for k, arcs in routed.items()
+        for a in arcs
+    }
+    result = SolveResult("optimal", 0.0, 0.0, assignment)
+    rows_before = len(context.ir.constraints)
+    assert vfcs_feasibility_cut(context, result) == "lin-cs-ap[0,cut0]"
+    added = [c.tag for c in context.ir.constraints[rows_before:]]
+    assert added == ["lin-cs-ap[0,cut0]", "lin-cs-ap[1,cut0]"]
+    assert context.cut_paths == {0: {routed[0]}, 1: {routed[1]}}
+    # Both paths are covered now, so the same solution is certified.
+    assert vfcs_feasibility_cut(context, result) is None
+    assert len(context.ir.constraints) == rows_before + 2

@@ -49,8 +49,12 @@ def fraction_distances(network: Network, target: int, price) -> dict:
     return dist
 
 
-def reference_bigm(network: Network, commodities, bfsets) -> BigMParams:
-    """The big-M families from their definitions, on Fractions throughout."""
+def reference_bigm(network: Network, commodities, bfsets):
+    """The big-M families from their definitions, on Fractions throughout.
+
+    Returns the parameters and, apart from them, the dual slack bound of
+    every (commodity, arc) pair whose endpoint distances are finite.
+    """
     zero = [
         fraction_distances(network, com.destination, lambda a: a.cost)
         for com in commodities
@@ -89,7 +93,7 @@ def reference_bigm(network: Network, commodities, bfsets) -> BigMParams:
         for k, bfset in bfsets.items()
         for pos, path in enumerate(bfset.paths)
     }
-    return BigMParams(N, M, R, S, lam_lo, lam_hi, L_lo, pi_cost)
+    return BigMParams(N, M, S, lam_lo, lam_hi, L_lo, pi_cost), R
 
 
 def test_scale_is_the_common_denominator():
@@ -188,9 +192,17 @@ def test_compute_bigm_matches_a_fraction_reference(perturbed):
         k: enumerate_paths(net, com, commodity_index=k).feasible_set()
         for k, com in enumerate(commodities)
     }
-    assert compute_bigm(net, commodities, bfsets) == reference_bigm(
-        net, commodities, bfsets
-    )
+    params = compute_bigm(net, commodities, bfsets)
+    reference, R = reference_bigm(net, commodities, bfsets)
+    assert params == reference
+    for k in range(len(commodities)):
+        for arc in net.arcs:
+            args = (k, arc.cost, arc.tolled, arc.tail, arc.head)
+            if (k, arc.index) in R:
+                assert params.r_value(*args) == R[(k, arc.index)]
+            else:
+                with pytest.raises(KeyError):
+                    params.r_value(*args)
 
 
 def test_r_value_cap_follows_scaled(fig, fig_bigm):

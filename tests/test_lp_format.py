@@ -1,11 +1,16 @@
 """LP text round trips: writer output must parse back to the same model."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from tollgate.bigm import compute_bigm
+from tollgate.enumeration import enumerate_paths, perturb_costs
+from tollgate.formulations import FORMULATIONS, build_single
 from tollgate.lp_format import lp_name_map, parse_lp, write_lp
 from tollgate.model_ir import ModelIR
+from tollgate.network import ProblemInstance
 
 
 def bracketed_model():
@@ -137,3 +142,70 @@ def test_parse_accepts_minimize_and_st():
     names = {v.name for v in m.variables}
     assert names == {"x", "y"}
     assert m.constraints[0].sense == ">="
+
+
+def test_int_and_fraction_coefficients_render_alike():
+    def row_text(coefs):
+        m = ModelIR()
+        for name in "xyzw":
+            m.add_variable(name)
+        m.add_constraint("r", list(zip(coefs, "xyzw")), "<=", coefs[0])
+        return write_lp(m).split("Subject To\n")[1].splitlines()[0]
+
+    ints = row_text([-3, 2, -1, 1])
+    assert ints == " c0: -3 x + 2 y - z + w <= -3"
+    assert row_text([Fraction(-3), Fraction(2), Fraction(-1), Fraction(1)]) == ints
+    assert row_text([-1, Fraction(5, 2), Fraction(-5, 2), 7]) == (
+        " c0: - x + 2.5 y - 2.5 z + 7 w <= -1"
+    )
+    assert row_text([Fraction(-1, 4), 1, 1, 1]) == " c0: -0.25 x + y + z + w <= -0.25"
+
+
+# sha256 of write_lp's text for the five-node fixture under every kind, on
+# its path-reduced graph, as written before the writer's integer fast path:
+# with the fixture's integer costs, and with costs perturbed by seed 0 (every
+# cost coefficient then takes the float form).
+FIXTURE_LP_SHA256 = {
+    "STD": "24efed295f8abc6070fd9c4fecd15bfd606732d4a88e9135d94e900f2b27b7a5",
+    "VF": "044f5a041705a94a87944dee403a8edcc792b72646ea4ea15890c35b5aa3d834",
+    "PASTD": "8b09456271444c75d9b6f08ce748a19383f544b384214fbd36c1cb7ed23f2441",
+    "PVF": "eb6c385955603c8a965042d308947bdc46c4a648da10096c8ef3fa1bd3be357c",
+    "CS1": "897ba7b6bf5837cda05d754d116b85d61082a70831e65fd5f79ca5b9de4b79ed",
+    "CS2": "11a161130b9221a91b2d26cd92d367117787b56e6766b4a8a007992fde696eb0",
+    "VFCS1": "395d4a36424ed3d8f5d7e579e51e38f058a66c498bcfddeb7c4f0af1e8e0d841",
+    "VFCS2": "cb79858dd1102d9b1656f20c4e3ac792240e8f8b82acf678237cf52c8adcf638",
+    "PACS1": "61d4d4d9a119f35c67fddabe7fc34a43e2d6b67255c3f3c69555590922ff579b",
+    "PACS2": "fad02066e8ed400aeff413ad99be0d0fb0ee3ac3b8a73c7c23a6952d9f7408e5",
+    "PCS1": "e10a12d117d32c8afa777b69cb89410ac27bef9aa00d6aeafedb743072dbad38",
+    "PCS2": "1fe5eafc24cc218db8483393359c0f1adc8c488c2d5b2bae4743a85bf2702cc5",
+}
+PERTURBED_LP_SHA256 = {
+    "STD": "b96e5c9c3105173711e995ac11a47eccfadb8ca83d387a555a69dd662e014850",
+    "VF": "bdcaeb868054df820d42dc7e3400be93a7c0e5271d0c410a71e3b5c5bc236e41",
+    "PASTD": "23eb81599003d65bfdb7b5db0c3463ae8a9a06fc156595cdd8d4d1d9cf0e2073",
+    "PVF": "c4e28c1ab36ccce284893a48db1eb4b0aa7c2962c0214a4ce6c6f46322d6e29a",
+    "CS1": "96f8480ebbc28501ea94b3b861f8929d67d8094008c802faa2972bef3817c9fa",
+    "CS2": "6cc4970ea70cc26de680b08063aff0a8c35247d954426ebdb4147e78d961e2ac",
+    "VFCS1": "382c737b88c0c0a5bc41b3b6e99242ed8f8a2f0f324835e98a6fbb78a8eff9d1",
+    "VFCS2": "af1f07697bf0b9201f5417a29bcd137db96945d4e5e8ee6b9dcdb5535e72a55a",
+    "PACS1": "abb85363a6c9684ed91d18971148279585d29785f22ea350bdd611585eee395b",
+    "PACS2": "3af2d5ed4146e753f5e53783400a3c0b5eac5259e0ed9757726d5357ab7bed9f",
+    "PCS1": "1872fd70ca486b7604271870bfaca2d63520ce2a007611adab6c83182c854950",
+    "PCS2": "3b6f603b96fe0bbd106b65f1b30440795f0ae4cce38104bd30150fc2cb44e255",
+}
+
+
+def _fixture_lp_sha256(instance, kind):
+    enum = enumerate_paths(instance.network, instance.commodities[0])
+    bigm = compute_bigm(instance.network, instance.commodities, {0: enum.feasible_set()})
+    model = build_single(instance, kind, bigm, [enum], allow_vfcs=True).ir
+    return hashlib.sha256(write_lp(model).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", [k.label for k in FORMULATIONS])
+def test_fixture_lp_text_is_pinned(fig, kind):
+    assert _fixture_lp_sha256(fig, kind) == FIXTURE_LP_SHA256[kind]
+    perturbed = ProblemInstance(
+        perturb_costs(fig.network, seed=0), fig.commodities, fig.label
+    )
+    assert _fixture_lp_sha256(perturbed, kind) == PERTURBED_LP_SHA256[kind]

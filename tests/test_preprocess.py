@@ -8,7 +8,6 @@ from tollgate.enumeration import ConsistencyError, enumerate_paths
 from tollgate.network import Arc, Commodity, Network
 from tollgate.preprocess import (
     ReducedGraph,
-    compose_reductions,
     path_based_reduce,
     spgm_transform,
 )
@@ -144,22 +143,6 @@ def test_spgm_keeps_parallel_cheapest():
     shapes = arc_shapes(red)
     free_1_to_4 = [s for s in shapes if s[0] == 1 and s[1] == 4 and not s[3]]
     assert free_1_to_4 == [(1, 4, Fraction(2), False)]
-
-
-def test_compose_reductions(fig, fig_bfset):
-    first = path_based_reduce(fig.network, fig_bfset)
-    com = fig.commodities[0]
-    moved = Commodity(
-        first.reduced_node(com.origin),
-        first.reduced_node(com.destination),
-        com.demand,
-    )
-    second = spgm_transform(first.network, moved)
-    combo = compose_reductions(first, second)
-    assert combo.origin_network is fig.network
-    assert combo.stats() == second.stats()
-    for p in fig_bfset.paths:
-        assert combo.lift_arcs(combo.map_path(p).arcs) == p.arcs
 
 
 def test_original_tolled_id(fig, fig_bfset):

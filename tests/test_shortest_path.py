@@ -1,17 +1,24 @@
 """Regime-aware shortest paths, checked against hand-computed distances."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from tollgate.generator import grid_edges
 from tollgate.network import Arc, Network
 from tollgate.shortest_path import (
     INFINITY,
+    NO_EXCLUSIONS,
     ExclusionSet,
+    _distances,
+    _search,
     distances_to,
     shortest_path,
 )
+
+from bruteforce import all_simple_paths
 
 # Hand-derived distance tables for the five-node fixture (all to node 4).
 # Zero regime: tolled arcs at base cost.  Infinite regime: tolled arcs
@@ -86,3 +93,56 @@ def test_unreachable_returns_none():
 def test_commodity_tag_propagates(fig):
     p = shortest_path(fig.network, 0, 4, commodity=3)
     assert p.commodity == 3
+
+
+def unit_grid(rows, cols):
+    """A bidirected grid with every arc at cost 1, so equal-cost paths abound."""
+    num_nodes, edges = grid_edges(rows, cols)
+    arcs = []
+    for pos, (u, v) in enumerate(edges):
+        tolled = pos % 3 == 0
+        arcs.append(Arc(2 * pos, u, v, Fraction(1), tolled))
+        arcs.append(Arc(2 * pos + 1, v, u, Fraction(1), tolled))
+    return Network(num_nodes, arcs)
+
+
+def random_exclusions(rng, net, source, target):
+    arcs = rng.sample(range(net.num_arcs), rng.randrange(net.num_arcs // 4))
+    nodes = [n for n in rng.sample(range(net.num_nodes), 5) if n not in (source, target)]
+    return ExclusionSet(frozenset(arcs), frozenset(nodes))
+
+
+def test_goal_directed_search_matches_the_zero_potential_search():
+    # Enumeration's spur searches use the unexcluded distances to the target
+    # as their potential; ties must still break as without one.
+    net = unit_grid(6, 6)
+    target = net.num_nodes - 1
+    potential = _distances(net, target, net.int_costs, NO_EXCLUSIONS)
+    zero = [0] * net.num_nodes
+    rng = random.Random(11)
+    found = 0
+    for _ in range(300):
+        source = rng.randrange(target)
+        excluded = random_exclusions(rng, net, source, target)
+        goal = _search(net, source, target, net.int_costs, excluded, potential)
+        assert goal == _search(net, source, target, net.int_costs, excluded, zero)
+        found += goal is not None
+    assert found > 150
+
+
+def test_search_picks_the_least_cost_then_least_arc_sequence():
+    net = unit_grid(4, 4)
+    target = net.num_nodes - 1
+    potential = _distances(net, target, net.int_costs, NO_EXCLUSIONS)
+    rng = random.Random(5)
+    for _ in range(60):
+        source = rng.randrange(target)
+        excluded = random_exclusions(rng, net, source, target)
+        allowed = [
+            arcs
+            for arcs in all_simple_paths(net, source, target)
+            if not excluded.arcs & set(arcs)
+            and not excluded.nodes & {net.arc(a).head for a in arcs}
+        ]
+        expected = min(((len(arcs), arcs) for arcs in allowed), default=None)
+        assert _search(net, source, target, net.int_costs, excluded, potential) == expected
