@@ -25,14 +25,11 @@ from .formulations import (
     FormulationKind,
     HybridModel,
     assemble_hybrid,
-    build_coupling,
-    build_dual,
-    build_primal,
     build_single,
     get_kind,
 )
 from .generator import GenConfig, GenError, generate, parse_topology
-from .lp_format import parse_lp, write_lp
+from .lp_format import write_lp
 from .model_ir import Constraint, ModelIR, Variable
 from .network import (
     Arc,
@@ -89,9 +86,6 @@ __all__ = [
     "SolverError",
     "Variable",
     "assemble_hybrid",
-    "build_coupling",
-    "build_dual",
-    "build_primal",
     "build_single",
     "compute_bigm",
     "dominance_filter",
@@ -104,7 +98,6 @@ __all__ = [
     "load_instance",
     "oracle_solve",
     "parse_instance",
-    "parse_lp",
     "parse_topology",
     "path_based_reduce",
     "perturb_costs",

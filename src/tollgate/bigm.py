@@ -154,11 +154,9 @@ def compute_bigm(
         for aid in network.tolled_ids:
             M[(k, aid)] = bound
 
-    # Tolled arcs priced at base + cap, over the same denominator.
-    capped_prices = [
-        cost + cap_int if arc.tolled else cost
-        for arc, cost in zip(network.arcs, int_costs)
-    ]
+    # The cap's denominator divides ``scale``, so these prices (tolled arcs at
+    # base + cap) stay over the same denominator.
+    capped_prices, _ = _regime_prices(network, "capped", N)
     for k, com in enumerate(commodities):
         capped = _distances(network, com.destination, capped_prices, NO_EXCLUSIONS)
         for node, value in enumerate(capped):

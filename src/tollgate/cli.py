@@ -28,6 +28,7 @@ from .generator import GenConfig, GenError, generate, parse_topology
 from .lp_format import write_lp
 from .network import InstanceError, ProblemInstance, load_instance, serialize_instance
 from .preprocess import ReducedGraph, path_based_reduce, spgm_transform
+from .solver import CommandBackend, SolverError
 
 KIND_LABELS = ", ".join(k.label for k in FORMULATIONS)
 
@@ -176,7 +177,7 @@ def _cmd_sweep(args) -> int:
     breakpoints = [int(n) for n in args.breakpoints.split(",") if n]
     if not kinds or not breakpoints:
         raise BuildError("--kinds and --breakpoints must be non-empty")
-    config = {"solver.cmd": args.solver_cmd} if args.solver_cmd else None
+    backend = CommandBackend(args.solver_cmd) if args.solver_cmd else None
     records = run_sweep(
         instances,
         kinds,
@@ -184,7 +185,7 @@ def _cmd_sweep(args) -> int:
         budget=args.budget,
         jobs=args.jobs,
         perturb=not args.no_perturb,
-        config=config,
+        backend=backend,
     )
     if args.out:
         with open(args.out, "w", newline="") as stream:
@@ -261,7 +262,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, BuildError, GenError) as exc:
+    except (InstanceError, BuildError, GenError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,15 +19,15 @@ terminates.
 from __future__ import annotations
 
 import time
-from typing import Mapping, Optional
+from typing import Optional
 
 from .enumeration import ConsistencyError
 from .formulations import (
     CommodityAssignment,
     HybridModel,
-    _flow_name,
-    var_L,
-    var_T,
+    _emit_path_slack_on_flows,
+    _flow_names,
+    _toll_names,
 )
 from .network import Arc
 from .solver import (
@@ -43,10 +43,6 @@ from .solver import (
 
 #: Hard stop for the cut loop; hitting it means the loop is not converging.
 MAX_CUT_ROUNDS = 200
-
-
-def _flow_value(assignment: Mapping[str, float], k: int, arc: Arc) -> float:
-    return assignment.get(_flow_name(k, arc), 0.0)
 
 
 def _pop_cycle(
@@ -142,11 +138,13 @@ def _commodity_cut(
     assert part.graph is not None and part.bfset is not None
     k = part.commodity
     graph = part.graph
+    net = graph.network
     com = context.instance.commodities[k]
+    flows = _flow_names(k, net)
     lit = [
         a
-        for a in graph.network.arcs
-        if _flow_value(result.assignment, k, a) > 0.5
+        for a, name in zip(net.arcs, flows)
+        if result.assignment.get(name, 0.0) > 0.5
     ]
     if not lit:
         raise ConsistencyError(f"commodity {k}: no flow in the solution")
@@ -160,29 +158,25 @@ def _commodity_cut(
     if cycles:
         banned = context.cut_cycles.setdefault(k, set())
         cycle = cycles[0]
-        terms = [(1, _flow_name(k, arc)) for arc in cycle]
+        terms = [(1, flows[arc.index]) for arc in cycle]
         tag = f"cut-cycle[{k},{len(banned)}]"
         context.ir.add_constraint(tag, terms, "<=", len(cycle) - 1)
         banned.add(tuple(sorted(arc.index for arc in cycle)))
         return tag
 
-    arcs = tuple(sorted(arc.index for arc in routed))
+    path = net.path([arc.index for arc in routed], k)
+    arcs = tuple(sorted(path.arcs))
     covered = {tuple(sorted(p.arcs)) for p in part.bfset.paths}
     cut = context.cut_paths.setdefault(k, set())
     if arcs in covered or arcs in cut:
         return None
-    cost = sum(arc.cost for arc in routed)
-    tolled = [arc.index for arc in routed if arc.tolled]
     s_val = context.bigm.s_value(
-        k, cost, [graph.original_tolled_id(r) for r in tolled]
+        k, path.cost, [graph.original_tolled_id(r) for r in path.tolled_set]
     )
-    terms = [(1, var_L(k))]
-    for rid in tolled:
-        terms.append((-1, var_T(graph.original_tolled_id(rid))))
-    for arc in routed:
-        terms.append((-s_val, _flow_name(k, arc)))
     tag = f"lin-cs-ap[{k},cut{len(cut)}]"
-    context.ir.add_constraint(tag, terms, ">=", cost - s_val * len(routed))
+    _emit_path_slack_on_flows(
+        context.ir, tag, k, path, s_val, _toll_names(context.ir, graph), flows
+    )
     cut.add(arcs)
     return tag
 
@@ -192,7 +186,6 @@ def solve_with_vfcs_cuts(
     backend: Optional[Backend] = None,
     budget: float = DEFAULT_BUDGET,
     max_rounds: int = MAX_CUT_ROUNDS,
-    config: Optional[Mapping[str, str]] = None,
 ) -> SolveResult:
     """Solve ``context`` to optimality under the feasibility cut loop.
 
@@ -202,7 +195,7 @@ def solve_with_vfcs_cuts(
     never applied.  Models without cut-needing blocks go through a single
     plain solve.
     """
-    chosen = backend if backend is not None else get_backend(config)
+    chosen = backend if backend is not None else get_backend()
     deadline = time.monotonic() + budget
     start = time.monotonic()
     rounds = 0
@@ -220,7 +213,7 @@ def solve_with_vfcs_cuts(
             out.cut_rounds = rounds
             out.wall_time = time.monotonic() - start
             return out
-        result = solve(context.ir, budget=remaining, backend=chosen, config=config)
+        result = solve(context.ir, budget=remaining, backend=chosen)
         result.cut_rounds = rounds
         result.wall_time = time.monotonic() - start
         if result.status != STATUS_OPTIMAL:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .network import ArcId, Commodity, Network, Path
+from .network import ArcId, Commodity, InstanceError, Network, Path
 from .shortest_path import NO_EXCLUSIONS, ExclusionSet, _distances, _search, shortest_path
 
 
@@ -230,14 +230,15 @@ def dominance_filter(
     ``p`` dominates ``q`` when ``p``'s tolled arcs are a subset of ``q``'s and
     ``p`` is strictly cheaper; no toll vector can then ever make ``q`` the
     better choice.  Input must be sorted by strictly increasing base cost
-    (ties void the rule, hence the hard error).  When the input came from a
-    run that stopped at its toll-free path, the survivors are exactly the
-    bilevel-feasible paths.
+    (ties void the rule, hence the hard error; it is an
+    :class:`InstanceError` because ties come from the instance's costs).
+    When the input came from a run that stopped at its toll-free path, the
+    survivors are exactly the bilevel-feasible paths.
     """
     costs = [p.cost for p in paths]
     for a, b in zip(costs, costs[1:]):
         if b <= a:
-            raise ValueError(
+            raise InstanceError(
                 "paths must be sorted by strictly increasing base cost "
                 f"(saw {a} then {b}); perturb costs if the instance has ties"
             )

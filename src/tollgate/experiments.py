@@ -14,14 +14,14 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from .bigm import compute_bigm
 from .cuts import solve_with_vfcs_cuts
 from .enumeration import enumerate_paths, perturb_costs
 from .formulations import KindLike, assemble_hybrid, get_kind
 from .network import ProblemInstance
-from .solver import DEFAULT_BUDGET, STATUS_OPTIMAL, get_backend
+from .solver import DEFAULT_BUDGET, STATUS_OPTIMAL, Backend
 
 log = logging.getLogger(__name__)
 
@@ -75,9 +75,12 @@ def run_one(
     breakpoint: int,
     budget: float = DEFAULT_BUDGET,
     perturb: bool = True,
-    config: Optional[Mapping[str, str]] = None,
+    backend: Optional[Backend] = None,
 ) -> RunRecord:
-    """One sweep cell.  Build or solve trouble becomes an ``error`` row."""
+    """One sweep cell.  Build or solve trouble becomes an ``error`` row.
+
+    ``backend`` defaults to :func:`solver.get_backend`'s choice.
+    """
     kind = get_kind(kind)
     label = instance.label
     t0 = time.perf_counter()
@@ -104,9 +107,7 @@ def run_one(
             enum,
             allow_vfcs=True,
         )
-        result = solve_with_vfcs_cuts(
-            hybrid, budget=budget, backend=get_backend(config), config=config
-        )
+        result = solve_with_vfcs_cuts(hybrid, budget=budget, backend=backend)
     except Exception as exc:  # noqa: BLE001 - a sweep must survive bad cells
         log.warning("run %s/%s/N=%s failed: %s", label, kind.label, breakpoint, exc)
         return RunRecord(
@@ -133,7 +134,7 @@ def run_sweep(
     budget: float = DEFAULT_BUDGET,
     jobs: int = 1,
     perturb: bool = True,
-    config: Optional[Mapping[str, str]] = None,
+    backend: Optional[Backend] = None,
 ) -> list[RunRecord]:
     """Run the full grid and return one record per cell, in grid order."""
     cells = [
@@ -144,7 +145,7 @@ def run_sweep(
     ]
     if jobs <= 1:
         records = [
-            run_one(i, k, n, budget=budget, perturb=perturb, config=config)
+            run_one(i, k, n, budget=budget, perturb=perturb, backend=backend)
             for i, k, n in cells
         ]
     else:
@@ -153,7 +154,7 @@ def run_sweep(
                 pool.map(
                     lambda cell: run_one(
                         cell[0], cell[1], cell[2],
-                        budget=budget, perturb=perturb, config=config,
+                        budget=budget, perturb=perturb, backend=backend,
                     ),
                     cells,
                 )

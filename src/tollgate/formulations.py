@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence, Union
 from .bigm import BigMParams
 from .enumeration import BilevelFeasibleSet, EnumerationResult
 from .model_ir import ModelIR
-from .network import Arc, ArcId, Commodity, Network, ProblemInstance
+from .network import Arc, ArcId, Commodity, Network, Path, ProblemInstance
 from .preprocess import ReducedGraph, path_based_reduce, spgm_transform
 
 ARC = "arc"
@@ -217,7 +217,7 @@ def _r_bound(bigm: BigMParams, k: int, arc: Arc, graph: ReducedGraph) -> Fractio
 
 # -- block builders ----------------------------------------------------------
 
-def build_primal(
+def _build_primal(
     model: ModelIR,
     rep: str,
     k: int,
@@ -260,7 +260,7 @@ def build_primal(
         model.add_constraint(f"pa[{k},{node}]", terms, "=", rhs)
 
 
-def build_dual(
+def _build_dual(
     model: ModelIR,
     rep: str,
     k: int,
@@ -418,24 +418,44 @@ def _emit_cs_rows(
             s_val = bigm.s_value(
                 k, path.cost, [graph.original_tolled_id(r) for r in path.tolled_set]
             )
-        terms: list[tuple[Union[int, Fraction], str]] = [(1, bound)]
-        terms += [(-1, tolls[rid]) for rid in sorted(path.tolled_set)]
         if kind.primal_rep == PATH:
+            terms: list[tuple[Union[int, Fraction], str]] = [(1, bound)]
+            terms += [(-1, tolls[rid]) for rid in sorted(path.tolled_set)]
             terms.append((-s_val, primal[pos]))
             model.add_constraint(
                 f"lin-cs-pp[{k},{pos}]", terms, ">=", path.cost - s_val
             )
         else:
-            terms += [(-s_val, primal[rid]) for rid in path.arcs]
-            model.add_constraint(
-                f"lin-cs-ap[{k},{pos}]",
-                terms,
-                ">=",
-                path.cost - s_val * len(path.arcs),
+            _emit_path_slack_on_flows(
+                model, f"lin-cs-ap[{k},{pos}]", k, path, s_val, tolls, primal
             )
 
 
-def build_coupling(
+def _emit_path_slack_on_flows(
+    model: ModelIR,
+    tag: str,
+    k: int,
+    path: Path,
+    s_val: Fraction,
+    tolls: Mapping[ArcId, str],
+    flows: Sequence[str],
+) -> None:
+    """Add ``path``'s slackness row over commodity ``k``'s arc flows.
+
+    The row, ``L[k] - sum T[a] over path's tolled arcs - s * sum x over its
+    arcs >= cost - s * len(path)``, binds when the flow lights every arc of
+    the path; each unlit arc relaxes it by ``s``.  ``tolls`` maps working
+    tolled arc ids to ``T`` names and ``flows`` names every working arc's
+    flow by arc id.  Both the feasible-set rows and the cut loop's rows for
+    uncovered paths come from here.
+    """
+    terms: list[tuple[Union[int, Fraction], str]] = [(1, var_L(k))]
+    terms += [(-1, tolls[rid]) for rid in sorted(path.tolled_set)]
+    terms += [(-s_val, flows[rid]) for rid in path.arcs]
+    model.add_constraint(tag, terms, ">=", path.cost - s_val * len(path.arcs))
+
+
+def _build_coupling(
     model: ModelIR,
     kind: KindLike,
     k: int,
@@ -494,7 +514,7 @@ def build_coupling(
         tie_value(f"lin-subs-sd-{suffix}[{k}]")
 
 
-def emit_block(
+def _emit_block(
     model: ModelIR,
     kind: KindLike,
     k: int,
@@ -507,7 +527,7 @@ def emit_block(
     kind = get_kind(kind)
     if kind.needs_paths:
         bfset = _require_path_set(bfset, k, f"kind {kind}")
-    build_primal(
+    _build_primal(
         model,
         kind.primal_rep,
         k,
@@ -516,8 +536,8 @@ def emit_block(
         bfset,
         binary_y=kind.opt_cond == COMPL_SLACK,
     )
-    build_dual(model, kind.dual_rep, k, com, graph, bfset)
-    build_coupling(model, kind, k, com, graph, bfset, bigm)
+    _build_dual(model, kind.dual_rep, k, com, graph, bfset)
+    _build_coupling(model, kind, k, com, graph, bfset, bigm)
     if kind.linearization == DIRECT:
         for rid in graph.network.tolled_ids:
             model.add_objective_term(
@@ -643,14 +663,14 @@ def assemble_hybrid(
         if bfset.exhaustive and small:
             graph = path_based_reduce(instance.network, bfset)
             working = graph.map_feasible_set(bfset)
-            emit_block(model, main, k, com, graph, working, bigm)
+            _emit_block(model, main, k, com, graph, working, bigm)
             assignments.append(
                 CommodityAssignment(k, ROLE_MAIN, main, graph, working)
             )
             continue
         if identity is None:
             identity = ReducedGraph.identity(instance.network)
-        emit_block(model, fallback, k, com, identity, None, bigm)
+        _emit_block(model, fallback, k, com, identity, None, bigm)
         assignments.append(
             CommodityAssignment(k, ROLE_FALLBACK, fallback, identity, None)
         )
@@ -702,6 +722,6 @@ def build_single(
         working = graph.map_feasible_set(bfset) if bfset is not None else None
         if kind.needs_paths:
             _require_path_set(working, k, f"kind {kind}")
-        emit_block(model, kind, k, com, graph, working, bigm)
+        _emit_block(model, kind, k, com, graph, working, bigm)
         assignments.append(CommodityAssignment(k, ROLE_MAIN, kind, graph, working))
     return HybridModel(model, instance, bigm, None, tuple(assignments))

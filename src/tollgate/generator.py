@@ -15,7 +15,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import spatial as _spatial
@@ -23,7 +23,6 @@ from scipy import spatial as _spatial
 from .network import (
     Arc,
     Commodity,
-    InstanceError,
     Network,
     ProblemInstance,
     validate_instance,

@@ -1,18 +1,17 @@
-"""Serialize a model to CPLEX LP text and read such text back.
+"""Serialize a model to CPLEX LP text.
 
 The writer targets the common dialect accepted by HiGHS, CBC, SCIP, Gurobi
 and CPLEX: ``Maximize`` / ``Subject To`` / ``Bounds`` / ``Binaries`` / ``End``
-sections, one constraint per line, names kept verbatim.  The parser handles
-exactly what the writer emits plus harmless whitespace variation; it exists
-so tests can round-trip models and so command-line solver output can be
-checked against the model it was given.
+sections, one constraint per line.  Identifiers are the model's variable
+names with the brackets and commas the format forbids rewritten;
+:func:`lp_name_map` maps them back, so a command-line solver's output can be
+read against the model it was given.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .model_ir import Coef, ModelIR, Term
 
@@ -114,146 +113,3 @@ def write_lp(model: ModelIR) -> str:
     out.append("End\n")
     return "".join(out)
 
-
-_SECTION_RE = re.compile(
-    r"^(maximize|maximise|minimize|minimise|subject to|st|s\.t\.|bounds|binaries|binary|general|generals|end)$",
-    re.IGNORECASE,
-)
-
-
-def _tokenize_expr(text: str) -> list[tuple[Fraction, str]]:
-    terms: list[tuple[Fraction, str]] = []
-    tokens = re.findall(r"[A-Za-z_][A-Za-z0-9_.]*|[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|[-+]", text)
-    sign = Fraction(1)
-    coef: Union[Fraction, None] = None
-    for tok in tokens:
-        if tok == "+":
-            continue
-        if tok == "-":
-            sign = -sign
-            continue
-        if re.match(r"^[A-Za-z_]", tok):
-            value = sign * (coef if coef is not None else Fraction(1))
-            terms.append((value, tok))
-            sign = Fraction(1)
-            coef = None
-        else:
-            coef = Fraction(tok) if coef is None else coef * Fraction(tok)
-            if tok.startswith("-"):
-                sign = sign  # sign already folded into the literal
-    return terms
-
-
-def parse_lp(text: str) -> ModelIR:
-    """Parse LP text produced by :func:`write_lp` into a fresh model."""
-    model = ModelIR(label="parsed")
-    section = ""
-    sense = 1
-    pending = ""
-    declared: dict[str, dict] = {}
-    constraints: list[tuple[str, list[tuple[Fraction, str]], str, Fraction]] = []
-    objective: list[tuple[Fraction, str]] = []
-
-    def flush(line: str) -> None:
-        nonlocal objective
-        if not line.strip():
-            return
-        if section in ("maximize", "minimize"):
-            body = line.split(":", 1)[-1]
-            objective = objective + _tokenize_expr(body)
-            return
-        if section == "subject to":
-            label, _, body = line.partition(":")
-            tag = label.strip() or f"row{len(constraints)}"
-            match = re.search(r"(<=|>=|=)", body)
-            if not match:
-                raise ValueError(f"constraint without comparator: {line!r}")
-            op = match.group(1)
-            lhs, rhs = body.split(op, 1)
-            constraints.append((tag, _tokenize_expr(lhs), op, Fraction(rhs.strip())))
-            return
-        if section == "bounds":
-            free = re.match(r"^\s*([A-Za-z_][A-Za-z0-9_.]*)\s+free\s*$", line, re.IGNORECASE)
-            if free:
-                declared.setdefault(free.group(1), {})["lower"] = None
-                declared[free.group(1)]["upper"] = None
-                return
-            pieces = re.split(r"(<=|>=|=)", line)
-            pieces = [p.strip() for p in pieces if p.strip()]
-            if len(pieces) == 5 and pieces[1] == "<=" and pieces[3] == "<=":
-                lo = None if pieces[0].lstrip("-").lower() == "inf" else Fraction(pieces[0])
-                declared.setdefault(pieces[2], {})["lower"] = lo
-                declared[pieces[2]]["upper"] = Fraction(pieces[4])
-            elif len(pieces) == 3 and pieces[1] == "<=":
-                if re.match(r"^[A-Za-z_]", pieces[0]):
-                    declared.setdefault(pieces[0], {})["upper"] = Fraction(pieces[2])
-                else:
-                    declared.setdefault(pieces[2], {})["lower"] = Fraction(pieces[0])
-            elif len(pieces) == 3 and pieces[1] == "=":
-                declared.setdefault(pieces[0], {})["lower"] = Fraction(pieces[2])
-                declared[pieces[0]]["upper"] = Fraction(pieces[2])
-            else:
-                raise ValueError(f"unsupported bounds line: {line!r}")
-            return
-        if section in ("binaries", "binary"):
-            for name in line.split():
-                declared.setdefault(name, {})["binary"] = True
-
-    for raw in text.splitlines():
-        line = raw.split("\\", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        header = _SECTION_RE.match(line.strip())
-        if header:
-            if pending:
-                flush(pending)
-                pending = ""
-            word = header.group(1).lower()
-            if word in ("maximize", "maximise"):
-                section, sense = "maximize", 1
-            elif word in ("minimize", "minimise"):
-                section, sense = "minimize", -1
-            elif word in ("subject to", "st", "s.t."):
-                section = "subject to"
-            elif word == "bounds":
-                section = "bounds"
-            elif word in ("binaries", "binary"):
-                section = "binaries"
-            elif word in ("general", "generals"):
-                section = "generals"
-            else:
-                section = "end"
-            continue
-        if section in ("maximize", "minimize", "subject to"):
-            # Continuation lines have no comparator/colon start; accumulate the
-            # objective, flush constraints per line.
-            if section == "subject to":
-                flush(line)
-            else:
-                pending += " " + line
-        else:
-            flush(line)
-    if pending:
-        flush(pending)
-
-    seen: set[str] = set()
-    for _, terms, _, _ in constraints:
-        for _, name in terms:
-            seen.add(name)
-    for _, name in objective:
-        seen.add(name)
-    for name in sorted(seen):
-        spec = declared.get(name, {})
-        if spec.get("binary"):
-            model.add_variable(name, upper=1, binary=True)
-        else:
-            model.add_variable(
-                name,
-                lower=spec.get("lower", Fraction(0)),
-                upper=spec.get("upper"),
-            )
-    for coef, name in objective:
-        model.add_objective_term(sense * coef, name)
-    for tag, terms, op, rhs in constraints:
-        model.add_constraint(tag, terms, op, rhs)
-    return model

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path as FilePath
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Node = int
 ArcId = int
@@ -178,22 +178,17 @@ class Network:
                 raise InstanceError(f"arc at position {pos} carries index {arc.index}")
             if not (0 <= arc.tail < num_nodes and 0 <= arc.head < num_nodes):
                 raise InstanceError(f"arc {arc.index}: endpoint out of range")
-        self._out: list[list[Arc]] = [[] for _ in range(num_nodes)]
-        self._in: list[list[Arc]] = [[] for _ in range(num_nodes)]
+        out: list[list[tuple[Node, ArcId]]] = [[] for _ in range(num_nodes)]
+        into: list[list[tuple[Node, ArcId]]] = [[] for _ in range(num_nodes)]
         for arc in self.arcs:
-            self._out[arc.tail].append(arc)
-            self._in[arc.head].append(arc)
+            out[arc.tail].append((arc.head, arc.index))
+            into[arc.head].append((arc.tail, arc.index))
+        self.out_adj: tuple[tuple[tuple[Node, ArcId], ...], ...] = tuple(map(tuple, out))
+        self.in_adj: tuple[tuple[tuple[Node, ArcId], ...], ...] = tuple(map(tuple, into))
         self.tolled_ids: tuple[ArcId, ...] = tuple(a.index for a in self.arcs if a.tolled)
-        self.toll_free_ids: tuple[ArcId, ...] = tuple(a.index for a in self.arcs if not a.tolled)
         self.scale: int = math.lcm(*(a.cost.denominator for a in self.arcs))
         self.int_costs: tuple[int, ...] = tuple(
             a.cost.numerator * (self.scale // a.cost.denominator) for a in self.arcs
-        )
-        self.out_adj: tuple[tuple[tuple[Node, ArcId], ...], ...] = tuple(
-            tuple((a.head, a.index) for a in out) for out in self._out
-        )
-        self.in_adj: tuple[tuple[tuple[Node, ArcId], ...], ...] = tuple(
-            tuple((a.tail, a.index) for a in into) for into in self._in
         )
 
     @property
@@ -202,12 +197,6 @@ class Network:
 
     def arc(self, index: ArcId) -> Arc:
         return self.arcs[index]
-
-    def out_arcs(self, node: Node) -> Sequence[Arc]:
-        return self._out[node]
-
-    def in_arcs(self, node: Node) -> Sequence[Arc]:
-        return self._in[node]
 
     def with_costs(self, costs: Mapping[ArcId, Fraction]) -> "Network":
         """Return a copy whose arcs carry the costs in ``costs`` (others kept)."""
@@ -252,10 +241,10 @@ def _toll_free_reachable(network: Network, origin: Node) -> set[Node]:
     stack = [origin]
     while stack:
         node = stack.pop()
-        for arc in network.out_arcs(node):
-            if not arc.tolled and arc.head not in seen:
-                seen.add(arc.head)
-                stack.append(arc.head)
+        for head, aid in network.out_adj[node]:
+            if head not in seen and not network.arcs[aid].tolled:
+                seen.add(head)
+                stack.append(head)
     return seen
 
 

@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
 
 from .enumeration import BilevelFeasibleSet, ConsistencyError
-from .network import Arc, ArcId, Commodity, InstanceError, Network, Node, Path
+from .network import Arc, ArcId, Commodity, Network, Node, Path
 
 
 @dataclass
@@ -98,13 +97,6 @@ class ReducedGraph:
         if not self.network.arc(reduced_arc).tolled:
             raise ValueError(f"arc {reduced_arc} is not tolled")
         return chain[0]
-
-    def lift_arcs(self, reduced_arcs: Sequence[ArcId]) -> tuple[ArcId, ...]:
-        """Expand a reduced arc sequence to the original arc sequence."""
-        out: list[ArcId] = []
-        for r in reduced_arcs:
-            out.extend(self.arc_origin[r])
-        return tuple(out)
 
     def map_path(self, path: Path) -> Path:
         """Re-express an original-graph path in reduced arc ids.

@@ -3,9 +3,12 @@
 Two backends ship by default.  ``ScipyBackend`` drives the HiGHS solver
 bundled with scipy and needs no external setup.  ``CommandBackend`` shells
 out to any solver that can read an LP file and print ``name value`` lines,
-configured through a command template.  Every solve is re-checked against
-the model's own constraint list before the result is returned, so a backend
-that lies about feasibility is caught here rather than in downstream math.
+configured through a command template.  Callers pick one by passing it as
+``backend=``; without one, :func:`get_backend` reads a template from the
+``TOLLGATE_SOLVER_CMD`` environment variable and falls back to scipy.
+Every solve is re-checked against the model's own constraint list before
+the result is returned, so a backend that lies about feasibility is caught
+here rather than in downstream math.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Optional, Protocol
+from typing import Optional, Protocol
 
 import numpy as np
 from scipy import optimize as _sciopt
@@ -240,17 +242,13 @@ class CommandBackend:
         )
 
 
-def get_backend(config: Optional[Mapping[str, str]] = None) -> Backend:
-    """Pick a backend: explicit command template wins, scipy otherwise.
+def get_backend() -> Backend:
+    """Pick the default backend: a command template if set, scipy otherwise.
 
-    The template is read from, in order: ``config["solver.cmd"]``, then the
-    ``TOLLGATE_SOLVER_CMD`` environment variable.
+    The template is read from the ``TOLLGATE_SOLVER_CMD`` environment
+    variable.
     """
-    template = None
-    if config:
-        template = config.get("solver.cmd")
-    if not template:
-        template = os.environ.get("TOLLGATE_SOLVER_CMD")
+    template = os.environ.get("TOLLGATE_SOLVER_CMD")
     if template:
         return CommandBackend(template)
     return ScipyBackend()
@@ -260,7 +258,6 @@ def solve(
     model: ModelIR,
     budget: float = DEFAULT_BUDGET,
     backend: Optional[Backend] = None,
-    config: Optional[Mapping[str, str]] = None,
 ) -> SolveResult:
     """Solve ``model`` and re-check any claimed solution against the model.
 
@@ -275,7 +272,7 @@ def solve(
             best_bound=0.0,
             backend="empty",
         )
-    chosen = backend if backend is not None else get_backend(config)
+    chosen = backend if backend is not None else get_backend()
     result = chosen.solve(model, budget)
     if result.assignment:
         bad = model.violations(result.assignment, tolerance=CHECK_TOLERANCE)

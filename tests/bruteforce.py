@@ -28,14 +28,14 @@ def all_simple_paths(
         if node == dest:
             found.append(tuple(trail))
             return
-        for arc in network.out_arcs(node):
-            if arc.head in seen:
+        for head, aid in network.out_adj[node]:
+            if head in seen:
                 continue
-            seen.add(arc.head)
-            trail.append(arc.index)
-            walk(arc.head)
+            seen.add(head)
+            trail.append(aid)
+            walk(head)
             trail.pop()
-            seen.remove(arc.head)
+            seen.remove(head)
 
     walk(origin)
     return found
@@ -92,10 +92,10 @@ def toll_free_reaches(network: Network, origin: int, dest: int) -> bool:
         node = stack.pop()
         if node == dest:
             return True
-        for arc in network.out_arcs(node):
-            if not arc.tolled and not seen[arc.head]:
-                seen[arc.head] = True
-                stack.append(arc.head)
+        for head, aid in network.out_adj[node]:
+            if not network.arcs[aid].tolled and not seen[head]:
+                seen[head] = True
+                stack.append(head)
     return False
 
 

@@ -9,6 +9,7 @@ and a best revenue of 7 collected entirely on the first tolled arc.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -55,3 +56,31 @@ def fig_bfset(fig_enum):
 @pytest.fixture
 def fig_bigm(fig, fig_bfset):
     return compute_bigm(fig.network, fig.commodities, {0: fig_bfset})
+
+
+# A command-line solver for the CommandBackend tests: scipy's bundled HiGHS
+# reads the LP file and the script writes one "identifier value" line per
+# column to the solution file.
+TOY_SOLVER = """\
+import sys
+
+from scipy.optimize._highspy._core import _Highs
+
+highs = _Highs()
+highs.setOptionValue("output_flag", False)
+highs.readModel(sys.argv[1])
+highs.run()
+names = highs.getLp().col_names_
+values = highs.getSolution().col_value
+with open(sys.argv[2], "w") as fh:
+    for name, value in zip(names, values):
+        fh.write(f"{name} {value}\\n")
+"""
+
+
+@pytest.fixture
+def toy_solver_cmd(tmp_path) -> str:
+    """A CommandBackend template that runs :data:`TOY_SOLVER`."""
+    helper = tmp_path / "toy_solver.py"
+    helper.write_text(TOY_SOLVER)
+    return f"{sys.executable} {helper} {{lp}} {{sol}}"

@@ -193,3 +193,69 @@ def test_sweep_missing_instances_fail_cleanly(tmp_path, capsys):
     )
     assert rc == 1
     assert "no instance files" in capsys.readouterr().err
+
+
+def test_sweep_solver_cmd_reaches_the_command_backend(
+    fig_file, tmp_path, toy_solver_cmd, capsys
+):
+    # The template also logs each call, which only CommandBackend makes.
+    calls = tmp_path / "calls.log"
+    rc = main(
+        [
+            "sweep",
+            "--instances",
+            str(fig_file),
+            "--kinds",
+            "STD",
+            "--breakpoints",
+            "8",
+            "--solver-cmd",
+            f"{toy_solver_cmd} && echo solved >> {calls}",
+        ]
+    )
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 2
+    fields = rows[1].split(",")
+    assert fields[3] == "optimal"
+    assert float(fields[4]) == pytest.approx(7.0)
+    assert calls.read_text().splitlines() == ["solved"]
+
+
+def test_sweep_rejects_a_solver_cmd_without_placeholders(fig_file, capsys):
+    rc = main(
+        [
+            "sweep",
+            "--instances",
+            str(fig_file),
+            "--kinds",
+            "STD",
+            "--breakpoints",
+            "8",
+            "--solver-cmd",
+            "highs",
+        ]
+    )
+    assert rc == 1
+    assert "error: solver command template" in capsys.readouterr().err
+
+
+def test_build_reports_tied_path_costs(tmp_path, capsys):
+    # Two tolled routes of base cost 2 tie; dominance needs distinct costs.
+    path = tmp_path / "tie.npp"
+    path.write_text(
+        "npp 4 5 1\n"
+        "arc 0 1 1 T\n"
+        "arc 1 3 1 F\n"
+        "arc 0 2 1 T\n"
+        "arc 2 3 1 F\n"
+        "arc 0 3 5 F\n"
+        "commodity 0 3 1\n"
+    )
+    rc = main(
+        ["build", "--instance", str(path), "--main", "PCS2", "--breakpoint", "8"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "perturb" in err

@@ -1,16 +1,29 @@
-"""LP text round trips: writer output must parse back to the same model."""
+"""LP text: the writer's dialect, its determinism, and HiGHS reading it back.
+
+The read-back tests use HiGHS's own LP reader through scipy's private
+binding ``scipy.optimize._highspy._core``, an independent parser of the
+dialect.
+"""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
+from scipy.optimize._highspy._core import (
+    HighsStatus,
+    HighsVarType,
+    ObjSense,
+    _Highs,
+)
 
 from tollgate.bigm import compute_bigm
 from tollgate.enumeration import enumerate_paths, perturb_costs
 from tollgate.formulations import FORMULATIONS, build_single
-from tollgate.lp_format import lp_name_map, parse_lp, write_lp
+from tollgate.lp_format import lp_name_map, write_lp
 from tollgate.model_ir import ModelIR
 from tollgate.network import ProblemInstance
+from tollgate.solver import ScipyBackend
 
 
 def bracketed_model():
@@ -26,18 +39,6 @@ def bracketed_model():
     )
     m.add_objective_term(1, "T[3]")
     return m
-
-
-def canonical(model):
-    return (
-        tuple(
-            (v.name, v.lower, v.upper, v.binary) for v in model.variables
-        ),
-        tuple(
-            (c.terms, c.sense, c.rhs) for c in model.constraints
-        ),
-        model.objective,
-    )
 
 
 def test_writer_is_deterministic():
@@ -65,35 +66,6 @@ def test_overlong_name_rejected():
     m.add_variable("v" * 256)
     with pytest.raises(ValueError, match="too long"):
         write_lp(m)
-
-
-def test_round_trip_preserves_structure():
-    m = bracketed_model()
-    text = write_lp(m)
-    back = parse_lp(text)
-    decode = lp_name_map(m)
-
-    assert set(decode) == {v.name for v in back.variables}
-    parsed_vars = {v.name: v for v in back.variables}
-    for var in m.variables:
-        twin = parsed_vars[_encode_name(var.name)]
-        assert twin.binary == var.binary
-        assert _close(twin.lower, var.lower)
-        assert _close(twin.upper, var.upper)
-    assert len(back.constraints) == len(m.constraints)
-    for mine, parsed in zip(m.constraints, back.constraints):
-        assert parsed.sense == mine.sense
-        assert float(parsed.rhs) == pytest.approx(float(mine.rhs))
-
-
-def _encode_name(name):
-    return name.replace("[", "__").replace("]", "").replace(",", "_")
-
-
-def _close(a, b):
-    if a is None or b is None:
-        return a == b
-    return abs(float(a) - float(b)) < 1e-9
 
 
 def test_sections_render(fig):
@@ -128,20 +100,6 @@ def test_empty_objective_writes_zero_row():
     m.add_constraint("r", [(1, "x")], "<=", 1)
     text = write_lp(m)
     assert " obj: 0 x\n" in text
-    parsed = parse_lp(text)
-    assert parsed.objective == ()
-
-
-def test_parse_accepts_minimize_and_st():
-    text = (
-        "Minimize\n obj: x + 2 y\n"
-        "ST\n c0: x + y >= 1\n"
-        "Bounds\n x <= 4\nEnd\n"
-    )
-    m = parse_lp(text)
-    names = {v.name for v in m.variables}
-    assert names == {"x", "y"}
-    assert m.constraints[0].sense == ">="
 
 
 def test_int_and_fraction_coefficients_render_alike():
@@ -195,17 +153,79 @@ PERTURBED_LP_SHA256 = {
 }
 
 
-def _fixture_lp_sha256(instance, kind):
+def _fixture_model(instance, kind):
     enum = enumerate_paths(instance.network, instance.commodities[0])
     bigm = compute_bigm(instance.network, instance.commodities, {0: enum.feasible_set()})
-    model = build_single(instance, kind, bigm, [enum], allow_vfcs=True).ir
-    return hashlib.sha256(write_lp(model).encode()).hexdigest()
+    return build_single(instance, kind, bigm, [enum], allow_vfcs=True).ir
+
+
+def _fixture_lp_sha256(instance, kind):
+    return hashlib.sha256(write_lp(_fixture_model(instance, kind)).encode()).hexdigest()
+
+
+def _perturbed(instance):
+    return ProblemInstance(
+        perturb_costs(instance.network, seed=0), instance.commodities, instance.label
+    )
 
 
 @pytest.mark.parametrize("kind", [k.label for k in FORMULATIONS])
 def test_fixture_lp_text_is_pinned(fig, kind):
     assert _fixture_lp_sha256(fig, kind) == FIXTURE_LP_SHA256[kind]
-    perturbed = ProblemInstance(
-        perturb_costs(fig.network, seed=0), fig.commodities, fig.label
-    )
-    assert _fixture_lp_sha256(perturbed, kind) == PERTURBED_LP_SHA256[kind]
+    assert _fixture_lp_sha256(_perturbed(fig), kind) == PERTURBED_LP_SHA256[kind]
+
+
+def _read_with_highs(text, tmp_path):
+    path = tmp_path / "model.lp"
+    path.write_text(text)
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) == HighsStatus.kOk
+    return highs
+
+
+def _bound(value, missing):
+    return missing if value is None else pytest.approx(float(value), rel=1e-11)
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["exact", "perturbed"])
+@pytest.mark.parametrize("kind", FORMULATIONS, ids=lambda k: k.label)
+def test_highs_reads_back_the_written_model(fig, kind, perturb, tmp_path):
+    instance = _perturbed(fig) if perturb else fig
+    model = _fixture_model(instance, kind.label)
+    highs = _read_with_highs(write_lp(model), tmp_path)
+    lp = highs.getLp()
+
+    decode = lp_name_map(model)
+    names = [decode[ident] for ident in lp.col_names_]
+    assert sorted(names) == sorted(v.name for v in model.variables)
+    col = {name: j for j, name in enumerate(names)}
+    for var in model.variables:
+        j = col[var.name]
+        assert lp.col_lower_[j] == _bound(var.lower, -math.inf)
+        assert lp.col_upper_[j] == _bound(var.upper, math.inf)
+        assert (lp.integrality_[j] == HighsVarType.kInteger) == var.binary
+
+    assert lp.sense_ == ObjSense.kMaximize
+    cost = [0.0] * len(names)
+    for coef, name in model.objective:
+        cost[col[name]] += float(coef)
+    assert list(lp.col_cost_) == pytest.approx(cost, rel=1e-11)
+
+    assert lp.num_row_ == len(model.constraints)
+    assert list(lp.row_names_) == [f"c{i}" for i in range(len(model.constraints))]
+    for i, con in enumerate(model.constraints):
+        rhs = pytest.approx(float(con.rhs), rel=1e-11)
+        assert lp.row_lower_[i] == (-math.inf if con.sense == "<=" else rhs)
+        assert lp.row_upper_[i] == (math.inf if con.sense == ">=" else rhs)
+        _, cols, values = highs.getRowEntries(i)
+        read = {names[j]: v for j, v in zip(cols, values)}
+        assert read == pytest.approx({n: float(c) for c, n in con.terms}, rel=1e-11)
+
+    if not kind.needs_cut_loop:
+        highs.run()
+        assert highs.getModelStatus().name == "kOptimal"
+        objective = highs.getInfo().objective_function_value
+        expected = ScipyBackend().solve(model).objective
+        assert objective == pytest.approx(expected, rel=1e-6)
+        assert objective == pytest.approx(7.0, rel=1e-6)

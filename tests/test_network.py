@@ -62,10 +62,9 @@ def test_network_index_and_range_checks():
 def test_network_adjacency(fig):
     net = fig.network
     assert net.num_arcs == 7
-    assert [a.index for a in net.out_arcs(0)] == [0, 6]
-    assert [a.index for a in net.in_arcs(4)] == [2, 4, 5, 6]
+    assert net.out_adj[0] == ((1, 0), (4, 6))
+    assert net.in_adj[4] == ((2, 2), (3, 4), (1, 5), (0, 6))
     assert net.tolled_ids == (0, 1, 2)
-    assert net.toll_free_ids == (3, 4, 5, 6)
 
 
 def test_with_costs_replaces_only_listed(fig):
