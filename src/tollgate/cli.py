@@ -40,14 +40,20 @@ def _enumerate_all(instance: ProblemInstance, cap: Optional[int]):
     ]
 
 
-def _cmd_enumerate(args) -> int:
+def _load(args) -> ProblemInstance:
+    """The ``--instance`` file, its cost ties broken when ``--perturb`` is set."""
     instance = load_instance(args.instance)
-    if args.perturb is not None:
-        instance = ProblemInstance(
-            perturb_costs(instance.network, seed=args.perturb),
-            instance.commodities,
-            instance.label,
-        )
+    if args.perturb is None:
+        return instance
+    return ProblemInstance(
+        perturb_costs(instance.network, seed=args.perturb),
+        instance.commodities,
+        instance.label,
+    )
+
+
+def _cmd_enumerate(args) -> int:
+    instance = _load(args)
     for k, result in enumerate(_enumerate_all(instance, args.cap)):
         bfset = result.feasible_set()
         com = instance.commodities[k]
@@ -63,7 +69,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    instance = load_instance(args.instance)
+    instance = _load(args)
     enum = _enumerate_all(instance, args.cap) if args.method == "paths" else None
     print("commodity\tnodes\tarcs\ttolled")
     for k, com in enumerate(instance.commodities):
@@ -87,7 +93,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_build(args) -> int:
     if bool(args.kind) == bool(args.main):
         raise BuildError("pass either --kind, or --main with --fallback and --breakpoint")
-    instance = load_instance(args.instance)
+    instance = _load(args)
     if args.kind:
         kind = get_kind(args.kind)
         if kind.needs_cut_loop:
@@ -200,6 +206,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _add_perturb(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--perturb", type=int, default=None, metavar="SEED",
+                        help="break cost ties with seeded noise first")
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tollgate",
@@ -210,14 +221,14 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list each commodity's feasible paths")
     p.add_argument("--instance", required=True)
     p.add_argument("--cap", type=int, default=None, help="stop after this many paths")
-    p.add_argument("--perturb", type=int, default=None, metavar="SEED",
-                   help="break cost ties with seeded noise before enumerating")
+    _add_perturb(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("reduce", help="report per-commodity graph reduction")
     p.add_argument("--instance", required=True)
     p.add_argument("--method", choices=("paths", "spgm"), default="paths")
     p.add_argument("--cap", type=int, default=None)
+    _add_perturb(p)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("build", help="write a model as LP text")
@@ -229,6 +240,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--preprocess", choices=("paths", "spgm", "none"), default="paths")
     p.add_argument("--cap", type=int, default=None, help="enumeration cap for --kind")
     p.add_argument("--out", help="output path (stdout when omitted)")
+    _add_perturb(p)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("generate", help="write a random instance")

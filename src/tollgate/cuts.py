@@ -193,12 +193,13 @@ def solve_with_vfcs_cuts(
     the best incumbent so far is returned with budget-exhausted status; its
     objective may overstate the true optimum, since the pending cut was
     never applied.  Models without cut-needing blocks go through a single
-    plain solve.
+    plain solve.  The result's ``mip_nodes`` counts the nodes of every round.
     """
     chosen = backend if backend is not None else get_backend()
     deadline = time.monotonic() + budget
     start = time.monotonic()
     rounds = 0
+    nodes = 0
     best: Optional[SolveResult] = None
     while True:
         remaining = deadline - time.monotonic()
@@ -211,10 +212,13 @@ def solve_with_vfcs_cuts(
             )
             out.status = STATUS_BUDGET
             out.cut_rounds = rounds
+            out.mip_nodes = nodes
             out.wall_time = time.monotonic() - start
             return out
         result = solve(context.ir, budget=remaining, backend=chosen)
+        nodes += result.mip_nodes
         result.cut_rounds = rounds
+        result.mip_nodes = nodes
         result.wall_time = time.monotonic() - start
         if result.status != STATUS_OPTIMAL:
             return result

@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 from tollgate.bigm import compute_bigm
-from tollgate.enumeration import enumerate_paths
+from tollgate.enumeration import enumerate_paths, perturb_costs
+from tollgate.formulations import build_single
 from tollgate.network import Arc, Commodity, Network, ProblemInstance
 
 
@@ -36,6 +37,20 @@ def five_node_instance() -> ProblemInstance:
     return ProblemInstance(
         network, (Commodity(0, 4, Fraction(1)),), "five-node"
     )
+
+
+def perturbed(instance: ProblemInstance) -> ProblemInstance:
+    """``instance`` with its costs perturbed at seed 0."""
+    return ProblemInstance(
+        perturb_costs(instance.network, seed=0), instance.commodities, instance.label
+    )
+
+
+def fixture_model(instance: ProblemInstance, kind: str):
+    """The static model of ``kind`` on a one-commodity instance."""
+    enum = enumerate_paths(instance.network, instance.commodities[0])
+    bigm = compute_bigm(instance.network, instance.commodities, {0: enum.feasible_set()})
+    return build_single(instance, kind, bigm, [enum], allow_vfcs=True).ir
 
 
 @pytest.fixture

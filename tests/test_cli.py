@@ -240,7 +240,8 @@ def test_sweep_rejects_a_solver_cmd_without_placeholders(fig_file, capsys):
     assert "error: solver command template" in capsys.readouterr().err
 
 
-def test_build_reports_tied_path_costs(tmp_path, capsys):
+@pytest.fixture
+def tie_file(tmp_path):
     # Two tolled routes of base cost 2 tie; dominance needs distinct costs.
     path = tmp_path / "tie.npp"
     path.write_text(
@@ -252,10 +253,39 @@ def test_build_reports_tied_path_costs(tmp_path, capsys):
         "arc 0 3 5 F\n"
         "commodity 0 3 1\n"
     )
+    return path
+
+
+def test_build_reports_tied_path_costs(tie_file, capsys):
     rc = main(
-        ["build", "--instance", str(path), "--main", "PCS2", "--breakpoint", "8"]
+        ["build", "--instance", str(tie_file), "--main", "PCS2", "--breakpoint", "8"]
     )
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "perturb" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["build", "--main", "PCS2", "--breakpoint", "8"],
+        ["build", "--kind", "STD"],
+        ["reduce"],
+    ],
+    ids=["build-hybrid", "build-kind", "reduce"],
+)
+def test_perturb_breaks_ties_for_build_and_reduce(tie_file, capsys, command):
+    args = [*command, "--instance", str(tie_file)]
+    assert main(args) == 1
+    assert "perturb" in capsys.readouterr().err
+    assert main([*args, "--perturb", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = captured.out
+    if command[0] == "reduce":
+        # Neither tolled route dominates the other: every arc stays.
+        assert out.splitlines()[1] == "0\t4->4\t5->5\t2->2"
+    else:
+        assert out.startswith("\\ ") and out.endswith("End\n")
+        assert "Binaries\n" in out

@@ -16,7 +16,7 @@ from tollgate.cuts import solve_with_vfcs_cuts, vfcs_feasibility_cut
 from tollgate.enumeration import enumerate_paths
 from tollgate.formulations import _flow_name, build_single
 from tollgate.network import Commodity, ProblemInstance
-from tollgate.solver import SolveResult, SolverError, solve
+from tollgate.solver import ScipyBackend, SolveResult, SolverError, solve
 
 
 def identity_model(fig, fig_enum, fig_bigm, kind):
@@ -40,6 +40,30 @@ def test_cut_loop_converges_after_one_cut(fig, fig_enum, fig_bigm):
     assert context.cut_paths[0] == {(0, 1, 3, 4)}
     tags = {c.tag for c in context.ir.constraints}
     assert "lin-cs-ap[0,cut0]" in tags
+
+
+class NodeLog:
+    """Solves with scipy and records each call's node count."""
+
+    name = "node-log"
+
+    def __init__(self):
+        self.nodes = []
+
+    def solve(self, model, budget):
+        result = ScipyBackend().solve(model, budget)
+        self.nodes.append(result.mip_nodes)
+        return result
+
+
+def test_cut_loop_sums_nodes_over_rounds(fig, fig_enum, fig_bigm):
+    context = identity_model(fig, fig_enum, fig_bigm, "VFCS1")
+    log = NodeLog()
+    res = solve_with_vfcs_cuts(context, backend=log, budget=120)
+    assert res.cut_rounds == 1
+    assert len(log.nodes) == 2
+    assert min(log.nodes) >= 1
+    assert res.mip_nodes == sum(log.nodes)
 
 
 def test_substitution_variant_needs_no_cut(fig, fig_enum, fig_bigm):

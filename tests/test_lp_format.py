@@ -17,12 +17,10 @@ from scipy.optimize._highspy._core import (
     _Highs,
 )
 
-from tollgate.bigm import compute_bigm
-from tollgate.enumeration import enumerate_paths, perturb_costs
-from tollgate.formulations import FORMULATIONS, build_single
+from conftest import fixture_model, perturbed
+from tollgate.formulations import FORMULATIONS
 from tollgate.lp_format import lp_name_map, write_lp
 from tollgate.model_ir import ModelIR
-from tollgate.network import ProblemInstance
 from tollgate.solver import ScipyBackend
 
 
@@ -153,26 +151,14 @@ PERTURBED_LP_SHA256 = {
 }
 
 
-def _fixture_model(instance, kind):
-    enum = enumerate_paths(instance.network, instance.commodities[0])
-    bigm = compute_bigm(instance.network, instance.commodities, {0: enum.feasible_set()})
-    return build_single(instance, kind, bigm, [enum], allow_vfcs=True).ir
-
-
 def _fixture_lp_sha256(instance, kind):
-    return hashlib.sha256(write_lp(_fixture_model(instance, kind)).encode()).hexdigest()
-
-
-def _perturbed(instance):
-    return ProblemInstance(
-        perturb_costs(instance.network, seed=0), instance.commodities, instance.label
-    )
+    return hashlib.sha256(write_lp(fixture_model(instance, kind)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("kind", [k.label for k in FORMULATIONS])
 def test_fixture_lp_text_is_pinned(fig, kind):
     assert _fixture_lp_sha256(fig, kind) == FIXTURE_LP_SHA256[kind]
-    assert _fixture_lp_sha256(_perturbed(fig), kind) == PERTURBED_LP_SHA256[kind]
+    assert _fixture_lp_sha256(perturbed(fig), kind) == PERTURBED_LP_SHA256[kind]
 
 
 def _read_with_highs(text, tmp_path):
@@ -191,8 +177,8 @@ def _bound(value, missing):
 @pytest.mark.parametrize("perturb", [False, True], ids=["exact", "perturbed"])
 @pytest.mark.parametrize("kind", FORMULATIONS, ids=lambda k: k.label)
 def test_highs_reads_back_the_written_model(fig, kind, perturb, tmp_path):
-    instance = _perturbed(fig) if perturb else fig
-    model = _fixture_model(instance, kind.label)
+    instance = perturbed(fig) if perturb else fig
+    model = fixture_model(instance, kind.label)
     highs = _read_with_highs(write_lp(model), tmp_path)
     lp = highs.getLp()
 

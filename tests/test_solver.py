@@ -1,8 +1,11 @@
 """Solver backends, the command-template escape hatch, and result checking."""
 
+import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from tollgate.formulations import build_single
+from conftest import fixture_model, perturbed
+from tollgate.formulations import FORMULATIONS, build_single
 from tollgate.model_ir import ModelIR
 from tollgate.solver import (
     CommandBackend,
@@ -14,11 +17,11 @@ from tollgate.solver import (
 )
 
 
-def knapsack_model():
+def knapsack_model(binary=True):
     # max 5a + 4b + 3c with weights 4, 3, 2 and capacity 6: take a and c.
     m = ModelIR("knapsack")
     for name in ("a", "b", "c"):
-        m.add_variable(name, 0, 1, binary=True)
+        m.add_variable(name, 0, 1, binary=binary)
     m.add_constraint("w", [(4, "a"), (3, "b"), (2, "c")], "<=", 6)
     m.add_objective_term(5, "a")
     m.add_objective_term(4, "b")
@@ -38,6 +41,86 @@ def test_scipy_backend_solves_knapsack():
     assert res.assignment["b"] == pytest.approx(0.0)
     assert res.best_bound == pytest.approx(8.0)
     assert res.wall_time > 0
+
+
+def test_scipy_backend_bounds_an_lp_by_its_objective():
+    # The relaxation takes c, b and a quarter of a: 3 + 4 + 1.25.  HiGHS
+    # reports a MIP dual bound of 0 on an LP, which must not be read.
+    res = ScipyBackend().solve(knapsack_model(binary=False), budget=30)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(8.25)
+    assert res.best_bound == res.objective
+    assert res.assignment["a"] == pytest.approx(0.25)
+    assert res.mip_nodes == 0
+
+
+def test_scipy_backend_keeps_free_and_negative_bounds():
+    # max -x - y with x free but x >= -3 by a row, and y in [-2, 5].
+    m = ModelIR("signs")
+    m.add_variable("x", lower=None)
+    m.add_variable("y", lower=-2, upper=5)
+    m.add_constraint("floor", [(1, "x")], ">=", -3)
+    m.add_objective_term(-1, "x")
+    m.add_objective_term(-1, "y")
+    res = ScipyBackend().solve(m, budget=30)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(5.0)
+    assert res.assignment == pytest.approx({"x": -3.0, "y": -2.0})
+
+
+def test_scipy_backend_zero_budget_returns_no_point():
+    res = ScipyBackend().solve(knapsack_model(), budget=0)
+    assert res.status == "budget-exhausted"
+    assert res.objective is None
+    assert res.best_bound is None
+    assert res.assignment == {}
+
+
+def test_scipy_backend_counts_branch_and_bound_nodes(fig, fig_enum, fig_bigm):
+    res = ScipyBackend().solve(fig_model(fig, fig_enum, fig_bigm), budget=30)
+    assert res.status == "optimal"
+    assert res.mip_nodes >= 1
+
+
+def milp_objective(model):
+    """The optimum of ``model`` through ``scipy.optimize.milp``, dense arrays."""
+    col = {v.name: j for j, v in enumerate(model.variables)}
+    cost = np.zeros(len(col))
+    for coef, name in model.objective:
+        cost[col[name]] -= float(coef)
+    matrix = np.zeros((len(model.constraints), len(col)))
+    lo = np.full(len(model.constraints), -np.inf)
+    hi = np.full(len(model.constraints), np.inf)
+    for i, con in enumerate(model.constraints):
+        for coef, name in con.terms:
+            matrix[i, col[name]] += float(coef)
+        if con.sense != ">=":
+            hi[i] = float(con.rhs)
+        if con.sense != "<=":
+            lo[i] = float(con.rhs)
+    bounds = Bounds(
+        [-np.inf if v.lower is None else float(v.lower) for v in model.variables],
+        [np.inf if v.upper is None else float(v.upper) for v in model.variables],
+    )
+    res = milp(
+        cost,
+        constraints=LinearConstraint(matrix, lo, hi),
+        bounds=bounds,
+        integrality=[int(v.binary) for v in model.variables],
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["exact", "perturbed"])
+@pytest.mark.parametrize("kind", [k.label for k in FORMULATIONS])
+def test_scipy_backend_matches_milp(fig, kind, perturb):
+    model = fixture_model(perturbed(fig) if perturb else fig, kind)
+    res = ScipyBackend().solve(model, budget=30)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(milp_objective(model), rel=1e-9)
+    assert res.best_bound == pytest.approx(res.objective, rel=1e-9)
 
 
 def test_scipy_backend_reports_infeasible():
@@ -103,6 +186,7 @@ def test_command_backend_round_trip(toy_solver_cmd, fig, fig_enum, fig_bigm):
     assert res.status == "optimal"
     assert res.objective == pytest.approx(7.0)
     assert res.backend == "command"
+    assert res.mip_nodes == 0
 
 
 def test_command_backend_requires_solution_file():
