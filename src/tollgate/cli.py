@@ -108,7 +108,8 @@ def _cmd_build(args) -> int:
         )
         bigm = compute_bigm(instance.network, instance.commodities, bfsets)
         hybrid = build_single(
-            instance, kind, bigm, enum, preprocess=args.preprocess
+            instance, kind, bigm, enum, preprocess=args.preprocess,
+            paper_exact=args.paper_exact,
         )
     else:
         main_kind = get_kind(args.main)
@@ -127,7 +128,8 @@ def _cmd_build(args) -> int:
         }
         bigm = compute_bigm(instance.network, instance.commodities, bfsets)
         hybrid = assemble_hybrid(
-            instance, args.breakpoint, main_kind, args.fallback, bigm, enum
+            instance, args.breakpoint, main_kind, args.fallback, bigm, enum,
+            paper_exact=args.paper_exact,
         )
     text = write_lp(hybrid.ir)
     if args.out:
@@ -192,6 +194,7 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs,
         perturb=not args.no_perturb,
         backend=backend,
+        paper_exact=args.paper_exact,
     )
     if args.out:
         with open(args.out, "w", newline="") as stream:
@@ -209,6 +212,14 @@ def _cmd_sweep(args) -> int:
 def _add_perturb(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--perturb", type=int, default=None, metavar="SEED",
                         help="break cost ties with seeded noise first")
+
+
+def _add_paper_exact(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--paper-exact", action="store_true",
+        help="build CS1, VFCS1, PACS1 and PCS1 in the paper's form, without "
+             "the strong-duality inequality that tightens their relaxation",
+    )
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -241,6 +252,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=None, help="enumeration cap for --kind")
     p.add_argument("--out", help="output path (stdout when omitted)")
     _add_perturb(p)
+    _add_paper_exact(p)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("generate", help="write a random instance")
@@ -266,6 +278,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--solver-cmd", help="external solver template with {lp} and {sol}")
     p.add_argument("--no-perturb", action="store_true",
                    help="solve the costs as given, without tie-breaking noise")
+    _add_paper_exact(p)
     p.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -76,10 +76,12 @@ def run_one(
     budget: float = DEFAULT_BUDGET,
     perturb: bool = True,
     backend: Optional[Backend] = None,
+    paper_exact: bool = False,
 ) -> RunRecord:
     """One sweep cell.  Build or solve trouble becomes an ``error`` row.
 
-    ``backend`` defaults to :func:`solver.get_backend`'s choice.
+    ``backend`` defaults to :func:`solver.get_backend`'s choice;
+    ``paper_exact`` is passed to :func:`formulations.assemble_hybrid`.
     """
     kind = get_kind(kind)
     label = instance.label
@@ -106,6 +108,7 @@ def run_one(
             bigm,
             enum,
             allow_vfcs=True,
+            paper_exact=paper_exact,
         )
         result = solve_with_vfcs_cuts(hybrid, budget=budget, backend=backend)
     except Exception as exc:  # noqa: BLE001 - a sweep must survive bad cells
@@ -135,6 +138,7 @@ def run_sweep(
     jobs: int = 1,
     perturb: bool = True,
     backend: Optional[Backend] = None,
+    paper_exact: bool = False,
 ) -> list[RunRecord]:
     """Run the full grid and return one record per cell, in grid order."""
     cells = [
@@ -143,23 +147,13 @@ def run_sweep(
         for kind in kinds
         for breakpoint in breakpoints
     ]
+    options = dict(
+        budget=budget, perturb=perturb, backend=backend, paper_exact=paper_exact
+    )
     if jobs <= 1:
-        records = [
-            run_one(i, k, n, budget=budget, perturb=perturb, backend=backend)
-            for i, k, n in cells
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(
-                pool.map(
-                    lambda cell: run_one(
-                        cell[0], cell[1], cell[2],
-                        budget=budget, perturb=perturb, backend=backend,
-                    ),
-                    cells,
-                )
-            )
-    return records
+        return [run_one(i, k, n, **options) for i, k, n in cells]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(lambda cell: run_one(*cell, **options), cells))
 
 
 def write_csv(records: Sequence[RunRecord], stream: TextIO) -> None:

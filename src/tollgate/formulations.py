@@ -12,6 +12,15 @@ shared across blocks.  Blocks can be built on a reduced graph, in which
 case every name still refers to reduced arc ids except ``T`` and ``t``,
 which are keyed by the original tolled arc so that reduced and unreduced
 blocks price the same tolls.
+
+By default every complementary-slackness block with direct linearization
+(CS1, VFCS1, PACS1, PCS1) also carries the strong-duality row as a valid
+inequality, ``vi-sd-{suffix}[k]``: route cost plus revenue is at most the
+dual objective.  Complementary slackness implies strong duality, so every
+bilevel-feasible point meets it with equality; without it those kinds
+bound revenue only through their big-M rows, and their LP relaxation sits
+far above the optimum.  ``paper_exact=True`` leaves the row out and builds
+the paper's own form.
 """
 
 from __future__ import annotations
@@ -463,13 +472,15 @@ def _build_coupling(
     graph: ReducedGraph,
     bfset: Optional[BilevelFeasibleSet],
     bigm: BigMParams,
+    paper_exact: bool = False,
 ) -> None:
     """Couple commodity ``k``'s primal and dual blocks and linearize revenue.
 
     Strong duality kinds equate route cost (tolls included) with the dual
     objective and carry per-arc revenue variables.  Complementary slackness
     kinds instead force used rows tight, with revenue either per arc (direct)
-    or as one substituted total ``tau[k]``.
+    or as one substituted total ``tau[k]``.  Unless ``paper_exact``, direct
+    revenue under slackness is also capped by the strong-duality inequality.
     """
     kind = get_kind(kind)
     suffix = _coupling_suffix(kind)
@@ -491,12 +502,12 @@ def _build_coupling(
     for name in revenue:
         model.add_variable(name, 0, None)
 
-    def tie_value(tag: str) -> None:
-        """Route cost plus revenue equals the dual objective."""
+    def tie_value(tag: str, sense: str = "=") -> None:
+        """Route cost plus revenue against the dual objective, ``=`` by default."""
         terms = _base_cost_terms(kind, graph, bfset, primal)
         terms += [(1, name) for name in revenue]
         terms += _dual_objective_terms(kind, k, com, graph)
-        model.add_constraint(tag, terms, "=", 0)
+        model.add_constraint(tag, terms, sense, 0)
 
     if kind.opt_cond == STRONG_DUALITY:
         tie_value(f"lin-sd-{suffix}[{k}]")
@@ -510,6 +521,8 @@ def _build_coupling(
         _emit_direct_rows(
             model, kind, k, graph, bfset, bigm, tolls, primal, two_sided=True
         )
+        if not paper_exact:
+            tie_value(f"vi-sd-{suffix}[{k}]", "<=")
     else:
         tie_value(f"lin-subs-sd-{suffix}[{k}]")
 
@@ -522,6 +535,7 @@ def _emit_block(
     graph: ReducedGraph,
     bfset: Optional[BilevelFeasibleSet],
     bigm: BigMParams,
+    paper_exact: bool = False,
 ) -> None:
     """Emit one commodity's full block plus its objective contribution."""
     kind = get_kind(kind)
@@ -537,7 +551,7 @@ def _emit_block(
         binary_y=kind.opt_cond == COMPL_SLACK,
     )
     _build_dual(model, kind.dual_rep, k, com, graph, bfset)
-    _build_coupling(model, kind, k, com, graph, bfset, bigm)
+    _build_coupling(model, kind, k, com, graph, bfset, bigm, paper_exact)
     if kind.linearization == DIRECT:
         for rid in graph.network.tolled_ids:
             model.add_objective_term(
@@ -619,6 +633,7 @@ def assemble_hybrid(
     enum_results: Sequence[EnumerationResult],
     allow_vfcs: bool = False,
     label: Optional[str] = None,
+    paper_exact: bool = False,
 ) -> HybridModel:
     """Assemble one model with a per-commodity formulation choice.
 
@@ -627,6 +642,8 @@ def assemble_hybrid(
     exhaustive feasible set of at most ``breakpoint`` paths get ``main_kind``
     on their path-reduced graph; everything else gets ``fallback_kind`` on
     the original graph.  ``breakpoint=None`` means no size limit.
+    ``paper_exact`` builds the paper's form, without the strong-duality
+    inequality in direct-linearization slackness blocks.
     """
     main = get_kind(main_kind)
     fallback = get_kind(fallback_kind)
@@ -663,14 +680,14 @@ def assemble_hybrid(
         if bfset.exhaustive and small:
             graph = path_based_reduce(instance.network, bfset)
             working = graph.map_feasible_set(bfset)
-            _emit_block(model, main, k, com, graph, working, bigm)
+            _emit_block(model, main, k, com, graph, working, bigm, paper_exact)
             assignments.append(
                 CommodityAssignment(k, ROLE_MAIN, main, graph, working)
             )
             continue
         if identity is None:
             identity = ReducedGraph.identity(instance.network)
-        _emit_block(model, fallback, k, com, identity, None, bigm)
+        _emit_block(model, fallback, k, com, identity, None, bigm, paper_exact)
         assignments.append(
             CommodityAssignment(k, ROLE_FALLBACK, fallback, identity, None)
         )
@@ -685,6 +702,7 @@ def build_single(
     preprocess: str = "paths",
     allow_vfcs: bool = False,
     label: Optional[str] = None,
+    paper_exact: bool = False,
 ) -> HybridModel:
     """Model every commodity with the same ``kind`` (no dropping).
 
@@ -692,6 +710,7 @@ def build_single(
     only arcs on feasible paths (needs enumeration results), ``"spgm"``
     applies the shortest-path graph reduction, ``"none"`` models the
     original graph.  Path-based kinds need enumeration results regardless.
+    ``paper_exact`` is as in :func:`assemble_hybrid`.
     """
     kind = get_kind(kind)
     if preprocess not in ("paths", "spgm", "none"):
@@ -722,6 +741,6 @@ def build_single(
         working = graph.map_feasible_set(bfset) if bfset is not None else None
         if kind.needs_paths:
             _require_path_set(working, k, f"kind {kind}")
-        _emit_block(model, kind, k, com, graph, working, bigm)
+        _emit_block(model, kind, k, com, graph, working, bigm, paper_exact)
         assignments.append(CommodityAssignment(k, ROLE_MAIN, kind, graph, working))
     return HybridModel(model, instance, bigm, None, tuple(assignments))

@@ -10,7 +10,10 @@ rows, and the largest 47 binaries.  On them those heuristics took most of
 HiGHS's time; switching them off took those solves from 25-26 s to 6-7 s
 of HiGHS time (2-core machine) with the same optima.
 ``scipy.optimize.milp`` passes only a few options to HiGHS, so the backend
-uses the binding directly.
+uses the binding directly.  HiGHS writes some debug lines to file
+descriptor 1 whatever ``output_flag`` says, so fd 1 points at the null
+device while HiGHS runs; otherwise they land inside the CSV that
+``tollgate sweep`` writes to stdout.
 
 ``CommandBackend`` shells out to any solver that can read an LP file and
 print ``name value`` lines, configured through a command template.  Callers
@@ -27,8 +30,11 @@ import math
 import os
 import shlex
 import subprocess
+import sys
 import tempfile
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Protocol
@@ -167,6 +173,39 @@ def _highs_lp(c, matrix, lo, hi, lb, ub, binary) -> "_highs.HighsLp":
     return lp
 
 
+_fd1_lock = threading.Lock()
+_fd1_users = 0
+_fd1_saved = -1
+
+
+@contextmanager
+def _fd1_silenced():
+    """Point file descriptor 1 at the null device for the block's duration.
+
+    Threads share fd 1, so the first thread in saves it and the last one out
+    restores it; each saving and restoring on its own can leave fd 1 on the
+    null device for good.  Python-level writes to ``sys.stdout`` made by other
+    threads meanwhile are lost too, so callers print after their solves.
+    """
+    global _fd1_users, _fd1_saved
+    with _fd1_lock:
+        if _fd1_users == 0:
+            sys.stdout.flush()
+            _fd1_saved = os.dup(1)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+        _fd1_users += 1
+    try:
+        yield
+    finally:
+        with _fd1_lock:
+            _fd1_users -= 1
+            if _fd1_users == 0:
+                os.dup2(_fd1_saved, 1)
+                os.close(_fd1_saved)
+
+
 class ScipyBackend:
     """HiGHS in-process, through the binding bundled with scipy.
 
@@ -188,7 +227,8 @@ class ScipyBackend:
         lp = _highs_lp(-c, matrix, lo, hi, lb, ub, binary)  # HiGHS minimizes
         if highs.passModel(lp) == _highs.HighsStatus.kError:
             raise SolverError(f"HiGHS rejected model {model.label!r}")
-        highs.run()
+        with _fd1_silenced():
+            highs.run()
         elapsed = time.perf_counter() - start
         model_status = highs.getModelStatus()
         info = highs.getInfo()

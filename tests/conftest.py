@@ -46,11 +46,13 @@ def perturbed(instance: ProblemInstance) -> ProblemInstance:
     )
 
 
-def fixture_model(instance: ProblemInstance, kind: str):
+def fixture_model(instance: ProblemInstance, kind: str, paper_exact: bool = False):
     """The static model of ``kind`` on a one-commodity instance."""
     enum = enumerate_paths(instance.network, instance.commodities[0])
     bigm = compute_bigm(instance.network, instance.commodities, {0: enum.feasible_set()})
-    return build_single(instance, kind, bigm, [enum], allow_vfcs=True).ir
+    return build_single(
+        instance, kind, bigm, [enum], allow_vfcs=True, paper_exact=paper_exact
+    ).ir
 
 
 @pytest.fixture

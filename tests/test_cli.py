@@ -1,7 +1,15 @@
 """The command line, driven end to end through main()."""
 
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tollgate
+from tollgate import cli, experiments
 from tollgate.cli import main
 from tollgate.network import serialize_instance
 
@@ -289,3 +297,69 @@ def test_perturb_breaks_ties_for_build_and_reduce(tie_file, capsys, command):
     else:
         assert out.startswith("\\ ") and out.endswith("End\n")
         assert "Binaries\n" in out
+
+
+def _spy_on_builder(monkeypatch, module, name):
+    """Record the row families of every model ``module.name`` builds."""
+    built = []
+    builder = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        hybrid = builder(*args, **kwargs)
+        built.append(hybrid.ir.tag_counts())
+        return hybrid
+
+    monkeypatch.setattr(module, name, spy)
+    return built
+
+
+def test_build_paper_exact_drops_the_inequality(fig_file, capsys, monkeypatch):
+    single = _spy_on_builder(monkeypatch, cli, "build_single")
+    hybrid = _spy_on_builder(monkeypatch, cli, "assemble_hybrid")
+    for flag in ([], ["--paper-exact"]):
+        args = ["build", "--instance", str(fig_file)]
+        assert main(args + ["--kind", "CS1"] + flag) == 0
+        assert main(args + ["--main", "PCS1", "--breakpoint", "8"] + flag) == 0
+    capsys.readouterr()
+    assert [("vi-sd-aa" in counts) for counts in single] == [True, False]
+    assert [("vi-sd-pp" in counts) for counts in hybrid] == [True, False]
+
+
+def test_sweep_paper_exact_reaches_the_builder(fig_file, capsys, monkeypatch):
+    built = _spy_on_builder(monkeypatch, experiments, "assemble_hybrid")
+    objectives = []
+    for flag in ([], ["--paper-exact"]):
+        args = ["sweep", "--instances", str(fig_file), "--kinds", "VFCS1",
+                "--breakpoints", "8"]
+        assert main(args + flag) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[3] == "optimal"
+        objectives.append(float(row[4]))
+    assert [("vi-sd-ap" in counts) for counts in built] == [True, False]
+    assert objectives[0] == pytest.approx(objectives[1])
+    assert objectives[0] == pytest.approx(7.0)
+
+
+def test_sweep_to_stdout_is_pure_csv(tmp_path):
+    # On this cell HiGHS writes a debug line to file descriptor 1 while it
+    # solves; none of it may reach the CSV.
+    src = str(Path(tollgate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("TOLLGATE_SOLVER_CMD", None)
+    instance = tmp_path / "g17.npp"
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "tollgate.cli", *args],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+
+    cli("generate", "--topology", "grid:5x5", "--commodities", "3",
+        "--seed", "17", "--out", str(instance))
+    out = cli("sweep", "--instances", str(instance), "--kinds", "VF",
+              "--breakpoints", "4000")
+    assert out.startswith("instance,kind,N,")
+    rows = list(csv.reader(out.splitlines()))
+    assert len(rows) == 2
+    assert all(len(row) == 9 for row in rows)
+    assert rows[1][3] == "optimal"

@@ -1,10 +1,11 @@
 """The feasibility cut loop for value-function slackness blocks.
 
-On the unreduced five-node fixture the cut loop has exactly one path to
-discover: the solver can route the flow over the dominated detour through
-node 3, which no slackness row covers until a cut adds it.  With the
-substitution variant the detour can never look attractive, so that one
-solves clean.
+In the paper's form of VFCS1 on the unreduced five-node fixture the cut
+loop has exactly one path to discover: the solver can route the flow over
+the dominated detour through node 3, which no slackness row covers until a
+cut adds it.  The default form's strong-duality inequality already makes
+the detour unattractive, as does the substitution variant, so those solve
+clean.
 """
 
 from fractions import Fraction
@@ -19,7 +20,7 @@ from tollgate.network import Commodity, ProblemInstance
 from tollgate.solver import ScipyBackend, SolveResult, SolverError, solve
 
 
-def identity_model(fig, fig_enum, fig_bigm, kind):
+def identity_model(fig, fig_enum, fig_bigm, kind, paper_exact=False):
     return build_single(
         fig,
         kind,
@@ -27,11 +28,12 @@ def identity_model(fig, fig_enum, fig_bigm, kind):
         [fig_enum],
         preprocess="none",
         allow_vfcs=True,
+        paper_exact=paper_exact,
     )
 
 
 def test_cut_loop_converges_after_one_cut(fig, fig_enum, fig_bigm):
-    context = identity_model(fig, fig_enum, fig_bigm, "VFCS1")
+    context = identity_model(fig, fig_enum, fig_bigm, "VFCS1", paper_exact=True)
     res = solve_with_vfcs_cuts(context, budget=120)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(7.0)
@@ -57,13 +59,21 @@ class NodeLog:
 
 
 def test_cut_loop_sums_nodes_over_rounds(fig, fig_enum, fig_bigm):
-    context = identity_model(fig, fig_enum, fig_bigm, "VFCS1")
+    context = identity_model(fig, fig_enum, fig_bigm, "VFCS1", paper_exact=True)
     log = NodeLog()
     res = solve_with_vfcs_cuts(context, backend=log, budget=120)
     assert res.cut_rounds == 1
     assert len(log.nodes) == 2
     assert min(log.nodes) >= 1
     assert res.mip_nodes == sum(log.nodes)
+
+
+def test_default_form_solves_through_the_cut_loop(fig, fig_enum, fig_bigm):
+    context = identity_model(fig, fig_enum, fig_bigm, "VFCS1")
+    res = solve_with_vfcs_cuts(context, budget=120)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(7.0)
+    assert res.cut_rounds == context.cut_count()
 
 
 def test_substitution_variant_needs_no_cut(fig, fig_enum, fig_bigm):
@@ -99,7 +109,7 @@ def test_zero_budget_reports_exhaustion(fig, fig_enum, fig_bigm):
 
 
 def test_round_limit_guards_against_runaway(fig, fig_enum, fig_bigm):
-    context = identity_model(fig, fig_enum, fig_bigm, "VFCS1")
+    context = identity_model(fig, fig_enum, fig_bigm, "VFCS1", paper_exact=True)
     with pytest.raises(SolverError, match="round"):
         solve_with_vfcs_cuts(context, budget=120, max_rounds=0)
 

@@ -5,7 +5,10 @@ fixture (4 nodes, 5 arcs of which 3 tolled, feasible set of 3 paths):
 flow balance contributes one row per node, arc duals one row per arc,
 path duals one row per feasible path, the strong-duality tie one row,
 direct linearization two rows per tolled arc (plus a third under
-complementary slackness), and slackness rows one per arc or path.
+complementary slackness), and slackness rows one per arc or path.  Those
+are the counts of the paper's form; the default form adds one
+strong-duality inequality to each slackness block with direct
+linearization.
 """
 
 from fractions import Fraction
@@ -29,7 +32,11 @@ from tollgate.formulations import (
     var_y,
     var_z,
 )
+from tollgate.model_ir import ModelIR
 from tollgate.network import Arc, Commodity, Network, ProblemInstance
+from tollgate.solver import ScipyBackend
+
+from conftest import fixture_model, perturbed
 
 ROW_COUNTS = {
     "STD": 16,
@@ -46,8 +53,11 @@ ROW_COUNTS = {
     "PCS2": 8,
 }
 
+# The kinds whose default form carries the strong-duality inequality.
+TIGHTENED = ("CS1", "PACS1", "PCS1", "VFCS1")
 
-def build(fig, fig_enum, fig_bigm, kind, preprocess="paths"):
+
+def build(fig, fig_enum, fig_bigm, kind, preprocess="paths", paper_exact=False):
     return build_single(
         fig,
         kind,
@@ -55,6 +65,7 @@ def build(fig, fig_enum, fig_bigm, kind, preprocess="paths"):
         [fig_enum],
         preprocess=preprocess,
         allow_vfcs=True,
+        paper_exact=paper_exact,
     )
 
 
@@ -89,8 +100,58 @@ def test_get_kind_passthrough():
 
 @pytest.mark.parametrize("kind", sorted(ROW_COUNTS))
 def test_row_counts_on_reduced_fixture(fig, fig_enum, fig_bigm, kind):
-    built = build(fig, fig_enum, fig_bigm, kind)
+    built = build(fig, fig_enum, fig_bigm, kind, paper_exact=True)
     assert len(built.ir.constraints) == ROW_COUNTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_COUNTS))
+def test_default_form_adds_one_inequality_to_direct_slackness(
+    fig, fig_enum, fig_bigm, kind
+):
+    counts = build(fig, fig_enum, fig_bigm, kind).ir.tag_counts()
+    extra = {tag: n for tag, n in counts.items() if tag.startswith("vi-sd-")}
+    if kind in TIGHTENED:
+        assert sum(counts.values()) == ROW_COUNTS[kind] + 1
+        assert list(extra.values()) == [1]
+    else:
+        assert sum(counts.values()) == ROW_COUNTS[kind]
+        assert not extra
+
+
+def test_strong_duality_inequality_row_shape(fig, fig_enum, fig_bigm):
+    ir = build(fig, fig_enum, fig_bigm, "PCS1").ir
+    row = next(c for c in ir.constraints if c.tag == "vi-sd-pp[0]")
+    assert row.sense == "<=" and row.rhs == 0
+    coefs = {n: c for c, n in row.terms}
+    assert coefs[var_L(0)] == -1
+    assert coefs[var_z(0, 0)] == 3  # the spine's base cost
+    assert all(coefs[var_t(0, a)] == 1 for a in (0, 1, 2))
+
+
+def _lp_relaxation(ir: ModelIR) -> ModelIR:
+    relaxed = ModelIR(ir.label)
+    for var in ir.variables:
+        relaxed.add_variable(var.name, var.lower, var.upper)
+    for con in ir.constraints:
+        relaxed.add_constraint(con.tag, con.terms, con.sense, con.rhs)
+    for coef, name in ir.objective:
+        relaxed.add_objective_term(coef, name)
+    return relaxed
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["exact", "perturbed"])
+@pytest.mark.parametrize("kind", TIGHTENED)
+def test_inequality_closes_the_root_gap(fig, kind, perturb):
+    # The fixture's optimum is 7 (a hair below under perturbation); the
+    # paper's form relaxes to 14.7-17.5, the default form to the optimum.
+    instance = perturbed(fig) if perturb else fig
+    default = fixture_model(instance, kind)
+    optimum = ScipyBackend().solve(default).objective
+    assert optimum == pytest.approx(7.0, abs=1e-6)
+    root = ScipyBackend().solve(_lp_relaxation(default)).objective
+    assert root == pytest.approx(optimum, abs=1e-6)
+    paper = fixture_model(instance, kind, paper_exact=True)
+    assert ScipyBackend().solve(_lp_relaxation(paper)).objective > 8.0
 
 
 def test_std_row_families(fig, fig_enum, fig_bigm):

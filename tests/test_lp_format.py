@@ -117,10 +117,10 @@ def test_int_and_fraction_coefficients_render_alike():
     assert row_text([Fraction(-1, 4), 1, 1, 1]) == " c0: -0.25 x + y + z + w <= -0.25"
 
 
-# sha256 of write_lp's text for the five-node fixture under every kind, on
-# its path-reduced graph, as written before the writer's integer fast path:
-# with the fixture's integer costs, and with costs perturbed by seed 0 (every
-# cost coefficient then takes the float form).
+# sha256 of write_lp's text for the five-node fixture under every kind in the
+# paper's form, on its path-reduced graph, as written before the writer's
+# integer fast path: with the fixture's integer costs, and with costs
+# perturbed by seed 0 (every cost coefficient then takes the float form).
 FIXTURE_LP_SHA256 = {
     "STD": "24efed295f8abc6070fd9c4fecd15bfd606732d4a88e9135d94e900f2b27b7a5",
     "VF": "044f5a041705a94a87944dee403a8edcc792b72646ea4ea15890c35b5aa3d834",
@@ -151,14 +151,54 @@ PERTURBED_LP_SHA256 = {
 }
 
 
-def _fixture_lp_sha256(instance, kind):
-    return hashlib.sha256(write_lp(fixture_model(instance, kind)).encode()).hexdigest()
+# The same for the default form of the four kinds it changes: complementary
+# slackness with direct linearization, plus the strong-duality inequality.
+DEFAULT_LP_SHA256 = {
+    "CS1": "71d37e45a65e2bcdcde0d4cf7782a90a663e2b42e0bd65753a8f06d7c8790cf7",
+    "VFCS1": "bab3adbab2305f6a34fc40d014dc02f38b12c324ce5528232331956419d3abab",
+    "PACS1": "8ddfbd4aa392a96a305f7b30479734cd2aba406ddeb3fca140063470bd0ffec1",
+    "PCS1": "f78880fabe9e8ac0729d85745b9e8e6503669ade11e8fa05c23b586be0170480",
+}
+PERTURBED_DEFAULT_LP_SHA256 = {
+    "CS1": "0976044b9ce4012628ebdb8a78598708d6669f54a62738019a996f0c77ecf735",
+    "VFCS1": "eb907241fddfc2542a99e8f7e40667afaa8daf601de4dcfe2a5014246d77eb7c",
+    "PACS1": "a04f0de3bf028f94626ac0ee199e0352f10057a9f217932bd28844ea922d8362",
+    "PCS1": "23bb2df0fb01b046487fe8c35af3eb301cd330ba1297411056671dc21c6abc6b",
+}
+
+
+def _fixture_lp_text(instance, kind, paper_exact):
+    return write_lp(fixture_model(instance, kind, paper_exact=paper_exact))
+
+
+def _fixture_lp_sha256(instance, kind, paper_exact=False):
+    text = _fixture_lp_text(instance, kind, paper_exact)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("kind", [k.label for k in FORMULATIONS])
 def test_fixture_lp_text_is_pinned(fig, kind):
-    assert _fixture_lp_sha256(fig, kind) == FIXTURE_LP_SHA256[kind]
-    assert _fixture_lp_sha256(perturbed(fig), kind) == PERTURBED_LP_SHA256[kind]
+    assert _fixture_lp_sha256(fig, kind, paper_exact=True) == FIXTURE_LP_SHA256[kind]
+    assert (
+        _fixture_lp_sha256(perturbed(fig), kind, paper_exact=True)
+        == PERTURBED_LP_SHA256[kind]
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(DEFAULT_LP_SHA256))
+def test_default_form_lp_text_is_pinned(fig, kind):
+    assert _fixture_lp_sha256(fig, kind) == DEFAULT_LP_SHA256[kind]
+    assert _fixture_lp_sha256(perturbed(fig), kind) == PERTURBED_DEFAULT_LP_SHA256[kind]
+
+
+@pytest.mark.parametrize(
+    "kind", sorted(set(FIXTURE_LP_SHA256) - set(DEFAULT_LP_SHA256))
+)
+@pytest.mark.parametrize("perturb", [False, True], ids=["exact", "perturbed"])
+def test_paper_exact_leaves_other_kinds_unchanged(fig, kind, perturb):
+    instance = perturbed(fig) if perturb else fig
+    default = _fixture_lp_text(instance, kind, paper_exact=False)
+    assert default == _fixture_lp_text(instance, kind, paper_exact=True)
 
 
 def _read_with_highs(text, tmp_path):

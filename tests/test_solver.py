@@ -1,5 +1,9 @@
 """Solver backends, the command-template escape hatch, and result checking."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -12,6 +16,7 @@ from tollgate.solver import (
     ScipyBackend,
     SolveResult,
     SolverError,
+    _fd1_silenced,
     get_backend,
     solve,
 )
@@ -121,6 +126,46 @@ def test_scipy_backend_matches_milp(fig, kind, perturb):
     assert res.status == "optimal"
     assert res.objective == pytest.approx(milp_objective(model), rel=1e-9)
     assert res.best_bound == pytest.approx(res.objective, rel=1e-9)
+
+
+def _same_file(a, b):
+    return (a.st_dev, a.st_ino) == (b.st_dev, b.st_ino)
+
+
+def test_fd1_silencing_is_restored_under_threads():
+    # Threads that each saved and restored fd 1 on their own would leave it
+    # on the null device once any but the first thread in leaves last; the
+    # shared count must restore it whatever the order.
+    before = os.fstat(1)
+    null = os.stat(os.devnull)
+    workers = 6
+    together = threading.Barrier(workers, timeout=30)
+    errors = []
+
+    def worker():
+        try:
+            for _ in range(20):
+                together.wait()
+                with _fd1_silenced():
+                    together.wait()  # every thread is inside at once
+                    if not _same_file(os.fstat(1), null):
+                        errors.append("fd 1 is not the null device inside")
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert _same_file(os.fstat(1), before)
 
 
 def test_scipy_backend_reports_infeasible():
