@@ -18,6 +18,13 @@ From these:
 * ``S[k, p]``  slack bound for path rows, ``base(p) + sum of N over p's tolled
   arcs - L_lo``.
 
+The three families depend on a commodity only through its destination
+(and ``pi_cost`` also through its origin), so each sweep runs once per
+destination: ``lam_lo`` reuses the network's cached zero-regime distances,
+which path enumeration already swept as its A* potential, and the
+infinite-toll and capped-toll sweeps are shared by every commodity with the
+same destination.
+
 Values are computed once on the original network and looked up by original
 arc id, which keeps them valid on every reduced graph (the witness dual
 vector for any optimal toll lives on the original network and transfers to
@@ -38,7 +45,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .enumeration import BilevelFeasibleSet
 from .network import ArcId, Commodity, InstanceError, Network, Node
-from .shortest_path import NO_EXCLUSIONS, _distances, _regime_prices
+from .shortest_path import NO_EXCLUSIONS, Prices, _distances, _regime_prices, zero_distances
 
 
 @dataclass(frozen=True)
@@ -115,32 +122,47 @@ def compute_bigm(
     sets of whichever commodities will be modeled with path rows.
 
     Every value is computed on integers over ``network.scale`` and becomes a
-    ``Fraction`` once, when it is stored.  The toll cap is such a value, so
-    the capped distances stay over the same denominator.
+    ``Fraction`` once per destination, when it is stored.  The toll cap is
+    such a value, so the capped distances stay over the same denominator.
     """
     scale = network.scale
     int_costs = network.int_costs
-    free_prices, _ = _regime_prices(network, "infinite", None)
 
     def exact(value: int) -> Fraction:
         return Fraction(value, scale)
 
-    lam_lo: dict[tuple[int, Node], Fraction] = {}
-    lam_hi: dict[tuple[int, Node], Fraction] = {}
+    destinations = dict.fromkeys(com.destination for com in commodities)
+
+    def sweeps(prices: Prices) -> dict[Node, list[Optional[int]]]:
+        return {d: _distances(network, d, prices, NO_EXCLUSIONS) for d in destinations}
+
+    def per_commodity(
+        dists: Mapping[Node, Sequence[Optional[int]]]
+    ) -> dict[tuple[int, Node], Fraction]:
+        """Finite distances keyed by ``(commodity, node)``, exact once per destination."""
+        rows = {
+            d: [(node, exact(value)) for node, value in enumerate(dist) if value is not None]
+            for d, dist in dists.items()
+        }
+        out: dict[tuple[int, Node], Fraction] = {}
+        for k, com in enumerate(commodities):
+            for node, value in rows[com.destination]:
+                out[(k, node)] = value
+        return out
+
+    lo = {d: zero_distances(network, d) for d in destinations}
+    free = sweeps(_regime_prices(network, "infinite", None)[0])
+    lam_lo = per_commodity(lo)
     lo_int: list[int] = []
     pi_int: list[int] = []
     for k, com in enumerate(commodities):
-        dist = _distances(network, com.destination, int_costs, NO_EXCLUSIONS)
-        for node, value in enumerate(dist):
-            if value is not None:
-                lam_lo[(k, node)] = exact(value)
-        pi = _distances(network, com.destination, free_prices, NO_EXCLUSIONS)[com.origin]
+        pi = free[com.destination][com.origin]
         if pi is None:
             raise InstanceError(
                 f"commodity {k} has no toll-free path; toll caps are undefined"
             )
         pi_int.append(pi)
-        lo_int.append(dist[com.origin])  # type: ignore[arg-type]
+        lo_int.append(lo[com.destination][com.origin])  # type: ignore[arg-type]
     L_lo = {k: lam_lo[(k, com.origin)] for k, com in enumerate(commodities)}
     pi_cost = {k: exact(pi) for k, pi in enumerate(pi_int)}
 
@@ -157,11 +179,7 @@ def compute_bigm(
     # The cap's denominator divides ``scale``, so these prices (tolled arcs at
     # base + cap) stay over the same denominator.
     capped_prices, _ = _regime_prices(network, "capped", N)
-    for k, com in enumerate(commodities):
-        capped = _distances(network, com.destination, capped_prices, NO_EXCLUSIONS)
-        for node, value in enumerate(capped):
-            if value is not None:
-                lam_hi[(k, node)] = exact(value)
+    lam_hi = per_commodity(sweeps(capped_prices))
 
     S: dict[tuple[int, int], Fraction] = {}
     if bfsets:

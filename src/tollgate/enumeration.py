@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .network import ArcId, Commodity, InstanceError, Network, Path
-from .shortest_path import NO_EXCLUSIONS, ExclusionSet, _distances, _search, shortest_path
+from .shortest_path import NO_EXCLUSIONS, ExclusionSet, _search, shortest_path, zero_distances
 
 
 class ConsistencyError(RuntimeError):
@@ -156,7 +156,7 @@ def enumerate_paths(
     int_costs, scale = network.int_costs, network.scale
     # Every search runs toward ``dest``, so its exact zero-regime distances
     # are an A* potential for all of them (see shortest_path).
-    potential = _distances(network, dest, int_costs, NO_EXCLUSIONS)
+    potential = zero_distances(network, dest)
     first = _search(network, origin, dest, int_costs, NO_EXCLUSIONS, potential)
     if first is None:
         raise ConsistencyError(f"no path from {origin} to {dest}")

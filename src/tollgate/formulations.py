@@ -31,7 +31,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .bigm import BigMParams
 from .enumeration import BilevelFeasibleSet, EnumerationResult
-from .model_ir import ModelIR
+from .model_ir import ModelIR, _gc_paused
 from .network import Arc, ArcId, Commodity, Network, Path, ProblemInstance
 from .preprocess import ReducedGraph, path_based_reduce, spgm_transform
 
@@ -624,6 +624,7 @@ def _check_cut_driver(kind: FormulationKind, allow_vfcs: bool) -> None:
         )
 
 
+@_gc_paused()
 def assemble_hybrid(
     instance: ProblemInstance,
     breakpoint: Optional[int],
@@ -644,6 +645,9 @@ def assemble_hybrid(
     the original graph.  ``breakpoint=None`` means no size limit.
     ``paper_exact`` builds the paper's form, without the strong-duality
     inequality in direct-linearization slackness blocks.
+
+    The cyclic garbage collector is paused while the model is assembled and
+    restored afterwards (see :mod:`tollgate.model_ir`).
     """
     main = get_kind(main_kind)
     fallback = get_kind(fallback_kind)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .model_ir import Coef, ModelIR, Term
+from .model_ir import Coef, ModelIR, Term, _gc_paused
 
 
 def _float_text(value: Fraction) -> str:
@@ -78,8 +78,13 @@ def lp_name_map(model: ModelIR) -> dict[str, str]:
     return decode
 
 
+@_gc_paused()
 def write_lp(model: ModelIR) -> str:
-    """Render ``model`` as LP text.  Deterministic: same model, same bytes."""
+    """Render ``model`` as LP text.  Deterministic: same model, same bytes.
+
+    The cyclic garbage collector is paused while the text is built and
+    restored afterwards (see :mod:`tollgate.model_ir`).
+    """
     ident = {name: text for text, name in lp_name_map(model).items()}
     out = [f"\\ {model.label}\n", "Maximize\n"]
     obj = model.objective

@@ -12,11 +12,20 @@ Coefficients, right-hand sides and bounds are exact: each is a Python
 :func:`~tollgate.network.as_fraction`, which parses literal strings and
 rejects floats and bools.  Conversion to floats happens only in the
 backends and in the LP writer.
+
+Building and writing a model allocates hundreds of thousands of small
+objects that live until the model is dropped and form no reference cycles,
+so a collection pass over them finds nothing to free.  Model assembly and
+the LP writer therefore run with the cyclic garbage collector paused
+(:func:`_gc_paused`).  Reference counting still frees acyclic garbage
+meanwhile; only cycles wait for the collector to be back on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import gc
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
@@ -27,37 +36,103 @@ Term = tuple[Coef, str]
 
 SENSES = ("<=", "=", ">=")
 
+_gc_lock = threading.Lock()
+_gc_users = 0
+_gc_was_enabled = False
 
-@dataclass(frozen=True)
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector for the block's duration.
+
+    The collector's switch is process-wide, so the first thread in records
+    whether it was on and turns it off, and the last one out turns it back
+    on only if it was on; each thread saving and restoring on its own could
+    leave it off for good.  Nested blocks count as users too.  A caller that
+    had the collector off keeps it off.
+    """
+    global _gc_users, _gc_was_enabled
+    with _gc_lock:
+        if _gc_users == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_users += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_users -= 1
+            if _gc_users == 0 and _gc_was_enabled:
+                gc.enable()
+
+
 class Variable:
-    """A decision variable.  ``None`` bounds mean unbounded on that side."""
+    """A decision variable.  ``None`` bounds mean unbounded on that side.
 
-    name: str
-    lower: Optional[Coef] = 0
-    upper: Optional[Coef] = None
-    binary: bool = False
+    A plain slotted record: models hold tens of thousands of them, and a
+    frozen dataclass would pay ``object.__setattr__`` per field.  Treat it
+    as read-only.  Two variables are equal when all four fields are.
+    """
 
-    def __post_init__(self) -> None:
-        if self.binary and (self.lower != 0 or self.upper != 1):
-            raise ValueError(f"binary variable {self.name} must have bounds [0, 1]")
-        if self.lower is not None and self.upper is not None and self.lower > self.upper:
-            raise ValueError(f"variable {self.name} has crossing bounds")
+    __slots__ = ("name", "lower", "upper", "binary")
+
+    def __init__(
+        self,
+        name: str,
+        lower: Optional[Coef] = 0,
+        upper: Optional[Coef] = None,
+        binary: bool = False,
+    ) -> None:
+        if binary and (lower != 0 or upper != 1):
+            raise ValueError(f"binary variable {name} must have bounds [0, 1]")
+        if lower is not None and upper is not None and lower > upper:
+            raise ValueError(f"variable {name} has crossing bounds")
+        self.name = name
+        self.lower = lower
+        self.upper = upper
+        self.binary = binary
+
+    def _key(self) -> tuple:
+        return (self.name, self.lower, self.upper, self.binary)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Variable:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Variable(name={self.name!r}, lower={self.lower!r}, "
+            f"upper={self.upper!r}, binary={self.binary!r})"
+        )
 
 
-@dataclass(frozen=True)
 class Constraint:
-    """One linear row: ``sum(coef * var) sense rhs``."""
+    """One linear row: ``sum(coef * var) sense rhs``.
 
-    tag: str
-    terms: tuple[Term, ...]
-    sense: str
-    rhs: Coef
+    A plain slotted record, like :class:`Variable`; treat it as read-only.
+    """
 
-    def __post_init__(self) -> None:
-        if self.sense not in SENSES:
-            raise ValueError(f"constraint {self.tag}: bad sense {self.sense!r}")
-        if not self.terms:
-            raise ValueError(f"constraint {self.tag}: no terms")
+    __slots__ = ("tag", "terms", "sense", "rhs")
+
+    def __init__(self, tag: str, terms: tuple[Term, ...], sense: str, rhs: Coef) -> None:
+        if sense not in SENSES:
+            raise ValueError(f"constraint {tag}: bad sense {sense!r}")
+        if not terms:
+            raise ValueError(f"constraint {tag}: no terms")
+        self.tag = tag
+        self.terms = terms
+        self.sense = sense
+        self.rhs = rhs
+
+    def __repr__(self) -> str:
+        return (
+            f"Constraint(tag={self.tag!r}, terms={self.terms!r}, "
+            f"sense={self.sense!r}, rhs={self.rhs!r})"
+        )
 
 
 def _exact(value) -> Coef:

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path as FilePath
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 Node = int
 ArcId = int
@@ -166,6 +166,13 @@ class Network:
     costs; ``int_costs``, each arc's cost times ``scale``; and ``out_adj`` /
     ``in_adj``, per node, one ``(other endpoint, arc id)`` pair per outgoing /
     incoming arc, in arc order.
+
+    It also caches, per destination, the zero-regime distances that
+    :func:`~tollgate.shortest_path.zero_distances` sweeps, so path
+    enumeration and the big-M constants share one sweep per destination.
+    Each entry is a pure function of the immutable graph, stored as a
+    tuple; threads that fill the cache at once can at worst repeat a sweep
+    and store an equal value.
     """
 
     def __init__(self, num_nodes: int, arcs: Sequence[Arc]):
@@ -190,6 +197,7 @@ class Network:
         self.int_costs: tuple[int, ...] = tuple(
             a.cost.numerator * (self.scale // a.cost.denominator) for a in self.arcs
         )
+        self._zero_distances: dict[Node, tuple[Optional[int], ...]] = {}
 
     @property
     def num_arcs(self) -> int:

@@ -21,10 +21,11 @@ One search loop serves every point-to-point query: A* (Hart, Nilsson &
 Raphael, 1968) over a per-node integer *potential*, a lower bound on the
 cost still to go.  Plain Dijkstra is the zero potential, which
 :func:`shortest_path` uses; path enumeration passes the exact zero-regime
-distances to the target, computed once per commodity, so its spur searches
-head straight for the target.  Those distances stay a valid potential under
-any exclusion set, since excluding arcs or nodes only lengthens paths, and
-a node they mark unreachable is never entered.
+distances to the target, computed once per destination per network (see
+:func:`zero_distances`), so its spur searches head straight for the
+target.  Those distances stay a valid potential under any exclusion set,
+since excluding arcs or nodes only lengthens paths, and a node they mark
+unreachable is never entered.
 
 The potential must be *consistent*: ``h[u] <= price(u, v) + h[v]`` for every
 usable arc.  Then goal direction changes no result, tie-breaks included.
@@ -138,6 +139,24 @@ def _distances(
             if best is None or candidate < best:
                 dist[tail] = candidate
                 heapq.heappush(heap, (candidate, tail))
+    return dist
+
+
+def zero_distances(network: Network, target: Node) -> tuple[Optional[int], ...]:
+    """Integer zero-regime cost of the cheapest path from every node to ``target``.
+
+    The sweep runs once per destination per network: the first call stores
+    its result on ``network`` and later calls return that same tuple.  None
+    marks a node that cannot reach ``target``.  Path enumeration uses these
+    distances as its A* potential and :func:`~tollgate.bigm.compute_bigm`
+    as ``lam_lo``.
+    """
+    cache = network._zero_distances
+    dist = cache.get(target)
+    if dist is None:
+        dist = cache[target] = tuple(
+            _distances(network, target, network.int_costs, NO_EXCLUSIONS)
+        )
     return dist
 
 

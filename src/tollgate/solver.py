@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -263,6 +264,13 @@ class ScipyBackend:
         )
 
 
+#: How a solver states a proven optimum: the word "optimal", not negated.
+#: It matches HiGHS's "Model status: Optimal", CBC's "Optimal - objective
+#: value 7" and SCIP's "[optimal solution found]", but not "suboptimal",
+#: "non-optimal" or "not optimal".
+_OPTIMAL_WORD = re.compile(r"(?<![\w-])(?<!not )optimal\b", re.IGNORECASE)
+
+
 class CommandBackend:
     """Run an external solver through a shell command template.
 
@@ -273,7 +281,12 @@ class CommandBackend:
 
     The solution file is scanned for ``name value`` pairs, one per line;
     lines that do not parse that way are skipped, which tolerates the
-    headers and footers most solvers add.
+    headers and footers most solvers add.  The first value given for a
+    name is kept: HiGHS lists the primal values first, then dual values and
+    basis codes under the same names.  The result is ``optimal`` only
+    when the solution file or the solver's standard output says so (see
+    :data:`_OPTIMAL_WORD`); otherwise the values are a ``feasible`` point
+    with no bound.
     """
 
     name = "command"
@@ -324,15 +337,18 @@ class CommandBackend:
                 backend=self.name,
             )
         assignment: dict[str, float] = {}
+        # Lines other than variable values: where a solver states its status.
+        remarks = proc.stdout.splitlines()
         for line in text.splitlines():
             parts = line.split()
-            if len(parts) != 2:
+            if len(parts) != 2 or parts[0] not in decode:
+                remarks.append(line)
                 continue
-            ident, raw = parts
-            if ident not in decode:
+            name = decode[parts[0]]
+            if name in assignment:
                 continue
             try:
-                assignment[decode[ident]] = float(raw)
+                assignment[name] = float(parts[1])
             except ValueError:
                 continue
         if not assignment:
@@ -340,10 +356,11 @@ class CommandBackend:
         for var in model.variables:
             assignment.setdefault(var.name, 0.0)
         objective = model.objective_value(assignment)
+        proven = any(_OPTIMAL_WORD.search(line) for line in remarks)
         return SolveResult(
-            status=STATUS_OPTIMAL,
+            status=STATUS_OPTIMAL if proven else STATUS_FEASIBLE,
             objective=objective,
-            best_bound=objective,
+            best_bound=objective if proven else None,
             assignment=assignment,
             wall_time=elapsed,
             backend=self.name,

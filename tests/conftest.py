@@ -10,6 +10,7 @@ and a best revenue of 7 collected entirely on the first tolled arc.
 from __future__ import annotations
 
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from tollgate.bigm import compute_bigm
 from tollgate.enumeration import enumerate_paths, perturb_costs
 from tollgate.formulations import build_single
+from tollgate.generator import GenConfig, generate, parse_topology
 from tollgate.network import Arc, Commodity, Network, ProblemInstance
 
 
@@ -44,6 +46,14 @@ def perturbed(instance: ProblemInstance) -> ProblemInstance:
     return ProblemInstance(
         perturb_costs(instance.network, seed=0), instance.commodities, instance.label
     )
+
+
+def sweep_instance(topology: str) -> ProblemInstance:
+    """A sweep-scale instance: ``topology`` with 40 commodities, perturbed at seed 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        raw = generate(GenConfig(parse_topology(topology), 40, seed=0))
+    return perturbed(raw)
 
 
 def fixture_model(instance: ProblemInstance, kind: str, paper_exact: bool = False):
@@ -76,8 +86,8 @@ def fig_bigm(fig, fig_bfset):
 
 
 # A command-line solver for the CommandBackend tests: scipy's bundled HiGHS
-# reads the LP file and the script writes one "identifier value" line per
-# column to the solution file.
+# reads the LP file and the script writes a HiGHS-style "Model status: ..."
+# line, then one "identifier value" line per column, to the solution file.
 TOY_SOLVER = """\
 import sys
 
@@ -87,9 +97,11 @@ highs = _Highs()
 highs.setOptionValue("output_flag", False)
 highs.readModel(sys.argv[1])
 highs.run()
+status = highs.modelStatusToString(highs.getModelStatus())
 names = highs.getLp().col_names_
 values = highs.getSolution().col_value
 with open(sys.argv[2], "w") as fh:
+    fh.write(f"Model status: {status}\\n")
     for name, value in zip(names, values):
         fh.write(f"{name} {value}\\n")
 """

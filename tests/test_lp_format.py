@@ -17,8 +17,10 @@ from scipy.optimize._highspy._core import (
     _Highs,
 )
 
-from conftest import fixture_model, perturbed
-from tollgate.formulations import FORMULATIONS
+from conftest import fixture_model, perturbed, sweep_instance
+from tollgate.bigm import compute_bigm
+from tollgate.enumeration import enumerate_paths
+from tollgate.formulations import FORMULATIONS, assemble_hybrid
 from tollgate.lp_format import lp_name_map, write_lp
 from tollgate.model_ir import ModelIR
 from tollgate.solver import ScipyBackend
@@ -199,6 +201,33 @@ def test_paper_exact_leaves_other_kinds_unchanged(fig, kind, perturb):
     instance = perturbed(fig) if perturb else fig
     default = _fixture_lp_text(instance, kind, paper_exact=False)
     assert default == _fixture_lp_text(instance, kind, paper_exact=True)
+
+
+# One sweep-scale build per (main kind, breakpoint): grid:5x12 with 40
+# commodities perturbed at seed 0, built like ``tollgate build --main KIND
+# --fallback STD --breakpoint N``.  Recorded before the pre-solve path
+# shared distances per destination and paused the garbage collector.
+SWEEP_LP_SHA256 = {
+    ("STD", 8): "802846ef249fb3b07783532457561e651a5d21c6a95a8fd35ea54b628ecce9fb",
+    ("STD", 64): "c143bcd18dcf1aecb36d7d077cc1bf51c5776bbc08d8763c32c38edbb8cff02b",
+    ("PCS2", 8): "39e1d7935056b32e2920eecec2c8befd51a34563c392b51a9c97d6984129a5c2",
+    ("PCS2", 64): "816a50456c7a4d4e545a9b6122fc0eb150f1368d8182e5a6fe26279b8567d8cc",
+}
+
+
+@pytest.mark.parametrize("kind, breakpoint", sorted(SWEEP_LP_SHA256))
+def test_sweep_scale_lp_text_is_pinned(kind, breakpoint):
+    instance = sweep_instance("grid:5x12")
+    net = instance.network
+    enum = [
+        enumerate_paths(net, com, cap=breakpoint + 1, commodity_index=k)
+        for k, com in enumerate(instance.commodities)
+    ]
+    bfsets = {k: r.feasible_set() for k, r in enumerate(enum) if r.feasible_set().exhaustive}
+    bigm = compute_bigm(net, instance.commodities, bfsets)
+    hybrid = assemble_hybrid(instance, breakpoint, kind, "STD", bigm, enum)
+    text = write_lp(hybrid.ir)
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_LP_SHA256[(kind, breakpoint)]
 
 
 def _read_with_highs(text, tmp_path):

@@ -1,10 +1,15 @@
 """The mixed-integer model container and its self-checks."""
 
+import gc
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from tollgate.model_ir import ModelIR, Variable
+from tollgate import formulations, lp_format
+from tollgate.model_ir import Constraint, ModelIR, Variable, _gc_paused
 
 
 def small_model():
@@ -24,6 +29,21 @@ def test_variable_shape_checks():
         Variable("b", binary=True, lower=Fraction(0), upper=Fraction(2))
     with pytest.raises(ValueError):
         Variable("x", lower=Fraction(3), upper=Fraction(1))
+
+
+def test_records_keep_their_fields_and_variable_equality():
+    var = Variable("x", lower=Fraction(1, 2), upper=3)
+    assert (var.name, var.lower, var.upper, var.binary) == ("x", Fraction(1, 2), 3, False)
+    assert var == Variable("x", Fraction(1, 2), 3, False)
+    assert hash(var) == hash(Variable("x", Fraction(1, 2), 3))
+    assert var != Variable("x", Fraction(1, 2), 4)
+    assert Variable("b", 0, 1, binary=True) != Variable("b", 0, 1)
+    row = Constraint("cap", ((1, "x"),), "<=", 4)
+    assert (row.tag, row.terms, row.sense, row.rhs) == ("cap", ((1, "x"),), "<=", 4)
+    with pytest.raises(ValueError, match="no terms"):
+        Constraint("empty", (), "<=", 0)
+    # Slotted: no per-instance dict.
+    assert not hasattr(var, "__dict__") and not hasattr(row, "__dict__")
 
 
 def test_redeclare_same_shape_is_noop():
@@ -117,3 +137,98 @@ def test_tag_counts_group_by_family():
     counts = m.tag_counts()
     assert counts["cap"] == 3
     assert counts["link"] == 1
+
+
+@pytest.fixture
+def collector_on():
+    """Start with the collector on; restore the state found, whatever happens."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_gc_pause_nests(collector_on):
+    with _gc_paused():
+        assert not gc.isenabled()
+        with _gc_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+
+def test_gc_pause_is_lifted_after_an_exception(collector_on):
+    with pytest.raises(RuntimeError, match="inside"):
+        with _gc_paused():
+            raise RuntimeError("inside")
+    assert gc.isenabled()
+
+
+def test_gc_pause_keeps_a_disabled_collector_disabled(collector_on):
+    gc.disable()
+    with _gc_paused():
+        assert not gc.isenabled()
+    assert not gc.isenabled()
+
+
+def test_assembly_and_writer_run_with_the_collector_paused(
+    collector_on, monkeypatch, fig, fig_enum, fig_bigm
+):
+    seen = []
+
+    def spy(original):
+        def call(*args, **kwargs):
+            seen.append((original.__name__, gc.isenabled()))
+            return original(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(formulations, "_emit_block", spy(formulations._emit_block))
+    monkeypatch.setattr(lp_format, "_terms_text", spy(lp_format._terms_text))
+    hybrid = formulations.assemble_hybrid(fig, None, "STD", "STD", fig_bigm, [fig_enum])
+    assert gc.isenabled()
+    lp_format.write_lp(hybrid.ir)
+    assert gc.isenabled()
+    assert {name for name, _ in seen} == {"_emit_block", "_terms_text"}
+    assert not any(enabled for _, enabled in seen)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_gc_pause_is_restored_under_threads(collector_on, enabled):
+    # Threads that each saved and restored the collector's state on their
+    # own would turn it back on while another thread is inside, or leave it
+    # off for good; the shared count must restore the state found.
+    if not enabled:
+        gc.disable()
+    workers = (os.cpu_count() or 1) + 2  # more threads than cores
+    together = threading.Barrier(workers, timeout=30)
+    errors = []
+
+    def worker():
+        try:
+            for _ in range(20):
+                together.wait()
+                with _gc_paused():
+                    together.wait()  # every thread is inside at once
+                    if gc.isenabled():
+                        errors.append("collector on inside the pause")
+            for _ in range(200):  # and unsynchronized entries and exits
+                with _gc_paused():
+                    if gc.isenabled():
+                        errors.append("collector on inside the pause")
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert gc.isenabled() is enabled

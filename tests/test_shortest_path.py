@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import sweep_instance
+from tollgate.bigm import compute_bigm
+from tollgate.enumeration import enumerate_paths
 from tollgate.generator import grid_edges
 from tollgate.network import Arc, Network
 from tollgate.shortest_path import (
@@ -16,6 +19,7 @@ from tollgate.shortest_path import (
     _search,
     distances_to,
     shortest_path,
+    zero_distances,
 )
 
 from bruteforce import all_simple_paths
@@ -146,3 +150,39 @@ def test_search_picks_the_least_cost_then_least_arc_sequence():
         ]
         expected = min(((len(arcs), arcs) for arcs in allowed), default=None)
         assert _search(net, source, target, net.int_costs, excluded, potential) == expected
+
+
+@pytest.mark.parametrize("topology", ["grid:5x12", "delaunay:60"])
+def test_cached_distances_equal_a_fresh_sweep(topology):
+    net = sweep_instance(topology).network
+    for target in range(net.num_nodes):
+        cached = zero_distances(net, target)
+        assert type(cached) is tuple
+        assert list(cached) == _distances(net, target, net.int_costs, NO_EXCLUSIONS)
+        assert zero_distances(net, target) is cached
+
+
+@pytest.mark.parametrize("topology", ["grid:5x12", "delaunay:60"])
+def test_enumeration_and_bigm_share_one_sweep_per_destination(topology):
+    instance = sweep_instance(topology)
+    net = instance.network
+    destinations = {com.destination for com in instance.commodities}
+    assert len(destinations) < len(instance.commodities)
+    for k, com in enumerate(instance.commodities):
+        enumerate_paths(net, com, cap=9, commodity_index=k)
+    swept = dict(net._zero_distances)
+    assert set(swept) == destinations
+    params = compute_bigm(net, instance.commodities)
+    assert net._zero_distances == swept
+    assert all(net._zero_distances[d] is swept[d] for d in destinations)
+    # Every per-commodity table equals the commodity's own sweep.
+    caps = {aid: params.N[aid] for aid in net.tolled_ids}
+    for k, com in enumerate(instance.commodities):
+        dest = com.destination
+        zero = distances_to(net, dest, "zero")
+        capped = distances_to(net, dest, "capped", caps=caps)
+        for node in range(net.num_nodes):
+            assert params.lam_lo.get((k, node), INFINITY) == zero[node]
+            assert params.lam_hi.get((k, node), INFINITY) == capped[node]
+        assert params.L_lo[k] == zero[com.origin]
+        assert params.pi_cost[k] == distances_to(net, dest, "infinite")[com.origin]

@@ -230,8 +230,97 @@ def test_command_backend_round_trip(toy_solver_cmd, fig, fig_enum, fig_bigm):
     res = solve(fig_model(fig, fig_enum, fig_bigm), budget=60, backend=backend)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(7.0)
+    assert res.best_bound == pytest.approx(7.0)
     assert res.backend == "command"
     assert res.mip_nodes == 0
+
+
+# Writes the knapsack's optimum a = c = 1, b = 0 as "identifier value" lines.
+KNAPSACK_VALUES = "printf 'a 1\\nb 0\\nc 1\\n'"
+
+
+def test_command_backend_without_a_status_reports_a_feasible_point():
+    # Values alone prove nothing: the point is feasible, with no bound.
+    backend = CommandBackend(f"{KNAPSACK_VALUES} > {{sol}}; cat {{lp}} > /dev/null")
+    res = solve(knapsack_model(), budget=10, backend=backend)
+    assert res.status == "feasible"
+    assert res.best_bound is None
+    assert res.objective == pytest.approx(8.0)
+    assert res.assignment == {"a": 1.0, "b": 0.0, "c": 1.0}
+    assert res.gap is None
+
+
+@pytest.mark.parametrize(
+    "where", ["file", "stdout"], ids=["solution-file", "stdout"]
+)
+@pytest.mark.parametrize(
+    "line, optimal",
+    [
+        ("Model status: Optimal", True),
+        ("Optimal - objective value 8.00000000", True),
+        ("SCIP Status : problem is solved [optimal solution found]", True),
+        ("Model status: Time limit reached", False),
+        ("Status: INTEGER NON-OPTIMAL", False),
+        ("Result - Stopped on time, suboptimal", False),
+        ("solution is not optimal", False),
+    ],
+)
+def test_command_backend_reads_the_solvers_status(line, optimal, where):
+    if where == "file":
+        template = f"(echo '{line}'; {KNAPSACK_VALUES}) > {{sol}}; cat {{lp}} > /dev/null"
+    else:
+        template = f"{KNAPSACK_VALUES} > {{sol}}; cat {{lp}} > /dev/null; echo '{line}'"
+    res = CommandBackend(template).solve(knapsack_model(), budget=10)
+    assert res.status == ("optimal" if optimal else "feasible")
+    assert res.objective == pytest.approx(8.0)
+    assert res.best_bound == (pytest.approx(8.0) if optimal else None)
+
+
+# HiGHS's own solution file for the knapsack's LP relaxation, as its
+# writer (`highs --solution_file`) lays it out: the primal values come
+# first, then dual values and basis codes under the same names.
+HIGHS_LP_SOLUTION = """\
+Model status
+Optimal
+
+# Primal solution values
+Feasible
+Objective 8.25
+# Columns 3
+a 0.25
+b 1
+c 1
+# Rows 1
+c0 6
+
+# Dual solution values
+Feasible
+# Columns 3
+a 0
+b 0.25
+c 0.5
+# Rows 1
+c0 1.25
+
+# Basis
+HiGHS_basis_file v2
+Valid
+# Columns 3
+a 1
+b 2
+c 2
+# Rows 1
+c0 2
+"""
+
+
+def test_command_backend_reads_the_primal_section_of_a_highs_solution(tmp_path):
+    (tmp_path / "highs.sol").write_text(HIGHS_LP_SOLUTION)
+    backend = CommandBackend(f"cat {tmp_path / 'highs.sol'} > {{sol}}; cat {{lp}} > /dev/null")
+    res = solve(knapsack_model(binary=False), budget=10, backend=backend)
+    assert res.status == "optimal"
+    assert res.assignment == {"a": 0.25, "b": 1.0, "c": 1.0}
+    assert res.objective == res.best_bound == pytest.approx(8.25)
 
 
 def test_command_backend_requires_solution_file():
