@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import glob as globlib
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -286,9 +287,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except (InstanceError, BuildError, GenError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader left early (``tollgate sweep ... | head -1``).  Point
+        # fd 1 at the null device so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

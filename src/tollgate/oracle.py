@@ -11,6 +11,7 @@ compete with them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -120,26 +121,26 @@ def oracle_solve(
             "this instance is too large to certify by brute force"
         )
 
-    demands = [com.demand for com in instance.commodities]
-    free_cost = [bfset.paths[-1].cost for bfset in bfsets]
-
-    def bound(positions: Sequence[int]) -> Fraction:
-        slack = Fraction(0)
-        for k, pos in enumerate(positions):
-            slack += demands[k] * (free_cost[k] - bfsets[k].paths[pos].cost)
-        return slack
-
+    # Each commodity's revenue bound per path position, demand times its gap
+    # to the toll-free alternative, as integers over one common scale; a sum
+    # of these bounds an assignment's revenue.
+    gaps = [
+        [com.demand * (bfset.paths[-1].cost - path.cost) for path in bfset.paths]
+        for com, bfset in zip(instance.commodities, bfsets)
+    ]
+    scale = math.lcm(*(g.denominator for per in gaps for g in per))
+    gains = [[int(g * scale) for g in per] for per in gaps]
     ordered = sorted(
-        itertools.product(*(range(len(b)) for b in bfsets)),
-        key=lambda positions: (-bound(positions), positions),
+        (-sum(gain[pos] for gain, pos in zip(gains, positions)), positions)
+        for positions in itertools.product(*(range(len(b)) for b in bfsets))
     )
 
     best_rev = Fraction(-1)
     best_positions: Optional[tuple[int, ...]] = None
     best_rows: list[exactlp.Row] = []
     best_objective: list[tuple[Fraction, str]] = []
-    for positions in ordered:
-        if bound(positions) <= best_rev:
+    for neg_bound, positions in ordered:
+        if -neg_bound <= best_rev * scale:
             break
         rows = _pricing_rows(bfsets, positions)
         objective = _revenue_terms(instance, bfsets, positions)

@@ -2,17 +2,19 @@
 
 Everything here is written from the definitions, sharing no logic with the
 package: exhaustive path search by recursion, dominance by pairwise subset
-comparison, and random instances assembled straight from arc lists.  Tests
-freeze values computed by these functions and compare the package against
-them.
+comparison, random instances assembled straight from arc lists, and a
+two-phase simplex on a dense tableau of ``Fraction`` values.  Tests freeze
+values computed by these functions and compare the package against them.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
+from tollgate.exactlp import LPResult, Row
 from tollgate.network import Arc, Commodity, Network, ProblemInstance
 
 
@@ -138,3 +140,205 @@ def random_digraph_instance(seed: int) -> Optional[ProblemInstance]:
         Commodity(o, d, Fraction(rng.randint(1, 10))) for o, d in chosen
     )
     return ProblemInstance(net, commodities, f"random-{seed}")
+
+
+# -- rational simplex ------------------------------------------------------
+
+
+def _rational_pivot(
+    tableau: list[list[Fraction]],
+    basis: list[int],
+    row: int,
+    col: int,
+    pivots: Optional[list] = None,
+) -> None:
+    if pivots is not None:
+        pivots.append((row, col))
+    pivot = tableau[row][col]
+    if pivot == 0:
+        raise ZeroDivisionError("pivot on a zero entry")
+    tableau[row] = [v / pivot for v in tableau[row]]
+    pivot_row = tableau[row]
+    for r in range(len(tableau)):
+        if r == row:
+            continue
+        factor = tableau[r][col]
+        if factor != 0:
+            tableau[r] = [v - factor * w for v, w in zip(tableau[r], pivot_row)]
+    basis[row] = col
+
+
+def _rational_optimize(
+    tableau: list[list[Fraction]],
+    basis: list[int],
+    costs: list[Fraction],
+    allowed: list[bool],
+    pivots: Optional[list] = None,
+) -> str:
+    """Maximize ``costs`` over the current basic feasible solution (Bland)."""
+    m = len(tableau)
+    ncols = len(costs)
+    while True:
+        in_basis = set(basis)
+        duals = [costs[b] for b in basis]
+        entering = -1
+        for j in range(ncols):
+            if not allowed[j] or j in in_basis:
+                continue
+            reduced = costs[j]
+            for i in range(m):
+                coef = tableau[i][j]
+                if coef != 0:
+                    reduced -= duals[i] * coef
+            if reduced > 0:
+                entering = j  # smallest improving index: Bland's rule
+                break
+        if entering < 0:
+            return "optimal"
+        leaving = -1
+        best: Optional[Fraction] = None
+        for i in range(m):
+            coef = tableau[i][entering]
+            if coef > 0:
+                ratio = tableau[i][-1] / coef
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leaving])
+                ):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            return "unbounded"
+        _rational_pivot(tableau, basis, leaving, entering, pivots)
+
+
+def rational_solve_lp(
+    objective: Sequence[tuple[object, str]],
+    rows: Sequence[Row],
+    maximize: bool = True,
+    events: Optional[Counter] = None,
+    pivots: Optional[list] = None,
+) -> LPResult:
+    """``tollgate.exactlp.solve_lp`` on a dense ``Fraction`` tableau.
+
+    The same two phases, column layout and Bland's rule, with every entry a
+    reduced rational and the pivot row divided by the pivot.  ``events``,
+    when given, counts the phase-1 clean-up's row deletions
+    (``"deleted_row"``) and its pivots on negative entries
+    (``"negative_pivot"``); ``pivots`` collects every pivot's
+    ``(row, column)`` in order.
+    """
+    names: list[str] = []
+    index: dict[str, int] = {}
+
+    def col_of(name: str) -> int:
+        if name not in index:
+            index[name] = len(names)
+            names.append(name)
+        return index[name]
+
+    obj: dict[int, Fraction] = {}
+    for coef, name in objective:
+        j = col_of(name)
+        obj[j] = obj.get(j, Fraction(0)) + Fraction(coef)
+    parsed: list[tuple[dict[int, Fraction], str, Fraction]] = []
+    for terms, sense, rhs in rows:
+        if sense not in ("<=", "=", ">="):
+            raise ValueError(f"bad row sense {sense!r}")
+        acc: dict[int, Fraction] = {}
+        for coef, name in terms:
+            j = col_of(name)
+            acc[j] = acc.get(j, Fraction(0)) + Fraction(coef)
+        parsed.append((acc, sense, Fraction(rhs)))
+
+    n = len(names)
+    sign = 1 if maximize else -1
+
+    # Nonnegative right-hand sides; columns: structural | slack | artificial.
+    slack_cols = 0
+    normalized: list[tuple[dict[int, Fraction], str, Fraction]] = []
+    for acc, sense, rhs in parsed:
+        if rhs < 0:
+            acc = {j: -c for j, c in acc.items()}
+            rhs = -rhs
+            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
+        normalized.append((acc, sense, rhs))
+        if sense in ("<=", ">="):
+            slack_cols += 1
+
+    total = n + slack_cols + sum(1 for _, s, _ in normalized if s != "<=")
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    zero = Fraction(0)
+    slack_at = n
+    art_at = n + slack_cols
+    for acc, sense, rhs in normalized:
+        line = [zero] * (total + 1)
+        for j, c in acc.items():
+            line[j] = c
+        line[-1] = rhs
+        if sense == "<=":
+            line[slack_at] = Fraction(1)
+            basis.append(slack_at)
+            slack_at += 1
+        elif sense == ">=":
+            line[slack_at] = Fraction(-1)
+            slack_at += 1
+            line[art_at] = Fraction(1)
+            basis.append(art_at)
+            art_at += 1
+        else:
+            line[art_at] = Fraction(1)
+            basis.append(art_at)
+            art_at += 1
+        tableau.append(line)
+
+    first_art = n + slack_cols
+    allowed = [True] * total
+
+    if first_art < total:
+        phase1 = [zero] * total
+        for j in range(first_art, total):
+            phase1[j] = Fraction(-1)
+        status = _rational_optimize(tableau, basis, phase1, allowed, pivots)
+        assert status == "optimal"  # bounded below by zero artificials
+        infeasibility = -sum(
+            tableau[i][-1] for i in range(len(tableau)) if basis[i] >= first_art
+        )
+        if infeasibility < 0:
+            return LPResult("infeasible", None, {})
+        # Pivot leftover artificials out; rows that cannot pivot are redundant.
+        for i in range(len(tableau) - 1, -1, -1):
+            if basis[i] < first_art:
+                continue
+            pivot_col = next(
+                (j for j in range(first_art) if tableau[i][j] != 0), None
+            )
+            if pivot_col is None:
+                del tableau[i]
+                del basis[i]
+                if events is not None:
+                    events["deleted_row"] += 1
+            else:
+                if events is not None and tableau[i][pivot_col] < 0:
+                    events["negative_pivot"] += 1
+                _rational_pivot(tableau, basis, i, pivot_col, pivots)
+        for j in range(first_art, total):
+            allowed[j] = False
+
+    costs = [zero] * total
+    for j, c in obj.items():
+        costs[j] = sign * c
+    status = _rational_optimize(tableau, basis, costs, allowed, pivots)
+    if status == "unbounded":
+        return LPResult("unbounded", None, {})
+
+    values: dict[str, Fraction] = {name: Fraction(0) for name in names}
+    for i, b in enumerate(basis):
+        if b < n:
+            values[names[b]] = tableau[i][-1]
+    objective_value = sum(
+        (c * values[names[j]] for j, c in obj.items()), Fraction(0)
+    )
+    return LPResult("optimal", objective_value, values)

@@ -18,8 +18,9 @@ import pytest
 from tollgate.bigm import compute_bigm
 from tollgate.enumeration import enumerate_paths, perturb_costs
 from tollgate.formulations import build_single
-from tollgate.generator import GenConfig, generate, parse_topology
+from tollgate.generator import GenConfig, GenError, generate, parse_topology
 from tollgate.network import Arc, Commodity, Network, ProblemInstance
+from tollgate.oracle import oracle_solve
 
 
 def five_node_instance() -> ProblemInstance:
@@ -83,6 +84,62 @@ def fig_bfset(fig_enum):
 @pytest.fixture
 def fig_bigm(fig, fig_bfset):
     return compute_bigm(fig.network, fig.commodities, {0: fig_bfset})
+
+
+GRIDS = ((3, 4), (4, 4), (5, 5))
+SET_PRODUCT_LIMIT = 2000
+
+
+def _qualifying_instance(seed: int):
+    rows, cols = GRIDS[seed % len(GRIDS)]
+    commodities = 2 + (seed % 2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            raw = generate(
+                GenConfig(("grid", (rows, cols)), commodities, seed=seed)
+            )
+    except GenError:
+        return None
+    net = perturb_costs(raw.network, seed=0)
+    inst = ProblemInstance(net, raw.commodities, raw.label)
+    enums = []
+    product = 1
+    for k, com in enumerate(inst.commodities):
+        result = enumerate_paths(net, com, cap=4000, commodity_index=k)
+        bfset = result.feasible_set()
+        if not bfset.exhaustive:
+            return None
+        product *= len(bfset)
+        enums.append(result)
+    if product > SET_PRODUCT_LIMIT:
+        return None
+    bigm = compute_bigm(
+        net,
+        inst.commodities,
+        {k: e.feasible_set() for k, e in enumerate(enums)},
+    )
+    return {
+        "instance": inst,
+        "enums": enums,
+        "bigm": bigm,
+        "oracle": oracle_solve(inst, enums),
+    }
+
+
+@pytest.fixture(scope="session")
+def suite25():
+    """Acceptance criterion 05's 25 perturbed grid instances, each with its
+    enumerations, big-M constants and exact reference optimum."""
+    cases = []
+    seed = 0
+    while len(cases) < 25 and seed < 400:
+        entry = _qualifying_instance(seed)
+        seed += 1
+        if entry is not None:
+            cases.append(entry)
+    assert len(cases) == 25, "instance generation failed to fill the suite"
+    return cases
 
 
 # A command-line solver for the CommandBackend tests: scipy's bundled HiGHS

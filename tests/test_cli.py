@@ -363,3 +363,28 @@ def test_sweep_to_stdout_is_pure_csv(tmp_path):
     assert len(rows) == 2
     assert all(len(row) == 9 for row in rows)
     assert rows[1][3] == "optimal"
+
+
+def test_output_to_a_closed_pipe_ends_quietly(fig_file):
+    # The reader is gone before the sweep writes anything, as when `head -1`
+    # has its line: no traceback and no "Exception ignored" notice on stderr,
+    # whether stdout is buffered or not.
+    src = str(Path(tollgate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("TOLLGATE_SOLVER_CMD", None)
+    for unbuffered in ("", "1"):
+        env["PYTHONUNBUFFERED"] = unbuffered
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tollgate.cli", "sweep",
+                 "--instances", str(fig_file), "--kinds", "VF,STD",
+                 "--breakpoints", "4000"],
+                env=env, stdout=writer, stderr=subprocess.PIPE, text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(writer)
+        assert proc.stderr == ""
+        assert proc.returncode == 1

@@ -1,10 +1,16 @@
-"""Rational simplex on problems small enough to solve on paper."""
+"""Exact simplex on problems small enough to solve on paper, and against
+the ``Fraction`` tableau in ``bruteforce.py`` on random ones."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from tollgate import exactlp
 from tollgate.exactlp import solve_lp
+
+from bruteforce import rational_solve_lp
 
 
 def test_maximize_two_variables():
@@ -123,3 +129,97 @@ def test_agrees_with_float_solver_on_random_lps():
             assert float(mine.objective) == pytest.approx(-ref.fun, abs=1e-7)
         elif mine.status == "unbounded":
             assert ref.status == 3
+
+
+def test_beales_cycling_example_terminates():
+    # Beale (1955): from the slack basis the largest-coefficient rule cycles
+    # through six degenerate bases here; Bland's rule reaches the optimum
+    # 5/4 at x4 = x6 = 1.
+    objective = [(Fraction(3, 4), "x4"), (-20, "x5"), (Fraction(1, 2), "x6"),
+                 (-6, "x7")]
+    rows = [
+        ([(Fraction(1, 4), "x4"), (-8, "x5"), (-1, "x6"), (9, "x7")], "<=", 0),
+        ([(Fraction(1, 2), "x4"), (-12, "x5"), (Fraction(-1, 2), "x6"),
+          (3, "x7")], "<=", 0),
+        ([(1, "x6")], "<=", 1),
+    ]
+    res = solve_lp(objective, rows)
+    assert res.status == "optimal"
+    assert res.objective == Fraction(5, 4)
+    assert res.solution == {"x4": 1, "x5": 0, "x6": 1, "x7": 0}
+    assert res == rational_solve_lp(objective, rows)
+
+
+def _coefficient(rng: random.Random):
+    value = rng.randint(-4, 5)
+    if rng.random() < 0.3:
+        return Fraction(value, rng.randint(2, 6))
+    return value
+
+
+def _random_lp(rng: random.Random):
+    names = [f"x{i}" for i in range(rng.randint(1, 5))]
+    # Most LPs take their right-hand sides from a point that satisfies them,
+    # often with zero coordinates (degenerate vertices); the rest are drawn
+    # blind and are often infeasible.
+    point = None
+    if rng.random() < 0.7:
+        point = {name: rng.choice((0, 0, 1, 2, Fraction(1, 2))) for name in names}
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        terms = [(_coefficient(rng), name) for name in names if rng.random() < 0.7]
+        if not terms:
+            continue
+        sense = rng.choice(("<=", "=", ">="))
+        if point is None:
+            rhs = _coefficient(rng) + rng.randint(-2, 6)
+        else:
+            rhs = sum(c * point[name] for c, name in terms)
+            rhs += {"<=": 1, "=": 0, ">=": -1}[sense] * rng.choice((0, 1, 2))
+        rows.append((terms, sense, rhs))
+    equalities = [row for row in rows if row[1] == "="]
+    if equalities and rng.random() < 0.5:
+        # A multiple of an equality row: redundant, so phase 1 must end with
+        # an artificial it cannot pivot out.
+        terms, _, rhs = rng.choice(equalities)
+        factor = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        rows.insert(
+            rng.randint(0, len(rows)),
+            ([(c * factor, name) for c, name in terms], "=", rhs * factor),
+        )
+    objective = [(_coefficient(rng), name) for name in names if rng.random() < 0.8]
+    return objective, rows, rng.random() < 0.5
+
+
+def test_matches_the_rational_tableau_on_random_lps(monkeypatch):
+    # Same outcome, and the same pivots in the same order: scaling rows and
+    # columns by positive integers must not change a single Bland choice.
+    pivots: list = []
+    pivot = exactlp._Tableau.pivot
+
+    def recording_pivot(self, row, col, objective=None):
+        pivots.append((row, col))
+        pivot(self, row, col, objective)
+
+    monkeypatch.setattr(exactlp._Tableau, "pivot", recording_pivot)
+    rng = random.Random(2024)
+    statuses: Counter = Counter()
+    events: Counter = Counter()
+    for _ in range(400):
+        objective, rows, maximize = _random_lp(rng)
+        expected_pivots: list = []
+        expected = rational_solve_lp(
+            objective, rows, maximize, events=events, pivots=expected_pivots
+        )
+        pivots.clear()
+        got = solve_lp(objective, rows, maximize)
+        case = (objective, rows, maximize)
+        assert got.status == expected.status, case
+        assert got.objective == expected.objective, case
+        assert got.solution == expected.solution, case
+        assert pivots == expected_pivots, case
+        statuses[expected.status] += 1
+    # The draw reaches every outcome and both clean-up paths of phase 1.
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 40
+    assert events["deleted_row"] >= 40
+    assert events["negative_pivot"] >= 20

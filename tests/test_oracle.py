@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from tollgate import exactlp
 from tollgate.enumeration import enumerate_paths
 from tollgate.network import Arc, Commodity, Network, ProblemInstance
 from tollgate.oracle import OracleError, oracle_solve
+
+from bruteforce import rational_solve_lp
 
 
 def test_five_node_optimum(fig):
@@ -91,3 +94,25 @@ def test_truncated_enumeration_refused(fig):
 
 def test_oracle_accepts_precomputed_enumeration(fig, fig_enum):
     assert oracle_solve(fig, [fig_enum]).revenue == 7
+
+
+def test_integer_tableau_matches_the_rational_reference_on_suite25(
+    suite25, monkeypatch
+):
+    # Every priced assignment and the canonical tolls, once with the package's
+    # integer tableau (the fixture's results) and once with the Fraction
+    # tableau, must give the same optimum, tolls and assignment.
+    calls = []
+
+    def reference(objective, rows, maximize=True):
+        calls.append(maximize)
+        return rational_solve_lp(objective, rows, maximize)
+
+    monkeypatch.setattr(exactlp, "solve_lp", reference)
+    for entry in suite25:
+        expected = entry["oracle"]
+        got = oracle_solve(entry["instance"], entry["enums"])
+        assert got.revenue == expected.revenue, entry["instance"].label
+        assert got.tolls == expected.tolls, entry["instance"].label
+        assert got.assignment == expected.assignment, entry["instance"].label
+    assert len(calls) > 25
