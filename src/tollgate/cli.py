@@ -95,13 +95,13 @@ def _cmd_build(args) -> int:
     if bool(args.kind) == bool(args.main):
         raise BuildError("pass either --kind, or --main with --fallback and --breakpoint")
     instance = _load(args)
+    kind = get_kind(args.kind or args.main)
+    if kind.needs_cut_loop:
+        raise BuildError(
+            f"{kind} is only exact under the feasibility cut loop and has "
+            "no static LP form; solve it through the sweep or the API"
+        )
     if args.kind:
-        kind = get_kind(args.kind)
-        if kind.needs_cut_loop:
-            raise BuildError(
-                f"{kind} is only exact under the feasibility cut loop and has "
-                "no static LP form; solve it through the sweep or the API"
-            )
         needs_enum = kind.needs_paths or args.preprocess == "paths"
         enum = _enumerate_all(instance, args.cap) if needs_enum else None
         bfsets = (
@@ -113,12 +113,6 @@ def _cmd_build(args) -> int:
             paper_exact=args.paper_exact,
         )
     else:
-        main_kind = get_kind(args.main)
-        if main_kind.needs_cut_loop:
-            raise BuildError(
-                f"{main_kind} is only exact under the feasibility cut loop and "
-                "has no static LP form; solve it through the sweep or the API"
-            )
         if args.breakpoint is None:
             raise BuildError("--main needs --breakpoint")
         enum = _enumerate_all(instance, args.breakpoint + 1)
@@ -129,7 +123,7 @@ def _cmd_build(args) -> int:
         }
         bigm = compute_bigm(instance.network, instance.commodities, bfsets)
         hybrid = assemble_hybrid(
-            instance, args.breakpoint, main_kind, args.fallback, bigm, enum,
+            instance, args.breakpoint, kind, args.fallback, bigm, enum,
             paper_exact=args.paper_exact,
         )
     text = write_lp(hybrid.ir)
@@ -183,7 +177,7 @@ def _collect_instances(patterns: Sequence[str]) -> list[ProblemInstance]:
 def _cmd_sweep(args) -> int:
     instances = _collect_instances(args.instances)
     kinds = [get_kind(label) for label in args.kinds.split(",") if label]
-    breakpoints = [int(n) for n in args.breakpoints.split(",") if n]
+    breakpoints = args.breakpoints
     if not kinds or not breakpoints:
         raise BuildError("--kinds and --breakpoints must be non-empty")
     backend = CommandBackend(args.solver_cmd) if args.solver_cmd else None
@@ -210,6 +204,21 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(n) for n in text.split(",") if n]
+
+
 def _add_perturb(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--perturb", type=int, default=None, metavar="SEED",
                         help="break cost ties with seeded noise first")
@@ -232,14 +241,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list each commodity's feasible paths")
     p.add_argument("--instance", required=True)
-    p.add_argument("--cap", type=int, default=None, help="stop after this many paths")
+    p.add_argument("--cap", type=_positive_int, default=None, help="stop after this many paths")
     _add_perturb(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("reduce", help="report per-commodity graph reduction")
     p.add_argument("--instance", required=True)
     p.add_argument("--method", choices=("paths", "spgm"), default="paths")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive_int, default=None)
     _add_perturb(p)
     p.set_defaults(func=_cmd_reduce)
 
@@ -248,9 +257,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", help=f"pure formulation: one of {KIND_LABELS}")
     p.add_argument("--main", help="hybrid: kind for small feasible sets")
     p.add_argument("--fallback", default="STD", help="hybrid: arc-arc kind for the rest")
-    p.add_argument("--breakpoint", type=int, default=None, help="hybrid: feasible-set size limit")
+    p.add_argument("--breakpoint", type=_positive_int, default=None,
+                   help="hybrid: feasible-set size limit")
     p.add_argument("--preprocess", choices=("paths", "spgm", "none"), default="paths")
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap for --kind")
+    p.add_argument("--cap", type=_positive_int, default=None, help="enumeration cap for --kind")
     p.add_argument("--out", help="output path (stdout when omitted)")
     _add_perturb(p)
     _add_paper_exact(p)
@@ -271,7 +281,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", nargs="+", required=True,
                    help="instance files, directories, or globs")
     p.add_argument("--kinds", required=True, help="comma-separated kind labels")
-    p.add_argument("--breakpoints", required=True, help="comma-separated sizes")
+    p.add_argument("--breakpoints", type=_positive_ints, required=True,
+                   help="comma-separated sizes")
     p.add_argument("--budget", type=float, default=60.0, help="seconds per run")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="results CSV path (stdout when omitted)")
@@ -299,6 +310,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 1
+    except OSError as exc:
+        # An unreadable or missing input file, an unwritable output path.
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

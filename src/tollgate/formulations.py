@@ -13,6 +13,15 @@ case every name still refers to reduced arc ids except ``T`` and ``t``,
 which are keyed by the original tolled arc so that reduced and unreduced
 blocks price the same tolls.
 
+A block's names are worked out once, in a ``_Block`` record: the ``T`` of
+each tolled working arc, the primal variables (flows or ``z``), the reduced
+origin and destination, and the potentials.  One emitter per modelling
+choice writes rows from it: primal, dual, direct, slackness, and the value
+tie of route cost plus revenue against the dual objective.  Both builders,
+:func:`build_single` and :func:`assemble_hybrid`, only plan each commodity
+(role, kind, working graph, feasible set) and pass the plan to one assembly
+loop, and both pause the cyclic garbage collector while they run.
+
 By default every complementary-slackness block with direct linearization
 (CS1, VFCS1, PACS1, PCS1) also carries the strong-duality row as a valid
 inequality, ``vi-sd-{suffix}[k]``: route cost plus revenue is at most the
@@ -186,21 +195,6 @@ def _reduced_endpoint(graph: ReducedGraph, node: int, k: int, which: str) -> int
         ) from None
 
 
-def _require_path_set(
-    bfset: Optional[BilevelFeasibleSet], k: int, where: str
-) -> BilevelFeasibleSet:
-    if bfset is None:
-        raise BuildError(f"commodity {k}: {where} needs a bilevel feasible set")
-    if not bfset.exhaustive:
-        raise BuildError(
-            f"commodity {k}: {where} needs an exhaustive feasible set; "
-            "raise the enumeration cap"
-        )
-    if not bfset.paths:
-        raise BuildError(f"commodity {k}: the feasible set is empty")
-    return bfset
-
-
 def _toll_names(model: ModelIR, graph: ReducedGraph) -> dict[ArcId, str]:
     """The shared ``T`` variable of every tolled working arc, by working arc id."""
     names: dict[ArcId, str] = {}
@@ -224,220 +218,187 @@ def _r_bound(bigm: BigMParams, k: int, arc: Arc, graph: ReducedGraph) -> Fractio
         ) from None
 
 
-# -- block builders ----------------------------------------------------------
+# -- one commodity block -----------------------------------------------------
 
-def _build_primal(
-    model: ModelIR,
-    rep: str,
-    k: int,
-    com: Commodity,
-    graph: ReducedGraph,
-    bfset: Optional[BilevelFeasibleSet] = None,
-    binary_y: bool = False,
-) -> None:
-    """Add commodity ``k``'s routing variables and rows.
+class _Block:
+    """The names of commodity ``k``'s block in its working graph, worked out once.
+
+    ``primal`` names the route variables: one flow per working arc, by arc
+    id, or one ``z`` per feasible path.  ``routes`` holds the arcs or paths
+    they stand for, in the same order.  ``potentials`` holds ``lambda`` by
+    node under the arc dual and is empty under the path dual.  ``revenue``
+    holds the per-arc ``t`` under direct linearization, else ``tau``.
+    """
+
+    def __init__(
+        self, model: ModelIR, kind: FormulationKind, k: int, com: Commodity,
+        graph: ReducedGraph, bfset: Optional[BilevelFeasibleSet],
+    ) -> None:
+        net = graph.network
+        self.kind = kind
+        self.k = k
+        self.graph = graph
+        self.suffix = kind.primal_rep[0] + kind.dual_rep[0]  # "aa", "ap", "pa", "pp"
+        self.paths: tuple[Path, ...] = ()
+        if kind.needs_paths:
+            if bfset is None:
+                raise BuildError(f"commodity {k}: kind {kind} needs a bilevel feasible set")
+            if not bfset.exhaustive:
+                raise BuildError(
+                    f"commodity {k}: kind {kind} needs an exhaustive feasible set; "
+                    "raise the enumeration cap"
+                )
+            if not bfset.paths:
+                raise BuildError(f"commodity {k}: the feasible set is empty")
+            self.paths = bfset.paths
+        self.origin = _reduced_endpoint(graph, com.origin, k, "origin")
+        self.dest = _reduced_endpoint(graph, com.destination, k, "destination")
+        self.tolls = _toll_names(model, graph)
+        if kind.primal_rep == ARC:
+            self.routes: Sequence[Union[Arc, Path]] = net.arcs
+            self.primal = _flow_names(k, net)
+        else:
+            self.routes = self.paths
+            self.primal = [var_z(k, pos) for pos in range(len(self.paths))]
+        self.potentials: list[str] = []
+        if kind.dual_rep == ARC:
+            self.potentials = [var_lambda(k, node) for node in range(net.num_nodes)]
+        if kind.linearization == DIRECT:
+            self.revenue = [var_t(k, graph.original_tolled_id(rid)) for rid in net.tolled_ids]
+        else:
+            self.revenue = [var_tau(k)]
+
+    def users(self, arc: Arc) -> list[str]:
+        """The primal variables of the routes through working arc ``arc``."""
+        if self.kind.primal_rep == ARC:
+            return [self.primal[arc.index]]
+        return [
+            name
+            for p, name in zip(self.paths, self.primal)
+            if arc.index in (p.tolled_set if arc.tolled else p.arcs)
+        ]
+
+    def arc_dual_terms(self, arc: Arc) -> list[tuple[int, str]]:
+        """The potential drop along ``arc`` less its toll."""
+        terms = [(1, self.potentials[arc.tail]), (-1, self.potentials[arc.head])]
+        if arc.tolled:
+            terms.append((-1, self.tolls[arc.index]))
+        return terms
+
+
+def _path_bound_terms(
+    k: int, path: Path, tolls: Mapping[ArcId, str]
+) -> list[tuple[Union[int, Fraction], str]]:
+    """``L[k]`` less the tolls on ``path``."""
+    return [(1, var_L(k))] + [(-1, tolls[rid]) for rid in sorted(path.tolled_set)]
+
+
+def _emit_primal(model: ModelIR, b: _Block) -> None:
+    """Add the block's routing variables and rows.
 
     Arc representation: one flow variable per working arc (binary ``x`` on
-    tolled arcs, ``y`` on toll-free arcs, binary only when ``binary_y``) and
-    a flow balance row per non-isolated node.  Path representation: one
-    binary ``z`` per feasible path and a single convexity row.
+    tolled arcs, ``y`` on toll-free arcs, binary only under complementary
+    slackness) and a flow balance row per non-isolated node.  Path
+    representation: one binary ``z`` per feasible path and a single
+    convexity row.
     """
-    net = graph.network
-    if rep == PATH:
-        bfset = _require_path_set(bfset, k, "the primal path block")
-        terms = []
-        for pos in range(len(bfset.paths)):
-            model.add_variable(var_z(k, pos), 0, 1, binary=True)
-            terms.append((1, var_z(k, pos)))
-        model.add_constraint(f"pp[{k}]", terms, "=", 1)
+    if b.kind.primal_rep == PATH:
+        for name in b.primal:
+            model.add_variable(name, 0, 1, binary=True)
+        model.add_constraint(f"pp[{b.k}]", [(1, name) for name in b.primal], "=", 1)
         return
-    if rep != ARC:
-        raise BuildError(f"unknown primal representation {rep!r}")
-    origin = _reduced_endpoint(graph, com.origin, k, "origin")
-    dest = _reduced_endpoint(graph, com.destination, k, "destination")
-    flows = _flow_names(k, net)
-    for arc, name in zip(net.arcs, flows):
+    net = b.graph.network
+    binary_y = b.kind.opt_cond == COMPL_SLACK
+    for arc, name in zip(net.arcs, b.primal):
         model.add_variable(name, 0, 1, binary=arc.tolled or binary_y)
     for node in range(net.num_nodes):
-        terms = [(1, flows[aid]) for _, aid in net.out_adj[node]]
-        terms += [(-1, flows[aid]) for _, aid in net.in_adj[node]]
-        rhs = 1 if node == origin else -1 if node == dest else 0
+        terms = [(1, b.primal[aid]) for _, aid in net.out_adj[node]]
+        terms += [(-1, b.primal[aid]) for _, aid in net.in_adj[node]]
+        rhs = 1 if node == b.origin else -1 if node == b.dest else 0
         if not terms:
             if rhs:
-                raise BuildError(f"commodity {k}: node {node} is isolated but must carry flow")
+                raise BuildError(f"commodity {b.k}: node {node} is isolated but must carry flow")
             continue
-        model.add_constraint(f"pa[{k},{node}]", terms, "=", rhs)
+        model.add_constraint(f"pa[{b.k},{node}]", terms, "=", rhs)
 
 
-def _build_dual(
-    model: ModelIR,
-    rep: str,
-    k: int,
-    com: Commodity,
-    graph: ReducedGraph,
-    bfset: Optional[BilevelFeasibleSet] = None,
-) -> None:
-    """Add commodity ``k``'s dual feasibility rows.
+def _emit_dual(model: ModelIR, b: _Block) -> None:
+    """Add the block's dual feasibility rows.
 
     Arc representation: free potentials ``lambda[k,i]`` with one row per
     working arc bounding the potential drop by the arc's tolled cost.  Path
     representation: a free bound ``L[k]`` with one row per feasible path.
     """
-    net = graph.network
-    tolls = _toll_names(model, graph)
-    if rep == ARC:
-        potentials = [var_lambda(k, node) for node in range(net.num_nodes)]
-        for name in potentials:
+    if b.kind.dual_rep == ARC:
+        for name in b.potentials:
             model.add_variable(name, None, None)
-        for arc in net.arcs:
-            terms = [(1, potentials[arc.tail]), (-1, potentials[arc.head])]
-            if arc.tolled:
-                terms.append((-1, tolls[arc.index]))
-                model.add_constraint(f"da1[{k},{arc.index}]", terms, "<=", arc.cost)
-            else:
-                model.add_constraint(f"da2[{k},{arc.index}]", terms, "<=", arc.cost)
+        for arc in b.graph.network.arcs:
+            tag = f"da{1 if arc.tolled else 2}[{b.k},{arc.index}]"
+            model.add_constraint(tag, b.arc_dual_terms(arc), "<=", arc.cost)
         return
-    if rep != PATH:
-        raise BuildError(f"unknown dual representation {rep!r}")
-    bfset = _require_path_set(bfset, k, "the dual path block")
-    bound = model.add_variable(var_L(k), None, None)
-    for pos, path in enumerate(bfset.paths):
-        terms = [(1, bound)]
-        terms += [(-1, tolls[rid]) for rid in sorted(path.tolled_set)]
-        model.add_constraint(f"dp[{k},{pos}]", terms, "<=", path.cost)
+    model.add_variable(var_L(b.k), None, None)
+    for pos, path in enumerate(b.paths):
+        terms = _path_bound_terms(b.k, path, b.tolls)
+        model.add_constraint(f"dp[{b.k},{pos}]", terms, "<=", path.cost)
 
 
-def _base_cost_terms(
-    kind: FormulationKind,
-    graph: ReducedGraph,
-    bfset: Optional[BilevelFeasibleSet],
-    primal: Sequence[str],
-) -> list[tuple[Fraction, str]]:
-    """The chosen route's toll-free cost, in whichever primal variables exist."""
-    if kind.primal_rep == ARC:
-        return [(a.cost, name) for a, name in zip(graph.network.arcs, primal)]
-    assert bfset is not None
-    return [(p.cost, name) for p, name in zip(bfset.paths, primal)]
+def _emit_value_tie(model: ModelIR, b: _Block, tag: str, sense: str = "=") -> None:
+    """Route cost (tolls included, as revenue) against the dual objective."""
+    terms = [(route.cost, name) for route, name in zip(b.routes, b.primal)]
+    terms += [(1, name) for name in b.revenue]
+    if b.kind.dual_rep == ARC:
+        terms += [(-1, b.potentials[b.origin]), (1, b.potentials[b.dest])]
+    else:
+        terms.append((-1, var_L(b.k)))
+    model.add_constraint(f"{tag}-{b.suffix}[{b.k}]", terms, sense, 0)
 
 
-def _dual_objective_terms(
-    kind: FormulationKind, k: int, com: Commodity, graph: ReducedGraph
-) -> list[tuple[int, str]]:
-    if kind.dual_rep == ARC:
-        origin = _reduced_endpoint(graph, com.origin, k, "origin")
-        dest = _reduced_endpoint(graph, com.destination, k, "destination")
-        return [(-1, var_lambda(k, origin)), (1, var_lambda(k, dest))]
-    return [(-1, var_L(k))]
-
-
-def _coupling_suffix(kind: FormulationKind) -> str:
-    return ("a" if kind.primal_rep == ARC else "p") + (
-        "a" if kind.dual_rep == ARC else "p"
-    )
-
-
-def _emit_direct_rows(
-    model: ModelIR,
-    kind: FormulationKind,
-    k: int,
-    graph: ReducedGraph,
-    bfset: Optional[BilevelFeasibleSet],
-    bigm: BigMParams,
-    tolls: Mapping[ArcId, str],
-    primal: Sequence[str],
-    two_sided: bool,
-) -> None:
+def _emit_direct_rows(model: ModelIR, b: _Block, bigm: BigMParams, two_sided: bool) -> None:
     """Tie each per-arc revenue ``t`` to ``T`` times the arc's usage.
 
     The upper pair (``t ≤ M·use``, ``T − t ≤ N·(1 − use)``) is always
     emitted.  The lower row ``t ≤ T`` is only needed under complementary
     slackness; with a strong duality equality in the model it is implied.
     """
-    net = graph.network
-    suffix = "a" if kind.primal_rep == ARC else "p"
-    for rid in net.tolled_ids:
-        orig = graph.original_tolled_id(rid)
-        tname = var_t(k, orig)
-        toll = tolls[rid]
-        m_val = bigm.M[(k, orig)]
+    net = b.graph.network
+    side = b.suffix[0]
+    for rid, tname in zip(net.tolled_ids, b.revenue):
+        orig = b.graph.original_tolled_id(rid)
+        toll = b.tolls[rid]
+        m_val = bigm.M[(b.k, orig)]
         n_val = bigm.N[orig]
-        if kind.primal_rep == ARC:
-            usage = [primal[rid]]
-        else:
-            assert bfset is not None
-            usage = [name for p, name in zip(bfset.paths, primal) if rid in p.tolled_set]
-        model.add_constraint(
-            f"direct{suffix}1[{k},{rid}]",
-            [(1, tname)] + [(-m_val, name) for name in usage],
-            "<=",
-            0,
-        )
-        model.add_constraint(
-            f"direct{suffix}2[{k},{rid}]",
-            [(1, toll), (-1, tname)] + [(n_val, name) for name in usage],
-            "<=",
-            n_val,
-        )
+        usage = b.users(net.arcs[rid])
+        upper = [(1, tname)] + [(-m_val, name) for name in usage]
+        model.add_constraint(f"direct{side}1[{b.k},{rid}]", upper, "<=", 0)
+        rest = [(1, toll), (-1, tname)] + [(n_val, name) for name in usage]
+        model.add_constraint(f"direct{side}2[{b.k},{rid}]", rest, "<=", n_val)
         if two_sided:
-            model.add_constraint(
-                f"direct{suffix}2lo[{k},{rid}]", [(1, tname), (-1, toll)], "<=", 0
-            )
+            lower = [(1, tname), (-1, toll)]
+            model.add_constraint(f"direct{side}2lo[{b.k},{rid}]", lower, "<=", 0)
 
 
-def _emit_cs_rows(
-    model: ModelIR,
-    kind: FormulationKind,
-    k: int,
-    graph: ReducedGraph,
-    bfset: Optional[BilevelFeasibleSet],
-    bigm: BigMParams,
-    tolls: Mapping[ArcId, str],
-    primal: Sequence[str],
-) -> None:
+def _emit_cs_rows(model: ModelIR, b: _Block, bigm: BigMParams) -> None:
     """Force the dual row of every used arc or path to be tight."""
-    net = graph.network
-    if kind.dual_rep == ARC:
-        potentials = [var_lambda(k, node) for node in range(net.num_nodes)]
-        for arc in net.arcs:
-            r_val = _r_bound(bigm, k, arc, graph)
-            terms = [(1, potentials[arc.tail]), (-1, potentials[arc.head])]
-            if arc.tolled:
-                terms.append((-1, tolls[arc.index]))
-            if kind.primal_rep == ARC:
-                terms.append((-r_val, primal[arc.index]))
-                tag = "lin-cs-aa1" if arc.tolled else "lin-cs-aa2"
-            else:
-                assert bfset is not None
-                for p, name in zip(bfset.paths, primal):
-                    used = (
-                        arc.index in p.tolled_set if arc.tolled else arc.index in p.arcs
-                    )
-                    if used:
-                        terms.append((-r_val, name))
-                tag = "lin-cs-pa1" if arc.tolled else "lin-cs-pa2"
-            model.add_constraint(
-                f"{tag}[{k},{arc.index}]", terms, ">=", arc.cost - r_val
-            )
+    k = b.k
+    if b.kind.dual_rep == ARC:
+        for arc in b.graph.network.arcs:
+            r_val = _r_bound(bigm, k, arc, b.graph)
+            terms = b.arc_dual_terms(arc) + [(-r_val, name) for name in b.users(arc)]
+            tag = f"lin-cs-{b.suffix}{1 if arc.tolled else 2}"
+            model.add_constraint(f"{tag}[{k},{arc.index}]", terms, ">=", arc.cost - r_val)
         return
-    bfset = _require_path_set(bfset, k, "the slackness block")
-    bound = var_L(k)
-    for pos, path in enumerate(bfset.paths):
+    for pos, path in enumerate(b.paths):
         s_val = bigm.S.get((k, pos))
         if s_val is None:
             s_val = bigm.s_value(
-                k, path.cost, [graph.original_tolled_id(r) for r in path.tolled_set]
+                k, path.cost, [b.graph.original_tolled_id(r) for r in path.tolled_set]
             )
-        if kind.primal_rep == PATH:
-            terms: list[tuple[Union[int, Fraction], str]] = [(1, bound)]
-            terms += [(-1, tolls[rid]) for rid in sorted(path.tolled_set)]
-            terms.append((-s_val, primal[pos]))
-            model.add_constraint(
-                f"lin-cs-pp[{k},{pos}]", terms, ">=", path.cost - s_val
-            )
+        tag = f"lin-cs-{b.suffix}[{k},{pos}]"
+        if b.kind.primal_rep == PATH:
+            terms = _path_bound_terms(k, path, b.tolls) + [(-s_val, b.primal[pos])]
+            model.add_constraint(tag, terms, ">=", path.cost - s_val)
         else:
-            _emit_path_slack_on_flows(
-                model, f"lin-cs-ap[{k},{pos}]", k, path, s_val, tolls, primal
-            )
+            _emit_path_slack_on_flows(model, tag, k, path, s_val, b.tolls, b.primal)
 
 
 def _emit_path_slack_on_flows(
@@ -458,15 +419,14 @@ def _emit_path_slack_on_flows(
     flow by arc id.  Both the feasible-set rows and the cut loop's rows for
     uncovered paths come from here.
     """
-    terms: list[tuple[Union[int, Fraction], str]] = [(1, var_L(k))]
-    terms += [(-1, tolls[rid]) for rid in sorted(path.tolled_set)]
+    terms = _path_bound_terms(k, path, tolls)
     terms += [(-s_val, flows[rid]) for rid in path.arcs]
     model.add_constraint(tag, terms, ">=", path.cost - s_val * len(path.arcs))
 
 
-def _build_coupling(
+def _emit_block(
     model: ModelIR,
-    kind: KindLike,
+    kind: FormulationKind,
     k: int,
     com: Commodity,
     graph: ReducedGraph,
@@ -474,7 +434,7 @@ def _build_coupling(
     bigm: BigMParams,
     paper_exact: bool = False,
 ) -> None:
-    """Couple commodity ``k``'s primal and dual blocks and linearize revenue.
+    """Emit one commodity's full block plus its objective contribution.
 
     Strong duality kinds equate route cost (tolls included) with the dual
     objective and carry per-arc revenue variables.  Complementary slackness
@@ -482,83 +442,24 @@ def _build_coupling(
     or as one substituted total ``tau[k]``.  Unless ``paper_exact``, direct
     revenue under slackness is also capped by the strong-duality inequality.
     """
-    kind = get_kind(kind)
-    suffix = _coupling_suffix(kind)
-    if kind.needs_paths:
-        bfset = _require_path_set(bfset, k, f"kind {kind}")
-    net = graph.network
-    tolls = _toll_names(model, graph)
-    # The primal variable names: flows by arc id, or z by feasible-set position.
-    if kind.primal_rep == ARC:
-        primal = _flow_names(k, net)
-    else:
-        assert bfset is not None
-        primal = [var_z(k, pos) for pos in range(len(bfset.paths))]
-    # Revenue: per-arc t under direct linearization, else one substituted tau.
-    if kind.linearization == DIRECT:
-        revenue = [var_t(k, graph.original_tolled_id(rid)) for rid in net.tolled_ids]
-    else:
-        revenue = [var_tau(k)]
-    for name in revenue:
+    b = _Block(model, kind, k, com, graph, bfset)
+    _emit_primal(model, b)
+    _emit_dual(model, b)
+    for name in b.revenue:
         model.add_variable(name, 0, None)
-
-    def tie_value(tag: str, sense: str = "=") -> None:
-        """Route cost plus revenue against the dual objective, ``=`` by default."""
-        terms = _base_cost_terms(kind, graph, bfset, primal)
-        terms += [(1, name) for name in revenue]
-        terms += _dual_objective_terms(kind, k, com, graph)
-        model.add_constraint(tag, terms, sense, 0)
-
     if kind.opt_cond == STRONG_DUALITY:
-        tie_value(f"lin-sd-{suffix}[{k}]")
-        _emit_direct_rows(
-            model, kind, k, graph, bfset, bigm, tolls, primal, two_sided=False
-        )
-        return
-
-    _emit_cs_rows(model, kind, k, graph, bfset, bigm, tolls, primal)
-    if kind.linearization == DIRECT:
-        _emit_direct_rows(
-            model, kind, k, graph, bfset, bigm, tolls, primal, two_sided=True
-        )
-        if not paper_exact:
-            tie_value(f"vi-sd-{suffix}[{k}]", "<=")
+        _emit_value_tie(model, b, "lin-sd")
+        _emit_direct_rows(model, b, bigm, two_sided=False)
     else:
-        tie_value(f"lin-subs-sd-{suffix}[{k}]")
-
-
-def _emit_block(
-    model: ModelIR,
-    kind: KindLike,
-    k: int,
-    com: Commodity,
-    graph: ReducedGraph,
-    bfset: Optional[BilevelFeasibleSet],
-    bigm: BigMParams,
-    paper_exact: bool = False,
-) -> None:
-    """Emit one commodity's full block plus its objective contribution."""
-    kind = get_kind(kind)
-    if kind.needs_paths:
-        bfset = _require_path_set(bfset, k, f"kind {kind}")
-    _build_primal(
-        model,
-        kind.primal_rep,
-        k,
-        com,
-        graph,
-        bfset,
-        binary_y=kind.opt_cond == COMPL_SLACK,
-    )
-    _build_dual(model, kind.dual_rep, k, com, graph, bfset)
-    _build_coupling(model, kind, k, com, graph, bfset, bigm, paper_exact)
-    if kind.linearization == DIRECT:
-        for rid in graph.network.tolled_ids:
-            model.add_objective_term(
-                com.demand, var_t(k, graph.original_tolled_id(rid))
-            )
-    else:
-        model.add_objective_term(com.demand, var_tau(k))
+        _emit_cs_rows(model, b, bigm)
+        if kind.linearization == SUBSTITUTION:
+            _emit_value_tie(model, b, "lin-subs-sd")
+        else:
+            _emit_direct_rows(model, b, bigm, two_sided=True)
+            if not paper_exact:
+                _emit_value_tie(model, b, "vi-sd", "<=")
+    for name in b.revenue:
+        model.add_objective_term(com.demand, name)
 
 
 # -- whole-instance assembly -------------------------------------------------
@@ -624,6 +525,41 @@ def _check_cut_driver(kind: FormulationKind, allow_vfcs: bool) -> None:
         )
 
 
+_Plan = tuple[
+    str, Optional[FormulationKind], Optional[ReducedGraph], Optional[BilevelFeasibleSet]
+]
+
+
+def _assemble(
+    instance: ProblemInstance,
+    label: str,
+    bigm: BigMParams,
+    breakpoint: Optional[int],
+    plan: Sequence[_Plan],
+    paper_exact: bool,
+) -> HybridModel:
+    """Emit every planned commodity block into one model over shared tolls.
+
+    ``plan`` holds one ``(role, kind, working graph, feasible set in original
+    arc ids)`` per commodity; a dropped commodity gets no block.  Only the
+    blocks whose kind reads paths get their feasible set mapped into the
+    working graph: the others never read it, and a reduction that drops
+    non-shortest splices may not hold its paths.
+    """
+    model = ModelIR(label)
+    declare_tolls(model, instance.network, bigm)
+    assignments = []
+    for k, (role, kind, graph, bfset) in enumerate(plan):
+        working = None
+        if role != ROLE_DROPPED:
+            if kind.needs_paths and bfset is not None:
+                working = graph.map_feasible_set(bfset)
+            com = instance.commodities[k]
+            _emit_block(model, kind, k, com, graph, working, bigm, paper_exact)
+        assignments.append(CommodityAssignment(k, role, kind, graph, working))
+    return HybridModel(model, instance, bigm, breakpoint, tuple(assignments))
+
+
 @_gc_paused()
 def assemble_hybrid(
     instance: ProblemInstance,
@@ -661,43 +597,29 @@ def assemble_hybrid(
     _check_cut_driver(main, allow_vfcs)
     _check_cut_driver(fallback, allow_vfcs)
 
-    sets = _feasible_sets(instance, enum_results)
+    plan: list[_Plan] = []
+    # Every fallback commodity works on the unreduced graph.
+    identity: Optional[ReducedGraph] = None
+    for k, bfset in enumerate(_feasible_sets(instance, enum_results)):
+        if bfset is None:
+            raise BuildError(f"commodity {k}: hybrid assembly needs enumeration results")
+        if bfset.exhaustive and len(bfset) == 1:
+            plan.append((ROLE_DROPPED, None, None, None))
+        elif bfset.exhaustive and (breakpoint is None or len(bfset) <= breakpoint):
+            graph = path_based_reduce(instance.network, bfset)
+            plan.append((ROLE_MAIN, main, graph, bfset))
+        else:
+            if identity is None:
+                identity = ReducedGraph.identity(instance.network)
+            plan.append((ROLE_FALLBACK, fallback, identity, None))
     name = label or (
         f"{instance.label}:{main}/{fallback}"
         f":N={'inf' if breakpoint is None else breakpoint}"
     )
-    model = ModelIR(name)
-    declare_tolls(model, instance.network, bigm)
-    assignments: list[CommodityAssignment] = []
-    # Every fallback commodity works on the unreduced graph.
-    identity: Optional[ReducedGraph] = None
-    for k, com in enumerate(instance.commodities):
-        bfset = sets[k]
-        if bfset is None:
-            raise BuildError(f"commodity {k}: hybrid assembly needs enumeration results")
-        small = breakpoint is None or len(bfset) <= breakpoint
-        if bfset.exhaustive and len(bfset) == 1:
-            assignments.append(
-                CommodityAssignment(k, ROLE_DROPPED, None, None, None)
-            )
-            continue
-        if bfset.exhaustive and small:
-            graph = path_based_reduce(instance.network, bfset)
-            working = graph.map_feasible_set(bfset)
-            _emit_block(model, main, k, com, graph, working, bigm, paper_exact)
-            assignments.append(
-                CommodityAssignment(k, ROLE_MAIN, main, graph, working)
-            )
-            continue
-        if identity is None:
-            identity = ReducedGraph.identity(instance.network)
-        _emit_block(model, fallback, k, com, identity, None, bigm, paper_exact)
-        assignments.append(
-            CommodityAssignment(k, ROLE_FALLBACK, fallback, identity, None)
-        )
-    return HybridModel(model, instance, bigm, breakpoint, tuple(assignments))
+    return _assemble(instance, name, bigm, breakpoint, plan, paper_exact)
 
 
+@_gc_paused()
 def build_single(
     instance: ProblemInstance,
     kind: KindLike,
@@ -714,7 +636,7 @@ def build_single(
     only arcs on feasible paths (needs enumeration results), ``"spgm"``
     applies the shortest-path graph reduction, ``"none"`` models the
     original graph.  Path-based kinds need enumeration results regardless.
-    ``paper_exact`` is as in :func:`assemble_hybrid`.
+    ``paper_exact`` and the collector pause are as in :func:`assemble_hybrid`.
     """
     kind = get_kind(kind)
     if preprocess not in ("paths", "spgm", "none"):
@@ -725,13 +647,9 @@ def build_single(
             "the shortest-path graph reduction can drop feasible paths, so "
             "only arc-arc kinds may be built on it"
         )
+    plan: list[_Plan] = []
     sets = _feasible_sets(instance, enum_results)
-    name = label or f"{instance.label}:{kind}:{preprocess}"
-    model = ModelIR(name)
-    declare_tolls(model, instance.network, bigm)
-    assignments: list[CommodityAssignment] = []
-    for k, com in enumerate(instance.commodities):
-        bfset = sets[k]
+    for k, (com, bfset) in enumerate(zip(instance.commodities, sets)):
         if preprocess == "paths":
             if bfset is None:
                 raise BuildError(
@@ -742,9 +660,6 @@ def build_single(
             graph = spgm_transform(instance.network, com)
         else:
             graph = ReducedGraph.identity(instance.network)
-        working = graph.map_feasible_set(bfset) if bfset is not None else None
-        if kind.needs_paths:
-            _require_path_set(working, k, f"kind {kind}")
-        _emit_block(model, kind, k, com, graph, working, bigm, paper_exact)
-        assignments.append(CommodityAssignment(k, ROLE_MAIN, kind, graph, working))
-    return HybridModel(model, instance, bigm, None, tuple(assignments))
+        plan.append((ROLE_MAIN, kind, graph, bfset))
+    name = label or f"{instance.label}:{kind}:{preprocess}"
+    return _assemble(instance, name, bigm, None, plan, paper_exact)

@@ -303,18 +303,26 @@ def parse_instance(text: str, label: str = "instance") -> ProblemInstance:
             raise InstanceError(f"bad arc line: {line!r}")
         if parts[4] not in ("T", "F"):
             raise InstanceError(f"arc line must end with T or F: {line!r}")
-        arcs.append(
-            Arc(pos, int(parts[1]), int(parts[2]), as_fraction(parts[3]), parts[4] == "T")
-        )
+        tail, head = _node_ids(parts, line)
+        arcs.append(Arc(pos, tail, head, as_fraction(parts[3]), parts[4] == "T"))
     commodities: list[Commodity] = []
     for line in lines[1 + num_arcs :]:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "commodity":
             raise InstanceError(f"bad commodity line: {line!r}")
-        commodities.append(Commodity(int(parts[1]), int(parts[2]), as_fraction(parts[3])))
+        origin, dest = _node_ids(parts, line)
+        commodities.append(Commodity(origin, dest, as_fraction(parts[3])))
     instance = ProblemInstance(Network(num_nodes, arcs), tuple(commodities), label)
     validate_instance(instance)
     return instance
+
+
+def _node_ids(parts: list[str], line: str) -> tuple[int, int]:
+    """The two node ids after an arc or commodity line's keyword."""
+    try:
+        return int(parts[1]), int(parts[2])
+    except ValueError:
+        raise InstanceError(f"node ids must be integers: {line!r}") from None
 
 
 def serialize_instance(instance: ProblemInstance) -> str:

@@ -53,19 +53,14 @@ def _pricing_rows(
     rows: list[exactlp.Row] = []
     for bfset, pos in zip(bfsets, positions):
         chosen = bfset.paths[pos]
-        mine = sorted(chosen.tolled_set)
+        mine = chosen.tolled_set
         for rival in bfset.paths:
             if rival is chosen:
                 continue
-            terms: dict[ArcId, Fraction] = {}
-            for aid in mine:
-                terms[aid] = terms.get(aid, Fraction(0)) + 1
-            for aid in rival.tolled_set:
-                terms[aid] = terms.get(aid, Fraction(0)) - 1
+            # +1 on the chosen path's own tolled arcs, -1 on the rival's.
             packed = [
-                (coef, _toll_var(aid))
-                for aid, coef in sorted(terms.items())
-                if coef
+                (1 if aid in mine else -1, _toll_var(aid))
+                for aid in sorted(mine ^ rival.tolled_set)
             ]
             if not packed:
                 continue

@@ -57,13 +57,34 @@ def sweep_instance(topology: str) -> ProblemInstance:
     return perturbed(raw)
 
 
-def fixture_model(instance: ProblemInstance, kind: str, paper_exact: bool = False):
+def fixture_model(
+    instance: ProblemInstance,
+    kind: str,
+    paper_exact: bool = False,
+    preprocess: str = "paths",
+):
     """The static model of ``kind`` on a one-commodity instance."""
     enum = enumerate_paths(instance.network, instance.commodities[0])
     bigm = compute_bigm(instance.network, instance.commodities, {0: enum.feasible_set()})
     return build_single(
-        instance, kind, bigm, [enum], allow_vfcs=True, paper_exact=paper_exact
+        instance, kind, bigm, [enum], preprocess=preprocess, allow_vfcs=True,
+        paper_exact=paper_exact,
     ).ir
+
+
+def three_role_instance(fig: ProblemInstance):
+    """Fixture network with commodities sized to hit all three roles."""
+    coms = (
+        Commodity(0, 4, Fraction(1)),  # 3 feasible paths
+        Commodity(1, 4, Fraction(1)),  # 2 feasible paths
+        Commodity(3, 4, Fraction(1)),  # single path: dropped
+    )
+    inst = ProblemInstance(fig.network, coms, "roles")
+    enums = [
+        enumerate_paths(inst.network, com, commodity_index=k)
+        for k, com in enumerate(inst.commodities)
+    ]
+    return inst, enums
 
 
 @pytest.fixture

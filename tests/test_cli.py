@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,53 @@ def test_build_refuses_cut_loop_kinds(fig_file, capsys):
     )
     assert rc == 1
     assert "cut loop" in capsys.readouterr().err
+
+
+def test_build_refuses_cut_loop_main_kinds(fig_file, capsys):
+    rc = main(
+        ["build", "--instance", str(fig_file), "--main", "VFCS2", "--breakpoint", "4"]
+    )
+    assert rc == 1
+    assert "cut loop" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--instance", "{bad_arc}"],
+        ["enumerate", "--instance", "{bad_commodity}"],
+        ["enumerate", "--instance", "{fig}", "--cap", "0"],
+        ["reduce", "--instance", "{fig}", "--cap", "-2"],
+        ["build", "--instance", "{fig}", "--kind", "STD", "--cap", "0"],
+        ["build", "--instance", "{fig}", "--main", "PCS2", "--breakpoint", "0"],
+        ["build", "--instance", "{missing}", "--kind", "STD"],
+        ["sweep", "--instances", "{fig}", "--kinds", "STD", "--breakpoints", "x"],
+        ["sweep", "--instances", "{fig}", "--kinds", "STD", "--breakpoints", "4,0"],
+    ],
+    ids=[
+        "arc-node", "commodity-node", "enumerate-cap", "reduce-cap", "build-cap",
+        "breakpoint", "missing-file", "breakpoints-word", "breakpoints-zero",
+    ],
+)
+def test_malformed_input_ends_on_an_error_line(fig_file, tmp_path, capsys, argv):
+    # An exception escaping main() would print a traceback instead.
+    bad_arc = tmp_path / "bad_arc.npp"
+    bad_arc.write_text("npp 2 1 1\narc 0 one 3 T\ncommodity 0 1 1\n")
+    bad_commodity = tmp_path / "bad_commodity.npp"
+    bad_commodity.write_text("npp 2 1 1\narc 0 1 3 T\ncommodity 0 1.5 1\n")
+    paths = {
+        "fig": fig_file,
+        "bad_arc": bad_arc,
+        "bad_commodity": bad_commodity,
+        "missing": tmp_path / "missing.npp",
+    }
+    try:
+        status = main([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:  # argparse rejecting an option value
+        status = exc.code
+    assert status not in (0, None)
+    err = capsys.readouterr().err
+    assert re.search(r"^(tollgate \w+: )?error: ", err, re.MULTILINE), err
 
 
 def test_generate_roundtrips_through_enumerate(tmp_path, capsys):

@@ -11,10 +11,12 @@ strong-duality inequality to each slackness block with direct
 linearization.
 """
 
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from tollgate.bigm import compute_bigm
 from tollgate.enumeration import enumerate_paths
 from tollgate.formulations import (
     FORMULATIONS,
@@ -32,11 +34,13 @@ from tollgate.formulations import (
     var_y,
     var_z,
 )
+from tollgate.generator import GenConfig, generate
 from tollgate.model_ir import ModelIR
 from tollgate.network import Arc, Commodity, Network, ProblemInstance
+from tollgate.oracle import oracle_solve
 from tollgate.solver import ScipyBackend
 
-from conftest import fixture_model, perturbed
+from conftest import fixture_model, perturbed, three_role_instance
 
 ROW_COUNTS = {
     "STD": 16,
@@ -243,6 +247,33 @@ def test_spgm_restricted_to_arc_arc(fig, fig_enum, fig_bigm):
     assert built.ir.constraints
 
 
+@pytest.fixture(scope="module")
+def grid_spgm_case():
+    """grid:4x4 with 3 commodities, costs perturbed at seed 0, plus its optimum."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        raw = generate(GenConfig(("grid", (4, 4)), 3, seed=0))
+    inst = perturbed(raw)
+    enums = [
+        enumerate_paths(inst.network, com, commodity_index=k)
+        for k, com in enumerate(inst.commodities)
+    ]
+    bfsets = {k: e.feasible_set() for k, e in enumerate(enums)}
+    bigm = compute_bigm(inst.network, inst.commodities, bfsets)
+    return inst, enums, bigm, oracle_solve(inst, enums).revenue
+
+
+@pytest.mark.parametrize("kind", ["STD", "CS1", "CS2"])
+def test_spgm_builds_where_feasible_paths_do_not_fit(grid_spgm_case, kind):
+    # The shortest-path graph drops non-shortest splices, so some feasible
+    # paths have no image there; arc-arc blocks never read the set.
+    inst, enums, bigm, optimum = grid_spgm_case
+    hybrid = build_single(inst, kind, bigm, enums, preprocess="spgm")
+    assert all(a.bfset is None for a in hybrid.assignments)
+    result = ScipyBackend().solve(hybrid.ir)
+    assert result.objective == pytest.approx(float(optimum), rel=1e-6)
+
+
 def test_paths_preprocess_requires_enumeration(fig, fig_bigm):
     with pytest.raises(BuildError, match="enumeration"):
         build_single(fig, "STD", fig_bigm, None, preprocess="paths")
@@ -253,24 +284,7 @@ def test_unknown_preprocess_rejected(fig, fig_enum, fig_bigm):
         build_single(fig, "STD", fig_bigm, [fig_enum], preprocess="magic")
 
 
-def three_role_instance(fig):
-    """Fixture network with commodities sized to hit all three roles."""
-    coms = (
-        Commodity(0, 4, Fraction(1)),  # 3 feasible paths
-        Commodity(1, 4, Fraction(1)),  # 2 feasible paths
-        Commodity(3, 4, Fraction(1)),  # single path: dropped
-    )
-    inst = ProblemInstance(fig.network, coms, "roles")
-    enums = [
-        enumerate_paths(inst.network, com, commodity_index=k)
-        for k, com in enumerate(inst.commodities)
-    ]
-    return inst, enums
-
-
 def test_hybrid_roles_split_by_breakpoint(fig, fig_bigm):
-    from tollgate.bigm import compute_bigm
-
     inst, enums = three_role_instance(fig)
     bigm = compute_bigm(
         inst.network,
@@ -297,8 +311,6 @@ def test_hybrid_roles_split_by_breakpoint(fig, fig_bigm):
 
 
 def test_hybrid_unlimited_breakpoint_uses_main_everywhere(fig, fig_bigm):
-    from tollgate.bigm import compute_bigm
-
     inst, enums = three_role_instance(fig)
     bigm = compute_bigm(
         inst.network,
@@ -344,8 +356,6 @@ def test_isolated_node_balance_rows_are_skipped(fig_bigm):
     ]
     net = Network(3, arcs)  # node 2 exists but touches nothing
     inst = ProblemInstance(net, (Commodity(0, 1, Fraction(1)),), "isolated")
-    from tollgate.bigm import compute_bigm
-
     enum = enumerate_paths(net, inst.commodities[0])
     bigm = compute_bigm(net, inst.commodities, {0: enum.feasible_set()})
     built = build_single(inst, "STD", bigm, [enum], preprocess="none")

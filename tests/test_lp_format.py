@@ -17,7 +17,7 @@ from scipy.optimize._highspy._core import (
     _Highs,
 )
 
-from conftest import fixture_model, perturbed, sweep_instance
+from conftest import fixture_model, perturbed, sweep_instance, three_role_instance
 from tollgate.bigm import compute_bigm
 from tollgate.enumeration import enumerate_paths
 from tollgate.formulations import FORMULATIONS, assemble_hybrid
@@ -201,6 +201,157 @@ def test_paper_exact_leaves_other_kinds_unchanged(fig, kind, perturb):
     instance = perturbed(fig) if perturb else fig
     default = _fixture_lp_text(instance, kind, paper_exact=False)
     assert default == _fixture_lp_text(instance, kind, paper_exact=True)
+
+
+# Static builds in the default form, each as (fixture, fixture perturbed at
+# seed 0), recorded before the block emitters and the assembly loop were
+# rebuilt around one per-block record: every kind on the unreduced graph,
+# the kinds allowed on the shortest-path graph there, and every kind as the
+# hybrid main kind on the three-role fixture at breakpoint 2 with STD as
+# fallback (one commodity falls back, one is main, one is dropped).
+UNREDUCED_LP_SHA256 = {
+    "STD": (
+        "0b1947e8dd298bef0f82cae844420ea6ddd08d21f8d801b625560da48ca33738",
+        "8be873b0c3756386b0ab2788d3cdf7cda6b4d2e04966f9fed8f5e6493a871950",
+    ),
+    "VF": (
+        "2af35d983689ad33fa4959043799927144cf4e1dc66b3a1cbc8668bc6a90534b",
+        "c81e80cacebfc3e89b1362b1eaf57639eb8f1a51093b65e87f00c67fab4eab14",
+    ),
+    "PASTD": (
+        "afcb07a44eb35696937b05e2a41c6e8dc0ac2ba3a834655982c67d3d424d1a7c",
+        "8d507c1099696a6a206940e558f2fbc8b4f21e22fecfccb04368ef7a5e433413",
+    ),
+    "PVF": (
+        "2301bf72f60f2e446de544133df95208b08c5386c493cb51fdd5685c881d2516",
+        "23e4cdcc40d8674ecbeed2b4dcb3641d104b831308d59acaec862198ff67c5d2",
+    ),
+    "CS1": (
+        "e98005c141386cb6142af5c59531f1f9aa0d796400602468afc00fede9faa1fd",
+        "f1fbea0e320d8ec0faa281f4fff01f5fb1b0acf7d68ba5850fa183c14c305103",
+    ),
+    "CS2": (
+        "083ba2d09ccf73beee8fd69958fd712aa6252f0b3e94f088c9a5d9990c895d4f",
+        "5e4e33f8978d49d348543021ad2e888aa4da83b1ab14cc2b7afa4f8baeaed6c7",
+    ),
+    "VFCS1": (
+        "734b60919f45c2c0b92fc1fc1f505238948f30f1b76c8d8227f488ceac0f3db9",
+        "812c8a1464dd66b60ddcf758e56250b168834332fa9efc745f4fe5f6da354e5f",
+    ),
+    "VFCS2": (
+        "26735bcaaf41ed0435f1e6f5c1c448f42ef749c0429eee7b7826d750679999c4",
+        "e731d247fe2ffc897515f6fecf7a6f397f338f213077a3288f2a8bd4a56b21e7",
+    ),
+    "PACS1": (
+        "95d4d303b8b7cd7e076a6300ad429df3568298fe89ad53187ac5c79e943de8ad",
+        "38029b02b506f040f464bf8cc63bf1df4a73ba2db7650f6cdb458baa9afa35f6",
+    ),
+    "PACS2": (
+        "dce1bbcfe510c46a2f177ad0d2951a9acd7dba7b4604d0435221fcdb7fb8018e",
+        "1c15f9a0310107bbcb2e568c0c940f39acf9a945eef7f96e38ccc9b25f7d986e",
+    ),
+    "PCS1": (
+        "c551f521503bbe9d95ea491dea2e059fde916406042abd06f6058014a66aac44",
+        "af15ce0c4a21fada1da26bcd685f016639dfec3d3fcfd9299f5a37848078c94b",
+    ),
+    "PCS2": (
+        "521df0a4de09e08c2694cfba87c6583ff68beb46e85c55efdcf396ca0822d82d",
+        "b5a6181076da3189279fdf6a68615c56be6c47d129ee5840014997544e57e6e1",
+    ),
+}
+SPGM_LP_SHA256 = {
+    "STD": (
+        "9496d5e69ec0da4cc658278f543cbd08d2f9dd2a507e354e57fb468068e8d304",
+        "ad242c5cb28053aa8732ff024259afc84871ee35b8c6c74b6ea43d0d52d74aed",
+    ),
+    "CS1": (
+        "977bdf50d220aab202720f22b0fcc88563e65e9a9ac8db09666f453144f678d8",
+        "b9a61ac530b0beee278044935cf927de5c1a12a70265bb85a3064bdec4abb4ac",
+    ),
+    "CS2": (
+        "75cbd2c1b523e869de5d4e6f791097e6374f4ee1a36cb90007672f992bfa4e33",
+        "82e4f41ef051da978e7ef5cf7d5694992a6d57dd07fb987472e41cc04a37e524",
+    ),
+}
+HYBRID_LP_SHA256 = {
+    "STD": (
+        "68bd599bdf6b2eaaeabfce59098212940dc7ad530bcb9dad034c919cd886884b",
+        "12c8ffbfda324ee16e6936a3dae14f5f7e55715ee7a4d89fcbbf011dbba588a3",
+    ),
+    "VF": (
+        "d3bbe1a0a0a1b7ed8ef1ddf797ec9cdedd19691258f7cbd383abed21d612f70a",
+        "57d6c9722b358c1b92fc6b10d3fdfbddc2a87050cdc36b929711b668d85e4528",
+    ),
+    "PASTD": (
+        "e48b6b460c0cccf6d4427c1ee976dfa4d080dc7e5800bb1fe6a51552681edd4a",
+        "b0505b8e3095b1f40037c00b27839307cf197b53b817ade4cac3da34712d2e64",
+    ),
+    "PVF": (
+        "3399c8876551d05a678f725ed513318c1835e5f3e6504d01de4af28e24501628",
+        "cb35e07eed10873dc4cd59557d178d67a42d55df2f40da6f13e6e45e10480199",
+    ),
+    "CS1": (
+        "55674e0639650c35200ec7306d0061579792ff4d46d1a88701b521d65a649c52",
+        "b940d336ee0433a2781b37e7c22593279e1281c08b83876a1fa57c3531368454",
+    ),
+    "CS2": (
+        "3f413d3eb22cbd46349bd2e821cc1d71c5fa1ec3d584e7b9ff699bf5eb63c5c3",
+        "2954d6b1c82dbbe5b2a201f9ed48e3ba25e9a4a04f9b285d09532c59f1bb9ebf",
+    ),
+    "VFCS1": (
+        "386e6e56f23e90288a27178d79ecd8e576ac746a7bd8f435aa72a31c3a39766a",
+        "625d69fc53c26bb5406a949e136afbaa8b64f968e6461f7c396a6c5cc4c54e13",
+    ),
+    "VFCS2": (
+        "3b53af9ae985f8f1d55773de8650d3e242689e1d8a6e1bd1c3d41fb6fa7b80e2",
+        "b9d57de8f3b82ab632c5e7bfcf34d5fed828013dcb3b09c8d49818cdd84acb4a",
+    ),
+    "PACS1": (
+        "e03e17effefcdba4435e978f099214176eff61fe3802d96f68636049bb64e338",
+        "9513fffcb2d690bd4cbfb953d6b2fd254cd4ecd7b469dd9550f83e21efff3cce",
+    ),
+    "PACS2": (
+        "0dbae660a5bffe51f5099608f90dec3892176f481d9fe7679ecaae032eb2ec04",
+        "42edf0c7d36fb8f74ed63d874d97eec44efbbe03dcbfaae8c39b438cb4e08c71",
+    ),
+    "PCS1": (
+        "c57846b020ffdcc4b8911e83424861bec1f905c166f52d4ce1a64100bebf993b",
+        "053b73ee75fcc1e79e4fd914f14bf316cb9097fcfb256b4f69ffa6019dd5c7fe",
+    ),
+    "PCS2": (
+        "9b72de996d0b6498b5f95d0f5671f6ae8e7be50260d8ef943c3160145a71620c",
+        "b463d9cb2ca866b56e78857c6bc183b62794128ed19154c747a755d13eafc60d",
+    ),
+}
+
+
+def _sha256(ir):
+    return hashlib.sha256(write_lp(ir).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(UNREDUCED_LP_SHA256))
+def test_unreduced_lp_text_is_pinned(fig, kind):
+    built = [_sha256(fixture_model(i, kind, preprocess="none")) for i in (fig, perturbed(fig))]
+    assert tuple(built) == UNREDUCED_LP_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(SPGM_LP_SHA256))
+def test_spgm_lp_text_is_pinned(fig, kind):
+    built = [_sha256(fixture_model(i, kind, preprocess="spgm")) for i in (fig, perturbed(fig))]
+    assert tuple(built) == SPGM_LP_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(HYBRID_LP_SHA256))
+def test_hybrid_roles_lp_text_is_pinned(fig, kind):
+    built = []
+    for instance in (fig, perturbed(fig)):
+        inst, enums = three_role_instance(instance)
+        bfsets = {k: e.feasible_set() for k, e in enumerate(enums)}
+        bigm = compute_bigm(inst.network, inst.commodities, bfsets)
+        hybrid = assemble_hybrid(inst, 2, kind, "STD", bigm, enums, allow_vfcs=True)
+        assert [a.role for a in hybrid.assignments] == ["fallback", "main", "dropped"]
+        built.append(_sha256(hybrid.ir))
+    assert tuple(built) == HYBRID_LP_SHA256[kind]
 
 
 # One sweep-scale build per (main kind, breakpoint): grid:5x12 with 40
