@@ -50,7 +50,6 @@ from .solver import (
     DEFAULT_BUDGET,
     SolveResult,
     SolverError,
-    get_backend,
     solve,
 )
 from .experiments import RunRecord, run_sweep, summarize, write_csv
@@ -92,7 +91,6 @@ __all__ = [
     "distances_to",
     "enumerate_paths",
     "generate",
-    "get_backend",
     "get_kind",
     "is_bilevel_feasible",
     "load_instance",

@@ -1,35 +1,42 @@
 """Big-M constants for the single-level reformulations.
 
-All quantities derive from three families of exact shortest-path values per
-commodity ``k`` with destination ``d``:
+All quantities derive from three exact shortest-path sweeps per destination
+``d``, each pricing the tolled arcs differently:
 
-* ``lam_lo[k, i]``  cheapest ``i -> d`` cost with every toll at zero,
-* ``lam_hi[k, i]``  cheapest ``i -> d`` cost with every toll at its cap
+* ``lam_lo[k][i]``  cheapest ``i -> d`` cost with every toll at zero,
+* ``lam_hi[k][i]``  cheapest ``i -> d`` cost with every toll at its cap
   (tolled arcs stay usable at ``cost + N``; removing them instead could
   disconnect nodes and blow the bounds up to infinity),
-* ``pi_cost[k]``    cheapest toll-free ``origin -> d`` cost.
+* ``pi_cost[k]``    cheapest ``origin -> d`` cost with tolled arcs unusable.
 
 From these:
 
-* ``N[a]``     toll cap, the same for every tolled arc: the largest surplus
+* ``N``     toll cap, the same for every tolled arc: the largest surplus
   any commodity could ever be charged, ``max_k max(0, pi_cost - L_lo)``,
-* ``M[k, a]``  per-commodity cap on collected toll, ``min(N, pi_cost - L_lo)``
-  clamped at zero,
-* ``S[k, p]``  slack bound for path rows, ``base(p) + sum of N over p's tolled
-  arcs - L_lo``.
+* ``M[k]``  per-commodity cap on collected toll, ``min(N, pi_cost - L_lo)``
+  clamped at zero; since ``N`` is the largest such gap, this is the
+  commodity's own gap,
+* ``S[k, p]``  slack bound for path rows, ``base(p) + N * |tolled(p)| -
+  L_lo``.
 
-The three families depend on a commodity only through its destination
-(and ``pi_cost`` also through its origin), so each sweep runs once per
-destination: ``lam_lo`` reuses the network's cached zero-regime distances,
-which path enumeration already swept as its A* potential, and the
-infinite-toll and capped-toll sweeps are shared by every commodity with the
-same destination.
+The sweeps depend on a commodity only through its destination, so each
+runs once per destination and commodities that share a destination share
+one row: ``lam_lo`` is the network's cached zero-toll distance tuple, which
+path enumeration already swept as its A* potential, and the toll-free and
+capped sweeps run here, on price vectors built from ``network.int_costs``.
+:mod:`tollgate.shortest_path` searches with tolls at zero only.
+
+Every constant is stored as an integer over ``network.scale``, and becomes a
+``Fraction`` only where it leaves this module: through the accessors the
+model builders call (:attr:`BigMParams.toll_cap`, :meth:`~BigMParams.m_value`,
+:meth:`~BigMParams.r_value`, :meth:`~BigMParams.s_value`) and the
+per-commodity ``L_lo`` and ``pi_cost``.
 
 Values are computed once on the original network and looked up by original
-arc id, which keeps them valid on every reduced graph (the witness dual
+node id, which keeps them valid on every reduced graph (the witness dual
 vector for any optimal toll lives on the original network and transfers to
-subgraphs).  Entries whose supporting distance is infinite are simply absent;
-builders raise when they need one, naming the arc.
+subgraphs).  A node that cannot reach the destination has None in the
+distance rows; builders raise when they need a bound there, naming the arc.
 
 The slack bound of a dual arc row, ``cost (+ N if tolled) - lam_lo[tail] +
 lam_hi[head]``, is not stored: :meth:`BigMParams.r_value` evaluates it from
@@ -38,45 +45,60 @@ the arc's original endpoints, which also covers contracted arcs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .enumeration import BilevelFeasibleSet
-from .network import ArcId, Commodity, InstanceError, Network, Node
-from .shortest_path import NO_EXCLUSIONS, Prices, _distances, _regime_prices, zero_distances
+from .network import Commodity, InstanceError, Network, Node, Path
+from .shortest_path import NO_EXCLUSIONS, Prices, _distances, zero_distances
+
+# Integer distance to a destination per node; None marks a node that cannot
+# reach it.
+Row = Sequence[Optional[int]]
 
 
 @dataclass(frozen=True)
 class BigMParams:
-    """Exact big-M constants, keyed by original arc/node ids.
+    """Exact big-M constants as integers over ``scale``.
 
-    ``S`` is keyed by ``(commodity, position in the feasible set)``; use
-    :meth:`s_value` for paths outside the set (cut generation needs that).
+    ``lam_lo`` and ``lam_hi`` hold one distance row per commodity, indexed by
+    original node id; commodities with one destination share the row object.
+    ``S`` is keyed by ``(commodity, position in the feasible set)``;
+    :meth:`s_value` also bounds paths outside the set (cut generation needs
+    that).
     """
 
-    N: Mapping[ArcId, Fraction]
-    M: Mapping[tuple[int, ArcId], Fraction]
-    S: Mapping[tuple[int, int], Fraction]
-    lam_lo: Mapping[tuple[int, Node], Fraction]
-    lam_hi: Mapping[tuple[int, Node], Fraction]
-    L_lo: Mapping[int, Fraction]
-    pi_cost: Mapping[int, Fraction]
+    scale: int
+    N: int
+    M: tuple[int, ...]
+    S: Mapping[tuple[int, int], int]
+    lam_lo: tuple[Row, ...]
+    lam_hi: tuple[Row, ...]
+    L_lo: tuple[Fraction, ...]
+    pi_cost: tuple[Fraction, ...]
 
-    def s_value(
-        self, commodity: int, base_cost: Fraction, tolled_original_ids: Iterable[ArcId]
-    ) -> Fraction:
-        """The path slack bound for an arbitrary path of this commodity."""
-        total = base_cost - self.L_lo[commodity]
-        for aid in tolled_original_ids:
-            total += self.N[aid]
-        return total
+    @property
+    def toll_cap(self) -> Fraction:
+        """The upper bound N of every toll."""
+        return Fraction(self.N, self.scale)
 
-    @cached_property
-    def _toll_cap(self) -> Fraction:
-        """The largest toll cap, computed once (a :meth:`scaled` copy has its own)."""
-        return max(self.N.values(), default=Fraction(0))
+    def m_value(self, commodity: int) -> Fraction:
+        """The most toll ``commodity`` can be charged on any one arc."""
+        return Fraction(self.M[commodity], self.scale)
+
+    def s_value(self, commodity: int, path: Path, position: Optional[int] = None) -> Fraction:
+        """The path slack bound for a path of ``commodity``.
+
+        ``position`` names the path's place in the commodity's feasible set,
+        whose bound is stored; any other path is bounded from its base cost
+        and its number of tolled arcs.
+        """
+        stored = self.S.get((commodity, position))
+        if stored is not None:
+            return Fraction(stored, self.scale)
+        toll = Fraction(self.N * len(path.tolled_set), self.scale)
+        return path.cost - self.L_lo[commodity] + toll
 
     def r_value(
         self,
@@ -93,22 +115,16 @@ class BigMParams:
         when an endpoint cannot reach the commodity's destination (the bound
         would be infinite there).
         """
-        bound = cost - self.lam_lo[(commodity, orig_tail)] + self.lam_hi[(commodity, orig_head)]
+        try:
+            rise = self.lam_hi[commodity][orig_head] - self.lam_lo[commodity][orig_tail]
+        except (IndexError, TypeError):
+            raise KeyError(
+                f"commodity {commodity}: node {orig_tail} or {orig_head} "
+                "cannot reach the destination"
+            ) from None
         if tolled:
-            bound += self._toll_cap
-        return bound
-
-    def scaled(self, factor: int) -> "BigMParams":
-        """Every big-M multiplied by ``factor`` (validity stress testing)."""
-        if factor < 1:
-            raise ValueError("scale factor must be at least 1")
-        f = Fraction(factor)
-        return replace(
-            self,
-            N={k: v * f for k, v in self.N.items()},
-            M={k: v * f for k, v in self.M.items()},
-            S={k: v * f for k, v in self.S.items()},
-        )
+            rise += self.N
+        return cost + Fraction(rise, self.scale)
 
 
 def compute_bigm(
@@ -120,39 +136,15 @@ def compute_bigm(
 
     ``bfsets`` is only needed for the path bounds ``S``; pass the feasible
     sets of whichever commodities will be modeled with path rows.
-
-    Every value is computed on integers over ``network.scale`` and becomes a
-    ``Fraction`` once per destination, when it is stored.  The toll cap is
-    such a value, so the capped distances stay over the same denominator.
     """
-    scale = network.scale
-    int_costs = network.int_costs
-
-    def exact(value: int) -> Fraction:
-        return Fraction(value, scale)
-
+    arcs, int_costs, scale = network.arcs, network.int_costs, network.scale
     destinations = dict.fromkeys(com.destination for com in commodities)
 
-    def sweeps(prices: Prices) -> dict[Node, list[Optional[int]]]:
-        return {d: _distances(network, d, prices, NO_EXCLUSIONS) for d in destinations}
-
-    def per_commodity(
-        dists: Mapping[Node, Sequence[Optional[int]]]
-    ) -> dict[tuple[int, Node], Fraction]:
-        """Finite distances keyed by ``(commodity, node)``, exact once per destination."""
-        rows = {
-            d: [(node, exact(value)) for node, value in enumerate(dist) if value is not None]
-            for d, dist in dists.items()
-        }
-        out: dict[tuple[int, Node], Fraction] = {}
-        for k, com in enumerate(commodities):
-            for node, value in rows[com.destination]:
-                out[(k, node)] = value
-        return out
+    def sweeps(prices: Prices) -> dict[Node, tuple[Optional[int], ...]]:
+        return {d: tuple(_distances(network, d, prices, NO_EXCLUSIONS)) for d in destinations}
 
     lo = {d: zero_distances(network, d) for d in destinations}
-    free = sweeps(_regime_prices(network, "infinite", None)[0])
-    lam_lo = per_commodity(lo)
+    free = sweeps([None if arc.tolled else cost for arc, cost in zip(arcs, int_costs)])
     lo_int: list[int] = []
     pi_int: list[int] = []
     for k, com in enumerate(commodities):
@@ -163,29 +155,24 @@ def compute_bigm(
             )
         pi_int.append(pi)
         lo_int.append(lo[com.destination][com.origin])  # type: ignore[arg-type]
-    L_lo = {k: lam_lo[(k, com.origin)] for k, com in enumerate(commodities)}
-    pi_cost = {k: exact(pi) for k, pi in enumerate(pi_int)}
 
-    gaps = [max(0, pi - lo) for pi, lo in zip(pi_int, lo_int)]
-    cap_int = max(gaps, default=0)
-    cap = exact(cap_int)
-    N = {aid: cap for aid in network.tolled_ids}
-    M: dict[tuple[int, ArcId], Fraction] = {}
-    for k, gap in enumerate(gaps):
-        bound = exact(min(cap_int, gap))
-        for aid in network.tolled_ids:
-            M[(k, aid)] = bound
+    gaps = tuple(max(0, p - l) for p, l in zip(pi_int, lo_int))
+    cap = max(gaps, default=0)
+    hi = sweeps([cost + cap if arc.tolled else cost for arc, cost in zip(arcs, int_costs)])
 
-    # The cap's denominator divides ``scale``, so these prices (tolled arcs at
-    # base + cap) stay over the same denominator.
-    capped_prices, _ = _regime_prices(network, "capped", N)
-    lam_hi = per_commodity(sweeps(capped_prices))
+    S: dict[tuple[int, int], int] = {}
+    for k, bfset in (bfsets or {}).items():
+        for pos, path in enumerate(bfset.paths):
+            base = sum(int_costs[a] for a in path.arcs)
+            S[(k, pos)] = base + cap * len(path.tolled_set) - lo_int[k]
 
-    S: dict[tuple[int, int], Fraction] = {}
-    if bfsets:
-        for k, bfset in bfsets.items():
-            for pos, path in enumerate(bfset.paths):
-                base = sum(int_costs[a] for a in path.arcs)
-                S[(k, pos)] = exact(base + cap_int * len(path.tolled_set) - lo_int[k])
-
-    return BigMParams(N, M, S, lam_lo, lam_hi, L_lo, pi_cost)
+    return BigMParams(
+        scale=scale,
+        N=cap,
+        M=gaps,
+        S=S,
+        lam_lo=tuple(lo[com.destination] for com in commodities),
+        lam_hi=tuple(hi[com.destination] for com in commodities),
+        L_lo=tuple(Fraction(v, scale) for v in lo_int),
+        pi_cost=tuple(Fraction(v, scale) for v in pi_int),
+    )

@@ -33,11 +33,12 @@ from .network import Arc
 from .solver import (
     DEFAULT_BUDGET,
     STATUS_BUDGET,
+    STATUS_FEASIBLE,
     STATUS_OPTIMAL,
     Backend,
     SolveResult,
+    ScipyBackend,
     SolverError,
-    get_backend,
     solve,
 )
 
@@ -170,9 +171,7 @@ def _commodity_cut(
     cut = context.cut_paths.setdefault(k, set())
     if arcs in covered or arcs in cut:
         return None
-    s_val = context.bigm.s_value(
-        k, path.cost, [graph.original_tolled_id(r) for r in path.tolled_set]
-    )
+    s_val = context.bigm.s_value(k, path)
     tag = f"lin-cs-ap[{k},cut{len(cut)}]"
     _emit_path_slack_on_flows(
         context.ir, tag, k, path, s_val, _toll_names(context.ir, graph), flows
@@ -190,12 +189,13 @@ def solve_with_vfcs_cuts(
     """Solve ``context`` to optimality under the feasibility cut loop.
 
     ``budget`` caps the total wall time across rounds.  When it runs out,
-    the best incumbent so far is returned with budget-exhausted status; its
-    objective may overstate the true optimum, since the pending cut was
-    never applied.  Models without cut-needing blocks go through a single
-    plain solve.  The result's ``mip_nodes`` counts the nodes of every round.
+    between rounds or inside one, the last incumbent is returned with
+    budget-exhausted status; its objective may overstate the true optimum,
+    since its pending cuts were never checked or applied.  Models without
+    cut-needing blocks go through a single plain solve.  The result's
+    ``mip_nodes`` counts the nodes of every round.
     """
-    chosen = backend if backend is not None else get_backend()
+    chosen = backend if backend is not None else ScipyBackend()
     deadline = time.monotonic() + budget
     start = time.monotonic()
     rounds = 0
@@ -220,9 +220,13 @@ def solve_with_vfcs_cuts(
         result.cut_rounds = rounds
         result.mip_nodes = nodes
         result.wall_time = time.monotonic() - start
-        if result.status != STATUS_OPTIMAL:
-            return result
         if not context.needs_cuts:
+            return result
+        if result.status != STATUS_OPTIMAL:
+            if result.status == STATUS_FEASIBLE:
+                # Stopped inside the round: the point was never checked for
+                # cuts, so it is no more certified than a between-rounds stop.
+                result.status = STATUS_BUDGET
             return result
         tag = vfcs_feasibility_cut(context, result)
         if tag is None:

@@ -72,14 +72,6 @@ class BilevelFeasibleSet:
         return iter(self.paths)
 
     @property
-    def tolled_universe(self) -> frozenset[ArcId]:
-        """All tolled arc ids used by some path in the set."""
-        out: set[ArcId] = set()
-        for p in self.paths:
-            out |= p.tolled_set
-        return frozenset(out)
-
-    @property
     def arc_union(self) -> frozenset[ArcId]:
         out: set[ArcId] = set()
         for p in self.paths:
@@ -154,10 +146,10 @@ def enumerate_paths(
         raise ValueError("cap must be at least 1 (or None for unbounded)")
     origin, dest = commodity.origin, commodity.destination
     int_costs, scale = network.int_costs, network.scale
-    # Every search runs toward ``dest``, so its exact zero-regime distances
+    # Every search runs toward ``dest``, so its exact zero-toll distances
     # are an A* potential for all of them (see shortest_path).
     potential = zero_distances(network, dest)
-    first = _search(network, origin, dest, int_costs, NO_EXCLUSIONS, potential)
+    first = _search(network, origin, dest, NO_EXCLUSIONS, potential)
     if first is None:
         raise ConsistencyError(f"no path from {origin} to {dest}")
 
@@ -201,7 +193,6 @@ def enumerate_paths(
                 network,
                 nodes[spur],
                 dest,
-                int_costs,
                 ExclusionSet(arcs=child_banned, nodes=frozenset(nodes[:spur])),
                 potential,
             )

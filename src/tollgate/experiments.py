@@ -80,8 +80,8 @@ def run_one(
 ) -> RunRecord:
     """One sweep cell.  Build or solve trouble becomes an ``error`` row.
 
-    ``backend`` defaults to :func:`solver.get_backend`'s choice;
-    ``paper_exact`` is passed to :func:`formulations.assemble_hybrid`.
+    ``backend`` defaults to ``ScipyBackend()``; ``paper_exact`` is passed
+    to :func:`formulations.assemble_hybrid`.
     """
     kind = get_kind(kind)
     label = instance.label

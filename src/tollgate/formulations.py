@@ -172,9 +172,10 @@ def var_L(k: int) -> str:
 
 
 def declare_tolls(model: ModelIR, network: Network, bigm: BigMParams) -> None:
-    """Declare one shared ``T[a]`` per original tolled arc, bounded by N_a."""
+    """Declare one shared ``T[a]`` per original tolled arc, bounded by N."""
+    cap = bigm.toll_cap
     for aid in network.tolled_ids:
-        model.add_variable(var_T(aid), 0, bigm.N[aid])
+        model.add_variable(var_T(aid), 0, cap)
 
 
 def _flow_name(k: int, arc: Arc) -> str:
@@ -362,11 +363,10 @@ def _emit_direct_rows(model: ModelIR, b: _Block, bigm: BigMParams, two_sided: bo
     """
     net = b.graph.network
     side = b.suffix[0]
+    m_val = bigm.m_value(b.k)
+    n_val = bigm.toll_cap
     for rid, tname in zip(net.tolled_ids, b.revenue):
-        orig = b.graph.original_tolled_id(rid)
         toll = b.tolls[rid]
-        m_val = bigm.M[(b.k, orig)]
-        n_val = bigm.N[orig]
         usage = b.users(net.arcs[rid])
         upper = [(1, tname)] + [(-m_val, name) for name in usage]
         model.add_constraint(f"direct{side}1[{b.k},{rid}]", upper, "<=", 0)
@@ -388,11 +388,7 @@ def _emit_cs_rows(model: ModelIR, b: _Block, bigm: BigMParams) -> None:
             model.add_constraint(f"{tag}[{k},{arc.index}]", terms, ">=", arc.cost - r_val)
         return
     for pos, path in enumerate(b.paths):
-        s_val = bigm.S.get((k, pos))
-        if s_val is None:
-            s_val = bigm.s_value(
-                k, path.cost, [b.graph.original_tolled_id(r) for r in path.tolled_set]
-            )
+        s_val = bigm.s_value(k, path, pos)
         tag = f"lin-cs-{b.suffix}[{k},{pos}]"
         if b.kind.primal_rep == PATH:
             terms = _path_bound_terms(k, path, b.tolls) + [(-s_val, b.primal[pos])]

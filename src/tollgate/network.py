@@ -167,7 +167,7 @@ class Network:
     ``in_adj``, per node, one ``(other endpoint, arc id)`` pair per outgoing /
     incoming arc, in arc order.
 
-    It also caches, per destination, the zero-regime distances that
+    It also caches, per destination, the zero-toll distances that
     :func:`~tollgate.shortest_path.zero_distances` sweeps, so path
     enumeration and the big-M constants share one sweep per destination.
     Each entry is a pure function of the immutable graph, stored as a

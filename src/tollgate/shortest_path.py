@@ -1,33 +1,31 @@
-"""Shortest paths under the three toll regimes, with arc/node exclusions.
+"""Zero-toll shortest paths with arc/node exclusions.
 
-Regimes fix how tolled arcs are priced while toll-free arcs always cost their
-base cost:
-
-* ``"zero"``      tolled arcs cost their base cost (tolls at zero),
-* ``"capped"``    tolled arcs cost base + cap (caller supplies the caps),
-* ``"infinite"``  tolled arcs are unusable (removed, not priced).
+Every search here prices each arc at its base cost, that is with tolls at
+zero; a search that must avoid some arcs, such as the tolled arcs off a
+witness path, excludes them.  :mod:`tollgate.bigm` is the only module that
+prices tolled arcs otherwise (unusable, or at cost plus the toll cap): it
+builds those price vectors itself and sweeps them with :func:`_distances`.
 
 Ties between equal-cost paths break toward the lexicographically smallest arc
 index sequence, which makes every search in this package deterministic.
 
-The searches run on exact integers: every arc's regime price is its cost
-times a common denominator (the network's ``scale``, or under ``"capped"``
-the least common multiple of ``scale`` and the cap denominators).  Scaling
-by one positive integer preserves every sum and comparison, so the results
-equal those of a search on the rationals.  Values leave this module as
+The searches run on exact integers: each arc's price is its cost times the
+network's ``scale``, the common denominator of the costs.  Scaling by one
+positive integer preserves every sum and comparison, so the results equal
+those of a search on the rationals.  Values leave this module as
 ``Fraction``: :attr:`Path.cost` and the entries of :func:`distances_to`.
 
 One search loop serves every point-to-point query: A* (Hart, Nilsson &
 Raphael, 1968) over a per-node integer *potential*, a lower bound on the
 cost still to go.  Plain Dijkstra is the zero potential, which
-:func:`shortest_path` uses; path enumeration passes the exact zero-regime
+:func:`shortest_path` uses; path enumeration passes the exact zero-toll
 distances to the target, computed once per destination per network (see
 :func:`zero_distances`), so its spur searches head straight for the
 target.  Those distances stay a valid potential under any exclusion set,
 since excluding arcs or nodes only lengthens paths, and a node they mark
 unreachable is never entered.
 
-The potential must be *consistent*: ``h[u] <= price(u, v) + h[v]`` for every
+The potential must be *consistent*: ``h[u] <= cost(u, v) + h[v]`` for every
 usable arc.  Then goal direction changes no result, tie-breaks included.
 Heap entries are ``(cost + h[node], cost, arc sequence, node)``.  Two labels
 at the same node share ``h[node]``, so they compare exactly as
@@ -45,16 +43,14 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .network import ArcId, Network, Node, Path
-
-REGIMES = ("zero", "capped", "infinite")
 
 Cost = Union[Fraction, float]  # float only for math.inf markers
 INFINITY: float = math.inf
 
-# Integer price per arc id; None marks an arc the regime makes unusable.
+# Integer price per arc id; None marks an arc a sweep must not use.
 Prices = Sequence[Optional[int]]
 # Integer lower bound per node on the cost still to go; None marks a node
 # that cannot reach the target.
@@ -74,37 +70,6 @@ class ExclusionSet:
 
 
 NO_EXCLUSIONS = ExclusionSet()
-
-
-def _check_regime(network: Network, regime: str, caps: Optional[Mapping[ArcId, Fraction]]) -> None:
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
-    if regime == "capped":
-        if caps is None:
-            raise ValueError("capped regime needs a cap per tolled arc")
-        missing = [a for a in network.tolled_ids if a not in caps]
-        if missing:
-            raise ValueError(f"capped regime is missing caps for tolled arcs {missing}")
-
-
-def _regime_prices(
-    network: Network, regime: str, caps: Optional[Mapping[ArcId, Fraction]]
-) -> tuple[Prices, int]:
-    """Integer price of every arc under the regime, and their denominator."""
-    if regime == "zero":
-        return network.int_costs, network.scale
-    if regime == "infinite":
-        return [
-            None if arc.tolled else cost
-            for arc, cost in zip(network.arcs, network.int_costs)
-        ], network.scale
-    tolled_caps = {aid: Fraction(caps[aid]) for aid in network.tolled_ids}  # type: ignore[index]
-    scale = math.lcm(network.scale, *(c.denominator for c in tolled_caps.values()))
-    factor = scale // network.scale
-    prices = [cost * factor for cost in network.int_costs]
-    for aid, cap in tolled_caps.items():
-        prices[aid] += cap.numerator * (scale // cap.denominator)
-    return prices, scale
 
 
 def _distances(
@@ -143,7 +108,7 @@ def _distances(
 
 
 def zero_distances(network: Network, target: Node) -> tuple[Optional[int], ...]:
-    """Integer zero-regime cost of the cheapest path from every node to ``target``.
+    """Integer zero-toll cost of the cheapest path from every node to ``target``.
 
     The sweep runs once per destination per network: the first call stores
     its result on ``network`` and later calls return that same tuple.  None
@@ -164,11 +129,10 @@ def _search(
     network: Network,
     source: Node,
     target: Node,
-    prices: Prices,
     excluded: ExclusionSet,
     potential: Potential,
 ) -> Optional[tuple[int, tuple[ArcId, ...]]]:
-    """Integer cost and arc sequence of the cheapest ``source -> target`` path.
+    """Integer zero-toll cost and arc sequence of the cheapest ``source -> target`` path.
 
     A* with ``potential`` as the estimate of each node's remaining cost; a
     node whose potential is None is never entered.  Returns None when no
@@ -179,7 +143,7 @@ def _search(
     if start is None:
         return None
     banned_arcs, banned_nodes = excluded.arcs, excluded.nodes
-    out_adj = network.out_adj
+    out_adj, prices = network.out_adj, network.int_costs
     # Entries are (cost + potential, cost, arc sequence, node).  Positive
     # costs and a consistent potential make the first pop per node carry its
     # minimal (cost, sequence) label.
@@ -197,13 +161,10 @@ def _search(
         for head, aid in out_adj[node]:
             if head in settled or aid in banned_arcs or head in banned_nodes:
                 continue
-            price = prices[aid]
-            if price is None:
-                continue
             estimate = potential[head]
             if estimate is None:
                 continue
-            candidate = cost + price
+            candidate = cost + prices[aid]
             known = best.get(head)
             if known is not None and candidate > known:
                 continue
@@ -216,48 +177,38 @@ def shortest_path(
     network: Network,
     source: Node,
     target: Node,
-    regime: str = "zero",
-    caps: Optional[Mapping[ArcId, Fraction]] = None,
     excluded: ExclusionSet = NO_EXCLUSIONS,
     commodity: int = -1,
 ) -> Optional[Path]:
-    """Cheapest ``source -> target`` path under the regime, or None.
+    """Cheapest zero-toll ``source -> target`` path avoiding ``excluded``, or None.
 
     Among equal-cost paths the one with the lexicographically smallest arc
-    index sequence wins.  The returned :class:`Path` carries base costs (the
-    regime only steers the search), so its ``cost`` equals the regime cost
-    only under ``"zero"``.
+    index sequence wins.
     """
-    _check_regime(network, regime, caps)
     if not (0 <= source < network.num_nodes and 0 <= target < network.num_nodes):
         raise ValueError("source or target out of range")
     if source in excluded.nodes or target in excluded.nodes:
         raise ValueError("source and target must not be excluded")
     if source == target:
         raise ValueError("source equals target")
-
-    prices, _ = _regime_prices(network, regime, caps)
-    found = _search(network, source, target, prices, excluded, [0] * network.num_nodes)
+    found = _search(network, source, target, excluded, [0] * network.num_nodes)
     return None if found is None else network.path(found[1], commodity)
 
 
 def distances_to(
-    network: Network,
-    target: Node,
-    regime: str = "zero",
-    caps: Optional[Mapping[ArcId, Fraction]] = None,
-    excluded: ExclusionSet = NO_EXCLUSIONS,
+    network: Network, target: Node, excluded: ExclusionSet = NO_EXCLUSIONS
 ) -> dict[Node, Cost]:
-    """Cost of the cheapest path from every node to ``target`` under the regime.
+    """Zero-toll cost of the cheapest path from every node to ``target``.
 
     Runs one backward sweep over reversed arcs.  Unreachable nodes map to
     ``math.inf`` (comparisons against Fractions behave as expected).
     """
-    _check_regime(network, regime, caps)
     if not (0 <= target < network.num_nodes):
         raise ValueError("target out of range")
-    prices, scale = _regime_prices(network, regime, caps)
+    scale = network.scale
     return {
         node: INFINITY if value is None else Fraction(value, scale)
-        for node, value in enumerate(_distances(network, target, prices, excluded))
+        for node, value in enumerate(
+            _distances(network, target, network.int_costs, excluded)
+        )
     }

@@ -17,11 +17,11 @@ device while HiGHS runs; otherwise they land inside the CSV that
 
 ``CommandBackend`` shells out to any solver that can read an LP file and
 print ``name value`` lines, configured through a command template.  Callers
-pick one by passing it as ``backend=``; without one, :func:`get_backend`
-reads a template from the ``TOLLGATE_SOLVER_CMD`` environment variable and
-falls back to scipy.  Every solve is re-checked against the model's own
-constraint list before the result is returned, so a backend that lies about
-feasibility is caught here rather than in downstream math.
+pick one by passing it as ``backend=`` (the command line's ``--solver-cmd``
+builds a ``CommandBackend``); without one, ``ScipyBackend`` solves.  Every
+solve is re-checked against the model's own constraint list before the
+result is returned, so a backend that lies about feasibility is caught here
+rather than in downstream math.
 """
 
 from __future__ import annotations
@@ -367,18 +367,6 @@ class CommandBackend:
         )
 
 
-def get_backend() -> Backend:
-    """Pick the default backend: a command template if set, scipy otherwise.
-
-    The template is read from the ``TOLLGATE_SOLVER_CMD`` environment
-    variable.
-    """
-    template = os.environ.get("TOLLGATE_SOLVER_CMD")
-    if template:
-        return CommandBackend(template)
-    return ScipyBackend()
-
-
 def solve(
     model: ModelIR,
     budget: float = DEFAULT_BUDGET,
@@ -397,7 +385,7 @@ def solve(
             best_bound=0.0,
             backend="empty",
         )
-    chosen = backend if backend is not None else get_backend()
+    chosen = backend if backend is not None else ScipyBackend()
     result = chosen.solve(model, budget)
     if result.assignment:
         bad = model.violations(result.assignment, tolerance=CHECK_TOLERANCE)

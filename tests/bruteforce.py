@@ -51,6 +51,28 @@ def tolled_part(network: Network, arcs: tuple[int, ...]) -> frozenset[int]:
     return frozenset(a for a in arcs if network.arc(a).tolled)
 
 
+def fraction_distances(network: Network, target: int, price) -> dict:
+    """Bellman-Ford to ``target`` on Fractions; ``price(arc)`` None = unusable.
+
+    Maps every node to its cheapest cost to ``target``, None when it has none.
+    """
+    dist = {node: None for node in range(network.num_nodes)}
+    dist[target] = Fraction(0)
+    for _ in range(network.num_nodes):
+        changed = False
+        for arc in network.arcs:
+            cost = price(arc)
+            if cost is None or dist[arc.head] is None:
+                continue
+            candidate = cost + dist[arc.head]
+            if dist[arc.tail] is None or candidate < dist[arc.tail]:
+                dist[arc.tail] = candidate
+                changed = True
+        if not changed:
+            break
+    return dist
+
+
 def naive_feasible_paths(
     network: Network, origin: int, dest: int
 ) -> list[tuple[int, ...]]:

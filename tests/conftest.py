@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from tollgate.bigm import compute_bigm
+from tollgate.bigm import BigMParams, compute_bigm
 from tollgate.enumeration import enumerate_paths, perturb_costs
 from tollgate.formulations import build_single
 from tollgate.generator import GenConfig, GenError, generate, parse_topology
@@ -70,6 +71,22 @@ def fixture_model(
         instance, kind, bigm, [enum], preprocess=preprocess, allow_vfcs=True,
         paper_exact=paper_exact,
     ).ir
+
+
+def scaled_bigm(params: BigMParams, factor: int) -> BigMParams:
+    """``params`` with every big-M multiplied by ``factor`` (validity stress testing).
+
+    The toll cap, the per-commodity caps and the stored path bounds grow; the
+    distance rows do not, so a dual slack bound grows only through the cap.
+    """
+    if factor < 1:
+        raise ValueError("scale factor must be at least 1")
+    return replace(
+        params,
+        N=params.N * factor,
+        M=tuple(m * factor for m in params.M),
+        S={key: value * factor for key, value in params.S.items()},
+    )
 
 
 def three_role_instance(fig: ProblemInstance):

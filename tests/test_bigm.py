@@ -2,7 +2,7 @@
 
 On the five-node fixture the toll-free fallback costs 10 and the cheapest
 zero-toll route costs 3, so every toll cap is 7.  The dual bounds come from
-two shortest-path sweeps: zero-regime distances to the destination give the
+two shortest-path sweeps: zero-toll distances to the destination give the
 lower potentials, cap-inflated distances the upper ones.
 """
 
@@ -10,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import scaled_bigm
 from tollgate.bigm import compute_bigm
-from tollgate.network import Arc, Commodity, InstanceError, Network, ProblemInstance
+from tollgate.network import Arc, Commodity, InstanceError, Network
+from tollgate.shortest_path import zero_distances
 
 LAM_LO = {0: 3, 1: 2, 2: 1, 3: 2, 4: 0}
 LAM_HI = {0: 10, 1: 3, 2: 4, 3: 2, 4: 0}
@@ -19,15 +21,16 @@ R_BY_ARC = {0: 8, 1: 10, 2: 7, 3: 3, 4: 0, 5: 1, 6: 7}
 
 
 def test_toll_caps(fig_bigm):
-    assert fig_bigm.N == {0: Fraction(7), 1: Fraction(7), 2: Fraction(7)}
-    assert fig_bigm.M == {(0, a): Fraction(7) for a in (0, 1, 2)}
-    assert fig_bigm.L_lo == {0: Fraction(3)}
-    assert fig_bigm.pi_cost == {0: Fraction(10)}
+    assert fig_bigm.scale == 1
+    assert fig_bigm.toll_cap == Fraction(7)
+    assert fig_bigm.m_value(0) == Fraction(7)
+    assert fig_bigm.L_lo == (Fraction(3),)
+    assert fig_bigm.pi_cost == (Fraction(10),)
 
 
 def test_potential_bounds(fig_bigm):
-    assert {n: fig_bigm.lam_lo[(0, n)] for n in range(5)} == LAM_LO
-    assert {n: fig_bigm.lam_hi[(0, n)] for n in range(5)} == LAM_HI
+    assert dict(enumerate(fig_bigm.lam_lo[0])) == LAM_LO
+    assert dict(enumerate(fig_bigm.lam_hi[0])) == LAM_HI
 
 
 def test_dual_slack_bounds(fig, fig_bigm):
@@ -51,18 +54,14 @@ def test_r_value_unreachable_endpoint_raises(fig_bigm):
 
 
 def test_path_slack_bounds(fig_bigm):
-    assert fig_bigm.S == {
-        (0, 0): Fraction(21),
-        (0, 1): Fraction(8),
-        (0, 2): Fraction(7),
-    }
+    assert fig_bigm.S == {(0, 0): 21, (0, 1): 8, (0, 2): 7}
 
 
 def test_s_value_agrees_with_table_and_extends(fig, fig_bigm, fig_bfset):
     for pos, p in enumerate(fig_bfset.paths):
-        assert fig_bigm.s_value(0, p.cost, p.tolled_set) == fig_bigm.S[(0, pos)]
+        assert fig_bigm.s_value(0, p) == fig_bigm.s_value(0, p, pos) == fig_bigm.S[(0, pos)]
     dominated = fig.network.path([0, 1, 3, 4])
-    assert fig_bigm.s_value(0, dominated.cost, dominated.tolled_set) == 17
+    assert fig_bigm.s_value(0, dominated) == 17
 
 
 def test_dead_arcs_carry_no_r_bound(fig):
@@ -73,16 +72,20 @@ def test_dead_arcs_carry_no_r_bound(fig):
     dead = widened.arc(7)
     with pytest.raises(KeyError):
         params.r_value(0, dead.cost, dead.tolled, dead.tail, dead.head)
-    assert (0, 5) not in params.lam_lo
+    assert params.lam_lo[0][5] is None
 
 
 def test_multi_commodity_caps_take_the_max(fig):
     both = (fig.commodities[0], Commodity(1, 4, Fraction(2)))
     params = compute_bigm(fig.network, both)
     # Second commodity: toll-free cost 3, zero-toll cost 2, so its gap is 1.
-    assert params.N == {a: Fraction(7) for a in (0, 1, 2)}
-    assert params.M[(1, 0)] == 1
-    assert params.M[(0, 0)] == 7
+    assert params.toll_cap == 7
+    assert params.M == (7, 1)
+    assert params.m_value(1) == 1
+    # One destination: both commodities share its distance rows, and the
+    # zero-toll row is the network's cached sweep.
+    assert params.lam_lo[0] is params.lam_lo[1] is zero_distances(fig.network, 4)
+    assert params.lam_hi[0] is params.lam_hi[1]
 
 
 def test_no_toll_free_route_is_an_error():
@@ -95,16 +98,16 @@ def test_no_toll_free_route_is_an_error():
         compute_bigm(net, (Commodity(0, 1, Fraction(1)),))
 
 
-def test_scaled_multiplies_only_big_ms(fig, fig_bigm):
-    doubled = fig_bigm.scaled(2)
-    assert doubled.N[0] == 14
-    assert doubled.M[(0, 1)] == 14
+def test_scaled_multiplies_only_big_ms(fig, fig_bigm, fig_bfset):
+    doubled = scaled_bigm(fig_bigm, 2)
+    assert doubled.toll_cap == 14
+    assert doubled.m_value(0) == 14
     # The dual slack bound grows only through the toll cap it contains.
     for aid, expected in ((0, 8 + 7), (3, 3)):
         arc = fig.network.arc(aid)
         assert doubled.r_value(0, arc.cost, arc.tolled, arc.tail, arc.head) == expected
-    assert doubled.S[(0, 1)] == 16
+    assert doubled.s_value(0, fig_bfset.paths[1], 1) == 16
     assert doubled.lam_lo == fig_bigm.lam_lo
     assert doubled.L_lo == fig_bigm.L_lo
     with pytest.raises(ValueError):
-        fig_bigm.scaled(0)
+        scaled_bigm(fig_bigm, 0)

@@ -14,14 +14,6 @@ from tollgate import cli, experiments
 from tollgate.cli import main
 from tollgate.network import serialize_instance
 
-pytestmark = pytest.mark.usefixtures("clear_solver_env")
-
-
-@pytest.fixture
-def clear_solver_env(monkeypatch):
-    monkeypatch.delenv("TOLLGATE_SOLVER_CMD", raising=False)
-
-
 @pytest.fixture
 def fig_file(tmp_path, fig):
     path = tmp_path / "five.npp"
@@ -393,7 +385,6 @@ def test_sweep_to_stdout_is_pure_csv(tmp_path):
     # solves; none of it may reach the CSV.
     src = str(Path(tollgate.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    env.pop("TOLLGATE_SOLVER_CMD", None)
     instance = tmp_path / "g17.npp"
 
     def cli(*args):
@@ -419,7 +410,6 @@ def test_output_to_a_closed_pipe_ends_quietly(fig_file):
     # whether stdout is buffered or not.
     src = str(Path(tollgate.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    env.pop("TOLLGATE_SOLVER_CMD", None)
     for unbuffered in ("", "1"):
         env["PYTHONUNBUFFERED"] = unbuffered
         reader, writer = os.pipe()

@@ -108,6 +108,31 @@ def test_zero_budget_reports_exhaustion(fig, fig_enum, fig_bigm):
     assert res.status == "budget-exhausted"
 
 
+class StopsInsideTheRound:
+    """Solves with scipy, then reports the point as an unproven incumbent,
+    as HiGHS does when the budget runs out during a solve."""
+
+    name = "stops-inside"
+
+    def solve(self, model, budget):
+        result = ScipyBackend().solve(model, budget)
+        result.status = "feasible"
+        result.best_bound = None
+        return result
+
+
+def test_budget_stop_inside_a_round_reports_exhaustion(fig, fig_enum, fig_bigm):
+    context = identity_model(fig, fig_enum, fig_bigm, "VFCS1", paper_exact=True)
+    res = solve_with_vfcs_cuts(context, backend=StopsInsideTheRound(), budget=120)
+    assert res.status == "budget-exhausted"
+    assert res.cut_rounds == 0
+    # The point routes over the dominated detour, which no row covers yet.
+    assert vfcs_feasibility_cut(context, res) == "lin-cs-ap[0,cut0]"
+    # A model without cut-needing blocks keeps the backend's status.
+    plain = build_single(fig, "STD", fig_bigm, [fig_enum])
+    assert solve_with_vfcs_cuts(plain, backend=StopsInsideTheRound()).status == "feasible"
+
+
 def test_round_limit_guards_against_runaway(fig, fig_enum, fig_bigm):
     context = identity_model(fig, fig_enum, fig_bigm, "VFCS1", paper_exact=True)
     with pytest.raises(SolverError, match="round"):

@@ -38,7 +38,6 @@ def test_feasible_set_drops_dominated(fig_enum):
     assert [p.cost for p in bf.paths] == [3, 4, 10]
     assert bf.exhaustive
     assert len(bf) == 3
-    assert bf.tolled_universe == frozenset({0, 1, 2})
     assert bf.arc_union == frozenset({0, 1, 2, 5, 6})
 
 

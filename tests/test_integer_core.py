@@ -18,9 +18,9 @@ from tollgate.bigm import BigMParams, compute_bigm
 from tollgate.enumeration import enumerate_paths, perturb_costs
 from tollgate.generator import GenConfig, generate, parse_topology
 from tollgate.network import Arc, Network, ProblemInstance
-from tollgate.shortest_path import INFINITY, distances_to, shortest_path
 
-from bruteforce import all_simple_paths, path_cost, tolled_part
+from bruteforce import all_simple_paths, fraction_distances, path_cost, tolled_part
+from conftest import scaled_bigm
 
 TOPOLOGIES = ("grid:4x4", "delaunay:10")
 
@@ -34,26 +34,12 @@ def perturbed(request) -> ProblemInstance:
     return ProblemInstance(net, raw.commodities, raw.label)
 
 
-def fraction_distances(network: Network, target: int, price) -> dict:
-    """Bellman-Ford to ``target`` on Fractions; ``price(arc)`` None = unusable."""
-    dist = {node: None for node in range(network.num_nodes)}
-    dist[target] = Fraction(0)
-    for _ in range(network.num_nodes):
-        for arc in network.arcs:
-            cost = price(arc)
-            if cost is None or dist[arc.head] is None:
-                continue
-            candidate = cost + dist[arc.head]
-            if dist[arc.tail] is None or candidate < dist[arc.tail]:
-                dist[arc.tail] = candidate
-    return dist
-
-
 def reference_bigm(network: Network, commodities, bfsets):
     """The big-M families from their definitions, on Fractions throughout.
 
-    Returns the parameters and, apart from them, the dual slack bound of
-    every (commodity, arc) pair whose endpoint distances are finite.
+    Returns the families keyed as :func:`as_fractions` keys them and, apart
+    from them, the dual slack bound of every (commodity, arc) pair whose
+    endpoint distances are finite.
     """
     zero = [
         fraction_distances(network, com.destination, lambda a: a.cost)
@@ -69,8 +55,7 @@ def reference_bigm(network: Network, commodities, bfsets):
     pi_cost = {k: free[k][com.origin] for k, com in enumerate(commodities)}
     gaps = {k: max(Fraction(0), pi_cost[k] - L_lo[k]) for k in L_lo}
     cap = max(gaps.values())
-    N = {a: cap for a in network.tolled_ids}
-    M = {(k, a): min(cap, gaps[k]) for k in gaps for a in network.tolled_ids}
+    M = {k: min(cap, gaps[k]) for k in gaps}
     capped = [
         fraction_distances(
             network, com.destination, lambda a: a.cost + cap if a.tolled else a.cost
@@ -93,7 +78,36 @@ def reference_bigm(network: Network, commodities, bfsets):
         for k, bfset in bfsets.items()
         for pos, path in enumerate(bfset.paths)
     }
-    return BigMParams(N, M, S, lam_lo, lam_hi, L_lo, pi_cost), R
+    families = dict(
+        N=cap, M=M, S=S, lam_lo=lam_lo, lam_hi=lam_hi, L_lo=L_lo, pi_cost=pi_cost
+    )
+    return families, R
+
+
+def as_fractions(params: BigMParams) -> dict:
+    """Every family of ``params`` as exact Fractions, keyed by commodity and
+    node or feasible-set position; unreachable nodes are left out."""
+
+    def exact(value: int) -> Fraction:
+        return Fraction(value, params.scale)
+
+    def rows(table):
+        return {
+            (k, node): exact(value)
+            for k, row in enumerate(table)
+            for node, value in enumerate(row)
+            if value is not None
+        }
+
+    return dict(
+        N=params.toll_cap,
+        M={k: params.m_value(k) for k in range(len(params.M))},
+        S={key: exact(value) for key, value in params.S.items()},
+        lam_lo=rows(params.lam_lo),
+        lam_hi=rows(params.lam_hi),
+        L_lo=dict(enumerate(params.L_lo)),
+        pi_cost=dict(enumerate(params.pi_cost)),
+    )
 
 
 def test_scale_is_the_common_denominator():
@@ -144,46 +158,18 @@ def test_enumeration_follows_the_brute_force_cost_order(perturbed):
                 )
 
 
-def test_capped_caps_outside_the_scale_stay_exact():
-    # Half-integer costs (scale 2) with caps in thirds: the search runs over 6.
-    arcs = [
-        Arc(0, 0, 1, Fraction(1, 2), True),
-        Arc(1, 1, 3, Fraction(1, 2), True),
-        Arc(2, 0, 2, Fraction(3, 2), False),
-        Arc(3, 2, 3, Fraction(1, 2), False),
-        Arc(4, 1, 2, Fraction(1, 2), False),
-        Arc(5, 0, 3, Fraction(5, 2), True),
-    ]
-    net = Network(4, arcs)
-    assert net.scale == 2
-    caps = {0: Fraction(1, 3), 1: Fraction(2, 3), 5: Fraction(1, 3)}
-    price = lambda a: a.cost + caps[a.index] if a.tolled else a.cost
-    expected = fraction_distances(net, 3, price)
-    assert distances_to(net, 3, "capped", caps=caps) == {
-        node: INFINITY if value is None else value for node, value in expected.items()
-    }
-    # 0->1->2->3 costs 1/2+1/3 + 1/2 + 1/2 = 11/6, below 0->2->3 (2) and 0->1->3 (2).
-    assert expected[0] == Fraction(11, 6)
-    best = shortest_path(net, 0, 3, "capped", caps=caps)
-    assert best.arcs == (0, 4, 3)
-    assert best.cost == Fraction(3, 2)
-
-
 def test_capped_search_matches_brute_force(perturbed):
-    net = perturbed.network
-    caps = {a: Fraction(1, 3) + Fraction(a, 7) for a in net.tolled_ids}
-    price = lambda a: a.cost + caps[a.index] if a.tolled else a.cost
-    for com in perturbed.commodities:
-        ranked = sorted(
-            all_simple_paths(net, com.origin, com.destination),
-            key=lambda arcs: (sum(price(net.arc(a)) for a in arcs), arcs),
-        )
-        best = shortest_path(net, com.origin, com.destination, "capped", caps=caps)
-        assert best.arcs == ranked[0]
-        assert best.cost == path_cost(net, ranked[0])
-        assert distances_to(net, com.destination, "capped", caps=caps)[com.origin] == sum(
-            price(net.arc(a)) for a in ranked[0]
-        )
+    # The capped and toll-free sweeps of the big-M constants against the
+    # cheapest simple path priced the same way.
+    net, commodities = perturbed.network, perturbed.commodities
+    params = compute_bigm(net, commodities)
+    cap = params.toll_cap
+    for k, com in enumerate(commodities):
+        ranked = all_simple_paths(net, com.origin, com.destination)
+        capped = min(path_cost(net, a) + cap * len(tolled_part(net, a)) for a in ranked)
+        free = min(path_cost(net, a) for a in ranked if not tolled_part(net, a))
+        assert Fraction(params.lam_hi[k][com.origin], params.scale) == capped
+        assert params.pi_cost[k] == free
 
 
 def test_compute_bigm_matches_a_fraction_reference(perturbed):
@@ -194,7 +180,11 @@ def test_compute_bigm_matches_a_fraction_reference(perturbed):
     }
     params = compute_bigm(net, commodities, bfsets)
     reference, R = reference_bigm(net, commodities, bfsets)
-    assert params == reference
+    assert as_fractions(params) == reference
+    for k, bfset in bfsets.items():
+        for pos, path in enumerate(bfset.paths):
+            expected = reference["S"][(k, pos)]
+            assert params.s_value(k, path) == params.s_value(k, path, pos) == expected
     for k in range(len(commodities)):
         for arc in net.arcs:
             args = (k, arc.cost, arc.tolled, arc.tail, arc.head)
@@ -206,7 +196,7 @@ def test_compute_bigm_matches_a_fraction_reference(perturbed):
 
 
 def test_r_value_cap_follows_scaled(fig, fig_bigm):
-    tripled = fig_bigm.scaled(3)
+    tripled = scaled_bigm(fig_bigm, 3)
     arc = fig.network.arc(0)
     base = fig_bigm.r_value(0, arc.cost, False, arc.tail, arc.head)
     assert fig_bigm.r_value(0, arc.cost, True, arc.tail, arc.head) == base + 7

@@ -366,9 +366,20 @@ SWEEP_LP_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("kind, breakpoint", sorted(SWEEP_LP_SHA256))
-def test_sweep_scale_lp_text_is_pinned(kind, breakpoint):
-    instance = sweep_instance("grid:5x12")
+# Main kinds that read the big-M distance rows: CS1 (arc duals, through
+# ``r_value``) and PACS2 (path duals, through the stored path bounds), at
+# breakpoint 8 on both sweep topologies, 40 commodities perturbed at seed 0,
+# fallback STD.  Recorded before the big-M constants were stored as integers.
+SWEEP_CS_LP_SHA256 = {
+    ("grid:5x12", "CS1"): "3331b8bc84407b203b9665983df0fda96793fe8ae3140abd50239173b000952d",
+    ("grid:5x12", "PACS2"): "51b9944156e4c417827200674300dc0eafed7879c132e30708ee7dd5e32d3aca",
+    ("delaunay:60", "CS1"): "57a3d9712ee10b8690ceabc03aae764c0807472fe9b32f567ed86dfe873d5495",
+    ("delaunay:60", "PACS2"): "cace249e4911da4ff12118007ec13bbce013979578c5e10a5e9b0dadc13745cd",
+}
+
+
+def _sweep_lp_sha256(topology, kind, breakpoint):
+    instance = sweep_instance(topology)
     net = instance.network
     enum = [
         enumerate_paths(net, com, cap=breakpoint + 1, commodity_index=k)
@@ -377,8 +388,17 @@ def test_sweep_scale_lp_text_is_pinned(kind, breakpoint):
     bfsets = {k: r.feasible_set() for k, r in enumerate(enum) if r.feasible_set().exhaustive}
     bigm = compute_bigm(net, instance.commodities, bfsets)
     hybrid = assemble_hybrid(instance, breakpoint, kind, "STD", bigm, enum)
-    text = write_lp(hybrid.ir)
-    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_LP_SHA256[(kind, breakpoint)]
+    return _sha256(hybrid.ir)
+
+
+@pytest.mark.parametrize("kind, breakpoint", sorted(SWEEP_LP_SHA256))
+def test_sweep_scale_lp_text_is_pinned(kind, breakpoint):
+    assert _sweep_lp_sha256("grid:5x12", kind, breakpoint) == SWEEP_LP_SHA256[(kind, breakpoint)]
+
+
+@pytest.mark.parametrize("topology, kind", sorted(SWEEP_CS_LP_SHA256))
+def test_sweep_scale_slackness_lp_text_is_pinned(topology, kind):
+    assert _sweep_lp_sha256(topology, kind, 8) == SWEEP_CS_LP_SHA256[(topology, kind)]
 
 
 def _read_with_highs(text, tmp_path):

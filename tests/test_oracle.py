@@ -73,7 +73,7 @@ def test_canonical_tolls_respect_caps(fig):
 
     bigm = compute_bigm(fig.network, fig.commodities)
     for aid, value in res.tolls.items():
-        assert 0 <= value <= bigm.N[aid]
+        assert 0 <= value <= bigm.toll_cap
 
 
 def test_canonical_tolls_minimize_the_sum(fig):

@@ -1,4 +1,8 @@
-"""Regime-aware shortest paths, checked against hand-computed distances."""
+"""Zero-toll shortest paths, checked against hand-computed distances.
+
+The toll-free and capped distances that only the big-M constants need are
+checked here too, through :func:`~tollgate.bigm.compute_bigm`.
+"""
 
 import math
 import random
@@ -10,7 +14,7 @@ from conftest import sweep_instance
 from tollgate.bigm import compute_bigm
 from tollgate.enumeration import enumerate_paths
 from tollgate.generator import grid_edges
-from tollgate.network import Arc, Network
+from tollgate.network import Arc, Commodity, Network
 from tollgate.shortest_path import (
     INFINITY,
     NO_EXCLUSIONS,
@@ -22,44 +26,40 @@ from tollgate.shortest_path import (
     zero_distances,
 )
 
-from bruteforce import all_simple_paths
+from bruteforce import all_simple_paths, fraction_distances
 
-# Hand-derived distance tables for the five-node fixture (all to node 4).
-# Zero regime: tolled arcs at base cost.  Infinite regime: tolled arcs
-# unusable.  Capped regime with cap 7 everywhere: tolled arcs at cost + 7.
+# Hand-derived distance tables for the five-node fixture (all to node 4):
+# tolls at zero, tolled arcs unusable, and tolled arcs at cost + the cap 7.
 ZERO_DIST = {0: 3, 1: 2, 2: 1, 3: 2, 4: 0}
 FREE_DIST = {0: 10, 1: 3, 2: 4, 3: 2, 4: 0}
 CAPPED_DIST = {0: 10, 1: 3, 2: 4, 3: 2, 4: 0}
 
 
 def test_zero_regime_distances(fig):
-    assert distances_to(fig.network, 4, "zero") == ZERO_DIST
+    assert distances_to(fig.network, 4) == ZERO_DIST
 
 
 def test_infinite_regime_distances(fig):
-    assert distances_to(fig.network, 4, "infinite") == FREE_DIST
+    net = fig.network
+    assert distances_to(net, 4, ExclusionSet(arcs=frozenset(net.tolled_ids))) == FREE_DIST
+    # The big-M constants sweep the same distances with tolled arcs priced out.
+    origins = range(4)
+    params = compute_bigm(net, tuple(Commodity(n, 4, Fraction(1)) for n in origins))
+    assert params.pi_cost == tuple(FREE_DIST[n] for n in origins)
 
 
 def test_capped_regime_distances(fig):
-    caps = {a: Fraction(7) for a in fig.network.tolled_ids}
-    assert distances_to(fig.network, 4, "capped", caps=caps) == CAPPED_DIST
-
-
-def test_capped_regime_requires_caps(fig):
-    with pytest.raises(ValueError):
-        distances_to(fig.network, 4, "capped")
-
-
-def test_unknown_regime_rejected(fig):
-    with pytest.raises(ValueError):
-        distances_to(fig.network, 4, "half")
+    params = compute_bigm(fig.network, fig.commodities)
+    assert params.toll_cap == 7
+    assert dict(enumerate(params.lam_hi[0])) == CAPPED_DIST
 
 
 def test_shortest_path_returns_base_costs(fig):
-    p = shortest_path(fig.network, 0, 4, "infinite")
+    net = fig.network
+    p = shortest_path(net, 0, 4, excluded=ExclusionSet(arcs=frozenset(net.tolled_ids)))
     assert p.arcs == (6,)
     assert p.cost == 10
-    q = shortest_path(fig.network, 0, 4, "zero")
+    q = shortest_path(net, 0, 4)
     assert q.arcs == (0, 1, 2)
     assert q.cost == 3
 
@@ -128,8 +128,8 @@ def test_goal_directed_search_matches_the_zero_potential_search():
     for _ in range(300):
         source = rng.randrange(target)
         excluded = random_exclusions(rng, net, source, target)
-        goal = _search(net, source, target, net.int_costs, excluded, potential)
-        assert goal == _search(net, source, target, net.int_costs, excluded, zero)
+        goal = _search(net, source, target, excluded, potential)
+        assert goal == _search(net, source, target, excluded, zero)
         found += goal is not None
     assert found > 150
 
@@ -149,7 +149,7 @@ def test_search_picks_the_least_cost_then_least_arc_sequence():
             and not excluded.nodes & {net.arc(a).head for a in arcs}
         ]
         expected = min(((len(arcs), arcs) for arcs in allowed), default=None)
-        assert _search(net, source, target, net.int_costs, excluded, potential) == expected
+        assert _search(net, source, target, excluded, potential) == expected
 
 
 @pytest.mark.parametrize("topology", ["grid:5x12", "delaunay:60"])
@@ -175,14 +175,21 @@ def test_enumeration_and_bigm_share_one_sweep_per_destination(topology):
     params = compute_bigm(net, instance.commodities)
     assert net._zero_distances == swept
     assert all(net._zero_distances[d] is swept[d] for d in destinations)
-    # Every per-commodity table equals the commodity's own sweep.
-    caps = {aid: params.N[aid] for aid in net.tolled_ids}
+    # Every commodity's rows are its destination's sweeps, checked against
+    # Fraction sweeps with tolled arcs at cost + cap and unusable.
+    cap = params.toll_cap
+    rows = {}
+    for dest in destinations:
+        capped = fraction_distances(
+            net, dest, lambda a: a.cost + cap if a.tolled else a.cost
+        )
+        free = fraction_distances(net, dest, lambda a: None if a.tolled else a.cost)
+        rows[dest] = (capped, free)
     for k, com in enumerate(instance.commodities):
         dest = com.destination
-        zero = distances_to(net, dest, "zero")
-        capped = distances_to(net, dest, "capped", caps=caps)
-        for node in range(net.num_nodes):
-            assert params.lam_lo.get((k, node), INFINITY) == zero[node]
-            assert params.lam_hi.get((k, node), INFINITY) == capped[node]
-        assert params.L_lo[k] == zero[com.origin]
-        assert params.pi_cost[k] == distances_to(net, dest, "infinite")[com.origin]
+        capped, free = rows[dest]
+        assert params.lam_lo[k] is net._zero_distances[dest]
+        hi = [None if v is None else Fraction(v, net.scale) for v in params.lam_hi[k]]
+        assert dict(enumerate(hi)) == capped
+        assert params.L_lo[k] == distances_to(net, dest)[com.origin]
+        assert params.pi_cost[k] == free[com.origin]

@@ -17,7 +17,6 @@ from tollgate.solver import (
     SolveResult,
     SolverError,
     _fd1_silenced,
-    get_backend,
     solve,
 )
 
@@ -211,13 +210,6 @@ def test_gap_property():
     assert SolveResult("feasible", None, None).gap is None
     near = SolveResult("feasible", 9.0, 10.0)
     assert near.gap == pytest.approx(0.1)
-
-
-def test_get_backend_precedence(monkeypatch):
-    monkeypatch.delenv("TOLLGATE_SOLVER_CMD", raising=False)
-    assert get_backend().name == "scipy-highs"
-    monkeypatch.setenv("TOLLGATE_SOLVER_CMD", "envtool {lp} {sol}")
-    assert get_backend().template == "envtool {lp} {sol}"
 
 
 def test_command_template_validation():
