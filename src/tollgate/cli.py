@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import glob as globlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -215,6 +216,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    """An argparse type: a finite number of seconds above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number of seconds, got {text!r}"
+        )
+    return value
+
+
 def _positive_ints(text: str) -> list[int]:
     return [_positive_int(n) for n in text.split(",") if n]
 
@@ -283,8 +297,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--kinds", required=True, help="comma-separated kind labels")
     p.add_argument("--breakpoints", type=_positive_ints, required=True,
                    help="comma-separated sizes")
-    p.add_argument("--budget", type=float, default=60.0, help="seconds per run")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--budget", type=_positive_seconds, default=60.0, help="seconds per run")
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", help="results CSV path (stdout when omitted)")
     p.add_argument("--summary", help="also write a per-(kind,N) summary CSV")
     p.add_argument("--solver-cmd", help="external solver template with {lp} and {sol}")

@@ -167,7 +167,7 @@ def enumerate_paths(
 
     emitted: list[Path] = []
     stopped_at_tollfree = False
-    while heap and (cap is None or len(emitted) < cap):
+    while heap:
         cost, arcs, _, spur_pos, banned = heapq.heappop(heap)
         nodes = (origin,) + tuple(heads[a] for a in arcs)
         tolled_set = frozenset(a for a in arcs if tolled[a])
@@ -175,6 +175,8 @@ def enumerate_paths(
         if not tolled_set:
             stopped_at_tollfree = True
             break
+        if len(emitted) == cap:
+            break  # the capped run emits nothing more, so spawns no children
 
         prefix_costs = [0]
         for aid in arcs:

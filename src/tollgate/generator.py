@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import spatial as _spatial
 
 from .network import (
     Arc,
@@ -106,10 +105,14 @@ def grid_edges(rows: int, cols: int) -> tuple[int, list[Edge]]:
     return rows * cols, edges
 
 
-def _delaunay(n: int, rng: random.Random) -> "_spatial.Delaunay":
+def _delaunay(n: int, rng: random.Random) -> "scipy.spatial.Delaunay":
+    # Imported here, the one place that needs it: scipy.spatial takes longer
+    # to import than the rest of the package.
+    from scipy import spatial
+
     points = np.array([[rng.random(), rng.random()] for _ in range(n)])
     # QJ joggles collinear inputs, which pure-random points can produce.
-    return _spatial.Delaunay(points, qhull_options="QJ")
+    return spatial.Delaunay(points, qhull_options="QJ")
 
 
 def delaunay_edges(n: int, rng: random.Random) -> tuple[int, list[Edge]]:

@@ -10,7 +10,10 @@ rows, and the largest 47 binaries.  On them those heuristics took most of
 HiGHS's time; switching them off took those solves from 25-26 s to 6-7 s
 of HiGHS time (2-core machine) with the same optima.
 ``scipy.optimize.milp`` passes only a few options to HiGHS, so the backend
-uses the binding directly.  HiGHS writes some debug lines to file
+uses the binding directly.  :func:`_load_highs` loads that extension module
+from scipy's directory without running ``scipy.optimize``'s package
+``__init__``, which would import linprog, linalg, fft and more that this
+package never uses.  HiGHS writes some debug lines to file
 descriptor 1 whatever ``output_flag`` says, so fd 1 points at the null
 device while HiGHS runs; otherwise they land inside the CSV that
 ``tollgate sweep`` writes to stdout.
@@ -26,6 +29,8 @@ rather than in downstream math.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
 import re
@@ -41,11 +46,46 @@ from pathlib import Path
 from typing import Optional, Protocol
 
 import numpy as np
-from scipy import sparse as _sparse
-from scipy.optimize._highspy import _core as _highs
 
 from .model_ir import ModelIR
 from .lp_format import lp_name_map, write_lp
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """scipy's HiGHS binding, without importing ``scipy.optimize``.
+
+    The extension is loaded from scipy's directory, which
+    ``importlib.util.find_spec`` finds without running scipy's ``__init__``,
+    and is registered in ``sys.modules`` under its own name, so that a later
+    ``import scipy.optimize`` reuses this module object.
+    """
+    loaded = sys.modules.get(_HIGHS_MODULE)
+    if loaded is not None:
+        return loaded
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("scipy is not installed", name=_HIGHS_MODULE)
+    folder = Path(scipy_spec.submodule_search_locations[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(
+            f"scipy's HiGHS binding {_HIGHS_MODULE} is not in {folder}",
+            name=_HIGHS_MODULE,
+            path=str(folder),
+        )
+    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_HIGHS_MODULE] = module
+    return module
+
+
+_highs = _load_highs()
 
 #: Default wall-clock budget per solve, in seconds.
 DEFAULT_BUDGET = 300.0
@@ -117,9 +157,14 @@ def _model_arrays(model: ModelIR):
             hi[i] = rhs
         if con.sense in (">=", "="):
             lo[i] = rhs
-    matrix = _sparse.csc_matrix(
-        (vals, (rows, cols)), shape=(len(model.constraints), n)
-    )
+    # Column-wise storage.  A row holds each variable at most once (see
+    # ModelIR.add_constraint), so a stable sort by column leaves each
+    # column's rows ascending and there is nothing to sum.
+    columns = np.array(cols, dtype=np.int32)
+    order = np.argsort(columns, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(columns, minlength=n), out=indptr[1:])
+    matrix = (indptr, np.array(rows, dtype=np.int32)[order], np.array(vals)[order])
     lb = np.array(
         [-np.inf if v.lower is None else float(v.lower) for v in variables]
     )
@@ -158,16 +203,20 @@ _HIGHS_STATUS = {
 
 
 def _highs_lp(c, matrix, lo, hi, lb, ub, binary) -> "_highs.HighsLp":
-    """The model as a column-wise ``HighsLp`` that minimizes ``c``."""
+    """The model as a column-wise ``HighsLp`` that minimizes ``c``.
+
+    ``matrix`` is the constraint matrix's column starts, row indices and
+    values, as :func:`_model_arrays` returns them.
+    """
     lp = _highs.HighsLp()
-    lp.num_col_, lp.num_row_ = matrix.shape[1], matrix.shape[0]
+    lp.num_col_, lp.num_row_ = len(c), len(lo)
     lp.col_cost_ = c
     lp.col_lower_, lp.col_upper_ = lb, ub
     lp.row_lower_, lp.row_upper_ = lo, hi
     a = lp.a_matrix_
     a.format_ = _highs.MatrixFormat.kColwise
     a.num_col_, a.num_row_ = lp.num_col_, lp.num_row_
-    a.start_, a.index_, a.value_ = matrix.indptr, matrix.indices, matrix.data
+    a.start_, a.index_, a.value_ = matrix
     integer = _highs.HighsVarType.kInteger
     continuous = _highs.HighsVarType.kContinuous
     lp.integrality_ = [integer if b else continuous for b in binary]

@@ -128,10 +128,21 @@ def test_build_refuses_cut_loop_main_kinds(fig_file, capsys):
         ["build", "--instance", "{missing}", "--kind", "STD"],
         ["sweep", "--instances", "{fig}", "--kinds", "STD", "--breakpoints", "x"],
         ["sweep", "--instances", "{fig}", "--kinds", "STD", "--breakpoints", "4,0"],
+        *(
+            ["sweep", "--instances", "{fig}", "--kinds", "STD", "--breakpoints", "4",
+             option, value]
+            for option, value in (
+                ("--budget", "nan"), ("--budget", "-1"), ("--budget", "0"),
+                ("--budget", "inf"), ("--budget", "soon"),
+                ("--jobs", "0"), ("--jobs", "-2"), ("--jobs", "1.5"),
+            )
+        ),
     ],
     ids=[
         "arc-node", "commodity-node", "enumerate-cap", "reduce-cap", "build-cap",
         "breakpoint", "missing-file", "breakpoints-word", "breakpoints-zero",
+        "budget-nan", "budget-negative", "budget-zero", "budget-inf", "budget-word",
+        "jobs-zero", "jobs-negative", "jobs-fraction",
     ],
 )
 def test_malformed_input_ends_on_an_error_line(fig_file, tmp_path, capsys, argv):

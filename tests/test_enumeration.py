@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from tollgate import enumeration
 from tollgate.enumeration import (
     ConsistencyError,
     dominance_filter,
@@ -56,6 +57,22 @@ def test_cap_truncates(fig):
     assert len(res.paths) == 2
     assert not res.stopped_at_tollfree
     assert not res.feasible_set().exhaustive
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_cap_stops_before_spawning_children(fig, monkeypatch, cap):
+    # The first search finds the cheapest path, and each emitted path but the
+    # cap-th spawns one search per tolled arc (all of them, for the first).
+    full = enumerate_paths(fig.network, fig.commodities[0])
+    calls = []
+    search = enumeration._search
+    monkeypatch.setattr(
+        enumeration, "_search", lambda *args: calls.append(args) or search(*args)
+    )
+    res = enumerate_paths(fig.network, fig.commodities[0], cap=cap)
+    assert res.paths == full.paths[:cap]
+    assert not res.stopped_at_tollfree
+    assert len(calls) == 1 + (cap - 1) * len(full.paths[0].tolled_set)
 
 
 def test_cap_validation(fig):

@@ -1,13 +1,20 @@
 """Solver backends, the command-template escape hatch, and result checking."""
 
+import importlib.machinery
+import importlib.util
+import json
 import os
+import re
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+import tollgate
 from conftest import fixture_model, perturbed
 from tollgate.formulations import FORMULATIONS, build_single
 from tollgate.model_ir import ModelIR
@@ -17,6 +24,8 @@ from tollgate.solver import (
     SolveResult,
     SolverError,
     _fd1_silenced,
+    _load_highs,
+    _model_arrays,
     solve,
 )
 
@@ -115,6 +124,97 @@ def milp_objective(model):
     )
     assert res.status == 0, res.message
     return -res.fun
+
+
+def edge_model(label):
+    """A model with columns no row uses, or with no rows at all, by label."""
+    m = ModelIR(label)
+    if label == "no-rows":
+        m.add_variable("x", 0, 1)
+        m.add_objective_term(1, "x")
+        return m
+    for name in ("a", "spare", "b", "tail"):
+        m.add_variable(name, 0, 1)
+    m.add_constraint("w", [(2, "b"), (3, "a")], "<=", 4)
+    m.add_constraint("v", [(1, "a")], ">=", 0)
+    m.add_objective_term(1, "a")
+    return m
+
+
+@pytest.mark.parametrize(
+    "kind", [k.label for k in FORMULATIONS] + ["unused-columns", "no-rows"]
+)
+def test_model_arrays_match_scipy_csc(fig, kind):
+    from scipy.sparse import csc_matrix
+
+    if kind in ("unused-columns", "no-rows"):
+        model = edge_model(kind)
+    else:
+        model = fixture_model(perturbed(fig), kind)
+    col = {v.name: j for j, v in enumerate(model.variables)}
+    rows, cols, vals = [], [], []
+    for i, con in enumerate(model.constraints):
+        for coef, name in con.terms:
+            rows.append(i)
+            cols.append(col[name])
+            vals.append(float(coef))
+    expected = csc_matrix(
+        (vals, (rows, cols)), shape=(len(model.constraints), len(col))
+    )
+    indptr, indices, data = _model_arrays(model)[2]
+    assert indptr.tolist() == expected.indptr.tolist()
+    assert indices.tolist() == expected.indices.tolist()
+    assert data.tolist() == expected.data.tolist()
+
+
+# Run in a fresh interpreter: which scipy modules ``import tollgate`` loads,
+# and whether scipy's own HiGHS entry points then share tollgate's binding.
+_IMPORT_PROBE = """
+import json, sys
+{first}
+import tollgate
+loaded = [m for m in ("scipy.optimize", "scipy.sparse", "scipy.spatial")
+          if m in sys.modules]
+import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core
+res = milp(-np.array([5.0, 4.0, 3.0]),
+           constraints=LinearConstraint([[4.0, 3.0, 2.0]], -np.inf, 6.0),
+           bounds=Bounds(0, 1), integrality=np.ones(3))
+print(json.dumps({{
+    "loaded": loaded,
+    "shared": _core is tollgate.solver._highs
+              and sys.modules["scipy.optimize._highspy._core"] is _core,
+    "milp": -res.fun,
+}}))
+"""
+
+
+@pytest.mark.parametrize(
+    "first", ["", "import scipy.optimize"], ids=["tollgate-first", "scipy-first"]
+)
+def test_import_loads_highs_without_scipy_optimize(first):
+    src = str(Path(tollgate.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE.format(first=first)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    if not first:
+        assert probe["loaded"] == []
+    assert probe["shared"] is True
+    assert probe["milp"] == pytest.approx(8.0)
+
+
+def test_missing_highs_binding_names_the_folder_searched(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    folder = tmp_path / "optimize" / "_highspy"
+    with pytest.raises(ImportError, match=re.escape(str(folder))):
+        _load_highs()
 
 
 @pytest.mark.parametrize("perturb", [False, True], ids=["exact", "perturbed"])
