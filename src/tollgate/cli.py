@@ -130,8 +130,8 @@ def _cmd_build(args) -> int:
     text = write_lp(hybrid.ir)
     if args.out:
         Path(args.out).write_text(text)
-        print(f"wrote {args.out}: {len(hybrid.ir.variables)} variables, "
-              f"{len(hybrid.ir.constraints)} rows")
+        print(f"wrote {args.out}: {len(hybrid.ir.names)} variables, "
+              f"{len(hybrid.ir.tags)} rows")
     else:
         sys.stdout.write(text)
     return 0

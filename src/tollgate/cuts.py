@@ -7,13 +7,13 @@ path has no row forcing its dual bound tight, so its revenue can be
 overstated.  On graphs with opposite twin arcs the flow balance rows even
 admit a lit cycle riding along with the routed path, pocketing the tolls
 of the cycle arcs without paying their cost.  The fix is iterative: solve,
-decompose each commodity's lit arcs into the routed path plus cycles, and
-add one row per offending commodity per round.  A lit cycle gets a row
-forbidding it outright (a genuine routing is a simple path, so no true
-solution ever lights a full cycle); an uncovered routed path gets the
-slackness row that makes its dual bound tight.  Cycles and paths are both
-finite families and each cut permanently removes one member, so the loop
-terminates.
+walk each commodity's lit arcs to their first cycle or, when they hold
+none, to the routed path, and add one row per offending commodity per
+round.  A lit cycle gets a row forbidding it outright (a genuine routing
+is a simple path, so no true solution ever lights a full cycle); an
+uncovered routed path gets the slackness row that makes its dual bound
+tight.  Cycles and paths are both finite families and each cut
+permanently removes one member, so the loop terminates.
 """
 
 from __future__ import annotations
@@ -46,66 +46,41 @@ from .solver import (
 MAX_CUT_ROUNDS = 200
 
 
-def _pop_cycle(
-    out_pool: dict[int, list[Arc]], start: int, k: int
-) -> list[Arc]:
-    """Extract one cycle from a pool of balanced leftover arcs."""
-    walk: list[Arc] = []
-    pos = {start: 0}
-    node = start
-    while True:
-        pool = out_pool.get(node)
-        if not pool:
-            raise ConsistencyError(
-                f"commodity {k}: flow dead-ends at node {node}"
-            )
-        arc = pool.pop()
-        walk.append(arc)
-        node = arc.head
-        first = pos.get(node)
-        if first is not None:
-            for unused in walk[:first]:
-                out_pool[unused.tail].append(unused)
-            return walk[first:]
-        pos[node] = len(walk)
-
-
-def _decompose_flow(
+def _first_cycle_or_path(
     lit: list[Arc], origin: int, dest: int, k: int
-) -> tuple[list[Arc], list[list[Arc]]]:
-    """Split a unit flow's lit arcs into the routed path and cycles."""
+) -> tuple[Optional[list[Arc]], Optional[list[Arc]]]:
+    """Walk a unit flow's lit arcs: ``(cycle, None)`` or ``(None, routed path)``.
+
+    The walk leaves ``origin`` over unused lit arcs.  Coming back to a node
+    of the current walk closes a cycle, which is returned at once.  Reaching
+    ``dest`` ends the routed path; any lit arcs left over are balanced, so
+    the walk goes on from the first node that still has one, up to the cycle
+    they hold.  Only when none are left is the routed path returned.
+    """
     out_pool: dict[int, list[Arc]] = {}
     for arc in lit:
         out_pool.setdefault(arc.tail, []).append(arc)
+    routed: Optional[list[Arc]] = None
     walk: list[Arc] = []
-    cycles: list[list[Arc]] = []
     pos = {origin: 0}
     node = origin
-    while node != dest:
+    while True:
+        if routed is None and node == dest:
+            routed = walk
+            node = next((t for t, pool in out_pool.items() if pool), None)
+            if node is None:
+                return None, routed
+            walk, pos = [], {node: 0}
         pool = out_pool.get(node)
         if not pool:
-            raise ConsistencyError(
-                f"commodity {k}: flow dead-ends at node {node}"
-            )
+            raise ConsistencyError(f"commodity {k}: flow dead-ends at node {node}")
         arc = pool.pop()
         walk.append(arc)
         node = arc.head
         first = pos.get(node)
         if first is not None:
-            loop = walk[first:]
-            del walk[first:]
-            for looped in loop:
-                if looped.head != node:
-                    pos.pop(looped.head, None)
-            cycles.append(loop)
-        else:
-            pos[node] = len(walk)
-    while True:
-        start = next((t for t, pool in out_pool.items() if pool), None)
-        if start is None:
-            break
-        cycles.append(_pop_cycle(out_pool, start, k))
-    return walk, cycles
+            return walk[first:], None
+        pos[node] = len(walk)
 
 
 def vfcs_feasibility_cut(
@@ -114,10 +89,10 @@ def vfcs_feasibility_cut(
     """Add one row per commodity with an uncovered routed path or a lit cycle.
 
     Scans the commodities modeled with arc flows against a path dual, in
-    order, decomposing each one's lit arcs into its routed path plus any
-    cycles the flow balance rows let ride along.  Each offending commodity
-    gets one row: its first cycle is forbidden outright (no genuine routing
-    lights all arcs of a cycle), or else its routed path, when neither the
+    order, walking each one's lit arcs (see :func:`_first_cycle_or_path`).
+    Each offending commodity gets one row: a lit cycle, which the flow
+    balance rows let ride along, is forbidden outright (no genuine routing
+    lights all arcs of a cycle), or else the routed path, when neither the
     feasible set nor an earlier cut covers it, gets its slackness row.
     Returns the tag of the first row added, or None when every commodity is
     clean, which certifies the incumbent.
@@ -149,16 +124,15 @@ def _commodity_cut(
     ]
     if not lit:
         raise ConsistencyError(f"commodity {k}: no flow in the solution")
-    routed, cycles = _decompose_flow(
+    cycle, routed = _first_cycle_or_path(
         lit,
         graph.reduced_node(com.origin),
         graph.reduced_node(com.destination),
         k,
     )
 
-    if cycles:
+    if cycle is not None:
         banned = context.cut_cycles.setdefault(k, set())
-        cycle = cycles[0]
         terms = [(1, flows[arc.index]) for arc in cycle]
         tag = f"cut-cycle[{k},{len(banned)}]"
         context.ir.add_constraint(tag, terms, "<=", len(cycle) - 1)

@@ -20,7 +20,7 @@ choice writes rows from it: primal, dual, direct, slackness, and the value
 tie of route cost plus revenue against the dual objective.  Both builders,
 :func:`build_single` and :func:`assemble_hybrid`, only plan each commodity
 (role, kind, working graph, feasible set) and pass the plan to one assembly
-loop, and both pause the cyclic garbage collector while they run.
+loop.
 
 By default every complementary-slackness block with direct linearization
 (CS1, VFCS1, PACS1, PCS1) also carries the strong-duality row as a valid
@@ -40,7 +40,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .bigm import BigMParams
 from .enumeration import BilevelFeasibleSet, EnumerationResult
-from .model_ir import ModelIR, _gc_paused
+from .model_ir import ModelIR
 from .network import Arc, ArcId, Commodity, Network, Path, ProblemInstance
 from .preprocess import ReducedGraph, path_based_reduce, spgm_transform
 
@@ -489,10 +489,6 @@ class HybridModel:
             a.kind is not None and a.kind.needs_cut_loop for a in self.assignments
         )
 
-    def cut_count(self) -> int:
-        added = sum(len(v) for v in self.cut_paths.values())
-        return added + sum(len(v) for v in self.cut_cycles.values())
-
 
 def _feasible_sets(
     instance: ProblemInstance,
@@ -556,7 +552,6 @@ def _assemble(
     return HybridModel(model, instance, bigm, breakpoint, tuple(assignments))
 
 
-@_gc_paused()
 def assemble_hybrid(
     instance: ProblemInstance,
     breakpoint: Optional[int],
@@ -577,9 +572,6 @@ def assemble_hybrid(
     the original graph.  ``breakpoint=None`` means no size limit.
     ``paper_exact`` builds the paper's form, without the strong-duality
     inequality in direct-linearization slackness blocks.
-
-    The cyclic garbage collector is paused while the model is assembled and
-    restored afterwards (see :mod:`tollgate.model_ir`).
     """
     main = get_kind(main_kind)
     fallback = get_kind(fallback_kind)
@@ -615,7 +607,6 @@ def assemble_hybrid(
     return _assemble(instance, name, bigm, breakpoint, plan, paper_exact)
 
 
-@_gc_paused()
 def build_single(
     instance: ProblemInstance,
     kind: KindLike,
@@ -632,7 +623,7 @@ def build_single(
     only arcs on feasible paths (needs enumeration results), ``"spgm"``
     applies the shortest-path graph reduction, ``"none"`` models the
     original graph.  Path-based kinds need enumeration results regardless.
-    ``paper_exact`` and the collector pause are as in :func:`assemble_hybrid`.
+    ``paper_exact`` is as in :func:`assemble_hybrid`.
     """
     kind = get_kind(kind)
     if preprocess not in ("paths", "spgm", "none"):
@@ -650,6 +641,11 @@ def build_single(
             if bfset is None:
                 raise BuildError(
                     f"commodity {k}: path-based preprocessing needs enumeration results"
+                )
+            if not bfset.exhaustive:
+                raise BuildError(
+                    f"commodity {k}: path-based preprocessing needs an exhaustive "
+                    "feasible set; raise the enumeration cap"
                 )
             graph = path_based_reduce(instance.network, bfset)
         elif preprocess == "spgm":

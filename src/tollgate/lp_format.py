@@ -11,9 +11,9 @@ read against the model it was given.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .model_ir import Coef, ModelIR, Term, _gc_paused
+from .model_ir import Coef, ModelIR
 
 
 def _float_text(value: Fraction) -> str:
@@ -34,11 +34,10 @@ def _encode(name: str) -> str:
     return name.replace("[", "__").replace("]", "").replace(",", "_")
 
 
-def _terms_text(terms: Sequence[Term], ident: Mapping[str, str]) -> str:
-    """``terms`` (at least one) as LP text; ``ident`` maps names to identifiers."""
+def _terms_text(coefs: Sequence[Coef], idents: Sequence[str]) -> str:
+    """A sum of terms (at least one) as LP text, one identifier per coefficient."""
     parts: list[str] = []
-    for coef, name in terms:
-        text = ident[name]
+    for coef, text in zip(coefs, idents):
         if type(coef) is not int:
             if coef.denominator != 1:
                 number = _float_text(coef)
@@ -60,7 +59,7 @@ def _terms_text(terms: Sequence[Term], ident: Mapping[str, str]) -> str:
     head = parts[0]
     if head[0] == "+":
         parts[0] = head[2:]
-    elif terms[0][0] != -1:
+    elif coefs[0] != -1:
         parts[0] = "-" + head[2:]
     return " ".join(parts)
 
@@ -68,40 +67,43 @@ def _terms_text(terms: Sequence[Term], ident: Mapping[str, str]) -> str:
 def lp_name_map(model: ModelIR) -> dict[str, str]:
     """Map LP-file identifiers back to the model's variable names."""
     decode: dict[str, str] = {}
-    for var in model.variables:
-        if len(var.name) > 255:
-            raise ValueError(f"variable name too long for the LP format: {var.name[:40]}...")
-        ident = _encode(var.name)
-        if ident in decode and decode[ident] != var.name:
+    for name in model.names:
+        if len(name) > 255:
+            raise ValueError(f"variable name too long for the LP format: {name[:40]}...")
+        ident = _encode(name)
+        if ident in decode:
             raise ValueError(f"variable names collide after encoding: {ident}")
-        decode[ident] = var.name
+        decode[ident] = name
     return decode
 
 
-@_gc_paused()
 def write_lp(model: ModelIR) -> str:
-    """Render ``model`` as LP text.  Deterministic: same model, same bytes.
-
-    The cyclic garbage collector is paused while the text is built and
-    restored afterwards (see :mod:`tollgate.model_ir`).
-    """
-    ident = {name: text for text, name in lp_name_map(model).items()}
+    """Render ``model`` as LP text.  Deterministic: same model, same bytes."""
+    # Names are distinct, so the map holds one identifier per column, in order.
+    idents = list(lp_name_map(model))
     out = [f"\\ {model.label}\n", "Maximize\n"]
     obj = model.objective
-    fallback = "0 " + ident[model.variables[0].name] if model.variables else "0"
-    out.append(" obj: " + (_terms_text(obj, ident) if obj else fallback) + "\n")
+    if obj:
+        terms = _terms_text(
+            [coef for coef, _ in obj], [idents[model.column[name]] for _, name in obj]
+        )
+    else:
+        terms = "0 " + idents[0] if idents else "0"
+    out.append(f" obj: {terms}\n")
     out.append("Subject To\n")
-    for idx, con in enumerate(model.constraints):
-        out.append(f" c{idx}: {_terms_text(con.terms, ident)} {con.sense} {_fmt(con.rhs)}\n")
+    coefs = model.coefs
+    row_idents = list(map(idents.__getitem__, model.cols))
+    a = 0
+    for idx, (sense, rhs, b) in enumerate(zip(model.senses, model.rhs, model.starts[1:])):
+        terms = _terms_text(coefs[a:b], row_idents[a:b])
+        out.append(f" c{idx}: {terms} {sense} {_fmt(rhs)}\n")
+        a = b
     out.append("Bounds\n")
     binaries: list[str] = []
-    for var in model.variables:
-        name = ident[var.name]
-        if var.binary:
+    for name, lo, hi, binary in zip(idents, model.lower, model.upper, model.binary):
+        if binary:
             binaries.append(f" {name}\n")
             continue
-        lo = var.lower
-        hi = var.upper
         if lo is None and hi is None:
             out.append(f" {name} free\n")
         elif hi is None:
@@ -117,4 +119,3 @@ def write_lp(model: ModelIR) -> str:
         out += binaries
     out.append("End\n")
     return "".join(out)
-

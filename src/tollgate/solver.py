@@ -135,44 +135,33 @@ class Backend(Protocol):
 
 
 def _model_arrays(model: ModelIR):
-    variables = model.variables
-    names = [v.name for v in variables]
-    col = {name: j for j, name in enumerate(names)}
-    n = len(names)
+    """The model as float arrays: ``names, c, matrix, lo, hi, lb, ub, binary``.
+
+    ``matrix`` is the constraint matrix column-wise, as column starts, row
+    indices and values; ``lo`` and ``hi`` bound the rows, ``lb`` and ``ub``
+    the columns.
+    """
+    n = len(model.names)
     c = np.zeros(n)
     for coef, name in model.objective:
-        c[col[name]] += float(coef)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    lo = np.full(len(model.constraints), -np.inf)
-    hi = np.full(len(model.constraints), np.inf)
-    for i, con in enumerate(model.constraints):
-        for coef, name in con.terms:
-            rows.append(i)
-            cols.append(col[name])
-            vals.append(float(coef))
-        rhs = float(con.rhs)
-        if con.sense in ("<=", "="):
-            hi[i] = rhs
-        if con.sense in (">=", "="):
-            lo[i] = rhs
-    # Column-wise storage.  A row holds each variable at most once (see
-    # ModelIR.add_constraint), so a stable sort by column leaves each
-    # column's rows ascending and there is nothing to sum.
-    columns = np.array(cols, dtype=np.int32)
+        c[model.column[name]] = float(coef)
+    starts = np.array(model.starts, dtype=np.int32)
+    rows = np.repeat(np.arange(len(model.tags), dtype=np.int32), np.diff(starts))
+    columns = np.array(model.cols, dtype=np.int32)
+    # A row holds each variable at most once (see ModelIR.add_constraint), so
+    # a stable sort by column leaves each column's rows ascending and there
+    # is nothing to sum.
     order = np.argsort(columns, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(columns, minlength=n), out=indptr[1:])
-    matrix = (indptr, np.array(rows, dtype=np.int32)[order], np.array(vals)[order])
-    lb = np.array(
-        [-np.inf if v.lower is None else float(v.lower) for v in variables]
-    )
-    ub = np.array(
-        [np.inf if v.upper is None else float(v.upper) for v in variables]
-    )
-    binary = [v.binary for v in variables]
-    return names, c, matrix, lo, hi, lb, ub, binary
+    matrix = (indptr, rows[order], np.array(model.coefs, dtype=float)[order])
+    sense = np.array(model.senses, dtype="U2")
+    rhs = np.array(model.rhs, dtype=float)
+    lo = np.where(sense == "<=", -np.inf, rhs)
+    hi = np.where(sense == ">=", np.inf, rhs)
+    lb = np.array([-np.inf if v is None else v for v in model.lower], dtype=float)
+    ub = np.array([np.inf if v is None else v for v in model.upper], dtype=float)
+    return model.names, c, matrix, lo, hi, lb, ub, model.binary
 
 
 # HiGHS options of every solve besides its time limit: silent, a MIP solved
@@ -402,8 +391,8 @@ class CommandBackend:
                 continue
         if not assignment:
             raise SolverError("no variable values found in solver output")
-        for var in model.variables:
-            assignment.setdefault(var.name, 0.0)
+        for name in model.names:
+            assignment.setdefault(name, 0.0)
         objective = model.objective_value(assignment)
         proven = any(_OPTIMAL_WORD.search(line) for line in remarks)
         return SolveResult(
@@ -427,7 +416,7 @@ def solve(
     ``CHECK_TOLERANCE`` raises :class:`SolverError` instead of being passed
     along.
     """
-    if not model.variables:
+    if not model.names:
         return SolveResult(
             status=STATUS_OPTIMAL,
             objective=0.0,

@@ -2,8 +2,9 @@
 
 Everything here is written from the definitions, sharing no logic with the
 package: exhaustive path search by recursion, dominance by pairwise subset
-comparison, random instances assembled straight from arc lists, and a
-two-phase simplex on a dense tableau of ``Fraction`` values.  Tests freeze
+comparison, random instances assembled straight from arc lists, the full
+decomposition of a lit flow into its path and cycles, and a two-phase
+simplex on a dense tableau of ``Fraction`` values.  Tests freeze
 values computed by these functions and compare the package against them.
 """
 
@@ -14,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from tollgate.enumeration import ConsistencyError
 from tollgate.exactlp import LPResult, Row
 from tollgate.network import Arc, Commodity, Network, ProblemInstance
 
@@ -162,6 +164,70 @@ def random_digraph_instance(seed: int) -> Optional[ProblemInstance]:
         Commodity(o, d, Fraction(rng.randint(1, 10))) for o, d in chosen
     )
     return ProblemInstance(net, commodities, f"random-{seed}")
+
+
+# -- flow decomposition ----------------------------------------------------
+
+
+def _pop_cycle(out_pool: dict[int, list[Arc]], start: int, k: int) -> list[Arc]:
+    """Extract one cycle from a pool of balanced leftover arcs."""
+    walk: list[Arc] = []
+    pos = {start: 0}
+    node = start
+    while True:
+        pool = out_pool.get(node)
+        if not pool:
+            raise ConsistencyError(f"commodity {k}: flow dead-ends at node {node}")
+        arc = pool.pop()
+        walk.append(arc)
+        node = arc.head
+        first = pos.get(node)
+        if first is not None:
+            for unused in walk[:first]:
+                out_pool[unused.tail].append(unused)
+            return walk[first:]
+        pos[node] = len(walk)
+
+
+def decompose_flow(
+    lit: list[Arc], origin: int, dest: int, k: int
+) -> tuple[list[Arc], list[list[Arc]]]:
+    """Split a unit flow's lit arcs into the routed path and every cycle.
+
+    The full decomposition the cut loop once ran: the walk from ``origin``
+    cuts out each cycle it closes on its way to ``dest``, and the arcs left
+    over are then taken apart into cycles one by one.
+    """
+    out_pool: dict[int, list[Arc]] = {}
+    for arc in lit:
+        out_pool.setdefault(arc.tail, []).append(arc)
+    walk: list[Arc] = []
+    cycles: list[list[Arc]] = []
+    pos = {origin: 0}
+    node = origin
+    while node != dest:
+        pool = out_pool.get(node)
+        if not pool:
+            raise ConsistencyError(f"commodity {k}: flow dead-ends at node {node}")
+        arc = pool.pop()
+        walk.append(arc)
+        node = arc.head
+        first = pos.get(node)
+        if first is not None:
+            loop = walk[first:]
+            del walk[first:]
+            for looped in loop:
+                if looped.head != node:
+                    pos.pop(looped.head, None)
+            cycles.append(loop)
+        else:
+            pos[node] = len(walk)
+    while True:
+        start = next((t for t, pool in out_pool.items() if pool), None)
+        if start is None:
+            break
+        cycles.append(_pop_cycle(out_pool, start, k))
+    return walk, cycles
 
 
 # -- rational simplex ------------------------------------------------------

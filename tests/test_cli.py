@@ -124,6 +124,7 @@ def test_build_refuses_cut_loop_main_kinds(fig_file, capsys):
         ["enumerate", "--instance", "{fig}", "--cap", "0"],
         ["reduce", "--instance", "{fig}", "--cap", "-2"],
         ["build", "--instance", "{fig}", "--kind", "STD", "--cap", "0"],
+        ["build", "--instance", "{fig}", "--kind", "STD", "--cap", "1"],
         ["build", "--instance", "{fig}", "--main", "PCS2", "--breakpoint", "0"],
         ["build", "--instance", "{missing}", "--kind", "STD"],
         ["sweep", "--instances", "{fig}", "--kinds", "STD", "--breakpoints", "x"],
@@ -140,7 +141,7 @@ def test_build_refuses_cut_loop_main_kinds(fig_file, capsys):
     ],
     ids=[
         "arc-node", "commodity-node", "enumerate-cap", "reduce-cap", "build-cap",
-        "breakpoint", "missing-file", "breakpoints-word", "breakpoints-zero",
+        "build-truncated", "breakpoint", "missing-file", "breakpoints-word", "breakpoints-zero",
         "budget-nan", "budget-negative", "budget-zero", "budget-inf", "budget-word",
         "jobs-zero", "jobs-negative", "jobs-fraction",
     ],

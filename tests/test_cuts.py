@@ -8,15 +8,17 @@ the detour unattractive, as does the substitution variant, so those solve
 clean.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from bruteforce import decompose_flow
 from tollgate.bigm import compute_bigm
-from tollgate.cuts import solve_with_vfcs_cuts, vfcs_feasibility_cut
+from tollgate.cuts import _first_cycle_or_path, solve_with_vfcs_cuts, vfcs_feasibility_cut
 from tollgate.enumeration import enumerate_paths
 from tollgate.formulations import _flow_name, build_single
-from tollgate.network import Commodity, ProblemInstance
+from tollgate.network import Arc, Commodity, ProblemInstance
 from tollgate.solver import ScipyBackend, SolveResult, SolverError, solve
 
 
@@ -32,13 +34,19 @@ def identity_model(fig, fig_enum, fig_bigm, kind, paper_exact=False):
     )
 
 
+def cuts_added(context):
+    return sum(map(len, context.cut_paths.values())) + sum(
+        map(len, context.cut_cycles.values())
+    )
+
+
 def test_cut_loop_converges_after_one_cut(fig, fig_enum, fig_bigm):
     context = identity_model(fig, fig_enum, fig_bigm, "VFCS1", paper_exact=True)
     res = solve_with_vfcs_cuts(context, budget=120)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(7.0)
     assert res.cut_rounds == 1
-    assert context.cut_count() == 1
+    assert cuts_added(context) == 1
     assert context.cut_paths[0] == {(0, 1, 3, 4)}
     tags = {c.tag for c in context.ir.constraints}
     assert "lin-cs-ap[0,cut0]" in tags
@@ -73,7 +81,7 @@ def test_default_form_solves_through_the_cut_loop(fig, fig_enum, fig_bigm):
     res = solve_with_vfcs_cuts(context, budget=120)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(7.0)
-    assert res.cut_rounds == context.cut_count()
+    assert res.cut_rounds == cuts_added(context)
 
 
 def test_substitution_variant_needs_no_cut(fig, fig_enum, fig_bigm):
@@ -186,3 +194,28 @@ def test_one_round_cuts_every_offending_commodity(fig):
     # Both paths are covered now, so the same solution is certified.
     assert vfcs_feasibility_cut(context, result) is None
     assert len(context.ir.constraints) == rows_before + 2
+
+
+def test_walk_returns_the_first_cycle_of_the_full_decomposition():
+    # Random balanced lit sets: a route from origin to destination plus
+    # cycles, which may share nodes with it and with each other, lit in a
+    # random arc order.  The walk returns the decomposition's first cycle,
+    # or its routed path when it has no cycle.
+    rng = random.Random(0)
+    outcomes = set()
+    for _ in range(2000):
+        n = rng.randint(2, 8)
+        origin, dest = rng.sample(range(n), 2)
+        inner = [v for v in range(n) if v not in (origin, dest)]
+        route = [origin, *rng.sample(inner, rng.randint(0, len(inner))), dest]
+        pairs = list(zip(route, route[1:]))
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            loop = rng.sample(range(n), rng.randint(2, n))
+            pairs += zip(loop, loop[1:] + loop[:1])
+        rng.shuffle(pairs)
+        lit = [Arc(i, t, h, Fraction(1), False) for i, (t, h) in enumerate(pairs)]
+        routed, cycles = decompose_flow(lit, origin, dest, 0)
+        expected = (cycles[0], None) if cycles else (None, routed)
+        assert _first_cycle_or_path(lit, origin, dest, 0) == expected
+        outcomes.add(bool(cycles))
+    assert outcomes == {True, False}

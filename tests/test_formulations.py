@@ -204,15 +204,16 @@ def test_binary_markings(fig, fig_enum, fig_bigm):
 
 def test_variable_bounds(fig, fig_enum, fig_bigm):
     ir = build(fig, fig_enum, fig_bigm, "STD").ir
+    by_name = {v.name: v for v in ir.variables}
     for a in (0, 1, 2):
-        toll = ir.variable(var_T(a))
+        toll = by_name[var_T(a)]
         assert toll.lower == 0 and toll.upper == 7
     lam = next(v for v in ir.variables if v.name.startswith("lambda["))
     assert lam.lower is None and lam.upper is None
-    ir2 = build(fig, fig_enum, fig_bigm, "PCS2").ir
-    tau = ir2.variable(var_tau(0))
+    by_name = {v.name: v for v in build(fig, fig_enum, fig_bigm, "PCS2").ir.variables}
+    tau = by_name[var_tau(0)]
     assert tau.lower == 0 and tau.upper is None
-    bound = ir2.variable(var_L(0))
+    bound = by_name[var_L(0)]
     assert bound.lower is None
 
 
@@ -346,7 +347,7 @@ def test_hybrid_counts_cut_blocks(fig, fig_enum, fig_bigm):
         fig, None, "VFCS1", "STD", fig_bigm, [fig_enum], allow_vfcs=True
     )
     assert cutty.needs_cuts
-    assert cutty.cut_count() == 0
+    assert cutty.cut_paths == {} and cutty.cut_cycles == {}
 
 
 def test_isolated_node_balance_rows_are_skipped(fig_bigm):

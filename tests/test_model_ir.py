@@ -1,15 +1,15 @@
 """The mixed-integer model container and its self-checks."""
 
 import gc
-import os
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
 
+from conftest import sweep_instance
 from tollgate import formulations, lp_format
-from tollgate.model_ir import Constraint, ModelIR, Variable, _gc_paused
+from tollgate.bigm import compute_bigm
+from tollgate.enumeration import enumerate_paths
+from tollgate.model_ir import Constraint, ModelIR, Variable
 
 
 def small_model():
@@ -25,24 +25,40 @@ def small_model():
 
 
 def test_variable_shape_checks():
-    with pytest.raises(ValueError):
-        Variable("b", binary=True, lower=Fraction(0), upper=Fraction(2))
-    with pytest.raises(ValueError):
-        Variable("x", lower=Fraction(3), upper=Fraction(1))
+    m = ModelIR()
+    with pytest.raises(ValueError, match="bounds"):
+        m.add_variable("b", binary=True, lower=Fraction(0), upper=Fraction(2))
+    with pytest.raises(ValueError, match="crossing"):
+        m.add_variable("x", lower=Fraction(3), upper=Fraction(1))
+    assert m.names == []
 
 
 def test_records_keep_their_fields_and_variable_equality():
-    var = Variable("x", lower=Fraction(1, 2), upper=3)
+    m = ModelIR()
+    m.add_variable("x", lower=Fraction(1, 2), upper=3)
+    m.add_variable("b", 0, 1, binary=True)
+    m.add_constraint("cap", [(1, "x")], "<=", 4)
+    var = m.variables[0]
     assert (var.name, var.lower, var.upper, var.binary) == ("x", Fraction(1, 2), 3, False)
     assert var == Variable("x", Fraction(1, 2), 3, False)
     assert hash(var) == hash(Variable("x", Fraction(1, 2), 3))
     assert var != Variable("x", Fraction(1, 2), 4)
-    assert Variable("b", 0, 1, binary=True) != Variable("b", 0, 1)
-    row = Constraint("cap", ((1, "x"),), "<=", 4)
+    assert m.variables[1] == Variable("b", 0, 1, binary=True) != Variable("b", 0, 1)
+    assert list(m.constraints) == [Constraint("cap", ((1, "x"),), "<=", 4)]
+    row = m.constraints[0]
     assert (row.tag, row.terms, row.sense, row.rhs) == ("cap", ((1, "x"),), "<=", 4)
-    with pytest.raises(ValueError, match="no terms"):
-        Constraint("empty", (), "<=", 0)
-    # Slotted: no per-instance dict.
+    assert len(m.constraints) == 1 and m.constraints[-1] == row
+    assert m.constraints[1:] == [] and m.constraints[:5] == [row]
+    with pytest.raises(IndexError):
+        m.constraints[1]
+    # The columns and flat rows behind the views.
+    assert m.column == {"x": 0, "b": 1}
+    assert (m.names, m.lower, m.upper, m.binary) == (
+        ["x", "b"], [Fraction(1, 2), 0], [3, 1], [False, True]
+    )
+    assert (m.tags, m.senses, m.rhs) == (["cap"], ["<="], [4])
+    assert (m.starts, m.cols, m.coefs) == ([0, 1], [0], [1])
+    # Views are tuples: no per-instance dict.
     assert not hasattr(var, "__dict__") and not hasattr(row, "__dict__")
 
 
@@ -74,10 +90,8 @@ def test_terms_merge_and_drop_zeros():
     m = ModelIR()
     m.add_variable("x")
     m.add_variable("y")
-    row = m.add_constraint(
-        "merged", [(1, "x"), (2, "x"), (1, "y"), (-1, "y")], "<=", 3
-    )
-    assert row.terms == ((Fraction(3), "x"),)
+    m.add_constraint("merged", [(1, "x"), (2, "x"), (1, "y"), (-1, "y")], "<=", 3)
+    assert m.constraints[-1].terms == ((Fraction(3), "x"),)
 
 
 def test_empty_row_rejected():
@@ -139,41 +153,13 @@ def test_tag_counts_group_by_family():
     assert counts["link"] == 1
 
 
-@pytest.fixture
-def collector_on():
-    """Start with the collector on; restore the state found, whatever happens."""
-    was_enabled = gc.isenabled()
-    gc.enable()
-    yield
-    (gc.enable if was_enabled else gc.disable)()
-
-
-def test_gc_pause_nests(collector_on):
-    with _gc_paused():
-        assert not gc.isenabled()
-        with _gc_paused():
-            assert not gc.isenabled()
-        assert not gc.isenabled()
-    assert gc.isenabled()
-
-
-def test_gc_pause_is_lifted_after_an_exception(collector_on):
-    with pytest.raises(RuntimeError, match="inside"):
-        with _gc_paused():
-            raise RuntimeError("inside")
-    assert gc.isenabled()
-
-
-def test_gc_pause_keeps_a_disabled_collector_disabled(collector_on):
-    gc.disable()
-    with _gc_paused():
-        assert not gc.isenabled()
-    assert not gc.isenabled()
-
-
-def test_assembly_and_writer_run_with_the_collector_paused(
-    collector_on, monkeypatch, fig, fig_enum, fig_bigm
+def test_assembly_and_writer_leave_the_collector_alone(
+    monkeypatch, fig, fig_enum, fig_bigm
 ):
+    # A library must not switch off the host process's cyclic collector.
+    switched = []
+    monkeypatch.setattr(gc, "disable", lambda: switched.append("disable"))
+    monkeypatch.setattr(gc, "enable", lambda: switched.append("enable"))
     seen = []
 
     def spy(original):
@@ -185,50 +171,35 @@ def test_assembly_and_writer_run_with_the_collector_paused(
 
     monkeypatch.setattr(formulations, "_emit_block", spy(formulations._emit_block))
     monkeypatch.setattr(lp_format, "_terms_text", spy(lp_format._terms_text))
-    hybrid = formulations.assemble_hybrid(fig, None, "STD", "STD", fig_bigm, [fig_enum])
     assert gc.isenabled()
-    lp_format.write_lp(hybrid.ir)
+    assemble = spy(formulations.assemble_hybrid)
+    write = spy(lp_format.write_lp)
+    write(assemble(fig, None, "STD", "STD", fig_bigm, [fig_enum]).ir)
+    assert {name for name, _ in seen} == {
+        "assemble_hybrid", "_emit_block", "write_lp", "_terms_text"
+    }
+    assert all(enabled for _, enabled in seen)
+    assert switched == []
     assert gc.isenabled()
-    assert {name for name, _ in seen} == {"_emit_block", "_terms_text"}
-    assert not any(enabled for _, enabled in seen)
 
 
-@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-def test_gc_pause_is_restored_under_threads(collector_on, enabled):
-    # Threads that each saved and restored the collector's state on their
-    # own would turn it back on while another thread is inside, or leave it
-    # off for good; the shared count must restore the state found.
-    if not enabled:
-        gc.disable()
-    workers = (os.cpu_count() or 1) + 2  # more threads than cores
-    together = threading.Barrier(workers, timeout=30)
-    errors = []
-
-    def worker():
-        try:
-            for _ in range(20):
-                together.wait()
-                with _gc_paused():
-                    together.wait()  # every thread is inside at once
-                    if gc.isenabled():
-                        errors.append("collector on inside the pause")
-            for _ in range(200):  # and unsynchronized entries and exits
-                with _gc_paused():
-                    if gc.isenabled():
-                        errors.append("collector on inside the pause")
-        except Exception as exc:  # noqa: BLE001 - reported below
-            errors.append(repr(exc))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert gc.isenabled() is enabled
+def test_views_copy_a_sweep_scale_model_exactly():
+    # As perfbench's relaxed_bound copies a model, through the record views.
+    instance = sweep_instance("grid:5x12")
+    enum = [
+        enumerate_paths(instance.network, com, cap=9, commodity_index=k)
+        for k, com in enumerate(instance.commodities)
+    ]
+    bfsets = {k: r.feasible_set() for k, r in enumerate(enum) if r.feasible_set().exhaustive}
+    bigm = compute_bigm(instance.network, instance.commodities, bfsets)
+    ir = formulations.assemble_hybrid(instance, 8, "PCS2", "STD", bigm, enum).ir
+    copy = ModelIR(ir.label)
+    for var in ir.variables:
+        copy.add_variable(var.name, var.lower, var.upper, binary=var.binary)
+    for con in ir.constraints:
+        copy.add_constraint(con.tag, con.terms, con.sense, con.rhs)
+    for coef, name in ir.objective:
+        copy.add_objective_term(coef, name)
+    assert any(type(c) is Fraction for c in ir.coefs)
+    assert (copy.cols, copy.coefs, copy.starts) == (ir.cols, ir.coefs, ir.starts)
+    assert lp_format.write_lp(copy) == lp_format.write_lp(ir)
