@@ -73,9 +73,9 @@ def _cmd_enumerate(args) -> int:
 def _cmd_reduce(args) -> int:
     instance = _load(args)
     enum = _enumerate_all(instance, args.cap) if args.method == "paths" else None
+    full = ReducedGraph.identity(instance.network).stats()
     print("commodity\tnodes\tarcs\ttolled")
     for k, com in enumerate(instance.commodities):
-        full = ReducedGraph.identity(instance.network).stats()
         if args.method == "paths":
             bfset = enum[k].feasible_set()
             if not bfset.exhaustive:

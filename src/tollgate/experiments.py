@@ -3,8 +3,8 @@
 Every combination becomes one run: enumerate with a cap tied to the
 breakpoint, assemble the hybrid model (the chosen kind where the feasible
 set is small enough, an unreduced arc-arc block elsewhere), and solve under
-a wall-clock budget.  Failures are recorded as rows, never raised, so a
-long sweep always produces its full grid of results.
+a wall-clock budget.  Failures are recorded as rows that name their cause,
+never raised, so a long sweep always produces its full grid of results.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ CSV_COLUMNS = (
     "enum_s",
     "solve_s",
     "total_s",
+    "error",
 )
 
 FALLBACK_KIND = "STD"
@@ -50,6 +51,8 @@ class RunRecord:
     gap_pct: Optional[float]
     enum_s: float
     solve_s: float
+    #: ``"<ExceptionClass>: <message>"`` on an ``error`` row, else empty.
+    error: str = ""
 
     @property
     def total_s(self) -> float:
@@ -66,6 +69,7 @@ class RunRecord:
             f"{self.enum_s:.4f}",
             f"{self.solve_s:.4f}",
             f"{self.total_s:.4f}",
+            self.error,
         ]
 
 
@@ -80,6 +84,7 @@ def run_one(
 ) -> RunRecord:
     """One sweep cell.  Build or solve trouble becomes an ``error`` row.
 
+    The row's ``error`` field names the exception's class and message.
     ``backend`` defaults to ``ScipyBackend()``; ``paper_exact`` is passed
     to :func:`formulations.assemble_hybrid`.
     """
@@ -115,7 +120,7 @@ def run_one(
         log.warning("run %s/%s/N=%s failed: %s", label, kind.label, breakpoint, exc)
         return RunRecord(
             label, kind.label, breakpoint, "error", None, None,
-            time.perf_counter() - t0, 0.0,
+            time.perf_counter() - t0, 0.0, f"{type(exc).__name__}: {exc}",
         )
     gap = result.gap
     return RunRecord(

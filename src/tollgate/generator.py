@@ -5,7 +5,9 @@ into symmetric twin arcs.  Costs are drawn per edge (both directions equal)
 with a fraction pinned to the top of the range, commodities are distant
 node pairs, and the most-travelled edges become tolled, keeping every
 commodity a toll-free route.  Everything is driven by one seeded RNG, so a
-config reproduces its instance bit for bit.
+config reproduces its instance bit for bit.  Delaunay and Voronoi graphs come
+from ``scipy.spatial.Delaunay``, imported on first use and given the points
+as a list; grids need no ``scipy.spatial``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .network import (
     Arc,
@@ -65,7 +65,9 @@ class GenConfig:
         if not 0 < self.toll_ratio < 1:
             raise GenError(f"toll_ratio must be in (0, 1), got {self.toll_ratio}")
         if not 0 <= self.high_cost_fraction <= 1:
-            raise GenError(f"high_cost_fraction must be in [0, 1]")
+            raise GenError(
+                f"high_cost_fraction must be in [0, 1], got {self.high_cost_fraction}"
+            )
         if self.cost_low < 1 or self.cost_high < self.cost_low:
             raise GenError(f"bad cost range [{self.cost_low}, {self.cost_high}]")
         if self.num_commodities < 1:
@@ -110,7 +112,7 @@ def _delaunay(n: int, rng: random.Random) -> "scipy.spatial.Delaunay":
     # to import than the rest of the package.
     from scipy import spatial
 
-    points = np.array([[rng.random(), rng.random()] for _ in range(n)])
+    points = [[rng.random(), rng.random()] for _ in range(n)]
     # QJ joggles collinear inputs, which pure-random points can produce.
     return spatial.Delaunay(points, qhull_options="QJ")
 

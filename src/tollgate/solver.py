@@ -13,10 +13,12 @@ of HiGHS time (2-core machine) with the same optima.
 uses the binding directly.  :func:`_load_highs` loads that extension module
 from scipy's directory without running ``scipy.optimize``'s package
 ``__init__``, which would import linprog, linalg, fft and more that this
-package never uses.  HiGHS writes some debug lines to file
-descriptor 1 whatever ``output_flag`` says, so fd 1 points at the null
-device while HiGHS runs; otherwise they land inside the CSV that
-``tollgate sweep`` writes to stdout.
+package never uses.  The model reaches HiGHS as plain Python lists of
+floats (:func:`_model_arrays`), so this package imports no numpy; the
+binding loads it itself on the first solve.  HiGHS writes some debug
+lines to file descriptor 1 whatever ``output_flag`` says, so fd 1 points
+at the null device while HiGHS runs; otherwise they land inside the CSV
+that ``tollgate sweep`` writes to stdout.
 
 ``CommandBackend`` shells out to any solver that can read an LP file and
 print ``name value`` lines, configured through a command template.  Callers
@@ -42,10 +44,9 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Protocol
-
-import numpy as np
 
 from .model_ir import ModelIR
 from .lp_format import lp_name_map, write_lp
@@ -135,32 +136,36 @@ class Backend(Protocol):
 
 
 def _model_arrays(model: ModelIR):
-    """The model as float arrays: ``names, c, matrix, lo, hi, lb, ub, binary``.
+    """The model as float lists: ``names, c, matrix, lo, hi, lb, ub, binary``.
 
     ``matrix`` is the constraint matrix column-wise, as column starts, row
     indices and values; ``lo`` and ``hi`` bound the rows, ``lb`` and ``ub``
-    the columns.
+    the columns.  Every float is ``float()`` of the model's exact value.
     """
     n = len(model.names)
-    c = np.zeros(n)
+    c = [0.0] * n
     for coef, name in model.objective:
         c[model.column[name]] = float(coef)
-    starts = np.array(model.starts, dtype=np.int32)
-    rows = np.repeat(np.arange(len(model.tags), dtype=np.int32), np.diff(starts))
-    columns = np.array(model.cols, dtype=np.int32)
+    cols, coefs, starts = model.cols, model.coefs, model.starts
+    counts = [0] * (n + 1)
+    for j in cols:
+        counts[j + 1] += 1
+    rows = [i for i, (a, b) in enumerate(zip(starts, starts[1:])) for _ in range(a, b)]
     # A row holds each variable at most once (see ModelIR.add_constraint), so
     # a stable sort by column leaves each column's rows ascending and there
     # is nothing to sum.
-    order = np.argsort(columns, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(columns, minlength=n), out=indptr[1:])
-    matrix = (indptr, rows[order], np.array(model.coefs, dtype=float)[order])
-    sense = np.array(model.senses, dtype="U2")
-    rhs = np.array(model.rhs, dtype=float)
-    lo = np.where(sense == "<=", -np.inf, rhs)
-    hi = np.where(sense == ">=", np.inf, rhs)
-    lb = np.array([-np.inf if v is None else v for v in model.lower], dtype=float)
-    ub = np.array([np.inf if v is None else v for v in model.upper], dtype=float)
+    order = sorted(range(len(cols)), key=cols.__getitem__)
+    matrix = (
+        list(accumulate(counts)),
+        [rows[p] for p in order],
+        [float(coefs[p]) for p in order],
+    )
+    inf = math.inf
+    rhs = [float(v) for v in model.rhs]
+    lo = [-inf if sense == "<=" else v for sense, v in zip(model.senses, rhs)]
+    hi = [inf if sense == ">=" else v for sense, v in zip(model.senses, rhs)]
+    lb = [-inf if v is None else float(v) for v in model.lower]
+    ub = [inf if v is None else float(v) for v in model.upper]
     return model.names, c, matrix, lo, hi, lb, ub, model.binary
 
 
@@ -263,7 +268,8 @@ class ScipyBackend:
             if highs.setOptionValue(key, value) != _highs.HighsStatus.kOk:
                 raise SolverError(f"HiGHS rejected option {key}={value!r}")
         start = time.perf_counter()
-        lp = _highs_lp(-c, matrix, lo, hi, lb, ub, binary)  # HiGHS minimizes
+        # HiGHS minimizes.
+        lp = _highs_lp([-v for v in c], matrix, lo, hi, lb, ub, binary)
         if highs.passModel(lp) == _highs.HighsStatus.kError:
             raise SolverError(f"HiGHS rejected model {model.label!r}")
         with _fd1_silenced():
@@ -282,9 +288,9 @@ class ScipyBackend:
         objective = None
         bound = None
         if has_point:
-            values = np.asarray(highs.getSolution().col_value)
-            assignment = dict(zip(names, values.tolist()))
-            objective = float(c @ values)
+            values = highs.getSolution().col_value
+            assignment = dict(zip(names, values))
+            objective = math.fsum(cj * xj for cj, xj in zip(c, values))
             if status == STATUS_BUDGET:
                 status = STATUS_FEASIBLE  # incumbent in hand, optimality unproven
             if is_mip and math.isfinite(info.mip_dual_bound):

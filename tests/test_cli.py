@@ -127,6 +127,8 @@ def test_build_refuses_cut_loop_main_kinds(fig_file, capsys):
         ["build", "--instance", "{fig}", "--kind", "STD", "--cap", "1"],
         ["build", "--instance", "{fig}", "--main", "PCS2", "--breakpoint", "0"],
         ["build", "--instance", "{missing}", "--kind", "STD"],
+        ["generate", "--topology", "grid:3x4", "--commodities", "2",
+         "--high-cost-fraction", "2"],
         ["sweep", "--instances", "{fig}", "--kinds", "STD", "--breakpoints", "x"],
         ["sweep", "--instances", "{fig}", "--kinds", "STD", "--breakpoints", "4,0"],
         *(
@@ -141,7 +143,8 @@ def test_build_refuses_cut_loop_main_kinds(fig_file, capsys):
     ],
     ids=[
         "arc-node", "commodity-node", "enumerate-cap", "reduce-cap", "build-cap",
-        "build-truncated", "breakpoint", "missing-file", "breakpoints-word", "breakpoints-zero",
+        "build-truncated", "breakpoint", "missing-file", "high-cost-fraction",
+        "breakpoints-word", "breakpoints-zero",
         "budget-nan", "budget-negative", "budget-zero", "budget-inf", "budget-word",
         "jobs-zero", "jobs-negative", "jobs-fraction",
     ],
@@ -231,7 +234,9 @@ def test_sweep_writes_csv_and_summary(tmp_path, capsys):
     )
     assert rc == 0
     lines = results.read_text().splitlines()
-    assert lines[0] == "instance,kind,N,status,objective,gap_pct,enum_s,solve_s,total_s"
+    assert lines[0] == (
+        "instance,kind,N,status,objective,gap_pct,enum_s,solve_s,total_s,error"
+    )
     assert len(lines) == 1 + 2 * 2 * 2
     assert all(",optimal," in line for line in lines[1:])
     sum_lines = summary.read_text().splitlines()
@@ -412,8 +417,9 @@ def test_sweep_to_stdout_is_pure_csv(tmp_path):
     assert out.startswith("instance,kind,N,")
     rows = list(csv.reader(out.splitlines()))
     assert len(rows) == 2
-    assert all(len(row) == 9 for row in rows)
+    assert all(len(row) == 10 for row in rows)
     assert rows[1][3] == "optimal"
+    assert rows[1][9] == ""
 
 
 def test_output_to_a_closed_pipe_ends_quietly(fig_file):

@@ -45,6 +45,8 @@ def test_run_one_turns_failures_into_error_rows(fig):
     rec = run_one(fig, "STD", breakpoint=0)
     assert rec.status == "error"
     assert rec.objective is None and rec.gap_pct is None
+    assert rec.error == "BuildError: breakpoint must be at least 1, got 0"
+    assert rec.row()[-1] == rec.error
 
 
 def test_sweep_covers_the_grid(tiny_instances):
@@ -92,15 +94,19 @@ def test_csv_layout():
     stream = io.StringIO()
     write_csv([rec], stream)
     lines = stream.getvalue().splitlines()
-    assert lines[0] == "instance,kind,N,status,objective,gap_pct,enum_s,solve_s,total_s"
-    assert lines[1] == "g,STD,4,optimal,7.000000,0.0000,0.0125,0.5000,0.5125"
+    assert lines[0] == (
+        "instance,kind,N,status,objective,gap_pct,enum_s,solve_s,total_s,error"
+    )
+    assert lines[1] == "g,STD,4,optimal,7.000000,0.0000,0.0125,0.5000,0.5125,"
 
 
 def test_csv_blanks_for_missing_values():
-    rec = RunRecord("g", "STD", 4, "error", None, None, 0.0, 0.0)
+    rec = RunRecord("g", "STD", 4, "error", None, None, 0.0, 0.0, "ValueError: x, y")
     stream = io.StringIO()
     write_csv([rec], stream)
-    assert stream.getvalue().splitlines()[1] == "g,STD,4,error,,,0.0000,0.0000,0.0000"
+    assert stream.getvalue().splitlines()[1] == (
+        'g,STD,4,error,,,0.0000,0.0000,0.0000,"ValueError: x, y"'
+    )
 
 
 def test_summary_partitions_easy_and_hard():

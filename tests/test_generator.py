@@ -33,6 +33,8 @@ def test_config_validation():
         GenConfig(("grid", (3, 3)), 1, toll_ratio=0.0)
     with pytest.raises(GenError):
         GenConfig(("grid", (3, 3)), 1, cost_low=10, cost_high=5)
+    with pytest.raises(GenError, match=r"high_cost_fraction .*, got 2"):
+        GenConfig(("grid", (3, 3)), 1, high_cost_fraction=2)
     with pytest.raises(GenError):
         GenConfig(("grid", (3, 3)), 0)
 

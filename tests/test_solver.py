@@ -3,6 +3,7 @@
 import importlib.machinery
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -161,19 +162,43 @@ def test_model_arrays_match_scipy_csc(fig, kind):
     expected = csc_matrix(
         (vals, (rows, cols)), shape=(len(model.constraints), len(col))
     )
-    indptr, indices, data = _model_arrays(model)[2]
-    assert indptr.tolist() == expected.indptr.tolist()
-    assert indices.tolist() == expected.indices.tolist()
-    assert data.tolist() == expected.data.tolist()
+    names, c, matrix, lo, hi, lb, ub, binary = _model_arrays(model)
+    indptr, indices, data = matrix
+    assert indptr == expected.indptr.tolist()
+    assert indices == expected.indices.tolist()
+    assert data == expected.data.tolist()
+    # Every other array is float() of the model's exact values, so HiGHS
+    # receives the same doubles whatever container carries them.
+    objective = {name: coef for coef, name in model.objective}
+    assert c == [float(objective.get(v.name, 0)) for v in model.variables]
+    cons, variables = model.constraints, model.variables
+    assert lo == [-math.inf if r.sense == "<=" else float(r.rhs) for r in cons]
+    assert hi == [math.inf if r.sense == ">=" else float(r.rhs) for r in cons]
+    assert lb == [-math.inf if v.lower is None else float(v.lower) for v in variables]
+    assert ub == [math.inf if v.upper is None else float(v.upper) for v in variables]
+    assert names == [v.name for v in variables]
+    assert binary == [v.binary for v in variables]
 
 
-# Run in a fresh interpreter: which scipy modules ``import tollgate`` loads,
-# and whether scipy's own HiGHS entry points then share tollgate's binding.
+def run_probe(script):
+    """Run ``script`` in a fresh interpreter; the JSON of its last line."""
+    src = str(Path(tollgate.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# Run in a fresh interpreter: which of numpy and the heavy scipy modules
+# ``import tollgate`` loads, and whether scipy's own HiGHS entry points then
+# share tollgate's binding.
 _IMPORT_PROBE = """
 import json, sys
 {first}
 import tollgate
-loaded = [m for m in ("scipy.optimize", "scipy.sparse", "scipy.spatial")
+loaded = [m for m in ("numpy", "scipy.optimize", "scipy.sparse", "scipy.spatial")
           if m in sys.modules]
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -194,17 +219,51 @@ print(json.dumps({{
     "first", ["", "import scipy.optimize"], ids=["tollgate-first", "scipy-first"]
 )
 def test_import_loads_highs_without_scipy_optimize(first):
-    src = str(Path(tollgate.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE.format(first=first)],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    probe = json.loads(proc.stdout.splitlines()[-1])
+    probe = run_probe(_IMPORT_PROBE.format(first=first))
     if not first:
         assert probe["loaded"] == []
     assert probe["shared"] is True
     assert probe["milp"] == pytest.approx(8.0)
+
+
+# Run in a fresh interpreter: the pre-solve command line (generate, then
+# build) leaves numpy unloaded; the first solve loads it through scipy's
+# HiGHS binding.
+_BUILD_PROBE = """
+import json, sys
+from tollgate.cli import main
+from tollgate.model_ir import ModelIR
+from tollgate.solver import ScipyBackend
+npp, lp = {npp!r}, {lp!r}
+assert main(["generate", "--topology", "grid:3x4", "--commodities", "3",
+             "--seed", "1", "--out", npp]) == 0
+assert main(["build", "--instance", npp, "--main", "PCS2", "--breakpoint", "8",
+             "--out", lp]) == 0
+after_build = "numpy" in sys.modules
+m = ModelIR("knapsack")
+for name in ("a", "b", "c"):
+    m.add_variable(name, 0, 1, binary=True)
+m.add_constraint("w", [(4, "a"), (3, "b"), (2, "c")], "<=", 6)
+for coef, name in ((5, "a"), (4, "b"), (3, "c")):
+    m.add_objective_term(coef, name)
+res = ScipyBackend().solve(m, 30)
+print(json.dumps({{
+    "after_build": after_build,
+    "after_solve": "numpy" in sys.modules,
+    "status": res.status,
+    "objective": res.objective,
+}}))
+"""
+
+
+def test_build_command_runs_without_numpy(tmp_path):
+    lp = tmp_path / "g1.lp"
+    probe = run_probe(_BUILD_PROBE.format(npp=str(tmp_path / "g1.npp"), lp=str(lp)))
+    assert "Maximize" in lp.read_text()
+    assert probe["after_build"] is False
+    assert probe["after_solve"] is True
+    assert probe["status"] == "optimal"
+    assert probe["objective"] == pytest.approx(8.0)
 
 
 def test_missing_highs_binding_names_the_folder_searched(tmp_path, monkeypatch):
@@ -225,6 +284,9 @@ def test_scipy_backend_matches_milp(fig, kind, perturb):
     assert res.status == "optimal"
     assert res.objective == pytest.approx(milp_objective(model), rel=1e-9)
     assert res.best_bound == pytest.approx(res.objective, rel=1e-9)
+    c = _model_arrays(model)[1]
+    values = [res.assignment[name] for name in model.names]
+    assert res.objective == math.fsum(cj * xj for cj, xj in zip(c, values))
 
 
 def _same_file(a, b):
