@@ -5,21 +5,40 @@ breakpoint, assemble the hybrid model (the chosen kind where the feasible
 set is small enough, an unreduced arc-arc block elsewhere), and solve under
 a wall-clock budget.  Failures are recorded as rows that name their cause,
 never raised, so a long sweep always produces its full grid of results.
+
+Everything before the choice of kind is the same for every kind, so it is
+prepared once and shared: the perturbed network (when the run perturbs),
+the enumeration results at cap ``breakpoint + 1`` and their feasible sets,
+the big-M constants, and the hybrid plan (each commodity's role, its
+path-reduced graph and its feasible set mapped into it).  A preparation is
+keyed by the instance object, by identity, and by ``(breakpoint,
+perturb)``; it is dropped when that instance object is garbage collected,
+and a preparation that fails is not kept.  Threads that prepare the same
+key at once can at worst repeat the work; the first result stored is the
+one every run uses.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
-from .bigm import compute_bigm
+from .bigm import BigMParams, compute_bigm
 from .cuts import solve_with_vfcs_cuts
-from .enumeration import enumerate_paths, perturb_costs
-from .formulations import KindLike, assemble_hybrid, get_kind
+from .enumeration import EnumerationResult, enumerate_paths, perturb_costs
+from .formulations import (
+    HybridPlan,
+    KindLike,
+    assemble_hybrid,
+    get_kind,
+    plan_hybrid,
+)
 from .network import ProblemInstance
 from .solver import DEFAULT_BUDGET, STATUS_OPTIMAL, Backend
 
@@ -73,6 +92,64 @@ class RunRecord:
         ]
 
 
+@dataclass(frozen=True)
+class _Prepared:
+    """The kind-independent part of a run, shared by every kind."""
+
+    #: The instance as solved: its network is perturbed when the run perturbs.
+    instance: ProblemInstance
+    enum: tuple[EnumerationResult, ...]
+    #: Seconds spent perturbing and enumerating when this was prepared.
+    enum_s: float
+    bigm: BigMParams
+    plan: HybridPlan
+
+
+# id(instance) -> {(breakpoint, perturb): preparation}.  Each preparation is
+# a pure function of its instance and key, so callers sharing it see the
+# values a fresh one would give.  An instance's entry is removed by a
+# weakref.finalize when the instance is collected, so no entry outlives it
+# and an id is never reused while its entry exists.  No entry refers to its
+# instance, which would keep it alive.
+_PREPARED: dict[int, dict[tuple[int, bool], _Prepared]] = {}
+_PREPARED_LOCK = threading.Lock()
+
+
+def _prepare(instance: ProblemInstance, breakpoint: int, perturb: bool) -> _Prepared:
+    t0 = time.perf_counter()
+    net = perturb_costs(instance.network, seed=0) if perturb else instance.network
+    work = ProblemInstance(net, instance.commodities, instance.label)
+    enum = tuple(
+        enumerate_paths(net, com, cap=breakpoint + 1, commodity_index=k)
+        for k, com in enumerate(work.commodities)
+    )
+    enum_s = time.perf_counter() - t0
+    bfsets = {
+        k: r.feasible_set()
+        for k, r in enumerate(enum)
+        if r.feasible_set().exhaustive
+    }
+    bigm = compute_bigm(net, work.commodities, bfsets)
+    plan = plan_hybrid(work, breakpoint, enum)
+    return _Prepared(work, enum, enum_s, bigm, plan)
+
+
+def _prepared(instance: ProblemInstance, breakpoint: int, perturb: bool) -> _Prepared:
+    """The shared preparation of ``instance`` at ``breakpoint``, made on first use."""
+    key = (breakpoint, perturb)
+    with _PREPARED_LOCK:
+        found = _PREPARED.get(id(instance), {}).get(key)
+    if found is not None:
+        return found
+    made = _prepare(instance, breakpoint, perturb)
+    with _PREPARED_LOCK:
+        entries = _PREPARED.get(id(instance))
+        if entries is None:
+            entries = _PREPARED[id(instance)] = {}
+            weakref.finalize(instance, _PREPARED.pop, id(instance), None)
+        return entries.setdefault(key, made)
+
+
 def run_one(
     instance: ProblemInstance,
     kind: KindLike,
@@ -87,33 +164,30 @@ def run_one(
     The row's ``error`` field names the exception's class and message.
     ``backend`` defaults to ``ScipyBackend()``; ``paper_exact`` is passed
     to :func:`formulations.assemble_hybrid`.
+
+    The perturbation, enumeration, big-M constants and hybrid plan come from
+    a preparation shared by every run on the same instance object with the
+    same ``breakpoint`` and ``perturb``, whatever its kind; it lives as long
+    as ``instance`` (see the module docstring).  ``enum_s`` is the time that
+    preparation spent perturbing and enumerating, so every kind of one
+    (instance, breakpoint) reports the same ``enum_s``.  A run whose
+    preparation fails reports the time it ran before failing.
     """
     kind = get_kind(kind)
     label = instance.label
     t0 = time.perf_counter()
     try:
-        net = perturb_costs(instance.network, seed=0) if perturb else instance.network
-        work = ProblemInstance(net, instance.commodities, label)
-        enum = [
-            enumerate_paths(net, com, cap=breakpoint + 1, commodity_index=k)
-            for k, com in enumerate(work.commodities)
-        ]
-        enum_s = time.perf_counter() - t0
-        bfsets = {
-            k: r.feasible_set()
-            for k, r in enumerate(enum)
-            if r.feasible_set().exhaustive
-        }
-        bigm = compute_bigm(net, work.commodities, bfsets)
+        prep = _prepared(instance, breakpoint, perturb)
         hybrid = assemble_hybrid(
-            work,
+            prep.instance,
             breakpoint,
             kind,
             FALLBACK_KIND,
-            bigm,
-            enum,
+            prep.bigm,
+            prep.enum,
             allow_vfcs=True,
             paper_exact=paper_exact,
+            plan=prep.plan,
         )
         result = solve_with_vfcs_cuts(hybrid, budget=budget, backend=backend)
     except Exception as exc:  # noqa: BLE001 - a sweep must survive bad cells
@@ -130,7 +204,7 @@ def run_one(
         result.status,
         result.objective,
         None if gap is None else 100.0 * gap,
-        enum_s,
+        prep.enum_s,
         result.wall_time,
     )
 
@@ -145,7 +219,12 @@ def run_sweep(
     backend: Optional[Backend] = None,
     paper_exact: bool = False,
 ) -> list[RunRecord]:
-    """Run the full grid and return one record per cell, in grid order."""
+    """Run the full grid and return one record per cell, in grid order.
+
+    Cells of one instance and breakpoint share one preparation (see
+    :func:`run_one`), so each (instance, breakpoint) is perturbed,
+    enumerated, bounded and reduced once, whatever the number of kinds.
+    """
     cells = [
         (instance, kind, breakpoint)
         for instance in instances

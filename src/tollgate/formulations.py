@@ -20,7 +20,9 @@ choice writes rows from it: primal, dual, direct, slackness, and the value
 tie of route cost plus revenue against the dual objective.  Both builders,
 :func:`build_single` and :func:`assemble_hybrid`, only plan each commodity
 (role, kind, working graph, feasible set) and pass the plan to one assembly
-loop.
+loop.  A hybrid model's roles and working graphs do not depend on the kinds
+that fill them, so :func:`plan_hybrid` makes them once and sweeps share them
+across kinds.
 
 By default every complementary-slackness block with direct linearization
 (CS1, VFCS1, PACS1, PCS1) also carries the strong-duality row as a valid
@@ -532,24 +534,61 @@ def _assemble(
 ) -> HybridModel:
     """Emit every planned commodity block into one model over shared tolls.
 
-    ``plan`` holds one ``(role, kind, working graph, feasible set in original
-    arc ids)`` per commodity; a dropped commodity gets no block.  Only the
-    blocks whose kind reads paths get their feasible set mapped into the
-    working graph: the others never read it, and a reduction that drops
-    non-shortest splices may not hold its paths.
+    ``plan`` holds one ``(role, kind, working graph, feasible set in working
+    arc ids)`` per commodity; a dropped commodity gets no block.  The
+    feasible set is ``None`` unless the kind reads paths.
     """
     model = ModelIR(label)
     declare_tolls(model, instance.network, bigm)
     assignments = []
-    for k, (role, kind, graph, bfset) in enumerate(plan):
-        working = None
+    for k, (role, kind, graph, working) in enumerate(plan):
         if role != ROLE_DROPPED:
-            if kind.needs_paths and bfset is not None:
-                working = graph.map_feasible_set(bfset)
             com = instance.commodities[k]
             _emit_block(model, kind, k, com, graph, working, bigm, paper_exact)
         assignments.append(CommodityAssignment(k, role, kind, graph, working))
     return HybridModel(model, instance, bigm, breakpoint, tuple(assignments))
+
+
+#: Per commodity, ``(role, working graph, feasible set in working arc ids)``.
+HybridPlan = tuple[
+    tuple[str, Optional[ReducedGraph], Optional[BilevelFeasibleSet]], ...
+]
+
+
+def plan_hybrid(
+    instance: ProblemInstance,
+    breakpoint: Optional[int],
+    enum_results: Sequence[EnumerationResult],
+    map_paths: bool = True,
+) -> HybridPlan:
+    """Each commodity's role in a hybrid model, whatever kinds fill it.
+
+    Commodities whose feasible set is a single path are dropped (they can
+    never pay a toll, their block would be constant).  Commodities with an
+    exhaustive feasible set of at most ``breakpoint`` paths are main: they
+    work on their path-reduced graph, and with ``map_paths`` their feasible
+    set is mapped into it.  Everything else falls back to the original
+    graph.  ``breakpoint=None`` means no size limit.
+    """
+    if breakpoint is not None and breakpoint < 1:
+        raise BuildError(f"breakpoint must be at least 1, got {breakpoint}")
+    plan = []
+    # Every fallback commodity works on the unreduced graph.
+    identity: Optional[ReducedGraph] = None
+    for k, bfset in enumerate(_feasible_sets(instance, enum_results)):
+        if bfset is None:
+            raise BuildError(f"commodity {k}: hybrid assembly needs enumeration results")
+        if bfset.exhaustive and len(bfset) == 1:
+            plan.append((ROLE_DROPPED, None, None))
+        elif bfset.exhaustive and (breakpoint is None or len(bfset) <= breakpoint):
+            graph = path_based_reduce(instance.network, bfset)
+            working = graph.map_feasible_set(bfset) if map_paths else None
+            plan.append((ROLE_MAIN, graph, working))
+        else:
+            if identity is None:
+                identity = ReducedGraph.identity(instance.network)
+            plan.append((ROLE_FALLBACK, identity, None))
+    return tuple(plan)
 
 
 def assemble_hybrid(
@@ -562,21 +601,21 @@ def assemble_hybrid(
     allow_vfcs: bool = False,
     label: Optional[str] = None,
     paper_exact: bool = False,
+    plan: Optional[HybridPlan] = None,
 ) -> HybridModel:
     """Assemble one model with a per-commodity formulation choice.
 
-    Commodities whose feasible set is a single path are dropped (they can
-    never pay a toll, their block would be constant).  Commodities with an
-    exhaustive feasible set of at most ``breakpoint`` paths get ``main_kind``
-    on their path-reduced graph; everything else gets ``fallback_kind`` on
-    the original graph.  ``breakpoint=None`` means no size limit.
-    ``paper_exact`` builds the paper's form, without the strong-duality
-    inequality in direct-linearization slackness blocks.
+    Each commodity's role comes from :func:`plan_hybrid`: dropped
+    commodities get no block, main ones get ``main_kind`` on their
+    path-reduced graph, fallback ones ``fallback_kind`` on the original
+    graph.  ``breakpoint=None`` means no size limit.  A ``plan`` that
+    :func:`plan_hybrid` made from the same instance, breakpoint and
+    enumeration results, with ``map_paths`` set, is used as given; the
+    model is the same.  ``paper_exact`` builds the paper's form, without the
+    strong-duality inequality in direct-linearization slackness blocks.
     """
     main = get_kind(main_kind)
     fallback = get_kind(fallback_kind)
-    if breakpoint is not None and breakpoint < 1:
-        raise BuildError(f"breakpoint must be at least 1, got {breakpoint}")
     if not fallback.is_arc_arc:
         raise BuildError(
             f"fallback kind {fallback} uses path blocks; only arc-arc kinds "
@@ -584,27 +623,19 @@ def assemble_hybrid(
         )
     _check_cut_driver(main, allow_vfcs)
     _check_cut_driver(fallback, allow_vfcs)
-
-    plan: list[_Plan] = []
-    # Every fallback commodity works on the unreduced graph.
-    identity: Optional[ReducedGraph] = None
-    for k, bfset in enumerate(_feasible_sets(instance, enum_results)):
-        if bfset is None:
-            raise BuildError(f"commodity {k}: hybrid assembly needs enumeration results")
-        if bfset.exhaustive and len(bfset) == 1:
-            plan.append((ROLE_DROPPED, None, None, None))
-        elif bfset.exhaustive and (breakpoint is None or len(bfset) <= breakpoint):
-            graph = path_based_reduce(instance.network, bfset)
-            plan.append((ROLE_MAIN, main, graph, bfset))
-        else:
-            if identity is None:
-                identity = ReducedGraph.identity(instance.network)
-            plan.append((ROLE_FALLBACK, fallback, identity, None))
+    if plan is None:
+        plan = plan_hybrid(instance, breakpoint, enum_results, main.needs_paths)
+    kinds = {ROLE_DROPPED: None, ROLE_MAIN: main, ROLE_FALLBACK: fallback}
+    blocks: list[_Plan] = []
+    for role, graph, working in plan:
+        kind = kinds[role]
+        reads_paths = kind is not None and kind.needs_paths
+        blocks.append((role, kind, graph, working if reads_paths else None))
     name = label or (
         f"{instance.label}:{main}/{fallback}"
         f":N={'inf' if breakpoint is None else breakpoint}"
     )
-    return _assemble(instance, name, bigm, breakpoint, plan, paper_exact)
+    return _assemble(instance, name, bigm, breakpoint, blocks, paper_exact)
 
 
 def build_single(
@@ -652,6 +683,11 @@ def build_single(
             graph = spgm_transform(instance.network, com)
         else:
             graph = ReducedGraph.identity(instance.network)
-        plan.append((ROLE_MAIN, kind, graph, bfset))
+        # Only kinds that read paths get the set mapped: a reduction that
+        # drops non-shortest splices may not hold its paths.
+        working = None
+        if kind.needs_paths and bfset is not None:
+            working = graph.map_feasible_set(bfset)
+        plan.append((ROLE_MAIN, kind, graph, working))
     name = label or f"{instance.label}:{kind}:{preprocess}"
     return _assemble(instance, name, bigm, None, plan, paper_exact)

@@ -58,9 +58,13 @@ def _load_highs():
     """scipy's HiGHS binding, without importing ``scipy.optimize``.
 
     The extension is loaded from scipy's directory, which
-    ``importlib.util.find_spec`` finds without running scipy's ``__init__``,
-    and is registered in ``sys.modules`` under its own name, so that a later
-    ``import scipy.optimize`` reuses this module object.
+    ``importlib.util.find_spec`` finds without running scipy's ``__init__``.
+    It is not registered in ``sys.modules``: a later ``import
+    scipy.optimize`` then loads it itself, gets this same module object
+    back from the interpreter's extension cache, and sets it as an
+    attribute of ``scipy.optimize._highspy``.  Registered here, before its
+    parent packages exist, it would be found in ``sys.modules`` and never
+    set as that attribute.
     """
     loaded = sys.modules.get(_HIGHS_MODULE)
     if loaded is not None:
@@ -82,7 +86,6 @@ def _load_highs():
     spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[_HIGHS_MODULE] = module
     return module
 
 

@@ -1,10 +1,15 @@
 """Batch sweeps: the record grid, CSV output, and summaries."""
 
+import gc
 import io
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from tollgate import experiments
 from tollgate.experiments import (
     CSV_COLUMNS,
     RunRecord,
@@ -14,8 +19,13 @@ from tollgate.experiments import (
     write_csv,
     write_summary,
 )
+from tollgate.formulations import FORMULATIONS
 from tollgate.generator import GenConfig, generate
+from tollgate.lp_format import write_lp
+from tollgate.network import Arc, Commodity, Network, ProblemInstance
 from tollgate.oracle import oracle_solve
+
+ALL_KINDS = [k.label for k in FORMULATIONS]
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +33,29 @@ def tiny_instances():
     return [
         generate(GenConfig(("grid", (3, 3)), 2, seed=s)) for s in (0, 1)
     ]
+
+
+def fresh(instance: ProblemInstance) -> ProblemInstance:
+    """``instance`` rebuilt on a new network: it shares no preparation with it."""
+    net = instance.network
+    return ProblemInstance(
+        Network(net.num_nodes, net.arcs), instance.commodities, instance.label
+    )
+
+
+@pytest.fixture
+def assembled_lp(monkeypatch):
+    """The LP text of every model ``run_one`` assembles, before any cut round."""
+    texts = []
+    assemble = experiments.assemble_hybrid
+
+    def spy(*args, **kwargs):
+        hybrid = assemble(*args, **kwargs)
+        texts.append(write_lp(hybrid.ir))
+        return hybrid
+
+    monkeypatch.setattr(experiments, "assemble_hybrid", spy)
+    return texts
 
 
 def test_run_one_solves_and_times(fig):
@@ -79,14 +112,133 @@ def test_sweep_matches_oracle(tiny_instances):
         assert rec.objective == pytest.approx(expected, rel=1e-6)
 
 
+def _assert_one_enum_time_per_cell(records):
+    by_cell = {}
+    for rec in records:
+        by_cell.setdefault((rec.instance, rec.breakpoint), set()).add(rec.enum_s)
+    assert len(by_cell) == 4
+    for times in by_cell.values():
+        assert len(times) == 1 and next(iter(times)) > 0
+
+
 def test_parallel_sweep_keeps_grid_order(tiny_instances):
-    solo = run_sweep(tiny_instances, ["STD"], [1, 8], budget=60)
-    multi = run_sweep(tiny_instances, ["STD"], [1, 8], budget=60, jobs=4)
+    solo = run_sweep(tiny_instances, ALL_KINDS, [1, 8], budget=60)
+    # Fresh instances, so that the threads race to prepare each one.
+    multi = run_sweep(
+        [fresh(i) for i in tiny_instances], ALL_KINDS, [1, 8], budget=60, jobs=4
+    )
     assert [(r.instance, r.kind, r.breakpoint) for r in solo] == [
         (r.instance, r.kind, r.breakpoint) for r in multi
     ]
     for a, b in zip(solo, multi):
+        assert b.status == "optimal"
         assert a.objective == pytest.approx(b.objective, rel=1e-6)
+    # Every kind reports its (instance, N)'s one shared enumeration time.
+    _assert_one_enum_time_per_cell(solo)
+    _assert_one_enum_time_per_cell(multi)
+
+
+def test_sweep_perturbs_once_per_instance_and_breakpoint(tiny_instances, monkeypatch):
+    seen = []
+    perturb = experiments.perturb_costs
+
+    def spy(network, seed):
+        seen.append(network)
+        return perturb(network, seed=seed)
+
+    monkeypatch.setattr(experiments, "perturb_costs", spy)
+    instances = [fresh(i) for i in tiny_instances]
+    records = run_sweep(instances, ["STD", "VF", "PCS2"], [1, 8], budget=60)
+    assert len(records) == 12
+    assert all(r.status == "optimal" for r in records)
+    assert [id(net) for net in seen] == [id(i.network) for i in instances for _ in (1, 8)]
+
+
+@pytest.mark.parametrize("which", ["fixture", "tiny-0", "tiny-1"])
+def test_shared_preparation_matches_a_cold_one(fig, tiny_instances, assembled_lp, which):
+    instance = fig if which == "fixture" else tiny_instances[int(which[-1])]
+    instance = fresh(instance)
+    breakpoints = (1, 8)
+    cold, cold_lp = [], []
+    for kind in ALL_KINDS:
+        for n in breakpoints:
+            cold.append(run_one(fresh(instance), kind, n, budget=60))
+            cold_lp.append(assembled_lp.pop())
+    warm = [run_one(instance, kind, n, budget=60) for kind in ALL_KINDS for n in breakpoints]
+    assert [(r.status, r.objective) for r in warm] == [(r.status, r.objective) for r in cold]
+    assert all(r.status == "optimal" for r in warm)
+    assert assembled_lp == cold_lp
+
+    key = id(instance)
+    entries = experiments._PREPARED[key]
+    assert sorted(entries) == [(1, True), (8, True)]
+    alive = [weakref.ref(prep) for prep in entries.values()]
+    del instance, entries
+    gc.collect()
+    assert key not in experiments._PREPARED
+    assert all(ref() is None for ref in alive)
+
+
+def test_a_failed_preparation_is_an_error_row_for_every_kind(monkeypatch):
+    # Two tolled routes of base cost 2 tie; unperturbed, dominance refuses them.
+    arcs = [
+        Arc(0, 0, 1, Fraction(1), True),
+        Arc(1, 1, 3, Fraction(1), False),
+        Arc(2, 0, 2, Fraction(1), True),
+        Arc(3, 2, 3, Fraction(1), False),
+        Arc(4, 0, 3, Fraction(5), False),
+    ]
+    tie = ProblemInstance(Network(4, arcs), (Commodity(0, 3, Fraction(1)),), "tie")
+    calls = []
+    prepare = experiments._prepare
+
+    def spy(*args):
+        calls.append(args)
+        return prepare(*args)
+
+    monkeypatch.setattr(experiments, "_prepare", spy)
+    records = run_sweep([tie], ALL_KINDS, [4], perturb=False)
+    assert [r.status for r in records] == ["error"] * len(ALL_KINDS)
+    for rec in records:
+        assert rec.error.startswith("InstanceError: paths must be sorted")
+        assert "perturb costs" in rec.error
+    # Nothing was kept, so every kind tried again.
+    assert len(calls) == len(ALL_KINDS)
+    assert experiments._PREPARED.get(id(tie), {}) == {}
+    # Perturbed, the same instance prepares; unperturbed, it still fails.
+    assert [r.status for r in run_sweep([tie], ["STD"], [4])] == ["optimal"]
+    assert [r.status for r in run_sweep([tie], ["STD"], [4], perturb=False)] == ["error"]
+
+
+def test_threads_share_one_preparation(tiny_instances):
+    # A lost update would hand two threads different preparations.
+    instance = fresh(tiny_instances[0])
+    workers = 6
+    together = threading.Barrier(workers, timeout=30)
+    got, errors = [], []
+
+    def worker():
+        try:
+            together.wait()
+            got.append(experiments._prepared(instance, 8, True))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(got) == workers
+    assert all(prep is got[0] for prep in got)
+    assert experiments._prepared(instance, 8, True) is got[0]
 
 
 def test_csv_layout():

@@ -193,7 +193,7 @@ def run_probe(script):
 
 # Run in a fresh interpreter: which of numpy and the heavy scipy modules
 # ``import tollgate`` loads, and whether scipy's own HiGHS entry points then
-# share tollgate's binding.
+# share tollgate's binding, by import and by attribute.
 _IMPORT_PROBE = """
 import json, sys
 {first}
@@ -201,8 +201,13 @@ import tollgate
 loaded = [m for m in ("numpy", "scipy.optimize", "scipy.sparse", "scipy.spatial")
           if m in sys.modules]
 import numpy as np
+import scipy.optimize
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy import _core
+try:
+    chain = scipy.optimize._highspy._core is tollgate.solver._highs
+except AttributeError:
+    chain = False
 res = milp(-np.array([5.0, 4.0, 3.0]),
            constraints=LinearConstraint([[4.0, 3.0, 2.0]], -np.inf, 6.0),
            bounds=Bounds(0, 1), integrality=np.ones(3))
@@ -210,6 +215,7 @@ print(json.dumps({{
     "loaded": loaded,
     "shared": _core is tollgate.solver._highs
               and sys.modules["scipy.optimize._highspy._core"] is _core,
+    "chain": chain,
     "milp": -res.fun,
 }}))
 """
@@ -223,6 +229,7 @@ def test_import_loads_highs_without_scipy_optimize(first):
     if not first:
         assert probe["loaded"] == []
     assert probe["shared"] is True
+    assert probe["chain"] is True
     assert probe["milp"] == pytest.approx(8.0)
 
 
