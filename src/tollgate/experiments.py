@@ -13,9 +13,11 @@ the big-M constants, and the hybrid plan (each commodity's role, its
 path-reduced graph and its feasible set mapped into it).  A preparation is
 keyed by the instance object, by identity, and by ``(breakpoint,
 perturb)``; it is dropped when that instance object is garbage collected,
-and a preparation that fails is not kept.  Threads that prepare the same
-key at once can at worst repeat the work; the first result stored is the
-one every run uses.
+and a preparation that fails is not kept.  The perturbation does not depend
+on the breakpoint, so a perturbed preparation reuses the perturbed instance
+of any stored one: a sweep perturbs each instance once.  Threads that
+prepare the same key at once can at worst repeat the work; the first
+result stored is the one every run uses.
 """
 
 from __future__ import annotations
@@ -115,10 +117,28 @@ _PREPARED: dict[int, dict[tuple[int, bool], _Prepared]] = {}
 _PREPARED_LOCK = threading.Lock()
 
 
+def _stored_perturbation(instance: ProblemInstance) -> Optional[ProblemInstance]:
+    """The perturbed instance of any stored preparation of ``instance``."""
+    with _PREPARED_LOCK:
+        for (_, perturbed), prep in _PREPARED.get(id(instance), {}).items():
+            if perturbed:
+                return prep.instance
+    return None
+
+
 def _prepare(instance: ProblemInstance, breakpoint: int, perturb: bool) -> _Prepared:
     t0 = time.perf_counter()
-    net = perturb_costs(instance.network, seed=0) if perturb else instance.network
-    work = ProblemInstance(net, instance.commodities, instance.label)
+    if perturb:
+        # The perturbation does not depend on the breakpoint: take it from
+        # another breakpoint's preparation when there is one.
+        work = _stored_perturbation(instance)
+        if work is None:
+            net = perturb_costs(instance.network, seed=0)
+            work = ProblemInstance(net, instance.commodities, instance.label)
+    else:
+        # A copy: no preparation may refer to the instance it is keyed by.
+        work = ProblemInstance(instance.network, instance.commodities, instance.label)
+    net = work.network
     enum = tuple(
         enumerate_paths(net, com, cap=breakpoint + 1, commodity_index=k)
         for k, com in enumerate(work.commodities)

@@ -175,9 +175,7 @@ def var_L(k: int) -> str:
 
 def declare_tolls(model: ModelIR, network: Network, bigm: BigMParams) -> None:
     """Declare one shared ``T[a]`` per original tolled arc, bounded by N."""
-    cap = bigm.toll_cap
-    for aid in network.tolled_ids:
-        model.add_variable(var_T(aid), 0, cap)
+    model.add_variables([var_T(aid) for aid in network.tolled_ids], 0, bigm.toll_cap)
 
 
 def _flow_name(k: int, arc: Arc) -> str:
@@ -306,14 +304,14 @@ def _emit_primal(model: ModelIR, b: _Block) -> None:
     convexity row.
     """
     if b.kind.primal_rep == PATH:
-        for name in b.primal:
-            model.add_variable(name, 0, 1, binary=True)
+        model.add_variables(b.primal, 0, 1, binary=True)
         model.add_constraint(f"pp[{b.k}]", [(1, name) for name in b.primal], "=", 1)
         return
     net = b.graph.network
-    binary_y = b.kind.opt_cond == COMPL_SLACK
-    for arc, name in zip(net.arcs, b.primal):
-        model.add_variable(name, 0, 1, binary=arc.tolled or binary_y)
+    if b.kind.opt_cond == COMPL_SLACK:
+        model.add_variables(b.primal, 0, 1, binary=True)
+    else:
+        model.add_variables(b.primal, 0, 1, binary=[arc.tolled for arc in net.arcs])
     for node in range(net.num_nodes):
         terms = [(1, b.primal[aid]) for _, aid in net.out_adj[node]]
         terms += [(-1, b.primal[aid]) for _, aid in net.in_adj[node]]
@@ -333,8 +331,7 @@ def _emit_dual(model: ModelIR, b: _Block) -> None:
     representation: a free bound ``L[k]`` with one row per feasible path.
     """
     if b.kind.dual_rep == ARC:
-        for name in b.potentials:
-            model.add_variable(name, None, None)
+        model.add_variables(b.potentials, None, None)
         for arc in b.graph.network.arcs:
             tag = f"da{1 if arc.tolled else 2}[{b.k},{arc.index}]"
             model.add_constraint(tag, b.arc_dual_terms(arc), "<=", arc.cost)
@@ -365,12 +362,13 @@ def _emit_direct_rows(model: ModelIR, b: _Block, bigm: BigMParams, two_sided: bo
     """
     net = b.graph.network
     side = b.suffix[0]
-    m_val = bigm.m_value(b.k)
+    # One -M object per block: the LP writer formats each coefficient object once.
+    neg_m = -bigm.m_value(b.k)
     n_val = bigm.toll_cap
     for rid, tname in zip(net.tolled_ids, b.revenue):
         toll = b.tolls[rid]
         usage = b.users(net.arcs[rid])
-        upper = [(1, tname)] + [(-m_val, name) for name in usage]
+        upper = [(1, tname)] + [(neg_m, name) for name in usage]
         model.add_constraint(f"direct{side}1[{b.k},{rid}]", upper, "<=", 0)
         rest = [(1, toll), (-1, tname)] + [(n_val, name) for name in usage]
         model.add_constraint(f"direct{side}2[{b.k},{rid}]", rest, "<=", n_val)
@@ -385,7 +383,8 @@ def _emit_cs_rows(model: ModelIR, b: _Block, bigm: BigMParams) -> None:
     if b.kind.dual_rep == ARC:
         for arc in b.graph.network.arcs:
             r_val = _r_bound(bigm, k, arc, b.graph)
-            terms = b.arc_dual_terms(arc) + [(-r_val, name) for name in b.users(arc)]
+            neg_r = -r_val
+            terms = b.arc_dual_terms(arc) + [(neg_r, name) for name in b.users(arc)]
             tag = f"lin-cs-{b.suffix}{1 if arc.tolled else 2}"
             model.add_constraint(f"{tag}[{k},{arc.index}]", terms, ">=", arc.cost - r_val)
         return
@@ -418,7 +417,8 @@ def _emit_path_slack_on_flows(
     uncovered paths come from here.
     """
     terms = _path_bound_terms(k, path, tolls)
-    terms += [(-s_val, flows[rid]) for rid in path.arcs]
+    neg_s = -s_val
+    terms += [(neg_s, flows[rid]) for rid in path.arcs]
     model.add_constraint(tag, terms, ">=", path.cost - s_val * len(path.arcs))
 
 
@@ -443,8 +443,7 @@ def _emit_block(
     b = _Block(model, kind, k, com, graph, bfset)
     _emit_primal(model, b)
     _emit_dual(model, b)
-    for name in b.revenue:
-        model.add_variable(name, 0, None)
+    model.add_variables(b.revenue, 0, None)
     if kind.opt_cond == STRONG_DUALITY:
         _emit_value_tie(model, b, "lin-sd")
         _emit_direct_rows(model, b, bigm, two_sided=False)

@@ -6,25 +6,37 @@ sections, one constraint per line.  Identifiers are the model's variable
 names with the brackets and commas the format forbids rewritten;
 :func:`lp_name_map` maps them back, so a command-line solver's output can be
 read against the model it was given.
+
+Rows are rendered :data:`CHUNK_ROWS` at a time.  Each chunk adds the
+coefficient and right-hand-side objects it has not met yet to one table of
+texts keyed by ``id``, so each distinct object is formatted once per model
+however many terms share it (a block's big-M, an arc's cost).  Keying by
+value would hash every ``Fraction`` instead; ids are safe because every
+object in the table stays alive in the model's lists while it is written.
+The terms are then put together by ``map`` and ``str.join``: only each
+row's first term and its ``sense rhs`` tail take a step of Python per row.
+The objective goes through the same renderer.  The whole model's terms
+are never held as text at once: rendered in one piece, delaunay:60's STD
+model at N=8 (16k rows) raised the writer's peak memory by 9.4 MB, against
+4.5 MB in chunks.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .model_ir import Coef, ModelIR
 
-
-def _float_text(value: Fraction) -> str:
-    # The quotient of two ints is correctly rounded, as float() is.
-    return f"{value.numerator / value.denominator:.12g}"
+#: Rows rendered at a time.
+CHUNK_ROWS = 2048
 
 
 def _fmt(value: Coef) -> str:
     if type(value) is not int:
         if value.denominator != 1:
-            return _float_text(value)
+            # The quotient of two ints is correctly rounded, as float() is.
+            return f"{value.numerator / value.denominator:.12g}"
         value = value.numerator
     return str(value)
 
@@ -34,34 +46,88 @@ def _encode(name: str) -> str:
     return name.replace("[", "__").replace("]", "").replace(",", "_")
 
 
-def _terms_text(coefs: Sequence[Coef], idents: Sequence[str]) -> str:
-    """A sum of terms (at least one) as LP text, one identifier per coefficient."""
-    parts: list[str] = []
-    for coef, text in zip(coefs, idents):
-        if type(coef) is not int:
-            if coef.denominator != 1:
-                number = _float_text(coef)
-                if number[0] == "-":
-                    parts.append(f"- {number[1:]} {text}")
+class _Texts:
+    """LP texts of coefficient and right-hand-side objects, by ``id``.
+
+    For each object: ``number``, the number alone; ``body``, the text before
+    a term's identifier inside a sum (`` + 3 `` for 3, `` - `` for -1); and
+    ``head``, the same at a sum's start, where the "+" goes and a number's
+    sign is glued to it (``3 ``, ``-3 ``), except that a coefficient of -1
+    keeps its spaced ``- ``.  Ids are unique only among live objects, so
+    the table may only hold objects that outlive it: the writer adds the
+    lists of the model it renders.
+    """
+
+    def __init__(self) -> None:
+        self.number: dict[int, str] = {}
+        self.body: dict[int, str] = {}
+        self.head: dict[int, str] = {}
+
+    def add(self, values: Sequence[Coef]) -> None:
+        """Make the texts of every object in ``values`` not yet held."""
+        distinct = dict(zip(map(id, values), values))
+        number, body, head = self.number, self.body, self.head
+        for key in distinct.keys() - number.keys():
+            value = distinct[key]
+            text = number[key] = _fmt(value)
+            if text[0] == "-":
+                if text == "-1" and value == -1:
+                    body[key], head[key] = " - ", "- "
                 else:
-                    parts.append(f"+ {number} {text}")
-                continue
-            coef = coef.numerator
-        if coef == 1:
-            parts.append("+ " + text)
-        elif coef == -1:
-            parts.append("- " + text)
-        elif coef > 0:
-            parts.append(f"+ {coef} {text}")
-        else:
-            parts.append(f"- {-coef} {text}")
-    # The first term carries no "+", and a number's sign is glued to it.
-    head = parts[0]
-    if head[0] == "+":
-        parts[0] = head[2:]
-    elif coefs[0] != -1:
-        parts[0] = "-" + head[2:]
-    return " ".join(parts)
+                    body[key], head[key] = f" - {text[1:]} ", text + " "
+            elif text == "1" and value == 1:
+                body[key], head[key] = " + ", ""
+            else:
+                body[key], head[key] = f" + {text} ", text + " "
+
+
+def _sums(
+    coefs: Sequence[Coef],
+    idents: Iterable[str],
+    heads: Iterable[int],
+    seams: Sequence[str],
+    texts: _Texts,
+) -> str:
+    """Sums of terms as LP text, one identifier per coefficient.
+
+    Row ``i`` starts at position ``heads[i]`` of ``coefs`` and ``idents``
+    and runs to the next row's start or the end; every row has a term.
+    ``seams[i]`` is the text before row ``i``, ``seams[-1]`` the text after
+    the last row.  ``texts`` holds every coefficient.
+    """
+    ids = list(map(id, coefs))
+    head = texts.head
+    # Each term is two pieces: the text before its identifier, then the identifier.
+    pieces = list(chain.from_iterable(zip(map(texts.body.__getitem__, ids), idents)))
+    for at, seam in zip(heads, seams):
+        pieces[2 * at] = seam + head[ids[at]]
+    pieces.append(seams[-1])
+    return "".join(pieces)
+
+
+def _rows_text(
+    model: ModelIR, idents: Sequence[str], texts: _Texts, first: int, end: int
+) -> str:
+    """Rows ``first`` to ``end`` (exclusive) of the Subject To section."""
+    starts = model.starts
+    a, b = starts[first], starts[end]
+    coefs = model.coefs[a:b]
+    rhs = model.rhs[first:end]
+    texts.add(coefs)
+    texts.add(rhs)
+    rhs_text = list(map(texts.number.__getitem__, map(id, rhs)))
+    senses = model.senses
+    # A seam ends one row and names the next.
+    seams = [f" c{first}: "]
+    seams += map(" {} {}\n c{}: ".format, senses[first:end], rhs_text, range(first + 1, end))
+    seams.append(f" {senses[end - 1]} {rhs_text[-1]}\n")
+    return _sums(
+        coefs,
+        map(idents.__getitem__, model.cols[a:b]),
+        map((-a).__add__, starts[first:end]),
+        seams,
+        texts,
+    )
 
 
 def lp_name_map(model: ModelIR) -> dict[str, str]:
@@ -82,22 +148,19 @@ def write_lp(model: ModelIR) -> str:
     # Names are distinct, so the map holds one identifier per column, in order.
     idents = list(lp_name_map(model))
     out = [f"\\ {model.label}\n", "Maximize\n"]
+    texts = _Texts()
     obj = model.objective
     if obj:
-        terms = _terms_text(
-            [coef for coef, _ in obj], [idents[model.column[name]] for _, name in obj]
-        )
+        coefs = [coef for coef, _ in obj]
+        texts.add(coefs)
+        names = [idents[model.column[name]] for _, name in obj]
+        out.append(_sums(coefs, names, [0], [" obj: ", "\n"], texts))
     else:
-        terms = "0 " + idents[0] if idents else "0"
-    out.append(f" obj: {terms}\n")
+        out.append(f" obj: {'0 ' + idents[0] if idents else '0'}\n")
     out.append("Subject To\n")
-    coefs = model.coefs
-    row_idents = list(map(idents.__getitem__, model.cols))
-    a = 0
-    for idx, (sense, rhs, b) in enumerate(zip(model.senses, model.rhs, model.starts[1:])):
-        terms = _terms_text(coefs[a:b], row_idents[a:b])
-        out.append(f" c{idx}: {terms} {sense} {_fmt(rhs)}\n")
-        a = b
+    rows = len(model.tags)
+    for first in range(0, rows, CHUNK_ROWS):
+        out.append(_rows_text(model, idents, texts, first, min(first + CHUNK_ROWS, rows)))
     out.append("Bounds\n")
     binaries: list[str] = []
     for name, lo, hi, binary in zip(idents, model.lower, model.upper, model.binary):

@@ -6,9 +6,12 @@ maximized.  Tags are unique and follow the row-family naming used by the
 builders (``pa[k,i]``, ``da1[k,a]``, ``lin-cs-pp[k,p]``, ...), which makes
 the assembled models auditable constraint by constraint.
 
-The model is stored as columns and flat rows.  :meth:`ModelIR.add_variable`
-gives each name the next column id (``column[name]``) and appends to the
-parallel lists ``names``, ``lower``, ``upper`` and ``binary``.  Rows are
+The model is stored as columns and flat rows.  :meth:`ModelIR.add_variables`
+declares a block of variables that share their bounds: it checks the bounds
+once, gives the names the next column ids (``column[name]``) in one
+dictionary update, and extends the parallel lists ``names``, ``lower``,
+``upper`` and ``binary``.  :meth:`ModelIR.add_variable` is the same call
+for one name, so there is one validation path.  Rows are
 compressed: row ``i`` has the column ids ``cols[starts[i]:starts[i + 1]]``
 with the coefficients at the same positions of ``coefs``, and ``tags``,
 ``senses`` and ``rhs`` hold one entry per row.  The HiGHS backend, the
@@ -126,22 +129,78 @@ class ModelIR:
         binary: bool = False,
     ) -> None:
         """Declare a variable.  Re-declaring with identical shape is a no-op."""
+        self.add_variables((name,), lower, upper, binary)
+
+    def add_variables(
+        self,
+        names: Sequence[str],
+        lower: Optional[Coef] = 0,
+        upper: Optional[Coef] = None,
+        binary: Union[bool, Sequence[bool]] = False,
+    ) -> None:
+        """Declare a block of variables that share their bounds.
+
+        ``binary`` is one flag for the whole block or one per name.  The
+        bounds are checked once for the block, and the names take the next
+        column ids in order, as one :meth:`add_variable` call per name would
+        give them.  A name already declared with the same shape is left as
+        it is; a different shape, or a name given twice in one call, is an
+        error that names the variable.  A call that raises leaves the model
+        unchanged.
+        """
+        count = len(names)
+        flags = list(map(bool, binary)) if isinstance(binary, Sequence) else [bool(binary)] * count
+        if len(flags) != count:
+            raise ValueError(f"{count} variables but {len(flags)} binary flags")
+        if not count:
+            return
         lower = None if lower is None else _exact(lower)
         upper = None if upper is None else _exact(upper)
-        if binary and (lower != 0 or upper != 1):
-            raise ValueError(f"binary variable {name} must have bounds [0, 1]")
+        if (lower != 0 or upper != 1) and any(flags):
+            raise ValueError(
+                f"binary variable {names[flags.index(True)]} must have bounds [0, 1]"
+            )
         if lower is not None and upper is not None and lower > upper:
-            raise ValueError(f"variable {name} has crossing bounds")
-        j = self.column.get(name)
-        if j is not None:
-            if (self.lower[j], self.upper[j], self.binary[j]) != (lower, upper, binary):
-                raise ValueError(f"variable {name} re-declared with a different shape")
+            raise ValueError(f"variable {names[0]} has crossing bounds")
+        column = self.column
+        start = len(self.names)
+        column.update(zip(names, range(start, start + count)))
+        if len(column) != start + count:
+            # A name was declared before or repeats in this call.  The update
+            # overwrote ids: rebuild the map from the names, then sort the
+            # block out one name at a time.  No builder re-declares a name.
+            column.clear()
+            column.update(zip(self.names, range(start)))
+            self._add_known(names, lower, upper, flags)
             return
-        self.column[name] = len(self.names)
-        self.names.append(name)
-        self.lower.append(lower)
-        self.upper.append(upper)
-        self.binary.append(binary)
+        self.names += names
+        self.lower += [lower] * count
+        self.upper += [upper] * count
+        self.binary += flags
+
+    def _add_known(
+        self,
+        names: Sequence[str],
+        lower: Optional[Coef],
+        upper: Optional[Coef],
+        flags: list[bool],
+    ) -> None:
+        """:meth:`add_variables` for a block that repeats a declared name."""
+        fresh: list[str] = []
+        fresh_flags: list[bool] = []
+        seen: set[str] = set()
+        for name, flag in zip(names, flags):
+            if name in seen:
+                raise ValueError(f"variable {name} given twice in one declaration")
+            seen.add(name)
+            j = self.column.get(name)
+            if j is None:
+                fresh.append(name)
+                fresh_flags.append(flag)
+            elif (self.lower[j], self.upper[j], self.binary[j]) != (lower, upper, flag):
+                raise ValueError(f"variable {name} re-declared with a different shape")
+        if fresh:
+            self.add_variables(fresh, lower, upper, fresh_flags)
 
     @property
     def variables(self) -> tuple[Variable, ...]:

@@ -3,8 +3,9 @@
 Everything here is written from the definitions, sharing no logic with the
 package: exhaustive path search by recursion, dominance by pairwise subset
 comparison, random instances assembled straight from arc lists, the full
-decomposition of a lit flow into its path and cycles, and a two-phase
-simplex on a dense tableau of ``Fraction`` values.  Tests freeze
+decomposition of a lit flow into its path and cycles, a two-phase
+simplex on a dense tableau of ``Fraction`` values, and an LP writer that
+renders one row at a time, term by term.  Tests freeze
 values computed by these functions and compare the package against them.
 """
 
@@ -17,6 +18,7 @@ from typing import Optional, Sequence
 
 from tollgate.enumeration import ConsistencyError
 from tollgate.exactlp import LPResult, Row
+from tollgate.model_ir import ModelIR
 from tollgate.network import Arc, Commodity, Network, ProblemInstance
 
 
@@ -430,3 +432,89 @@ def rational_solve_lp(
         (c * values[names[j]] for j, c in obj.items()), Fraction(0)
     )
     return LPResult("optimal", objective_value, values)
+
+
+# -- LP text, one row at a time ---------------------------------------------
+
+
+def _lp_number(value) -> str:
+    if type(value) is not int:
+        if value.denominator != 1:
+            # The quotient of two ints is correctly rounded, as float() is.
+            return f"{value.numerator / value.denominator:.12g}"
+        value = value.numerator
+    return str(value)
+
+
+def _lp_terms(coefs: Sequence, idents: Sequence[str]) -> str:
+    """A sum of terms (at least one) as LP text, one identifier per coefficient."""
+    parts: list[str] = []
+    for coef, text in zip(coefs, idents):
+        if type(coef) is not int:
+            if coef.denominator != 1:
+                number = _lp_number(coef)
+                if number[0] == "-":
+                    parts.append(f"- {number[1:]} {text}")
+                else:
+                    parts.append(f"+ {number} {text}")
+                continue
+            coef = coef.numerator
+        if coef == 1:
+            parts.append("+ " + text)
+        elif coef == -1:
+            parts.append("- " + text)
+        elif coef > 0:
+            parts.append(f"+ {coef} {text}")
+        else:
+            parts.append(f"- {-coef} {text}")
+    # The first term carries no "+", and a number's sign is glued to it.
+    head = parts[0]
+    if head[0] == "+":
+        parts[0] = head[2:]
+    elif coefs[0] != -1:
+        parts[0] = "-" + head[2:]
+    return " ".join(parts)
+
+
+def lp_text_by_rows(model: ModelIR) -> str:
+    """``model`` as CPLEX LP text, each row formatted term by term.
+
+    The dialect of :func:`tollgate.lp_format.write_lp`; names are encoded
+    here as that module documents, and the model is read through its lists.
+    """
+    idents = [
+        name.replace("[", "__").replace("]", "").replace(",", "_") for name in model.names
+    ]
+    column = {name: j for j, name in enumerate(model.names)}
+    out = [f"\\ {model.label}\n", "Maximize\n"]
+    obj = model.objective
+    if obj:
+        terms = _lp_terms([c for c, _ in obj], [idents[column[n]] for _, n in obj])
+    else:
+        terms = "0 " + idents[0] if idents else "0"
+    out.append(f" obj: {terms}\n")
+    out.append("Subject To\n")
+    starts = model.starts
+    for i, (sense, rhs) in enumerate(zip(model.senses, model.rhs)):
+        a, b = starts[i], starts[i + 1]
+        terms = _lp_terms(model.coefs[a:b], [idents[j] for j in model.cols[a:b]])
+        out.append(f" c{i}: {terms} {sense} {_lp_number(rhs)}\n")
+    out.append("Bounds\n")
+    binaries: list[str] = []
+    for name, lo, hi, binary in zip(idents, model.lower, model.upper, model.binary):
+        if binary:
+            binaries.append(f" {name}\n")
+        elif lo is None and hi is None:
+            out.append(f" {name} free\n")
+        elif hi is None:
+            if lo != 0:
+                out.append(f" {_lp_number(lo)} <= {name}\n")
+        elif lo is None:
+            out.append(f" -inf <= {name} <= {_lp_number(hi)}\n")
+        else:
+            out.append(f" {_lp_number(lo)} <= {name} <= {_lp_number(hi)}\n")
+    if binaries:
+        out.append("Binaries\n")
+        out += binaries
+    out.append("End\n")
+    return "".join(out)

@@ -138,7 +138,7 @@ def test_parallel_sweep_keeps_grid_order(tiny_instances):
     _assert_one_enum_time_per_cell(multi)
 
 
-def test_sweep_perturbs_once_per_instance_and_breakpoint(tiny_instances, monkeypatch):
+def test_sweep_perturbs_once_per_instance(tiny_instances, monkeypatch):
     seen = []
     perturb = experiments.perturb_costs
 
@@ -151,7 +151,8 @@ def test_sweep_perturbs_once_per_instance_and_breakpoint(tiny_instances, monkeyp
     records = run_sweep(instances, ["STD", "VF", "PCS2"], [1, 8], budget=60)
     assert len(records) == 12
     assert all(r.status == "optimal" for r in records)
-    assert [id(net) for net in seen] == [id(i.network) for i in instances for _ in (1, 8)]
+    # Breakpoint 8's preparation takes the perturbed instance of breakpoint 1's.
+    assert [id(net) for net in seen] == [id(i.network) for i in instances]
 
 
 @pytest.mark.parametrize("which", ["fixture", "tiny-0", "tiny-1"])

@@ -7,6 +7,7 @@ dialect.
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,12 @@ from scipy.optimize._highspy._core import (
     _Highs,
 )
 
+from bruteforce import lp_text_by_rows
 from conftest import fixture_model, perturbed, sweep_instance, three_role_instance
 from tollgate.bigm import compute_bigm
 from tollgate.enumeration import enumerate_paths
 from tollgate.formulations import FORMULATIONS, assemble_hybrid
-from tollgate.lp_format import lp_name_map, write_lp
+from tollgate.lp_format import CHUNK_ROWS, lp_name_map, write_lp
 from tollgate.model_ir import ModelIR
 from tollgate.solver import ScipyBackend
 
@@ -117,6 +119,88 @@ def test_int_and_fraction_coefficients_render_alike():
         " c0: - x + 2.5 y - 2.5 z + 7 w <= -1"
     )
     assert row_text([Fraction(-1, 4), 1, 1, 1]) == " c0: -0.25 x + y + z + w <= -0.25"
+
+
+def _random_coefficient(rng, shared):
+    """An int, an integer-valued Fraction or a non-integer one, either sign."""
+    pick = rng.randrange(9)
+    if pick == 0:
+        return rng.choice([1, -1])
+    if pick == 1:
+        return rng.choice([Fraction(1), Fraction(-1)])
+    if pick == 2:
+        return rng.choice([-1, 1]) * rng.randint(2, 10**20)
+    if pick == 3:
+        return Fraction(rng.randint(-50, 50) or 7)
+    if pick == 4:
+        # Non-integers whose float text reads "1" or "-1".
+        return rng.choice([1, -1]) * Fraction(10**15 + 1, 10**15)
+    if pick == 5:
+        # One object shared by many terms, as a block's big-M is.
+        return rng.choice(shared)
+    numerator = rng.randint(-(10**18), 10**18) or 3
+    return Fraction(numerator, rng.randint(2, 10**9))
+
+
+def _random_model(rng, rows):
+    model = ModelIR(f"random-{rows}")
+    names = [f"v[{j},{rng.randrange(4)}]" for j in range(rng.randint(1, 40))]
+    for name in names:
+        shape = rng.randrange(6)
+        if shape == 0:
+            model.add_variable(name, 0, 1, binary=True)
+        elif shape == 1:
+            model.add_variable(name, None, None)
+        elif shape == 2:
+            model.add_variable(name, Fraction(-rng.randint(1, 9), 2), rng.randint(0, 9))
+        elif shape == 3:
+            model.add_variable(name, None, Fraction(rng.randint(-9, 9), 4))
+        elif shape == 4:
+            model.add_variable(name, rng.choice([0, -3, Fraction(5, 2)]), None)
+        else:
+            model.add_variable(name, 0, rng.randint(1, 10**6))
+    shared = [Fraction(rng.randint(1, 10**12), 7), -(10**13 + 1)]
+    for i in range(rows):
+        width = rng.randint(1, min(6, len(names)))
+        terms = [(_random_coefficient(rng, shared), n) for n in rng.sample(names, width)]
+        rhs = rng.choice([0, 1, -1, rng.randint(-99, 99), Fraction(rng.randint(-99, 99), 8)])
+        model.add_constraint(f"r[{i}]", terms, rng.choice(["<=", "=", ">="]), rhs)
+    if rng.random() < 0.8:
+        for name in rng.sample(names, rng.randint(1, len(names))):
+            model.add_objective_term(_random_coefficient(rng, shared), name)
+    return model
+
+
+@pytest.mark.parametrize(
+    "rows", [0, 1, 7, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 5]
+)
+def test_writer_matches_the_row_by_row_reference(rows):
+    for seed in range(3):
+        model = _random_model(random.Random(1000 * rows + seed), rows)
+        assert len(model.constraints) == rows
+        assert write_lp(model) == lp_text_by_rows(model)
+
+
+def test_reference_comparison_covers_every_form():
+    # The random models above hold each kind of term, bound and objective.
+    text = "".join(
+        write_lp(_random_model(random.Random(1000 * rows + seed), rows))
+        for rows in (0, 7)
+        for seed in range(3)
+    )
+    text += write_lp(_random_model(random.Random(1000 * CHUNK_ROWS), CHUNK_ROWS))
+    for fragment in (
+        " obj: 0 ",  # an empty objective
+        " free\n",
+        " -inf <= ",
+        "Binaries\n",
+        ": - v__",  # -1 at a row's head
+        " - 1 v__",  # a non-integer whose text is "1", inside a sum
+        ": -1 v__",  # the same at a row's head
+        " <= -",  # a negative right-hand side
+        ".125\n",  # a Fraction right-hand side
+    ):
+        assert fragment in text, fragment
 
 
 # sha256 of write_lp's text for the five-node fixture under every kind in the
@@ -378,6 +462,18 @@ SWEEP_CS_LP_SHA256 = {
 }
 
 
+# The same builds on delaunay:60, the largest in the sweep benchmark (up to
+# 16k rows, so several of the writer's row chunks).  Recorded before the
+# writer rendered rows a chunk at a time and before blocks declared their
+# variables in one call.
+DELAUNAY_LP_SHA256 = {
+    ("STD", 8): "bc024ab7407c17fddad93032e67a49ca613029d8ea142697d5980acd8d3e70ae",
+    ("STD", 64): "3a0fdcc2771e2d51e5f3399410e0727e88fcb50ee8286fc0b62e4c639b61db50",
+    ("PCS2", 8): "e47aec35d107dabdb461097f84fb26d32fcb68e49f6cb303a1c58c57e8135283",
+    ("PCS2", 64): "8105d1b9bded976944d9b168ca825a6428451d775d09dc53634c5df0a775faa4",
+}
+
+
 def _sweep_lp_sha256(topology, kind, breakpoint):
     instance = sweep_instance(topology)
     net = instance.network
@@ -394,6 +490,14 @@ def _sweep_lp_sha256(topology, kind, breakpoint):
 @pytest.mark.parametrize("kind, breakpoint", sorted(SWEEP_LP_SHA256))
 def test_sweep_scale_lp_text_is_pinned(kind, breakpoint):
     assert _sweep_lp_sha256("grid:5x12", kind, breakpoint) == SWEEP_LP_SHA256[(kind, breakpoint)]
+
+
+@pytest.mark.parametrize("kind, breakpoint", sorted(DELAUNAY_LP_SHA256))
+def test_delaunay_sweep_lp_text_is_pinned(kind, breakpoint):
+    assert (
+        _sweep_lp_sha256("delaunay:60", kind, breakpoint)
+        == DELAUNAY_LP_SHA256[(kind, breakpoint)]
+    )
 
 
 @pytest.mark.parametrize("topology, kind", sorted(SWEEP_CS_LP_SHA256))

@@ -74,6 +74,66 @@ def test_redeclare_different_shape_fails():
         m.add_variable("x", lower=0, upper=6)
 
 
+def _columns(m):
+    return (dict(m.column), list(m.names), list(m.lower), list(m.upper), list(m.binary))
+
+
+def test_block_declaration_matches_one_call_per_name():
+    names = [f"x[{j}]" for j in range(5)]
+    flags = [j % 2 == 0 for j in range(5)]
+    block, loop = small_model(), small_model()
+    block.add_variables(names, 0, 1, flags)
+    block.add_variables(["L[0]", "L[1]"], None, None)
+    block.add_variables(["t[0]"], 0, Fraction(7, 2), binary=False)
+    for name, flag in zip(names, flags):
+        loop.add_variable(name, 0, 1, binary=flag)
+    loop.add_variable("L[0]", None, None)
+    loop.add_variable("L[1]", None, None)
+    loop.add_variable("t[0]", 0, Fraction(7, 2))
+    assert _columns(block) == _columns(loop)
+    assert block.column["x[0]"] == 3 and block.column["t[0]"] == 10
+    assert block.binary_names() == ("b", "x[0]", "x[2]", "x[4]")
+    block.add_variables([], 0, 1, [])
+    assert _columns(block) == _columns(loop)
+
+
+def test_block_redeclaration_with_the_same_shape_is_a_noop():
+    m = small_model()
+    m.add_variables(["y", "z"], 0, 5)
+    before = _columns(m)
+    m.add_variables(["x", "y", "z"], 0, 5)
+    assert _columns(m) == before
+    # Declared names are left as they are; new ones take the next ids.
+    m.add_variables(["y", "w"], 0, 5)
+    assert m.column["w"] == 5 and m.names[-1] == "w"
+    assert _columns(m)[0] == {"x": 0, "b": 1, "f": 2, "y": 3, "z": 4, "w": 5}
+
+
+@pytest.mark.parametrize(
+    "names, lower, upper, binary, message",
+    [
+        (["y", "x"], 0, 6, False, "variable x re-declared with a different shape"),
+        (["y", "b"], 0, 1, False, "variable b re-declared with a different shape"),
+        (["y", "z", "y"], 0, 1, False, "variable y given twice in one declaration"),
+        (["y", "z"], 0, 2, [False, True], "binary variable z must have bounds"),
+        (["y", "z"], None, 1, True, "binary variable y must have bounds"),
+        (["y", "z"], Fraction(3), Fraction(1), False, "variable y has crossing bounds"),
+        (["y", "z"], 0, 1, [True], "2 variables but 1 binary flags"),
+    ],
+)
+def test_a_failed_block_declaration_leaves_the_model_unchanged(
+    names, lower, upper, binary, message
+):
+    m = small_model()
+    before = _columns(m)
+    with pytest.raises(ValueError, match=message):
+        m.add_variables(names, lower, upper, binary)
+    assert _columns(m) == before
+    assert list(m.column) == m.names
+    m.add_variable("y")
+    assert m.column["y"] == 3
+
+
 def test_duplicate_tag_fails():
     m = small_model()
     with pytest.raises(ValueError, match="duplicate"):
@@ -170,13 +230,13 @@ def test_assembly_and_writer_leave_the_collector_alone(
         return call
 
     monkeypatch.setattr(formulations, "_emit_block", spy(formulations._emit_block))
-    monkeypatch.setattr(lp_format, "_terms_text", spy(lp_format._terms_text))
+    monkeypatch.setattr(lp_format, "_sums", spy(lp_format._sums))
     assert gc.isenabled()
     assemble = spy(formulations.assemble_hybrid)
     write = spy(lp_format.write_lp)
     write(assemble(fig, None, "STD", "STD", fig_bigm, [fig_enum]).ir)
     assert {name for name, _ in seen} == {
-        "assemble_hybrid", "_emit_block", "write_lp", "_terms_text"
+        "assemble_hybrid", "_emit_block", "write_lp", "_sums"
     }
     assert all(enabled for _, enabled in seen)
     assert switched == []
