@@ -25,9 +25,11 @@ from .enumeration import ConsistencyError
 from .formulations import (
     CommodityAssignment,
     HybridModel,
-    _emit_path_slack_on_flows,
-    _flow_names,
-    _toll_names,
+    _graph_pattern,
+    _path_slack_on_flows,
+    _RowBuffer,
+    _toll_columns,
+    var_L,
 )
 from .network import Arc
 from .solver import (
@@ -116,7 +118,8 @@ def _commodity_cut(
     graph = part.graph
     net = graph.network
     com = context.instance.commodities[k]
-    flows = _flow_names(k, net)
+    patterns = _graph_pattern(graph)
+    flows = list(map(str(k).join, patterns.flow_names))
     lit = [
         a
         for a, name in zip(net.arcs, flows)
@@ -130,12 +133,16 @@ def _commodity_cut(
         graph.reduced_node(com.destination),
         k,
     )
+    ir = context.ir
+    columns = list(map(ir.column.__getitem__, flows))
+    row = _RowBuffer()
 
     if cycle is not None:
         banned = context.cut_cycles.setdefault(k, set())
-        terms = [(1, flows[arc.index]) for arc in cycle]
         tag = f"cut-cycle[{k},{len(banned)}]"
-        context.ir.add_constraint(tag, terms, "<=", len(cycle) - 1)
+        cols = [columns[arc.index] for arc in cycle]
+        row.add(tag, cols, [1] * len(cols), "<=", len(cycle) - 1)
+        row.add_to(ir)
         banned.add(tuple(sorted(arc.index for arc in cycle)))
         return tag
 
@@ -147,9 +154,9 @@ def _commodity_cut(
         return None
     s_val = context.bigm.s_value(k, path)
     tag = f"lin-cs-ap[{k},cut{len(cut)}]"
-    _emit_path_slack_on_flows(
-        context.ir, tag, k, path, s_val, _toll_names(context.ir, graph), flows
-    )
+    tolls = dict(zip(net.tolled_ids, _toll_columns(ir, patterns)))
+    _path_slack_on_flows(row, tag, path, s_val, ir.column[var_L(k)], tolls, columns)
+    row.add_to(ir)
     cut.add(arcs)
     return tag
 

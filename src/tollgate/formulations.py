@@ -13,11 +13,23 @@ case every name still refers to reduced arc ids except ``T`` and ``t``,
 which are keyed by the original tolled arc so that reduced and unreduced
 blocks price the same tolls.
 
-A block's names are worked out once, in a ``_Block`` record: the ``T`` of
-each tolled working arc, the primal variables (flows or ``z``), the reduced
-origin and destination, and the potentials.  One emitter per modelling
-choice writes rows from it: primal, dual, direct, slackness, and the value
-tie of route cost plus revenue against the dual objective.  Both builders,
+Rows are added a block of rows at a time, by column id, through
+:meth:`ModelIR.add_rows`.  What depends only on a working graph is built
+once per graph and kept on it (``_GraphPattern``): variable names and row
+tags as templates that take the commodity index, the arc costs, the flow
+balance and arc dual rows, and the direct and slackness rows of arc-flow
+blocks.  Their columns are slots: a potential, a toll, a revenue or a flow
+of the graph.  A ``_Block`` declares one commodity's variables and maps
+the slots to its model columns; the emitters copy each pattern through that
+table and patch only what depends on the commodity: the balance
+right-hand sides at origin and destination, the potentials in the value
+tie, the big-M values and the demand.  Every fallback block of a hybrid
+model shares the original graph's patterns, and every kind built from one
+hybrid plan shares the plan's.  Rows over feasible paths (path blocks and
+the cut loop's rows) are gathered by column id one path at a time.  One
+emitter per modelling choice writes rows: primal, dual, direct, slackness,
+and the value tie of route cost plus revenue against the dual objective.
+Both builders,
 :func:`build_single` and :func:`assemble_hybrid`, only plan each commodity
 (role, kind, working graph, feasible set) and pass the plan to one assembly
 loop.  A hybrid model's roles and working graphs do not depend on the kinds
@@ -38,12 +50,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from functools import cached_property
+from itertools import accumulate, compress, pairwise
+from sys import intern
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .bigm import BigMParams
 from .enumeration import BilevelFeasibleSet, EnumerationResult
-from .model_ir import ModelIR
-from .network import Arc, ArcId, Commodity, Network, Path, ProblemInstance
+from .model_ir import Coef, ModelIR
+from .network import Arc, ArcId, Commodity, Network, Node, Path, ProblemInstance
 from .preprocess import ReducedGraph, path_based_reduce, spgm_transform
 
 ARC = "arc"
@@ -182,11 +197,6 @@ def _flow_name(k: int, arc: Arc) -> str:
     return var_x(k, arc.index) if arc.tolled else var_y(k, arc.index)
 
 
-def _flow_names(k: int, net: Network) -> list[str]:
-    """Commodity ``k``'s flow variable name for every arc, by arc id."""
-    return [_flow_name(k, arc) for arc in net.arcs]
-
-
 def _reduced_endpoint(graph: ReducedGraph, node: int, k: int, which: str) -> int:
     try:
         return graph.reduced_node(node)
@@ -194,17 +204,6 @@ def _reduced_endpoint(graph: ReducedGraph, node: int, k: int, which: str) -> int
         raise BuildError(
             f"commodity {k}: {which} node {node} is absent from the working graph"
         ) from None
-
-
-def _toll_names(model: ModelIR, graph: ReducedGraph) -> dict[ArcId, str]:
-    """The shared ``T`` variable of every tolled working arc, by working arc id."""
-    names: dict[ArcId, str] = {}
-    for rid in graph.network.tolled_ids:
-        name = var_T(graph.original_tolled_id(rid))
-        if not model.has_variable(name):
-            raise BuildError(f"{name} is not declared; call declare_tolls first")
-        names[rid] = name
-    return names
 
 
 def _r_bound(bigm: BigMParams, k: int, arc: Arc, graph: ReducedGraph) -> Fraction:
@@ -219,16 +218,319 @@ def _r_bound(bigm: BigMParams, k: int, arc: Arc, graph: ReducedGraph) -> Fractio
         ) from None
 
 
+# -- per-graph row patterns --------------------------------------------------
+
+#: Stands for the commodity index in a name or tag template.
+_K = "\0"
+
+
+def _template(name: str) -> tuple[str, str]:
+    """``name`` split around its ``_K``: ``str(k).join`` of it names commodity ``k``'s.
+
+    The two parts are interned: the templates of every graph share them.
+    """
+    before, after = name.split(_K)
+    return intern(before), intern(after)
+
+
+class _RowPattern(NamedTuple):
+    """One family of a block's rows, for any commodity.
+
+    ``tags`` are templates (see :func:`_template`).  Row ``i`` takes the
+    next ``lengths[i]`` entries of ``cols``, which are slots (see
+    :class:`_GraphPattern`), and of ``coefs``, which are coefficients or, for
+    families whose coefficients change with the commodity, positions in a
+    table of them.
+    """
+
+    tags: list[tuple[str, str]]
+    lengths: list[int]
+    cols: list[int]
+    coefs: list
+
+
+# Positions in the coefficient tables: (1, -1, -M_k, N) of the direct rows,
+# and (1, -1, -r_0, -r_1, ...) of the slackness rows.
+_ONE, _MINUS_ONE, _NEG_M, _CAP = range(4)
+
+
+def _direct_rows(
+    net: Network, side: str, users: Sequence[Sequence[int]], toll_slot: Mapping[ArcId, int],
+    revenue: int, two_sided: bool,
+) -> _RowPattern:
+    """Tie each per-arc revenue ``t`` to ``T`` times the arc's usage.
+
+    Per tolled arc: ``t - M_k·use <= 0`` and ``T - t + N·use <= N``, then,
+    two-sided, ``t - T <= 0``.  ``users[a]`` holds the slots of the routes
+    through working arc ``a``, ``toll_slot`` the slot of each tolled arc's
+    ``T``, and the ``t`` of the ``j``-th tolled arc is slot ``revenue + j``.
+    """
+    tags: list[tuple[str, str]] = []
+    lengths: list[int] = []
+    cols: list[int] = []
+    coefs: list[int] = []
+    for j, rid in enumerate(net.tolled_ids):
+        t, toll, use = revenue + j, toll_slot[rid], users[rid]
+        tags += [
+            _template(f"direct{side}1[{_K},{rid}]"),
+            _template(f"direct{side}2[{_K},{rid}]"),
+        ]
+        lengths += [1 + len(use), 2 + len(use)]
+        cols += [t, *use, toll, t, *use]
+        coefs += [_ONE, *[_NEG_M] * len(use), _ONE, _MINUS_ONE, *[_CAP] * len(use)]
+        if two_sided:
+            tags.append(_template(f"direct{side}2lo[{_K},{rid}]"))
+            lengths.append(2)
+            cols += [t, toll]
+            coefs += [_ONE, _MINUS_ONE]
+    return _RowPattern(tags, lengths, cols, coefs)
+
+
+def _arc_dual(arc: Arc, toll_slot: Mapping[ArcId, int]) -> list[int]:
+    """The slots of the potential drop along ``arc`` less its toll.
+
+    Their coefficients are 1, -1 and, on a tolled arc, -1.
+    """
+    if arc.tolled:
+        return [arc.tail, arc.head, toll_slot[arc.index]]
+    return [arc.tail, arc.head]
+
+
+def _slack_rows(
+    net: Network, suffix: str, users: Sequence[Sequence[int]], toll_slot: Mapping[ArcId, int]
+) -> _RowPattern:
+    """Force the dual row of every used working arc to be tight.
+
+    Per arc ``a``: ``lambda[tail] - lambda[head] - T - r_a·use >= cost -
+    r_a``, with ``users`` and ``toll_slot`` as in :func:`_direct_rows`.
+    Coefficients are positions in the table ``(1, -1, -r_0, -r_1, ...)``.
+    """
+    tags: list[tuple[str, str]] = []
+    lengths: list[int] = []
+    cols: list[int] = []
+    coefs: list[int] = []
+    for arc in net.arcs:
+        use = users[arc.index]
+        tags.append(_template(f"lin-cs-{suffix}{1 if arc.tolled else 2}[{_K},{arc.index}]"))
+        slots = _arc_dual(arc, toll_slot)
+        lengths.append(len(slots) + len(use))
+        cols += slots + use
+        coefs += [_ONE, _MINUS_ONE, _MINUS_ONE][: len(slots)] + [2 + arc.index] * len(use)
+    return _RowPattern(tags, lengths, cols, coefs)
+
+
+class _GraphPattern:
+    """What every block on one working graph shares, whatever its commodity.
+
+    Patterns name columns by slot: the potential of node ``i`` is slot
+    ``i``, the ``T`` and the revenue ``t`` of the ``j``-th tolled arc are
+    slots ``tolls + j`` and ``revenue + j``, the flow on arc ``a`` is slot
+    ``flows + a``, and the ``z`` of feasible path ``p`` is slot ``paths +
+    p``.  A block maps slots to its model columns (``_Block.table``).
+    Names and tags are templates (see :func:`_template`).
+
+    Holds the names, the arc costs, the flow balance and arc dual rows, and
+    the direct and slackness rows of arc-flow blocks, whose only route
+    through an arc is its flow.
+    """
+
+    def __init__(self, graph: ReducedGraph) -> None:
+        # Keep the network, not the graph: the graph holds this object, and a
+        # reference back would leave the pair to the cyclic collector.
+        self.network = net = graph.network
+        tolled = net.tolled_ids
+        self.originals = [graph.original_tolled_id(rid) for rid in tolled]
+        self.toll_names = [var_T(a) for a in self.originals]
+        self.tolls = net.num_nodes
+        self.revenue = self.tolls + len(tolled)
+        self.flows = self.revenue + len(tolled)
+        self.paths = self.flows + net.num_arcs
+        self.toll_slot = {rid: self.tolls + j for j, rid in enumerate(tolled)}
+
+    # The rest is built on first use: a path block reads none of it.
+
+    @cached_property
+    def revenue_names(self) -> list[tuple[str, str]]:
+        return [_template(var_t(_K, a)) for a in self.originals]  # type: ignore[arg-type]
+
+    @cached_property
+    def flow_names(self) -> list[tuple[str, str]]:
+        return [_template(_flow_name(_K, arc)) for arc in self.network.arcs]  # type: ignore[arg-type]
+
+    @cached_property
+    def potential_names(self) -> list[tuple[str, str]]:
+        nodes = range(self.network.num_nodes)
+        return [_template(var_lambda(_K, node)) for node in nodes]  # type: ignore[arg-type]
+
+    @cached_property
+    def tolled(self) -> list[bool]:
+        return [arc.tolled for arc in self.network.arcs]
+
+    @cached_property
+    def costs(self) -> list[Fraction]:
+        return [arc.cost for arc in self.network.arcs]
+
+    @cached_property
+    def balance(self) -> tuple[_RowPattern, dict[Node, int]]:
+        """Flow balance rows, out minus in, and each node's row position.
+
+        Only nodes that an arc touches have a row.
+        """
+        net, flows = self.network, self.flows
+        rows = _RowPattern([], [], [], [])
+        position: dict[Node, int] = {}
+        for node in range(net.num_nodes):
+            out, into = net.out_adj[node], net.in_adj[node]
+            if out or into:
+                position[node] = len(rows.lengths)
+                rows.tags.append(_template(f"pa[{_K},{node}]"))
+                rows.lengths.append(len(out) + len(into))
+                rows.cols.extend([flows + aid for _, aid in out] + [flows + aid for _, aid in into])
+                rows.coefs.extend([1] * len(out) + [-1] * len(into))
+        return rows, position
+
+    @cached_property
+    def arc_dual(self) -> _RowPattern:
+        """Per arc: the potential drop along it less its toll, at most its cost."""
+        rows = _RowPattern([], [], [], [])
+        for arc in self.network.arcs:
+            slots = _arc_dual(arc, self.toll_slot)
+            rows.tags.append(_template(f"da{1 if arc.tolled else 2}[{_K},{arc.index}]"))
+            rows.lengths.append(len(slots))
+            rows.cols.extend(slots)
+            rows.coefs.extend([1, -1, -1][: len(slots)])
+        return rows
+
+    @cached_property
+    def flow_users(self) -> list[list[int]]:
+        """The route slots through each arc under the arc primal: its flow."""
+        return [[self.flows + arc.index] for arc in self.network.arcs]
+
+    @cached_property
+    def direct(self) -> dict[bool, _RowPattern]:
+        """The direct rows of an arc-flow block, one-sided (False) and two-sided."""
+        net = self.network
+        return {
+            two_sided: _direct_rows(
+                net, "a", self.flow_users, self.toll_slot, self.revenue, two_sided
+            )
+            for two_sided in (False, True)
+        }
+
+    @cached_property
+    def slack(self) -> _RowPattern:
+        """The slackness rows of an arc-flow, arc-dual block."""
+        return _slack_rows(self.network, "aa", self.flow_users, self.toll_slot)
+
+
+def _graph_pattern(graph: ReducedGraph) -> _GraphPattern:
+    """``graph``'s row patterns, built on first use and kept on the graph.
+
+    Every block on ``graph`` shares them: the fallback blocks of a hybrid
+    model, and the blocks of every kind built from one hybrid plan.  They
+    live as long as the graph.  Building them is a pure function of the
+    graph, so threads that build them at once can at worst build them twice.
+    """
+    pattern = graph._derived.get("block patterns")
+    if pattern is None:
+        pattern = graph._derived["block patterns"] = _GraphPattern(graph)
+    return pattern
+
+
+def _toll_columns(model: ModelIR, pattern: _GraphPattern) -> list[int]:
+    """The model column of each tolled working arc's shared ``T``, in arc order."""
+    try:
+        return list(map(model.column.__getitem__, pattern.toll_names))
+    except KeyError as missing:
+        raise BuildError(
+            f"{missing.args[0]} is not declared; call declare_tolls first"
+        ) from None
+
+
+class _RowBuffer:
+    """Rows gathered a row or a family at a time, then added to a model in one block."""
+
+    def __init__(self) -> None:
+        self.tags: list[str] = []
+        self.senses: list[str] = []
+        self.rhs: list = []
+        self.lengths: list[int] = []
+        self.cols: list[int] = []
+        self.coefs: list = []
+
+    def add(self, tag: str, cols: list[int], coefs: list, sense: str, rhs) -> None:
+        """Add one row."""
+        self.tags.append(tag)
+        self.senses.append(sense)
+        self.rhs.append(rhs)
+        self.lengths.append(len(cols))
+        self.cols += cols
+        self.coefs += coefs
+
+    def extend(
+        self, tags: list[str], sense: str, rhs: list, lengths: list[int], cols: list[int],
+        coefs: list,
+    ) -> None:
+        """Add rows given as in :meth:`ModelIR.add_rows`, all of one sense."""
+        self.tags += tags
+        self.senses += [sense] * len(tags)
+        self.rhs += rhs
+        self.lengths += lengths
+        self.cols += cols
+        self.coefs += coefs
+
+    def add_to(self, model: ModelIR) -> None:
+        model.add_rows(self.tags, self.senses, self.rhs, self.lengths, self.cols, self.coefs)
+
+
+def _path_bound(bound: int, path: Path, tolls: Mapping[ArcId, int]) -> tuple[list[int], list[int]]:
+    """Columns and coefficients of ``L[k]`` (column ``bound``) less the tolls on ``path``."""
+    cols = [bound] + [tolls[rid] for rid in sorted(path.tolled_set)]
+    return cols, [1] + [-1] * len(path.tolled_set)
+
+
+def _path_slack_on_flows(
+    rows: _RowBuffer,
+    tag: str,
+    path: Path,
+    s_val: Fraction,
+    bound: int,
+    tolls: Mapping[ArcId, int],
+    flows: Sequence[int],
+) -> None:
+    """Add ``path``'s slackness row over one commodity's arc flows to ``rows``.
+
+    The row, ``L[k] - sum T[a] over path's tolled arcs - s * sum x over its
+    arcs >= cost - s * len(path)``, binds when the flow lights every arc of
+    the path; each unlit arc relaxes it by ``s``.  ``bound`` is the column
+    of ``L[k]``, ``tolls`` maps working tolled arc ids to ``T`` columns and
+    ``flows`` holds every working arc's flow column by arc id.  Both the
+    feasible-set rows and the cut loop's rows for uncovered paths come from
+    here.
+    """
+    cols, coefs = _path_bound(bound, path, tolls)
+    if s_val:  # else the flow terms drop out
+        cols += [flows[rid] for rid in path.arcs]
+        coefs += [-s_val] * len(path.arcs)
+    rows.add(tag, cols, coefs, ">=", path.cost - s_val * len(path.arcs))
+
+
 # -- one commodity block -----------------------------------------------------
 
 class _Block:
-    """The names of commodity ``k``'s block in its working graph, worked out once.
+    """Commodity ``k``'s block: its variables, its graph's patterns, its columns.
 
-    ``primal`` names the route variables: one flow per working arc, by arc
-    id, or one ``z`` per feasible path.  ``routes`` holds the arcs or paths
-    they stand for, in the same order.  ``potentials`` holds ``lambda`` by
-    node under the arc dual and is empty under the path dual.  ``revenue``
-    holds the per-arc ``t`` under direct linearization, else ``tau``.
+    Making one declares the block's variables, in this order: ``routes`` (a
+    flow per working arc, by arc id, or a binary ``z`` per feasible path),
+    ``duals`` (a free potential per node under the arc dual, else a free
+    ``L``) and ``revenue`` (a ``t`` per tolled arc under direct
+    linearization, else ``tau``).  Those attributes hold their model
+    columns, ``revenue_names`` the revenue names, and ``tolls`` the shared
+    ``T`` column of each tolled working arc.  ``table`` maps the patterns'
+    slots to model columns; the slots of variables the kind lacks map to
+    -1, which no row may use.  ``users`` holds, under the path primal, the
+    ``z`` slots of the paths through each working arc.  ``rows`` gathers
+    the block's rows, which go into the model in one ``add_rows`` call.
     """
 
     def __init__(
@@ -238,6 +540,7 @@ class _Block:
         net = graph.network
         self.kind = kind
         self.k = k
+        self.key = key = str(k)
         self.graph = graph
         self.suffix = kind.primal_rep[0] + kind.dual_rep[0]  # "aa", "ap", "pa", "pp"
         self.paths: tuple[Path, ...] = ()
@@ -254,172 +557,175 @@ class _Block:
             self.paths = bfset.paths
         self.origin = _reduced_endpoint(graph, com.origin, k, "origin")
         self.dest = _reduced_endpoint(graph, com.destination, k, "destination")
-        self.tolls = _toll_names(model, graph)
-        if kind.primal_rep == ARC:
-            self.routes: Sequence[Union[Arc, Path]] = net.arcs
-            self.primal = _flow_names(k, net)
+        self.pattern = pattern = _graph_pattern(graph)
+        tolls = _toll_columns(model, pattern)
+        self.tolls = dict(zip(net.tolled_ids, tolls))
+        arc_primal = kind.primal_rep == ARC
+        arc_dual = kind.dual_rep == ARC
+        direct = kind.linearization == DIRECT
+        if arc_primal:
+            binary = True if kind.opt_cond == COMPL_SLACK else pattern.tolled
+            routes = list(map(key.join, pattern.flow_names))
         else:
-            self.routes = self.paths
-            self.primal = [var_z(k, pos) for pos in range(len(self.paths))]
-        self.potentials: list[str] = []
-        if kind.dual_rep == ARC:
-            self.potentials = [var_lambda(k, node) for node in range(net.num_nodes)]
-        if kind.linearization == DIRECT:
-            self.revenue = [var_t(k, graph.original_tolled_id(rid)) for rid in net.tolled_ids]
-        else:
-            self.revenue = [var_tau(k)]
-
-    def users(self, arc: Arc) -> list[str]:
-        """The primal variables of the routes through working arc ``arc``."""
-        if self.kind.primal_rep == ARC:
-            return [self.primal[arc.index]]
-        return [
-            name
-            for p, name in zip(self.paths, self.primal)
-            if arc.index in (p.tolled_set if arc.tolled else p.arcs)
+            binary = True
+            routes = [var_z(k, pos) for pos in range(len(self.paths))]
+        duals = list(map(key.join, pattern.potential_names)) if arc_dual else [var_L(k)]
+        self.revenue_names = (
+            list(map(key.join, pattern.revenue_names)) if direct else [var_tau(k)]
+        )
+        model.add_variables(routes, 0, 1, binary)
+        model.add_variables(duals, None, None)
+        model.add_variables(self.revenue_names, 0, None)
+        # The ids as the model holds them, so rows share its int objects.
+        column = model.column.__getitem__
+        self.routes = list(map(column, routes))
+        self.duals = list(map(column, duals))
+        self.revenue = list(map(column, self.revenue_names))
+        absent = [-1]
+        self.table = [
+            *(self.duals if arc_dual else absent * net.num_nodes),
+            *tolls,
+            *(self.revenue if direct else absent * len(tolls)),
+            *(self.routes if arc_primal else absent * net.num_arcs),
+            *(() if arc_primal else self.routes),
         ]
+        self.rows = _RowBuffer()
+        self.users: list[list[int]] = []
+        if not arc_primal:
+            self.users = [[] for _ in net.arcs]
+            for pos, path in enumerate(self.paths):
+                for rid in path.arcs:
+                    self.users[rid].append(pattern.paths + pos)
 
-    def arc_dual_terms(self, arc: Arc) -> list[tuple[int, str]]:
-        """The potential drop along ``arc`` less its toll."""
-        terms = [(1, self.potentials[arc.tail]), (-1, self.potentials[arc.head])]
-        if arc.tolled:
-            terms.append((-1, self.tolls[arc.index]))
-        return terms
+    def stamp(
+        self, family: _RowPattern, sense: str, rhs: list,
+        table: Optional[Sequence[Coef]] = None,
+    ) -> None:
+        """Add ``family``'s rows for this commodity, with right-hand sides ``rhs``.
+
+        Without a ``table`` the family's coefficients are the coefficients;
+        with one they are positions in it.  A big-M of 0 in the table drops
+        its terms, as it would drop out of a sum.
+        """
+        lengths = family.lengths
+        cols = list(map(self.table.__getitem__, family.cols))
+        if table is None:
+            coefs = family.coefs
+        else:
+            coefs = list(map(table.__getitem__, family.coefs))
+            if not all(table):
+                lengths, cols, coefs = _without_zeros(lengths, cols, coefs)
+        self.rows.extend(list(map(self.key.join, family.tags)), sense, rhs, lengths, cols, coefs)
 
 
-def _path_bound_terms(
-    k: int, path: Path, tolls: Mapping[ArcId, str]
-) -> list[tuple[Union[int, Fraction], str]]:
-    """``L[k]`` less the tolls on ``path``."""
-    return [(1, var_L(k))] + [(-1, tolls[rid]) for rid in sorted(path.tolled_set)]
+def _without_zeros(
+    lengths: Sequence[int], cols: list[int], coefs: list[Coef]
+) -> tuple[list[int], list[int], list[Coef]]:
+    """Rows given as in :meth:`ModelIR.add_rows`, less their zero terms."""
+    keep = list(map(bool, coefs))
+    kept = [sum(keep[a:b]) for a, b in pairwise(accumulate(lengths, initial=0))]
+    return kept, list(compress(cols, keep)), list(compress(coefs, keep))
 
 
-def _emit_primal(model: ModelIR, b: _Block) -> None:
-    """Add the block's routing variables and rows.
+def _emit_primal(b: _Block) -> None:
+    """Add the block's routing rows.
 
-    Arc representation: one flow variable per working arc (binary ``x`` on
-    tolled arcs, ``y`` on toll-free arcs, binary only under complementary
-    slackness) and a flow balance row per non-isolated node.  Path
-    representation: one binary ``z`` per feasible path and a single
-    convexity row.
+    Arc representation: a flow balance row per non-isolated node over the
+    flow variables (binary ``x`` on tolled arcs, ``y`` on toll-free arcs,
+    binary only under complementary slackness).  Path representation: a
+    single convexity row over the binary ``z`` of the feasible paths.
     """
+    k = b.k
     if b.kind.primal_rep == PATH:
-        model.add_variables(b.primal, 0, 1, binary=True)
-        model.add_constraint(f"pp[{b.k}]", [(1, name) for name in b.primal], "=", 1)
+        count = len(b.routes)
+        b.rows.add(f"pp[{k}]", b.routes, [1] * count, "=", 1)
         return
-    net = b.graph.network
-    if b.kind.opt_cond == COMPL_SLACK:
-        model.add_variables(b.primal, 0, 1, binary=True)
-    else:
-        model.add_variables(b.primal, 0, 1, binary=[arc.tolled for arc in net.arcs])
-    for node in range(net.num_nodes):
-        terms = [(1, b.primal[aid]) for _, aid in net.out_adj[node]]
-        terms += [(-1, b.primal[aid]) for _, aid in net.in_adj[node]]
-        rhs = 1 if node == b.origin else -1 if node == b.dest else 0
-        if not terms:
-            if rhs:
-                raise BuildError(f"commodity {b.k}: node {node} is isolated but must carry flow")
-            continue
-        model.add_constraint(f"pa[{b.k},{node}]", terms, "=", rhs)
+    balance, position = b.pattern.balance
+    rhs = [0] * len(balance.lengths)
+    for node, value in sorted([(b.origin, 1), (b.dest, -1)]):
+        at = position.get(node)
+        if at is None:
+            raise BuildError(f"commodity {k}: node {node} is isolated but must carry flow")
+        rhs[at] = value
+    b.stamp(balance, "=", rhs)
 
 
-def _emit_dual(model: ModelIR, b: _Block) -> None:
+def _emit_dual(b: _Block) -> None:
     """Add the block's dual feasibility rows.
 
-    Arc representation: free potentials ``lambda[k,i]`` with one row per
-    working arc bounding the potential drop by the arc's tolled cost.  Path
-    representation: a free bound ``L[k]`` with one row per feasible path.
+    Arc representation: one row per working arc bounding the drop of the
+    free potentials ``lambda[k,i]`` by the arc's tolled cost.  Path
+    representation: one row per feasible path bounding the free ``L[k]``.
     """
     if b.kind.dual_rep == ARC:
-        model.add_variables(b.potentials, None, None)
-        for arc in b.graph.network.arcs:
-            tag = f"da{1 if arc.tolled else 2}[{b.k},{arc.index}]"
-            model.add_constraint(tag, b.arc_dual_terms(arc), "<=", arc.cost)
+        b.stamp(b.pattern.arc_dual, "<=", b.pattern.costs)
         return
-    model.add_variable(var_L(b.k), None, None)
     for pos, path in enumerate(b.paths):
-        terms = _path_bound_terms(b.k, path, b.tolls)
-        model.add_constraint(f"dp[{b.k},{pos}]", terms, "<=", path.cost)
+        cols, coefs = _path_bound(b.duals[0], path, b.tolls)
+        b.rows.add(f"dp[{b.k},{pos}]", cols, coefs, "<=", path.cost)
 
 
-def _emit_value_tie(model: ModelIR, b: _Block, tag: str, sense: str = "=") -> None:
+def _emit_value_tie(b: _Block, tag: str, sense: str = "=") -> None:
     """Route cost (tolls included, as revenue) against the dual objective."""
-    terms = [(route.cost, name) for route, name in zip(b.routes, b.primal)]
-    terms += [(1, name) for name in b.revenue]
+    costs = b.pattern.costs if b.kind.primal_rep == ARC else [p.cost for p in b.paths]
+    cols = [*b.routes, *b.revenue]
+    coefs = [*costs, *[1] * len(b.revenue)]
     if b.kind.dual_rep == ARC:
-        terms += [(-1, b.potentials[b.origin]), (1, b.potentials[b.dest])]
+        cols += [b.duals[b.origin], b.duals[b.dest]]
+        coefs += [-1, 1]
     else:
-        terms.append((-1, var_L(b.k)))
-    model.add_constraint(f"{tag}-{b.suffix}[{b.k}]", terms, sense, 0)
+        cols.append(b.duals[0])
+        coefs.append(-1)
+    b.rows.add(f"{tag}-{b.suffix}[{b.k}]", cols, coefs, sense, 0)
 
 
-def _emit_direct_rows(model: ModelIR, b: _Block, bigm: BigMParams, two_sided: bool) -> None:
+def _emit_direct_rows(b: _Block, bigm: BigMParams, two_sided: bool) -> None:
     """Tie each per-arc revenue ``t`` to ``T`` times the arc's usage.
 
     The upper pair (``t ≤ M·use``, ``T − t ≤ N·(1 − use)``) is always
     emitted.  The lower row ``t ≤ T`` is only needed under complementary
     slackness; with a strong duality equality in the model it is implied.
     """
-    net = b.graph.network
-    side = b.suffix[0]
-    # One -M object per block: the LP writer formats each coefficient object once.
-    neg_m = -bigm.m_value(b.k)
+    pattern = b.pattern
+    if b.kind.primal_rep == ARC:
+        family = pattern.direct[two_sided]
+    else:
+        family = _direct_rows(
+            b.graph.network, "p", b.users, pattern.toll_slot, pattern.revenue, two_sided
+        )
     n_val = bigm.toll_cap
-    for rid, tname in zip(net.tolled_ids, b.revenue):
-        toll = b.tolls[rid]
-        usage = b.users(net.arcs[rid])
-        upper = [(1, tname)] + [(neg_m, name) for name in usage]
-        model.add_constraint(f"direct{side}1[{b.k},{rid}]", upper, "<=", 0)
-        rest = [(1, toll), (-1, tname)] + [(n_val, name) for name in usage]
-        model.add_constraint(f"direct{side}2[{b.k},{rid}]", rest, "<=", n_val)
-        if two_sided:
-            lower = [(1, tname), (-1, toll)]
-            model.add_constraint(f"direct{side}2lo[{b.k},{rid}]", lower, "<=", 0)
+    # One -M object per block: the LP writer formats each coefficient object once.
+    table = (1, -1, -bigm.m_value(b.k), n_val)
+    rhs = [0, n_val, 0] if two_sided else [0, n_val]
+    b.stamp(family, "<=", rhs * len(pattern.toll_names), table)
 
 
-def _emit_cs_rows(model: ModelIR, b: _Block, bigm: BigMParams) -> None:
+def _emit_cs_rows(b: _Block, bigm: BigMParams) -> None:
     """Force the dual row of every used arc or path to be tight."""
     k = b.k
     if b.kind.dual_rep == ARC:
-        for arc in b.graph.network.arcs:
-            r_val = _r_bound(bigm, k, arc, b.graph)
-            neg_r = -r_val
-            terms = b.arc_dual_terms(arc) + [(neg_r, name) for name in b.users(arc)]
-            tag = f"lin-cs-{b.suffix}{1 if arc.tolled else 2}"
-            model.add_constraint(f"{tag}[{k},{arc.index}]", terms, ">=", arc.cost - r_val)
+        net = b.graph.network
+        r_vals = [_r_bound(bigm, k, arc, b.graph) for arc in net.arcs]
+        if b.kind.primal_rep == ARC:
+            family = b.pattern.slack
+        else:
+            family = _slack_rows(net, b.suffix, b.users, b.pattern.toll_slot)
+        table = [1, -1, *[-r for r in r_vals]]
+        rhs = [cost - r for cost, r in zip(b.pattern.costs, r_vals)]
+        b.stamp(family, ">=", rhs, table)
         return
+    bound = b.duals[0]
     for pos, path in enumerate(b.paths):
         s_val = bigm.s_value(k, path, pos)
         tag = f"lin-cs-{b.suffix}[{k},{pos}]"
         if b.kind.primal_rep == PATH:
-            terms = _path_bound_terms(k, path, b.tolls) + [(-s_val, b.primal[pos])]
-            model.add_constraint(tag, terms, ">=", path.cost - s_val)
+            cols, coefs = _path_bound(bound, path, b.tolls)
+            if s_val:  # else the z term drops out
+                cols.append(b.routes[pos])
+                coefs.append(-s_val)
+            b.rows.add(tag, cols, coefs, ">=", path.cost - s_val)
         else:
-            _emit_path_slack_on_flows(model, tag, k, path, s_val, b.tolls, b.primal)
-
-
-def _emit_path_slack_on_flows(
-    model: ModelIR,
-    tag: str,
-    k: int,
-    path: Path,
-    s_val: Fraction,
-    tolls: Mapping[ArcId, str],
-    flows: Sequence[str],
-) -> None:
-    """Add ``path``'s slackness row over commodity ``k``'s arc flows.
-
-    The row, ``L[k] - sum T[a] over path's tolled arcs - s * sum x over its
-    arcs >= cost - s * len(path)``, binds when the flow lights every arc of
-    the path; each unlit arc relaxes it by ``s``.  ``tolls`` maps working
-    tolled arc ids to ``T`` names and ``flows`` names every working arc's
-    flow by arc id.  Both the feasible-set rows and the cut loop's rows for
-    uncovered paths come from here.
-    """
-    terms = _path_bound_terms(k, path, tolls)
-    neg_s = -s_val
-    terms += [(neg_s, flows[rid]) for rid in path.arcs]
-    model.add_constraint(tag, terms, ">=", path.cost - s_val * len(path.arcs))
+            _path_slack_on_flows(b.rows, tag, path, s_val, bound, b.tolls, b.routes)
 
 
 def _emit_block(
@@ -441,21 +747,21 @@ def _emit_block(
     revenue under slackness is also capped by the strong-duality inequality.
     """
     b = _Block(model, kind, k, com, graph, bfset)
-    _emit_primal(model, b)
-    _emit_dual(model, b)
-    model.add_variables(b.revenue, 0, None)
+    _emit_primal(b)
+    _emit_dual(b)
     if kind.opt_cond == STRONG_DUALITY:
-        _emit_value_tie(model, b, "lin-sd")
-        _emit_direct_rows(model, b, bigm, two_sided=False)
+        _emit_value_tie(b, "lin-sd")
+        _emit_direct_rows(b, bigm, two_sided=False)
     else:
-        _emit_cs_rows(model, b, bigm)
+        _emit_cs_rows(b, bigm)
         if kind.linearization == SUBSTITUTION:
-            _emit_value_tie(model, b, "lin-subs-sd")
+            _emit_value_tie(b, "lin-subs-sd")
         else:
-            _emit_direct_rows(model, b, bigm, two_sided=True)
+            _emit_direct_rows(b, bigm, two_sided=True)
             if not paper_exact:
-                _emit_value_tie(model, b, "vi-sd", "<=")
-    for name in b.revenue:
+                _emit_value_tie(b, "vi-sd", "<=")
+    b.rows.add_to(model)
+    for name in b.revenue_names:
         model.add_objective_term(com.demand, name)
 
 

@@ -14,24 +14,31 @@ dictionary update, and extends the parallel lists ``names``, ``lower``,
 for one name, so there is one validation path.  Rows are
 compressed: row ``i`` has the column ids ``cols[starts[i]:starts[i + 1]]``
 with the coefficients at the same positions of ``coefs``, and ``tags``,
-``senses`` and ``rhs`` hold one entry per row.  The HiGHS backend, the
-solution check and the LP writer read these lists; ``variables``,
-``constraints`` and ``objective`` build record views on request (the
-rows one at a time, as they are read).
+``senses`` and ``rhs`` hold one entry per row.  :meth:`ModelIR.add_rows`
+adds a block of rows given by column id and checks the block as a whole;
+:meth:`ModelIR.add_constraint` looks one row's names up, merges repeated
+variables, and passes the row on to it, so rows too have one validation
+path.  The HiGHS backend, the solution check and the LP writer read these
+lists; ``variables``, ``constraints`` and ``objective`` build record views
+on request (the rows one at a time, as they are read).
 
 Coefficients, right-hand sides and bounds are exact: each is a Python
 ``int`` or a ``fractions.Fraction``, kept as given (an ``int`` stays an
 ``int``; the two compare and hash alike).  Any other input goes through
 :func:`~tollgate.network.as_fraction`, which parses literal strings and
 rejects floats and bools.  Floats are made only by the backend, the
-solution check (:meth:`ModelIR.violations`) and the LP writer.
+solution check (:meth:`ModelIR.violations`) and the LP writer; the check
+converts each distinct coefficient or right-hand-side object once per
+call, in a table of its own.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, attrgetter, mul, truediv
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .network import as_fraction
@@ -40,6 +47,10 @@ Coef = Union[int, Fraction]
 Term = tuple[Coef, str]
 
 SENSES = ("<=", "=", ">=")
+_SENSE_SET = frozenset(SENSES)
+_EXACT = frozenset((int, Fraction))
+_NUMERATOR = attrgetter("numerator")
+_DENOMINATOR = attrgetter("denominator")
 
 
 class Variable(NamedTuple):
@@ -64,6 +75,32 @@ def _exact(value) -> Coef:
     """``value`` itself if it is an int or a Fraction, else :func:`as_fraction` of it."""
     kind = type(value)
     return value if kind is int or kind is Fraction else as_fraction(value)
+
+
+def _floats(values: Sequence[Coef]) -> list[float]:
+    """``float()`` of every value, each distinct object converted once.
+
+    Objects are told apart by ``id``: every one is alive in ``values``
+    while the table of their floats exists.  Each is converted as
+    numerator / denominator, the correctly rounded quotient of two ints that
+    ``float()`` of an int or a Fraction also is, but without a call to
+    ``Fraction``'s Python-level ``__float__``.
+    """
+    distinct = dict(zip(map(id, values), values))
+    objects = distinct.values()
+    floats = map(truediv, map(_NUMERATOR, objects), map(_DENOMINATOR, objects))
+    table = dict(zip(distinct, floats))
+    return list(map(table.__getitem__, map(id, values)))
+
+
+def _first(values: Sequence, test) -> int:
+    """The position of the first of ``values`` that passes ``test``."""
+    return next(at for at, value in enumerate(values) if test(value))
+
+
+def _row_tag(tags: Sequence[str], lengths: Sequence[int], term: int) -> str:
+    """The tag of the row that holds term number ``term`` of a block."""
+    return tags[bisect_right(list(accumulate(lengths)), term)]
 
 
 def _merge_terms(cols: list[int], coefs: list) -> tuple[list[int], list[Coef]]:
@@ -222,15 +259,11 @@ class ModelIR:
         rhs: Coef,
     ) -> None:
         """Add one row.  Duplicate variables are summed and zero terms dropped."""
-        if tag in self._tag_set:
-            raise ValueError(f"duplicate constraint tag {tag}")
-        if sense not in SENSES:
-            raise ValueError(f"constraint {tag}: bad sense {sense!r}")
         column = self.column
         cols: list[int] = []
         coefs: list = []
         # Rows of distinct variables with nonzero int or Fraction coefficients
-        # are stored as given; only the others go through _merge_terms.
+        # are passed on as given; only the others go through _merge_terms.
         plain = True
         try:
             for coef, name in terms:
@@ -245,15 +278,85 @@ class ModelIR:
             ) from None
         if not plain or len(set(cols)) < len(cols):
             cols, coefs = _merge_terms(cols, coefs)
-        if not cols:
-            raise ValueError(f"constraint {tag}: no terms")
+        self.add_rows((tag,), (sense,), (_exact(rhs),), (len(cols),), cols, coefs)
+
+    def add_rows(
+        self,
+        tags: Sequence[str],
+        senses: Sequence[str],
+        rhs: Sequence[Coef],
+        lengths: Sequence[int],
+        cols: Sequence[int],
+        coefs: Sequence[Coef],
+    ) -> None:
+        """Add a block of rows given by column id.
+
+        Row ``i`` takes the next ``lengths[i]`` entries of ``cols`` and
+        ``coefs``.  The block is checked as a whole: tags are new and unique,
+        senses valid, every row has a term, column ids are declared, no
+        column repeats within a row, coefficients are nonzero ints or
+        Fractions and right-hand sides ints or Fractions.  A call that
+        raises leaves the model unchanged.
+        """
+        count = len(tags)
+        if not len(senses) == len(rhs) == len(lengths) == count:
+            raise ValueError(
+                f"{count} tags but {len(senses)} senses, {len(rhs)} right-hand "
+                f"sides and {len(lengths)} row lengths"
+            )
+        if not count:
+            return
+        total = len(cols)
+        if sum(lengths) != total or len(coefs) != total:
+            raise ValueError(
+                f"row lengths sum to {sum(lengths)} for {total} columns "
+                f"and {len(coefs)} coefficients"
+            )
+        if min(lengths) < 1:
+            raise ValueError(f"constraint {tags[_first(lengths, lambda n: n < 1)]}: no terms")
+        if not _SENSE_SET.issuperset(senses):
+            at = _first(senses, lambda s: s not in _SENSE_SET)
+            raise ValueError(f"constraint {tags[at]}: bad sense {senses[at]!r}")
+        if not _EXACT.issuperset(map(type, rhs)):
+            at = _first(rhs, lambda v: type(v) not in _EXACT)
+            raise ValueError(f"constraint {tags[at]}: right-hand side {rhs[at]!r} is not exact")
+        width = len(self.names)
+        if set(map(type, cols)) != {int} or min(cols) < 0 or max(cols) >= width:
+            at = _first(cols, lambda j: type(j) is not int or not 0 <= j < width)
+            raise ValueError(
+                f"constraint {_row_tag(tags, lengths, at)}: column {cols[at]!r} is not declared"
+            )
+        if not _EXACT.issuperset(map(type, coefs)) or not all(coefs):
+            at = _first(coefs, lambda c: type(c) not in _EXACT or not c)
+            raise ValueError(
+                f"constraint {_row_tag(tags, lengths, at)}: coefficient {coefs[at]!r} "
+                "is not a nonzero int or Fraction"
+            )
+        # Column j of row i as the int i * width + j, distinct for distinct pairs.
+        rows = chain.from_iterable(map(repeat, range(0, count * width, width), lengths))
+        if len(set(map(add, rows, cols))) != total:
+            starts = list(accumulate(lengths, initial=0))
+            for tag, a, b in zip(tags, starts, starts[1:]):
+                if len(set(cols[a:b])) < b - a:
+                    raise ValueError(f"constraint {tag} repeats a column")
+        # Tags last, as their set is updated in place: a tag given twice or
+        # already held leaves it short, and it is then rebuilt.
+        tag_set = self._tag_set
+        held = len(tag_set)
+        tag_set.update(tags)
+        if len(tag_set) != held + count:
+            self._tag_set = set(self.tags)
+            seen = set(self.tags)
+            for tag in tags:
+                if tag in seen:
+                    raise ValueError(f"duplicate constraint tag {tag}")
+                seen.add(tag)
         self.cols += cols
         self.coefs += coefs
-        self.starts.append(len(self.cols))
-        self.tags.append(tag)
-        self._tag_set.add(tag)
-        self.senses.append(sense)
-        self.rhs.append(_exact(rhs))
+        self.starts += islice(accumulate(lengths, initial=self.starts[-1]), 1, None)
+        self.tags += tags
+        self.senses += senses
+        self.rhs += rhs
 
     @property
     def constraints(self) -> _Rows:
@@ -262,7 +365,9 @@ class ModelIR:
     def add_objective_term(self, coef: Coef, name: str) -> None:
         if name not in self.column:
             raise ValueError(f"objective references undeclared variable {name}")
-        self._objective[name] = self._objective.get(name, 0) + _exact(coef)
+        coef = _exact(coef)
+        held = self._objective.get(name)
+        self._objective[name] = coef if held is None else held + coef
 
     @property
     def objective(self) -> tuple[Term, ...]:
@@ -278,8 +383,9 @@ class ModelIR:
     ) -> list[str]:
         """Every bound, integrality, and row violation beyond ``tolerance``.
 
-        Rows are evaluated term by term from the exact coefficients, not
-        from the backend's arrays, so the check stays independent of them.
+        Rows are evaluated term by term from floats of the exact
+        coefficients, not from the backend's arrays, so the check stays
+        independent of them.
         """
         issues: list[str] = []
         values = [assignment.get(name, 0.0) for name in self.names]
@@ -292,12 +398,10 @@ class ModelIR:
                 issues.append(f"{name} = {value} above upper bound {upper}")
             if binary and min(abs(value), abs(value - 1.0)) > tolerance:
                 issues.append(f"{name} = {value} is not near 0 or 1")
-        cols, coefs, starts = self.cols, self.coefs, self.starts
-        for tag, sense, rhs, a, b in zip(
-            self.tags, self.senses, self.rhs, starts, starts[1:]
-        ):
-            lhs = sum(float(c) * values[j] for c, j in zip(coefs[a:b], cols[a:b]))
-            rhs = float(rhs)
+        starts = self.starts
+        terms = list(map(mul, _floats(self.coefs), map(values.__getitem__, self.cols)))
+        sums = map(sum, map(terms.__getitem__, map(slice, starts, starts[1:])))
+        for tag, sense, rhs, lhs in zip(self.tags, self.senses, _floats(self.rhs), sums):
             if sense == "<=" and lhs > rhs + tolerance:
                 issues.append(f"{tag}: {lhs} > {rhs}")
             elif sense == ">=" and lhs < rhs - tolerance:

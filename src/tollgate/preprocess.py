@@ -56,6 +56,9 @@ class ReducedGraph:
     _node_map: dict[Node, Node] = field(default_factory=dict, repr=False, compare=False)
     # Reduced arc id by the first original arc of its chain.
     _first_arc: dict[ArcId, ArcId] = field(default_factory=dict, repr=False, compare=False)
+    # Values other modules derive from the graph alone and keep for its
+    # lifetime, by name (formulations keeps its block row patterns here).
+    _derived: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._node_map.update(

@@ -154,7 +154,7 @@ def _model_arrays(model: ModelIR):
     for j in cols:
         counts[j + 1] += 1
     rows = [i for i, (a, b) in enumerate(zip(starts, starts[1:])) for _ in range(a, b)]
-    # A row holds each variable at most once (see ModelIR.add_constraint), so
+    # A row holds each variable at most once (see ModelIR.add_rows), so
     # a stable sort by column leaves each column's rows ascending and there
     # is nothing to sum.
     order = sorted(range(len(cols)), key=cols.__getitem__)

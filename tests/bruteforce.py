@@ -4,8 +4,9 @@ Everything here is written from the definitions, sharing no logic with the
 package: exhaustive path search by recursion, dominance by pairwise subset
 comparison, random instances assembled straight from arc lists, the full
 decomposition of a lit flow into its path and cycles, a two-phase
-simplex on a dense tableau of ``Fraction`` values, and an LP writer that
-renders one row at a time, term by term.  Tests freeze
+simplex on a dense tableau of ``Fraction`` values, an LP writer that
+renders one row at a time, term by term, and model emitters that add every
+row term by term, by variable name.  Tests freeze
 values computed by these functions and compare the package against them.
 """
 
@@ -16,10 +17,29 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from tollgate.bigm import BigMParams
 from tollgate.enumeration import ConsistencyError
 from tollgate.exactlp import LPResult, Row
+from tollgate.formulations import (
+    ARC,
+    COMPL_SLACK,
+    DIRECT,
+    PATH,
+    ROLE_DROPPED,
+    STRONG_DUALITY,
+    SUBSTITUTION,
+    HybridModel,
+    var_L,
+    var_T,
+    var_lambda,
+    var_t,
+    var_tau,
+    var_x,
+    var_y,
+    var_z,
+)
 from tollgate.model_ir import ModelIR
-from tollgate.network import Arc, Commodity, Network, ProblemInstance
+from tollgate.network import Arc, Commodity, Network, Path, ProblemInstance
 
 
 def all_simple_paths(
@@ -518,3 +538,177 @@ def lp_text_by_rows(model: ModelIR) -> str:
         out += binaries
     out.append("End\n")
     return "".join(out)
+
+
+# -- model rows, term by term, by name ----------------------------------------
+
+
+class _NamedBlock:
+    """The variable names of commodity ``k``'s block in its working graph."""
+
+    def __init__(self, kind, k, com, graph, bfset) -> None:
+        net = graph.network
+        self.kind = kind
+        self.k = k
+        self.graph = graph
+        self.suffix = kind.primal_rep[0] + kind.dual_rep[0]
+        self.paths = bfset.paths if kind.needs_paths else ()
+        self.origin = graph.reduced_node(com.origin)
+        self.dest = graph.reduced_node(com.destination)
+        self.tolls = {
+            rid: var_T(graph.original_tolled_id(rid)) for rid in net.tolled_ids
+        }
+        if kind.primal_rep == ARC:
+            self.routes = net.arcs
+            self.primal = [
+                var_x(k, arc.index) if arc.tolled else var_y(k, arc.index)
+                for arc in net.arcs
+            ]
+        else:
+            self.routes = self.paths
+            self.primal = [var_z(k, pos) for pos in range(len(self.paths))]
+        self.potentials = []
+        if kind.dual_rep == ARC:
+            self.potentials = [var_lambda(k, node) for node in range(net.num_nodes)]
+        if kind.linearization == DIRECT:
+            self.revenue = [var_t(k, graph.original_tolled_id(rid)) for rid in net.tolled_ids]
+        else:
+            self.revenue = [var_tau(k)]
+
+    def users(self, arc: Arc) -> list[str]:
+        if self.kind.primal_rep == ARC:
+            return [self.primal[arc.index]]
+        return [
+            name
+            for p, name in zip(self.paths, self.primal)
+            if arc.index in (p.tolled_set if arc.tolled else p.arcs)
+        ]
+
+    def arc_dual_terms(self, arc: Arc) -> list:
+        terms = [(1, self.potentials[arc.tail]), (-1, self.potentials[arc.head])]
+        if arc.tolled:
+            terms.append((-1, self.tolls[arc.index]))
+        return terms
+
+
+def _path_bound_terms(k: int, path: Path, tolls) -> list:
+    return [(1, var_L(k))] + [(-1, tolls[rid]) for rid in sorted(path.tolled_set)]
+
+
+def path_slack_by_terms(
+    model: ModelIR, tag: str, k: int, path: Path, s_val, tolls, flows
+) -> None:
+    """``path``'s slackness row over commodity ``k``'s arc flows, by name.
+
+    ``tolls`` names the ``T`` of each working tolled arc and ``flows`` the
+    flow of each working arc, by arc id.
+    """
+    terms = _path_bound_terms(k, path, tolls)
+    terms += [(-s_val, flows[rid]) for rid in path.arcs]
+    model.add_constraint(tag, terms, ">=", path.cost - s_val * len(path.arcs))
+
+
+def _named_block(model: ModelIR, b: _NamedBlock, bigm: BigMParams, paper_exact: bool) -> None:
+    kind, k, net = b.kind, b.k, b.graph.network
+    # Routing variables and rows.
+    if kind.primal_rep == PATH:
+        model.add_variables(b.primal, 0, 1, binary=True)
+        model.add_constraint(f"pp[{k}]", [(1, name) for name in b.primal], "=", 1)
+    else:
+        binary = True if kind.opt_cond == COMPL_SLACK else [a.tolled for a in net.arcs]
+        model.add_variables(b.primal, 0, 1, binary=binary)
+        for node in range(net.num_nodes):
+            terms = [(1, b.primal[aid]) for _, aid in net.out_adj[node]]
+            terms += [(-1, b.primal[aid]) for _, aid in net.in_adj[node]]
+            rhs = 1 if node == b.origin else -1 if node == b.dest else 0
+            if terms:
+                model.add_constraint(f"pa[{k},{node}]", terms, "=", rhs)
+    # Dual feasibility.
+    if kind.dual_rep == ARC:
+        model.add_variables(b.potentials, None, None)
+        for arc in net.arcs:
+            tag = f"da{1 if arc.tolled else 2}[{k},{arc.index}]"
+            model.add_constraint(tag, b.arc_dual_terms(arc), "<=", arc.cost)
+    else:
+        model.add_variable(var_L(k), None, None)
+        for pos, path in enumerate(b.paths):
+            terms = _path_bound_terms(k, path, b.tolls)
+            model.add_constraint(f"dp[{k},{pos}]", terms, "<=", path.cost)
+    model.add_variables(b.revenue, 0, None)
+
+    def value_tie(tag: str, sense: str = "=") -> None:
+        terms = [(route.cost, name) for route, name in zip(b.routes, b.primal)]
+        terms += [(1, name) for name in b.revenue]
+        if kind.dual_rep == ARC:
+            terms += [(-1, b.potentials[b.origin]), (1, b.potentials[b.dest])]
+        else:
+            terms.append((-1, var_L(k)))
+        model.add_constraint(f"{tag}-{b.suffix}[{k}]", terms, sense, 0)
+
+    def direct_rows(two_sided: bool) -> None:
+        side = b.suffix[0]
+        neg_m = -bigm.m_value(k)
+        n_val = bigm.toll_cap
+        for rid, tname in zip(net.tolled_ids, b.revenue):
+            toll = b.tolls[rid]
+            usage = b.users(net.arcs[rid])
+            upper = [(1, tname)] + [(neg_m, name) for name in usage]
+            model.add_constraint(f"direct{side}1[{k},{rid}]", upper, "<=", 0)
+            rest = [(1, toll), (-1, tname)] + [(n_val, name) for name in usage]
+            model.add_constraint(f"direct{side}2[{k},{rid}]", rest, "<=", n_val)
+            if two_sided:
+                lower = [(1, tname), (-1, toll)]
+                model.add_constraint(f"direct{side}2lo[{k},{rid}]", lower, "<=", 0)
+
+    def cs_rows() -> None:
+        if kind.dual_rep == ARC:
+            for arc in net.arcs:
+                r_val = bigm.r_value(
+                    k, arc.cost, arc.tolled,
+                    b.graph.node_origin[arc.tail], b.graph.node_origin[arc.head],
+                )
+                terms = b.arc_dual_terms(arc) + [(-r_val, name) for name in b.users(arc)]
+                tag = f"lin-cs-{b.suffix}{1 if arc.tolled else 2}[{k},{arc.index}]"
+                model.add_constraint(tag, terms, ">=", arc.cost - r_val)
+            return
+        for pos, path in enumerate(b.paths):
+            s_val = bigm.s_value(k, path, pos)
+            tag = f"lin-cs-{b.suffix}[{k},{pos}]"
+            if kind.primal_rep == PATH:
+                terms = _path_bound_terms(k, path, b.tolls) + [(-s_val, b.primal[pos])]
+                model.add_constraint(tag, terms, ">=", path.cost - s_val)
+            else:
+                path_slack_by_terms(model, tag, k, path, s_val, b.tolls, b.primal)
+
+    if kind.opt_cond == STRONG_DUALITY:
+        value_tie("lin-sd")
+        direct_rows(two_sided=False)
+    else:
+        cs_rows()
+        if kind.linearization == SUBSTITUTION:
+            value_tie("lin-subs-sd")
+        else:
+            direct_rows(two_sided=True)
+            if not paper_exact:
+                value_tie("vi-sd", "<=")
+
+
+def model_by_terms(hybrid: HybridModel, paper_exact: bool = False) -> ModelIR:
+    """``hybrid``'s model emitted again from its assignments, term by term.
+
+    Every row goes through :meth:`ModelIR.add_constraint` by variable name,
+    block after block, as the builders' emitters did before they stamped
+    per-graph row patterns by column id.
+    """
+    instance, bigm = hybrid.instance, hybrid.bigm
+    model = ModelIR(hybrid.ir.label)
+    model.add_variables([var_T(a) for a in instance.network.tolled_ids], 0, bigm.toll_cap)
+    for part in hybrid.assignments:
+        if part.role == ROLE_DROPPED:
+            continue
+        com = instance.commodities[part.commodity]
+        block = _NamedBlock(part.kind, part.commodity, com, part.graph, part.bfset)
+        _named_block(model, block, bigm, paper_exact)
+        for name in block.revenue:
+            model.add_objective_term(com.demand, name)
+    return model

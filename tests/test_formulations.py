@@ -11,11 +11,16 @@ strong-duality inequality to each slackness block with direct
 linearization.
 """
 
+import sys
+import threading
 import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+from tollgate import formulations
 from tollgate.bigm import compute_bigm
 from tollgate.enumeration import enumerate_paths
 from tollgate.formulations import (
@@ -26,6 +31,7 @@ from tollgate.formulations import (
     assemble_hybrid,
     build_single,
     get_kind,
+    plan_hybrid,
     var_L,
     var_T,
     var_t,
@@ -34,13 +40,15 @@ from tollgate.formulations import (
     var_y,
     var_z,
 )
-from tollgate.generator import GenConfig, generate
+from tollgate.generator import GenConfig, generate, parse_topology
+from tollgate.lp_format import write_lp
 from tollgate.model_ir import ModelIR
 from tollgate.network import Arc, Commodity, Network, ProblemInstance
 from tollgate.oracle import oracle_solve
 from tollgate.solver import ScipyBackend
 
-from conftest import fixture_model, perturbed, three_role_instance
+from bruteforce import model_by_terms
+from conftest import fixture_model, five_node_instance, perturbed, three_role_instance
 
 ROW_COUNTS = {
     "STD": 16,
@@ -361,3 +369,125 @@ def test_isolated_node_balance_rows_are_skipped(fig_bigm):
     bigm = compute_bigm(net, inst.commodities, {0: enum.feasible_set()})
     built = build_single(inst, "STD", bigm, [enum], preprocess="none")
     assert built.ir.tag_counts()["pa"] == 2
+
+
+# -- stamped blocks against the term-by-term reference --------------------------
+
+
+def _reference_case(name):
+    """An instance, its uncapped enumerations and big-M constants, and a breakpoint
+    that gives it main, fallback and dropped commodities."""
+    if name == "fixture":
+        inst, enums = three_role_instance(five_node_instance())
+        breakpoint = 2
+    else:
+        topology, commodities, breakpoint = {
+            "grid:4x4": ("grid:4x4", 3, 4),
+            "delaunay:10": ("delaunay:10", 4, 5),
+        }[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inst = perturbed(generate(GenConfig(parse_topology(topology), commodities, seed=0)))
+        enums = [
+            enumerate_paths(inst.network, com, commodity_index=k)
+            for k, com in enumerate(inst.commodities)
+        ]
+    bfsets = {k: e.feasible_set() for k, e in enumerate(enums)}
+    return inst, enums, compute_bigm(inst.network, inst.commodities, bfsets), breakpoint
+
+
+def _model_lists(ir):
+    return (
+        ir.label, ir.column, ir.names, ir.lower, ir.upper, ir.binary,
+        ir.tags, ir.senses, ir.rhs, ir.starts, ir.cols, ir.coefs, ir.objective,
+        list(map(type, ir.coefs)), list(map(type, ir.rhs)),
+    )
+
+
+@pytest.mark.parametrize("case", ["fixture", "grid:4x4", "delaunay:10"])
+@pytest.mark.parametrize("kind", [k.label for k in FORMULATIONS])
+def test_models_match_the_term_by_term_reference(case, kind):
+    inst, enums, bigm, breakpoint = _reference_case(case)
+    preprocesses = ("paths", "none") + (("spgm",) if get_kind(kind).is_arc_arc else ())
+    for paper_exact in (False, True):
+        built = [
+            build_single(
+                inst, kind, bigm, enums, preprocess=preprocess, allow_vfcs=True,
+                paper_exact=paper_exact,
+            )
+            for preprocess in preprocesses
+        ]
+        for fallback in ("STD", "CS1", "CS2"):
+            hybrid = assemble_hybrid(
+                inst, breakpoint, kind, fallback, bigm, enums, allow_vfcs=True,
+                paper_exact=paper_exact,
+            )
+            assert {a.role for a in hybrid.assignments} == {"main", "fallback", "dropped"}
+            built.append(hybrid)
+        for hybrid in built:
+            reference = model_by_terms(hybrid, paper_exact)
+            assert _model_lists(hybrid.ir) == _model_lists(reference), hybrid.ir.label
+            assert write_lp(hybrid.ir) == write_lp(reference)
+
+
+# -- per-graph row patterns: sharing and lifetime -------------------------------
+
+
+def test_fallback_blocks_share_one_pattern(monkeypatch):
+    inst, enums, bigm, breakpoint = _reference_case("delaunay:10")
+    built = []
+    make = formulations._GraphPattern
+
+    def spy(graph):
+        built.append(graph)
+        return make(graph)
+
+    monkeypatch.setattr(formulations, "_GraphPattern", spy)
+    hybrid = assemble_hybrid(inst, 1, "PCS2", "CS1", bigm, enums)
+    fallback = [a.graph for a in hybrid.assignments if a.role == "fallback"]
+    assert len(fallback) >= 2 and all(g is fallback[0] for g in fallback)
+    assert sum(g is fallback[0] for g in built) == 1
+    # A plan shared across kinds shares its graphs' patterns as well, the
+    # main blocks' reduced graphs included.
+    plan = plan_hybrid(inst, breakpoint, enums)
+    before = len(built)
+    for kind in ("STD", "CS2", "PACS1"):
+        assemble_hybrid(inst, breakpoint, kind, "STD", bigm, enums, plan=plan)
+    graphs = {id(g) for role, g, _ in plan if role != "dropped"}
+    assert len(graphs) >= 2 and len(built) - before == len(graphs)
+
+
+def test_a_pattern_dies_with_its_graph():
+    inst, enums, bigm, _ = _reference_case("grid:4x4")
+    hybrid = assemble_hybrid(inst, 4, "PACS2", "STD", bigm, enums)
+    graph = next(a.graph for a in hybrid.assignments if a.role == "fallback")
+    pattern = weakref.ref(formulations._graph_pattern(graph))
+    assert pattern() is formulations._graph_pattern(graph)
+    del hybrid, graph
+    # No reference cycle holds it: freeing the graph frees the pattern.
+    assert pattern() is None
+
+
+def test_threads_assembling_from_one_plan_build_identical_models():
+    # More threads than cores and a short switch interval, so that threads
+    # race to build the plan's patterns; each may build them, and every
+    # model must still match the serial one.
+    inst, enums, bigm, breakpoint = _reference_case("delaunay:10")
+    serial = assemble_hybrid(inst, breakpoint, "PACS1", "CS1", bigm, enums).ir
+    plan = plan_hybrid(inst, breakpoint, enums)
+    threads = 4
+    start = threading.Barrier(threads)
+
+    def build(_):
+        start.wait(timeout=30)
+        return assemble_hybrid(inst, breakpoint, "PACS1", "CS1", bigm, enums, plan=plan).ir
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(build, i) for i in range(threads)]
+            models = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(_model_lists(m) == _model_lists(serial) for m in models)

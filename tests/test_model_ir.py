@@ -1,11 +1,12 @@
 """The mixed-integer model container and its self-checks."""
 
 import gc
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import sweep_instance
+from conftest import fixture_model, perturbed, sweep_instance
 from tollgate import formulations, lp_format
 from tollgate.bigm import compute_bigm
 from tollgate.enumeration import enumerate_paths
@@ -263,3 +264,92 @@ def test_views_copy_a_sweep_scale_model_exactly():
     assert any(type(c) is Fraction for c in ir.coefs)
     assert (copy.cols, copy.coefs, copy.starts) == (ir.cols, ir.coefs, ir.starts)
     assert lp_format.write_lp(copy) == lp_format.write_lp(ir)
+
+
+# -- add_rows ------------------------------------------------------------------
+
+
+def _rows(m):
+    return (
+        list(m.tags), set(m._tag_set), list(m.senses), list(m.rhs),
+        list(m.starts), list(m.cols), list(m.coefs),
+    )
+
+
+def test_add_rows_matches_one_add_constraint_per_row():
+    block, loop = small_model(), small_model()
+    block.add_rows(
+        ["r[0]", "r[1]", "r[2]"], ["<=", "=", ">="], [4, Fraction(1, 3), 0],
+        [2, 1, 3], [0, 1, 2, 2, 0, 1], [1, Fraction(-5, 2), -1, 3, 2, Fraction(1, 7)],
+    )
+    loop.add_constraint("r[0]", [(1, "x"), (Fraction(-5, 2), "b")], "<=", 4)
+    loop.add_constraint("r[1]", [(-1, "f")], "=", Fraction(1, 3))
+    loop.add_constraint("r[2]", [(3, "f"), (2, "x"), (Fraction(1, 7), "b")], ">=", 0)
+    assert _rows(block) == _rows(loop)
+    block.add_rows([], [], [], [], [], [])
+    assert _rows(block) == _rows(loop)
+
+
+@pytest.mark.parametrize(
+    "tags, senses, rhs, lengths, cols, coefs, message",
+    [
+        (["r", "r"], ["<=", "<="], [1, 1], [1, 1], [0, 1], [1, 1], "duplicate constraint tag r"),
+        (["r", "cap"], ["<=", "<="], [1, 1], [1, 1], [0, 1], [1, 1], "duplicate constraint tag cap"),
+        (["r", "s"], ["<=", "<"], [1, 1], [1, 1], [0, 1], [1, 1], "constraint s: bad sense '<'"),
+        (["r", "s"], ["<=", "="], [1, 1], [1, 2], [0, 1, 3], [1, 1, 1], "constraint s: column 3 is not declared"),
+        (["r", "s"], ["<=", "="], [1, 1], [1, 1], [0, -1], [1, 1], "constraint s: column -1 is not declared"),
+        (["r", "s"], ["<=", "="], [1, 1], [1, 1], [0, 1.0], [1, 1], "constraint s: column 1.0 is not declared"),
+        (["r", "s"], ["<=", "="], [1, 1], [2, 1], [0, 1, 2], [1, 0, 1], "constraint r: coefficient 0 is not a nonzero"),
+        (["r", "s"], ["<=", "="], [1, 1], [1, 1], [0, 1], [1, Fraction(0)], "constraint s: coefficient Fraction"),
+        (["r", "s"], ["<=", "="], [1, 1], [1, 2], [0, 1, 2], [1, 1, 0.5], "constraint s: coefficient 0.5 is not"),
+        (["r", "s"], ["<=", "="], [1, 0.5], [1, 1], [0, 1], [1, 1], "constraint s: right-hand side 0.5 is not exact"),
+        (["r", "s"], ["<=", "="], [1, 1], [1, 2], [0, 1, 1], [1, 1, 2], "constraint s repeats a column"),
+        (["r", "s"], ["<=", "="], [1, 1], [2, 0], [0, 1], [1, 1], "constraint s: no terms"),
+        (["r", "s"], ["<=", "="], [1, 1], [1, 2], [0, 1], [1, 1], "row lengths sum to 3 for 2 columns"),
+        (["r", "s"], ["<=", "="], [1, 1], [1, 1], [0, 1], [1], "row lengths sum to 2 for 2 columns and 1 coefficients"),
+        (["r", "s"], ["<=", "="], [1], [1, 1], [0, 1], [1, 1], "2 tags but 2 senses, 1 right-hand sides"),
+    ],
+)
+def test_a_failed_add_rows_leaves_the_model_unchanged(
+    tags, senses, rhs, lengths, cols, coefs, message
+):
+    m = small_model()
+    before = (_columns(m), _rows(m))
+    with pytest.raises(ValueError, match=message.replace("(", r"\(")):
+        m.add_rows(tags, senses, rhs, lengths, cols, coefs)
+    assert (_columns(m), _rows(m)) == before
+    m.add_rows(["r"], ["<="], [1], [1], [0], [1])
+    assert m.tags[-1] == "r" and m.starts[-1] == len(m.cols)
+
+
+def test_add_constraint_passes_merged_rows_to_add_rows(monkeypatch):
+    m = small_model()
+    seen = []
+    add_rows = ModelIR.add_rows
+    monkeypatch.setattr(
+        ModelIR, "add_rows", lambda self, *block: seen.append(block) or add_rows(self, *block)
+    )
+    m.add_constraint("merged", [(1, "x"), (2, "x"), (Fraction(1, 2), "b"), (0, "f")], ">=", "3/2")
+    assert seen == [(("merged",), (">=",), (Fraction(3, 2),), (2,), [0, 1], [3, Fraction(1, 2)])]
+
+
+def test_violations_match_a_term_by_term_evaluation(fig):
+    # Each distinct coefficient becomes a float once; the sums must come out
+    # as float() of every term would make them, down to the last bit.
+    rng = random.Random(5)
+    for kind in ("STD", "CS1", "PCS2"):
+        m = fixture_model(perturbed(fig), kind)
+        assert any(type(c) is Fraction and c.denominator > 1 for c in m.coefs)
+        point = {name: rng.uniform(-1.5, 1.5) for name in m.names}
+        expected = []
+        for con in m.constraints:
+            lhs = sum(float(c) * point[n] for c, n in con.terms)
+            rhs = float(con.rhs)
+            if con.sense == "<=" and lhs > rhs:
+                expected.append(f"{con.tag}: {lhs} > {rhs}")
+            elif con.sense == ">=" and lhs < rhs:
+                expected.append(f"{con.tag}: {lhs} < {rhs}")
+            elif con.sense == "=" and abs(lhs - rhs) > 0:
+                expected.append(f"{con.tag}: {lhs} != {rhs}")
+        found = [issue for issue in m.violations(point, 0.0) if issue.split(":")[0] in m._tag_set]
+        assert found == expected and expected
