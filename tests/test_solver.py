@@ -3,12 +3,14 @@
 import importlib.machinery
 import importlib.util
 import json
+import logging
 import math
 import os
 import re
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,8 @@ from tollgate.solver import (
     SolveResult,
     SolverError,
     _fd1_silenced,
+    _highs,
+    _highs_lp,
     _load_highs,
     _model_arrays,
     solve,
@@ -142,16 +146,22 @@ def edge_model(label):
     return m
 
 
-@pytest.mark.parametrize(
-    "kind", [k.label for k in FORMULATIONS] + ["unused-columns", "no-rows"]
-)
-def test_model_arrays_match_scipy_csc(fig, kind):
-    from scipy.sparse import csc_matrix
+ARRAY_MODELS = [k.label for k in FORMULATIONS] + ["unused-columns", "no-rows"]
 
+
+def array_model(fig, kind):
+    """The perturbed fixture built as ``kind``, or an edge model by label."""
     if kind in ("unused-columns", "no-rows"):
-        model = edge_model(kind)
-    else:
-        model = fixture_model(perturbed(fig), kind)
+        return edge_model(kind)
+    return fixture_model(perturbed(fig), kind)
+
+
+def scipy_matrix(model, layout):
+    """The model's constraint matrix as a scipy ``csr_matrix`` or ``csc_matrix``.
+
+    It is built from the model's row records, by name, not from the flat
+    arrays :func:`_model_arrays` reads.
+    """
     col = {v.name: j for j, v in enumerate(model.variables)}
     rows, cols, vals = [], [], []
     for i, con in enumerate(model.constraints):
@@ -159,14 +169,26 @@ def test_model_arrays_match_scipy_csc(fig, kind):
             rows.append(i)
             cols.append(col[name])
             vals.append(float(coef))
-    expected = csc_matrix(
-        (vals, (rows, cols)), shape=(len(model.constraints), len(col))
-    )
+    return layout((vals, (rows, cols)), shape=(len(model.constraints), len(col)))
+
+
+@pytest.mark.parametrize("kind", ARRAY_MODELS)
+def test_model_arrays_match_scipy_csc(fig, kind):
+    # The matrix goes to HiGHS row-wise, so the reference is scipy's CSR.
+    from scipy.sparse import csr_matrix
+
+    model = array_model(fig, kind)
+    expected = scipy_matrix(model, csr_matrix)
     names, c, matrix, lo, hi, lb, ub, binary = _model_arrays(model)
     indptr, indices, data = matrix
     assert indptr == expected.indptr.tolist()
-    assert indices == expected.indices.tolist()
-    assert data == expected.data.tolist()
+    # A row lists its columns in the order the model added them, which HiGHS
+    # accepts; scipy sorts them.  A repeated column would survive the sort
+    # here but be summed in the reference.
+    got = csr_matrix((data, indices, indptr), shape=expected.shape)
+    got.sort_indices()
+    assert got.indices.tolist() == expected.indices.tolist()
+    assert got.data.tolist() == expected.data.tolist()
     # Every other array is float() of the model's exact values, so HiGHS
     # receives the same doubles whatever container carries them.
     objective = {name: coef for coef, name in model.objective}
@@ -178,6 +200,57 @@ def test_model_arrays_match_scipy_csc(fig, kind):
     assert ub == [math.inf if v.upper is None else float(v.upper) for v in variables]
     assert names == [v.name for v in variables]
     assert binary == [v.binary for v in variables]
+
+
+@pytest.mark.parametrize("kind", ARRAY_MODELS)
+def test_highs_holds_the_models_matrix_column_wise(fig, kind):
+    # HiGHS transposes the row-wise hand-off itself; the columns it then
+    # holds must be scipy's CSC of the model, entry for entry.
+    from scipy.sparse import csc_matrix
+
+    model = array_model(fig, kind)
+    expected = scipy_matrix(model, csc_matrix)
+    names, c, matrix, lo, hi, lb, ub, binary = _model_arrays(model)
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.passModel(_highs_lp(c, matrix, lo, hi, lb, ub, binary)) == (
+        _highs.HighsStatus.kOk
+    )
+    highs.ensureColwise()
+    held = highs.getLp().a_matrix_
+    assert held.format_ == _highs.MatrixFormat.kColwise
+    assert (held.num_row_, held.num_col_) == expected.shape
+    assert list(held.start_) == expected.indptr.tolist()
+    assert list(held.index_) == expected.indices.tolist()
+    assert list(held.value_) == expected.data.tolist()
+
+
+def test_scipy_backend_warns_when_highs_drops_a_coefficient(caplog, monkeypatch):
+    # max x + y with x + 5e-10 y <= 1: HiGHS drops the 5e-10, which is below
+    # its small_matrix_value, and solve() still re-checks the point against
+    # the exact row, which x = y = 1 meets within the tolerance.
+    m = ModelIR("tiny-coefficient")
+    m.add_variable("x", 0, 1, binary=True)
+    m.add_variable("y", 0, 1, binary=True)
+    m.add_constraint("cap", [(1, "x"), (Fraction(1, 2 * 10**9), "y")], "<=", 1)
+    m.add_objective_term(1, "x")
+    m.add_objective_term(1, "y")
+    checked = []
+    violations = ModelIR.violations
+
+    def spy(self, *args, **kwargs):
+        checked.append(self)
+        return violations(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModelIR, "violations", spy)
+    with caplog.at_level(logging.WARNING, logger="tollgate.solver"):
+        res = solve(m, budget=30)
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "dropped 1 of 2 nonzeros" in caplog.records[0].getMessage()
+    assert "tiny-coefficient" in caplog.records[0].getMessage()
+    assert checked == [m]
+    assert res.status == "optimal"
+    assert res.assignment == pytest.approx({"x": 1.0, "y": 1.0})
 
 
 def run_probe(script):
@@ -285,9 +358,12 @@ def test_missing_highs_binding_names_the_folder_searched(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("perturb", [False, True], ids=["exact", "perturbed"])
 @pytest.mark.parametrize("kind", [k.label for k in FORMULATIONS])
-def test_scipy_backend_matches_milp(fig, kind, perturb):
+def test_scipy_backend_matches_milp(fig, kind, perturb, caplog):
     model = fixture_model(perturbed(fig) if perturb else fig, kind)
-    res = ScipyBackend().solve(model, budget=30)
+    with caplog.at_level(logging.DEBUG, logger="tollgate.solver"):
+        res = ScipyBackend().solve(model, budget=30)
+    # HiGHS keeps every nonzero of the fixture models, so nothing is logged.
+    assert caplog.records == []
     assert res.status == "optimal"
     assert res.objective == pytest.approx(milp_objective(model), rel=1e-9)
     assert res.best_bound == pytest.approx(res.objective, rel=1e-9)
