@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .bigm import compute_bigm
-from .enumeration import enumerate_paths, perturb_costs
-from .experiments import run_sweep, summarize, write_csv, write_summary
+from .enumeration import enumerate_all, perturb_costs
+from .experiments import prepared, run_sweep, summarize, write_csv, write_summary
 from .formulations import (
     FORMULATIONS,
     BuildError,
@@ -35,13 +35,6 @@ from .solver import CommandBackend, SolverError
 KIND_LABELS = ", ".join(k.label for k in FORMULATIONS)
 
 
-def _enumerate_all(instance: ProblemInstance, cap: Optional[int]):
-    return [
-        enumerate_paths(instance.network, com, cap=cap, commodity_index=k)
-        for k, com in enumerate(instance.commodities)
-    ]
-
-
 def _load(args) -> ProblemInstance:
     """The ``--instance`` file, its cost ties broken when ``--perturb`` is set."""
     instance = load_instance(args.instance)
@@ -56,7 +49,7 @@ def _load(args) -> ProblemInstance:
 
 def _cmd_enumerate(args) -> int:
     instance = _load(args)
-    for k, result in enumerate(_enumerate_all(instance, args.cap)):
+    for k, result in enumerate(enumerate_all(instance, args.cap)):
         bfset = result.feasible_set()
         com = instance.commodities[k]
         state = "exhaustive" if bfset.exhaustive else "truncated"
@@ -72,7 +65,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_reduce(args) -> int:
     instance = _load(args)
-    enum = _enumerate_all(instance, args.cap) if args.method == "paths" else None
+    enum = enumerate_all(instance, args.cap) if args.method == "paths" else None
     full = ReducedGraph.identity(instance.network).stats()
     print("commodity\tnodes\tarcs\ttolled")
     for k, com in enumerate(instance.commodities):
@@ -104,7 +97,7 @@ def _cmd_build(args) -> int:
         )
     if args.kind:
         needs_enum = kind.needs_paths or args.preprocess == "paths"
-        enum = _enumerate_all(instance, args.cap) if needs_enum else None
+        enum = enumerate_all(instance, args.cap) if needs_enum else None
         bfsets = (
             {k: r.feasible_set() for k, r in enumerate(enum)} if enum else None
         )
@@ -116,16 +109,11 @@ def _cmd_build(args) -> int:
     else:
         if args.breakpoint is None:
             raise BuildError("--main needs --breakpoint")
-        enum = _enumerate_all(instance, args.breakpoint + 1)
-        bfsets = {
-            k: r.feasible_set()
-            for k, r in enumerate(enum)
-            if r.feasible_set().exhaustive
-        }
-        bigm = compute_bigm(instance.network, instance.commodities, bfsets)
+        # The instance is perturbed already when --perturb is given.
+        prep = prepared(instance, args.breakpoint, perturb=False)
         hybrid = assemble_hybrid(
-            instance, args.breakpoint, kind, args.fallback, bigm, enum,
-            paper_exact=args.paper_exact,
+            prep.instance, args.breakpoint, kind, args.fallback, prep.bigm,
+            prep.enum, paper_exact=args.paper_exact, plan=prep.plan,
         )
     text = write_lp(hybrid.ir)
     if args.out:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .network import ArcId, Commodity, InstanceError, Network, Path
+from .network import ArcId, Commodity, InstanceError, Network, Path, ProblemInstance
 from .shortest_path import NO_EXCLUSIONS, ExclusionSet, _search, shortest_path, zero_distances
 
 
@@ -91,9 +91,7 @@ class EnumerationResult:
     def feasible_set(self) -> BilevelFeasibleSet:
         """Dominance-filter the emitted paths (cached)."""
         if self._bfset is None:
-            self._bfset = dominance_filter(
-                self.paths, commodity=self.commodity, exhaustive=self.stopped_at_tollfree
-            )
+            self._bfset = dominance_filter(self.paths, commodity=self.commodity)
         return self._bfset
 
 
@@ -213,11 +211,17 @@ def enumerate_paths(
     return EnumerationResult(commodity_index, emitted, stopped_at_tollfree)
 
 
-def dominance_filter(
-    paths: Sequence[Path],
-    commodity: int = 0,
-    exhaustive: Optional[bool] = None,
-) -> BilevelFeasibleSet:
+def enumerate_all(
+    instance: ProblemInstance, cap: Optional[int] = None
+) -> tuple[EnumerationResult, ...]:
+    """:func:`enumerate_paths` for every commodity of ``instance``, in order."""
+    return tuple(
+        enumerate_paths(instance.network, com, cap=cap, commodity_index=k)
+        for k, com in enumerate(instance.commodities)
+    )
+
+
+def dominance_filter(paths: Sequence[Path], commodity: int = 0) -> BilevelFeasibleSet:
     """Drop every path dominated by an earlier one.
 
     ``p`` dominates ``q`` when ``p``'s tolled arcs are a subset of ``q``'s and
@@ -225,8 +229,9 @@ def dominance_filter(
     better choice.  Input must be sorted by strictly increasing base cost
     (ties void the rule, hence the hard error; it is an
     :class:`InstanceError` because ties come from the instance's costs).
-    When the input came from a run that stopped at its toll-free path, the
-    survivors are exactly the bilevel-feasible paths.
+    The set is exhaustive when the input ends with a toll-free path, as a
+    run of :func:`enumerate_paths` that stopped there does; the survivors
+    are then exactly the bilevel-feasible paths.
     """
     costs = [p.cost for p in paths]
     for a, b in zip(costs, costs[1:]):
@@ -240,8 +245,7 @@ def dominance_filter(
         if any(kept.tolled_set <= candidate.tolled_set for kept in survivors):
             continue
         survivors.append(candidate)
-    if exhaustive is None:
-        exhaustive = bool(paths) and paths[-1].is_toll_free()
+    exhaustive = bool(paths) and paths[-1].is_toll_free()
     return BilevelFeasibleSet(commodity, tuple(survivors), exhaustive)
 
 

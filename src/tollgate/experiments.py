@@ -10,30 +10,29 @@ Everything before the choice of kind is the same for every kind, so it is
 prepared once and shared: the perturbed network (when the run perturbs),
 the enumeration results at cap ``breakpoint + 1`` and their feasible sets,
 the big-M constants, and the hybrid plan (each commodity's role, its
-path-reduced graph and its feasible set mapped into it).  A preparation is
-keyed by the instance object, by identity, and by ``(breakpoint,
-perturb)``; it is dropped when that instance object is garbage collected,
-and a preparation that fails is not kept.  The perturbation does not depend
-on the breakpoint, so a perturbed preparation reuses the perturbed instance
-of any stored one: a sweep perturbs each instance once.  Threads that
-prepare the same key at once can at worst repeat the work; the first
-result stored is the one every run uses.
+path-reduced graph and its feasible set mapped into it).  :func:`prepared`
+keeps each preparation on its instance, in ``ProblemInstance._derived``
+under ``(breakpoint, perturb)``, so it lives exactly as long as the
+instance; a preparation that fails is not kept.  The perturbation does not
+depend on the breakpoint, so the perturbed instance is kept there too, and
+a sweep perturbs each instance once.  Threads that prepare the same key at
+once can at worst repeat the work; the first result stored is the one
+every run uses.  ``tollgate build --main`` builds its model from
+:func:`prepared` too.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-import threading
 import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
 from .bigm import BigMParams, compute_bigm
 from .cuts import solve_with_vfcs_cuts
-from .enumeration import EnumerationResult, enumerate_paths, perturb_costs
+from .enumeration import EnumerationResult, enumerate_all, perturb_costs
 from .formulations import (
     HybridPlan,
     KindLike,
@@ -107,67 +106,46 @@ class _Prepared:
     plan: HybridPlan
 
 
-# id(instance) -> {(breakpoint, perturb): preparation}.  Each preparation is
-# a pure function of its instance and key, so callers sharing it see the
-# values a fresh one would give.  An instance's entry is removed by a
-# weakref.finalize when the instance is collected, so no entry outlives it
-# and an id is never reused while its entry exists.  No entry refers to its
-# instance, which would keep it alive.
-_PREPARED: dict[int, dict[tuple[int, bool], _Prepared]] = {}
-_PREPARED_LOCK = threading.Lock()
-
-
-def _stored_perturbation(instance: ProblemInstance) -> Optional[ProblemInstance]:
-    """The perturbed instance of any stored preparation of ``instance``."""
-    with _PREPARED_LOCK:
-        for (_, perturbed), prep in _PREPARED.get(id(instance), {}).items():
-            if perturbed:
-                return prep.instance
-    return None
-
-
 def _prepare(instance: ProblemInstance, breakpoint: int, perturb: bool) -> _Prepared:
     t0 = time.perf_counter()
+    store = instance._derived
     if perturb:
-        # The perturbation does not depend on the breakpoint: take it from
-        # another breakpoint's preparation when there is one.
-        work = _stored_perturbation(instance)
+        # The perturbation does not depend on the breakpoint: every
+        # preparation of ``instance`` shares the first one stored.
+        work = store.get("perturbed")
         if work is None:
             net = perturb_costs(instance.network, seed=0)
-            work = ProblemInstance(net, instance.commodities, instance.label)
+            work = store.setdefault(
+                "perturbed", ProblemInstance(net, instance.commodities, instance.label)
+            )
     else:
-        # A copy: no preparation may refer to the instance it is keyed by.
+        # A copy: a preparation referring to the instance that holds it
+        # would make a reference cycle.
         work = ProblemInstance(instance.network, instance.commodities, instance.label)
-    net = work.network
-    enum = tuple(
-        enumerate_paths(net, com, cap=breakpoint + 1, commodity_index=k)
-        for k, com in enumerate(work.commodities)
-    )
+    enum = enumerate_all(work, cap=breakpoint + 1)
     enum_s = time.perf_counter() - t0
     bfsets = {
         k: r.feasible_set()
         for k, r in enumerate(enum)
         if r.feasible_set().exhaustive
     }
-    bigm = compute_bigm(net, work.commodities, bfsets)
+    bigm = compute_bigm(work.network, work.commodities, bfsets)
     plan = plan_hybrid(work, breakpoint, enum)
     return _Prepared(work, enum, enum_s, bigm, plan)
 
 
-def _prepared(instance: ProblemInstance, breakpoint: int, perturb: bool) -> _Prepared:
-    """The shared preparation of ``instance`` at ``breakpoint``, made on first use."""
+def prepared(instance: ProblemInstance, breakpoint: int, perturb: bool) -> _Prepared:
+    """The preparation of ``instance`` at ``breakpoint``, made on first use.
+
+    ``perturb`` breaks cost ties with :func:`perturb_costs` at seed 0 first.
+    The preparation is kept on ``instance`` and shared by every later call
+    with the same ``breakpoint`` and ``perturb`` (see the module docstring).
+    """
     key = (breakpoint, perturb)
-    with _PREPARED_LOCK:
-        found = _PREPARED.get(id(instance), {}).get(key)
-    if found is not None:
-        return found
-    made = _prepare(instance, breakpoint, perturb)
-    with _PREPARED_LOCK:
-        entries = _PREPARED.get(id(instance))
-        if entries is None:
-            entries = _PREPARED[id(instance)] = {}
-            weakref.finalize(instance, _PREPARED.pop, id(instance), None)
-        return entries.setdefault(key, made)
+    found = instance._derived.get(key)
+    if found is None:
+        found = instance._derived.setdefault(key, _prepare(instance, breakpoint, perturb))
+    return found
 
 
 def run_one(
@@ -186,9 +164,9 @@ def run_one(
     to :func:`formulations.assemble_hybrid`.
 
     The perturbation, enumeration, big-M constants and hybrid plan come from
-    a preparation shared by every run on the same instance object with the
-    same ``breakpoint`` and ``perturb``, whatever its kind; it lives as long
-    as ``instance`` (see the module docstring).  ``enum_s`` is the time that
+    :func:`prepared`: one preparation, kept on ``instance``, shared by every
+    run on that instance object with the same ``breakpoint`` and
+    ``perturb``, whatever its kind.  ``enum_s`` is the time that
     preparation spent perturbing and enumerating, so every kind of one
     (instance, breakpoint) reports the same ``enum_s``.  A run whose
     preparation fails reports the time it ran before failing.
@@ -197,7 +175,7 @@ def run_one(
     label = instance.label
     t0 = time.perf_counter()
     try:
-        prep = _prepared(instance, breakpoint, perturb)
+        prep = prepared(instance, breakpoint, perturb)
         hybrid = assemble_hybrid(
             prep.instance,
             breakpoint,

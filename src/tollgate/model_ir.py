@@ -165,7 +165,7 @@ class ModelIR:
         upper: Optional[Coef] = None,
         binary: bool = False,
     ) -> None:
-        """Declare a variable.  Re-declaring with identical shape is a no-op."""
+        """Declare a variable.  Re-declaring a name is an error."""
         self.add_variables((name,), lower, upper, binary)
 
     def add_variables(
@@ -180,10 +180,9 @@ class ModelIR:
         ``binary`` is one flag for the whole block or one per name.  The
         bounds are checked once for the block, and the names take the next
         column ids in order, as one :meth:`add_variable` call per name would
-        give them.  A name already declared with the same shape is left as
-        it is; a different shape, or a name given twice in one call, is an
-        error that names the variable.  A call that raises leaves the model
-        unchanged.
+        give them.  A name already declared, or given twice in one call, is
+        an error that names the variable.  A call that raises leaves the
+        model unchanged.
         """
         count = len(names)
         flags = list(map(bool, binary)) if isinstance(binary, Sequence) else [bool(binary)] * count
@@ -204,40 +203,20 @@ class ModelIR:
         column.update(zip(names, range(start, start + count)))
         if len(column) != start + count:
             # A name was declared before or repeats in this call.  The update
-            # overwrote ids: rebuild the map from the names, then sort the
-            # block out one name at a time.  No builder re-declares a name.
+            # overwrote ids: rebuild the map from the names, then name it.
             column.clear()
             column.update(zip(self.names, range(start)))
-            self._add_known(names, lower, upper, flags)
-            return
+            seen: set[str] = set()
+            for name in names:
+                if name in column:
+                    raise ValueError(f"variable {name} re-declared")
+                if name in seen:
+                    raise ValueError(f"variable {name} given twice in one declaration")
+                seen.add(name)
         self.names += names
         self.lower += [lower] * count
         self.upper += [upper] * count
         self.binary += flags
-
-    def _add_known(
-        self,
-        names: Sequence[str],
-        lower: Optional[Coef],
-        upper: Optional[Coef],
-        flags: list[bool],
-    ) -> None:
-        """:meth:`add_variables` for a block that repeats a declared name."""
-        fresh: list[str] = []
-        fresh_flags: list[bool] = []
-        seen: set[str] = set()
-        for name, flag in zip(names, flags):
-            if name in seen:
-                raise ValueError(f"variable {name} given twice in one declaration")
-            seen.add(name)
-            j = self.column.get(name)
-            if j is None:
-                fresh.append(name)
-                fresh_flags.append(flag)
-            elif (self.lower[j], self.upper[j], self.binary[j]) != (lower, upper, flag):
-                raise ValueError(f"variable {name} re-declared with a different shape")
-        if fresh:
-            self.add_variables(fresh, lower, upper, fresh_flags)
 
     @property
     def variables(self) -> tuple[Variable, ...]:

@@ -27,7 +27,7 @@ self-loops are not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path as FilePath
 from typing import Mapping, Optional, Sequence, Union
@@ -233,11 +233,21 @@ class Network:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A network plus its commodities."""
+    """A network plus its commodities.
+
+    ``_derived`` holds values other modules derive from the instance alone
+    and keep for its lifetime, by key: :mod:`~tollgate.experiments` keeps
+    its sweep preparations and its perturbed instance there.  No value in
+    it may refer back to the instance, so that reference counting alone
+    frees the instance and its values together.
+    """
 
     network: Network
     commodities: tuple[Commodity, ...]
     label: str = "instance"
+    _derived: dict[object, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.commodities:

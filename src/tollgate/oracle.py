@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exactlp
-from .enumeration import BilevelFeasibleSet, EnumerationResult, enumerate_paths
+from .enumeration import BilevelFeasibleSet, EnumerationResult, enumerate_all
 from .network import ArcId, ProblemInstance
 
 
@@ -92,10 +92,7 @@ def oracle_solve(
     the scan stops as soon as the bound drops to the incumbent.
     """
     if enum_results is None:
-        enum_results = [
-            enumerate_paths(instance.network, com, commodity_index=k)
-            for k, com in enumerate(instance.commodities)
-        ]
+        enum_results = enumerate_all(instance)
     if len(enum_results) != len(instance.commodities):
         raise OracleError(
             f"{len(enum_results)} enumeration results for "

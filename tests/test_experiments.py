@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from tollgate import experiments
+from tollgate.cli import main
 from tollgate.experiments import (
     CSV_COLUMNS,
     RunRecord,
@@ -22,7 +23,14 @@ from tollgate.experiments import (
 from tollgate.formulations import FORMULATIONS
 from tollgate.generator import GenConfig, generate
 from tollgate.lp_format import write_lp
-from tollgate.network import Arc, Commodity, Network, ProblemInstance
+from tollgate.network import (
+    Arc,
+    Commodity,
+    Network,
+    ProblemInstance,
+    load_instance,
+    serialize_instance,
+)
 from tollgate.oracle import oracle_solve
 
 ALL_KINDS = [k.label for k in FORMULATIONS]
@@ -170,14 +178,38 @@ def test_shared_preparation_matches_a_cold_one(fig, tiny_instances, assembled_lp
     assert all(r.status == "optimal" for r in warm)
     assert assembled_lp == cold_lp
 
-    key = id(instance)
-    entries = experiments._PREPARED[key]
-    assert sorted(entries) == [(1, True), (8, True)]
-    alive = [weakref.ref(prep) for prep in entries.values()]
-    del instance, entries
-    gc.collect()
-    assert key not in experiments._PREPARED
-    assert all(ref() is None for ref in alive)
+    # The instance holds its preparations and its perturbed copy, and
+    # nothing in them refers back to it: without the cyclic collector,
+    # deleting the instance frees them all.
+    experiments.prepared(instance, 8, False)
+    store = instance._derived
+    assert sorted(store, key=str) == [(1, True), (8, False), (8, True), "perturbed"]
+    alive = [weakref.ref(value) for value in store.values()]
+    del store
+    gc.disable()
+    try:
+        del instance
+        assert all(ref() is None for ref in alive)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["STD", "PCS2"])
+def test_build_main_writes_the_model_a_sweep_cell_assembles(
+    fig, tmp_path, assembled_lp, capsys, kind
+):
+    path = tmp_path / "five.npp"
+    path.write_text(serialize_instance(fig))
+    out = tmp_path / "x.lp"
+    argv = [
+        "build", "--instance", str(path), "--main", kind, "--fallback", "STD",
+        "--breakpoint", "8", "--perturb", "0", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert "wrote" in capsys.readouterr().out
+    assert run_one(load_instance(path), kind, 8).status == "optimal"
+    assert len(assembled_lp) == 1
+    assert out.read_bytes() == assembled_lp[0].encode()
 
 
 def test_a_failed_preparation_is_an_error_row_for_every_kind(monkeypatch):
@@ -205,7 +237,7 @@ def test_a_failed_preparation_is_an_error_row_for_every_kind(monkeypatch):
         assert "perturb costs" in rec.error
     # Nothing was kept, so every kind tried again.
     assert len(calls) == len(ALL_KINDS)
-    assert experiments._PREPARED.get(id(tie), {}) == {}
+    assert tie._derived == {}
     # Perturbed, the same instance prepares; unperturbed, it still fails.
     assert [r.status for r in run_sweep([tie], ["STD"], [4])] == ["optimal"]
     assert [r.status for r in run_sweep([tie], ["STD"], [4], perturb=False)] == ["error"]
@@ -221,7 +253,7 @@ def test_threads_share_one_preparation(tiny_instances):
     def worker():
         try:
             together.wait()
-            got.append(experiments._prepared(instance, 8, True))
+            got.append(experiments.prepared(instance, 8, True))
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(repr(exc))
 
@@ -239,7 +271,7 @@ def test_threads_share_one_preparation(tiny_instances):
     assert errors == []
     assert len(got) == workers
     assert all(prep is got[0] for prep in got)
-    assert experiments._prepared(instance, 8, True) is got[0]
+    assert experiments.prepared(instance, 8, True) is got[0]
 
 
 def test_csv_layout():

@@ -63,20 +63,22 @@ def test_records_keep_their_fields_and_variable_equality():
     assert not hasattr(var, "__dict__") and not hasattr(row, "__dict__")
 
 
-def test_redeclare_same_shape_is_noop():
+def _columns(m):
+    return (dict(m.column), list(m.names), list(m.lower), list(m.upper), list(m.binary))
+
+
+def test_redeclare_same_shape_fails():
     m = small_model()
-    m.add_variable("x", lower=0, upper=5)
-    assert len(m.variables) == 3
+    before = _columns(m)
+    with pytest.raises(ValueError, match="variable x re-declared"):
+        m.add_variable("x", lower=0, upper=5)
+    assert _columns(m) == before
 
 
 def test_redeclare_different_shape_fails():
     m = small_model()
     with pytest.raises(ValueError, match="re-declared"):
         m.add_variable("x", lower=0, upper=6)
-
-
-def _columns(m):
-    return (dict(m.column), list(m.names), list(m.lower), list(m.upper), list(m.binary))
 
 
 def test_block_declaration_matches_one_call_per_name():
@@ -98,23 +100,25 @@ def test_block_declaration_matches_one_call_per_name():
     assert _columns(block) == _columns(loop)
 
 
-def test_block_redeclaration_with_the_same_shape_is_a_noop():
+def test_block_redeclaration_with_the_same_shape_fails():
     m = small_model()
     m.add_variables(["y", "z"], 0, 5)
     before = _columns(m)
-    m.add_variables(["x", "y", "z"], 0, 5)
+    with pytest.raises(ValueError, match="variable x re-declared"):
+        m.add_variables(["x", "y", "z"], 0, 5)
+    with pytest.raises(ValueError, match="variable y re-declared"):
+        m.add_variables(["w", "y"], 0, 5)
     assert _columns(m) == before
-    # Declared names are left as they are; new ones take the next ids.
-    m.add_variables(["y", "w"], 0, 5)
-    assert m.column["w"] == 5 and m.names[-1] == "w"
+    # A new name after the failed calls takes the next id.
+    m.add_variables(["w"], 0, 5)
     assert _columns(m)[0] == {"x": 0, "b": 1, "f": 2, "y": 3, "z": 4, "w": 5}
 
 
 @pytest.mark.parametrize(
     "names, lower, upper, binary, message",
     [
-        (["y", "x"], 0, 6, False, "variable x re-declared with a different shape"),
-        (["y", "b"], 0, 1, False, "variable b re-declared with a different shape"),
+        (["y", "x"], 0, 6, False, "variable x re-declared"),
+        (["y", "b"], 0, 1, False, "variable b re-declared"),
         (["y", "z", "y"], 0, 1, False, "variable y given twice in one declaration"),
         (["y", "z"], 0, 2, [False, True], "binary variable z must have bounds"),
         (["y", "z"], None, 1, True, "binary variable y must have bounds"),
