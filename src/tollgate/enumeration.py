@@ -85,8 +85,12 @@ class EnumerationResult:
 
     commodity: int
     paths: list[Path]
-    stopped_at_tollfree: bool
     _bfset: Optional[BilevelFeasibleSet] = field(default=None, repr=False)
+
+    @property
+    def stopped_at_tollfree(self) -> bool:
+        """Whether the run emitted its toll-free stopping path (is complete)."""
+        return bool(self.paths) and self.paths[-1].is_toll_free()
 
     def feasible_set(self) -> BilevelFeasibleSet:
         """Dominance-filter the emitted paths (cached)."""
@@ -137,8 +141,8 @@ def enumerate_paths(
     ``cap`` bounds the number of emitted paths; ``None`` means unbounded, in
     which case the run always ends at the cheapest toll-free path.  Ties in
     the candidate pool break toward the lexicographically smallest arc index
-    sequence.  The result's ``stopped_at_tollfree`` flag is True exactly when
-    the stopping path was emitted, i.e. when the output is complete.
+    sequence.  The run stops at the first toll-free path, so the result's
+    ``stopped_at_tollfree`` holds exactly when the output is complete.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1 (or None for unbounded)")
@@ -164,14 +168,12 @@ def enumerate_paths(
     ]
 
     emitted: list[Path] = []
-    stopped_at_tollfree = False
     while heap:
         cost, arcs, _, spur_pos, banned = heapq.heappop(heap)
         nodes = (origin,) + tuple(heads[a] for a in arcs)
         tolled_set = frozenset(a for a in arcs if tolled[a])
         emitted.append(Path(arcs, nodes, Fraction(cost, scale), tolled_set, commodity_index))
         if not tolled_set:
-            stopped_at_tollfree = True
             break
         if len(emitted) == cap:
             break  # the capped run emits nothing more, so spawns no children
@@ -208,7 +210,7 @@ def enumerate_paths(
                     ),
                 )
             spur = pos + 1
-    return EnumerationResult(commodity_index, emitted, stopped_at_tollfree)
+    return EnumerationResult(commodity_index, emitted)
 
 
 def enumerate_all(

@@ -41,7 +41,7 @@ from .formulations import (
     plan_hybrid,
 )
 from .network import ProblemInstance
-from .solver import DEFAULT_BUDGET, STATUS_OPTIMAL, Backend
+from .solver import DEFAULT_BUDGET, STATUS_ERROR, STATUS_OPTIMAL, Backend
 
 log = logging.getLogger(__name__)
 
@@ -191,7 +191,7 @@ def run_one(
     except Exception as exc:  # noqa: BLE001 - a sweep must survive bad cells
         log.warning("run %s/%s/N=%s failed: %s", label, kind.label, breakpoint, exc)
         return RunRecord(
-            label, kind.label, breakpoint, "error", None, None,
+            label, kind.label, breakpoint, STATUS_ERROR, None, None,
             time.perf_counter() - t0, 0.0, f"{type(exc).__name__}: {exc}",
         )
     gap = result.gap

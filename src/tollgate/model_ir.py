@@ -238,25 +238,14 @@ class ModelIR:
         rhs: Coef,
     ) -> None:
         """Add one row.  Duplicate variables are summed and zero terms dropped."""
-        column = self.column
-        cols: list[int] = []
-        coefs: list = []
-        # Rows of distinct variables with nonzero int or Fraction coefficients
-        # are passed on as given; only the others go through _merge_terms.
-        plain = True
+        terms = list(terms)
         try:
-            for coef, name in terms:
-                cols.append(column[name])
-                coefs.append(coef)
-                kind = type(coef)
-                if (kind is not int and kind is not Fraction) or not coef:
-                    plain = False
+            cols = [self.column[name] for _, name in terms]
         except KeyError as missing:
             raise ValueError(
                 f"constraint {tag} references undeclared variable {missing.args[0]}"
             ) from None
-        if not plain or len(set(cols)) < len(cols):
-            cols, coefs = _merge_terms(cols, coefs)
+        cols, coefs = _merge_terms(cols, [coef for coef, _ in terms])
         self.add_rows((tag,), (sense,), (_exact(rhs),), (len(cols),), cols, coefs)
 
     def add_rows(

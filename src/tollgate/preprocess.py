@@ -1,17 +1,18 @@
 """Commodity-specific graph reductions that preserve the pricing optimum.
 
-Two reductions are provided:
+Both reductions bypass nodes through one routine: each in-arc of a bypassed
+node joins each of its out-arcs into one toll-free arc, and between two
+nodes only the cheapest toll-free arc is kept.  Chain costs are integers
+over the origin network's ``scale`` until each reduced arc gets its cost.
 
-* :func:`path_based_reduce` keeps only the arcs and nodes that appear in some
-  bilevel-feasible path of the commodity, then contracts maximal toll-free
-  chains through interior degree-1-in/1-out nodes.  It needs a complete
-  feasible set (the enumeration must have run to its toll-free stopping
-  point), otherwise arcs a feasible path uses could be lost.
+* :func:`path_based_reduce` keeps only the arcs of the commodity's
+  bilevel-feasible paths and contracts maximal toll-free chains.  It needs
+  a complete feasible set (the enumeration must have run to its toll-free
+  stopping point), otherwise arcs a feasible path uses could be lost.
 
-* :func:`spgm_transform` eliminates every node that touches no tolled arc and
-  is neither endpoint of the commodity, splicing each (incoming, outgoing)
-  arc pair into one toll-free shortcut; parallel toll-free arcs collapse to
-  the cheapest.  It never needs enumeration, only the graph.
+* :func:`spgm_transform` (the shortest-path graph model) bypasses every node
+  that touches no tolled arc and is neither endpoint of the commodity.  It
+  never needs enumeration, only the graph.
 
 Both return a :class:`ReducedGraph` that remembers how reduced arcs map back
 to original arc chains, so paths, tolls, and solutions lift faithfully.
@@ -19,21 +20,23 @@ to original arc chains, so paths, tolls, and solutions lift faithfully.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import Iterable
 
 from .enumeration import BilevelFeasibleSet, ConsistencyError
 from .network import Arc, ArcId, Commodity, Network, Node, Path
 
 
-@dataclass
+@dataclass(eq=False)
 class _ProtoArc:
-    """Mutable arc record used while a reduction is under construction."""
+    """Arc record used while a reduction is under construction."""
 
     tail: Node
     head: Node
-    cost: Fraction
+    cost: int  # times the origin network's scale
     tolled: bool
     chain: tuple[ArcId, ...]  # original arc ids, in path order
 
@@ -142,32 +145,71 @@ class ReducedGraph:
         }
 
 
-def _finish(
+def _bypass(
     origin_network: Network,
-    protos: list[_ProtoArc],
-    keep_nodes: set[Node],
+    arc_ids: Iterable[ArcId],
+    nodes: set[Node],
+    bypassed: Iterable[Node],
 ) -> ReducedGraph:
-    """Renumber nodes and arcs densely and build the ReducedGraph."""
-    node_origin = tuple(sorted(keep_nodes))
+    """Bypass nodes of the subgraph ``arc_ids`` on ``nodes``; renumber densely.
+
+    Nodes go in ascending id order: each in-arc of the node joins each of its
+    out-arcs into one toll-free arc, except pairs that would form a
+    self-loop.  Between two nodes only the cheapest toll-free arc is kept
+    (ties: the smallest chain).  Bypassed nodes must touch no tolled arc.
+    """
+    ins: dict[Node, list[_ProtoArc]] = {x: [] for x in nodes}
+    outs: dict[Node, list[_ProtoArc]] = {x: [] for x in nodes}
+    # The cheapest toll-free arc by (tail, head); entries of bypassed nodes
+    # go stale, but no later arc has such an endpoint.
+    free: dict[tuple[Node, Node], _ProtoArc] = {}
+
+    def add(*fields) -> None:  # the fields of a _ProtoArc
+        p = _ProtoArc(*fields)
+        if not p.tolled:
+            rival = free.get((p.tail, p.head))
+            if rival is not None:
+                if (rival.cost, rival.chain) < (p.cost, p.chain):
+                    return
+                ins[p.head].remove(rival)
+                outs[p.tail].remove(rival)
+            free[p.tail, p.head] = p
+        ins[p.head].append(p)
+        outs[p.tail].append(p)
+
+    int_costs = origin_network.int_costs
+    for a in map(origin_network.arc, arc_ids):
+        add(a.tail, a.head, int_costs[a.index], a.tolled, (a.index,))
+    for x in sorted(bypassed):
+        pins, pouts = ins.pop(x), outs.pop(x)
+        for pin in pins:
+            outs[pin.tail].remove(pin)
+        for pout in pouts:
+            ins[pout.head].remove(pout)
+        for pin, pout in product(pins, pouts):
+            if pin.tail != pout.head:
+                add(pin.tail, pout.head, pin.cost + pout.cost, False, pin.chain + pout.chain)
+
+    node_origin = tuple(sorted(ins))  # the nodes not bypassed
     node_map = {orig: red for red, orig in enumerate(node_origin)}
-    protos = sorted(protos, key=lambda p: p.chain)
-    arcs = [
-        Arc(rid, node_map[p.tail], node_map[p.head], p.cost, p.tolled)
+    protos = sorted((p for x in node_origin for p in outs[x]), key=lambda p: p.chain)
+    scale = origin_network.scale
+    reduced = [
+        Arc(rid, node_map[p.tail], node_map[p.head], Fraction(p.cost, scale), p.tolled)
         for rid, p in enumerate(protos)
     ]
-    reduced = Network(len(node_origin), arcs)
-    return ReducedGraph(reduced, origin_network, node_origin, tuple(p.chain for p in protos))
+    chains = tuple(p.chain for p in protos)
+    return ReducedGraph(Network(len(node_origin), reduced), origin_network, node_origin, chains)
 
 
 def path_based_reduce(network: Network, bfset: BilevelFeasibleSet) -> ReducedGraph:
     """Restrict the graph to one commodity's feasible paths, then contract.
 
-    Keeps the union of arcs over ``bfset``, then repeatedly merges interior
-    nodes with exactly one kept incoming and one kept outgoing arc, both
-    toll-free, into a single toll-free arc.  Origin and destination are never
-    contracted, and contractions that would create a self-loop are skipped.
-    Raises if the feasible set is not exhaustive: an incomplete set gives no
-    license to delete anything.
+    Keeps the union of arcs over ``bfset`` and bypasses each interior node
+    with one kept arc in and one out, both toll-free, not forming a
+    self-loop.  That leaves every other node's arcs in and out as many and
+    as tolled, so the set is fixed up front.  Raises if the feasible set is
+    not exhaustive: an incomplete set gives no license to delete anything.
     """
     if not bfset.exhaustive:
         raise ValueError(
@@ -180,99 +222,33 @@ def path_based_reduce(network: Network, bfset: BilevelFeasibleSet) -> ReducedGra
     dest = bfset.paths[0].destination
 
     kept_ids = sorted(bfset.arc_union)
-    protos = [
-        _ProtoArc(a.tail, a.head, a.cost, a.tolled, (a.index,))
-        for a in (network.arc(i) for i in kept_ids)
-    ]
-    nodes = {origin, dest}
-    for p in protos:
-        nodes.add(p.tail)
-        nodes.add(p.head)
-
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(nodes):
-            if x in (origin, dest):
-                continue
-            ins = [p for p in protos if p.head == x]
-            outs = [p for p in protos if p.tail == x]
-            if len(ins) != 1 or len(outs) != 1:
-                continue
-            if ins[0].tolled or outs[0].tolled:
-                continue
-            if ins[0].tail == outs[0].head:
-                continue  # contracting would create a self-loop
-            merged = _ProtoArc(
-                ins[0].tail,
-                outs[0].head,
-                ins[0].cost + outs[0].cost,
-                False,
-                ins[0].chain + outs[0].chain,
-            )
-            protos.remove(ins[0])
-            protos.remove(outs[0])
-            protos.append(merged)
-            nodes.discard(x)
-            changed = True
-            break
-    return _finish(network, protos, nodes)
-
-
-def _dedup_toll_free(protos: list[_ProtoArc]) -> list[_ProtoArc]:
-    """Collapse parallel toll-free arcs to the cheapest (ties: smallest chain)."""
-    best: dict[tuple[Node, Node], _ProtoArc] = {}
-    out: list[_ProtoArc] = []
-    for p in protos:
-        if p.tolled:
-            out.append(p)
-            continue
-        key = (p.tail, p.head)
-        rival = best.get(key)
-        if rival is None or (p.cost, p.chain) < (rival.cost, rival.chain):
-            best[key] = p
-    out.extend(best.values())
-    return out
+    ins: dict[Node, list[Arc]] = defaultdict(list)
+    outs: dict[Node, list[Arc]] = defaultdict(list)
+    for a in map(network.arc, kept_ids):
+        ins[a.head].append(a)
+        outs[a.tail].append(a)
+    nodes = {origin, dest, *ins, *outs}
+    bypassed = []
+    for x in nodes - {origin, dest}:
+        if len(ins[x]) == len(outs[x]) == 1:
+            (pin,), (pout,) = ins[x], outs[x]
+            if not (pin.tolled or pout.tolled) and pin.tail != pout.head:
+                bypassed.append(x)
+    # Parallel toll-free arcs never occur here: a path over the dearer of
+    # two is dominated by the same path over the cheaper.
+    return _bypass(network, kept_ids, nodes, bypassed)
 
 
 def spgm_transform(network: Network, commodity: Commodity) -> ReducedGraph:
-    """Eliminate nodes that touch no tolled arc (shortest-path graph model).
+    """Bypass every node that touches no tolled arc (shortest-path graph model).
 
-    Every eliminated node is bypassed by splicing its incoming and outgoing
-    arcs pairwise into toll-free shortcuts; splices that would form a
-    self-loop are dropped, and parallel toll-free arcs keep only the cheapest
-    representative.  Tolled arcs and their endpoints survive untouched, as do
-    the commodity's origin and destination.
+    Tolled arcs, their endpoints and the commodity's endpoints survive.  Each
+    pair of kept nodes keeps its cheapest toll-free arc, which stands for
+    the cheapest path between them through bypassed nodes.
     """
-    touched: set[Node] = set()
+    keep = {commodity.origin, commodity.destination}
     for aid in network.tolled_ids:
         arc = network.arc(aid)
-        touched.add(arc.tail)
-        touched.add(arc.head)
-    keep = touched | {commodity.origin, commodity.destination}
-
-    protos = [
-        _ProtoArc(a.tail, a.head, a.cost, a.tolled, (a.index,)) for a in network.arcs
-    ]
+        keep.update((arc.tail, arc.head))
     nodes = set(range(network.num_nodes))
-    for x in sorted(nodes - keep):
-        ins = [p for p in protos if p.head == x]
-        outs = [p for p in protos if p.tail == x]
-        protos = [p for p in protos if p.head != x and p.tail != x]
-        for pin, pout in product(ins, outs):
-            if pin.tail == pout.head:
-                continue
-            protos.append(
-                _ProtoArc(
-                    pin.tail,
-                    pout.head,
-                    pin.cost + pout.cost,
-                    False,
-                    pin.chain + pout.chain,
-                )
-            )
-        protos = _dedup_toll_free(protos)
-        nodes.discard(x)
-    protos = _dedup_toll_free(protos)
-    return _finish(network, protos, nodes)
-
+    return _bypass(network, range(network.num_arcs), nodes, nodes - keep)

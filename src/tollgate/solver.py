@@ -293,7 +293,12 @@ class ScipyBackend:
         elapsed = time.perf_counter() - start
         model_status = highs.getModelStatus()
         info = highs.getInfo()
-        status = _HIGHS_STATUS.get(model_status, STATUS_ERROR)
+        status = _HIGHS_STATUS.get(model_status)
+        if status is None:
+            raise SolverError(
+                f"HiGHS ended model {model.label!r} with model status "
+                f"{highs.modelStatusToString(model_status)} ({model_status.name})"
+            )
         # An LP stopped early holds no feasible point; a MIP may hold one.
         has_point = model_status == _highs.HighsModelStatus.kOptimal or (
             is_mip

@@ -5,8 +5,10 @@ package: exhaustive path search by recursion, dominance by pairwise subset
 comparison, random instances assembled straight from arc lists, the full
 decomposition of a lit flow into its path and cycles, a two-phase
 simplex on a dense tableau of ``Fraction`` values, an LP writer that
-renders one row at a time, term by term, and model emitters that add every
-row term by term, by variable name.  Tests freeze
+renders one row at a time, term by term, model emitters that add every
+row term by term, by variable name, and graph reductions that merge or
+eliminate one node at a time on ``Fraction`` costs, rescanning every arc
+each time.  Tests freeze
 values computed by these functions and compare the package against them.
 """
 
@@ -14,11 +16,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from tollgate.bigm import BigMParams
-from tollgate.enumeration import ConsistencyError
+from tollgate.enumeration import BilevelFeasibleSet, ConsistencyError
 from tollgate.exactlp import LPResult, Row
 from tollgate.formulations import (
     ARC,
@@ -40,6 +44,7 @@ from tollgate.formulations import (
 )
 from tollgate.model_ir import ModelIR
 from tollgate.network import Arc, Commodity, Network, Path, ProblemInstance
+from tollgate.preprocess import ReducedGraph
 
 
 def all_simple_paths(
@@ -186,6 +191,142 @@ def random_digraph_instance(seed: int) -> Optional[ProblemInstance]:
         Commodity(o, d, Fraction(rng.randint(1, 10))) for o, d in chosen
     )
     return ProblemInstance(net, commodities, f"random-{seed}")
+
+
+# -- graph reductions, one merge at a time ----------------------------------
+
+
+@dataclass
+class _RefArc:
+    """An arc of a reduction under construction, with its exact cost."""
+
+    tail: int
+    head: int
+    cost: Fraction
+    tolled: bool
+    chain: tuple[int, ...]  # original arc ids, in path order
+
+
+def _ref_arcs(network: Network, arc_ids) -> list[_RefArc]:
+    return [
+        _RefArc(a.tail, a.head, a.cost, a.tolled, (a.index,))
+        for a in (network.arc(i) for i in arc_ids)
+    ]
+
+
+def _ref_finish(network: Network, protos: list[_RefArc], keep: set[int]) -> ReducedGraph:
+    """Renumber nodes and arcs densely and build the ReducedGraph."""
+    node_origin = tuple(sorted(keep))
+    node_map = {orig: red for red, orig in enumerate(node_origin)}
+    protos = sorted(protos, key=lambda p: p.chain)
+    arcs = [
+        Arc(rid, node_map[p.tail], node_map[p.head], p.cost, p.tolled)
+        for rid, p in enumerate(protos)
+    ]
+    reduced = Network(len(node_origin), arcs)
+    return ReducedGraph(reduced, network, node_origin, tuple(p.chain for p in protos))
+
+
+def path_reduce_by_merges(network: Network, bfset: BilevelFeasibleSet) -> ReducedGraph:
+    """Path-based reduction, rescanning the whole graph after every merge.
+
+    Keeps the union of arcs over ``bfset``, then repeatedly merges an
+    interior node with exactly one kept incoming and one kept outgoing arc,
+    both toll-free, into a single toll-free arc, unless the merge would
+    create a self-loop.
+    """
+    origin = bfset.paths[0].origin
+    dest = bfset.paths[0].destination
+    protos = _ref_arcs(network, sorted(bfset.arc_union))
+    nodes = {origin, dest}
+    for p in protos:
+        nodes.add(p.tail)
+        nodes.add(p.head)
+
+    changed = True
+    while changed:
+        changed = False
+        for x in sorted(nodes):
+            if x in (origin, dest):
+                continue
+            ins = [p for p in protos if p.head == x]
+            outs = [p for p in protos if p.tail == x]
+            if len(ins) != 1 or len(outs) != 1:
+                continue
+            if ins[0].tolled or outs[0].tolled:
+                continue
+            if ins[0].tail == outs[0].head:
+                continue  # contracting would create a self-loop
+            merged = _RefArc(
+                ins[0].tail,
+                outs[0].head,
+                ins[0].cost + outs[0].cost,
+                False,
+                ins[0].chain + outs[0].chain,
+            )
+            protos.remove(ins[0])
+            protos.remove(outs[0])
+            protos.append(merged)
+            nodes.discard(x)
+            changed = True
+            break
+    return _ref_finish(network, protos, nodes)
+
+
+def _dedup_toll_free(protos: list[_RefArc]) -> list[_RefArc]:
+    """Collapse parallel toll-free arcs to the cheapest (ties: smallest chain)."""
+    best: dict[tuple[int, int], _RefArc] = {}
+    out: list[_RefArc] = []
+    for p in protos:
+        if p.tolled:
+            out.append(p)
+            continue
+        key = (p.tail, p.head)
+        rival = best.get(key)
+        if rival is None or (p.cost, p.chain) < (rival.cost, rival.chain):
+            best[key] = p
+    out.extend(best.values())
+    return out
+
+
+def spgm_by_rescans(network: Network, commodity: Commodity) -> ReducedGraph:
+    """The shortest-path graph model, rescanning every arc per eliminated node.
+
+    Each node that touches no tolled arc and is neither endpoint of the
+    commodity is eliminated in ascending order: its incoming and outgoing
+    arcs are spliced pairwise into toll-free shortcuts (splices that would
+    form a self-loop are dropped), and then parallel toll-free arcs keep
+    only the cheapest.
+    """
+    touched: set[int] = set()
+    for aid in network.tolled_ids:
+        arc = network.arc(aid)
+        touched.add(arc.tail)
+        touched.add(arc.head)
+    keep = touched | {commodity.origin, commodity.destination}
+
+    protos = _ref_arcs(network, range(network.num_arcs))
+    nodes = set(range(network.num_nodes))
+    for x in sorted(nodes - keep):
+        ins = [p for p in protos if p.head == x]
+        outs = [p for p in protos if p.tail == x]
+        protos = [p for p in protos if p.head != x and p.tail != x]
+        for pin, pout in product(ins, outs):
+            if pin.tail == pout.head:
+                continue
+            protos.append(
+                _RefArc(
+                    pin.tail,
+                    pout.head,
+                    pin.cost + pout.cost,
+                    False,
+                    pin.chain + pout.chain,
+                )
+            )
+        protos = _dedup_toll_free(protos)
+        nodes.discard(x)
+    protos = _dedup_toll_free(protos)
+    return _ref_finish(network, protos, nodes)
 
 
 # -- flow decomposition ----------------------------------------------------

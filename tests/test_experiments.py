@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from tollgate import experiments
+from tollgate import experiments, solver
 from tollgate.cli import main
 from tollgate.experiments import (
     CSV_COLUMNS,
@@ -88,6 +88,16 @@ def test_run_one_turns_failures_into_error_rows(fig):
     assert rec.objective is None and rec.gap_pct is None
     assert rec.error == "BuildError: breakpoint must be at least 1, got 0"
     assert rec.row()[-1] == rec.error
+
+
+def test_an_unmapped_highs_status_is_an_error_row_that_names_it(fig, monkeypatch):
+    known = dict(solver._HIGHS_STATUS)
+    del known[solver._highs.HighsModelStatus.kOptimal]
+    monkeypatch.setattr(solver, "_HIGHS_STATUS", known)
+    rec = run_one(fig, "STD", breakpoint=4, perturb=False)
+    assert rec.status == "error"
+    assert rec.error.startswith("SolverError: HiGHS ended model ")
+    assert rec.error.endswith("with model status Optimal (kOptimal)")
 
 
 def test_sweep_covers_the_grid(tiny_instances):

@@ -1,16 +1,21 @@
 """Graph reductions and the maps back to original arc ids."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from tollgate.enumeration import ConsistencyError, enumerate_paths
+from tollgate.generator import GenConfig, GenError, generate
 from tollgate.network import Arc, Commodity, Network
 from tollgate.preprocess import (
     ReducedGraph,
     path_based_reduce,
     spgm_transform,
 )
+
+from bruteforce import path_reduce_by_merges, random_digraph_instance, spgm_by_rescans
+from conftest import perturbed, sweep_instance
 
 
 def arc_shapes(reduced):
@@ -150,9 +155,87 @@ def test_spgm_keeps_parallel_cheapest():
     assert free_1_to_4 == [(1, 4, Fraction(2), False)]
 
 
+def test_spgm_breaks_cost_ties_by_the_smallest_chain():
+    # Nodes 2 and 3 are bypassed in that order; the shortcut through node 3
+    # arrives second but its chain (0, 1) is smaller than (2, 3).
+    arcs = [
+        Arc(0, 0, 3, Fraction(1), False),
+        Arc(1, 3, 1, Fraction(1), False),
+        Arc(2, 0, 2, Fraction(1), False),
+        Arc(3, 2, 1, Fraction(1), False),
+        Arc(4, 0, 1, Fraction(5), True),
+    ]
+    red = spgm_transform(Network(4, arcs), Commodity(0, 1, Fraction(1)))
+    assert red.arc_origin == ((0, 1), (4,))
+    assert arc_shapes(red) == [(0, 1, Fraction(2), False), (0, 1, Fraction(5), True)]
+
+
 def test_original_tolled_id(fig, fig_bfset):
     red = path_based_reduce(fig.network, fig_bfset)
     for a in red.network.arcs:
         if a.tolled:
             orig = red.original_tolled_id(a.index)
             assert fig.network.arc(orig).tolled
+
+
+# -- the bypass routine against the one-merge-at-a-time references ----------
+
+
+def reduction_record(reduced):
+    """Everything a reduction decides: kept nodes, chains, and each arc."""
+    arcs = [(a.tail, a.head, a.cost, a.tolled) for a in reduced.network.arcs]
+    return reduced.node_origin, reduced.arc_origin, arcs
+
+
+def compare_with_references(instance, caps=(None,)):
+    """Reduce every commodity both ways; returns the path-based count.
+
+    SPGM runs on every commodity, and path-based reduction on each
+    exhaustive feasible set at each of ``caps``.
+    """
+    net = instance.network
+    compared = 0
+    for com in instance.commodities:
+        assert reduction_record(spgm_transform(net, com)) == reduction_record(
+            spgm_by_rescans(net, com)
+        )
+        for cap in caps:
+            bfset = enumerate_paths(net, com, cap=cap).feasible_set()
+            if bfset.exhaustive:
+                assert reduction_record(path_based_reduce(net, bfset)) == reduction_record(
+                    path_reduce_by_merges(net, bfset)
+                )
+                compared += 1
+    return compared
+
+
+def test_reductions_match_references_on_generated_grids():
+    compared = 0
+    for seed in range(9):
+        shape = ((3, 4), (4, 4), (5, 5))[seed % 3]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                raw = generate(GenConfig(("grid", shape), 3, seed=seed))
+        except GenError:
+            continue
+        # The raw costs are small integers with many ties between bypass
+        # chains, which only SPGM can take; enumeration needs perturbed costs.
+        compare_with_references(raw, caps=())
+        compared += compare_with_references(perturbed(raw), caps=(4000,))
+    assert compared >= 20
+
+
+@pytest.mark.parametrize("topology", ["grid:5x12", "delaunay:60"])
+def test_reductions_match_references_at_sweep_scale(topology):
+    assert compare_with_references(sweep_instance(topology), caps=(9, 65)) > 20
+
+
+def test_reductions_match_references_on_random_digraphs():
+    compared = 0
+    for seed in range(120):
+        instance = random_digraph_instance(seed)
+        if instance is not None:
+            compared += compare_with_references(instance)
+            compared += compare_with_references(perturbed(instance))
+    assert compared > 300
