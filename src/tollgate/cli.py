@@ -35,20 +35,20 @@ from .solver import CommandBackend, SolverError
 KIND_LABELS = ", ".join(k.label for k in FORMULATIONS)
 
 
-def _load(args) -> ProblemInstance:
-    """The ``--instance`` file, its cost ties broken when ``--perturb`` is set."""
-    instance = load_instance(args.instance)
-    if args.perturb is None:
+def _load(path, seed: Optional[int]) -> ProblemInstance:
+    """An instance file, its costs perturbed at ``seed`` when one is given."""
+    instance = load_instance(path)
+    if seed is None:
         return instance
     return ProblemInstance(
-        perturb_costs(instance.network, seed=args.perturb),
+        perturb_costs(instance.network, seed=seed),
         instance.commodities,
         instance.label,
     )
 
 
 def _cmd_enumerate(args) -> int:
-    instance = _load(args)
+    instance = _load(args.instance, args.perturb)
     for k, result in enumerate(enumerate_all(instance, args.cap)):
         bfset = result.feasible_set()
         com = instance.commodities[k]
@@ -64,7 +64,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    instance = _load(args)
+    instance = _load(args.instance, args.perturb)
     enum = enumerate_all(instance, args.cap) if args.method == "paths" else None
     full = ReducedGraph.identity(instance.network).stats()
     print("commodity\tnodes\tarcs\ttolled")
@@ -88,7 +88,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_build(args) -> int:
     if bool(args.kind) == bool(args.main):
         raise BuildError("pass either --kind, or --main with --fallback and --breakpoint")
-    instance = _load(args)
+    instance = _load(args.instance, args.perturb)
     kind = get_kind(args.kind or args.main)
     if kind.needs_cut_loop:
         raise BuildError(
@@ -109,10 +109,9 @@ def _cmd_build(args) -> int:
     else:
         if args.breakpoint is None:
             raise BuildError("--main needs --breakpoint")
-        # The instance is perturbed already when --perturb is given.
-        prep = prepared(instance, args.breakpoint, perturb=False)
+        prep = prepared(instance, args.breakpoint)
         hybrid = assemble_hybrid(
-            prep.instance, args.breakpoint, kind, args.fallback, prep.bigm,
+            instance, args.breakpoint, kind, args.fallback, prep.bigm,
             prep.enum, paper_exact=args.paper_exact, plan=prep.plan,
         )
     text = write_lp(hybrid.ir)
@@ -145,7 +144,9 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _collect_instances(patterns: Sequence[str]) -> list[ProblemInstance]:
+def _collect_instances(
+    patterns: Sequence[str], seed: Optional[int]
+) -> list[ProblemInstance]:
     paths: list[Path] = []
     for pattern in patterns:
         p = Path(pattern)
@@ -160,11 +161,11 @@ def _collect_instances(patterns: Sequence[str]) -> list[ProblemInstance]:
             paths.extend(matches)
     if not paths:
         raise InstanceError("no instance files given")
-    return [load_instance(p) for p in paths]
+    return [_load(p, seed) for p in paths]
 
 
 def _cmd_sweep(args) -> int:
-    instances = _collect_instances(args.instances)
+    instances = _collect_instances(args.instances, args.perturb)
     kinds = [get_kind(label) for label in args.kinds.split(",") if label]
     breakpoints = args.breakpoints
     if not kinds or not breakpoints:
@@ -176,7 +177,6 @@ def _cmd_sweep(args) -> int:
         breakpoints,
         budget=args.budget,
         jobs=args.jobs,
-        perturb=not args.no_perturb,
         backend=backend,
         paper_exact=args.paper_exact,
     )
@@ -290,8 +290,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="results CSV path (stdout when omitted)")
     p.add_argument("--summary", help="also write a per-(kind,N) summary CSV")
     p.add_argument("--solver-cmd", help="external solver template with {lp} and {sol}")
-    p.add_argument("--no-perturb", action="store_true",
-                   help="solve the costs as given, without tie-breaking noise")
+    _add_perturb(p)
     _add_paper_exact(p)
     p.set_defaults(func=_cmd_sweep)
     return parser

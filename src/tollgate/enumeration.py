@@ -3,8 +3,9 @@
 A path is bilevel feasible when some nonnegative toll vector makes it a
 cheapest route for its commodity.  Two facts drive everything here:
 
-* a path ``p`` can never be the follower's choice if another path uses a
-  subset of its tolled arcs at strictly smaller base cost (it is *dominated*),
+* a path ``p`` is *dominated* when another path uses a subset of its tolled
+  arcs at no greater base cost: whenever ``p`` is a cheapest route, so is
+  the other, earning the leader as much under the optimistic rule,
 * once a toll-free path is emitted in cost order, no later path can be
   bilevel feasible, so enumeration can stop.
 
@@ -14,11 +15,8 @@ its suffix, which excludes that arc, pins the prefix before the spur node, and
 re-solves a shortest path from the spur node.  The subproblem regions
 partition the remaining path space, so nothing is emitted twice and pruning is
 safe.  :func:`dominance_filter` then removes dominated paths; the survivors
-are exactly the bilevel-feasible paths whenever enumeration ran to its
-toll-free stopping point.
-
-Distinct base costs across candidate paths are a precondition (generic costs).
-Instances with ties should be passed through :func:`perturb_costs` first.
+are exactly the undominated paths whenever enumeration ran to its toll-free
+stopping point.  Costs may tie: no perturbation is needed.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class BilevelFeasibleSet:
-    """The filtered candidate paths of one commodity, in ascending base cost.
+    """The filtered candidate paths of one commodity, in nondecreasing base cost.
 
     ``exhaustive`` records whether enumeration reached its natural stopping
     point (the cheapest toll-free path was emitted); only then is the set
@@ -54,14 +52,12 @@ class BilevelFeasibleSet:
 
     def __post_init__(self) -> None:
         costs = [p.cost for p in self.paths]
-        if any(b <= a for a, b in zip(costs, costs[1:])):
-            raise ConsistencyError("feasible-set paths must have strictly increasing costs")
+        if any(b < a for a, b in zip(costs, costs[1:])):
+            raise ConsistencyError("feasible-set paths must have nondecreasing costs")
+        # Distinct tolled sets also leave at most one toll-free path.
         tolled = [p.tolled_set for p in self.paths]
         if len(set(tolled)) != len(tolled):
             raise ConsistencyError("feasible-set paths must have distinct tolled sets")
-        toll_free = [p for p in self.paths if p.is_toll_free()]
-        if len(toll_free) > 1:
-            raise ConsistencyError("at most one toll-free path can survive the filter")
         if self.paths and self.exhaustive and not self.paths[-1].is_toll_free():
             raise ConsistencyError("an exhaustive set must end with the toll-free path")
 
@@ -224,30 +220,31 @@ def enumerate_all(
 
 
 def dominance_filter(paths: Sequence[Path], commodity: int = 0) -> BilevelFeasibleSet:
-    """Drop every path dominated by an earlier one.
+    """Drop every path dominated by one kept before it.
 
     ``p`` dominates ``q`` when ``p``'s tolled arcs are a subset of ``q``'s and
-    ``p`` is strictly cheaper; no toll vector can then ever make ``q`` the
-    better choice.  Input must be sorted by strictly increasing base cost
-    (ties void the rule, hence the hard error; it is an
-    :class:`InstanceError` because ties come from the instance's costs).
-    The set is exhaustive when the input ends with a toll-free path, as a
-    run of :func:`enumerate_paths` that stopped there does; the survivors
-    are then exactly the bilevel-feasible paths.
+    ``p`` costs no more.  Input must be sorted by nondecreasing base cost (an
+    :class:`InstanceError` otherwise: costs come from the instance).  Tied
+    input is visited stably by (cost, number of tolled arcs), so a subset
+    comes before its equal-cost supersets and of equal tolled sets the first
+    is kept.  The set is exhaustive when the input ends with a toll-free
+    path, as a run of :func:`enumerate_paths` that stopped there does; the
+    survivors then are exactly the undominated paths.
     """
     costs = [p.cost for p in paths]
     for a, b in zip(costs, costs[1:]):
-        if b <= a:
+        if b < a:
             raise InstanceError(
-                "paths must be sorted by strictly increasing base cost "
-                f"(saw {a} then {b}); perturb costs if the instance has ties"
+                f"paths must be sorted by nondecreasing base cost (saw {a} then {b})"
             )
+    exhaustive = bool(paths) and paths[-1].is_toll_free()
+    if any(a == b for a, b in zip(costs, costs[1:])):
+        paths = sorted(paths, key=lambda p: (p.cost, len(p.tolled_set)))
     survivors: list[Path] = []
     for candidate in paths:
         if any(kept.tolled_set <= candidate.tolled_set for kept in survivors):
             continue
         survivors.append(candidate)
-    exhaustive = bool(paths) and paths[-1].is_toll_free()
     return BilevelFeasibleSet(commodity, tuple(survivors), exhaustive)
 
 

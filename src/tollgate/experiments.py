@@ -7,18 +7,16 @@ a wall-clock budget.  Failures are recorded as rows that name their cause,
 never raised, so a long sweep always produces its full grid of results.
 
 Everything before the choice of kind is the same for every kind, so it is
-prepared once and shared: the perturbed network (when the run perturbs),
-the enumeration results at cap ``breakpoint + 1`` and their feasible sets,
-the big-M constants, and the hybrid plan (each commodity's role, its
-path-reduced graph and its feasible set mapped into it).  :func:`prepared`
-keeps each preparation on its instance, in ``ProblemInstance._derived``
-under ``(breakpoint, perturb)``, so it lives exactly as long as the
-instance; a preparation that fails is not kept.  The perturbation does not
-depend on the breakpoint, so the perturbed instance is kept there too, and
-a sweep perturbs each instance once.  Threads that prepare the same key at
-once can at worst repeat the work; the first result stored is the one
-every run uses.  ``tollgate build --main`` builds its model from
-:func:`prepared` too.
+prepared once and shared: the enumeration results at cap ``breakpoint + 1``
+and their feasible sets, the big-M constants, and the hybrid plan (each
+commodity's role, its path-reduced graph and its feasible set mapped into
+it).  :func:`prepared` keeps each preparation on its instance, in
+``ProblemInstance._derived`` under its breakpoint, so it lives exactly as
+long as the instance; a preparation that fails is not kept.  Threads that
+prepare the same key at once can at worst repeat the work; the first result
+stored is the one every run uses.  ``tollgate build --main`` builds its
+model from :func:`prepared` too.  Instances are solved at their own costs;
+a caller who wants ties broken perturbs the instance first.
 """
 
 from __future__ import annotations
@@ -97,54 +95,36 @@ class RunRecord:
 class _Prepared:
     """The kind-independent part of a run, shared by every kind."""
 
-    #: The instance as solved: its network is perturbed when the run perturbs.
-    instance: ProblemInstance
     enum: tuple[EnumerationResult, ...]
-    #: Seconds spent perturbing and enumerating when this was prepared.
+    #: Seconds spent enumerating when this was prepared.
     enum_s: float
     bigm: BigMParams
     plan: HybridPlan
 
 
-def _prepare(instance: ProblemInstance, breakpoint: int, perturb: bool) -> _Prepared:
+def _prepare(instance: ProblemInstance, breakpoint: int) -> _Prepared:
     t0 = time.perf_counter()
-    store = instance._derived
-    if perturb:
-        # The perturbation does not depend on the breakpoint: every
-        # preparation of ``instance`` shares the first one stored.
-        work = store.get("perturbed")
-        if work is None:
-            net = perturb_costs(instance.network, seed=0)
-            work = store.setdefault(
-                "perturbed", ProblemInstance(net, instance.commodities, instance.label)
-            )
-    else:
-        # A copy: a preparation referring to the instance that holds it
-        # would make a reference cycle.
-        work = ProblemInstance(instance.network, instance.commodities, instance.label)
-    enum = enumerate_all(work, cap=breakpoint + 1)
+    enum = enumerate_all(instance, cap=breakpoint + 1)
     enum_s = time.perf_counter() - t0
     bfsets = {
         k: r.feasible_set()
         for k, r in enumerate(enum)
         if r.feasible_set().exhaustive
     }
-    bigm = compute_bigm(work.network, work.commodities, bfsets)
-    plan = plan_hybrid(work, breakpoint, enum)
-    return _Prepared(work, enum, enum_s, bigm, plan)
+    bigm = compute_bigm(instance.network, instance.commodities, bfsets)
+    plan = plan_hybrid(instance, breakpoint, enum)
+    return _Prepared(enum, enum_s, bigm, plan)
 
 
-def prepared(instance: ProblemInstance, breakpoint: int, perturb: bool) -> _Prepared:
+def prepared(instance: ProblemInstance, breakpoint: int) -> _Prepared:
     """The preparation of ``instance`` at ``breakpoint``, made on first use.
 
-    ``perturb`` breaks cost ties with :func:`perturb_costs` at seed 0 first.
     The preparation is kept on ``instance`` and shared by every later call
-    with the same ``breakpoint`` and ``perturb`` (see the module docstring).
+    with the same ``breakpoint`` (see the module docstring).
     """
-    key = (breakpoint, perturb)
-    found = instance._derived.get(key)
+    found = instance._derived.get(breakpoint)
     if found is None:
-        found = instance._derived.setdefault(key, _prepare(instance, breakpoint, perturb))
+        found = instance._derived.setdefault(breakpoint, _prepare(instance, breakpoint))
     return found
 
 
@@ -153,7 +133,7 @@ def run_one(
     kind: KindLike,
     breakpoint: int,
     budget: float = DEFAULT_BUDGET,
-    perturb: bool = True,
+    perturb: bool = False,
     backend: Optional[Backend] = None,
     paper_exact: bool = False,
 ) -> RunRecord:
@@ -161,23 +141,28 @@ def run_one(
 
     The row's ``error`` field names the exception's class and message.
     ``backend`` defaults to ``ScipyBackend()``; ``paper_exact`` is passed
-    to :func:`formulations.assemble_hybrid`.
+    to :func:`formulations.assemble_hybrid`.  ``perturb`` solves a copy of
+    ``instance`` with its costs perturbed at seed 0.
 
-    The perturbation, enumeration, big-M constants and hybrid plan come from
-    :func:`prepared`: one preparation, kept on ``instance``, shared by every
-    run on that instance object with the same ``breakpoint`` and
-    ``perturb``, whatever its kind.  ``enum_s`` is the time that
-    preparation spent perturbing and enumerating, so every kind of one
-    (instance, breakpoint) reports the same ``enum_s``.  A run whose
-    preparation fails reports the time it ran before failing.
+    The enumeration, big-M constants and hybrid plan come from
+    :func:`prepared`: one preparation, kept on the instance solved, shared
+    by every run on that instance object with the same ``breakpoint``,
+    whatever its kind.  ``enum_s`` is the time that preparation spent
+    enumerating, so every kind of one (instance, breakpoint) reports the
+    same ``enum_s``.  A run whose preparation fails reports the time it ran
+    before failing.
     """
     kind = get_kind(kind)
     label = instance.label
+    if perturb:
+        instance = ProblemInstance(
+            perturb_costs(instance.network, seed=0), instance.commodities, label
+        )
     t0 = time.perf_counter()
     try:
-        prep = prepared(instance, breakpoint, perturb)
+        prep = prepared(instance, breakpoint)
         hybrid = assemble_hybrid(
-            prep.instance,
+            instance,
             breakpoint,
             kind,
             FALLBACK_KIND,
@@ -213,15 +198,14 @@ def run_sweep(
     breakpoints: Sequence[int],
     budget: float = DEFAULT_BUDGET,
     jobs: int = 1,
-    perturb: bool = True,
     backend: Optional[Backend] = None,
     paper_exact: bool = False,
 ) -> list[RunRecord]:
     """Run the full grid and return one record per cell, in grid order.
 
     Cells of one instance and breakpoint share one preparation (see
-    :func:`run_one`), so each (instance, breakpoint) is perturbed,
-    enumerated, bounded and reduced once, whatever the number of kinds.
+    :func:`run_one`), so each (instance, breakpoint) is enumerated, bounded
+    and reduced once, whatever the number of kinds.
     """
     cells = [
         (instance, kind, breakpoint)
@@ -229,9 +213,7 @@ def run_sweep(
         for kind in kinds
         for breakpoint in breakpoints
     ]
-    options = dict(
-        budget=budget, perturb=perturb, backend=backend, paper_exact=paper_exact
-    )
+    options = dict(budget=budget, backend=backend, paper_exact=paper_exact)
     if jobs <= 1:
         return [run_one(i, k, n, **options) for i, k, n in cells]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

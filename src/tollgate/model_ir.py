@@ -222,9 +222,6 @@ class ModelIR:
     def variables(self) -> tuple[Variable, ...]:
         return tuple(map(Variable, self.names, self.lower, self.upper, self.binary))
 
-    def has_variable(self, name: str) -> bool:
-        return name in self.column
-
     def binary_names(self) -> tuple[str, ...]:
         return tuple(compress(self.names, self.binary))
 

@@ -237,7 +237,7 @@ class ProblemInstance:
 
     ``_derived`` holds values other modules derive from the instance alone
     and keep for its lifetime, by key: :mod:`~tollgate.experiments` keeps
-    its sweep preparations and its perturbed instance there.  No value in
+    its sweep preparations there, by breakpoint.  No value in
     it may refer back to the instance, so that reference counting alone
     frees the instance and its values together.
     """

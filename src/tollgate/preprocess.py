@@ -206,10 +206,10 @@ def path_based_reduce(network: Network, bfset: BilevelFeasibleSet) -> ReducedGra
     """Restrict the graph to one commodity's feasible paths, then contract.
 
     Keeps the union of arcs over ``bfset`` and bypasses each interior node
-    with one kept arc in and one out, both toll-free, not forming a
-    self-loop.  That leaves every other node's arcs in and out as many and
-    as tolled, so the set is fixed up front.  Raises if the feasible set is
-    not exhaustive: an incomplete set gives no license to delete anything.
+    with one kept arc in and one out, both toll-free.  That leaves every
+    other node's arcs in and out as many and as tolled, so the set is fixed
+    up front.  Raises if the feasible set is not exhaustive: an incomplete
+    set gives no license to delete anything.
     """
     if not bfset.exhaustive:
         raise ValueError(
@@ -232,10 +232,11 @@ def path_based_reduce(network: Network, bfset: BilevelFeasibleSet) -> ReducedGra
     for x in nodes - {origin, dest}:
         if len(ins[x]) == len(outs[x]) == 1:
             (pin,), (pout,) = ins[x], outs[x]
-            if not (pin.tolled or pout.tolled) and pin.tail != pout.head:
+            if not (pin.tolled or pout.tolled):
                 bypassed.append(x)
     # Parallel toll-free arcs never occur here: a path over the dearer of
-    # two is dominated by the same path over the cheaper.
+    # two is dominated by the same path over the cheaper, and of two equal
+    # chains enumeration and _bypass both keep the smaller.
     return _bypass(network, kept_ids, nodes, bypassed)
 
 

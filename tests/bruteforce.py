@@ -152,13 +152,16 @@ def toll_free_reaches(network: Network, origin: int, dest: int) -> bool:
     return False
 
 
-def random_digraph_instance(seed: int) -> Optional[ProblemInstance]:
+def random_digraph_instance(
+    seed: int, cost_high: int = 10**12
+) -> Optional[ProblemInstance]:
     """A small random digraph with up to two commodities, or None.
 
-    Costs are huge random integers, so distinct arc subsets collide with
-    negligible probability; the chosen test seeds are verified collision
-    free.  Returns None when the draw has no usable commodity pair, so the
-    caller can move on to the next seed.
+    Costs are random integers in ``[1, cost_high]``.  By default they are
+    huge, so distinct arc subsets collide with negligible probability; the
+    chosen test seeds are verified collision free.  A small ``cost_high``
+    makes path costs tie.  Returns None when the draw has no usable
+    commodity pair, so the caller can move on to the next seed.
     """
     rng = random.Random(seed)
     n = rng.randint(4, 12)
@@ -167,7 +170,7 @@ def random_digraph_instance(seed: int) -> Optional[ProblemInstance]:
         for head in range(n):
             if tail != head and rng.random() < 0.25:
                 raw.append(
-                    (tail, head, rng.randint(1, 10**12), rng.random() < 0.35)
+                    (tail, head, rng.randint(1, cost_high), rng.random() < 0.35)
                 )
     if not raw:
         return None

@@ -128,7 +128,7 @@ GRIDS = ((3, 4), (4, 4), (5, 5))
 SET_PRODUCT_LIMIT = 2000
 
 
-def _qualifying_instance(seed: int):
+def _qualifying_instance(seed: int, perturb: bool = True):
     rows, cols = GRIDS[seed % len(GRIDS)]
     commodities = 2 + (seed % 2)
     try:
@@ -139,8 +139,8 @@ def _qualifying_instance(seed: int):
             )
     except GenError:
         return None
-    net = perturb_costs(raw.network, seed=0)
-    inst = ProblemInstance(net, raw.commodities, raw.label)
+    inst = perturbed(raw) if perturb else raw
+    net = inst.network
     enums = []
     product = 1
     for k, com in enumerate(inst.commodities):
@@ -165,19 +165,29 @@ def _qualifying_instance(seed: int):
     }
 
 
-@pytest.fixture(scope="session")
-def suite25():
-    """Acceptance criterion 05's 25 perturbed grid instances, each with its
-    enumerations, big-M constants and exact reference optimum."""
+def _suite25(perturb: bool):
     cases = []
     seed = 0
     while len(cases) < 25 and seed < 400:
-        entry = _qualifying_instance(seed)
+        entry = _qualifying_instance(seed, perturb)
         seed += 1
         if entry is not None:
             cases.append(entry)
     assert len(cases) == 25, "instance generation failed to fill the suite"
     return cases
+
+
+@pytest.fixture(scope="session")
+def suite25():
+    """Acceptance criterion 05's 25 perturbed grid instances, each with its
+    enumerations, big-M constants and exact reference optimum."""
+    return _suite25(perturb=True)
+
+
+@pytest.fixture(scope="session")
+def raw_suite25():
+    """The same qualification on the generated costs as given, unperturbed."""
+    return _suite25(perturb=False)
 
 
 # A command-line solver for the CommandBackend tests: scipy's bundled HiGHS

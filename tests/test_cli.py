@@ -307,7 +307,7 @@ def test_sweep_rejects_a_solver_cmd_without_placeholders(fig_file, capsys):
 
 @pytest.fixture
 def tie_file(tmp_path):
-    # Two tolled routes of base cost 2 tie; dominance needs distinct costs.
+    # Two tolled routes of base cost 2 tie, over incomparable tolled arcs.
     path = tmp_path / "tie.npp"
     path.write_text(
         "npp 4 5 1\n"
@@ -322,13 +322,20 @@ def tie_file(tmp_path):
 
 
 def test_build_reports_tied_path_costs(tie_file, capsys):
+    # Neither tied route dominates the other: both are kept, at cost 2.
+    assert main(["enumerate", "--instance", str(tie_file)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "# commodity 0: 0->3, 3 paths (exhaustive)", "2\t0,1,3", "2\t0,2,3", "5\t0,3"
+    ]
     rc = main(
         ["build", "--instance", str(tie_file), "--main", "PCS2", "--breakpoint", "8"]
     )
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "perturb" in err
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # One path variable per kept route.
+    assert " z__0_2\nEnd\n" in captured.out and "z__0_3" not in captured.out
 
 
 @pytest.mark.parametrize(
@@ -341,19 +348,19 @@ def test_build_reports_tied_path_costs(tie_file, capsys):
     ids=["build-hybrid", "build-kind", "reduce"],
 )
 def test_perturb_breaks_ties_for_build_and_reduce(tie_file, capsys, command):
+    # Tied costs build and reduce as given, and with --perturb too.
     args = [*command, "--instance", str(tie_file)]
-    assert main(args) == 1
-    assert "perturb" in capsys.readouterr().err
-    assert main([*args, "--perturb", "0"]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    out = captured.out
-    if command[0] == "reduce":
-        # Neither tolled route dominates the other: every arc stays.
-        assert out.splitlines()[1] == "0\t4->4\t5->5\t2->2"
-    else:
-        assert out.startswith("\\ ") and out.endswith("End\n")
-        assert "Binaries\n" in out
+    for extra in ([], ["--perturb", "0"]):
+        assert main([*args, *extra]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = captured.out
+        if command[0] == "reduce":
+            # Neither tolled route dominates the other: every arc stays.
+            assert out.splitlines()[1] == "0\t4->4\t5->5\t2->2"
+        else:
+            assert out.startswith("\\ ") and out.endswith("End\n")
+            assert "Binaries\n" in out
 
 
 def _spy_on_builder(monkeypatch, module, name):

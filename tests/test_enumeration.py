@@ -86,10 +86,57 @@ def test_no_route_is_an_error():
         enumerate_paths(net, Commodity(0, 2, Fraction(1)))
 
 
-def test_dominance_filter_rejects_cost_ties(fig):
-    p = fig.network.path([0, 1, 2])
-    with pytest.raises(ValueError, match="strictly increasing"):
-        dominance_filter([p, p])
+def test_dominance_filter_rejects_decreasing_costs(fig):
+    spine, bypass = fig.network.path([0, 1, 2]), fig.network.path([0, 5])
+    with pytest.raises(ValueError, match="nondecreasing base cost"):
+        dominance_filter([bypass, spine])
+
+
+def _tied_network() -> Network:
+    # 0->1 tolled, then on to 3 over a tolled arc, a toll-free arc, or a
+    # toll-free two-arc chain, each of cost 1; a toll-free arc 0->3 of cost 5.
+    half = Fraction(1, 2)
+    return Network(4, [
+        Arc(0, 0, 1, Fraction(1), True),
+        Arc(1, 1, 3, Fraction(1), True),
+        Arc(2, 1, 3, Fraction(1), False),
+        Arc(3, 1, 2, half, False),
+        Arc(4, 2, 3, half, False),
+        Arc(5, 0, 3, Fraction(5), False),
+    ])
+
+
+def test_dominance_filter_keeps_an_equal_cost_subset():
+    net = _tied_network()
+    result = enumerate_paths(net, Commodity(0, 3, Fraction(1)))
+    # Ties go to the smaller arc sequence: the tolled superset comes first.
+    # The chain 3, 4 differs from arc 2 in no tolled arc, so no deviation
+    # reaches it.
+    assert [p.arcs for p in result.paths] == [(0, 1), (0, 2), (5,)]
+    bf = result.feasible_set()
+    assert [p.arcs for p in bf.paths] == [(0, 2), (5,)]
+    assert bf.exhaustive
+
+
+def test_dominance_filter_keeps_the_first_of_equal_tolled_sets():
+    net = _tied_network()
+    direct, chain, free = net.path([0, 2]), net.path([0, 3, 4]), net.path([5])
+    assert dominance_filter([direct, chain, free]).paths == (direct, free)
+    assert dominance_filter([chain, direct, free]).paths == (chain, free)
+
+
+def test_toll_free_path_ends_a_tied_exhaustive_set():
+    # A tolled path emitted before the toll-free one at the same cost.
+    net = Network(3, [
+        Arc(0, 0, 1, Fraction(1), True),
+        Arc(1, 1, 2, Fraction(1), False),
+        Arc(2, 0, 2, Fraction(2), False),
+    ])
+    result = enumerate_paths(net, Commodity(0, 2, Fraction(1)))
+    assert [p.cost for p in result.paths] == [2, 2]
+    bf = result.feasible_set()
+    assert [p.arcs for p in bf.paths] == [(2,)]
+    assert bf.exhaustive
 
 
 def test_dominance_filter_infers_exhaustive(fig):

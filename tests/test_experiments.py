@@ -1,5 +1,6 @@
 """Batch sweeps: the record grid, CSV output, and summaries."""
 
+import csv
 import gc
 import io
 import sys
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from tollgate import experiments, solver
+from tollgate import cli, experiments, solver
 from tollgate.cli import main
 from tollgate.experiments import (
     CSV_COLUMNS,
@@ -124,7 +125,7 @@ def test_sweep_objectives_agree_across_kinds_and_caps(tiny_instances):
 
 
 def test_sweep_matches_oracle(tiny_instances):
-    records = run_sweep(tiny_instances, ["STD"], [8], budget=60, perturb=False)
+    records = run_sweep(tiny_instances, ["STD"], [8], budget=60)
     for inst, rec in zip(tiny_instances, records):
         expected = float(oracle_solve(inst).revenue)
         assert rec.objective == pytest.approx(expected, rel=1e-6)
@@ -156,7 +157,7 @@ def test_parallel_sweep_keeps_grid_order(tiny_instances):
     _assert_one_enum_time_per_cell(multi)
 
 
-def test_sweep_perturbs_once_per_instance(tiny_instances, monkeypatch):
+def test_sweep_perturbs_once_per_instance(tiny_instances, tmp_path, monkeypatch):
     seen = []
     perturb = experiments.perturb_costs
 
@@ -165,12 +166,30 @@ def test_sweep_perturbs_once_per_instance(tiny_instances, monkeypatch):
         return perturb(network, seed=seed)
 
     monkeypatch.setattr(experiments, "perturb_costs", spy)
-    instances = [fresh(i) for i in tiny_instances]
-    records = run_sweep(instances, ["STD", "VF", "PCS2"], [1, 8], budget=60)
+    monkeypatch.setattr(cli, "perturb_costs", spy)
+    # A sweep solves the costs as given.
+    records = run_sweep(
+        [fresh(i) for i in tiny_instances], ["STD", "VF", "PCS2"], [1, 8], budget=60
+    )
     assert len(records) == 12
     assert all(r.status == "optimal" for r in records)
-    # Breakpoint 8's preparation takes the perturbed instance of breakpoint 1's.
-    assert [id(net) for net in seen] == [id(i.network) for i in instances]
+    assert seen == []
+    # With --perturb, the command line perturbs each instance once, as it
+    # loads it, and every cell solves that copy.
+    files = []
+    for k, instance in enumerate(tiny_instances):
+        files.append(tmp_path / f"tiny{k}.npp")
+        files[-1].write_text(serialize_instance(instance))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--instances", *map(str, files), "--kinds", "STD,VF,PCS2",
+            "--breakpoints", "1,8", "--perturb", "0", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(seen) == len(files)
+    with open(out, newline="") as stream:
+        rows = list(csv.DictReader(stream))
+    assert len(rows) == 12 and all(r["status"] == "optimal" for r in rows)
+    for rec, row in zip(records, rows):
+        assert float(row["objective"]) == pytest.approx(rec.objective, rel=1e-6)
 
 
 @pytest.mark.parametrize("which", ["fixture", "tiny-0", "tiny-1"])
@@ -188,12 +207,12 @@ def test_shared_preparation_matches_a_cold_one(fig, tiny_instances, assembled_lp
     assert all(r.status == "optimal" for r in warm)
     assert assembled_lp == cold_lp
 
-    # The instance holds its preparations and its perturbed copy, and
-    # nothing in them refers back to it: without the cyclic collector,
-    # deleting the instance frees them all.
-    experiments.prepared(instance, 8, False)
+    # The instance holds its preparations, by breakpoint, and nothing in them
+    # refers back to it: without the cyclic collector, deleting the instance
+    # frees them all.
+    assert experiments.prepared(instance, 8) is instance._derived[8]
     store = instance._derived
-    assert sorted(store, key=str) == [(1, True), (8, False), (8, True), "perturbed"]
+    assert sorted(store) == [1, 8]
     alive = [weakref.ref(value) for value in store.values()]
     del store
     gc.disable()
@@ -211,27 +230,36 @@ def test_build_main_writes_the_model_a_sweep_cell_assembles(
     path = tmp_path / "five.npp"
     path.write_text(serialize_instance(fig))
     out = tmp_path / "x.lp"
-    argv = [
-        "build", "--instance", str(path), "--main", kind, "--fallback", "STD",
-        "--breakpoint", "8", "--perturb", "0", "--out", str(out),
-    ]
-    assert main(argv) == 0
-    assert "wrote" in capsys.readouterr().out
+    built = []
+    for perturb in ([], ["--perturb", "0"]):
+        argv = [
+            "build", "--instance", str(path), "--main", kind, "--fallback", "STD",
+            "--breakpoint", "8", *perturb, "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert "wrote" in capsys.readouterr().out
+        built.append(out.read_text())
+        argv = [
+            "sweep", "--instances", str(path), "--kinds", kind, "--breakpoints", "8",
+            *perturb, "--out", str(tmp_path / "x.csv"),
+        ]
+        assert main(argv) == 0
+        assert ",optimal," in (tmp_path / "x.csv").read_text()
     assert run_one(load_instance(path), kind, 8).status == "optimal"
-    assert len(assembled_lp) == 1
-    assert out.read_bytes() == assembled_lp[0].encode()
+    # The sweep cells, then the library cell on the instance as given.
+    assert assembled_lp == [*built, built[0]]
+    assert built[0] != built[1]
 
 
 def test_a_failed_preparation_is_an_error_row_for_every_kind(monkeypatch):
-    # Two tolled routes of base cost 2 tie; unperturbed, dominance refuses them.
+    # The commodity has no toll-free path, so compute_bigm refuses it.
     arcs = [
         Arc(0, 0, 1, Fraction(1), True),
         Arc(1, 1, 3, Fraction(1), False),
         Arc(2, 0, 2, Fraction(1), True),
         Arc(3, 2, 3, Fraction(1), False),
-        Arc(4, 0, 3, Fraction(5), False),
     ]
-    tie = ProblemInstance(Network(4, arcs), (Commodity(0, 3, Fraction(1)),), "tie")
+    bad = ProblemInstance(Network(4, arcs), (Commodity(0, 3, Fraction(1)),), "bad")
     calls = []
     prepare = experiments._prepare
 
@@ -240,17 +268,15 @@ def test_a_failed_preparation_is_an_error_row_for_every_kind(monkeypatch):
         return prepare(*args)
 
     monkeypatch.setattr(experiments, "_prepare", spy)
-    records = run_sweep([tie], ALL_KINDS, [4], perturb=False)
+    records = run_sweep([bad], ALL_KINDS, [4])
     assert [r.status for r in records] == ["error"] * len(ALL_KINDS)
     for rec in records:
-        assert rec.error.startswith("InstanceError: paths must be sorted")
-        assert "perturb costs" in rec.error
+        assert rec.error == (
+            "InstanceError: commodity 0 has no toll-free path; toll caps are undefined"
+        )
     # Nothing was kept, so every kind tried again.
     assert len(calls) == len(ALL_KINDS)
-    assert tie._derived == {}
-    # Perturbed, the same instance prepares; unperturbed, it still fails.
-    assert [r.status for r in run_sweep([tie], ["STD"], [4])] == ["optimal"]
-    assert [r.status for r in run_sweep([tie], ["STD"], [4], perturb=False)] == ["error"]
+    assert bad._derived == {}
 
 
 def test_threads_share_one_preparation(tiny_instances):
@@ -263,7 +289,7 @@ def test_threads_share_one_preparation(tiny_instances):
     def worker():
         try:
             together.wait()
-            got.append(experiments.prepared(instance, 8, True))
+            got.append(experiments.prepared(instance, 8))
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(repr(exc))
 
@@ -281,7 +307,7 @@ def test_threads_share_one_preparation(tiny_instances):
     assert errors == []
     assert len(got) == workers
     assert all(prep is got[0] for prep in got)
-    assert experiments.prepared(instance, 8, True) is got[0]
+    assert experiments.prepared(instance, 8) is got[0]
 
 
 def test_csv_layout():

@@ -311,12 +311,12 @@ def test_hybrid_roles_split_by_breakpoint(fig, fig_bigm):
         for v in hybrid.ir.variables
     )
     # The fallback block works arc-wise on the full graph.
-    assert hybrid.ir.has_variable(var_x(0, 0))
-    assert hybrid.ir.has_variable(var_y(0, 3))
+    assert var_x(0, 0) in hybrid.ir.column
+    assert var_y(0, 3) in hybrid.ir.column
     # The main block got path variables for its two feasible paths.
-    assert hybrid.ir.has_variable(var_z(1, 0))
-    assert hybrid.ir.has_variable(var_z(1, 1))
-    assert not hybrid.ir.has_variable(var_z(1, 2))
+    assert var_z(1, 0) in hybrid.ir.column
+    assert var_z(1, 1) in hybrid.ir.column
+    assert var_z(1, 2) not in hybrid.ir.column
 
 
 def test_hybrid_unlimited_breakpoint_uses_main_everywhere(fig, fig_bigm):
