@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .bigm import compute_bigm
-from .enumeration import enumerate_all, perturb_costs
+from .enumeration import enumerate_all, perturbed
 from .experiments import prepared, run_sweep, summarize, write_csv, write_summary
 from .formulations import (
     FORMULATIONS,
@@ -38,13 +38,7 @@ KIND_LABELS = ", ".join(k.label for k in FORMULATIONS)
 def _load(path, seed: Optional[int]) -> ProblemInstance:
     """An instance file, its costs perturbed at ``seed`` when one is given."""
     instance = load_instance(path)
-    if seed is None:
-        return instance
-    return ProblemInstance(
-        perturb_costs(instance.network, seed=seed),
-        instance.commodities,
-        instance.label,
-    )
+    return instance if seed is None else perturbed(instance, seed)
 
 
 def _cmd_enumerate(args) -> int:

@@ -126,6 +126,13 @@ def perturb_costs(
     return network.with_costs(costs)
 
 
+def perturbed(instance: ProblemInstance, seed: int) -> ProblemInstance:
+    """A copy of ``instance`` with its costs perturbed at ``seed``."""
+    return ProblemInstance(
+        perturb_costs(instance.network, seed=seed), instance.commodities, instance.label
+    )
+
+
 def enumerate_paths(
     network: Network,
     commodity: Commodity,
@@ -224,10 +231,10 @@ def dominance_filter(paths: Sequence[Path], commodity: int = 0) -> BilevelFeasib
 
     ``p`` dominates ``q`` when ``p``'s tolled arcs are a subset of ``q``'s and
     ``p`` costs no more.  Input must be sorted by nondecreasing base cost (an
-    :class:`InstanceError` otherwise: costs come from the instance).  Tied
-    input is visited stably by (cost, number of tolled arcs), so a subset
-    comes before its equal-cost supersets and of equal tolled sets the first
-    is kept.  The set is exhaustive when the input ends with a toll-free
+    :class:`InstanceError` otherwise: costs come from the instance).  Paths
+    are visited stably by (cost, number of tolled arcs), so a subset comes
+    before its equal-cost supersets and of equal tolled sets the first is
+    kept; input without ties is visited in its own order.  The set is exhaustive when the input ends with a toll-free
     path, as a run of :func:`enumerate_paths` that stopped there does; the
     survivors then are exactly the undominated paths.
     """
@@ -238,8 +245,7 @@ def dominance_filter(paths: Sequence[Path], commodity: int = 0) -> BilevelFeasib
                 f"paths must be sorted by nondecreasing base cost (saw {a} then {b})"
             )
     exhaustive = bool(paths) and paths[-1].is_toll_free()
-    if any(a == b for a, b in zip(costs, costs[1:])):
-        paths = sorted(paths, key=lambda p: (p.cost, len(p.tolled_set)))
+    paths = sorted(paths, key=lambda p: (p.cost, len(p.tolled_set)))
     survivors: list[Path] = []
     for candidate in paths:
         if any(kept.tolled_set <= candidate.tolled_set for kept in survivors):

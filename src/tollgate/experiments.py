@@ -30,7 +30,7 @@ from typing import Optional, Sequence, TextIO
 
 from .bigm import BigMParams, compute_bigm
 from .cuts import solve_with_vfcs_cuts
-from .enumeration import EnumerationResult, enumerate_all, perturb_costs
+from .enumeration import EnumerationResult, enumerate_all, perturbed
 from .formulations import (
     HybridPlan,
     KindLike,
@@ -155,9 +155,7 @@ def run_one(
     kind = get_kind(kind)
     label = instance.label
     if perturb:
-        instance = ProblemInstance(
-            perturb_costs(instance.network, seed=0), instance.commodities, label
-        )
+        instance = perturbed(instance, seed=0)
     t0 = time.perf_counter()
     try:
         prep = prepared(instance, breakpoint)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from tollgate import cli, experiments, solver
+from tollgate import enumeration, experiments, solver
 from tollgate.cli import main
 from tollgate.experiments import (
     CSV_COLUMNS,
@@ -159,14 +159,13 @@ def test_parallel_sweep_keeps_grid_order(tiny_instances):
 
 def test_sweep_perturbs_once_per_instance(tiny_instances, tmp_path, monkeypatch):
     seen = []
-    perturb = experiments.perturb_costs
+    perturb = enumeration.perturb_costs
 
     def spy(network, seed):
         seen.append(network)
         return perturb(network, seed=seed)
 
-    monkeypatch.setattr(experiments, "perturb_costs", spy)
-    monkeypatch.setattr(cli, "perturb_costs", spy)
+    monkeypatch.setattr(enumeration, "perturb_costs", spy)
     # A sweep solves the costs as given.
     records = run_sweep(
         [fresh(i) for i in tiny_instances], ["STD", "VF", "PCS2"], [1, 8], budget=60
