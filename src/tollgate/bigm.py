@@ -51,7 +51,7 @@ from typing import Mapping, Optional, Sequence
 
 from .enumeration import BilevelFeasibleSet
 from .network import Commodity, InstanceError, Network, Node, Path
-from .shortest_path import NO_EXCLUSIONS, Prices, _distances, zero_distances
+from .shortest_path import Prices, _distances, zero_distances
 
 # Integer distance to a destination per node; None marks a node that cannot
 # reach it.
@@ -141,7 +141,7 @@ def compute_bigm(
     destinations = dict.fromkeys(com.destination for com in commodities)
 
     def sweeps(prices: Prices) -> dict[Node, tuple[Optional[int], ...]]:
-        return {d: tuple(_distances(network, d, prices, NO_EXCLUSIONS)) for d in destinations}
+        return {d: tuple(_distances(network, d, prices)) for d in destinations}
 
     lo = {d: zero_distances(network, d) for d in destinations}
     free = sweeps([None if arc.tolled else cost for arc, cost in zip(arcs, int_costs)])

@@ -173,48 +173,42 @@ def solve_with_vfcs_cuts(
     between rounds or inside one, the last incumbent is returned with
     budget-exhausted status; its objective may overstate the true optimum,
     since its pending cuts were never checked or applied.  Models without
-    cut-needing blocks go through a single plain solve.  The result's
-    ``mip_nodes`` counts the nodes of every round.
+    cut-needing blocks go through a single plain solve.  Every outcome
+    leaves the loop at one exit, which sets the result's ``cut_rounds``,
+    its ``mip_nodes`` (the nodes of every round) and its ``wall_time``
+    (every round and cut check).
     """
     chosen = backend if backend is not None else ScipyBackend()
-    deadline = time.monotonic() + budget
     start = time.monotonic()
+    deadline = start + budget
     rounds = 0
     nodes = 0
-    best: Optional[SolveResult] = None
+    result: Optional[SolveResult] = None
     while True:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
-            out = best if best is not None else SolveResult(
-                status=STATUS_BUDGET,
-                objective=None,
-                best_bound=None,
-                backend=chosen.name,
-            )
-            out.status = STATUS_BUDGET
-            out.cut_rounds = rounds
-            out.mip_nodes = nodes
-            out.wall_time = time.monotonic() - start
-            return out
+            if result is None:
+                result = SolveResult(
+                    status=STATUS_BUDGET, objective=None, best_bound=None, backend=chosen.name
+                )
+            result.status = STATUS_BUDGET
+            break
         result = solve(context.ir, budget=remaining, backend=chosen)
         nodes += result.mip_nodes
-        result.cut_rounds = rounds
-        result.mip_nodes = nodes
-        result.wall_time = time.monotonic() - start
         if not context.needs_cuts:
-            return result
-        if result.status != STATUS_OPTIMAL:
-            if result.status == STATUS_FEASIBLE:
-                # Stopped inside the round: the point was never checked for
-                # cuts, so it is no more certified than a between-rounds stop.
-                result.status = STATUS_BUDGET
-            return result
-        tag = vfcs_feasibility_cut(context, result)
-        if tag is None:
-            return result
-        best = result
+            break
+        if result.status == STATUS_FEASIBLE:
+            # Stopped inside the round: the point was never checked for
+            # cuts, so it is no more certified than a between-rounds stop.
+            result.status = STATUS_BUDGET
+        if result.status != STATUS_OPTIMAL or vfcs_feasibility_cut(context, result) is None:
+            break
         rounds += 1
         if rounds > max_rounds:
             raise SolverError(
                 f"feasibility cut loop still adding rows after {max_rounds} rounds"
             )
+    result.cut_rounds = rounds
+    result.mip_nodes = nodes
+    result.wall_time = time.monotonic() - start
+    return result

@@ -83,11 +83,6 @@ class EnumerationResult:
     paths: list[Path]
     _bfset: Optional[BilevelFeasibleSet] = field(default=None, repr=False)
 
-    @property
-    def stopped_at_tollfree(self) -> bool:
-        """Whether the run emitted its toll-free stopping path (is complete)."""
-        return bool(self.paths) and self.paths[-1].is_toll_free()
-
     def feasible_set(self) -> BilevelFeasibleSet:
         """Dominance-filter the emitted paths (cached)."""
         if self._bfset is None:
@@ -95,24 +90,16 @@ class EnumerationResult:
         return self._bfset
 
 
-def perturb_costs(
-    network: Network,
-    seed: int,
-    magnitude: Optional[Fraction] = None,
-) -> Network:
+def perturb_costs(network: Network, seed: int) -> Network:
     """Add a tiny positive rational to every arc cost to break cost ties.
 
     Draws are i.i.d. uniform on a fine grid in ``(0, magnitude]``; a reversed
     twin arc (same endpoints swapped, same cost) receives the same draw so that
-    symmetric instances stay symmetric.  The default magnitude is one billionth
-    of the smallest arc cost, small enough never to reorder paths whose costs
-    already differ.
+    symmetric instances stay symmetric.  The magnitude is one billionth of the
+    smallest arc cost, small enough never to reorder paths whose costs already
+    differ.
     """
-    if magnitude is None:
-        magnitude = min(a.cost for a in network.arcs) / 10**9
-    magnitude = Fraction(magnitude)
-    if magnitude <= 0:
-        raise ValueError("perturbation magnitude must be positive")
+    magnitude = min(a.cost for a in network.arcs) / 10**9
     rng = random.Random(seed)
     grid = 2**30
     drawn: dict[tuple[int, int, Fraction], Fraction] = {}
@@ -145,7 +132,7 @@ def enumerate_paths(
     which case the run always ends at the cheapest toll-free path.  Ties in
     the candidate pool break toward the lexicographically smallest arc index
     sequence.  The run stops at the first toll-free path, so the result's
-    ``stopped_at_tollfree`` holds exactly when the output is complete.
+    feasible set is ``exhaustive`` exactly when the output is complete.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1 (or None for unbounded)")

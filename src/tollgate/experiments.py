@@ -9,8 +9,8 @@ never raised, so a long sweep always produces its full grid of results.
 Everything before the choice of kind is the same for every kind, so it is
 prepared once and shared: the enumeration results at cap ``breakpoint + 1``
 and their feasible sets, the big-M constants, and the hybrid plan (each
-commodity's role, its path-reduced graph and its feasible set mapped into
-it).  :func:`prepared` keeps each preparation on its instance, in
+commodity's assignment without a kind: its role, its path-reduced graph and
+its feasible set mapped into it).  :func:`prepared` keeps each preparation on its instance, in
 ``ProblemInstance._derived`` under its breakpoint, so it lives exactly as
 long as the instance; a preparation that fails is not kept.  Threads that
 prepare the same key at once can at worst repeat the work; the first result
@@ -32,7 +32,7 @@ from .bigm import BigMParams, compute_bigm
 from .cuts import solve_with_vfcs_cuts
 from .enumeration import EnumerationResult, enumerate_all, perturbed
 from .formulations import (
-    HybridPlan,
+    CommodityAssignment,
     KindLike,
     assemble_hybrid,
     get_kind,
@@ -99,7 +99,7 @@ class _Prepared:
     #: Seconds spent enumerating when this was prepared.
     enum_s: float
     bigm: BigMParams
-    plan: HybridPlan
+    plan: tuple[CommodityAssignment, ...]
 
 
 def _prepare(instance: ProblemInstance, breakpoint: int) -> _Prepared:

@@ -29,12 +29,13 @@ hybrid plan shares the plan's.  Rows over feasible paths (path blocks and
 the cut loop's rows) are gathered by column id one path at a time.  One
 emitter per modelling choice writes rows: primal, dual, direct, slackness,
 and the value tie of route cost plus revenue against the dual objective.
-Both builders,
-:func:`build_single` and :func:`assemble_hybrid`, only plan each commodity
-(role, kind, working graph, feasible set) and pass the plan to one assembly
-loop.  A hybrid model's roles and working graphs do not depend on the kinds
-that fill them, so :func:`plan_hybrid` makes them once and sweeps share them
-across kinds.
+Each commodity's modelling decision is one :class:`CommodityAssignment`:
+role, kind, working graph and feasible set.  Both builders,
+:func:`build_single` and :func:`assemble_hybrid`, only make the assignments
+and pass them to one assembly loop.  A hybrid model's roles and working
+graphs do not depend on the kinds that fill them, so :func:`plan_hybrid`
+makes the assignments once, without kinds, and sweeps share them across
+kinds.
 
 By default every complementary-slackness block with direct linearization
 (CS1, VFCS1, PACS1, PCS1) also carries the strong-duality row as a valid
@@ -48,7 +49,7 @@ the paper's own form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress, pairwise
@@ -439,12 +440,7 @@ def _graph_pattern(graph: ReducedGraph) -> _GraphPattern:
 
 def _toll_columns(model: ModelIR, pattern: _GraphPattern) -> list[int]:
     """The model column of each tolled working arc's shared ``T``, in arc order."""
-    try:
-        return list(map(model.column.__getitem__, pattern.toll_names))
-    except KeyError as missing:
-        raise BuildError(
-            f"{missing.args[0]} is not declared; call declare_tolls first"
-        ) from None
+    return list(map(model.column.__getitem__, pattern.toll_names))
 
 
 class _RowBuffer:
@@ -533,15 +529,13 @@ class _Block:
     the block's rows, which go into the model in one ``add_rows`` call.
     """
 
-    def __init__(
-        self, model: ModelIR, kind: FormulationKind, k: int, com: Commodity,
-        graph: ReducedGraph, bfset: Optional[BilevelFeasibleSet],
-    ) -> None:
-        net = graph.network
-        self.kind = kind
-        self.k = k
+    def __init__(self, model: ModelIR, part: CommodityAssignment, com: Commodity) -> None:
+        self.kind = kind = part.kind
+        self.k = k = part.commodity
         self.key = key = str(k)
-        self.graph = graph
+        self.graph = graph = part.graph
+        net = graph.network
+        bfset = part.bfset
         self.suffix = kind.primal_rep[0] + kind.dual_rep[0]  # "aa", "ap", "pa", "pp"
         self.paths: tuple[Path, ...] = ()
         if kind.needs_paths:
@@ -729,14 +723,8 @@ def _emit_cs_rows(b: _Block, bigm: BigMParams) -> None:
 
 
 def _emit_block(
-    model: ModelIR,
-    kind: FormulationKind,
-    k: int,
-    com: Commodity,
-    graph: ReducedGraph,
-    bfset: Optional[BilevelFeasibleSet],
-    bigm: BigMParams,
-    paper_exact: bool = False,
+    model: ModelIR, part: CommodityAssignment, com: Commodity, bigm: BigMParams,
+    paper_exact: bool,
 ) -> None:
     """Emit one commodity's full block plus its objective contribution.
 
@@ -746,7 +734,8 @@ def _emit_block(
     or as one substituted total ``tau[k]``.  Unless ``paper_exact``, direct
     revenue under slackness is also capped by the strong-duality inequality.
     """
-    b = _Block(model, kind, k, com, graph, bfset)
+    b = _Block(model, part, com)
+    kind = b.kind
     _emit_primal(b)
     _emit_dual(b)
     if kind.opt_cond == STRONG_DUALITY:
@@ -769,7 +758,13 @@ def _emit_block(
 
 @dataclass(frozen=True)
 class CommodityAssignment:
-    """How one commodity was modeled inside an assembled instance."""
+    """How one commodity is modeled inside an assembled instance.
+
+    :func:`plan_hybrid` makes one per commodity with ``kind`` None; the
+    builders fill in the kind and keep the feasible set, in working arc
+    ids, only where the kind reads paths.  A dropped commodity has no kind
+    and no working graph, and gets no block.
+    """
 
     commodity: int
     role: str
@@ -785,7 +780,6 @@ class HybridModel:
     ir: ModelIR
     instance: ProblemInstance
     bigm: BigMParams
-    breakpoint: Optional[int]
     assignments: tuple[CommodityAssignment, ...]
     cut_paths: dict[int, set[tuple[ArcId, ...]]] = field(default_factory=dict)
     cut_cycles: dict[int, set[tuple[ArcId, ...]]] = field(default_factory=dict)
@@ -824,40 +818,21 @@ def _check_cut_driver(kind: FormulationKind, allow_vfcs: bool) -> None:
         )
 
 
-_Plan = tuple[
-    str, Optional[FormulationKind], Optional[ReducedGraph], Optional[BilevelFeasibleSet]
-]
-
-
 def _assemble(
     instance: ProblemInstance,
     label: str,
     bigm: BigMParams,
-    breakpoint: Optional[int],
-    plan: Sequence[_Plan],
+    parts: Sequence[CommodityAssignment],
     paper_exact: bool,
 ) -> HybridModel:
-    """Emit every planned commodity block into one model over shared tolls.
-
-    ``plan`` holds one ``(role, kind, working graph, feasible set in working
-    arc ids)`` per commodity; a dropped commodity gets no block.  The
-    feasible set is ``None`` unless the kind reads paths.
-    """
+    """Emit a block for every commodity with a kind into one model over shared tolls."""
     model = ModelIR(label)
     declare_tolls(model, instance.network, bigm)
-    assignments = []
-    for k, (role, kind, graph, working) in enumerate(plan):
-        if role != ROLE_DROPPED:
-            com = instance.commodities[k]
-            _emit_block(model, kind, k, com, graph, working, bigm, paper_exact)
-        assignments.append(CommodityAssignment(k, role, kind, graph, working))
-    return HybridModel(model, instance, bigm, breakpoint, tuple(assignments))
-
-
-#: Per commodity, ``(role, working graph, feasible set in working arc ids)``.
-HybridPlan = tuple[
-    tuple[str, Optional[ReducedGraph], Optional[BilevelFeasibleSet]], ...
-]
+    for part in parts:
+        if part.kind is not None:
+            com = instance.commodities[part.commodity]
+            _emit_block(model, part, com, bigm, paper_exact)
+    return HybridModel(model, instance, bigm, tuple(parts))
 
 
 def plan_hybrid(
@@ -865,15 +840,16 @@ def plan_hybrid(
     breakpoint: Optional[int],
     enum_results: Sequence[EnumerationResult],
     map_paths: bool = True,
-) -> HybridPlan:
-    """Each commodity's role in a hybrid model, whatever kinds fill it.
+) -> tuple[CommodityAssignment, ...]:
+    """Each commodity's assignment in a hybrid model, before any kind fills it.
 
     Commodities whose feasible set is a single path are dropped (they can
     never pay a toll, their block would be constant).  Commodities with an
     exhaustive feasible set of at most ``breakpoint`` paths are main: they
     work on their path-reduced graph, and with ``map_paths`` their feasible
     set is mapped into it.  Everything else falls back to the original
-    graph.  ``breakpoint=None`` means no size limit.
+    graph.  ``breakpoint=None`` means no size limit.  Every assignment has
+    ``kind`` None.
     """
     if breakpoint is not None and breakpoint < 1:
         raise BuildError(f"breakpoint must be at least 1, got {breakpoint}")
@@ -883,16 +859,18 @@ def plan_hybrid(
     for k, bfset in enumerate(_feasible_sets(instance, enum_results)):
         if bfset is None:
             raise BuildError(f"commodity {k}: hybrid assembly needs enumeration results")
+        working = None
         if bfset.exhaustive and len(bfset) == 1:
-            plan.append((ROLE_DROPPED, None, None))
+            role, graph = ROLE_DROPPED, None
         elif bfset.exhaustive and (breakpoint is None or len(bfset) <= breakpoint):
-            graph = path_based_reduce(instance.network, bfset)
-            working = graph.map_feasible_set(bfset) if map_paths else None
-            plan.append((ROLE_MAIN, graph, working))
+            role, graph = ROLE_MAIN, path_based_reduce(instance.network, bfset)
+            if map_paths:
+                working = graph.map_feasible_set(bfset)
         else:
             if identity is None:
                 identity = ReducedGraph.identity(instance.network)
-            plan.append((ROLE_FALLBACK, identity, None))
+            role, graph = ROLE_FALLBACK, identity
+        plan.append(CommodityAssignment(k, role, None, graph, working))
     return tuple(plan)
 
 
@@ -904,9 +882,8 @@ def assemble_hybrid(
     bigm: BigMParams,
     enum_results: Sequence[EnumerationResult],
     allow_vfcs: bool = False,
-    label: Optional[str] = None,
     paper_exact: bool = False,
-    plan: Optional[HybridPlan] = None,
+    plan: Optional[Sequence[CommodityAssignment]] = None,
 ) -> HybridModel:
     """Assemble one model with a per-commodity formulation choice.
 
@@ -927,20 +904,16 @@ def assemble_hybrid(
             "can model a commodity without an exhaustive feasible set"
         )
     _check_cut_driver(main, allow_vfcs)
-    _check_cut_driver(fallback, allow_vfcs)
     if plan is None:
         plan = plan_hybrid(instance, breakpoint, enum_results, main.needs_paths)
     kinds = {ROLE_DROPPED: None, ROLE_MAIN: main, ROLE_FALLBACK: fallback}
-    blocks: list[_Plan] = []
-    for role, graph, working in plan:
-        kind = kinds[role]
-        reads_paths = kind is not None and kind.needs_paths
-        blocks.append((role, kind, graph, working if reads_paths else None))
-    name = label or (
-        f"{instance.label}:{main}/{fallback}"
-        f":N={'inf' if breakpoint is None else breakpoint}"
-    )
-    return _assemble(instance, name, bigm, breakpoint, blocks, paper_exact)
+    # Only main commodities have a feasible set in the plan.
+    parts = [
+        replace(part, kind=kinds[part.role], bfset=part.bfset if main.needs_paths else None)
+        for part in plan
+    ]
+    name = f"{instance.label}:{main}/{fallback}:N={'inf' if breakpoint is None else breakpoint}"
+    return _assemble(instance, name, bigm, parts, paper_exact)
 
 
 def build_single(
@@ -950,7 +923,6 @@ def build_single(
     enum_results: Optional[Sequence[EnumerationResult]] = None,
     preprocess: str = "paths",
     allow_vfcs: bool = False,
-    label: Optional[str] = None,
     paper_exact: bool = False,
 ) -> HybridModel:
     """Model every commodity with the same ``kind`` (no dropping).
@@ -970,7 +942,7 @@ def build_single(
             "the shortest-path graph reduction can drop feasible paths, so "
             "only arc-arc kinds may be built on it"
         )
-    plan: list[_Plan] = []
+    parts = []
     sets = _feasible_sets(instance, enum_results)
     for k, (com, bfset) in enumerate(zip(instance.commodities, sets)):
         if preprocess == "paths":
@@ -993,6 +965,5 @@ def build_single(
         working = None
         if kind.needs_paths and bfset is not None:
             working = graph.map_feasible_set(bfset)
-        plan.append((ROLE_MAIN, kind, graph, working))
-    name = label or f"{instance.label}:{kind}:{preprocess}"
-    return _assemble(instance, name, bigm, None, plan, paper_exact)
+        parts.append(CommodityAssignment(k, ROLE_MAIN, kind, graph, working))
+    return _assemble(instance, f"{instance.label}:{kind}:{preprocess}", bigm, parts, paper_exact)

@@ -1,10 +1,13 @@
 """Zero-toll shortest paths with arc/node exclusions.
 
-Every search here prices each arc at its base cost, that is with tolls at
-zero; a search that must avoid some arcs, such as the tolled arcs off a
-witness path, excludes them.  :mod:`tollgate.bigm` is the only module that
-prices tolled arcs otherwise (unusable, or at cost plus the toll cap): it
-builds those price vectors itself and sweeps them with :func:`_distances`.
+Every point-to-point search here prices each arc at its base cost, that is
+with tolls at zero; a search that must avoid some arcs, such as the tolled
+arcs off a witness path, excludes them.  A distance sweep,
+:func:`_distances`, takes one price per arc instead, and a ``None`` price is
+the only way it skips an arc: :func:`distances_to` turns its exclusions
+into ``None`` prices, and :mod:`tollgate.bigm`, the only module that prices
+tolled arcs otherwise (unusable, or at cost plus the toll cap), builds its
+own price vectors.
 
 Ties between equal-cost paths break toward the lexicographically smallest arc
 index sequence, which makes every search in this package deterministic.
@@ -72,18 +75,13 @@ class ExclusionSet:
 NO_EXCLUSIONS = ExclusionSet()
 
 
-def _distances(
-    network: Network, target: Node, prices: Prices, excluded: ExclusionSet
-) -> list[Optional[int]]:
+def _distances(network: Network, target: Node, prices: Prices) -> list[Optional[int]]:
     """Integer cost of the cheapest path from every node to ``target``.
 
-    One backward Dijkstra sweep over reversed arcs; None marks a node that
-    cannot reach ``target``.
+    One backward Dijkstra sweep over reversed arcs, skipping each arc whose
+    price is None; None marks a node that cannot reach ``target``.
     """
     dist: list[Optional[int]] = [None] * network.num_nodes
-    if target in excluded.nodes:
-        return dist
-    banned_arcs, banned_nodes = excluded.arcs, excluded.nodes
     in_adj = network.in_adj
     dist[target] = 0
     heap: list[tuple[int, Node]] = [(0, target)]
@@ -94,10 +92,8 @@ def _distances(
             continue
         settled.add(node)
         for tail, aid in in_adj[node]:
-            if tail in settled or aid in banned_arcs or tail in banned_nodes:
-                continue
             price = prices[aid]
-            if price is None:
+            if price is None or tail in settled:
                 continue
             candidate = cost + price
             best = dist[tail]
@@ -119,9 +115,7 @@ def zero_distances(network: Network, target: Node) -> tuple[Optional[int], ...]:
     cache = network._zero_distances
     dist = cache.get(target)
     if dist is None:
-        dist = cache[target] = tuple(
-            _distances(network, target, network.int_costs, NO_EXCLUSIONS)
-        )
+        dist = cache[target] = tuple(_distances(network, target, network.int_costs))
     return dist
 
 
@@ -200,15 +194,22 @@ def distances_to(
 ) -> dict[Node, Cost]:
     """Zero-toll cost of the cheapest path from every node to ``target``.
 
-    Runs one backward sweep over reversed arcs.  Unreachable nodes map to
-    ``math.inf`` (comparisons against Fractions behave as expected).
+    Runs one backward sweep over reversed arcs, with every excluded arc and
+    every arc at an excluded node priced None.  Unreachable nodes map to
+    ``math.inf`` (comparisons against Fractions behave as expected); an
+    excluded target leaves every node unreachable.
     """
     if not (0 <= target < network.num_nodes):
         raise ValueError("target out of range")
+    arcs, nodes = excluded.arcs, excluded.nodes
+    if target in nodes:
+        return dict.fromkeys(range(network.num_nodes), INFINITY)
+    prices = [
+        None if arc.index in arcs or arc.tail in nodes or arc.head in nodes else price
+        for arc, price in zip(network.arcs, network.int_costs)
+    ]
     scale = network.scale
     return {
         node: INFINITY if value is None else Fraction(value, scale)
-        for node, value in enumerate(
-            _distances(network, target, network.int_costs, excluded)
-        )
+        for node, value in enumerate(_distances(network, target, prices))
     }

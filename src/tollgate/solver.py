@@ -331,8 +331,8 @@ class ScipyBackend:
 
 #: How a solver states a proven optimum: the word "optimal", not negated.
 #: It matches HiGHS's "Model status: Optimal", CBC's "Optimal - objective
-#: value 7" and SCIP's "[optimal solution found]", but not "suboptimal",
-#: "non-optimal" or "not optimal".
+#: value 7", SCIP's "[optimal solution found]" and glpsol's "INTEGER
+#: OPTIMAL", but not "suboptimal", "non-optimal" or "not optimal".
 _OPTIMAL_WORD = re.compile(r"(?<![\w-])(?<!not )optimal\b", re.IGNORECASE)
 
 
@@ -349,9 +349,11 @@ class CommandBackend:
     headers and footers most solvers add.  The first value given for a
     name is kept: HiGHS lists the primal values first, then dual values and
     basis codes under the same names.  The result is ``optimal`` only
-    when the solution file or the solver's standard output says so (see
-    :data:`_OPTIMAL_WORD`); otherwise the values are a ``feasible`` point
-    with no bound.
+    when the solution file says so (see :data:`_OPTIMAL_WORD`); otherwise
+    the values are a ``feasible`` point with no bound.  HiGHS, CBC, SCIP
+    and glpsol's ``-o`` file all state the status there.  Standard output
+    is a log, not a status: glpsol prints ``OPTIMAL LP SOLUTION FOUND`` for
+    the root relaxation of a run that then stops at its time limit.
     """
 
     name = "command"
@@ -403,7 +405,7 @@ class CommandBackend:
             )
         assignment: dict[str, float] = {}
         # Lines other than variable values: where a solver states its status.
-        remarks = proc.stdout.splitlines()
+        remarks = []
         for line in text.splitlines():
             parts = line.split()
             if len(parts) != 2 or parts[0] not in decode:

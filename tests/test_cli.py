@@ -1,6 +1,7 @@
 """The command line, driven end to end through main()."""
 
 import csv
+import importlib
 import os
 import re
 import subprocess
@@ -451,3 +452,24 @@ def test_output_to_a_closed_pipe_ends_quietly(fig_file):
             os.close(writer)
         assert proc.stderr == ""
         assert proc.returncode == 1
+
+
+def test_the_package_metadata_matches_what_runs():
+    # CI runs the tests from the source tree and never installs the package,
+    # so only this test reads what an install would use.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    import scipy
+
+    root = Path(tollgate.__file__).resolve().parents[2]
+    with open(root / "pyproject.toml", "rb") as stream:
+        project = tomllib.load(stream)["project"]
+    module, _, function = project["scripts"]["tollgate"].partition(":")
+    assert callable(getattr(importlib.import_module(module), function))
+    (floor,) = [
+        d.removeprefix("scipy>=") for d in project["dependencies"] if d.startswith("scipy")
+    ]
+
+    def release(version):
+        return tuple(map(int, re.match(r"\d+(\.\d+)*", version).group().split(".")))
+
+    assert release(scipy.__version__) >= release(floor)

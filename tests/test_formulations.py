@@ -453,7 +453,7 @@ def test_fallback_blocks_share_one_pattern(monkeypatch):
     before = len(built)
     for kind in ("STD", "CS2", "PACS1"):
         assemble_hybrid(inst, breakpoint, kind, "STD", bigm, enums, plan=plan)
-    graphs = {id(g) for role, g, _ in plan if role != "dropped"}
+    graphs = {id(a.graph) for a in plan if a.role != "dropped"}
     assert len(graphs) >= 2 and len(built) - before == len(graphs)
 
 

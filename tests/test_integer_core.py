@@ -140,7 +140,7 @@ def test_enumeration_follows_the_brute_force_cost_order(perturbed):
         stop = next(i for i, arcs in enumerate(ranked) if not tolled_part(net, arcs))
         ranked = ranked[: stop + 1]
         result = enumerate_paths(net, com, commodity_index=k)
-        assert result.stopped_at_tollfree
+        assert result.feasible_set().exhaustive
         emitted = [p.arcs for p in result.paths]
         # The emitted paths appear in the ranked list, in its order, and end
         # at the cheapest toll-free path.

@@ -17,7 +17,6 @@ from tollgate.generator import grid_edges
 from tollgate.network import Arc, Commodity, Network
 from tollgate.shortest_path import (
     INFINITY,
-    NO_EXCLUSIONS,
     ExclusionSet,
     _distances,
     _search,
@@ -121,7 +120,7 @@ def test_goal_directed_search_matches_the_zero_potential_search():
     # as their potential; ties must still break as without one.
     net = unit_grid(6, 6)
     target = net.num_nodes - 1
-    potential = _distances(net, target, net.int_costs, NO_EXCLUSIONS)
+    potential = _distances(net, target, net.int_costs)
     zero = [0] * net.num_nodes
     rng = random.Random(11)
     found = 0
@@ -137,7 +136,7 @@ def test_goal_directed_search_matches_the_zero_potential_search():
 def test_search_picks_the_least_cost_then_least_arc_sequence():
     net = unit_grid(4, 4)
     target = net.num_nodes - 1
-    potential = _distances(net, target, net.int_costs, NO_EXCLUSIONS)
+    potential = _distances(net, target, net.int_costs)
     rng = random.Random(5)
     for _ in range(60):
         source = rng.randrange(target)
@@ -152,13 +151,37 @@ def test_search_picks_the_least_cost_then_least_arc_sequence():
         assert _search(net, source, target, excluded, potential) == expected
 
 
+def test_distances_to_avoids_excluded_nodes():
+    # Against every simple path: no node of a path, its ends included, may
+    # be excluded, so an excluded source or target reaches nothing.
+    net = unit_grid(3, 4)
+    rng = random.Random(7)
+    for trial in range(40):
+        target = rng.randrange(net.num_nodes)
+        nodes = set(rng.sample(range(net.num_nodes), rng.randrange(1, 4)))
+        if trial % 4 == 0:
+            nodes.add(target)
+        arcs = set(rng.sample(range(net.num_arcs), rng.randrange(net.num_arcs // 4)))
+        expected = {}
+        for source in range(net.num_nodes):
+            lengths = [
+                len(path)
+                for path in all_simple_paths(net, source, target)
+                if not arcs & set(path)
+                and not nodes & {source, *(net.arc(a).head for a in path)}
+            ]
+            expected[source] = min(lengths, default=INFINITY)
+        excluded = ExclusionSet(frozenset(arcs), frozenset(nodes))
+        assert distances_to(net, target, excluded) == expected
+
+
 @pytest.mark.parametrize("topology", ["grid:5x12", "delaunay:60"])
 def test_cached_distances_equal_a_fresh_sweep(topology):
     net = sweep_instance(topology).network
     for target in range(net.num_nodes):
         cached = zero_distances(net, target)
         assert type(cached) is tuple
-        assert list(cached) == _distances(net, target, net.int_costs, NO_EXCLUSIONS)
+        assert list(cached) == _distances(net, target, net.int_costs)
         assert zero_distances(net, target) is cached
 
 

@@ -487,30 +487,46 @@ def test_command_backend_without_a_status_reports_a_feasible_point():
     assert res.gap is None
 
 
+STATUS_LINES = [
+    ("Model status: Optimal", True),
+    ("Optimal - objective value 8.00000000", True),
+    ("SCIP Status : problem is solved [optimal solution found]", True),
+    ("Model status: Time limit reached", False),
+    ("Status: INTEGER NON-OPTIMAL", False),
+    ("Result - Stopped on time, suboptimal", False),
+    ("solution is not optimal", False),
+]
+
+
 @pytest.mark.parametrize(
-    "where", ["file", "stdout"], ids=["solution-file", "stdout"]
-)
-@pytest.mark.parametrize(
-    "line, optimal",
+    "line, optimal, where",
     [
-        ("Model status: Optimal", True),
-        ("Optimal - objective value 8.00000000", True),
-        ("SCIP Status : problem is solved [optimal solution found]", True),
-        ("Model status: Time limit reached", False),
-        ("Status: INTEGER NON-OPTIMAL", False),
-        ("Result - Stopped on time, suboptimal", False),
-        ("solution is not optimal", False),
+        pytest.param(line, optimal, where, id=f"{line}-{optimal}-{where}")
+        for line, optimal in STATUS_LINES
+        for where in ("solution-file", "stdout")
+    ]
+    + [
+        # glpsol's log of a search stopped at its time limit: the root LP's
+        # status comes first.
+        pytest.param(
+            "OPTIMAL LP SOLUTION FOUND\nTIME LIMIT EXCEEDED; SEARCH TERMINATED",
+            False,
+            "stdout",
+            id="glpsol time limit-stdout",
+        ),
     ],
 )
 def test_command_backend_reads_the_solvers_status(line, optimal, where):
-    if where == "file":
+    # Only the solution file states a status: standard output is a log.
+    if where == "solution-file":
         template = f"(echo '{line}'; {KNAPSACK_VALUES}) > {{sol}}; cat {{lp}} > /dev/null"
     else:
         template = f"{KNAPSACK_VALUES} > {{sol}}; cat {{lp}} > /dev/null; echo '{line}'"
+    proven = optimal and where == "solution-file"
     res = CommandBackend(template).solve(knapsack_model(), budget=10)
-    assert res.status == ("optimal" if optimal else "feasible")
+    assert res.status == ("optimal" if proven else "feasible")
     assert res.objective == pytest.approx(8.0)
-    assert res.best_bound == (pytest.approx(8.0) if optimal else None)
+    assert res.best_bound == (pytest.approx(8.0) if proven else None)
 
 
 # HiGHS's own solution file for the knapsack's LP relaxation, as its
