@@ -113,7 +113,11 @@ def _commodity_cut(
     context: HybridModel, part: CommodityAssignment, result: SolveResult
 ) -> Optional[str]:
     """The row against one commodity's offense, or None when it is clean."""
-    assert part.graph is not None and part.bfset is not None
+    if part.graph is None or part.bfset is None:
+        raise ConsistencyError(
+            f"commodity {part.commodity}: a cut-loop kind needs the "
+            "commodity's working graph and feasible set"
+        )
     k = part.commodity
     graph = part.graph
     net = graph.network

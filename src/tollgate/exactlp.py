@@ -7,10 +7,12 @@ variables, Bland's rule (so cycling is impossible), no presolve.  Fine for
 dozens of rows and columns, not for thousands.
 
 The tableau holds Python integers only (integer-preserving elimination:
-Bareiss, Math. Comp. 22, 1968; Edmonds, J. Res. NBS 71B, 1967).  Each row
-is first multiplied by the least common multiple of its own denominators;
-its slack, surplus and artificial coefficients stay at +-1, which rescales
-those columns by a positive factor and nothing else.  The tableau is then a
+Bareiss, Math. Comp. 22, 1968; Edmonds, J. Res. NBS 71B, 1967).  A row
+given on ints, as the oracle writes its pricing rows, enters as it is, with
+no ``Fraction`` on the way; any other row is first multiplied by the least
+common multiple of its own denominators.  Slack, surplus and artificial
+coefficients stay at +-1, which rescales those columns by a positive factor
+and nothing else.  The tableau is then a
 pair ``(M, d)`` with ``d = 1`` at the start, and the rational tableau it
 stands for is ``M / d``.  A pivot on ``(r, s)`` with ``p = M[r][s]`` keeps
 row ``r``, sets ``M[i][j] = (M[i][j] * p - M[i][s] * M[r][j]) / d`` for
@@ -28,7 +30,11 @@ change neither the sign of a reduced cost nor the order of the ratios in a
 column, and each phase's costs are scaled to match, so every entering and
 leaving choice, hence the pivot sequence and the returned vertex, is the
 one the rational tableau would make.  Values become ``Fraction`` only in
-the returned ``objective`` and ``solution``.
+the returned ``objective`` and ``solution``.  For the same reason,
+multiplying every right-hand side by a positive integer keeps every pivot
+(the ratios in a column scale together, the reduced costs not at all) and
+multiplies the vertex and the optimum by that integer, which lets the
+oracle price tolls in integer units.
 """
 
 from __future__ import annotations
@@ -38,9 +44,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .network import as_fraction
+from .network import as_exact
 
-Row = tuple[Sequence[tuple[Union[int, Fraction], str]], str, Union[int, Fraction]]
+Value = Union[int, Fraction]
+Row = tuple[Sequence[tuple[Value, str]], str, Value]
 
 
 @dataclass(frozen=True)
@@ -50,8 +57,10 @@ class LPResult:
     solution: dict[str, Fraction]
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def _scaled(values: Sequence[Value]) -> tuple[list[int], int]:
     """``values`` times the LCM of their denominators, and that multiplier."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
@@ -154,19 +163,19 @@ def solve_lp(
             names.append(name)
         return index[name]
 
-    obj: dict[int, Fraction] = {}
+    obj: dict[int, Value] = {}
     for coef, name in objective:
         j = col_of(name)
-        obj[j] = obj.get(j, Fraction(0)) + as_fraction(coef)
-    parsed: list[tuple[dict[int, Fraction], str, Fraction]] = []
+        obj[j] = obj.get(j, 0) + as_exact(coef)
+    parsed: list[tuple[dict[int, Value], str, Value]] = []
     for terms, sense, rhs in rows:
         if sense not in ("<=", "=", ">="):
             raise ValueError(f"bad row sense {sense!r}")
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Value] = {}
         for coef, name in terms:
             j = col_of(name)
-            acc[j] = acc.get(j, Fraction(0)) + as_fraction(coef)
-        parsed.append((acc, sense, as_fraction(rhs)))
+            acc[j] = acc.get(j, 0) + as_exact(coef)
+        parsed.append((acc, sense, as_exact(rhs)))
 
     n = len(names)
     sign = 1 if maximize else -1
@@ -174,7 +183,7 @@ def solve_lp(
     # Normalize to nonnegative right-hand sides, then append slack/surplus and
     # artificial columns.  Column layout: structural | slack+surplus | artificial.
     slack_cols = 0
-    normalized: list[tuple[dict[int, Fraction], str, Fraction]] = []
+    normalized: list[tuple[dict[int, Value], str, Value]] = []
     for acc, sense, rhs in parsed:
         if rhs < 0:
             acc = {j: -c for j, c in acc.items()}
@@ -227,7 +236,11 @@ def solve_lp(
         for j, scale in art_costs:
             phase1[j] = -(common // scale)
         status = tableau.optimize(phase1, allowed)
-        assert status == "optimal"  # bounded below by zero artificials
+        if status != "optimal":
+            raise RuntimeError(
+                f"phase 1 ended {status}: its objective, minus the sum of "
+                "the artificials, is bounded above by zero"
+            )
         # Basic values are nonnegative, so any nonzero artificial is positive.
         if any(
             line[-1]
@@ -249,7 +262,7 @@ def solve_lp(
         for j in range(first_art, total):
             allowed[j] = False
 
-    costs, _ = _scaled([sign * obj.get(j, Fraction(0)) for j in range(n)])
+    costs, _ = _scaled([sign * obj.get(j, 0) for j in range(n)])
     status = tableau.optimize(costs + [0] * (total - n), allowed)
     if status == "unbounded":
         return LPResult("unbounded", None, {})

@@ -27,9 +27,9 @@ Coefficients, right-hand sides and bounds are exact: each is a Python
 ``int``; the two compare and hash alike).  Any other input goes through
 :func:`~tollgate.network.as_fraction`, which parses literal strings and
 rejects floats and bools.  Floats are made only by the backend, the
-solution check (:meth:`ModelIR.violations`) and the LP writer; the check
-converts each distinct coefficient or right-hand-side object once per
-call, in a table of its own.
+solution check (:meth:`ModelIR.violations`) and the LP writer; the backend
+and the check convert coefficients and right-hand sides alike, as
+numerator / denominator (:func:`_floats`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, attrgetter, mul, truediv
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-from .network import as_fraction
+from .network import as_exact
 
 Coef = Union[int, Fraction]
 Term = tuple[Coef, str]
@@ -71,26 +71,14 @@ class Constraint(NamedTuple):
     rhs: Coef
 
 
-def _exact(value) -> Coef:
-    """``value`` itself if it is an int or a Fraction, else :func:`as_fraction` of it."""
-    kind = type(value)
-    return value if kind is int or kind is Fraction else as_fraction(value)
-
-
 def _floats(values: Sequence[Coef]) -> list[float]:
-    """``float()`` of every value, each distinct object converted once.
+    """``float()`` of every value.
 
-    Objects are told apart by ``id``: every one is alive in ``values``
-    while the table of their floats exists.  Each is converted as
-    numerator / denominator, the correctly rounded quotient of two ints that
-    ``float()`` of an int or a Fraction also is, but without a call to
-    ``Fraction``'s Python-level ``__float__``.
+    Each is converted as numerator / denominator, the correctly rounded
+    quotient of two ints that ``float()`` of an int or a Fraction also is,
+    but without a call to ``Fraction``'s Python-level ``__float__``.
     """
-    distinct = dict(zip(map(id, values), values))
-    objects = distinct.values()
-    floats = map(truediv, map(_NUMERATOR, objects), map(_DENOMINATOR, objects))
-    table = dict(zip(distinct, floats))
-    return list(map(table.__getitem__, map(id, values)))
+    return list(map(truediv, map(_NUMERATOR, values), map(_DENOMINATOR, values)))
 
 
 def _first(values: Sequence, test) -> int:
@@ -110,7 +98,7 @@ def _merge_terms(cols: list[int], coefs: list) -> tuple[list[int], list[Coef]]:
     """
     merged: dict[int, Coef] = {}
     for j, coef in zip(cols, coefs):
-        coef = _exact(coef)
+        coef = as_exact(coef)
         merged[j] = merged[j] + coef if j in merged else coef
     kept = [j for j, coef in merged.items() if coef]
     return kept, [merged[j] for j in kept]
@@ -190,8 +178,8 @@ class ModelIR:
             raise ValueError(f"{count} variables but {len(flags)} binary flags")
         if not count:
             return
-        lower = None if lower is None else _exact(lower)
-        upper = None if upper is None else _exact(upper)
+        lower = None if lower is None else as_exact(lower)
+        upper = None if upper is None else as_exact(upper)
         if (lower != 0 or upper != 1) and any(flags):
             raise ValueError(
                 f"binary variable {names[flags.index(True)]} must have bounds [0, 1]"
@@ -243,7 +231,7 @@ class ModelIR:
                 f"constraint {tag} references undeclared variable {missing.args[0]}"
             ) from None
         cols, coefs = _merge_terms(cols, [coef for coef, _ in terms])
-        self.add_rows((tag,), (sense,), (_exact(rhs),), (len(cols),), cols, coefs)
+        self.add_rows((tag,), (sense,), (as_exact(rhs),), (len(cols),), cols, coefs)
 
     def add_rows(
         self,
@@ -330,7 +318,7 @@ class ModelIR:
     def add_objective_term(self, coef: Coef, name: str) -> None:
         if name not in self.column:
             raise ValueError(f"objective references undeclared variable {name}")
-        coef = _exact(coef)
+        coef = as_exact(coef)
         held = self._objective.get(name)
         self._objective[name] = coef if held is None else held + coef
 

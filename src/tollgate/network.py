@@ -70,6 +70,12 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def as_exact(value: RationalLike) -> Union[int, Fraction]:
+    """``value`` itself if it is an int or a Fraction, else :func:`as_fraction` of it."""
+    kind = type(value)
+    return value if kind is int or kind is Fraction else as_fraction(value)
+
+
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as the shortest exact literal the parser accepts.
 

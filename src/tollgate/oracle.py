@@ -6,6 +6,20 @@ commodity on its assigned path), and keeps the best.  Exponential in the
 number of commodities, so it refuses instances past ``assignment_cap``;
 its purpose is to certify the formulations on small instances, not to
 compete with them.
+
+The pricing LPs are on integers.  Tolls are counted in units of
+``1 / Network.scale``, the network's common cost denominator, so each
+row's right-hand side, a gap between two path costs times the scale, is an
+integer.  Multiplying every right-hand side by the scale multiplies the
+optimum and the vertex by it, and they are divided back exactly.
+
+The revenue LP is presolved: it leaves out every row against a rival path
+that holds a tolled arc on no assigned path.  Such a toll has objective
+weight 0 and, in every row it enters, coefficient -1 in a ``<=`` row (it
+is on no chosen path), so raising it keeps every other row as it is and
+satisfies all of its own: the rows left out cannot change the status or
+the optimum.  The canonical-toll LP (least toll sum at that revenue)
+keeps every row, since it prices those arcs too.
 """
 
 from __future__ import annotations
@@ -46,16 +60,36 @@ def _toll_var(aid: ArcId) -> str:
     return f"T[{aid}]"
 
 
+def _scaled_costs(bfset: BilevelFeasibleSet, scale: int) -> list[int]:
+    """Each path's cost times ``scale``, the network's cost denominator."""
+    costs = [path.cost * scale for path in bfset.paths]
+    if any(cost.denominator != 1 for cost in costs):
+        raise OracleError("a path cost is not a multiple of 1 / Network.scale")
+    return [cost.numerator for cost in costs]
+
+
 def _pricing_rows(
-    bfsets: Sequence[BilevelFeasibleSet], positions: Sequence[int]
+    bfsets: Sequence[BilevelFeasibleSet],
+    costs: Sequence[Sequence[int]],
+    positions: Sequence[int],
+    presolve: bool,
 ) -> list[exactlp.Row]:
-    """Rows keeping each commodity's assigned path weakly cheapest."""
+    """Rows keeping each commodity's assigned path weakly cheapest.
+
+    The rows are on integers: tolls are in units of ``1 / Network.scale``
+    and each right-hand side is a gap of the scaled path ``costs``.  With
+    ``presolve``, rows against a rival that holds a tolled arc on no
+    assigned path are left out (see the module docstring).
+    """
+    priced = frozenset().union(
+        *(bfset.paths[pos].tolled_set for bfset, pos in zip(bfsets, positions))
+    )
     rows: list[exactlp.Row] = []
-    for bfset, pos in zip(bfsets, positions):
+    for bfset, scaled, pos in zip(bfsets, costs, positions):
         chosen = bfset.paths[pos]
         mine = chosen.tolled_set
-        for rival in bfset.paths:
-            if rival is chosen:
+        for rival, cost in zip(bfset.paths, scaled):
+            if rival is chosen or (presolve and not rival.tolled_set <= priced):
                 continue
             # +1 on the chosen path's own tolled arcs, -1 on the rival's.
             packed = [
@@ -64,7 +98,7 @@ def _pricing_rows(
             ]
             if not packed:
                 continue
-            rows.append((packed, "<=", rival.cost - chosen.cost))
+            rows.append((packed, "<=", cost - scaled[pos]))
     return rows
 
 
@@ -113,66 +147,69 @@ def oracle_solve(
             "this instance is too large to certify by brute force"
         )
 
+    # Path costs times the network's cost denominator: the pricing LPs run
+    # on integers, in tolls of 1 / scale, and their optima are revenue * scale.
+    scale = instance.network.scale
+    costs = [_scaled_costs(bfset, scale) for bfset in bfsets]
     # Each commodity's revenue bound per path position, demand times its gap
-    # to the toll-free alternative, as integers over one common scale; a sum
-    # of these bounds an assignment's revenue.
+    # to the toll-free alternative, in the same units and made integers over
+    # one common multiplier; a sum of these bounds an assignment's revenue.
     gaps = [
-        [com.demand * (bfset.paths[-1].cost - path.cost) for path in bfset.paths]
-        for com, bfset in zip(instance.commodities, bfsets)
+        [com.demand * (scaled[-1] - cost) for cost in scaled]
+        for com, scaled in zip(instance.commodities, costs)
     ]
-    scale = math.lcm(*(g.denominator for per in gaps for g in per))
-    gains = [[int(g * scale) for g in per] for per in gaps]
+    multiplier = math.lcm(*(g.denominator for per in gaps for g in per))
+    gains = [[int(g * multiplier) for g in per] for per in gaps]
     ordered = sorted(
         (-sum(gain[pos] for gain, pos in zip(gains, positions)), positions)
         for positions in itertools.product(*(range(len(b)) for b in bfsets))
     )
 
-    best_rev = Fraction(-1)
+    # The best revenue so far, times scale.
+    best = Fraction(-1)
     best_positions: Optional[tuple[int, ...]] = None
-    best_rows: list[exactlp.Row] = []
     best_objective: list[tuple[Fraction, str]] = []
     for neg_bound, positions in ordered:
-        if -neg_bound <= best_rev * scale:
+        if -neg_bound <= best * multiplier:
             break
-        rows = _pricing_rows(bfsets, positions)
         objective = _revenue_terms(instance, bfsets, positions)
         if not objective:
             # No tolled arc anywhere on the assigned paths: revenue is zero.
-            if best_rev < 0:
-                best_rev = Fraction(0)
+            if best < 0:
+                best = Fraction(0)
                 best_positions = tuple(positions)
-                best_rows = rows
                 best_objective = []
             continue
+        rows = _pricing_rows(bfsets, costs, positions, presolve=True)
         outcome = exactlp.solve_lp(objective, rows, maximize=True)
         if outcome.status == "infeasible":
             continue
         if outcome.status != "optimal" or outcome.objective is None:
             raise OracleError(f"pricing LP ended {outcome.status} for {positions}")
-        if outcome.objective > best_rev:
-            best_rev = outcome.objective
+        if outcome.objective > best:
+            best = outcome.objective
             best_positions = tuple(positions)
-            best_rows = rows
             best_objective = objective
     if best_positions is None:
         raise OracleError("no feasible path assignment found")
-    if best_rev < 0:
-        best_rev = Fraction(0)
+    if best < 0:
+        best = Fraction(0)
 
     tolls = {aid: Fraction(0) for aid in instance.network.tolled_ids}
     if best_objective:
-        # Canonical tolls: cheapest toll vector achieving the revenue.
-        pinned = list(best_rows)
-        pinned.append((best_objective, "=", best_rev))
+        # Canonical tolls: cheapest toll vector achieving the revenue, over
+        # every row, since it prices the rival arcs the presolve set aside.
+        pinned = _pricing_rows(bfsets, costs, best_positions, presolve=False)
+        pinned.append((best_objective, "=", best))
         names = sorted(
             {name for terms, _, _ in pinned for _, name in terms}
         )
         minimal = exactlp.solve_lp(
-            [(Fraction(1), name) for name in names], pinned, maximize=False
+            [(1, name) for name in names], pinned, maximize=False
         )
         if minimal.status != "optimal":
             raise OracleError(f"toll canonicalization ended {minimal.status}")
         for name, value in minimal.solution.items():
             aid = int(name[2:-1])
-            tolls[aid] = value
-    return OracleResult(best_rev, tolls, best_positions, bfsets)
+            tolls[aid] = value / scale
+    return OracleResult(best / scale, tolls, best_positions, bfsets)

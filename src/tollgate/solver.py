@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Protocol
 
-from .model_ir import ModelIR
+from .model_ir import ModelIR, _floats
 from .lp_format import lp_name_map, write_lp
 
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
@@ -156,15 +156,17 @@ def _model_arrays(model: ModelIR):
     ``matrix`` is the constraint matrix row-wise, as the model stores it:
     row starts, column indices and values; ``lo`` and ``hi`` bound the rows,
     ``lb`` and ``ub`` the columns.  Every float is ``float()`` of the model's
-    exact value.  HiGHS turns the rows into columns itself, which leaves each
-    column's rows ascending, the matrix a column-wise hand-off would pass.
+    exact value; the coefficients and right-hand sides are converted by
+    :func:`~tollgate.model_ir._floats`, as the solution check converts them.
+    HiGHS turns the rows into columns itself, which leaves each column's
+    rows ascending, the matrix a column-wise hand-off would pass.
     """
     c = [0.0] * len(model.names)
     for coef, name in model.objective:
         c[model.column[name]] = float(coef)
-    matrix = model.starts, model.cols, [float(v) for v in model.coefs]
+    matrix = model.starts, model.cols, _floats(model.coefs)
     inf = math.inf
-    rhs = [float(v) for v in model.rhs]
+    rhs = _floats(model.rhs)
     lo = [-inf if sense == "<=" else v for sense, v in zip(model.senses, rhs)]
     hi = [inf if sense == ">=" else v for sense, v in zip(model.senses, rhs)]
     lb = [-inf if v is None else float(v) for v in model.lower]

@@ -1,6 +1,7 @@
 """Exact simplex on problems small enough to solve on paper, and against
 the ``Fraction`` tableau in ``bruteforce.py`` on random ones."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -223,3 +224,75 @@ def test_matches_the_rational_tableau_on_random_lps(monkeypatch):
     assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 40
     assert events["deleted_row"] >= 40
     assert events["negative_pivot"] >= 20
+
+
+def _on_integers(objective, rows):
+    """The same LP with each row, and the objective, multiplied into ints."""
+
+    def multiplied(values):
+        scale = math.lcm(*(Fraction(v).denominator for v in values))
+        return [int(v * scale) for v in values]
+
+    int_rows = []
+    for terms, sense, rhs in rows:
+        *coefs, rhs = multiplied([c for c, _ in terms] + [rhs])
+        int_rows.append((list(zip(coefs, (name for _, name in terms))), sense, rhs))
+    coefs = multiplied([c for c, _ in objective])
+    return list(zip(coefs, (name for _, name in objective))), int_rows
+
+
+def _as_fractions(objective, rows):
+    """The same LP with every number written as a ``Fraction``."""
+    return (
+        [(Fraction(c), name) for c, name in objective],
+        [([(Fraction(c), name) for c, name in terms], sense, Fraction(rhs))
+         for terms, sense, rhs in rows],
+    )
+
+
+def test_integer_input_matches_the_same_lp_in_fractions():
+    # An all-int LP skips the Fraction parsing and the per-row LCM; it must
+    # reach the same status, vertex and objective as its Fraction twin.
+    rng = random.Random(77)
+    statuses: Counter = Counter()
+    for _ in range(400):
+        objective, rows, maximize = _random_lp(rng)
+        objective, rows = _on_integers(objective, rows)
+        assert all(
+            type(v) is int
+            for terms, _, rhs in rows
+            for v in [rhs, *(c for c, _ in terms)]
+        )
+        got = solve_lp(objective, rows, maximize)
+        expected = solve_lp(*_as_fractions(objective, rows), maximize)
+        case = (objective, rows, maximize)
+        assert got.status == expected.status, case
+        assert got.objective == expected.objective, case
+        assert got.solution == expected.solution, case
+        statuses[got.status] += 1
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 40
+
+
+@pytest.mark.parametrize("factor", [2, 3, 10**9 * 2**30 + 1])
+def test_scaling_every_rhs_scales_the_vertex_and_the_optimum(factor):
+    # The oracle prices tolls in units of 1 / Network.scale by multiplying
+    # every right-hand side by the scale; the vertex and the optimum must
+    # come out multiplied by exactly that factor, the status unchanged.
+    rng = random.Random(31)
+    moved = 0
+    for _ in range(400):
+        objective, rows, maximize = _random_lp(rng)
+        objective, rows = _on_integers(objective, rows)
+        scaled = [(terms, sense, rhs * factor) for terms, sense, rhs in rows]
+        base = solve_lp(objective, rows, maximize)
+        got = solve_lp(objective, scaled, maximize)
+        case = (objective, rows, maximize)
+        assert got.status == base.status, case
+        if base.status != "optimal":
+            continue
+        assert got.objective == base.objective * factor, case
+        assert got.solution == {
+            name: value * factor for name, value in base.solution.items()
+        }, case
+        moved += any(base.solution.values())
+    assert moved >= 40

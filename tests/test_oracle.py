@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from tollgate import exactlp
-from tollgate.enumeration import enumerate_paths
+from tollgate import exactlp, oracle
+from tollgate.enumeration import enumerate_all, enumerate_paths, perturbed
 from tollgate.network import Arc, Commodity, Network, ProblemInstance
 from tollgate.oracle import OracleError, oracle_solve
 
@@ -96,6 +96,13 @@ def test_oracle_accepts_precomputed_enumeration(fig, fig_enum):
     assert oracle_solve(fig, [fig_enum]).revenue == 7
 
 
+def test_enumeration_of_other_costs_refused(fig):
+    # Paths enumerated at perturbed costs are off the integer grid of the
+    # instance's own costs, on which the pricing rows are written.
+    with pytest.raises(OracleError, match="Network.scale"):
+        oracle_solve(fig, enumerate_all(perturbed(fig, seed=0)))
+
+
 def test_integer_tableau_matches_the_rational_reference_on_suite25(
     suite25, monkeypatch
 ):
@@ -116,3 +123,42 @@ def test_integer_tableau_matches_the_rational_reference_on_suite25(
         assert got.tolls == expected.tolls, entry["instance"].label
         assert got.assignment == expected.assignment, entry["instance"].label
     assert len(calls) > 25
+
+
+@pytest.mark.parametrize("suite", ["suite25", "raw_suite25"])
+def test_presolved_revenue_lps_match_the_full_lps(suite, request, monkeypatch):
+    # Every revenue LP the oracle solves leaves out the rows against rivals
+    # with a tolled arc on no assigned path.  The full LP, every row kept and
+    # solved by the Fraction tableau, must end with the same status and
+    # optimum.  The raw suite has tied path costs.
+    pricing_rows = oracle._pricing_rows
+    solve_lp = exactlp.solve_lp
+    visited = []
+    checked = dropped = 0
+
+    def recording_rows(bfsets, costs, positions, presolve):
+        visited.append((bfsets, costs, positions, presolve))
+        return pricing_rows(bfsets, costs, positions, presolve)
+
+    def checking_solve(objective, rows, maximize=True):
+        nonlocal checked, dropped
+        got = solve_lp(objective, rows, maximize)
+        if not maximize:
+            return got
+        bfsets, costs, positions, presolve = visited[-1]
+        assert presolve
+        full = pricing_rows(bfsets, costs, positions, presolve=False)
+        expected = rational_solve_lp(objective, full, maximize=True)
+        assert got.status == expected.status, positions
+        assert got.objective == expected.objective, positions
+        checked += 1
+        dropped += len(full) > len(rows)
+        return got
+
+    monkeypatch.setattr(oracle, "_pricing_rows", recording_rows)
+    monkeypatch.setattr(exactlp, "solve_lp", checking_solve)
+    for entry in request.getfixturevalue(suite):
+        got = oracle_solve(entry["instance"], entry["enums"])
+        assert got.revenue == entry["oracle"].revenue
+    assert checked > 25
+    assert dropped > checked // 4

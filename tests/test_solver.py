@@ -202,6 +202,25 @@ def test_model_arrays_match_scipy_csc(fig, kind):
     assert binary == [v.binary for v in variables]
 
 
+def test_model_arrays_are_float_of_every_exact_value_on_suite25(suite25):
+    # The coefficients and right-hand sides are converted as numerator /
+    # denominator; each float must still be float() of its exact value, on
+    # models with perturbed, 59-bit denominators.
+    inf = math.inf
+    for entry in suite25:
+        for kind in FORMULATIONS:
+            model = build_single(
+                entry["instance"], kind, entry["bigm"], entry["enums"],
+                allow_vfcs=True,
+            ).ir
+            names, c, matrix, lo, hi, lb, ub, binary = _model_arrays(model)
+            case = (entry["instance"].label, kind.label)
+            assert matrix[2] == [float(v) for v in model.coefs], case
+            rhs = [float(v) for v in model.rhs]
+            assert lo == [-inf if s == "<=" else v for s, v in zip(model.senses, rhs)], case
+            assert hi == [inf if s == ">=" else v for s, v in zip(model.senses, rhs)], case
+
+
 @pytest.mark.parametrize("kind", ARRAY_MODELS)
 def test_highs_holds_the_models_matrix_column_wise(fig, kind):
     # HiGHS transposes the row-wise hand-off itself; the columns it then
