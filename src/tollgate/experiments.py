@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
@@ -214,6 +213,9 @@ def run_sweep(
     options = dict(budget=budget, backend=backend, paper_exact=paper_exact)
     if jobs <= 1:
         return [run_one(i, k, n, **options) for i, k, n in cells]
+    # Imported here, as only a threaded sweep needs it.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(lambda cell: run_one(*cell, **options), cells))
 

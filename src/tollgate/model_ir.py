@@ -27,9 +27,14 @@ Coefficients, right-hand sides and bounds are exact: each is a Python
 ``int``; the two compare and hash alike).  Any other input goes through
 :func:`~tollgate.network.as_fraction`, which parses literal strings and
 rejects floats and bools.  Floats are made only by the backend, the
-solution check (:meth:`ModelIR.violations`) and the LP writer; the backend
-and the check convert coefficients and right-hand sides alike, as
-numerator / denominator (:func:`_floats`).
+solution check (:meth:`ModelIR.violations`) and the LP writer.  The backend
+and the check read one float view of the coefficients and right-hand sides
+(:meth:`ModelIR.float_rows`), converted as numerator / denominator
+(:func:`_floats`) on first read and extended by the rows appended since on
+each later read, so a cut loop's re-solves convert only their new rows.
+The view relies on the row lists being append-only: rows are only ever
+added, by :meth:`ModelIR.add_rows`, and no entry of ``coefs`` or ``rhs``
+is changed in place.
 """
 
 from __future__ import annotations
@@ -141,6 +146,8 @@ class ModelIR:
         self.starts: list[int] = [0]
         self.cols: list[int] = []
         self.coefs: list[Coef] = []
+        self._float_coefs: list[float] = []
+        self._float_rhs: list[float] = []
         self._tag_set: set[str] = set()
         self._objective: dict[str, Coef] = {}
 
@@ -315,6 +322,20 @@ class ModelIR:
     def constraints(self) -> _Rows:
         return _Rows(self)
 
+    def float_rows(self) -> tuple[list[float], list[float]]:
+        """Floats of ``coefs`` and of ``rhs``, by :func:`_floats`.
+
+        Each value is converted once: the lists are kept, and a later call
+        converts only the rows appended since.  They are shared, not copied,
+        so callers must not change them.
+        """
+        coefs, rhs = self._float_coefs, self._float_rhs
+        if len(coefs) < len(self.coefs):
+            coefs += _floats(self.coefs[len(coefs):])
+        if len(rhs) < len(self.rhs):
+            rhs += _floats(self.rhs[len(rhs):])
+        return coefs, rhs
+
     def add_objective_term(self, coef: Coef, name: str) -> None:
         if name not in self.column:
             raise ValueError(f"objective references undeclared variable {name}")
@@ -336,9 +357,9 @@ class ModelIR:
     ) -> list[str]:
         """Every bound, integrality, and row violation beyond ``tolerance``.
 
-        Rows are evaluated term by term from floats of the exact
-        coefficients, not from the backend's arrays, so the check stays
-        independent of them.
+        Every row's activity is recomputed term by term from the model's
+        own rows (:meth:`float_rows`) and ``assignment``, not from anything
+        the backend computed, so the check stays independent of it.
         """
         issues: list[str] = []
         values = [assignment.get(name, 0.0) for name in self.names]
@@ -352,9 +373,10 @@ class ModelIR:
             if binary and min(abs(value), abs(value - 1.0)) > tolerance:
                 issues.append(f"{name} = {value} is not near 0 or 1")
         starts = self.starts
-        terms = list(map(mul, _floats(self.coefs), map(values.__getitem__, self.cols)))
+        coefs, rhs_floats = self.float_rows()
+        terms = list(map(mul, coefs, map(values.__getitem__, self.cols)))
         sums = map(sum, map(terms.__getitem__, map(slice, starts, starts[1:])))
-        for tag, sense, rhs, lhs in zip(self.tags, self.senses, _floats(self.rhs), sums):
+        for tag, sense, rhs, lhs in zip(self.tags, self.senses, rhs_floats, sums):
             if sense == "<=" and lhs > rhs + tolerance:
                 issues.append(f"{tag}: {lhs} > {rhs}")
             elif sense == ">=" and lhs < rhs - tolerance:

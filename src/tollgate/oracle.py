@@ -13,13 +13,17 @@ row's right-hand side, a gap between two path costs times the scale, is an
 integer.  Multiplying every right-hand side by the scale multiplies the
 optimum and the vertex by it, and they are divided back exactly.
 
-The revenue LP is presolved: it leaves out every row against a rival path
-that holds a tolled arc on no assigned path.  Such a toll has objective
-weight 0 and, in every row it enters, coefficient -1 in a ``<=`` row (it
-is on no chosen path), so raising it keeps every other row as it is and
-satisfies all of its own: the rows left out cannot change the status or
-the optimum.  The canonical-toll LP (least toll sum at that revenue)
-keeps every row, since it prices those arcs too.
+The revenue LP is presolved in two ways, neither of which can change its
+status or optimum.  It leaves out every row against a rival path that
+holds a tolled arc on no assigned path.  Such a toll has objective weight
+0 and, in every row it enters, coefficient -1 in a ``<=`` row (it is on no
+chosen path), so raising it keeps every other row as it is and satisfies
+all of its own.  And of the rows with the same terms (rivals of different
+commodities with the same tolled-set difference), it keeps only the one
+with the least right-hand side, which implies the others.  The
+canonical-toll LP (least toll sum at that revenue) keeps every row: it
+prices the rival arcs too, and its rows stay as the tableau has always
+seen them, so a tie between toll vectors is broken as before.
 """
 
 from __future__ import annotations
@@ -79,12 +83,15 @@ def _pricing_rows(
     The rows are on integers: tolls are in units of ``1 / Network.scale``
     and each right-hand side is a gap of the scaled path ``costs``.  With
     ``presolve``, rows against a rival that holds a tolled arc on no
-    assigned path are left out (see the module docstring).
+    assigned path are left out, and of the rows with the same terms only
+    the tightest is kept (see the module docstring).
     """
     priced = frozenset().union(
         *(bfset.paths[pos].tolled_set for bfset, pos in zip(bfsets, positions))
     )
     rows: list[exactlp.Row] = []
+    # With presolve: each row's terms, to the position of its row in rows.
+    held: dict[tuple, int] = {}
     for bfset, scaled, pos in zip(bfsets, costs, positions):
         chosen = bfset.paths[pos]
         mine = chosen.tolled_set
@@ -92,13 +99,20 @@ def _pricing_rows(
             if rival is chosen or (presolve and not rival.tolled_set <= priced):
                 continue
             # +1 on the chosen path's own tolled arcs, -1 on the rival's.
-            packed = [
+            packed = tuple(
                 (1 if aid in mine else -1, _toll_var(aid))
                 for aid in sorted(mine ^ rival.tolled_set)
-            ]
+            )
             if not packed:
                 continue
-            rows.append((packed, "<=", cost - scaled[pos]))
+            rhs = cost - scaled[pos]
+            if presolve:
+                at = held.setdefault(packed, len(rows))
+                if at < len(rows):
+                    if rhs < rows[at][2]:
+                        rows[at] = (packed, "<=", rhs)
+                    continue
+            rows.append((packed, "<=", rhs))
     return rows
 
 

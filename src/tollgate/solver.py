@@ -28,7 +28,18 @@ coefficients below its ``small_matrix_value`` (1e-9); the backend logs a
 warning with their count when it does.  HiGHS writes some debug lines to
 file descriptor 1 whatever ``output_flag`` says, so fd 1 points at the
 null device while HiGHS runs; otherwise they land inside the CSV that
-``tollgate sweep`` writes to stdout.
+``tollgate sweep`` writes to stdout.  The null device is opened once, and
+its descriptor kept open for the process.
+
+Each thread solves on one HiGHS instance of its own, made on the thread's
+first solve and given the fixed options then.  A solve sets only its time
+limit, passes the model with HiGHS's maximize sense (the costs as they are,
+and the dual bound read in the model's own sense), reads the results and
+clears the model (``clearModel``), so the instance keeps its options and
+no model outlives its solve.  An instance whose solve raises is dropped,
+and the thread's next solve makes a new one.  On the 300 cells of a gate25
+pass at seeds 0 and 7, this gives the same status, objective, bound, node
+count and column values, bit for bit, as a new instance per solve.
 
 ``CommandBackend`` shells out to any solver that can read an LP file and
 print ``name value`` lines, configured through a command template.  Callers
@@ -47,10 +58,7 @@ import logging
 import math
 import os
 import re
-import shlex
-import subprocess
 import sys
-import tempfile
 import threading
 import time
 from contextlib import contextmanager
@@ -58,7 +66,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Protocol
 
-from .model_ir import ModelIR, _floats
+from .model_ir import ModelIR
 from .lp_format import lp_name_map, write_lp
 
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
@@ -156,17 +164,18 @@ def _model_arrays(model: ModelIR):
     ``matrix`` is the constraint matrix row-wise, as the model stores it:
     row starts, column indices and values; ``lo`` and ``hi`` bound the rows,
     ``lb`` and ``ub`` the columns.  Every float is ``float()`` of the model's
-    exact value; the coefficients and right-hand sides are converted by
-    :func:`~tollgate.model_ir._floats`, as the solution check converts them.
+    exact value; the coefficients and right-hand sides are the model's
+    float view (:meth:`~tollgate.model_ir.ModelIR.float_rows`), which the
+    solution check reads too.
     HiGHS turns the rows into columns itself, which leaves each column's
     rows ascending, the matrix a column-wise hand-off would pass.
     """
     c = [0.0] * len(model.names)
     for coef, name in model.objective:
         c[model.column[name]] = float(coef)
-    matrix = model.starts, model.cols, _floats(model.coefs)
+    coefs, rhs = model.float_rows()
+    matrix = model.starts, model.cols, coefs
     inf = math.inf
-    rhs = _floats(model.rhs)
     lo = [-inf if sense == "<=" else v for sense, v in zip(model.senses, rhs)]
     hi = [inf if sense == ">=" else v for sense, v in zip(model.senses, rhs)]
     lb = [-inf if v is None else float(v) for v in model.lower]
@@ -205,13 +214,14 @@ _HIGHS_STATUS = {
 
 
 def _highs_lp(c, matrix, lo, hi, lb, ub, binary) -> "_highs.HighsLp":
-    """The model as a row-wise ``HighsLp`` that minimizes ``c``.
+    """The model as a row-wise ``HighsLp`` that maximizes ``c``.
 
     ``matrix`` is the constraint matrix's row starts, column indices and
     values, as :func:`_model_arrays` returns them.
     """
     lp = _highs.HighsLp()
     lp.num_col_, lp.num_row_ = len(c), len(lo)
+    lp.sense_ = _highs.ObjSense.kMaximize
     lp.col_cost_ = c
     lp.col_lower_, lp.col_upper_ = lb, ub
     lp.row_lower_, lp.row_upper_ = lo, hi
@@ -228,6 +238,7 @@ def _highs_lp(c, matrix, lo, hi, lb, ub, binary) -> "_highs.HighsLp":
 _fd1_lock = threading.Lock()
 _fd1_users = 0
 _fd1_saved = -1
+_fd1_null = -1
 
 
 @contextmanager
@@ -236,17 +247,19 @@ def _fd1_silenced():
 
     Threads share fd 1, so the first thread in saves it and the last one out
     restores it; each saving and restoring on its own can leave fd 1 on the
-    null device for good.  Python-level writes to ``sys.stdout`` made by other
-    threads meanwhile are lost too, so callers print after their solves.
+    null device for good.  The null device is opened on first use and kept
+    open for the process.  Python-level writes to ``sys.stdout`` made by
+    other threads meanwhile are lost too, so callers print after their
+    solves.
     """
-    global _fd1_users, _fd1_saved
+    global _fd1_users, _fd1_saved, _fd1_null
     with _fd1_lock:
         if _fd1_users == 0:
+            if _fd1_null < 0:
+                _fd1_null = os.open(os.devnull, os.O_WRONLY)
             sys.stdout.flush()
             _fd1_saved = os.dup(1)
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, 1)
-            os.close(devnull)
+            os.dup2(_fd1_null, 1)
         _fd1_users += 1
     try:
         yield
@@ -258,11 +271,41 @@ def _fd1_silenced():
                 os.close(_fd1_saved)
 
 
+# Each thread's HiGHS instance, between its solves (see _take_highs).
+_per_thread = threading.local()
+
+
+def _set_option(highs, key: str, value) -> None:
+    if highs.setOptionValue(key, value) != _highs.HighsStatus.kOk:
+        raise SolverError(f"HiGHS rejected option {key}={value!r}")
+
+
+def _take_highs():
+    """The calling thread's HiGHS instance, taken from the thread for a solve.
+
+    The thread's first solve makes the instance and gives it
+    :data:`_HIGHS_OPTIONS`.  A solve sets only its time limit, and hands
+    the instance back once its results are read and its model cleared, so
+    an instance whose solve raises is dropped and the next solve makes a
+    new one.
+    """
+    highs = getattr(_per_thread, "highs", None)
+    _per_thread.highs = None
+    if highs is None:
+        highs = _highs._Highs()
+        for key, value in _HIGHS_OPTIONS.items():
+            _set_option(highs, key, value)
+    return highs
+
+
 class ScipyBackend:
     """HiGHS in-process, through the binding bundled with scipy.
 
-    The model goes to HiGHS as one ``HighsLp``, solved under fixed options
-    with the sub-MIP heuristics off and the budget as HiGHS's time limit.
+    The model goes to HiGHS as one ``HighsLp`` that maximizes the model's
+    objective, solved under fixed options with the sub-MIP heuristics off
+    and the budget as HiGHS's time limit.  Each thread solves on its own
+    HiGHS instance (:func:`_take_highs`), which keeps its options between
+    solves and holds no model between them.
     """
 
     name = "scipy-highs"
@@ -270,14 +313,10 @@ class ScipyBackend:
     def solve(self, model: ModelIR, budget: float = DEFAULT_BUDGET) -> SolveResult:
         names, c, matrix, lo, hi, lb, ub, binary = _model_arrays(model)
         is_mip = any(binary)
-        highs = _highs._Highs()
-        options = {**_HIGHS_OPTIONS, "time_limit": max(0.0, float(budget))}
-        for key, value in options.items():
-            if highs.setOptionValue(key, value) != _highs.HighsStatus.kOk:
-                raise SolverError(f"HiGHS rejected option {key}={value!r}")
+        highs = _take_highs()
+        _set_option(highs, "time_limit", max(0.0, float(budget)))
         start = time.perf_counter()
-        # HiGHS minimizes.
-        lp = _highs_lp([-v for v in c], matrix, lo, hi, lb, ub, binary)
+        lp = _highs_lp(c, matrix, lo, hi, lb, ub, binary)
         if highs.passModel(lp) == _highs.HighsStatus.kError:
             raise SolverError(f"HiGHS rejected model {model.label!r}")
         # HiGHS drops coefficients below its small_matrix_value (1e-9) and
@@ -317,9 +356,12 @@ class ScipyBackend:
             if status == STATUS_BUDGET:
                 status = STATUS_FEASIBLE  # incumbent in hand, optimality unproven
             if is_mip and math.isfinite(info.mip_dual_bound):
-                bound = -float(info.mip_dual_bound)
+                bound = float(info.mip_dual_bound)
             elif status == STATUS_OPTIMAL:
                 bound = objective
+        mip_nodes = max(0, int(info.mip_node_count)) if is_mip else 0
+        highs.clearModel()
+        _per_thread.highs = highs
         return SolveResult(
             status=status,
             objective=objective,
@@ -327,7 +369,7 @@ class ScipyBackend:
             assignment=assignment,
             wall_time=elapsed,
             backend=self.name,
-            mip_nodes=max(0, int(info.mip_node_count)) if is_mip else 0,
+            mip_nodes=mip_nodes,
         )
 
 
@@ -366,6 +408,12 @@ class CommandBackend:
         self.template = template
 
     def solve(self, model: ModelIR, budget: float = DEFAULT_BUDGET) -> SolveResult:
+        # Imported here, the one place that needs them, so that a run
+        # without an external solver does not load them.
+        import shlex
+        import subprocess
+        import tempfile
+
         with tempfile.TemporaryDirectory(prefix="tollgate-") as tmp:
             lp_path = Path(tmp) / "model.lp"
             sol_path = Path(tmp) / "model.sol"

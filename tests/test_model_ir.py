@@ -357,3 +357,20 @@ def test_violations_match_a_term_by_term_evaluation(fig):
                 expected.append(f"{con.tag}: {lhs} != {rhs}")
         found = [issue for issue in m.violations(point, 0.0) if issue.split(":")[0] in m._tag_set]
         assert found == expected and expected
+
+
+def test_float_view_follows_appended_rows():
+    # The float view is converted once, then extended by the rows appended
+    # after a read; the check must see a row added after its last call.
+    m = small_model()
+    coefs, rhs = m.float_rows()
+    assert (coefs, rhs) == ([1.0, 3.0, 1.0, -1.0], [4.0, 0.0])
+    point = {"x": 1.0, "b": 1.0, "f": 1.0}
+    assert m.violations(point) == []
+    m.add_constraint("third", [(Fraction(1, 3), "x"), (2, "f")], ">=", Fraction(7, 2))
+    assert m.float_rows() == (
+        [1.0, 3.0, 1.0, -1.0, float(Fraction(1, 3)), 2.0],
+        [4.0, 0.0, float(Fraction(7, 2))],
+    )
+    assert m.float_rows()[0] is coefs
+    assert m.violations(point) == [f"third: {1 / 3 + 2.0} < 3.5"]

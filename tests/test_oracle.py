@@ -128,9 +128,10 @@ def test_integer_tableau_matches_the_rational_reference_on_suite25(
 @pytest.mark.parametrize("suite", ["suite25", "raw_suite25"])
 def test_presolved_revenue_lps_match_the_full_lps(suite, request, monkeypatch):
     # Every revenue LP the oracle solves leaves out the rows against rivals
-    # with a tolled arc on no assigned path.  The full LP, every row kept and
-    # solved by the Fraction tableau, must end with the same status and
-    # optimum.  The raw suite has tied path costs.
+    # with a tolled arc on no assigned path, and keeps one row per set of
+    # terms.  The full LP, every row kept and solved by the Fraction tableau,
+    # must end with the same status and optimum.  The raw suite has tied
+    # path costs.
     pricing_rows = oracle._pricing_rows
     solve_lp = exactlp.solve_lp
     visited = []
@@ -147,6 +148,8 @@ def test_presolved_revenue_lps_match_the_full_lps(suite, request, monkeypatch):
             return got
         bfsets, costs, positions, presolve = visited[-1]
         assert presolve
+        terms = [tuple(row[0]) for row in rows]
+        assert len(set(terms)) == len(terms), positions
         full = pricing_rows(bfsets, costs, positions, presolve=False)
         expected = rational_solve_lp(objective, full, maximize=True)
         assert got.status == expected.status, positions

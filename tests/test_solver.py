@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,8 +20,11 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 import tollgate
 from conftest import fixture_model, perturbed
+from tollgate import solver
+from tollgate.experiments import run_sweep
 from tollgate.formulations import FORMULATIONS, build_single
 from tollgate.model_ir import ModelIR
+from tollgate.network import Network, ProblemInstance
 from tollgate.solver import (
     CommandBackend,
     ScipyBackend,
@@ -325,6 +329,18 @@ def test_import_loads_highs_without_scipy_optimize(first):
     assert probe["milp"] == pytest.approx(8.0)
 
 
+def test_import_loads_no_subprocess_or_thread_pool():
+    # Only CommandBackend.solve needs subprocess, and only a threaded sweep
+    # needs concurrent.futures; each imports it where it is used.
+    probe = run_probe(
+        "import json, sys\n"
+        "import tollgate\n"
+        "print(json.dumps([m for m in ('subprocess', 'concurrent.futures')"
+        " if m in sys.modules]))"
+    )
+    assert probe == []
+
+
 # Run in a fresh interpreter: the pre-solve command line (generate, then
 # build) leaves numpy unloaded; the first solve loads it through scipy's
 # HiGHS binding.
@@ -429,6 +445,101 @@ def test_fd1_silencing_is_restored_under_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert _same_file(os.fstat(1), before)
+
+
+def _solved(result):
+    """Everything a solve determines in its result, all but its wall time."""
+    return (
+        result.status, result.objective, result.best_bound,
+        result.assignment, result.mip_nodes,
+    )
+
+
+def _on_a_new_thread(fn):
+    """``fn()`` on a thread of its own, which makes its own HiGHS instance."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=120)
+
+
+def _thread_instance():
+    return getattr(solver._per_thread, "highs", None)
+
+
+def test_thread_instance_solves_each_model_as_a_fresh_one(fig):
+    # One thread's instance solves A, then B stopped by a zero budget, then
+    # A again: neither B's model nor its time limit may carry over into A.
+    a = fixture_model(perturbed(fig), "PCS2")
+    b = fixture_model(fig, "STD")
+    fresh = _on_a_new_thread(lambda: ScipyBackend().solve(a, budget=30))
+
+    def in_turn():
+        results, held = [], []
+        for model, budget in ((a, 30), (b, 0), (a, 30)):
+            results.append(ScipyBackend().solve(model, budget))
+            held.append(_thread_instance())
+        return results, held
+
+    (first, stopped, again), held = _on_a_new_thread(in_turn)
+    assert fresh.status == "optimal" and fresh.mip_nodes >= 1
+    assert stopped.status == "budget-exhausted"
+    assert _solved(first) == _solved(fresh)
+    assert _solved(again) == _solved(fresh)
+    # One instance served all three solves, and it holds no model between them.
+    assert held[0] is not None and held.count(held[0]) == 3
+    assert (held[0].getNumCol(), held[0].getNumRow()) == (0, 0)
+
+
+def test_a_rejected_model_leaves_the_next_solve_correct(fig):
+    # HiGHS rejects a coefficient of 1e16 (its large_matrix_value is 1e15).
+    # The instance that raised is dropped, and the thread's next solve makes
+    # a new one that solves as a fresh instance does.
+    a = fixture_model(perturbed(fig), "PCS2")
+    huge = ModelIR("huge")
+    huge.add_variable("x", 0, 1, binary=True)
+    huge.add_constraint("c", [(10**16, "x")], "<=", 1)
+    huge.add_objective_term(1, "x")
+    fresh = _on_a_new_thread(lambda: ScipyBackend().solve(a, budget=30))
+
+    def in_turn():
+        backend = ScipyBackend()
+        backend.solve(a, 30)
+        before = _thread_instance()
+        with pytest.raises(SolverError, match="rejected model 'huge'"):
+            backend.solve(huge, 30)
+        dropped = _thread_instance() is None
+        return before, dropped, backend.solve(a, 30), _thread_instance()
+
+    before, dropped, after, now = _on_a_new_thread(in_turn)
+    assert dropped
+    assert now is not None and now is not before
+    assert _solved(after) == _solved(fresh)
+
+
+def test_threaded_sweep_equals_the_serial_one(suite25):
+    # Each worker thread solves on its own HiGHS instance; the records must
+    # be the serial sweep's, all but the timings.  Each sweep gets copies,
+    # which share no preparation with the other sweep or with other tests.
+    def copy(instance):
+        net = instance.network
+        return ProblemInstance(
+            Network(net.num_nodes, net.arcs), instance.commodities, instance.label
+        )
+
+    def outcome(records):
+        return [
+            (r.instance, r.kind, r.breakpoint, r.status, r.objective, r.gap_pct, r.error)
+            for r in records
+        ]
+
+    instances = [entry["instance"] for entry in suite25[:3]]
+    kinds = [k.label for k in FORMULATIONS]
+    serial = run_sweep([copy(i) for i in instances], kinds, [8, 4000], budget=60)
+    threaded = run_sweep(
+        [copy(i) for i in instances], kinds, [8, 4000], budget=60, jobs=2
+    )
+    assert len(serial) == 3 * 12 * 2
+    assert all(r.status == "optimal" for r in serial)
+    assert outcome(threaded) == outcome(serial)
 
 
 def test_scipy_backend_reports_infeasible():
