@@ -13,7 +13,8 @@ round.  A lit cycle gets a row forbidding it outright (a genuine routing
 is a simple path, so no true solution ever lights a full cycle); an
 uncovered routed path gets the slackness row that makes its dual bound
 tight.  Cycles and paths are both finite families and each cut
-permanently removes one member, so the loop terminates.
+permanently removes one member, so the loop terminates.  Each commodity's
+columns come from the block that assembly kept (``HybridModel.cut_blocks``).
 """
 
 from __future__ import annotations
@@ -22,15 +23,7 @@ import time
 from typing import Optional
 
 from .enumeration import ConsistencyError
-from .formulations import (
-    CommodityAssignment,
-    HybridModel,
-    _graph_pattern,
-    _path_slack_on_flows,
-    _RowBuffer,
-    _toll_columns,
-    var_L,
-)
+from .formulations import HybridModel, _Block, _path_slack, _RowBuffer
 from .network import Arc
 from .solver import (
     DEFAULT_BUDGET,
@@ -100,67 +93,51 @@ def vfcs_feasibility_cut(
     clean, which certifies the incumbent.
     """
     first: Optional[str] = None
-    for part in context.assignments:
-        if part.kind is None or not part.kind.needs_cut_loop:
-            continue
-        tag = _commodity_cut(context, part, result)
+    for block in context.cut_blocks:
+        tag = _commodity_cut(context, block, result)
         if first is None:
             first = tag
     return first
 
 
 def _commodity_cut(
-    context: HybridModel, part: CommodityAssignment, result: SolveResult
+    context: HybridModel, block: _Block, result: SolveResult
 ) -> Optional[str]:
     """The row against one commodity's offense, or None when it is clean."""
-    if part.graph is None or part.bfset is None:
-        raise ConsistencyError(
-            f"commodity {part.commodity}: a cut-loop kind needs the "
-            "commodity's working graph and feasible set"
-        )
-    k = part.commodity
-    graph = part.graph
-    net = graph.network
-    com = context.instance.commodities[k]
-    patterns = _graph_pattern(graph)
-    flows = list(map(str(k).join, patterns.flow_names))
+    k = block.k
+    net = block.graph.network
+    names = context.ir.names
+    flows = block.routes
     lit = [
         a
-        for a, name in zip(net.arcs, flows)
-        if result.assignment.get(name, 0.0) > 0.5
+        for a, col in zip(net.arcs, flows)
+        if result.assignment.get(names[col], 0.0) > 0.5
     ]
     if not lit:
         raise ConsistencyError(f"commodity {k}: no flow in the solution")
-    cycle, routed = _first_cycle_or_path(
-        lit,
-        graph.reduced_node(com.origin),
-        graph.reduced_node(com.destination),
-        k,
-    )
-    ir = context.ir
-    columns = list(map(ir.column.__getitem__, flows))
+    cycle, routed = _first_cycle_or_path(lit, block.origin, block.dest, k)
     row = _RowBuffer()
 
     if cycle is not None:
         banned = context.cut_cycles.setdefault(k, set())
         tag = f"cut-cycle[{k},{len(banned)}]"
-        cols = [columns[arc.index] for arc in cycle]
+        cols = [flows[arc.index] for arc in cycle]
         row.add(tag, cols, [1] * len(cols), "<=", len(cycle) - 1)
-        row.add_to(ir)
+        row.add_to(context.ir)
         banned.add(tuple(sorted(arc.index for arc in cycle)))
         return tag
 
-    path = net.path([arc.index for arc in routed], k)
+    path = net.path([arc.index for arc in routed])
     arcs = tuple(sorted(path.arcs))
-    covered = {tuple(sorted(p.arcs)) for p in part.bfset.paths}
+    covered = {tuple(sorted(p.arcs)) for p in block.paths}
     cut = context.cut_paths.setdefault(k, set())
     if arcs in covered or arcs in cut:
         return None
     s_val = context.bigm.s_value(k, path)
     tag = f"lin-cs-ap[{k},cut{len(cut)}]"
-    tolls = dict(zip(net.tolled_ids, _toll_columns(ir, patterns)))
-    _path_slack_on_flows(row, tag, path, s_val, ir.column[var_L(k)], tolls, columns)
-    row.add_to(ir)
+    uses = [flows[rid] for rid in path.arcs]
+    _path_slack(row, tag, path, s_val, block.duals[0], block.tolls, uses)
+    row.add_to(context.ir)
     cut.add(arcs)
     return tag
 

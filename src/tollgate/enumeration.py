@@ -162,7 +162,7 @@ def enumerate_paths(
         cost, arcs, _, spur_pos, banned = heapq.heappop(heap)
         nodes = (origin,) + tuple(heads[a] for a in arcs)
         tolled_set = frozenset(a for a in arcs if tolled[a])
-        emitted.append(Path(arcs, nodes, Fraction(cost, scale), tolled_set, commodity_index))
+        emitted.append(Path(arcs, nodes, Fraction(cost, scale), tolled_set))
         if not tolled_set:
             break
         if len(emitted) == cap:

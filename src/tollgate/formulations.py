@@ -25,10 +25,11 @@ table and patch only what depends on the commodity: the balance
 right-hand sides at origin and destination, the potentials in the value
 tie, the big-M values and the demand.  Every fallback block of a hybrid
 model shares the original graph's patterns, and every kind built from one
-hybrid plan shares the plan's.  Rows over feasible paths (path blocks and
-the cut loop's rows) are gathered by column id one path at a time.  One
-emitter per modelling choice writes rows: primal, dual, direct, slackness,
-and the value tie of route cost plus revenue against the dual objective.
+hybrid plan shares the plan's.  Rows over feasible paths are gathered by
+column id one path at a time, and every path slackness row comes from
+:func:`_path_slack`.  One emitter per modelling choice writes rows: primal,
+dual, direct, slackness, and the value tie of route cost plus revenue
+against the dual objective.  Cut-loop blocks stay on the :class:`HybridModel`.
 Each commodity's modelling decision is one :class:`CommodityAssignment`:
 role, kind, working graph and feasible set.  Both builders,
 :func:`build_single` and :func:`assemble_hybrid`, only make the assignments
@@ -446,11 +447,6 @@ def _graph_pattern(graph: ReducedGraph) -> _GraphPattern:
     return pattern
 
 
-def _toll_columns(model: ModelIR, pattern: _GraphPattern) -> list[int]:
-    """The model column of each tolled working arc's shared ``T``, in arc order."""
-    return list(map(model.column.__getitem__, pattern.toll_names))
-
-
 class _RowBuffer:
     """Rows gathered a row or a family at a time, then added to a model in one block."""
 
@@ -493,30 +489,29 @@ def _path_bound(bound: int, path: Path, tolls: Mapping[ArcId, int]) -> tuple[lis
     return cols, [1] + [-1] * len(path.tolled_set)
 
 
-def _path_slack_on_flows(
+def _path_slack(
     rows: _RowBuffer,
     tag: str,
     path: Path,
     s_val: Fraction,
     bound: int,
     tolls: Mapping[ArcId, int],
-    flows: Sequence[int],
+    uses: list[int],
 ) -> None:
-    """Add ``path``'s slackness row over one commodity's arc flows to ``rows``.
+    """Add ``path``'s slackness row to ``rows``.
 
-    The row, ``L[k] - sum T[a] over path's tolled arcs - s * sum x over its
-    arcs >= cost - s * len(path)``, binds when the flow lights every arc of
-    the path; each unlit arc relaxes it by ``s``.  ``bound`` is the column
-    of ``L[k]``, ``tolls`` maps working tolled arc ids to ``T`` columns and
-    ``flows`` holds every working arc's flow column by arc id.  Both the
-    feasible-set rows and the cut loop's rows for uncovered paths come from
-    here.
+    The row, ``L[k] - sum T[a] over path's tolled arcs - s * sum uses >=
+    cost - s * len(uses)``, binds when every column of ``uses`` is 1; each
+    that is 0 relaxes it by ``s``.  ``uses`` is ``[z_p]`` in a path block
+    and the flows on the path's arcs in a flow block and in a cut.
+    ``bound`` is the column of ``L[k]`` and ``tolls`` maps working tolled
+    arc ids to ``T`` columns.  Every path slackness row comes from here.
     """
     cols, coefs = _path_bound(bound, path, tolls)
-    if s_val:  # else the flow terms drop out
-        cols += [flows[rid] for rid in path.arcs]
-        coefs += [-s_val] * len(path.arcs)
-    rows.add(tag, cols, coefs, ">=", path.cost - s_val * len(path.arcs))
+    if s_val:  # else the use terms drop out
+        cols += uses
+        coefs += [-s_val] * len(uses)
+    rows.add(tag, cols, coefs, ">=", path.cost - s_val * len(uses))
 
 
 # -- one commodity block -----------------------------------------------------
@@ -534,7 +529,7 @@ class _Block:
     slots to model columns; the slots of variables the kind lacks map to
     -1, which no row may use.  ``users`` holds, under the path primal, the
     ``z`` slots of the paths through each working arc.  ``rows`` gathers
-    the block's rows, which go into the model in one ``add_rows`` call.
+    the block's rows until one ``add_rows`` call puts them in the model.
     """
 
     def __init__(self, model: ModelIR, part: CommodityAssignment, com: Commodity) -> None:
@@ -560,7 +555,7 @@ class _Block:
         self.origin = _reduced_endpoint(graph, com.origin, k, "origin")
         self.dest = _reduced_endpoint(graph, com.destination, k, "destination")
         self.pattern = pattern = _graph_pattern(graph)
-        tolls = _toll_columns(model, pattern)
+        tolls = list(map(model.column.__getitem__, pattern.toll_names))
         self.tolls = dict(zip(net.tolled_ids, tolls))
         arc_primal = kind.primal_rep == ARC
         arc_dual = kind.dual_rep == ARC
@@ -716,24 +711,20 @@ def _emit_cs_rows(b: _Block, bigm: BigMParams) -> None:
         rhs = [cost - r for cost, r in zip(b.pattern.costs, r_vals)]
         b.stamp(family, ">=", rhs, table)
         return
-    bound = b.duals[0]
     for pos, path in enumerate(b.paths):
+        if b.kind.primal_rep == PATH:
+            uses = [b.routes[pos]]
+        else:
+            uses = [b.routes[rid] for rid in path.arcs]
         s_val = bigm.s_value(k, path, pos)
         tag = f"lin-cs-{b.suffix}[{k},{pos}]"
-        if b.kind.primal_rep == PATH:
-            cols, coefs = _path_bound(bound, path, b.tolls)
-            if s_val:  # else the z term drops out
-                cols.append(b.routes[pos])
-                coefs.append(-s_val)
-            b.rows.add(tag, cols, coefs, ">=", path.cost - s_val)
-        else:
-            _path_slack_on_flows(b.rows, tag, path, s_val, bound, b.tolls, b.routes)
+        _path_slack(b.rows, tag, path, s_val, b.duals[0], b.tolls, uses)
 
 
 def _emit_block(
     model: ModelIR, part: CommodityAssignment, com: Commodity, bigm: BigMParams,
     paper_exact: bool,
-) -> None:
+) -> _Block:
     """Emit one commodity's full block plus its objective contribution.
 
     Strong duality kinds equate route cost (tolls included) with the dual
@@ -741,6 +732,7 @@ def _emit_block(
     kinds instead force used rows tight, with revenue either per arc (direct)
     or as one substituted total ``tau[k]``.  Unless ``paper_exact``, direct
     revenue under slackness is also capped by the strong-duality inequality.
+    Returns the block, without its row buffer once the model holds its rows.
     """
     b = _Block(model, part, com)
     kind = b.kind
@@ -758,8 +750,10 @@ def _emit_block(
             if not paper_exact:
                 _emit_value_tie(b, "vi-sd", "<=")
     b.rows.add_to(model)
+    del b.rows
     for name in b.revenue_names:
         model.add_objective_term(com.demand, name)
+    return b
 
 
 # -- whole-instance assembly -------------------------------------------------
@@ -783,20 +777,23 @@ class CommodityAssignment:
 
 @dataclass
 class HybridModel:
-    """An assembled model plus everything the cut loop needs to extend it."""
+    """An assembled model plus everything the cut loop needs to extend it.
+
+    ``cut_blocks`` holds, in commodity order, the block of every commodity
+    whose kind needs the cut loop: the loop reads their columns there.
+    """
 
     ir: ModelIR
     instance: ProblemInstance
     bigm: BigMParams
     assignments: tuple[CommodityAssignment, ...]
+    cut_blocks: tuple[_Block, ...]
     cut_paths: dict[int, set[tuple[ArcId, ...]]] = field(default_factory=dict)
     cut_cycles: dict[int, set[tuple[ArcId, ...]]] = field(default_factory=dict)
 
     @property
     def needs_cuts(self) -> bool:
-        return any(
-            a.kind is not None and a.kind.needs_cut_loop for a in self.assignments
-        )
+        return bool(self.cut_blocks)
 
 
 def _feasible_sets(
@@ -836,11 +833,14 @@ def _assemble(
     """Emit a block for every commodity with a kind into one model over shared tolls."""
     model = ModelIR(label)
     declare_tolls(model, instance.network, bigm)
+    cut_blocks = []
     for part in parts:
         if part.kind is not None:
             com = instance.commodities[part.commodity]
-            _emit_block(model, part, com, bigm, paper_exact)
-    return HybridModel(model, instance, bigm, tuple(parts))
+            block = _emit_block(model, part, com, bigm, paper_exact)
+            if part.kind.needs_cut_loop:
+                cut_blocks.append(block)
+    return HybridModel(model, instance, bigm, tuple(parts), tuple(cut_blocks))
 
 
 def plan_hybrid(

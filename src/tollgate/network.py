@@ -139,15 +139,13 @@ class Path:
     """A simple directed path, stored as the arc index sequence it follows.
 
     ``cost`` is the toll-free (base) cost of the path and ``tolled_set`` the
-    set of tolled arc indices it uses.  ``commodity`` tags which commodity the
-    path was enumerated for; -1 means unattached.
+    set of tolled arc indices it uses.
     """
 
     arcs: tuple[ArcId, ...]
     nodes: tuple[Node, ...]
     cost: Fraction
     tolled_set: frozenset[ArcId]
-    commodity: int = -1
 
     def __len__(self) -> int:
         return len(self.arcs)
@@ -220,7 +218,7 @@ class Network:
         ]
         return Network(self.num_nodes, replaced)
 
-    def path(self, arc_ids: Sequence[ArcId], commodity: int = -1) -> Path:
+    def path(self, arc_ids: Sequence[ArcId]) -> Path:
         """Build a :class:`Path` from contiguous arc indices, validating it."""
         if not arc_ids:
             raise InstanceError("a path needs at least one arc")
@@ -234,7 +232,7 @@ class Network:
             raise InstanceError("path revisits a node")
         cost = Fraction(sum(self.int_costs[a] for a in arc_ids), self.scale)
         tolled = frozenset(a.index for a in arcs if a.tolled)
-        return Path(tuple(arc_ids), tuple(nodes), cost, tolled, commodity)
+        return Path(tuple(arc_ids), tuple(nodes), cost, tolled)
 
 
 @dataclass(frozen=True)

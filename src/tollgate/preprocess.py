@@ -126,7 +126,7 @@ class ReducedGraph:
                 )
             reduced.append(rid)
             pos += len(chain)
-        return self.network.path(reduced, path.commodity)
+        return self.network.path(reduced)
 
     def map_feasible_set(self, bfset: BilevelFeasibleSet) -> BilevelFeasibleSet:
         """Map every path of a feasible set into the reduced graph."""

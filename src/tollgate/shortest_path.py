@@ -172,7 +172,6 @@ def shortest_path(
     source: Node,
     target: Node,
     excluded: ExclusionSet = NO_EXCLUSIONS,
-    commodity: int = -1,
 ) -> Optional[Path]:
     """Cheapest zero-toll ``source -> target`` path avoiding ``excluded``, or None.
 
@@ -186,7 +185,7 @@ def shortest_path(
     if source == target:
         raise ValueError("source equals target")
     found = _search(network, source, target, excluded, [0] * network.num_nodes)
-    return None if found is None else network.path(found[1], commodity)
+    return None if found is None else network.path(found[1])
 
 
 def distances_to(

@@ -9,6 +9,8 @@ clean.
 """
 
 import random
+import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,9 @@ import pytest
 from bruteforce import decompose_flow
 from tollgate.bigm import compute_bigm
 from tollgate.cuts import _first_cycle_or_path, solve_with_vfcs_cuts, vfcs_feasibility_cut
-from tollgate.enumeration import enumerate_paths
+from tollgate.enumeration import enumerate_all, enumerate_paths
 from tollgate.formulations import _flow_name, build_single
+from tollgate.generator import GenConfig, generate
 from tollgate.network import Arc, Commodity, ProblemInstance
 from tollgate.solver import ScipyBackend, SolveResult, SolverError, solve
 
@@ -219,3 +222,70 @@ def test_walk_returns_the_first_cycle_of_the_full_decomposition():
         assert _first_cycle_or_path(lit, origin, dest, 0) == expected
         outcomes.add(bool(cycles))
     assert outcomes == {True, False}
+
+
+def _arc_of(name, k):
+    """The arc of commodity ``k``'s flow variable ``name``, else None."""
+    found = re.fullmatch(rf"[xy]\[{k},(\d+)\]", name)
+    return None if found is None else int(found[1])
+
+
+def _walk(arcs, start, stop):
+    """The arc ids from ``start`` to ``stop`` over ``arcs``, one out-arc per node."""
+    by_tail = {arc.tail: arc for arc in arcs}
+    assert len(by_tail) == len(arcs)
+    walk, node = [], start
+    for _ in arcs:
+        arc = by_tail[node]
+        walk.append(arc.index)
+        node = arc.head
+        if node == stop:
+            return walk
+    raise AssertionError(f"no walk from {start} to {stop}")
+
+
+def test_cut_rows_name_the_variables_of_the_offending_route():
+    # grid4x4-k3-s0 in the paper's form on the unreduced graph: the loop
+    # does not converge there, and its first rounds add both row families.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inst = generate(GenConfig(("grid", (4, 4)), 3, seed=0))
+    net = inst.network
+    enums = enumerate_all(inst)
+    sets = [e.feasible_set() for e in enums]
+    bigm = compute_bigm(net, inst.commodities, dict(enumerate(sets)))
+    context = build_single(
+        inst, "VFCS1", bigm, enums, preprocess="none", allow_vfcs=True, paper_exact=True
+    )
+    with pytest.raises(SolverError, match="round"):
+        solve_with_vfcs_cuts(context, max_rounds=10)
+    families = set()
+    for row in context.ir.constraints:
+        found = re.fullmatch(r"cut-cycle\[(\d+),\d+\]|lin-cs-ap\[(\d+),cut\d+\]", row.tag)
+        if found is None:
+            continue
+        k = int(found[1] or found[2])
+        terms = {name: coef for coef, name in row.terms}
+        flows = {a: c for n, c in terms.items() if (a := _arc_of(n, k)) is not None}
+        arcs = [net.arc(a) for a in flows]
+        if found[1] is not None:
+            # Only flows of commodity k, on the arcs of one directed cycle.
+            families.add("cut-cycle")
+            assert len(flows) == len(terms) and set(flows.values()) == {1}
+            assert len(_walk(arcs, arcs[0].tail, arcs[0].tail)) == len(arcs)
+            assert (row.sense, row.rhs) == ("<=", len(arcs) - 1)
+            continue
+        # L[k], the T of the path's tolled arcs and the flows of an
+        # origin-to-destination path outside commodity k's feasible set.
+        families.add("lin-cs-ap")
+        com = inst.commodities[k]
+        path = net.path(_walk(arcs, com.origin, com.destination))
+        assert len(path) == len(arcs)
+        assert tuple(sorted(path.arcs)) not in {tuple(sorted(p.arcs)) for p in sets[k].paths}
+        tolls = {f"T[{a}]" for a in path.tolled_set}
+        assert {n for n in terms if _arc_of(n, k) is None} == {f"L[{k}]", *tolls}
+        assert terms[f"L[{k}]"] == 1 and all(terms[t] == -1 for t in tolls)
+        s_val = bigm.s_value(k, path)
+        assert s_val > 0 and set(flows.values()) == {-s_val}
+        assert (row.sense, row.rhs) == (">=", path.cost - s_val * len(path))
+    assert families == {"cut-cycle", "lin-cs-ap"}

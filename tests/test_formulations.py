@@ -356,6 +356,17 @@ def test_hybrid_counts_cut_blocks(fig, fig_enum, fig_bigm):
     )
     assert cutty.needs_cuts
     assert cutty.cut_paths == {} and cutty.cut_cycles == {}
+    # With every role present, exactly the main commodities are cut blocks.
+    inst, enums = three_role_instance(fig)
+    bigm = compute_bigm(
+        inst.network, inst.commodities, {k: e.feasible_set() for k, e in enumerate(enums)}
+    )
+    mixed = assemble_hybrid(inst, 2, "VFCS1", "STD", bigm, enums, allow_vfcs=True)
+    assert {a.role for a in mixed.assignments} == {"main", "fallback", "dropped"}
+    main = [a.commodity for a in mixed.assignments if a.role == "main"]
+    assert [b.k for b in mixed.cut_blocks] == main
+    # Their rows are in the model; the blocks keep no copy of them.
+    assert not any(hasattr(b, "rows") for b in mixed.cut_blocks)
 
 
 def test_isolated_node_balance_rows_are_skipped(fig_bigm):

@@ -75,7 +75,7 @@ def test_with_costs_replaces_only_listed(fig):
 
 
 def test_path_builder(fig):
-    p = fig.network.path([0, 1, 2], commodity=0)
+    p = fig.network.path([0, 1, 2])
     assert p.nodes == (0, 1, 2, 4)
     assert p.cost == 3
     assert p.tolled_set == frozenset({0, 1, 2})

