@@ -21,10 +21,11 @@ From these:
 
 The sweeps depend on a commodity only through its destination, so each
 runs once per destination and commodities that share a destination share
-one row: ``lam_lo`` is the network's cached zero-toll distance tuple, which
-path enumeration already swept as its A* potential, and the toll-free and
-capped sweeps run here, on price vectors built from ``network.int_costs``.
-:mod:`tollgate.shortest_path` searches with tolls at zero only.
+one row.  The zero-toll and toll-free sweeps are cached on the network
+(:func:`~tollgate.shortest_path._cached_distances`) and shared with path
+enumeration: it swept the zero-toll distances as its A* potential, and a
+capped run reads its origin's toll-free cost to stop early.  Only the
+capped sweep runs here, on a price vector built from ``network.int_costs``.
 
 Every constant is stored as an integer over ``network.scale``, and becomes a
 ``Fraction`` only where it leaves this module: through the accessors the
@@ -51,7 +52,7 @@ from typing import Mapping, Optional, Sequence
 
 from .enumeration import BilevelFeasibleSet
 from .network import Commodity, InstanceError, Network, Node, Path
-from .shortest_path import Prices, _distances, zero_distances
+from .shortest_path import _cached_distances, _distances, zero_distances
 
 # Integer distance to a destination per node; None marks a node that cannot
 # reach it.
@@ -139,12 +140,8 @@ def compute_bigm(
     """
     arcs, int_costs, scale = network.arcs, network.int_costs, network.scale
     destinations = dict.fromkeys(com.destination for com in commodities)
-
-    def sweeps(prices: Prices) -> dict[Node, tuple[Optional[int], ...]]:
-        return {d: tuple(_distances(network, d, prices)) for d in destinations}
-
     lo = {d: zero_distances(network, d) for d in destinations}
-    free = sweeps([None if arc.tolled else cost for arc, cost in zip(arcs, int_costs)])
+    free = {d: _cached_distances(network, d, toll_free=True) for d in destinations}
     lo_int: list[int] = []
     pi_int: list[int] = []
     for k, com in enumerate(commodities):
@@ -158,7 +155,8 @@ def compute_bigm(
 
     gaps = tuple(max(0, p - l) for p, l in zip(pi_int, lo_int))
     cap = max(gaps, default=0)
-    hi = sweeps([cost + cap if arc.tolled else cost for arc, cost in zip(arcs, int_costs)])
+    capped = [cost + cap if arc.tolled else cost for arc, cost in zip(arcs, int_costs)]
+    hi = {d: tuple(_distances(network, d, capped)) for d in destinations}
 
     S: dict[tuple[int, int], int] = {}
     for k, bfset in (bfsets or {}).items():

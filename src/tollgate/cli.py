@@ -92,8 +92,12 @@ def _cmd_build(args) -> int:
     if args.kind:
         needs_enum = kind.needs_paths or args.preprocess == "paths"
         enum = enumerate_all(instance, args.cap) if needs_enum else None
+        # Only an exhaustive set can be modeled with path rows, so only its
+        # path bounds are needed.
         bfsets = (
-            {k: r.feasible_set() for k, r in enumerate(enum)} if enum else None
+            {k: s for k, s in enumerate(r.feasible_set() for r in enum) if s.exhaustive}
+            if enum
+            else None
         )
         bigm = compute_bigm(instance.network, instance.commodities, bfsets)
         hybrid = build_single(

@@ -17,19 +17,33 @@ partition the remaining path space, so nothing is emitted twice and pruning is
 safe.  :func:`dominance_filter` then removes dominated paths; the survivors
 are exactly the undominated paths whenever enumeration ran to its toll-free
 stopping point.  Costs may tie: no perturbation is needed.
+
+This is Lawler's scheme for the K best solutions (Management Science, 1972),
+and it emits paths in cost order: every pending candidate strictly cheaper
+than the cheapest toll-free path is emitted before that path.  A capped run
+uses this to stop as soon as those candidates and the paths already emitted
+fill its cap, since its set is then certain to be truncated.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .network import ArcId, Commodity, InstanceError, Network, Path, ProblemInstance
-from .shortest_path import NO_EXCLUSIONS, ExclusionSet, _search, shortest_path, zero_distances
+from .shortest_path import (
+    NO_EXCLUSIONS,
+    ExclusionSet,
+    _cached_distances,
+    _search,
+    shortest_path,
+    zero_distances,
+)
 
 
 class ConsistencyError(RuntimeError):
@@ -133,6 +147,18 @@ def enumerate_paths(
     the candidate pool break toward the lexicographically smallest arc index
     sequence.  The run stops at the first toll-free path, so the result's
     feasible set is ``exhaustive`` exactly when the output is complete.
+
+    A capped run is exhaustive exactly when the uncapped run's toll-free
+    path comes within its first ``cap`` paths; its paths are then the
+    uncapped run's.  Otherwise it is truncated, and may hold fewer than
+    ``cap`` paths: it stops after an emission once the paths emitted plus
+    the pending candidates strictly cheaper than the origin's toll-free
+    cost reach ``cap``, since each of those candidates comes before any
+    toll-free path.  Either way its paths are a prefix of the uncapped
+    run's, in the same order.  The toll-free cost is read, from the
+    network's cached sweep, only once the paths emitted plus all pending
+    candidates reach ``cap``, so a run that ends well short of its cap
+    sweeps nothing extra.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1 (or None for unbounded)")
@@ -158,15 +184,28 @@ def enumerate_paths(
     ]
 
     emitted: list[Path] = []
+    # The origin's toll-free cost, read once the cap is within reach, and
+    # the number of pending candidates strictly cheaper than it.
+    free: Optional[float] = None
+    below = 0
     while heap:
         cost, arcs, _, spur_pos, banned = heapq.heappop(heap)
+        if free is not None and cost < free:
+            below -= 1
         nodes = (origin,) + tuple(heads[a] for a in arcs)
         tolled_set = frozenset(a for a in arcs if tolled[a])
         emitted.append(Path(arcs, nodes, Fraction(cost, scale), tolled_set))
         if not tolled_set:
             break
-        if len(emitted) == cap:
-            break  # the capped run emits nothing more, so spawns no children
+        if cap is not None:
+            if free is None and len(emitted) + len(heap) >= cap:
+                found = _cached_distances(network, dest, toll_free=True)[origin]
+                free = math.inf if found is None else found
+                below = sum(1 for entry in heap if entry[0] < free)
+            # Every candidate counted in ``below`` comes before the toll-free
+            # path, so with the cap reached the run spawns no more children.
+            if len(emitted) + below >= cap:
+                break
 
         prefix_costs = [0]
         for aid in arcs:
@@ -189,10 +228,13 @@ def enumerate_paths(
                 potential,
             )
             if replacement is not None:
+                child_cost = prefix_costs[spur] + replacement[0]
+                if free is not None and child_cost < free:
+                    below += 1
                 heapq.heappush(
                     heap,
                     (
-                        prefix_costs[spur] + replacement[0],
+                        child_cost,
                         arcs[:spur] + replacement[1],
                         next(counter),
                         spur,

@@ -37,9 +37,6 @@ ArcId = int
 
 RationalLike = Union[int, Fraction, str]
 
-# Model builders pass these coefficients by the thousand.
-_SMALL_INTS = {-1: Fraction(-1), 0: Fraction(0), 1: Fraction(1)}
-
 
 class InstanceError(ValueError):
     """A malformed instance file or an invalid in-memory instance."""
@@ -50,14 +47,11 @@ def as_fraction(value: RationalLike) -> Fraction:
 
     Floats are rejected on purpose: they would silently break the exactness
     guarantees the rest of the package relies on.  A ``Fraction`` is
-    returned as is (it is immutable), and -1, 0 and 1 as shared constants.
+    returned as is (it is immutable).
     """
-    # Exact type tests first: isinstance against Fraction is an ABC check.
+    # An exact type test first: isinstance against Fraction is an ABC check.
     if type(value) is Fraction:
         return value
-    if type(value) is int:
-        small = _SMALL_INTS.get(value)
-        return Fraction(value) if small is None else small
     if isinstance(value, bool):
         raise TypeError("bool is not a valid rational value")
     if isinstance(value, (int, Fraction)):
@@ -171,12 +165,14 @@ class Network:
     ``in_adj``, per node, one ``(other endpoint, arc id)`` pair per outgoing /
     incoming arc, in arc order.
 
-    It also caches, per destination, the zero-toll distances that
-    :func:`~tollgate.shortest_path.zero_distances` sweeps, so path
-    enumeration and the big-M constants share one sweep per destination.
-    Each entry is a pure function of the immutable graph, stored as a
-    tuple; threads that fill the cache at once can at worst repeat a sweep
-    and store an equal value.
+    It also caches two distance sweeps per destination, made on first use
+    by :mod:`tollgate.shortest_path`: the zero-toll distances
+    (``_zero_distances``) and the toll-free ones, with tolled arcs unusable
+    (``_toll_free_distances``).  Path enumeration and the big-M constants
+    share both, so each runs at most once per destination.  Each entry is a
+    pure function of the immutable graph, stored as a tuple; threads that
+    fill a cache at once can at worst repeat a sweep and store an equal
+    value.
     """
 
     def __init__(self, num_nodes: int, arcs: Sequence[Arc]):
@@ -202,6 +198,7 @@ class Network:
             a.cost.numerator * (self.scale // a.cost.denominator) for a in self.arcs
         )
         self._zero_distances: dict[Node, tuple[Optional[int], ...]] = {}
+        self._toll_free_distances: dict[Node, tuple[Optional[int], ...]] = {}
 
     @property
     def num_arcs(self) -> int:

@@ -5,9 +5,10 @@ with tolls at zero; a search that must avoid some arcs, such as the tolled
 arcs off a witness path, excludes them.  A distance sweep,
 :func:`_distances`, takes one price per arc instead, and a ``None`` price is
 the only way it skips an arc: :func:`distances_to` turns its exclusions
-into ``None`` prices, and :mod:`tollgate.bigm`, the only module that prices
-tolled arcs otherwise (unusable, or at cost plus the toll cap), builds its
-own price vectors.
+into ``None`` prices, and the toll-free sweep of
+:func:`_cached_distances` prices every tolled arc None.  Only
+:mod:`tollgate.bigm` prices tolled arcs otherwise (at cost plus the toll
+cap), with its own price vector.
 
 Ties between equal-cost paths break toward the lexicographically smallest arc
 index sequence, which makes every search in this package deterministic.
@@ -103,20 +104,35 @@ def _distances(network: Network, target: Node, prices: Prices) -> list[Optional[
     return dist
 
 
+def _cached_distances(
+    network: Network, target: Node, toll_free: bool = False
+) -> tuple[Optional[int], ...]:
+    """Integer cost of the cheapest path from every node to ``target``.
+
+    With ``toll_free`` every tolled arc is priced None, so the sweep finds
+    the cheapest toll-free routes; otherwise tolls are zero.  Either sweep
+    runs once per destination per network: the first call stores its result
+    on ``network`` and later calls return that same tuple.  None marks a
+    node that cannot reach ``target``.
+    """
+    cache = network._toll_free_distances if toll_free else network._zero_distances
+    dist = cache.get(target)
+    if dist is None:
+        prices: Prices = network.int_costs
+        if toll_free:
+            prices = [None if arc.tolled else p for arc, p in zip(network.arcs, prices)]
+        dist = cache[target] = tuple(_distances(network, target, prices))
+    return dist
+
+
 def zero_distances(network: Network, target: Node) -> tuple[Optional[int], ...]:
     """Integer zero-toll cost of the cheapest path from every node to ``target``.
 
-    The sweep runs once per destination per network: the first call stores
-    its result on ``network`` and later calls return that same tuple.  None
-    marks a node that cannot reach ``target``.  Path enumeration uses these
-    distances as its A* potential and :func:`~tollgate.bigm.compute_bigm`
-    as ``lam_lo``.
+    Swept once per destination per network (see :func:`_cached_distances`).
+    Path enumeration uses these distances as its A* potential and
+    :func:`~tollgate.bigm.compute_bigm` as ``lam_lo``.
     """
-    cache = network._zero_distances
-    dist = cache.get(target)
-    if dist is None:
-        dist = cache[target] = tuple(_distances(network, target, network.int_costs))
-    return dist
+    return _cached_distances(network, target)
 
 
 def _search(

@@ -50,12 +50,16 @@ def perturbed(instance: ProblemInstance) -> ProblemInstance:
     )
 
 
-def sweep_instance(topology: str) -> ProblemInstance:
-    """A sweep-scale instance: ``topology`` with 40 commodities, perturbed at seed 0."""
+def raw_sweep_instance(topology: str) -> ProblemInstance:
+    """A sweep-scale instance: ``topology`` with 40 commodities, at its generated costs."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        raw = generate(GenConfig(parse_topology(topology), 40, seed=0))
-    return perturbed(raw)
+        return generate(GenConfig(parse_topology(topology), 40, seed=0))
+
+
+def sweep_instance(topology: str) -> ProblemInstance:
+    """A sweep-scale instance: ``topology`` with 40 commodities, perturbed at seed 0."""
+    return perturbed(raw_sweep_instance(topology))
 
 
 def fixture_model(

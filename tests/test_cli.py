@@ -96,6 +96,22 @@ def test_build_hybrid_to_stdout(fig_file, capsys):
     assert "Subject To" in capsys.readouterr().out
 
 
+def test_build_kind_bounds_only_exhaustive_sets(fig_file, monkeypatch, capsys):
+    # At cap 2 the fixture's one commodity is truncated, so it gets no path
+    # bound, and reducing the graph to its paths then fails.
+    handed = []
+    compute = cli.compute_bigm
+    monkeypatch.setattr(
+        cli, "compute_bigm", lambda *args: handed.append(args[2]) or compute(*args)
+    )
+    argv = ["build", "--instance", str(fig_file), "--kind", "STD", "--cap", "2"]
+    assert main(argv) == 1
+    assert "enumeration cap" in capsys.readouterr().err
+    assert handed == [{}]
+    assert main(argv[:-2]) == 0
+    assert [len(s) for s in handed[1].values()] == [3]
+
+
 def test_build_needs_exactly_one_mode(fig_file, capsys):
     assert main(["build", "--instance", str(fig_file)]) == 1
     assert "either --kind" in capsys.readouterr().err

@@ -6,6 +6,7 @@ route dominated because it pays tolls on a superset of the cost-4 route's
 arcs at higher cost.
 """
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,9 @@ from tollgate.enumeration import (
     enumerate_paths,
     is_bilevel_feasible,
     perturb_costs,
+    perturbed,
 )
+from tollgate.generator import GenConfig, generate, parse_topology
 from tollgate.network import Arc, Commodity, Network
 
 from bruteforce import all_simple_paths, naive_feasible_paths
@@ -72,6 +75,74 @@ def test_cap_stops_before_spawning_children(fig, monkeypatch, cap):
     assert res.paths == full.paths[:cap]
     assert not res.feasible_set().exhaustive
     assert len(calls) == 1 + (cap - 1) * len(full.paths[0].tolled_set)
+
+
+def _generated(topology, seed):
+    """``topology`` with 10 commodities at ``seed``, raw and perturbed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        raw = generate(GenConfig(parse_topology(topology), 10, seed=seed))
+    return raw, perturbed(raw, seed=0)
+
+
+@pytest.mark.parametrize("topology", ["grid:4x5", "delaunay:20"])
+def test_capped_run_is_a_prefix_and_stops_once_truncated(topology, monkeypatch):
+    # Raw generated costs are integers, so tolled candidates can tie with
+    # the toll-free path; perturbed costs break those ties.
+    calls = []
+    search = enumeration._search
+    monkeypatch.setattr(
+        enumeration, "_search", lambda *args: calls.append(args) or search(*args)
+    )
+
+    def run(net, com, cap):
+        calls.clear()
+        result = enumerate_paths(net, com, cap=cap)
+        return result, len(calls)
+
+    stopped_early = 0
+    for seed in range(3):
+        for instance in _generated(topology, seed):
+            net = instance.network
+            for com in instance.commodities:
+                full = enumerate_paths(net, com).paths
+                toll_free_at = next(i for i, p in enumerate(full) if p.is_toll_free())
+                for cap in range(1, len(full) + 1):
+                    result, searches = run(net, com, cap)
+                    assert result.feasible_set().exhaustive == (toll_free_at < cap)
+                    assert len(result.paths) <= cap
+                    assert result.paths == full[: len(result.paths)]
+                    if len(result.paths) < cap:
+                        # The same run with every candidate priced at or
+                        # above the toll-free cost cannot stop early.
+                        with monkeypatch.context() as hidden:
+                            hidden.setattr(
+                                enumeration,
+                                "_cached_distances",
+                                lambda network, *_, **__: (0,) * network.num_nodes,
+                            )
+                            plain, plain_searches = run(net, com, cap)
+                        assert len(plain.paths) == cap
+                        assert searches <= plain_searches
+                        stopped_early += searches < plain_searches
+    assert stopped_early > 0
+
+
+def test_capped_run_without_a_toll_free_path_stops_early():
+    # Two tolled hops in series, two parallel arcs each: four routes, none
+    # toll-free.  After the first route, its two children fill a cap of 3.
+    net = Network(3, [
+        Arc(0, 0, 1, Fraction(1), True),
+        Arc(1, 0, 1, Fraction(2), True),
+        Arc(2, 1, 2, Fraction(1), True),
+        Arc(3, 1, 2, Fraction(2), True),
+    ])
+    com = Commodity(0, 2, Fraction(1))
+    full = enumerate_paths(net, com).paths
+    assert len(full) == 4
+    result = enumerate_paths(net, com, cap=3)
+    assert result.paths == full[:2]
+    assert not result.feasible_set().exhaustive
 
 
 def test_cap_validation(fig):

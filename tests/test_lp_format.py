@@ -19,7 +19,13 @@ from scipy.optimize._highspy._core import (
 )
 
 from bruteforce import lp_text_by_rows
-from conftest import fixture_model, perturbed, sweep_instance, three_role_instance
+from conftest import (
+    fixture_model,
+    perturbed,
+    raw_sweep_instance,
+    sweep_instance,
+    three_role_instance,
+)
 from tollgate.bigm import compute_bigm
 from tollgate.enumeration import enumerate_paths
 from tollgate.formulations import FORMULATIONS, assemble_hybrid
@@ -474,8 +480,35 @@ DELAUNAY_LP_SHA256 = {
 }
 
 
+# The same builds on both sweep topologies at their generated costs, the
+# costs every CLI command and sweep solves at.  Integer costs can tie a
+# tolled path with the toll-free one, which perturbed costs never do.
+RAW_SWEEP_LP_SHA256 = {
+    ("grid:5x12", "PCS2", 8):
+        "63ed350ce3ec61389bb19bf9c16265dbac8e932b72329f61c75523fdaaaee297",
+    ("grid:5x12", "PCS2", 64):
+        "28b65d0e3658e8b731ec430faee29b813a892c6005819ff6ecc551433b052061",
+    ("grid:5x12", "STD", 8):
+        "511436a64f4b20cdd19c4a716021323461ae51f8660f680a588220e72f91ed6d",
+    ("grid:5x12", "STD", 64):
+        "29c8f9ab4f4831ccf936c42974dba587421dd1c48437fc53f9868e7833ad67f2",
+    ("delaunay:60", "PCS2", 8):
+        "d3ca3de160623e3e4dc5f1f0a0a522a4146de4c080801a14ef28bfb0ae00ec5b",
+    ("delaunay:60", "PCS2", 64):
+        "ef41683a8a680ca1ce937f596684be0137e774268364a45f806c9a23b1d7503d",
+    ("delaunay:60", "STD", 8):
+        "b892c990943106dd0df6f4bd7d9662ec681c4a1c432d9843ab78b5c70dc67037",
+    ("delaunay:60", "STD", 64):
+        "17821ea7d4b1feefa6e1a02e7cf8369205624a244f0733abb794f4f60e6d6596",
+}
+
+
 def _sweep_lp_sha256(topology, kind, breakpoint):
-    instance = sweep_instance(topology)
+    return _hybrid_lp_sha256(sweep_instance(topology), kind, breakpoint)
+
+
+def _hybrid_lp_sha256(instance, kind, breakpoint):
+    """``tollgate build --main KIND --fallback STD --breakpoint N``, hashed."""
     net = instance.network
     enum = [
         enumerate_paths(net, com, cap=breakpoint + 1, commodity_index=k)
@@ -503,6 +536,14 @@ def test_delaunay_sweep_lp_text_is_pinned(kind, breakpoint):
 @pytest.mark.parametrize("topology, kind", sorted(SWEEP_CS_LP_SHA256))
 def test_sweep_scale_slackness_lp_text_is_pinned(topology, kind):
     assert _sweep_lp_sha256(topology, kind, 8) == SWEEP_CS_LP_SHA256[(topology, kind)]
+
+
+@pytest.mark.parametrize("topology, kind, breakpoint", sorted(RAW_SWEEP_LP_SHA256))
+def test_raw_sweep_lp_text_is_pinned(topology, kind, breakpoint):
+    assert (
+        _hybrid_lp_sha256(raw_sweep_instance(topology), kind, breakpoint)
+        == RAW_SWEEP_LP_SHA256[(topology, kind, breakpoint)]
+    )
 
 
 def _read_with_highs(text, tmp_path):

@@ -24,7 +24,7 @@ def test_as_fraction_exact_inputs():
     assert as_fraction("7/2") == Fraction(7, 2)
     value = Fraction(5, 3)
     assert as_fraction(value) is value
-    assert as_fraction(-1) == Fraction(-1) and as_fraction(1) is as_fraction(1)
+    assert as_fraction(-1) == Fraction(-1)
 
 
 def test_as_fraction_rejects_floats():
