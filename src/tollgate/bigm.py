@@ -21,27 +21,30 @@ From these:
 
 The sweeps depend on a commodity only through its destination, so each
 runs once per destination and commodities that share a destination share
-one row.  The zero-toll and toll-free sweeps are cached on the network
-(:func:`~tollgate.shortest_path._cached_distances`) and shared with path
-enumeration: it swept the zero-toll distances as its A* potential, and a
-capped run reads its origin's toll-free cost to stop early.  Only the
-capped sweep runs here, on a price vector built from ``network.int_costs``.
+one row.  The zero-toll and toll-free rows are the network's cached ones
+(:meth:`Network.zero_toll_row`, :meth:`Network.toll_free_row`), shared
+with instance validation and path enumeration; only the capped row is
+swept here, by :meth:`Network.sweep` on a price vector built from
+``network.int_costs``.
 
 Every constant is stored as an integer over ``network.scale``, and becomes a
 ``Fraction`` only where it leaves this module: through the accessors the
 model builders call (:attr:`BigMParams.toll_cap`, :meth:`~BigMParams.m_value`,
-:meth:`~BigMParams.r_value`, :meth:`~BigMParams.s_value`) and the
+:meth:`~BigMParams.arc_slack_bounds`, :meth:`~BigMParams.s_value`) and the
 per-commodity ``L_lo`` and ``pi_cost``.
 
 Values are computed once on the original network and looked up by original
 node id, which keeps them valid on every reduced graph (the witness dual
 vector for any optimal toll lives on the original network and transfers to
 subgraphs).  A node that cannot reach the destination has None in the
-distance rows; builders raise when they need a bound there, naming the arc.
+distance rows.
 
 The slack bound of a dual arc row, ``cost (+ N if tolled) - lam_lo[tail] +
-lam_hi[head]``, is not stored: :meth:`BigMParams.r_value` evaluates it from
-the arc's original endpoints, which also covers contracted arcs.
+lam_hi[head]``, is not stored: :meth:`BigMParams.arc_slack_bounds` evaluates
+it for all of a working graph's arcs at once, from their original
+endpoints, which also covers contracted arcs.  An endpoint that cannot
+reach the destination leaves the bound infinite, and raises
+:class:`BuildError` naming the arc.
 """
 
 from __future__ import annotations
@@ -51,12 +54,12 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .enumeration import BilevelFeasibleSet
-from .network import Commodity, InstanceError, Network, Node, Path
-from .shortest_path import _cached_distances, _distances, zero_distances
+from .network import Commodity, InstanceError, Network, Path, Row
+from .preprocess import ReducedGraph
 
-# Integer distance to a destination per node; None marks a node that cannot
-# reach it.
-Row = Sequence[Optional[int]]
+
+class BuildError(ValueError):
+    """A model cannot be built from the pieces given."""
 
 
 @dataclass(frozen=True)
@@ -101,31 +104,35 @@ class BigMParams:
         toll = Fraction(self.N * len(path.tolled_set), self.scale)
         return path.cost - self.L_lo[commodity] + toll
 
-    def r_value(
-        self,
-        commodity: int,
-        cost: Fraction,
-        tolled: bool,
-        orig_tail: Node,
-        orig_head: Node,
-    ) -> Fraction:
-        """Dual slack bound for an arc given by its original endpoints.
+    def arc_slack_bounds(self, commodity: int, graph: ReducedGraph) -> list[Fraction]:
+        """The dual slack bound of every arc of ``graph``, in arc order.
 
-        Works for contracted arcs too: a toll-free chain's slack is bounded by
-        the same endpoint distances that bound a single arc.  Raises KeyError
-        when an endpoint cannot reach the commodity's destination (the bound
-        would be infinite there).
+        Each bound is read at the arc's original endpoints, so a toll-free
+        chain's slack is bounded by the same endpoint distances that bound
+        a single arc.  Raises :class:`BuildError`, naming the first arc
+        with an endpoint that cannot reach the commodity's destination (the
+        bound would be infinite there).
         """
+        lo, hi, cap, scale = self.lam_lo[commodity], self.lam_hi[commodity], self.N, self.scale
+        origin = graph.node_origin
+        arcs = graph.network.arcs
+        ends = [(origin[arc.tail], origin[arc.head]) for arc in arcs]
         try:
-            rise = self.lam_hi[commodity][orig_head] - self.lam_lo[commodity][orig_tail]
-        except (IndexError, TypeError):
-            raise KeyError(
-                f"commodity {commodity}: node {orig_tail} or {orig_head} "
-                "cannot reach the destination"
+            # cost + rise / scale, as one fraction.
+            return [
+                Fraction(
+                    arc.cost.numerator * scale
+                    + (hi[head] - lo[tail] + (cap if arc.tolled else 0)) * arc.cost.denominator,
+                    arc.cost.denominator * scale,
+                )
+                for arc, (tail, head) in zip(arcs, ends)
+            ]
+        except TypeError:
+            tail, head = next((t, h) for t, h in ends if lo[t] is None or hi[h] is None)
+            raise BuildError(
+                f"commodity {commodity}: arc {tail}->{head} has no finite dual slack bound "
+                "(an endpoint cannot reach the destination)"
             ) from None
-        if tolled:
-            rise += self.N
-        return cost + Fraction(rise, self.scale)
 
 
 def compute_bigm(
@@ -140,8 +147,8 @@ def compute_bigm(
     """
     arcs, int_costs, scale = network.arcs, network.int_costs, network.scale
     destinations = dict.fromkeys(com.destination for com in commodities)
-    lo = {d: zero_distances(network, d) for d in destinations}
-    free = {d: _cached_distances(network, d, toll_free=True) for d in destinations}
+    lo = {d: network.zero_toll_row(d) for d in destinations}
+    free = {d: network.toll_free_row(d) for d in destinations}
     lo_int: list[int] = []
     pi_int: list[int] = []
     for k, com in enumerate(commodities):
@@ -156,7 +163,7 @@ def compute_bigm(
     gaps = tuple(max(0, p - l) for p, l in zip(pi_int, lo_int))
     cap = max(gaps, default=0)
     capped = [cost + cap if arc.tolled else cost for arc, cost in zip(arcs, int_costs)]
-    hi = {d: tuple(_distances(network, d, capped)) for d in destinations}
+    hi = {d: network.sweep(d, capped) for d in destinations}
 
     S: dict[tuple[int, int], int] = {}
     for k, bfset in (bfsets or {}).items():

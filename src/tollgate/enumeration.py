@@ -23,6 +23,11 @@ and it emits paths in cost order: every pending candidate strictly cheaper
 than the cheapest toll-free path is emitted before that path.  A capped run
 uses this to stop as soon as those candidates and the paths already emitted
 fill its cap, since its set is then certain to be truncated.
+
+Both per-destination rows an enumeration reads come from the network's
+caches: the zero-toll row (:meth:`Network.zero_toll_row`) is the A*
+potential of every spur search, and the toll-free row
+(:meth:`Network.toll_free_row`) gives a capped run its stopping cost.
 """
 
 from __future__ import annotations
@@ -36,14 +41,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .network import ArcId, Commodity, InstanceError, Network, Path, ProblemInstance
-from .shortest_path import (
-    NO_EXCLUSIONS,
-    ExclusionSet,
-    _cached_distances,
-    _search,
-    shortest_path,
-    zero_distances,
-)
+from .shortest_path import NO_EXCLUSIONS, ExclusionSet, _search, shortest_path
 
 
 class ConsistencyError(RuntimeError):
@@ -155,10 +153,10 @@ def enumerate_paths(
     the pending candidates strictly cheaper than the origin's toll-free
     cost reach ``cap``, since each of those candidates comes before any
     toll-free path.  Either way its paths are a prefix of the uncapped
-    run's, in the same order.  The toll-free cost is read, from the
-    network's cached sweep, only once the paths emitted plus all pending
-    candidates reach ``cap``, so a run that ends well short of its cap
-    sweeps nothing extra.
+    run's, in the same order.  The toll-free cost is read from
+    :meth:`Network.toll_free_row` only once the paths emitted plus all
+    pending candidates reach ``cap``; on a network that came through
+    instance validation, that row is already swept.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1 (or None for unbounded)")
@@ -166,7 +164,7 @@ def enumerate_paths(
     int_costs, scale = network.int_costs, network.scale
     # Every search runs toward ``dest``, so its exact zero-toll distances
     # are an A* potential for all of them (see shortest_path).
-    potential = zero_distances(network, dest)
+    potential = network.zero_toll_row(dest)
     first = _search(network, origin, dest, NO_EXCLUSIONS, potential)
     if first is None:
         raise ConsistencyError(f"no path from {origin} to {dest}")
@@ -199,7 +197,7 @@ def enumerate_paths(
             break
         if cap is not None:
             if free is None and len(emitted) + len(heap) >= cap:
-                found = _cached_distances(network, dest, toll_free=True)[origin]
+                found = network.toll_free_row(dest)[origin]
                 free = math.inf if found is None else found
                 below = sum(1 for entry in heap if entry[0] < free)
             # Every candidate counted in ``below`` comes before the toll-free

@@ -56,7 +56,7 @@ from functools import cached_property
 from itertools import accumulate, compress, pairwise
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .bigm import BigMParams
+from .bigm import BigMParams, BuildError
 from .enumeration import BilevelFeasibleSet, EnumerationResult
 from .model_ir import Coef, ModelIR
 from .network import Arc, ArcId, Commodity, Network, Node, Path, ProblemInstance
@@ -72,10 +72,6 @@ SUBSTITUTION = "substitution"
 ROLE_DROPPED = "dropped"
 ROLE_MAIN = "main"
 ROLE_FALLBACK = "fallback"
-
-
-class BuildError(ValueError):
-    """A model cannot be built from the pieces given."""
 
 
 @dataclass(frozen=True)
@@ -204,18 +200,6 @@ def _reduced_endpoint(graph: ReducedGraph, node: int, k: int, which: str) -> int
     except KeyError:
         raise BuildError(
             f"commodity {k}: {which} node {node} is absent from the working graph"
-        ) from None
-
-
-def _r_bound(bigm: BigMParams, k: int, arc: Arc, graph: ReducedGraph) -> Fraction:
-    tail = graph.node_origin[arc.tail]
-    head = graph.node_origin[arc.head]
-    try:
-        return bigm.r_value(k, arc.cost, arc.tolled, tail, head)
-    except KeyError:
-        raise BuildError(
-            f"commodity {k}: arc {tail}->{head} has no finite dual slack bound "
-            "(an endpoint cannot reach the destination)"
         ) from None
 
 
@@ -701,12 +685,11 @@ def _emit_cs_rows(b: _Block, bigm: BigMParams) -> None:
     """Force the dual row of every used arc or path to be tight."""
     k = b.k
     if b.kind.dual_rep == ARC:
-        net = b.graph.network
-        r_vals = [_r_bound(bigm, k, arc, b.graph) for arc in net.arcs]
+        r_vals = bigm.arc_slack_bounds(k, b.graph)
         if b.kind.primal_rep == ARC:
             family = b.pattern.slack
         else:
-            family = _slack_rows(net, b.suffix, b.users, b.pattern.toll_slot)
+            family = _slack_rows(b.graph.network, b.suffix, b.users, b.pattern.toll_slot)
         table = [1, -1, *[-r for r in r_vals]]
         rhs = [cost - r for cost, r in zip(b.pattern.costs, r_vals)]
         b.stamp(family, ">=", rhs, table)

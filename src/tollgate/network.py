@@ -22,10 +22,16 @@ The instance file format is line oriented::
 Costs and demands are decimal literals (or ``p/q`` rationals) parsed exactly.
 Blank lines and ``#`` comments are ignored.  Parallel arcs are permitted;
 self-loops are not.
+
+A :class:`Network` also owns its per-destination distance rows: one
+backward Dijkstra sweep, :meth:`Network.sweep`, and two rows it caches per
+destination, the zero-toll row and the toll-free one.  Validation reads the
+toll-free row; path enumeration and the big-M constants reuse both.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +42,10 @@ Node = int
 ArcId = int
 
 RationalLike = Union[int, Fraction, str]
+
+# Integer distance to a destination per node; None marks a node that cannot
+# reach it.
+Row = tuple[Optional[int], ...]
 
 
 class InstanceError(ValueError):
@@ -165,14 +175,12 @@ class Network:
     ``in_adj``, per node, one ``(other endpoint, arc id)`` pair per outgoing /
     incoming arc, in arc order.
 
-    It also caches two distance sweeps per destination, made on first use
-    by :mod:`tollgate.shortest_path`: the zero-toll distances
-    (``_zero_distances``) and the toll-free ones, with tolled arcs unusable
-    (``_toll_free_distances``).  Path enumeration and the big-M constants
-    share both, so each runs at most once per destination.  Each entry is a
-    pure function of the immutable graph, stored as a tuple; threads that
-    fill a cache at once can at worst repeat a sweep and store an equal
-    value.
+    It also caches two distance rows per destination, each swept on first
+    use: :meth:`zero_toll_row` and :meth:`toll_free_row`.  Validation, path
+    enumeration and the big-M constants share them, so each runs at most
+    once per destination.  Each row is a pure function of the immutable
+    graph, stored as a tuple; threads that fill a cache at once can at
+    worst repeat a sweep and store an equal row.
     """
 
     def __init__(self, num_nodes: int, arcs: Sequence[Arc]):
@@ -197,8 +205,8 @@ class Network:
         self.int_costs: tuple[int, ...] = tuple(
             a.cost.numerator * (self.scale // a.cost.denominator) for a in self.arcs
         )
-        self._zero_distances: dict[Node, tuple[Optional[int], ...]] = {}
-        self._toll_free_distances: dict[Node, tuple[Optional[int], ...]] = {}
+        self._zero_rows: dict[Node, Row] = {}
+        self._toll_free_rows: dict[Node, Row] = {}
 
     @property
     def num_arcs(self) -> int:
@@ -206,6 +214,49 @@ class Network:
 
     def arc(self, index: ArcId) -> Arc:
         return self.arcs[index]
+
+    def sweep(self, target: Node, prices: Sequence[Optional[int]]) -> Row:
+        """Integer cost of the cheapest path from every node to ``target``.
+
+        One backward Dijkstra sweep over reversed arcs, at one integer price
+        per arc id; an arc priced None is skipped.  None marks a node that
+        cannot reach ``target``.
+        """
+        dist: list[Optional[int]] = [None] * self.num_nodes
+        in_adj = self.in_adj
+        dist[target] = 0
+        heap: list[tuple[int, Node]] = [(0, target)]
+        settled: set[Node] = set()
+        while heap:
+            cost, node = heapq.heappop(heap)
+            if node in settled:
+                continue
+            settled.add(node)
+            for tail, aid in in_adj[node]:
+                price = prices[aid]
+                if price is None or tail in settled:
+                    continue
+                candidate = cost + price
+                best = dist[tail]
+                if best is None or candidate < best:
+                    dist[tail] = candidate
+                    heapq.heappush(heap, (candidate, tail))
+        return tuple(dist)
+
+    def zero_toll_row(self, target: Node) -> Row:
+        """The sweep to ``target`` with every toll at zero, cached per destination."""
+        row = self._zero_rows.get(target)
+        if row is None:
+            row = self._zero_rows[target] = self.sweep(target, self.int_costs)
+        return row
+
+    def toll_free_row(self, target: Node) -> Row:
+        """The sweep to ``target`` with tolled arcs unusable, cached per destination."""
+        row = self._toll_free_rows.get(target)
+        if row is None:
+            prices = [None if arc.tolled else p for arc, p in zip(self.arcs, self.int_costs)]
+            row = self._toll_free_rows[target] = self.sweep(target, prices)
+        return row
 
     def with_costs(self, costs: Mapping[ArcId, Fraction]) -> "Network":
         """Return a copy whose arcs carry the costs in ``costs`` (others kept)."""
@@ -255,32 +306,22 @@ class ProblemInstance:
             raise InstanceError("an instance needs at least one commodity")
 
 
-def _toll_free_reachable(network: Network, origin: Node) -> set[Node]:
-    seen = {origin}
-    stack = [origin]
-    while stack:
-        node = stack.pop()
-        for head, aid in network.out_adj[node]:
-            if head not in seen and not network.arcs[aid].tolled:
-                seen.add(head)
-                stack.append(head)
-    return seen
-
-
 def validate_instance(instance: ProblemInstance) -> None:
     """Check the structural rules every instance must satisfy.
 
     Arc-level rules (positive costs, no self-loops, endpoints in range) are
     enforced at construction; this adds the commodity rules, notably that every
     commodity keeps at least one toll-free route to its destination.  Without
-    that guarantee the pricing problem is unbounded.
+    that guarantee the pricing problem is unbounded.  The check reads each
+    destination's cached toll-free row, which the big-M constants and a
+    capped enumeration then reuse.
     """
     net = instance.network
     for k, com in enumerate(instance.commodities):
         for label, node in (("origin", com.origin), ("destination", com.destination)):
             if not (0 <= node < net.num_nodes):
                 raise InstanceError(f"commodity {k}: {label} {node} out of range")
-        if com.destination not in _toll_free_reachable(net, com.origin):
+        if net.toll_free_row(com.destination)[com.origin] is None:
             raise InstanceError(
                 f"commodity {k} ({com.origin}->{com.destination}) has no toll-free path"
             )

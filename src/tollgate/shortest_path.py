@@ -2,13 +2,10 @@
 
 Every point-to-point search here prices each arc at its base cost, that is
 with tolls at zero; a search that must avoid some arcs, such as the tolled
-arcs off a witness path, excludes them.  A distance sweep,
-:func:`_distances`, takes one price per arc instead, and a ``None`` price is
-the only way it skips an arc: :func:`distances_to` turns its exclusions
-into ``None`` prices, and the toll-free sweep of
-:func:`_cached_distances` prices every tolled arc None.  Only
-:mod:`tollgate.bigm` prices tolled arcs otherwise (at cost plus the toll
-cap), with its own price vector.
+arcs off a witness path, excludes them.  Distance rows come from
+:meth:`Network.sweep`, which takes one price per arc instead, and a
+``None`` price is the only way it skips an arc: :func:`distances_to` turns
+its exclusions into ``None`` prices.
 
 Ties between equal-cost paths break toward the lexicographically smallest arc
 index sequence, which makes every search in this package deterministic.
@@ -23,8 +20,8 @@ One search loop serves every point-to-point query: A* (Hart, Nilsson &
 Raphael, 1968) over a per-node integer *potential*, a lower bound on the
 cost still to go.  Plain Dijkstra is the zero potential, which
 :func:`shortest_path` uses; path enumeration passes the exact zero-toll
-distances to the target, computed once per destination per network (see
-:func:`zero_distances`), so its spur searches head straight for the
+distances to the target, swept once per destination per network (see
+:meth:`Network.zero_toll_row`), so its spur searches head straight for the
 target.  Those distances stay a valid potential under any exclusion set,
 since excluding arcs or nodes only lengthens paths, and a node they mark
 unreachable is never entered.
@@ -54,8 +51,6 @@ from .network import ArcId, Network, Node, Path
 Cost = Union[Fraction, float]  # float only for math.inf markers
 INFINITY: float = math.inf
 
-# Integer price per arc id; None marks an arc a sweep must not use.
-Prices = Sequence[Optional[int]]
 # Integer lower bound per node on the cost still to go; None marks a node
 # that cannot reach the target.
 Potential = Sequence[Optional[int]]
@@ -74,65 +69,6 @@ class ExclusionSet:
 
 
 NO_EXCLUSIONS = ExclusionSet()
-
-
-def _distances(network: Network, target: Node, prices: Prices) -> list[Optional[int]]:
-    """Integer cost of the cheapest path from every node to ``target``.
-
-    One backward Dijkstra sweep over reversed arcs, skipping each arc whose
-    price is None; None marks a node that cannot reach ``target``.
-    """
-    dist: list[Optional[int]] = [None] * network.num_nodes
-    in_adj = network.in_adj
-    dist[target] = 0
-    heap: list[tuple[int, Node]] = [(0, target)]
-    settled: set[Node] = set()
-    while heap:
-        cost, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        for tail, aid in in_adj[node]:
-            price = prices[aid]
-            if price is None or tail in settled:
-                continue
-            candidate = cost + price
-            best = dist[tail]
-            if best is None or candidate < best:
-                dist[tail] = candidate
-                heapq.heappush(heap, (candidate, tail))
-    return dist
-
-
-def _cached_distances(
-    network: Network, target: Node, toll_free: bool = False
-) -> tuple[Optional[int], ...]:
-    """Integer cost of the cheapest path from every node to ``target``.
-
-    With ``toll_free`` every tolled arc is priced None, so the sweep finds
-    the cheapest toll-free routes; otherwise tolls are zero.  Either sweep
-    runs once per destination per network: the first call stores its result
-    on ``network`` and later calls return that same tuple.  None marks a
-    node that cannot reach ``target``.
-    """
-    cache = network._toll_free_distances if toll_free else network._zero_distances
-    dist = cache.get(target)
-    if dist is None:
-        prices: Prices = network.int_costs
-        if toll_free:
-            prices = [None if arc.tolled else p for arc, p in zip(network.arcs, prices)]
-        dist = cache[target] = tuple(_distances(network, target, prices))
-    return dist
-
-
-def zero_distances(network: Network, target: Node) -> tuple[Optional[int], ...]:
-    """Integer zero-toll cost of the cheapest path from every node to ``target``.
-
-    Swept once per destination per network (see :func:`_cached_distances`).
-    Path enumeration uses these distances as its A* potential and
-    :func:`~tollgate.bigm.compute_bigm` as ``lam_lo``.
-    """
-    return _cached_distances(network, target)
 
 
 def _search(
@@ -226,5 +162,5 @@ def distances_to(
     scale = network.scale
     return {
         node: INFINITY if value is None else Fraction(value, scale)
-        for node, value in enumerate(_distances(network, target, prices))
+        for node, value in enumerate(network.sweep(target, prices))
     }

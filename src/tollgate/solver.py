@@ -349,15 +349,18 @@ class ScipyBackend:
         assignment: dict[str, float] = {}
         objective = None
         bound = None
+        # A MIP ended optimal or at a limit keeps HiGHS's dual bound, with or
+        # without an incumbent.
+        ended = status in (STATUS_OPTIMAL, STATUS_BUDGET)
+        if is_mip and ended and math.isfinite(info.mip_dual_bound):
+            bound = float(info.mip_dual_bound)
         if has_point:
             values = highs.getSolution().col_value
             assignment = dict(zip(names, values))
             objective = math.fsum(cj * xj for cj, xj in zip(c, values))
             if status == STATUS_BUDGET:
                 status = STATUS_FEASIBLE  # incumbent in hand, optimality unproven
-            if is_mip and math.isfinite(info.mip_dual_bound):
-                bound = float(info.mip_dual_bound)
-            elif status == STATUS_OPTIMAL:
+            if bound is None and status == STATUS_OPTIMAL:
                 bound = objective
         mip_nodes = max(0, int(info.mip_node_count)) if is_mip else 0
         highs.clearModel()

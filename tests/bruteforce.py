@@ -806,11 +806,12 @@ def _named_block(model: ModelIR, b: _NamedBlock, bigm: BigMParams, paper_exact: 
 
     def cs_rows() -> None:
         if kind.dual_rep == ARC:
+            lam_lo, lam_hi = bigm.lam_lo[k], bigm.lam_hi[k]
             for arc in net.arcs:
-                r_val = bigm.r_value(
-                    k, arc.cost, arc.tolled,
-                    b.graph.node_origin[arc.tail], b.graph.node_origin[arc.head],
-                )
+                # The bound at the arc's original endpoints, from its definition.
+                tail, head = b.graph.node_origin[arc.tail], b.graph.node_origin[arc.head]
+                rise = lam_hi[head] - lam_lo[tail] + (bigm.N if arc.tolled else 0)
+                r_val = arc.cost + Fraction(rise, bigm.scale)
                 terms = b.arc_dual_terms(arc) + [(-r_val, name) for name in b.users(arc)]
                 tag = f"lin-cs-{b.suffix}{1 if arc.tolled else 2}[{k},{arc.index}]"
                 model.add_constraint(tag, terms, ">=", arc.cost - r_val)

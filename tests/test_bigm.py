@@ -6,14 +6,15 @@ two shortest-path sweeps: zero-toll distances to the destination give the
 lower potentials, cap-inflated distances the upper ones.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import scaled_bigm
-from tollgate.bigm import compute_bigm
+from tollgate.bigm import BuildError, compute_bigm
 from tollgate.network import Arc, Commodity, InstanceError, Network
-from tollgate.shortest_path import zero_distances
+from tollgate.preprocess import ReducedGraph
 
 LAM_LO = {0: 3, 1: 2, 2: 1, 3: 2, 4: 0}
 LAM_HI = {0: 10, 1: 3, 2: 4, 3: 2, 4: 0}
@@ -34,23 +35,36 @@ def test_potential_bounds(fig_bigm):
 
 
 def test_dual_slack_bounds(fig, fig_bigm):
-    assert {
-        arc.index: fig_bigm.r_value(0, arc.cost, arc.tolled, arc.tail, arc.head)
-        for arc in fig.network.arcs
-    } == R_BY_ARC
+    graph = ReducedGraph.identity(fig.network)
+    assert dict(enumerate(fig_bigm.arc_slack_bounds(0, graph))) == R_BY_ARC
 
 
-def test_r_value_matches_table(fig, fig_bigm):
-    for arc in fig.network.arcs:
-        assert (
-            fig_bigm.r_value(0, arc.cost, arc.tolled, arc.tail, arc.head)
-            == R_BY_ARC[arc.index]
-        )
+def test_arc_slack_bounds_on_a_contracted_graph(fig, fig_bigm):
+    # Bypass node 3: the toll-free chain 2->3->4 becomes one arc of cost 4
+    # between reduced nodes 2 and 3 (original 4), bounded at the chain's
+    # original endpoints: 4 - lam_lo[2] + lam_hi[4] = 3.
+    kept = (0, 1, 2, 5, 6)
+    node_origin = (0, 1, 2, 4)
+    reduced = {orig: red for red, orig in enumerate(node_origin)}
+    arcs = [
+        Arc(pos, reduced[a.tail], reduced[a.head], a.cost, a.tolled)
+        for pos, a in enumerate(fig.network.arc(aid) for aid in kept)
+    ]
+    arcs.append(Arc(len(arcs), 2, 3, Fraction(4), False))
+    arc_origin = tuple((aid,) for aid in kept) + ((3, 4),)
+    contracted = ReducedGraph(Network(4, arcs), fig.network, node_origin, arc_origin)
+    expected = [R_BY_ARC[aid] for aid in kept] + [3]
+    assert fig_bigm.arc_slack_bounds(0, contracted) == expected
 
 
-def test_r_value_unreachable_endpoint_raises(fig_bigm):
-    with pytest.raises(KeyError):
-        fig_bigm.r_value(0, Fraction(1), False, 0, 99)
+def test_arc_slack_bounds_unreachable_endpoint_raises(fig, fig_bigm):
+    # Mark node 1 unreachable: the first arc that touches it is 0->1.
+    row = list(fig_bigm.lam_hi[0])
+    row[1] = None
+    cut = replace(fig_bigm, lam_hi=(tuple(row),))
+    message = r"^commodity 0: arc 0->1 has no finite dual slack bound"
+    with pytest.raises(BuildError, match=message):
+        cut.arc_slack_bounds(0, ReducedGraph.identity(fig.network))
 
 
 def test_path_slack_bounds(fig_bigm):
@@ -69,9 +83,8 @@ def test_dead_arcs_carry_no_r_bound(fig):
     arcs = list(net.arcs) + [Arc(7, 1, 5, Fraction(1), False)]
     widened = Network(6, arcs)
     params = compute_bigm(widened, fig.commodities)
-    dead = widened.arc(7)
-    with pytest.raises(KeyError):
-        params.r_value(0, dead.cost, dead.tolled, dead.tail, dead.head)
+    with pytest.raises(BuildError, match=r"^commodity 0: arc 1->5 has no finite"):
+        params.arc_slack_bounds(0, ReducedGraph.identity(widened))
     assert params.lam_lo[0][5] is None
 
 
@@ -84,7 +97,7 @@ def test_multi_commodity_caps_take_the_max(fig):
     assert params.m_value(1) == 1
     # One destination: both commodities share its distance rows, and the
     # zero-toll row is the network's cached sweep.
-    assert params.lam_lo[0] is params.lam_lo[1] is zero_distances(fig.network, 4)
+    assert params.lam_lo[0] is params.lam_lo[1] is fig.network.zero_toll_row(4)
     assert params.lam_hi[0] is params.lam_hi[1]
 
 
@@ -103,9 +116,9 @@ def test_scaled_multiplies_only_big_ms(fig, fig_bigm, fig_bfset):
     assert doubled.toll_cap == 14
     assert doubled.m_value(0) == 14
     # The dual slack bound grows only through the toll cap it contains.
+    bounds = doubled.arc_slack_bounds(0, ReducedGraph.identity(fig.network))
     for aid, expected in ((0, 8 + 7), (3, 3)):
-        arc = fig.network.arc(aid)
-        assert doubled.r_value(0, arc.cost, arc.tolled, arc.tail, arc.head) == expected
+        assert bounds[aid] == expected
     assert doubled.s_value(0, fig_bfset.paths[1], 1) == 16
     assert doubled.lam_lo == fig_bigm.lam_lo
     assert doubled.L_lo == fig_bigm.L_lo

@@ -117,9 +117,9 @@ def test_capped_run_is_a_prefix_and_stops_once_truncated(topology, monkeypatch):
                         # above the toll-free cost cannot stop early.
                         with monkeypatch.context() as hidden:
                             hidden.setattr(
-                                enumeration,
-                                "_cached_distances",
-                                lambda network, *_, **__: (0,) * network.num_nodes,
+                                Network,
+                                "toll_free_row",
+                                lambda network, target: (0,) * network.num_nodes,
                             )
                             plain, plain_searches = run(net, com, cap)
                         assert len(plain.paths) == cap

@@ -293,6 +293,20 @@ def test_unknown_preprocess_rejected(fig, fig_enum, fig_bigm):
         build_single(fig, "STD", fig_bigm, [fig_enum], preprocess="magic")
 
 
+def test_unbounded_dual_slack_is_a_build_error(fig):
+    # A dead-end arc 1->5: node 5 cannot reach the destination, so on the
+    # unreduced graph the arc's dual slack has no finite bound.
+    arcs = list(fig.network.arcs) + [Arc(7, 1, 5, Fraction(1), False)]
+    widened = ProblemInstance(Network(6, arcs), fig.commodities, "dead-end")
+    message = (
+        "commodity 0: arc 1->5 has no finite dual slack bound "
+        "(an endpoint cannot reach the destination)"
+    )
+    with pytest.raises(BuildError) as caught:
+        fixture_model(widened, "CS1", preprocess="none")
+    assert str(caught.value) == message
+
+
 def test_hybrid_roles_split_by_breakpoint(fig, fig_bigm):
     inst, enums = three_role_instance(fig)
     bigm = compute_bigm(

@@ -10,14 +10,16 @@ formulas of :mod:`tollgate.bigm`'s docstring.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from tollgate.bigm import BigMParams, compute_bigm
+from tollgate.bigm import BigMParams, BuildError, compute_bigm
 from tollgate.enumeration import enumerate_paths, perturb_costs
 from tollgate.generator import GenConfig, generate, parse_topology
 from tollgate.network import Arc, Network, ProblemInstance
+from tollgate.preprocess import ReducedGraph
 
 from bruteforce import all_simple_paths, fraction_distances, path_cost, tolled_part
 from conftest import scaled_bigm
@@ -185,19 +187,25 @@ def test_compute_bigm_matches_a_fraction_reference(perturbed):
         for pos, path in enumerate(bfset.paths):
             expected = reference["S"][(k, pos)]
             assert params.s_value(k, path) == params.s_value(k, path, pos) == expected
+    graph = ReducedGraph.identity(net)
     for k in range(len(commodities)):
-        for arc in net.arcs:
-            args = (k, arc.cost, arc.tolled, arc.tail, arc.head)
-            if (k, arc.index) in R:
-                assert params.r_value(*args) == R[(k, arc.index)]
-            else:
-                with pytest.raises(KeyError):
-                    params.r_value(*args)
+        unbounded = [arc for arc in net.arcs if (k, arc.index) not in R]
+        if not unbounded:
+            expected = [R[(k, arc.index)] for arc in net.arcs]
+            assert params.arc_slack_bounds(k, graph) == expected
+        else:
+            first = unbounded[0]
+            with pytest.raises(BuildError, match=f"arc {first.tail}->{first.head} "):
+                params.arc_slack_bounds(k, graph)
 
 
-def test_r_value_cap_follows_scaled(fig, fig_bigm):
+def test_arc_slack_bound_cap_follows_scaled(fig, fig_bigm):
     tripled = scaled_bigm(fig_bigm, 3)
-    arc = fig.network.arc(0)
-    base = fig_bigm.r_value(0, arc.cost, False, arc.tail, arc.head)
-    assert fig_bigm.r_value(0, arc.cost, True, arc.tail, arc.head) == base + 7
-    assert tripled.r_value(0, arc.cost, True, arc.tail, arc.head) == base + 21
+    # Arc 0 as it is (tolled), and the same network with arc 0 toll-free.
+    graph = ReducedGraph.identity(fig.network)
+    free = Network(
+        5, [replace(a, tolled=False) if a.index == 0 else a for a in fig.network.arcs]
+    )
+    base = fig_bigm.arc_slack_bounds(0, ReducedGraph.identity(free))[0]
+    assert fig_bigm.arc_slack_bounds(0, graph)[0] == base + 7
+    assert tripled.arc_slack_bounds(0, graph)[0] == base + 21

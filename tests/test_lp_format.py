@@ -457,9 +457,10 @@ SWEEP_LP_SHA256 = {
 
 
 # Main kinds that read the big-M distance rows: CS1 (arc duals, through
-# ``r_value``) and PACS2 (path duals, through the stored path bounds), at
-# breakpoint 8 on both sweep topologies, 40 commodities perturbed at seed 0,
-# fallback STD.  Recorded before the big-M constants were stored as integers.
+# ``arc_slack_bounds``) and PACS2 (path duals, through the stored path
+# bounds), at breakpoint 8 on both sweep topologies, 40 commodities
+# perturbed at seed 0, fallback STD.  Recorded before the big-M constants
+# were stored as integers.
 SWEEP_CS_LP_SHA256 = {
     ("grid:5x12", "CS1"): "3331b8bc84407b203b9665983df0fda96793fe8ae3140abd50239173b000952d",
     ("grid:5x12", "PACS2"): "51b9944156e4c417827200674300dc0eafed7879c132e30708ee7dd5e32d3aca",

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import raw_sweep_instance
+from tollgate.bigm import compute_bigm
+from tollgate.enumeration import enumerate_paths
 from tollgate.network import (
     Arc,
     Commodity,
@@ -115,6 +118,41 @@ def test_validate_requires_toll_free_route():
     bad = ProblemInstance(Network(2, arcs), (Commodity(0, 1, Fraction(1)),))
     with pytest.raises(InstanceError, match="toll-free"):
         validate_instance(bad)
+
+
+def test_one_toll_free_row_serves_validation_bigm_and_enumeration(monkeypatch):
+    text = serialize_instance(raw_sweep_instance("grid:5x12"))
+    # Every toll-free sweep, and every toll-free row read, as (target, row).
+    swept, read = [], []
+    sweep, row_of = Network.sweep, Network.toll_free_row
+
+    def spy_sweep(self, target, prices):
+        row = sweep(self, target, prices)
+        if None in prices:
+            swept.append((target, row))
+        return row
+
+    def spy_read(self, target):
+        row = row_of(self, target)
+        read.append((target, row))
+        return row
+
+    monkeypatch.setattr(Network, "sweep", spy_sweep)
+    instance = parse_instance(text)
+    net = instance.network
+    validated = dict(swept)
+    assert len(validated) == len(swept)
+    assert set(validated) == {com.destination for com in instance.commodities}
+    monkeypatch.setattr(Network, "toll_free_row", spy_read)
+    compute_bigm(net, instance.commodities)
+    by_bigm = list(read)
+    for k, com in enumerate(instance.commodities):
+        enumerate_paths(net, com, cap=2, commodity_index=k)
+    by_enumeration = read[len(by_bigm):]
+    assert by_bigm and by_enumeration
+    assert all(row is validated[target] for target, row in read)
+    # Neither big-M nor enumeration swept a toll-free row again.
+    assert len(swept) == len(validated)
 
 
 def test_serialize_parse_round_trip(fig):

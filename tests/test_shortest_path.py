@@ -18,11 +18,9 @@ from tollgate.network import Arc, Commodity, Network
 from tollgate.shortest_path import (
     INFINITY,
     ExclusionSet,
-    _distances,
     _search,
     distances_to,
     shortest_path,
-    zero_distances,
 )
 
 from bruteforce import all_simple_paths, fraction_distances
@@ -119,7 +117,7 @@ def test_goal_directed_search_matches_the_zero_potential_search():
     # as their potential; ties must still break as without one.
     net = unit_grid(6, 6)
     target = net.num_nodes - 1
-    potential = _distances(net, target, net.int_costs)
+    potential = net.sweep(target, net.int_costs)
     zero = [0] * net.num_nodes
     rng = random.Random(11)
     found = 0
@@ -135,7 +133,7 @@ def test_goal_directed_search_matches_the_zero_potential_search():
 def test_search_picks_the_least_cost_then_least_arc_sequence():
     net = unit_grid(4, 4)
     target = net.num_nodes - 1
-    potential = _distances(net, target, net.int_costs)
+    potential = net.sweep(target, net.int_costs)
     rng = random.Random(5)
     for _ in range(60):
         source = rng.randrange(target)
@@ -177,26 +175,41 @@ def test_distances_to_avoids_excluded_nodes():
 @pytest.mark.parametrize("topology", ["grid:5x12", "delaunay:60"])
 def test_cached_distances_equal_a_fresh_sweep(topology):
     net = sweep_instance(topology).network
+    free_prices = [None if a.tolled else p for a, p in zip(net.arcs, net.int_costs)]
     for target in range(net.num_nodes):
-        cached = zero_distances(net, target)
+        cached = net.zero_toll_row(target)
         assert type(cached) is tuple
-        assert list(cached) == _distances(net, target, net.int_costs)
-        assert zero_distances(net, target) is cached
+        assert cached == net.sweep(target, net.int_costs)
+        assert net.zero_toll_row(target) is cached
+        free = net.toll_free_row(target)
+        assert type(free) is tuple
+        assert free == net.sweep(target, free_prices)
+        assert net.toll_free_row(target) is free
 
 
 @pytest.mark.parametrize("topology", ["grid:5x12", "delaunay:60"])
-def test_enumeration_and_bigm_share_one_sweep_per_destination(topology):
+def test_enumeration_and_bigm_share_one_sweep_per_destination(topology, monkeypatch):
     instance = sweep_instance(topology)
     net = instance.network
     destinations = {com.destination for com in instance.commodities}
     assert len(destinations) < len(instance.commodities)
+    # The targets of the zero-toll sweeps, in call order.
+    zero_swept = []
+    sweep = Network.sweep
+
+    def spy(self, target, prices):
+        if prices is self.int_costs:
+            zero_swept.append(target)
+        return sweep(self, target, prices)
+
+    monkeypatch.setattr(Network, "sweep", spy)
     for k, com in enumerate(instance.commodities):
         enumerate_paths(net, com, cap=9, commodity_index=k)
-    swept = dict(net._zero_distances)
-    assert set(swept) == destinations
+    assert sorted(zero_swept) == sorted(destinations)
+    swept = {d: net.zero_toll_row(d) for d in destinations}
     params = compute_bigm(net, instance.commodities)
-    assert net._zero_distances == swept
-    assert all(net._zero_distances[d] is swept[d] for d in destinations)
+    assert sorted(zero_swept) == sorted(destinations)
+    assert all(net.zero_toll_row(d) is swept[d] for d in destinations)
     # Every commodity's rows are its destination's sweeps, checked against
     # Fraction sweeps with tolled arcs at cost + cap and unusable.
     cap = params.toll_cap
@@ -210,7 +223,7 @@ def test_enumeration_and_bigm_share_one_sweep_per_destination(topology):
     for k, com in enumerate(instance.commodities):
         dest = com.destination
         capped, free = rows[dest]
-        assert params.lam_lo[k] is net._zero_distances[dest]
+        assert params.lam_lo[k] is swept[dest]
         hi = [None if v is None else Fraction(v, net.scale) for v in params.lam_hi[k]]
         assert dict(enumerate(hi)) == capped
         assert params.L_lo[k] == distances_to(net, dest)[com.origin]

@@ -13,6 +13,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,6 +97,54 @@ def test_scipy_backend_zero_budget_returns_no_point():
     assert res.objective is None
     assert res.best_bound is None
     assert res.assignment == {}
+
+
+class _TimedOutHighs:
+    """A HiGHS stand-in whose solves stop at the time limit with no incumbent
+    and a finite dual bound."""
+
+    def __init__(self, dual_bound):
+        self.dual_bound = dual_bound
+        self.lp = None
+
+    def setOptionValue(self, key, value):
+        return _highs.HighsStatus.kOk
+
+    def passModel(self, lp):
+        self.lp = lp
+        return _highs.HighsStatus.kOk
+
+    def getNumNz(self):
+        return len(self.lp.a_matrix_.value_)
+
+    def run(self):
+        return _highs.HighsStatus.kWarning
+
+    def getModelStatus(self):
+        return _highs.HighsModelStatus.kTimeLimit
+
+    def getInfo(self):
+        return SimpleNamespace(
+            objective_function_value=math.inf,
+            mip_dual_bound=self.dual_bound,
+            mip_node_count=0,
+        )
+
+    def clearModel(self):
+        self.lp = None
+
+
+def test_scipy_backend_keeps_the_dual_bound_without_an_incumbent(monkeypatch):
+    # The solve hands its HiGHS instance back to the thread: restore the
+    # thread's own one afterwards.
+    monkeypatch.setattr(solver._per_thread, "highs", None, raising=False)
+    monkeypatch.setattr(solver, "_take_highs", lambda: _TimedOutHighs(9.5))
+    res = ScipyBackend().solve(knapsack_model(), budget=30)
+    assert res.status == "budget-exhausted"
+    assert res.objective is None
+    assert res.assignment == {}
+    assert res.best_bound == 9.5
+    assert res.gap is None
 
 
 def test_scipy_backend_counts_branch_and_bound_nodes(fig, fig_enum, fig_bigm):
