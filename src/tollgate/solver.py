@@ -2,13 +2,7 @@
 
 Two backends ship by default.  ``ScipyBackend`` drives the HiGHS solver
 bundled with scipy in-process, through scipy's private binding
-``scipy.optimize._highspy._core``, and needs no external setup.  It
-switches HiGHS's sub-MIP heuristics (RINS, RENS, root reduced cost and
-feasibility jump) off.  The models here are small: over the 326 solves of
-the 25 grid gate instances the median has 12 binaries, 37 columns and 42
-rows, and the largest 47 binaries.  On them those heuristics took most of
-HiGHS's time; switching them off took those solves from 25-26 s to 6-7 s
-of HiGHS time (2-core machine) with the same optima.
+``scipy.optimize._highspy._core``, and needs no external setup.
 ``scipy.optimize.milp`` passes only a few options to HiGHS, so the backend
 uses the binding directly.  :func:`_load_highs` loads that extension module
 from scipy's directory without running ``scipy.optimize``'s package
@@ -19,17 +13,48 @@ binding loads it itself on the first solve.  The constraint matrix goes
 row-wise, as :class:`ModelIR` stores it, and HiGHS builds the columns
 itself: on the 301 models of a gate25 pass at seed 0 that gives the same
 objective, node count and column values, bit for bit, as handing it
-columns.  HiGHS also applies MIP presolve at the root node only
-(``mip_root_presolve_only``): over those 301 models its run time fell from
-a median of 1.27 s to 0.92 s (9 interleaved repeats, 2-core machine), the
-node count went from 279 to 287, and every model was still solved to
-optimality with the same optimum up to 1.3e-15 relative.  HiGHS drops
-coefficients below its ``small_matrix_value`` (1e-9); the backend logs a
-warning with their count when it does.  HiGHS writes some debug lines to
-file descriptor 1 whatever ``output_flag`` says, so fd 1 points at the
-null device while HiGHS runs; otherwise they land inside the CSV that
-``tollgate sweep`` writes to stdout.  The null device is opened once, and
-its descriptor kept open for the process.
+columns.
+
+Every solve runs under one fixed option table, :data:`_HIGHS_OPTIONS`.
+The models are small: over those 301 solves the median has 11 binaries,
+35 columns and 41 rows, and the largest 47 binaries.  HiGHS's defaults
+suit larger MIPs.  Besides silence and a zero gap, each entry of the table
+switches down something that cost these models more time than it saved,
+measured on a 2-core machine with the same optima:
+
+- The sub-MIP heuristics (RINS, RENS, root reduced cost and feasibility
+  jump) are off.  They took most of HiGHS's time on the gate suite;
+  switching them off took its solves from 25-26 s to 6-7 s of HiGHS time.
+- MIP presolve runs at the root node only (``mip_root_presolve_only``).
+  Over the 301 models HiGHS's run time fell from a median of 1.27 s to
+  0.92 s (9 interleaved repeats), with the same optimum up to 1.3e-15
+  relative.
+- The root is not restarted (``mip_allow_restart``) and reliability
+  branching does no strong-branching warm-up (``mip_pscost_minreliable``
+  0).  HiGHS restarts the root once presolve can fix enough of the
+  integer columns, and strong-branches each column until its pseudocosts
+  are reliable; on these models both cost more than they save.  Timed
+  alone on the 301 models (best of 3 per model), ``run`` took 735 ms in
+  total, 11.7 ms for the 11th slowest model and 14.2 ms for the slowest
+  before; with no restart 717, 9.3 and 12.8 ms; with no warm-up 721,
+  11.4 and 13.6 ms; with both 674, 9.0 and 11.5 ms.  The node count rose
+  from 287 to 777, and every model kept its status and optimum, up to
+  2.8e-15 relative.  On 6x6 grids with 8 commodities (seeds 0-5, all
+  twelve kinds, breakpoint 4000), where several kinds branch, the 72
+  runs of ``run_one`` took 3.7-3.8 s instead of 5.5 s, and the slowest
+  solve 0.23 s instead of 0.64-0.67 s.
+
+Presolve itself stays on.  Switched off on top of the table, it made the
+median of the 301 models faster (0.79 to 0.59 ms) but the slowest slower
+(11.5 to 22.9 ms).  Switched off instead of the two options above, it
+left the 6x6 grids at 5.3-6.2 s.
+
+HiGHS drops coefficients below its ``small_matrix_value`` (1e-9); the
+backend logs a warning with their count when it does.  HiGHS writes some
+debug lines to file descriptor 1 whatever ``output_flag`` says, so fd 1
+points at the null device while HiGHS runs; otherwise they land inside the
+CSV that ``tollgate sweep`` writes to stdout.  The null device is opened
+once, and its descriptor kept open for the process.
 
 Each thread solves on one HiGHS instance of its own, made on the thread's
 first solve and given the fixed options then.  A solve sets only its time
@@ -184,10 +209,11 @@ def _model_arrays(model: ModelIR):
 
 
 # HiGHS options of every solve besides its time limit: silent, a MIP solved
-# to a zero gap, the sub-MIP heuristics off, because on models this small
-# they cost more time than they save, and MIP presolve at the root node
-# only, which took HiGHS's time on the 301 gate25 seed-0 models from 1.27 s
-# to 0.92 s with the same optima (see the module docstring).
+# to a zero gap, and HiGHS's machinery for large MIPs switched down, since
+# on models this small it costs more time than it saves: the sub-MIP
+# heuristics off, MIP presolve at the root node only, no root restart and
+# no strong-branching warm-up.  The module docstring gives the measurement
+# behind each entry, and why presolve stays on.
 _HIGHS_OPTIONS = {
     "output_flag": False,
     "mip_rel_gap": 0.0,
@@ -196,6 +222,8 @@ _HIGHS_OPTIONS = {
     "mip_heuristic_run_root_reduced_cost": False,
     "mip_heuristic_run_feasibility_jump": False,
     "mip_root_presolve_only": True,
+    "mip_allow_restart": False,
+    "mip_pscost_minreliable": 0,
 }
 
 # Statuses under which HiGHS may hold a MIP incumbent without a proof.
@@ -302,10 +330,12 @@ class ScipyBackend:
     """HiGHS in-process, through the binding bundled with scipy.
 
     The model goes to HiGHS as one ``HighsLp`` that maximizes the model's
-    objective, solved under fixed options with the sub-MIP heuristics off
-    and the budget as HiGHS's time limit.  Each thread solves on its own
-    HiGHS instance (:func:`_take_highs`), which keeps its options between
-    solves and holds no model between them.
+    objective, solved under the fixed options of :data:`_HIGHS_OPTIONS`
+    (sub-MIP heuristics, root restarts and the strong-branching warm-up
+    off, presolve at the root node only) and the budget as HiGHS's time
+    limit.  Each thread solves on its own HiGHS instance
+    (:func:`_take_highs`), which keeps its options between solves and
+    holds no model between them.
     """
 
     name = "scipy-highs"

@@ -131,6 +131,35 @@ def test_sweep_matches_oracle(tiny_instances):
         assert rec.objective == pytest.approx(expected, rel=1e-6)
 
 
+class _NodeCounter(solver.ScipyBackend):
+    """HiGHS as usual, adding up the branch-and-bound nodes of its solves."""
+
+    def __init__(self):
+        self.nodes = 0
+
+    def solve(self, model, budget=solver.DEFAULT_BUDGET):
+        result = super().solve(model, budget)
+        self.nodes += result.mip_nodes
+        return result
+
+
+def test_every_kind_agrees_on_a_model_that_branches():
+    # The gate suite's models are mostly solved at the root node; a 6x6
+    # grid with 8 commodities branches under some kinds, and every kind
+    # must still reach the same proven optimum there.
+    instance = generate(GenConfig(("grid", (6, 6)), 8, seed=0))
+    records, nodes = [], []
+    for kind in ALL_KINDS:
+        backend = _NodeCounter()
+        records.append(run_one(instance, kind, 4000, budget=60, backend=backend))
+        nodes.append(backend.nodes)
+    assert [r.status for r in records] == ["optimal"] * len(ALL_KINDS)
+    best = records[0].objective
+    for rec in records:
+        assert rec.objective == pytest.approx(best, rel=1e-6), rec.kind
+    assert max(nodes) > 1
+
+
 def _assert_one_enum_time_per_cell(records):
     by_cell = {}
     for rec in records:

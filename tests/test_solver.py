@@ -564,6 +564,29 @@ def test_a_rejected_model_leaves_the_next_solve_correct(fig):
     assert _solved(after) == _solved(fresh)
 
 
+def test_thread_instance_holds_every_option_of_the_table():
+    # Read back from HiGHS after a solve, each option has the table's value
+    # and type: an option that HiGHS renames, or re-types so that it takes
+    # the table's value as another one, fails here.
+    def solve_and_read():
+        ScipyBackend().solve(knapsack_model(), budget=30)
+        highs = _thread_instance()
+        return {key: highs.getOptionValue(key) for key in solver._HIGHS_OPTIONS}
+
+    read = _on_a_new_thread(solve_and_read)
+    ok = _highs.HighsStatus.kOk
+    for key, value in solver._HIGHS_OPTIONS.items():
+        status, held = read[key]
+        assert status == ok, key
+        assert (type(held), held) == (type(value), value), key
+
+
+def test_an_unknown_option_in_the_table_names_it(monkeypatch):
+    monkeypatch.setitem(solver._HIGHS_OPTIONS, "tollgate_no_such_option", 1)
+    with pytest.raises(SolverError, match="rejected option tollgate_no_such_option=1"):
+        _on_a_new_thread(lambda: ScipyBackend().solve(knapsack_model(), budget=30))
+
+
 def test_threaded_sweep_equals_the_serial_one(suite25):
     # Each worker thread solves on its own HiGHS instance; the records must
     # be the serial sweep's, all but the timings.  Each sweep gets copies,
