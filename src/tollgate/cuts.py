@@ -23,7 +23,8 @@ import time
 from typing import Optional
 
 from .enumeration import ConsistencyError
-from .formulations import HybridModel, _Block, _path_slack, _RowBuffer
+from .formulations import HybridModel, _Block, _path_slack
+from .model_ir import RowBlock
 from .network import Arc
 from .solver import (
     DEFAULT_BUDGET,
@@ -116,14 +117,14 @@ def _commodity_cut(
     if not lit:
         raise ConsistencyError(f"commodity {k}: no flow in the solution")
     cycle, routed = _first_cycle_or_path(lit, block.origin, block.dest, k)
-    row = _RowBuffer()
+    row = RowBlock()
 
     if cycle is not None:
         banned = context.cut_cycles.setdefault(k, set())
         tag = f"cut-cycle[{k},{len(banned)}]"
         cols = [flows[arc.index] for arc in cycle]
         row.add(tag, cols, [1] * len(cols), "<=", len(cycle) - 1)
-        row.add_to(context.ir)
+        context.ir.add_block(row)
         banned.add(tuple(sorted(arc.index for arc in cycle)))
         return tag
 
@@ -137,7 +138,7 @@ def _commodity_cut(
     tag = f"lin-cs-ap[{k},cut{len(cut)}]"
     uses = [flows[rid] for rid in path.arcs]
     _path_slack(row, tag, path, s_val, block.duals[0], block.tolls, uses)
-    row.add_to(context.ir)
+    context.ir.add_block(row)
     cut.add(arcs)
     return tag
 

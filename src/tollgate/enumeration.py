@@ -20,14 +20,19 @@ stopping point.  Costs may tie: no perturbation is needed.
 
 This is Lawler's scheme for the K best solutions (Management Science, 1972),
 and it emits paths in cost order: every pending candidate strictly cheaper
-than the cheapest toll-free path is emitted before that path.  A capped run
-uses this to stop as soon as those candidates and the paths already emitted
+than the cheapest toll-free path is emitted before that path, and none
+dearer than it.  So every spur search is bounded by the toll-free cost
+less the pinned prefix's cost: a replacement dearer than that could only
+make a candidate that is never emitted, and the search skips every label
+that cannot beat it.  A capped run also stops as soon as the candidates
+strictly cheaper than the toll-free cost and the paths already emitted
 fill its cap, since its set is then certain to be truncated.
 
 Both per-destination rows an enumeration reads come from the network's
 caches: the zero-toll row (:meth:`Network.zero_toll_row`) is the A*
 potential of every spur search, and the toll-free row
-(:meth:`Network.toll_free_row`) gives a capped run its stopping cost.
+(:meth:`Network.toll_free_row`) gives every run its bound and a capped
+run its stopping cost.
 """
 
 from __future__ import annotations
@@ -154,9 +159,9 @@ def enumerate_paths(
     cost reach ``cap``, since each of those candidates comes before any
     toll-free path.  Either way its paths are a prefix of the uncapped
     run's, in the same order.  The toll-free cost is read from
-    :meth:`Network.toll_free_row` only once the paths emitted plus all
-    pending candidates reach ``cap``; on a network that came through
-    instance validation, that row is already swept.
+    :meth:`Network.toll_free_row` once, up front, and bounds every search
+    (see the module docstring); on a network that came through instance
+    validation, that row is already swept.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1 (or None for unbounded)")
@@ -165,7 +170,11 @@ def enumerate_paths(
     # Every search runs toward ``dest``, so its exact zero-toll distances
     # are an A* potential for all of them (see shortest_path).
     potential = network.zero_toll_row(dest)
-    first = _search(network, origin, dest, NO_EXCLUSIONS, potential)
+    # No candidate dearer than the origin's toll-free cost can come before
+    # the toll-free path, so no search looks for one.
+    found = network.toll_free_row(dest)[origin]
+    free = math.inf if found is None else found
+    first = _search(network, origin, dest, NO_EXCLUSIONS, potential, free)
     if first is None:
         raise ConsistencyError(f"no path from {origin} to {dest}")
 
@@ -182,28 +191,21 @@ def enumerate_paths(
     ]
 
     emitted: list[Path] = []
-    # The origin's toll-free cost, read once the cap is within reach, and
-    # the number of pending candidates strictly cheaper than it.
-    free: Optional[float] = None
-    below = 0
+    # The number of pending candidates strictly cheaper than the toll-free cost.
+    below = int(first[0] < free)
     while heap:
         cost, arcs, _, spur_pos, banned = heapq.heappop(heap)
-        if free is not None and cost < free:
+        if cost < free:
             below -= 1
         nodes = (origin,) + tuple(heads[a] for a in arcs)
         tolled_set = frozenset(a for a in arcs if tolled[a])
         emitted.append(Path(arcs, nodes, Fraction(cost, scale), tolled_set))
         if not tolled_set:
             break
-        if cap is not None:
-            if free is None and len(emitted) + len(heap) >= cap:
-                found = network.toll_free_row(dest)[origin]
-                free = math.inf if found is None else found
-                below = sum(1 for entry in heap if entry[0] < free)
-            # Every candidate counted in ``below`` comes before the toll-free
-            # path, so with the cap reached the run spawns no more children.
-            if len(emitted) + below >= cap:
-                break
+        # Every candidate counted in ``below`` comes before the toll-free
+        # path, so with the cap reached the run spawns no more children.
+        if cap is not None and len(emitted) + below >= cap:
+            break
 
         prefix_costs = [0]
         for aid in arcs:
@@ -224,10 +226,11 @@ def enumerate_paths(
                 dest,
                 ExclusionSet(arcs=child_banned, nodes=frozenset(nodes[:spur])),
                 potential,
+                free - prefix_costs[spur],
             )
             if replacement is not None:
                 child_cost = prefix_costs[spur] + replacement[0]
-                if free is not None and child_cost < free:
+                if child_cost < free:
                     below += 1
                 heapq.heappush(
                     heap,

@@ -13,23 +13,32 @@ case every name still refers to reduced arc ids except ``T`` and ``t``,
 which are keyed by the original tolled arc so that reduced and unreduced
 blocks price the same tolls.
 
-Rows are added a block of rows at a time, by column id, through
-:meth:`ModelIR.add_rows`.  What depends only on a working graph is built
-once per graph and kept on it (``_GraphPattern``): variable names and row
-tags as templates that take the commodity index, the arc costs, the flow
-balance and arc dual rows, and the direct and slackness rows of arc-flow
-blocks.  Their columns are slots: a potential, a toll, a revenue or a flow
-of the graph.  A ``_Block`` declares one commodity's variables and maps
-the slots to its model columns; the emitters copy each pattern through that
-table and patch only what depends on the commodity: the balance
-right-hand sides at origin and destination, the potentials in the value
-tie, the big-M values and the demand.  Every fallback block of a hybrid
-model shares the original graph's patterns, and every kind built from one
-hybrid plan shares the plan's.  Rows over feasible paths are gathered by
-column id one path at a time, and every path slackness row comes from
-:func:`_path_slack`.  One emitter per modelling choice writes rows: primal,
-dual, direct, slackness, and the value tie of route cost plus revenue
-against the dual objective.  Cut-loop blocks stay on the :class:`HybridModel`.
+Each commodity block gathers its rows in a :class:`RowBlock`, which the
+model adds in one :meth:`ModelIR.add_block` call.  What depends only on a
+working graph is built once per graph and kept on it (``_GraphPattern``):
+variable names and row tags as templates that take the commodity index,
+the arc costs, and the flow balance, arc dual, direct and slackness rows
+of arc-flow blocks as :class:`RowPattern` objects.  Their columns are
+slots: a potential, a toll, a revenue or a flow of the graph.  A
+``_Block`` declares one commodity's variables and maps the slots to its
+model columns; the emitters stamp each pattern through that table and
+patch only what depends on the commodity: the balance right-hand sides at
+origin and destination, the potentials in the value tie, the big-M values
+and the demand.  A path block's direct and slackness rows depend on its
+feasible paths too, and are kept per graph for the last paths read
+(``_PathPatterns``); an arc slackness block's coefficients and right-hand
+sides depend on the big-M constants and the commodity, and are kept per
+graph and commodity for the last constants read (:func:`_slack_constants`).
+Every fallback block of a hybrid model shares the original graph's
+patterns, and every kind built from one hybrid plan shares the plan's.
+The model checks a pattern once, when it is made, and each stamp of it
+only where copies differ (see :mod:`tollgate.model_ir`).  Rows over
+feasible paths are gathered by column id one path at a time, get every
+check of :meth:`ModelIR.add_rows`, and every path slackness row comes
+from :func:`_path_slack`.  One emitter per modelling choice writes rows:
+primal, dual, direct, slackness, and the value tie of route cost plus
+revenue against the dual objective.  Cut-loop blocks stay on the
+:class:`HybridModel`.
 Each commodity's modelling decision is one :class:`CommodityAssignment`:
 role, kind, working graph and feasible set.  Both builders,
 :func:`build_single` and :func:`assemble_hybrid`, only make the assignments
@@ -53,12 +62,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, pairwise
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .bigm import BigMParams, BuildError
 from .enumeration import BilevelFeasibleSet, EnumerationResult
-from .model_ir import Coef, ModelIR
+from .model_ir import Coef, ModelIR, RowBlock, RowPattern
 from .network import Arc, ArcId, Commodity, Network, Node, Path, ProblemInstance
 from .preprocess import ReducedGraph, path_based_reduce, spgm_transform
 
@@ -218,29 +226,14 @@ def _template(name: str) -> tuple[str, str]:
 
     The templates of every graph share their parts through ``_PARTS``.
     ``sys.intern`` would share them too, but the path kinds build some
-    patterns per block and drop them with it, so its table of interned
-    strings would fill with deleted entries and grow when it is rebuilt
-    (gate25 grew by 0.5-0.9 MB of memory at its eighth to tenth pass).
-    The parts are bounded by the row families times the largest graph.
+    patterns per feasible path set and drop them with it, so its table of
+    interned strings would fill with deleted entries and grow when it is
+    rebuilt (gate25 grew by 0.5-0.9 MB of memory at its eighth to tenth
+    pass).  The parts are bounded by the row families times the largest
+    graph.
     """
     before, after = name.split(_K)
     return _PARTS.setdefault(before, before), _PARTS.setdefault(after, after)
-
-
-class _RowPattern(NamedTuple):
-    """One family of a block's rows, for any commodity.
-
-    ``tags`` are templates (see :func:`_template`).  Row ``i`` takes the
-    next ``lengths[i]`` entries of ``cols``, which are slots (see
-    :class:`_GraphPattern`), and of ``coefs``, which are coefficients or, for
-    families whose coefficients change with the commodity, positions in a
-    table of them.
-    """
-
-    tags: list[tuple[str, str]]
-    lengths: list[int]
-    cols: list[int]
-    coefs: list
 
 
 # Positions in the coefficient tables: (1, -1, -M_k, N) of the direct rows,
@@ -251,7 +244,7 @@ _ONE, _MINUS_ONE, _NEG_M, _CAP = range(4)
 def _direct_rows(
     net: Network, side: str, users: Sequence[Sequence[int]], toll_slot: Mapping[ArcId, int],
     revenue: int, two_sided: bool,
-) -> _RowPattern:
+) -> RowPattern:
     """Tie each per-arc revenue ``t`` to ``T`` times the arc's usage.
 
     Per tolled arc: ``t - M_k·use <= 0`` and ``T - t + N·use <= N``, then,
@@ -277,7 +270,7 @@ def _direct_rows(
             lengths.append(2)
             cols += [t, toll]
             coefs += [_ONE, _MINUS_ONE]
-    return _RowPattern(tags, lengths, cols, coefs)
+    return RowPattern(tags, lengths, cols, coefs, positions=True)
 
 
 def _arc_dual(arc: Arc, toll_slot: Mapping[ArcId, int]) -> list[int]:
@@ -292,7 +285,7 @@ def _arc_dual(arc: Arc, toll_slot: Mapping[ArcId, int]) -> list[int]:
 
 def _slack_rows(
     net: Network, suffix: str, users: Sequence[Sequence[int]], toll_slot: Mapping[ArcId, int]
-) -> _RowPattern:
+) -> RowPattern:
     """Force the dual row of every used working arc to be tight.
 
     Per arc ``a``: ``lambda[tail] - lambda[head] - T - r_a·use >= cost -
@@ -310,7 +303,7 @@ def _slack_rows(
         lengths.append(len(slots) + len(use))
         cols += slots + use
         coefs += [_ONE, _MINUS_ONE, _MINUS_ONE][: len(slots)] + [2 + arc.index] * len(use)
-    return _RowPattern(tags, lengths, cols, coefs)
+    return RowPattern(tags, lengths, cols, coefs, positions=True)
 
 
 class _GraphPattern:
@@ -340,6 +333,22 @@ class _GraphPattern:
         self.flows = self.revenue + len(tolled)
         self.paths = self.flows + net.num_arcs
         self.toll_slot = {rid: self.tolls + j for j, rid in enumerate(tolled)}
+        # Per commodity: the big-M constants and the arc slackness constants
+        # made from them (see _slack_constants).
+        self.slack_constants: dict[int, tuple[BigMParams, list, list]] = {}
+        # The patterns of the last feasible paths a path block read here.
+        self.path_patterns: Optional[_PathPatterns] = None
+
+    def for_paths(self, paths: tuple[Path, ...]) -> _PathPatterns:
+        """The patterns of the path blocks over ``paths``, kept until other paths come.
+
+        On a plan's graphs every block reads the same paths, whatever its
+        kind.  Threads that build them at once can at worst build them twice.
+        """
+        held = self.path_patterns
+        if held is None or held.paths is not paths:
+            held = self.path_patterns = _PathPatterns(self, paths)
+        return held
 
     # The rest is built on first use: a path block reads none of it.
 
@@ -365,35 +374,35 @@ class _GraphPattern:
         return [arc.cost for arc in self.network.arcs]
 
     @cached_property
-    def balance(self) -> tuple[_RowPattern, dict[Node, int]]:
+    def balance(self) -> tuple[RowPattern, dict[Node, int]]:
         """Flow balance rows, out minus in, and each node's row position.
 
         Only nodes that an arc touches have a row.
         """
         net, flows = self.network, self.flows
-        rows = _RowPattern([], [], [], [])
+        tags, lengths, cols, coefs = [], [], [], []
         position: dict[Node, int] = {}
         for node in range(net.num_nodes):
             out, into = net.out_adj[node], net.in_adj[node]
             if out or into:
-                position[node] = len(rows.lengths)
-                rows.tags.append(_template(f"pa[{_K},{node}]"))
-                rows.lengths.append(len(out) + len(into))
-                rows.cols.extend([flows + aid for _, aid in out] + [flows + aid for _, aid in into])
-                rows.coefs.extend([1] * len(out) + [-1] * len(into))
-        return rows, position
+                position[node] = len(lengths)
+                tags.append(_template(f"pa[{_K},{node}]"))
+                lengths.append(len(out) + len(into))
+                cols += [flows + aid for _, aid in out] + [flows + aid for _, aid in into]
+                coefs += [1] * len(out) + [-1] * len(into)
+        return RowPattern(tags, lengths, cols, coefs), position
 
     @cached_property
-    def arc_dual(self) -> _RowPattern:
+    def arc_dual(self) -> RowPattern:
         """Per arc: the potential drop along it less its toll, at most its cost."""
-        rows = _RowPattern([], [], [], [])
+        tags, lengths, cols, coefs = [], [], [], []
         for arc in self.network.arcs:
             slots = _arc_dual(arc, self.toll_slot)
-            rows.tags.append(_template(f"da{1 if arc.tolled else 2}[{_K},{arc.index}]"))
-            rows.lengths.append(len(slots))
-            rows.cols.extend(slots)
-            rows.coefs.extend([1, -1, -1][: len(slots)])
-        return rows
+            tags.append(_template(f"da{1 if arc.tolled else 2}[{_K},{arc.index}]"))
+            lengths.append(len(slots))
+            cols += slots
+            coefs += [1, -1, -1][: len(slots)]
+        return RowPattern(tags, lengths, cols, coefs)
 
     @cached_property
     def flow_users(self) -> list[list[int]]:
@@ -401,7 +410,7 @@ class _GraphPattern:
         return [[self.flows + arc.index] for arc in self.network.arcs]
 
     @cached_property
-    def direct(self) -> dict[bool, _RowPattern]:
+    def direct(self) -> dict[bool, RowPattern]:
         """The direct rows of an arc-flow block, one-sided (False) and two-sided."""
         net = self.network
         return {
@@ -412,9 +421,44 @@ class _GraphPattern:
         }
 
     @cached_property
-    def slack(self) -> _RowPattern:
+    def slack(self) -> RowPattern:
         """The slackness rows of an arc-flow, arc-dual block."""
         return _slack_rows(self.network, "aa", self.flow_users, self.toll_slot)
+
+
+class _PathPatterns:
+    """The direct and slackness rows of the path blocks over one feasible path tuple.
+
+    ``users[a]`` holds the ``z`` slots of the paths through working arc
+    ``a``; the patterns are made from them on first use.  It keeps what it
+    reads of its graph's :class:`_GraphPattern`, not that object, which
+    holds it: a reference back would leave the pair to the cyclic collector.
+    """
+
+    def __init__(self, pattern: _GraphPattern, paths: tuple[Path, ...]) -> None:
+        self.paths = paths
+        self.network = net = pattern.network
+        self.toll_slot = pattern.toll_slot
+        self.revenue = pattern.revenue
+        self.users: list[list[int]] = [[] for _ in net.arcs]
+        for pos, path in enumerate(paths):
+            for rid in path.arcs:
+                self.users[rid].append(pattern.paths + pos)
+        self._direct: dict[bool, RowPattern] = {}
+
+    def direct(self, two_sided: bool) -> RowPattern:
+        """The direct rows, one-sided or two-sided."""
+        rows = self._direct.get(two_sided)
+        if rows is None:
+            rows = self._direct[two_sided] = _direct_rows(
+                self.network, "p", self.users, self.toll_slot, self.revenue, two_sided
+            )
+        return rows
+
+    @cached_property
+    def slack(self) -> RowPattern:
+        """The slackness rows of a path-primal, arc-dual block."""
+        return _slack_rows(self.network, "pa", self.users, self.toll_slot)
 
 
 def _graph_pattern(graph: ReducedGraph) -> _GraphPattern:
@@ -431,42 +475,6 @@ def _graph_pattern(graph: ReducedGraph) -> _GraphPattern:
     return pattern
 
 
-class _RowBuffer:
-    """Rows gathered a row or a family at a time, then added to a model in one block."""
-
-    def __init__(self) -> None:
-        self.tags: list[str] = []
-        self.senses: list[str] = []
-        self.rhs: list = []
-        self.lengths: list[int] = []
-        self.cols: list[int] = []
-        self.coefs: list = []
-
-    def add(self, tag: str, cols: list[int], coefs: list, sense: str, rhs) -> None:
-        """Add one row."""
-        self.tags.append(tag)
-        self.senses.append(sense)
-        self.rhs.append(rhs)
-        self.lengths.append(len(cols))
-        self.cols += cols
-        self.coefs += coefs
-
-    def extend(
-        self, tags: list[str], sense: str, rhs: list, lengths: list[int], cols: list[int],
-        coefs: list,
-    ) -> None:
-        """Add rows given as in :meth:`ModelIR.add_rows`, all of one sense."""
-        self.tags += tags
-        self.senses += [sense] * len(tags)
-        self.rhs += rhs
-        self.lengths += lengths
-        self.cols += cols
-        self.coefs += coefs
-
-    def add_to(self, model: ModelIR) -> None:
-        model.add_rows(self.tags, self.senses, self.rhs, self.lengths, self.cols, self.coefs)
-
-
 def _path_bound(bound: int, path: Path, tolls: Mapping[ArcId, int]) -> tuple[list[int], list[int]]:
     """Columns and coefficients of ``L[k]`` (column ``bound``) less the tolls on ``path``."""
     cols = [bound] + [tolls[rid] for rid in sorted(path.tolled_set)]
@@ -474,7 +482,7 @@ def _path_bound(bound: int, path: Path, tolls: Mapping[ArcId, int]) -> tuple[lis
 
 
 def _path_slack(
-    rows: _RowBuffer,
+    rows: RowBlock,
     tag: str,
     path: Path,
     s_val: Fraction,
@@ -511,9 +519,9 @@ class _Block:
     columns, ``revenue_names`` the revenue names, and ``tolls`` the shared
     ``T`` column of each tolled working arc.  ``table`` maps the patterns'
     slots to model columns; the slots of variables the kind lacks map to
-    -1, which no row may use.  ``users`` holds, under the path primal, the
-    ``z`` slots of the paths through each working arc.  ``rows`` gathers
-    the block's rows until one ``add_rows`` call puts them in the model.
+    -1, which no row may use.  ``by_paths`` holds, under the path primal,
+    the patterns over its feasible paths.  ``rows`` gathers the block's
+    rows until one ``add_block`` call puts them in the model.
     """
 
     def __init__(self, model: ModelIR, part: CommodityAssignment, com: Commodity) -> None:
@@ -570,42 +578,19 @@ class _Block:
             *(self.routes if arc_primal else absent * net.num_arcs),
             *(() if arc_primal else self.routes),
         ]
-        self.rows = _RowBuffer()
-        self.users: list[list[int]] = []
-        if not arc_primal:
-            self.users = [[] for _ in net.arcs]
-            for pos, path in enumerate(self.paths):
-                for rid in path.arcs:
-                    self.users[rid].append(pattern.paths + pos)
+        self.rows = RowBlock()
+        self.by_paths = None if arc_primal else pattern.for_paths(self.paths)
 
     def stamp(
-        self, family: _RowPattern, sense: str, rhs: list,
+        self, family: RowPattern, sense: str, rhs: list,
         table: Optional[Sequence[Coef]] = None,
     ) -> None:
         """Add ``family``'s rows for this commodity, with right-hand sides ``rhs``.
 
-        Without a ``table`` the family's coefficients are the coefficients;
-        with one they are positions in it.  A big-M of 0 in the table drops
-        its terms, as it would drop out of a sum.
+        ``table`` holds the coefficients of a family made with positions
+        (see :meth:`RowBlock.stamp`).
         """
-        lengths = family.lengths
-        cols = list(map(self.table.__getitem__, family.cols))
-        if table is None:
-            coefs = family.coefs
-        else:
-            coefs = list(map(table.__getitem__, family.coefs))
-            if not all(table):
-                lengths, cols, coefs = _without_zeros(lengths, cols, coefs)
-        self.rows.extend(list(map(self.key.join, family.tags)), sense, rhs, lengths, cols, coefs)
-
-
-def _without_zeros(
-    lengths: Sequence[int], cols: list[int], coefs: list[Coef]
-) -> tuple[list[int], list[int], list[Coef]]:
-    """Rows given as in :meth:`ModelIR.add_rows`, less their zero terms."""
-    keep = list(map(bool, coefs))
-    kept = [sum(keep[a:b]) for a, b in pairwise(accumulate(lengths, initial=0))]
-    return kept, list(compress(cols, keep)), list(compress(coefs, keep))
+        self.rows.stamp(family, self.key, self.table, sense, rhs, table)
 
 
 def _emit_primal(b: _Block) -> None:
@@ -671,9 +656,7 @@ def _emit_direct_rows(b: _Block, bigm: BigMParams, two_sided: bool) -> None:
     if b.kind.primal_rep == ARC:
         family = pattern.direct[two_sided]
     else:
-        family = _direct_rows(
-            b.graph.network, "p", b.users, pattern.toll_slot, pattern.revenue, two_sided
-        )
+        family = b.by_paths.direct(two_sided)
     n_val = bigm.toll_cap
     # One -M object per block: the LP writer formats each coefficient object once.
     table = (1, -1, -bigm.m_value(b.k), n_val)
@@ -681,17 +664,29 @@ def _emit_direct_rows(b: _Block, bigm: BigMParams, two_sided: bool) -> None:
     b.stamp(family, "<=", rhs * len(pattern.toll_names), table)
 
 
+def _slack_constants(b: _Block, bigm: BigMParams) -> tuple[list[Coef], list[Coef]]:
+    """The table ``(1, -1, -r_0, ...)`` and right-hand sides ``cost - r`` of ``b``'s slackness rows.
+
+    They depend on ``bigm``, the commodity and the working graph, not on the
+    kind, so they are kept on the graph's pattern per commodity, for the
+    ``bigm`` they were made from: the kinds built from one preparation make
+    them once.  Threads that make them at once can at worst make them twice.
+    """
+    held = b.pattern.slack_constants.get(b.k)
+    if held is None or held[0] is not bigm:
+        r_vals = bigm.arc_slack_bounds(b.k, b.graph)
+        table = [1, -1, *[-r for r in r_vals]]
+        rhs = [cost - r for cost, r in zip(b.pattern.costs, r_vals)]
+        held = b.pattern.slack_constants[b.k] = (bigm, table, rhs)
+    return held[1], held[2]
+
+
 def _emit_cs_rows(b: _Block, bigm: BigMParams) -> None:
     """Force the dual row of every used arc or path to be tight."""
     k = b.k
     if b.kind.dual_rep == ARC:
-        r_vals = bigm.arc_slack_bounds(k, b.graph)
-        if b.kind.primal_rep == ARC:
-            family = b.pattern.slack
-        else:
-            family = _slack_rows(b.graph.network, b.suffix, b.users, b.pattern.toll_slot)
-        table = [1, -1, *[-r for r in r_vals]]
-        rhs = [cost - r for cost, r in zip(b.pattern.costs, r_vals)]
+        family = b.pattern.slack if b.kind.primal_rep == ARC else b.by_paths.slack
+        table, rhs = _slack_constants(b, bigm)
         b.stamp(family, ">=", rhs, table)
         return
     for pos, path in enumerate(b.paths):
@@ -732,7 +727,7 @@ def _emit_block(
             _emit_direct_rows(b, bigm, two_sided=True)
             if not paper_exact:
                 _emit_value_tie(b, "vi-sd", "<=")
-    b.rows.add_to(model)
+    model.add_block(b.rows)
     del b.rows
     for name in b.revenue_names:
         model.add_objective_term(com.demand, name)

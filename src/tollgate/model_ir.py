@@ -17,10 +17,29 @@ with the coefficients at the same positions of ``coefs``, and ``tags``,
 ``senses`` and ``rhs`` hold one entry per row.  :meth:`ModelIR.add_rows`
 adds a block of rows given by column id and checks the block as a whole;
 :meth:`ModelIR.add_constraint` looks one row's names up, merges repeated
-variables, and passes the row on to it, so rows too have one validation
-path.  The HiGHS backend, the solution check and the LP writer read these
-lists; ``variables``, ``constraints`` and ``objective`` build record views
-on request (the rows one at a time, as they are read).
+variables, and passes the row on to it.  The HiGHS backend, the solution
+check and the LP writer read these lists; ``variables``, ``constraints``
+and ``objective`` build record views on request (the rows one at a time,
+as they are read).
+
+Most rows of a large model are copies of a few families: the same rows
+for every commodity block on one graph, over that block's own columns.
+Such a family is a :class:`RowPattern`, whose columns are slots and whose
+tags are templates, and the model checks it once, when it is made: every
+row has a term, no slot repeats within a row, coefficients are nonzero
+ints or Fractions or else positions in a coefficient table, and the
+templates are distinct.  A :class:`RowBlock` gathers one block's rows in
+order, rows given by column id and copies (stamps) of patterns, and
+:meth:`ModelIR.add_block` adds them in one call.  There a stamp checks
+only what changes from copy to copy: the block's columns at the slots the
+pattern uses, declared and distinct, so that no row can repeat a column;
+the coefficient table's entries, nonzero and exact; the right-hand sides,
+exact; and the tags, in the same update of the tag set as every row.  Its
+rows then go into the model's lists straight from the pattern.  Rows given
+by column id, and a stamp that misses one of these checks (a zero in its
+coefficient table, say, whose terms drop out), get every check of
+:meth:`ModelIR.add_rows` term by term.  So no row reaches a model
+unchecked, and a call that raises leaves the model unchanged.
 
 Coefficients, right-hand sides and bounds are exact: each is a Python
 ``int`` or a ``fractions.Fraction``, kept as given (an ``int`` stays an
@@ -33,16 +52,17 @@ and the check read one float view of the coefficients and right-hand sides
 (:func:`_floats`) on first read and extended by the rows appended since on
 each later read, so a cut loop's re-solves convert only their new rows.
 The view relies on the row lists being append-only: rows are only ever
-added, by :meth:`ModelIR.add_rows`, and no entry of ``coefs`` or ``rhs``
-is changed in place.
+added, by :meth:`ModelIR.add_rows` and :meth:`ModelIR.add_block`, and no
+entry of ``coefs`` or ``rhs`` is changed in place.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, pairwise, repeat
 from operator import add, attrgetter, mul, truediv
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -96,6 +116,66 @@ def _row_tag(tags: Sequence[str], lengths: Sequence[int], term: int) -> str:
     return tags[bisect_right(list(accumulate(lengths)), term)]
 
 
+def _nonzero_exact(values: Sequence) -> bool:
+    """Whether every one of ``values`` is a nonzero int or Fraction."""
+    return _EXACT.issuperset(map(type, values)) and all(values)
+
+
+def _check_terms(
+    what: str,
+    tags: Sequence[str],
+    lengths: Sequence[int],
+    cols: Sequence[int],
+    coefs: Sequence,
+    width: float,
+    positions: bool = False,
+) -> None:
+    """Check rows term by term; an error names the first row at fault as ``what`` and its tag.
+
+    Every row has a term, every column is an int in ``range(width)`` and
+    none repeats within its row, and every coefficient is a nonzero int or
+    Fraction or, with ``positions``, a nonnegative int.
+    """
+    if min(lengths) < 1:
+        raise ValueError(f"{what} {tags[_first(lengths, lambda n: n < 1)]}: no terms")
+    top = max(cols) if set(map(type, cols)) == {int} else width
+    if top >= width or min(cols) < 0:
+        at = _first(cols, lambda j: type(j) is not int or not 0 <= j < width)
+        raise ValueError(
+            f"{what} {_row_tag(tags, lengths, at)}: column {cols[at]!r} is not declared"
+        )
+    if positions:
+        if set(map(type, coefs)) != {int} or min(coefs) < 0:
+            at = _first(coefs, lambda j: type(j) is not int or j < 0)
+            raise ValueError(
+                f"{what} {_row_tag(tags, lengths, at)}: coefficient position {coefs[at]!r} "
+                "is not a nonnegative int"
+            )
+    elif not _nonzero_exact(coefs):
+        at = _first(coefs, lambda c: type(c) not in _EXACT or not c)
+        raise ValueError(
+            f"{what} {_row_tag(tags, lengths, at)}: coefficient {coefs[at]!r} "
+            "is not a nonzero int or Fraction"
+        )
+    # Column j of row i as the int i * step + j, distinct for distinct pairs.
+    step = top + 1
+    rows = chain.from_iterable(map(repeat, range(0, len(lengths) * step, step), lengths))
+    if len(set(map(add, rows, cols))) != len(cols):
+        starts = list(accumulate(lengths, initial=0))
+        for tag, a, b in zip(tags, starts, starts[1:]):
+            if len(set(cols[a:b])) < b - a:
+                raise ValueError(f"{what} {tag} repeats a column")
+
+
+def _without_zeros(
+    lengths: Sequence[int], cols: list[int], coefs: list[Coef]
+) -> tuple[list[int], list[int], list[Coef]]:
+    """Rows given as in :meth:`ModelIR.add_rows`, less their zero terms."""
+    keep = list(map(bool, coefs))
+    kept = [sum(keep[a:b]) for a, b in pairwise(accumulate(lengths, initial=0))]
+    return kept, list(compress(cols, keep)), list(compress(coefs, keep))
+
+
 def _merge_terms(cols: list[int], coefs: list) -> tuple[list[int], list[Coef]]:
     """Make coefficients exact, sum duplicate columns, drop zeros.
 
@@ -128,6 +208,123 @@ class _Rows(Sequence):
         a, b = m.starts[i], m.starts[i + 1]
         terms = tuple(zip(m.coefs[a:b], map(m.names.__getitem__, m.cols[a:b])))
         return Constraint(m.tags[i], terms, m.senses[i], m.rhs[i])
+
+
+class RowPattern:
+    """One family of rows for any block of columns, checked once, when made.
+
+    ``tags`` are templates: pairs of strings, which ``key.join`` makes into
+    one copy's tags.  Row ``i`` takes the next ``lengths[i]`` entries of
+    ``slots`` and of ``coefs``.  Slots stand for columns: each copy maps
+    them through its own table (:meth:`RowBlock.stamp`).  ``coefs`` are the
+    coefficients or, made with ``positions``, positions in a table of
+    coefficients that each copy gives.
+
+    Making one checks it: the tags are distinct templates, every row has a
+    term, slots and positions are nonnegative ints, no slot repeats within
+    a row, and coefficients are nonzero ints or Fractions.  An error names
+    the row by its template with ``k`` for the key, and a slot as its
+    column.  ``used`` holds the
+    distinct slots, and ``positions`` the distinct positions (None without
+    a coefficient table), in increasing order: they are what a copy still
+    checks.  A pattern is read, never changed, once made.
+    """
+
+    __slots__ = ("tags", "lengths", "slots", "coefs", "used", "positions")
+
+    def __init__(
+        self,
+        tags: list[tuple[str, str]],
+        lengths: list[int],
+        slots: list[int],
+        coefs: list,
+        positions: bool = False,
+    ) -> None:
+        count, total = len(tags), len(slots)
+        if len(lengths) != count or sum(lengths) != total or len(coefs) != total:
+            raise ValueError(
+                f"row pattern of {count} tags, {len(lengths)} row lengths summing "
+                f"to {sum(lengths)}, {total} slots and {len(coefs)} coefficients"
+            )
+        if count:
+            names = ["k".join(tag) for tag in tags]
+            if len(set(tags)) != count:
+                at = next(at for at in range(count) if tags[at] in tags[:at])
+                raise ValueError(f"row pattern {names[at]} given twice")
+            _check_terms("row pattern", names, lengths, slots, coefs, math.inf, positions)
+        self.tags, self.lengths, self.slots, self.coefs = tags, lengths, slots, coefs
+        self.used = sorted(set(slots))
+        self.positions = sorted(set(coefs)) if positions else None
+
+
+class _Stamp(NamedTuple):
+    """One copy of a pattern in a :class:`RowBlock`, as :meth:`RowBlock.stamp` takes it."""
+
+    pattern: RowPattern
+    key: str
+    table: Sequence[int]
+    sense: str
+    rhs: Sequence[Coef]
+    values: Optional[Sequence[Coef]]
+
+
+class RowBlock:
+    """Rows gathered for one :meth:`ModelIR.add_block` call, in order.
+
+    :meth:`add` takes one row by column id and :meth:`stamp` one copy of a
+    :class:`RowPattern`.  Nothing is checked, or copied from a pattern,
+    until the model adds the block.
+    """
+
+    __slots__ = ("parts", "tags", "senses", "rhs", "lengths", "cols", "coefs")
+
+    def __init__(self) -> None:
+        # Runs of rows added one at a time, as add_rows takes them, and stamps.
+        self.parts: list[Union[tuple, _Stamp]] = []
+        self._open()
+
+    def _open(self) -> None:
+        self.tags: list[str] = []
+        self.senses: list[str] = []
+        self.rhs: list[Coef] = []
+        self.lengths: list[int] = []
+        self.cols: list[int] = []
+        self.coefs: list[Coef] = []
+
+    def add(self, tag: str, cols: list[int], coefs: list, sense: str, rhs: Coef) -> None:
+        """Add one row: ``coefs`` times the columns ``cols``, ``sense`` ``rhs``."""
+        self.tags.append(tag)
+        self.senses.append(sense)
+        self.rhs.append(rhs)
+        self.lengths.append(len(cols))
+        self.cols += cols
+        self.coefs += coefs
+
+    def stamp(
+        self,
+        pattern: RowPattern,
+        key: str,
+        table: Sequence[int],
+        sense: str,
+        rhs: Sequence[Coef],
+        values: Optional[Sequence[Coef]] = None,
+    ) -> None:
+        """Add a copy of ``pattern``'s rows, all of ``sense``.
+
+        The copy's tags are ``key.join`` of the templates, its columns
+        ``table[slot]``, and its coefficients the pattern's own or, for a
+        pattern made with positions, ``values[position]``.  ``rhs`` holds
+        one right-hand side per row.  A zero in ``values`` drops its terms,
+        as it would drop out of a sum.
+        """
+        self.close()
+        self.parts.append(_Stamp(pattern, key, table, sense, rhs, values))
+
+    def close(self) -> None:
+        """End the current run of rows added one at a time."""
+        if self.tags:
+            self.parts.append((self.tags, self.senses, self.rhs, self.lengths, self.cols, self.coefs))
+            self._open()
 
 
 class ModelIR:
@@ -258,6 +455,41 @@ class ModelIR:
         Fractions and right-hand sides ints or Fractions.  A call that
         raises leaves the model unchanged.
         """
+        self._add_parts([self._checked(tags, senses, rhs, lengths, cols, coefs)])
+
+    def add_block(self, block: RowBlock) -> None:
+        """Add the rows ``block`` gathered, in the order it gathered them.
+
+        The block is checked as a whole, and a call that raises leaves the
+        model unchanged.  Rows given by column id (:meth:`RowBlock.add`)
+        get every check of :meth:`add_rows`.  A stamp's pattern was checked
+        when it was made (:class:`RowPattern`), so a stamp checks only what
+        changes from copy to copy: its sense and right-hand sides, the
+        table's columns at the slots the pattern uses (declared and
+        distinct, so no row can repeat a column) and the coefficient
+        table's entries at the positions it uses (nonzero ints or
+        Fractions).  Its rows then go into the model's lists straight from
+        the pattern.  A stamp that misses any of these, a table holding a
+        zero say, is expanded into its rows less their zero terms, and
+        those get every check of :meth:`add_rows`, which names the row at
+        fault.  Tags are checked last, for the whole block at once.
+        """
+        block.close()
+        self._add_parts([
+            self._stamped(*part) if type(part) is _Stamp else self._checked(*part)
+            for part in block.parts
+        ])
+
+    def _checked(
+        self,
+        tags: Sequence[str],
+        senses: Sequence[str],
+        rhs: Sequence[Coef],
+        lengths: Sequence[int],
+        cols: Sequence[int],
+        coefs: Sequence[Coef],
+    ) -> tuple:
+        """The rows, once every check of :meth:`add_rows` but the tags' has passed."""
         count = len(tags)
         if not len(senses) == len(rhs) == len(lengths) == count:
             raise ValueError(
@@ -265,58 +497,104 @@ class ModelIR:
                 f"sides and {len(lengths)} row lengths"
             )
         if not count:
-            return
+            return tags, senses, rhs, lengths, cols, coefs
         total = len(cols)
         if sum(lengths) != total or len(coefs) != total:
             raise ValueError(
                 f"row lengths sum to {sum(lengths)} for {total} columns "
                 f"and {len(coefs)} coefficients"
             )
-        if min(lengths) < 1:
-            raise ValueError(f"constraint {tags[_first(lengths, lambda n: n < 1)]}: no terms")
         if not _SENSE_SET.issuperset(senses):
             at = _first(senses, lambda s: s not in _SENSE_SET)
             raise ValueError(f"constraint {tags[at]}: bad sense {senses[at]!r}")
         if not _EXACT.issuperset(map(type, rhs)):
             at = _first(rhs, lambda v: type(v) not in _EXACT)
             raise ValueError(f"constraint {tags[at]}: right-hand side {rhs[at]!r} is not exact")
+        _check_terms("constraint", tags, lengths, cols, coefs, len(self.names))
+        return tags, senses, rhs, lengths, cols, coefs
+
+    def _stamped(
+        self,
+        pattern: RowPattern,
+        key: str,
+        table: Sequence[int],
+        sense: str,
+        rhs: Sequence[Coef],
+        values: Optional[Sequence[Coef]],
+    ) -> tuple:
+        """One copy of ``pattern``'s rows, checked (see :meth:`add_block`)."""
+        tags = list(map(key.join, pattern.tags))
+        count = len(tags)
+        if not count:
+            return self._checked(tags, (), rhs, (), (), ())
+        used, slots = pattern.used, pattern.slots
+        if len(table) <= used[-1]:
+            raise ValueError(
+                f"constraint {_row_tag(tags, pattern.lengths, slots.index(used[-1]))}: "
+                f"slot {used[-1]} is beyond the column table"
+            )
+        positions = pattern.positions
+        if (values is None) != (positions is None):
+            raise ValueError(
+                f"constraint {tags[0]}: a pattern takes a coefficient table exactly "
+                "when it was made with positions"
+            )
+        if values is not None and len(values) <= positions[-1]:
+            at = pattern.coefs.index(positions[-1])
+            raise ValueError(
+                f"constraint {_row_tag(tags, pattern.lengths, at)}: "
+                f"position {positions[-1]} is beyond the coefficient table"
+            )
+        cols = list(map(table.__getitem__, used))
         width = len(self.names)
-        if set(map(type, cols)) != {int} or min(cols) < 0 or max(cols) >= width:
-            at = _first(cols, lambda j: type(j) is not int or not 0 <= j < width)
-            raise ValueError(
-                f"constraint {_row_tag(tags, lengths, at)}: column {cols[at]!r} is not declared"
+        if (
+            len(rhs) == count
+            and sense in _SENSE_SET
+            and _EXACT.issuperset(map(type, rhs))
+            and set(map(type, cols)) == {int}
+            and min(cols) >= 0
+            and max(cols) < width
+            and len(set(cols)) == len(cols)
+            and (values is None or _nonzero_exact(list(map(values.__getitem__, positions))))
+        ):
+            coefs = pattern.coefs
+            if values is not None:
+                coefs = map(values.__getitem__, coefs)
+            return (
+                tags, repeat(sense, count), rhs, pattern.lengths,
+                map(table.__getitem__, slots), coefs,
             )
-        if not _EXACT.issuperset(map(type, coefs)) or not all(coefs):
-            at = _first(coefs, lambda c: type(c) not in _EXACT or not c)
-            raise ValueError(
-                f"constraint {_row_tag(tags, lengths, at)}: coefficient {coefs[at]!r} "
-                "is not a nonzero int or Fraction"
-            )
-        # Column j of row i as the int i * width + j, distinct for distinct pairs.
-        rows = chain.from_iterable(map(repeat, range(0, count * width, width), lengths))
-        if len(set(map(add, rows, cols))) != total:
-            starts = list(accumulate(lengths, initial=0))
-            for tag, a, b in zip(tags, starts, starts[1:]):
-                if len(set(cols[a:b])) < b - a:
-                    raise ValueError(f"constraint {tag} repeats a column")
-        # Tags last, as their set is updated in place: a tag given twice or
-        # already held leaves it short, and it is then rebuilt.
+        lengths, cols = pattern.lengths, list(map(table.__getitem__, slots))
+        coefs = pattern.coefs
+        if values is not None:
+            coefs = list(map(values.__getitem__, coefs))
+            if not all(coefs):
+                lengths, cols, coefs = _without_zeros(lengths, cols, coefs)
+        return self._checked(tags, [sense] * count, rhs, lengths, cols, coefs)
+
+    def _add_parts(self, parts: list[tuple]) -> None:
+        """Append checked row parts, once their tags are found new and unique.
+
+        The tag set is updated in place: a tag given twice or already held
+        leaves it short, and it is then rebuilt and the tag named.
+        """
         tag_set = self._tag_set
         held = len(tag_set)
-        tag_set.update(tags)
-        if len(tag_set) != held + count:
+        tag_set.update(*[part[0] for part in parts])
+        if len(tag_set) != held + sum(len(part[0]) for part in parts):
             self._tag_set = set(self.tags)
             seen = set(self.tags)
-            for tag in tags:
+            for tag in chain.from_iterable(part[0] for part in parts):
                 if tag in seen:
                     raise ValueError(f"duplicate constraint tag {tag}")
                 seen.add(tag)
-        self.cols += cols
-        self.coefs += coefs
-        self.starts += islice(accumulate(lengths, initial=self.starts[-1]), 1, None)
-        self.tags += tags
-        self.senses += senses
-        self.rhs += rhs
+        for tags, senses, rhs, lengths, cols, coefs in parts:
+            self.cols += cols
+            self.coefs += coefs
+            self.starts += islice(accumulate(lengths, initial=self.starts[-1]), 1, None)
+            self.tags += tags
+            self.senses += senses
+            self.rhs += rhs
 
     @property
     def constraints(self) -> _Rows:

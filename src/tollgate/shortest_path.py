@@ -36,6 +36,15 @@ prefix of its path is on the heap, and by consistency that prefix's key is
 no larger, and its cost strictly smaller, since arc costs are positive.
 Every node A* settles, the target included, therefore gets the label
 plain Dijkstra gives it.
+
+A search may also be given a *limit* on the cost of the path it returns.
+It then skips every label whose cost plus potential exceeds the limit.  The
+potential is a lower bound, so no path through such a label fits, and every
+label of a path that fits is kept: the search returns the unlimited
+search's path when that costs at most the limit, and None otherwise.  Path
+enumeration bounds each spur search so by its commodity's toll-free cost
+(see :func:`~tollgate.enumeration.enumerate_paths`); :func:`shortest_path`
+sets no limit.
 """
 
 from __future__ import annotations
@@ -77,16 +86,17 @@ def _search(
     target: Node,
     excluded: ExclusionSet,
     potential: Potential,
+    limit: Union[int, float] = INFINITY,
 ) -> Optional[tuple[int, tuple[ArcId, ...]]]:
     """Integer zero-toll cost and arc sequence of the cheapest ``source -> target`` path.
 
     A* with ``potential`` as the estimate of each node's remaining cost; a
     node whose potential is None is never entered.  Returns None when no
-    path exists.  See the module docstring for the conditions the potential
-    must meet.
+    path exists, or when none costs at most ``limit``.  See the module
+    docstring for the conditions the potential must meet.
     """
     start = potential[source]
-    if start is None:
+    if start is None or start > limit:
         return None
     banned_arcs, banned_nodes = excluded.arcs, excluded.nodes
     out_adj, prices = network.out_adj, network.int_costs
@@ -111,6 +121,8 @@ def _search(
             if estimate is None:
                 continue
             candidate = cost + prices[aid]
+            if candidate + estimate > limit:
+                continue
             known = best.get(head)
             if known is not None and candidate > known:
                 continue

@@ -51,9 +51,12 @@ left the 6x6 grids at 5.3-6.2 s.
 
 HiGHS drops coefficients below its ``small_matrix_value`` (1e-9); the
 backend logs a warning with their count when it does.  HiGHS writes some
-debug lines to file descriptor 1 whatever ``output_flag`` says, so fd 1
-points at the null device while HiGHS runs; otherwise they land inside the
-CSV that ``tollgate sweep`` writes to stdout.  The null device is opened
+debug lines to file descriptor 1 whatever ``output_flag`` says, and
+reports an option it rejects there until ``output_flag`` is off, so fd 1
+points at the null device while a solve sets options and while HiGHS
+runs; otherwise those lines land inside the CSV that ``tollgate sweep``
+writes to stdout.  A rejected option still raises :class:`SolverError`,
+which names it.  The null device is opened
 once, and its descriptor kept open for the process.
 
 Each thread solves on one HiGHS instance of its own, made on the thread's
@@ -315,7 +318,8 @@ def _take_highs():
     :data:`_HIGHS_OPTIONS`.  A solve sets only its time limit, and hands
     the instance back once its results are read and its model cleared, so
     an instance whose solve raises is dropped and the next solve makes a
-    new one.
+    new one.  Call it under :func:`_fd1_silenced`: HiGHS reports a
+    rejected option on fd 1.
     """
     highs = getattr(_per_thread, "highs", None)
     _per_thread.highs = None
@@ -343,25 +347,26 @@ class ScipyBackend:
     def solve(self, model: ModelIR, budget: float = DEFAULT_BUDGET) -> SolveResult:
         names, c, matrix, lo, hi, lb, ub, binary = _model_arrays(model)
         is_mip = any(binary)
-        highs = _take_highs()
-        _set_option(highs, "time_limit", max(0.0, float(budget)))
         start = time.perf_counter()
         lp = _highs_lp(c, matrix, lo, hi, lb, ub, binary)
-        if highs.passModel(lp) == _highs.HighsStatus.kError:
-            raise SolverError(f"HiGHS rejected model {model.label!r}")
+        # HiGHS writes to fd 1 when it rejects an option, and while it runs.
+        with _fd1_silenced():
+            highs = _take_highs()
+            _set_option(highs, "time_limit", max(0.0, float(budget)))
+            if highs.passModel(lp) == _highs.HighsStatus.kError:
+                raise SolverError(f"HiGHS rejected model {model.label!r}")
+            dropped = len(matrix[2]) - highs.getNumNz()
+            highs.run()
+        elapsed = time.perf_counter() - start
         # HiGHS drops coefficients below its small_matrix_value (1e-9) and
         # says so only through a warning status; solve()'s re-check still
         # holds the point to the exact rows.
-        dropped = len(matrix[2]) - highs.getNumNz()
         if dropped:
             log.warning(
                 "HiGHS dropped %d of %d nonzeros of model %r as below its "
                 "small_matrix_value",
                 dropped, len(matrix[2]), model.label,
             )
-        with _fd1_silenced():
-            highs.run()
-        elapsed = time.perf_counter() - start
         model_status = highs.getModelStatus()
         info = highs.getInfo()
         status = _HIGHS_STATUS.get(model_status)

@@ -114,12 +114,18 @@ def test_capped_run_is_a_prefix_and_stops_once_truncated(topology, monkeypatch):
                     assert result.paths == full[: len(result.paths)]
                     if len(result.paths) < cap:
                         # The same run with every candidate priced at or
-                        # above the toll-free cost cannot stop early.
+                        # above the toll-free cost cannot stop early.  Its
+                        # searches drop that cost as their bound.
                         with monkeypatch.context() as hidden:
                             hidden.setattr(
                                 Network,
                                 "toll_free_row",
                                 lambda network, target: (0,) * network.num_nodes,
+                            )
+                            hidden.setattr(
+                                enumeration,
+                                "_search",
+                                lambda *args: calls.append(args) or search(*args[:5]),
                             )
                             plain, plain_searches = run(net, com, cap)
                         assert len(plain.paths) == cap

@@ -409,6 +409,7 @@ def _reference_case(name):
         topology, commodities, breakpoint = {
             "grid:4x4": ("grid:4x4", 3, 4),
             "delaunay:10": ("delaunay:10", 4, 5),
+            "delaunay:30": ("delaunay:30", 20, 8),
         }[name]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -429,8 +430,12 @@ def _model_lists(ir):
     )
 
 
-@pytest.mark.parametrize("case", ["fixture", "grid:4x4", "delaunay:10"])
-@pytest.mark.parametrize("kind", [k.label for k in FORMULATIONS])
+@pytest.mark.parametrize(
+    "kind, case",
+    [(k.label, case) for k in FORMULATIONS for case in ("fixture", "grid:4x4", "delaunay:10")]
+    # Sweep scale: most blocks are copies of the original graph's patterns.
+    + [("STD", "delaunay:30"), ("PCS2", "delaunay:30")],
+)
 def test_models_match_the_term_by_term_reference(case, kind):
     inst, enums, bigm, breakpoint = _reference_case(case)
     preprocesses = ("paths", "none") + (("spgm",) if get_kind(kind).is_arc_arc else ())

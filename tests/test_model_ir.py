@@ -3,14 +3,16 @@
 import gc
 import random
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 
-from conftest import fixture_model, perturbed, sweep_instance
+from conftest import fixture_model, perturbed, raw_sweep_instance, sweep_instance
 from tollgate import formulations, lp_format
 from tollgate.bigm import compute_bigm
 from tollgate.enumeration import enumerate_paths
-from tollgate.model_ir import Constraint, ModelIR, Variable
+from tollgate.experiments import prepared
+from tollgate.model_ir import Constraint, ModelIR, RowBlock, RowPattern, Variable
 
 
 def small_model():
@@ -374,3 +376,148 @@ def test_float_view_follows_appended_rows():
     )
     assert m.float_rows()[0] is coefs
     assert m.violations(point) == [f"third: {1 / 3 + 2.0} < 3.5"]
+
+
+# -- row patterns and stamps -----------------------------------------------------
+#
+# small_model() has the columns x = 0, b = 1 and f = 2.  The pattern below
+# has two rows over three slots: r[k,0] is slot 0 less slot 1, r[k,1] is the
+# coefficient at position 2 times slot 2, or 2 times it without a table.
+
+
+def _pattern(positions=False, coefs=None):
+    return RowPattern(
+        [("r[", ",0]"), ("r[", ",1]")], [2, 1], [0, 1, 2],
+        coefs or ([0, 1, 2] if positions else [1, -1, 2]), positions,
+    )
+
+
+def test_a_stamped_block_matches_its_rows_added_one_by_one():
+    stamped, loop = small_model(), small_model()
+    block = RowBlock()
+    block.add("first", [2], [1], ">=", 0)
+    block.stamp(_pattern(), "7", [0, 1, 2], "<=", [1, Fraction(1, 2)])
+    block.stamp(_pattern(positions=True), "8", [2, 0, 1], "=", [0, 3], (1, -3, Fraction(5, 3)))
+    block.add("last", [0, 1], [1, 1], "<=", 1)
+    stamped.add_block(block)
+    loop.add_constraint("first", [(1, "f")], ">=", 0)
+    loop.add_constraint("r[7,0]", [(1, "x"), (-1, "b")], "<=", 1)
+    loop.add_constraint("r[7,1]", [(2, "f")], "<=", Fraction(1, 2))
+    loop.add_constraint("r[8,0]", [(1, "f"), (-3, "x")], "=", 0)
+    loop.add_constraint("r[8,1]", [(Fraction(5, 3), "b")], "=", 3)
+    loop.add_constraint("last", [(1, "x"), (1, "b")], "<=", 1)
+    assert _rows(stamped) == _rows(loop)
+
+
+def test_a_zero_in_the_coefficient_table_drops_its_terms():
+    m = small_model()
+    block = RowBlock()
+    block.stamp(_pattern(positions=True), "7", [0, 1, 2], "<=", [1, 1], (1, 0, 2))
+    m.add_block(block)
+    assert m.constraints[-2:] == [
+        Constraint("r[7,0]", ((1, "x"),), "<=", 1), Constraint("r[7,1]", ((2, "f"),), "<=", 1)
+    ]
+
+
+def test_slots_of_two_rows_may_share_a_column():
+    # add_rows takes it, since no one row repeats a column; so must a stamp.
+    m = small_model()
+    block = RowBlock()
+    block.stamp(_pattern(), "7", [0, 1, 0], "<=", [1, 1])
+    m.add_block(block)
+    assert m.constraints[-1] == Constraint("r[7,1]", ((2, "x"),), "<=", 1)
+
+
+@pytest.mark.parametrize(
+    "tags, lengths, slots, coefs, positions, message",
+    [
+        ([("r[", ",0]")], [2], [0, 0], [1, 1], False, "row pattern r[k,0] repeats a column"),
+        ([("r[", ",0]"), ("r[", ",1]")], [2, 0], [0, 1], [1, 1], False, "row pattern r[k,1]: no terms"),
+        ([("r[", ",0]"), ("r[", ",1]")], [1, 1], [0, 1], [1, 0], False, "row pattern r[k,1]: coefficient 0 is not"),
+        ([("r[", ",0]"), ("r[", ",1]")], [1, 1], [0, 1], [0.5, 1], False, "row pattern r[k,0]: coefficient 0.5 is not"),
+        ([("r[", ",0]"), ("r[", ",1]")], [1, 1], [0, 1], [0, -1], True, "row pattern r[k,1]: coefficient position -1"),
+        ([("r[", ",0]"), ("r[", ",1]")], [1, 1], [0, -1], [1, 1], False, "row pattern r[k,1]: column -1 is not declared"),
+        ([("r[", ",0]"), ("r[", ",0]")], [1, 1], [0, 1], [1, 1], False, "row pattern r[k,0] given twice"),
+        ([("r[", ",0]")], [1], [0, 1], [1, 1], False, "row pattern of 1 tags"),
+    ],
+)
+def test_a_pattern_is_checked_when_made(tags, lengths, slots, coefs, positions, message):
+    with pytest.raises(ValueError, match=message.replace("[", r"\[")):
+        RowPattern(tags, lengths, slots, coefs, positions)
+
+
+@pytest.mark.parametrize(
+    "table, sense, rhs, values, message",
+    [
+        ([0, -1, 2], "<=", [1, 1], None, "constraint r[7,0]: column -1 is not declared"),
+        ([0, 1, 3], "<=", [1, 1], None, "constraint r[7,1]: column 3 is not declared"),
+        ([0, 1, 2.0], "<=", [1, 1], None, "constraint r[7,1]: column 2.0 is not declared"),
+        ([1, 1, 2], "<=", [1, 1], None, "constraint r[7,0] repeats a column"),
+        ([0, 1], "<=", [1, 1], None, "constraint r[7,1]: slot 2 is beyond the column table"),
+        ([0, 1, 2], "<", [1, 1], None, "constraint r[7,0]: bad sense '<'"),
+        ([0, 1, 2], "<=", [1, 0.5], None, "constraint r[7,1]: right-hand side 0.5 is not exact"),
+        ([0, 1, 2], "<=", [1], None, "2 tags but 2 senses, 1 right-hand sides"),
+        ([0, 1, 2], "<=", [1, 1], (1, -1, 0.5), "constraint r[7,1]: coefficient 0.5 is not"),
+        ([0, 1, 2], "<=", [1, 1], (1, -1), "constraint r[7,1]: position 2 is beyond"),
+        ([0, 1, 2], "<=", [1, 1], "plain", "a pattern takes a coefficient table exactly"),
+        ([0, 1, 2], "<=", [1, 1], "table", "a pattern takes a coefficient table exactly"),
+        ([0, 1, 2], "<=", [1, 1], "twice", "duplicate constraint tag r[7,0]"),
+        ([0, 1, 2], "<=", [1, 1], "held", "duplicate constraint tag r[7,1]"),
+    ],
+)
+def test_a_failed_stamp_leaves_the_model_unchanged(table, sense, rhs, values, message):
+    # Each stamp follows a valid row and stamp in the same block, which must
+    # not reach the model either.
+    m = small_model()
+    before = (_columns(m), _rows(m))
+    block = RowBlock()
+    block.add("first", [2], [1], ">=", 0)
+    block.stamp(_pattern(), "6", [0, 1, 2], "<=", [1, 1])
+    pattern = _pattern(positions=True) if isinstance(values, tuple) else _pattern()
+    if values == "plain":
+        values = (1, -1, 2)
+    elif values == "table":
+        pattern, values = _pattern(positions=True), None
+    elif values == "twice":
+        block.stamp(pattern, "7", table, sense, rhs)
+        values = None
+    elif values == "held":
+        m.add_constraint("r[7,1]", [(1, "x")], "<=", 1)
+        before = (_columns(m), _rows(m))
+        values = None
+    block.stamp(pattern, "7", table, sense, rhs, values)
+    with pytest.raises(ValueError, match=message.replace("[", r"\[")):
+        m.add_block(block)
+    assert (_columns(m), _rows(m)) == before
+    m.add_rows(["r"], ["<="], [1], [1], [0], [1])
+    assert m.tags[-1] == "r" and m.starts[-1] == len(m.cols)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        ("grid:5x12", True), ("grid:5x12", False), ("delaunay:60", True), ("delaunay:60", False)
+    ],
+    ids=["grid5x12-raw", "grid5x12", "delaunay60-raw", "delaunay60"],
+)
+def sweep_scale(request):
+    """A sweep-scale instance, at its generated costs (raw) and perturbed."""
+    topology, raw = request.param
+    return raw_sweep_instance(topology) if raw else sweep_instance(topology)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("kind", ["STD", "PCS2"])
+def test_every_stamped_row_passes_the_per_term_checks(sweep_scale, n, kind):
+    # Assembly checks a pattern once and each stamp only where copies differ;
+    # every row must still pass add_rows' per-term checks, and come out the same.
+    prep = prepared(sweep_scale, n)
+    ir = formulations.assemble_hybrid(
+        sweep_scale, n, kind, "STD", prep.bigm, prep.enum, plan=prep.plan
+    ).ir
+    copy = ModelIR(ir.label)
+    for name, lower, upper, binary in zip(ir.names, ir.lower, ir.upper, ir.binary):
+        copy.add_variable(name, lower, upper, binary)
+    lengths = [b - a for a, b in pairwise(ir.starts)]
+    copy.add_rows(ir.tags, ir.senses, ir.rhs, lengths, ir.cols, ir.coefs)
+    assert _rows(copy) == _rows(ir)

@@ -587,6 +587,24 @@ def test_an_unknown_option_in_the_table_names_it(monkeypatch):
         _on_a_new_thread(lambda: ScipyBackend().solve(knapsack_model(), budget=30))
 
 
+@pytest.mark.parametrize(
+    "table, named",
+    [
+        ({"output_flag": "yes"}, "output_flag='yes'"),
+        ({"tollgate_no_such_option": 1, "output_flag": False}, "tollgate_no_such_option=1"),
+    ],
+)
+def test_a_rejected_option_writes_nothing_to_stdout(monkeypatch, capfd, table, named):
+    # Until output_flag is off, HiGHS reports a rejected option on file
+    # descriptor 1, where a sweep writes its CSV: the error must reach the
+    # caller only as SolverError.
+    rest = {k: v for k, v in solver._HIGHS_OPTIONS.items() if k not in table}
+    monkeypatch.setattr(solver, "_HIGHS_OPTIONS", {**table, **rest})
+    with pytest.raises(SolverError, match=f"rejected option {named}"):
+        _on_a_new_thread(lambda: ScipyBackend().solve(knapsack_model(), budget=30))
+    assert capfd.readouterr().out == ""
+
+
 def test_threaded_sweep_equals_the_serial_one(suite25):
     # Each worker thread solves on its own HiGHS instance; the records must
     # be the serial sweep's, all but the timings.  Each sweep gets copies,
