@@ -7,9 +7,17 @@ bundled with scipy in-process, through scipy's private binding
 uses the binding directly.  :func:`_load_highs` loads that extension module
 from scipy's directory without running ``scipy.optimize``'s package
 ``__init__``, which would import linprog, linalg, fft and more that this
-package never uses.  The model reaches HiGHS as plain Python lists of
-floats (:func:`_model_arrays`), so this package imports no numpy; the
-binding loads it itself on the first solve.  The constraint matrix goes
+package never uses.  Nor is the binding loaded at import: the first
+``ScipyBackend`` solve loads it, once per process and under a lock
+(:func:`_bind_highs`), as does the first read of ``_highs``,
+``_HIGHS_STATUS`` or ``_HIGHS_LIMITS`` from outside the module.  So
+``generate``, ``enumerate``, ``reduce`` and ``build`` never load it.  On
+a 2-core machine, loading it takes about 8 ms, and moving the load from
+import to the first solve took ``import tollgate``, with compiled bytecode
+in place, from a median of 64 ms to 47 ms (40 alternating runs each).
+The model reaches HiGHS as plain Python lists of floats
+(:func:`_model_arrays`), so this package imports no numpy; the binding
+loads it itself on the first solve.  The constraint matrix goes
 row-wise, as :class:`ModelIR` stores it, and HiGHS builds the columns
 itself: on the 301 models of a gate25 pass at seed 0 that gives the same
 objective, node count and column values, bit for bit, as handing it
@@ -110,7 +118,8 @@ def _load_highs():
     back from the interpreter's extension cache, and sets it as an
     attribute of ``scipy.optimize._highspy``.  Registered here, before its
     parent packages exist, it would be found in ``sys.modules`` and never
-    set as that attribute.
+    set as that attribute.  Loading it does register its submodules there,
+    such as ``scipy.optimize._highspy._core.cb``.
     """
     loaded = sys.modules.get(_HIGHS_MODULE)
     if loaded is not None:
@@ -134,8 +143,6 @@ def _load_highs():
     spec.loader.exec_module(module)
     return module
 
-
-_highs = _load_highs()
 
 log = logging.getLogger(__name__)
 
@@ -229,19 +236,47 @@ _HIGHS_OPTIONS = {
     "mip_pscost_minreliable": 0,
 }
 
-# Statuses under which HiGHS may hold a MIP incumbent without a proof.
-_HIGHS_LIMITS = (
-    _highs.HighsModelStatus.kTimeLimit,
-    _highs.HighsModelStatus.kIterationLimit,
-    _highs.HighsModelStatus.kSolutionLimit,
-)
+_binding_lock = threading.Lock()
 
-_HIGHS_STATUS = {
-    _highs.HighsModelStatus.kOptimal: STATUS_OPTIMAL,
-    _highs.HighsModelStatus.kInfeasible: STATUS_INFEASIBLE,
-    _highs.HighsModelStatus.kUnbounded: STATUS_UNBOUNDED,
-    **{limit: STATUS_BUDGET for limit in _HIGHS_LIMITS},
-}
+
+def _bind_highs() -> None:
+    """Load the binding and its status tables, once per process.
+
+    Sets the module globals ``_highs`` (the binding :func:`_load_highs`
+    returns), ``_HIGHS_LIMITS`` (the statuses under which HiGHS may hold a
+    MIP incumbent without a proof) and ``_HIGHS_STATUS`` (HiGHS's model
+    statuses mapped to this module's).  ``_highs`` is set last, so a thread
+    that finds it set finds the tables set too; the lock keeps two threads'
+    first solves from loading the binding twice.
+    """
+    global _highs, _HIGHS_LIMITS, _HIGHS_STATUS
+    if "_highs" in globals():
+        return
+    with _binding_lock:
+        if "_highs" in globals():
+            return
+        highs = _load_highs()
+        status = highs.HighsModelStatus
+        _HIGHS_LIMITS = (
+            status.kTimeLimit,
+            status.kIterationLimit,
+            status.kSolutionLimit,
+        )
+        _HIGHS_STATUS = {
+            status.kOptimal: STATUS_OPTIMAL,
+            status.kInfeasible: STATUS_INFEASIBLE,
+            status.kUnbounded: STATUS_UNBOUNDED,
+            **{limit: STATUS_BUDGET for limit in _HIGHS_LIMITS},
+        }
+        _highs = highs
+
+
+def __getattr__(name: str):
+    # Reading the binding or a status table from outside loads it first.
+    if name in ("_highs", "_HIGHS_LIMITS", "_HIGHS_STATUS"):
+        _bind_highs()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _highs_lp(c, matrix, lo, hi, lb, ub, binary) -> "_highs.HighsLp":
@@ -345,6 +380,7 @@ class ScipyBackend:
     name = "scipy-highs"
 
     def solve(self, model: ModelIR, budget: float = DEFAULT_BUDGET) -> SolveResult:
+        _bind_highs()
         names, c, matrix, lo, hi, lb, ub, binary = _model_arrays(model)
         is_mip = any(binary)
         start = time.perf_counter()

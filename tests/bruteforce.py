@@ -8,7 +8,8 @@ simplex on a dense tableau of ``Fraction`` values, an LP writer that
 renders one row at a time, term by term, model emitters that add every
 row term by term, by variable name, and graph reductions that merge or
 eliminate one node at a time on ``Fraction`` costs, rescanning every arc
-each time.  Tests freeze
+each time, and toll-free connectivity by one search per commodity.  Tests
+freeze
 values computed by these functions and compare the package against them.
 """
 
@@ -150,6 +151,29 @@ def toll_free_reaches(network: Network, origin: int, dest: int) -> bool:
                 seen[head] = True
                 stack.append(head)
     return False
+
+
+def pairs_reach_avoiding(
+    network: Network, tolled_edges: set[int], pairs: Sequence[tuple[int, int]]
+) -> bool:
+    """Does every pair stay connected once the edges in ``tolled_edges`` are tolled?
+
+    An edge is a pair of twin arcs, ``2 * edge`` and ``2 * edge + 1``; the
+    network's own toll flags are ignored.  One directed search per pair.
+    """
+    for origin, dest in pairs:
+        seen = [False] * network.num_nodes
+        seen[origin] = True
+        stack = [origin]
+        while stack and not seen[dest]:
+            node = stack.pop()
+            for head, aid in network.out_adj[node]:
+                if aid // 2 not in tolled_edges and not seen[head]:
+                    seen[head] = True
+                    stack.append(head)
+        if not seen[dest]:
+            return False
+    return True
 
 
 def random_digraph_instance(

@@ -1,12 +1,17 @@
 """Random instance generation: shapes, determinism, and the tolling rules."""
 
+import hashlib
+import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from bruteforce import pairs_reach_avoiding
 from tollgate.generator import (
     GenConfig,
     GenError,
+    _toll_free_connects,
     generate,
     grid_edges,
     parse_topology,
@@ -149,3 +154,69 @@ def test_voronoi_instance_is_valid():
 def test_voronoi_is_deterministic():
     cfg = GenConfig(("voronoi", 18), 4, seed=9)
     assert serialize_instance(generate(cfg)) == serialize_instance(generate(cfg))
+
+
+# Each config's label and the sha256 of its serialized instance, recorded
+# before toll conversions were decided by component labeling instead of a
+# search per commodity, and eligible pairs by labeling instead of a
+# breadth-first search per node.
+_PINNED = [
+    (GenConfig(("grid", (3, 4)), 3), "grid3x4-k3-s0",
+     "21799a09fae7aff44e13b58c08b24cda028116bfc19cc9a3a562d3faed29bcf3"),
+    (GenConfig(("grid", (5, 12)), 40, seed=0), "grid5x12-k40-s0",
+     "5a570d081fa468aaeeefe8523d234ce20dc52a2843c9098af4b88a9253eae51b"),
+    (GenConfig(("grid", (5, 12)), 40, seed=1), "grid5x12-k40-s1",
+     "ecdf0f425dddb22f29aeb41c8213c33c4208bbb983a1b3adc43ea4080314ba36"),
+    (GenConfig(("delaunay", 60), 40), "delaunay60-k40-s0",
+     "11544b1ed903ef58bc82d554c88e82a2fbadd667a92d909cad91e948496e051a"),
+    (GenConfig(("voronoi", 30), 10), "voronoi30-k10-s0",
+     "0e04cd80674273983bf01b9fc88ea4fc03cb0e73b741e7fdac7a4729372f69b8"),
+    (GenConfig(("grid", (1, 5)), 2, toll_ratio=0.9), "grid1x5-k2-s0-short4",
+     "e84c0f91c410df5361bfb1ed3fffd8e6017077cadd08a67a3255311b05431317"),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, label, digest", _PINNED, ids=[label for _, label, _ in _PINNED]
+)
+def test_generated_bytes_are_pinned(cfg, label, digest):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inst = generate(cfg)
+    assert inst.label == label
+    assert hashlib.sha256(serialize_instance(inst).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        GenConfig(("grid", (3, 4)), 3),
+        GenConfig(("grid", (5, 12)), 40),
+        GenConfig(("delaunay", 60), 40),
+        GenConfig(("voronoi", 30), 10),
+    ],
+    ids=["grid3x4", "grid5x12", "delaunay60", "voronoi30"],
+)
+def test_toll_free_connects_matches_a_search_per_commodity(cfg):
+    inst = generate(cfg)
+    net = inst.network
+    edges = [(net.arcs[2 * pos].tail, net.arcs[2 * pos].head)
+             for pos in range(net.num_arcs // 2)]
+    commodities = [(com.origin, com.destination) for com in inst.commodities]
+    rng = random.Random(cfg.seed)
+    outcomes = []
+    for trial in range(60):
+        tolled = set(rng.sample(range(len(edges)), rng.randint(0, len(edges))))
+        # Any node pairs too, isolated and repeated nodes included.
+        pairs = commodities if trial % 2 else [
+            (rng.randrange(net.num_nodes), rng.randrange(net.num_nodes))
+            for _ in range(rng.randint(1, 5))
+        ]
+        expected = pairs_reach_avoiding(net, tolled, pairs)
+        assert _toll_free_connects(net.num_nodes, edges, tolled, pairs) is expected
+        outcomes.append(expected)
+    # Both answers occur: some toll sets cut a pair off and some do not.
+    assert set(outcomes) == {False, True}
+    all_edges = set(range(len(edges)))
+    assert _toll_free_connects(net.num_nodes, edges, all_edges, commodities) is False
+    assert _toll_free_connects(net.num_nodes, edges, set(), commodities) is True

@@ -391,19 +391,24 @@ def test_import_loads_no_subprocess_or_thread_pool():
 
 
 # Run in a fresh interpreter: the pre-solve command line (generate, then
-# build) leaves numpy unloaded; the first solve loads it through scipy's
-# HiGHS binding.
+# build) leaves numpy and the HiGHS binding unloaded; the first solve loads
+# both.  The binding is never registered in sys.modules under its own name
+# (see solver._load_highs), but loading it registers its submodules there.
 _BUILD_PROBE = """
 import json, sys
 from tollgate.cli import main
 from tollgate.model_ir import ModelIR
 from tollgate.solver import ScipyBackend
+def highs_loaded():
+    core = "scipy.optimize._highspy._core"
+    return any(m == core or m.startswith(core + ".") for m in sys.modules)
 npp, lp = {npp!r}, {lp!r}
 assert main(["generate", "--topology", "grid:3x4", "--commodities", "3",
              "--seed", "1", "--out", npp]) == 0
 assert main(["build", "--instance", npp, "--main", "PCS2", "--breakpoint", "8",
              "--out", lp]) == 0
 after_build = "numpy" in sys.modules
+highs_after_build = highs_loaded()
 m = ModelIR("knapsack")
 for name in ("a", "b", "c"):
     m.add_variable(name, 0, 1, binary=True)
@@ -414,6 +419,8 @@ res = ScipyBackend().solve(m, 30)
 print(json.dumps({{
     "after_build": after_build,
     "after_solve": "numpy" in sys.modules,
+    "highs_after_build": highs_after_build,
+    "highs_after_solve": highs_loaded(),
     "status": res.status,
     "objective": res.objective,
 }}))
@@ -426,8 +433,65 @@ def test_build_command_runs_without_numpy(tmp_path):
     assert "Maximize" in lp.read_text()
     assert probe["after_build"] is False
     assert probe["after_solve"] is True
+    assert probe["highs_after_build"] is False
+    assert probe["highs_after_solve"] is True
     assert probe["status"] == "optimal"
     assert probe["objective"] == pytest.approx(8.0)
+
+
+# Run in a fresh interpreter: two threads make the process's first solves at
+# once.  The loader is slowed down, so that both would load the binding if
+# nothing kept the second one out.
+_FIRST_SOLVES_PROBE = """
+import json, threading, time
+from tollgate import solver
+from tollgate.model_ir import ModelIR
+loads = []
+load = solver._load_highs
+def slow_load():
+    time.sleep(0.2)
+    loads.append(load())
+    return loads[-1]
+solver._load_highs = slow_load
+def knapsack():
+    m = ModelIR("knapsack")
+    for name in ("a", "b", "c"):
+        m.add_variable(name, 0, 1, binary=True)
+    m.add_constraint("w", [(4, "a"), (3, "b"), (2, "c")], "<=", 6)
+    for coef, name in ((5, "a"), (4, "b"), (3, "c")):
+        m.add_objective_term(coef, name)
+    return m
+barrier = threading.Barrier(2)
+seen = {}
+def run(i):
+    model = knapsack()
+    barrier.wait(timeout=60)
+    res = solver.ScipyBackend().solve(model, 30)
+    seen[i] = (res.status, res.objective, id(solver._highs))
+threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+print(json.dumps({
+    "finished": not any(t.is_alive() for t in threads),
+    "loads": len(loads),
+    "runs": [list(seen[i]) for i in range(2)],
+    "same": all(m is solver._highs for m in loads),
+}))
+"""
+
+
+def test_first_solves_in_two_threads_load_one_binding():
+    probe = run_probe(_FIRST_SOLVES_PROBE)
+    assert probe["finished"] is True
+    assert probe["loads"] == 1
+    assert probe["same"] is True
+    (status_a, objective_a, module_a), (status_b, objective_b, module_b) = probe["runs"]
+    assert status_a == status_b == "optimal"
+    assert objective_a == pytest.approx(8.0)
+    assert objective_b == pytest.approx(8.0)
+    assert module_a == module_b
 
 
 def test_missing_highs_binding_names_the_folder_searched(tmp_path, monkeypatch):
