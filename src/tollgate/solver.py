@@ -23,7 +23,7 @@ itself: on the 301 models of a gate25 pass at seed 0 that gives the same
 objective, node count and column values, bit for bit, as handing it
 columns.
 
-Every solve runs under one fixed option table, :data:`_HIGHS_OPTIONS`.
+Every MIP solve runs under one fixed option table, :data:`_HIGHS_OPTIONS`.
 The models are small: over those 301 solves the median has 11 binaries,
 35 columns and 41 rows, and the largest 47 binaries.  HiGHS's defaults
 suit larger MIPs.  Besides silence and a zero gap, each entry of the table
@@ -52,10 +52,33 @@ measured on a 2-core machine with the same optima:
   runs of ``run_one`` took 3.7-3.8 s instead of 5.5 s, and the slowest
   solve 0.23 s instead of 0.64-0.67 s.
 
-Presolve itself stays on.  Switched off on top of the table, it made the
-median of the 301 models faster (0.79 to 0.59 ms) but the slowest slower
-(11.5 to 22.9 ms).  Switched off instead of the two options above, it
-left the 6x6 grids at 5.3-6.2 s.
+Presolve itself stays on for the MIP.  Switched off on top of the table,
+it made the median of the 301 models faster (0.79 to 0.59 ms) but the
+slowest slower (11.5 to 22.9 ms).  Switched off instead of the two options
+above, it left the 6x6 grids at 5.3-6.2 s.
+
+Relaxation first.  A model with binaries is first solved as its LP
+relaxation: passed with its integrality cleared and run with presolve off,
+under the whole budget.  When HiGHS proves that LP optimal and every
+binary lies within :data:`CHECK_TOLERANCE` (1e-6, HiGHS's own
+``mip_feasibility_tolerance``) of 0 or 1, the point is the MIP's optimum
+too, and it is returned with its objective as its bound and no
+branch-and-bound node.  Otherwise the model is passed again with its
+integrality and solved as a MIP, under HiGHS's default presolve and what
+is left of the budget.  The twelve kinds differ mostly in how tight their
+relaxations are, and on the gate suite most are exact: at seeds 0 and 7,
+204 of the 301 models of a gate25 pass have a relaxation whose binaries
+lie within 1e-15 of 0 or 1.  On such a model the MIP solver's set-up
+costs more than the solve: timed alone on a 2-core machine (best of 3),
+``run`` took a median of 0.68 ms on these 204 as a MIP, against 0.20 ms
+for the same model's relaxation with presolve off.  Presolve is off for
+the relaxation because on LPs this small it costs more than it saves:
+with HiGHS's default the 301 relaxations took a median of 0.52 ms, not
+0.23 ms.  A fractional relaxation is a wasted run, a median of 0.37 ms
+and at most 1.2 ms on gate25, which made the gate's slowest cells 5-9%
+slower.  At sweep scale, on grid5x12 and delaunay60 with 40 commodities
+at breakpoints 8 and 64, every relaxation was fractional and took 35-380
+ms, and that time is charged to the budget.
 
 HiGHS drops coefficients below its ``small_matrix_value`` (1e-9); the
 backend logs a warning with their count when it does.  HiGHS writes some
@@ -69,10 +92,11 @@ once, and its descriptor kept open for the process.
 
 Each thread solves on one HiGHS instance of its own, made on the thread's
 first solve and given the fixed options then.  A solve sets only its time
-limit, passes the model with HiGHS's maximize sense (the costs as they are,
-and the dual bound read in the model's own sense), reads the results and
-clears the model (``clearModel``), so the instance keeps its options and
-no model outlives its solve.  An instance whose solve raises is dropped,
+limit, and presolve off for a relaxation and back to HiGHS's default
+after it.  It passes the model with HiGHS's maximize sense (the costs as
+they are, and the dual bound read in the model's own sense), reads the
+results and clears the model (``clearModel``), so the instance keeps its
+options and no model outlives its solve.  An instance whose solve raises is dropped,
 and the thread's next solve makes a new one.  On the 300 cells of a gate25
 pass at seeds 0 and 7, this gives the same status, objective, bound, node
 count and column values, bit for bit, as a new instance per solve.
@@ -173,8 +197,9 @@ class SolveResult:
     wall_time: float = 0.0
     backend: str = ""
     cut_rounds: int = 0
-    #: Branch-and-bound nodes, summed over cut rounds; 0 for an LP or when
-    #: the backend does not report them.
+    #: Branch-and-bound nodes, summed over cut rounds; 0 for an LP, for a
+    #: MIP whose LP relaxation ended the solve, or when the backend does not
+    #: report them.
     mip_nodes: int = 0
 
     @property
@@ -350,11 +375,11 @@ def _take_highs():
     """The calling thread's HiGHS instance, taken from the thread for a solve.
 
     The thread's first solve makes the instance and gives it
-    :data:`_HIGHS_OPTIONS`.  A solve sets only its time limit, and hands
-    the instance back once its results are read and its model cleared, so
-    an instance whose solve raises is dropped and the next solve makes a
-    new one.  Call it under :func:`_fd1_silenced`: HiGHS reports a
-    rejected option on fd 1.
+    :data:`_HIGHS_OPTIONS`.  A solve sets only its time limit and, around
+    a relaxation, presolve; it hands the instance back once its results
+    are read and its model cleared, so an instance whose solve raises is
+    dropped and the next solve makes a new one.  Call it under
+    :func:`_fd1_silenced`: HiGHS reports a rejected option on fd 1.
     """
     highs = getattr(_per_thread, "highs", None)
     _per_thread.highs = None
@@ -365,16 +390,43 @@ def _take_highs():
     return highs
 
 
+def _pass_model(highs, lp, model: ModelIR) -> None:
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        raise SolverError(f"HiGHS rejected model {model.label!r}")
+
+
+def _relaxation_is_integral(highs, binary) -> bool:
+    """Run the passed model, its integrality cleared, as an LP without presolve.
+
+    True when HiGHS proves an optimum whose binaries all lie within
+    :data:`CHECK_TOLERANCE` of 0 or 1: that point is then the MIP's optimum
+    too.  Presolve is HiGHS's default (``choose``) again afterwards.
+    """
+    _set_option(highs, "presolve", "off")
+    highs.run()
+    _set_option(highs, "presolve", "choose")
+    if _HIGHS_STATUS.get(highs.getModelStatus()) != STATUS_OPTIMAL:
+        return False
+    values = highs.getSolution().col_value
+    return all(
+        min(abs(v), abs(1.0 - v)) <= CHECK_TOLERANCE
+        for v, b in zip(values, binary)
+        if b
+    )
+
+
 class ScipyBackend:
     """HiGHS in-process, through the binding bundled with scipy.
 
     The model goes to HiGHS as one ``HighsLp`` that maximizes the model's
-    objective, solved under the fixed options of :data:`_HIGHS_OPTIONS`
-    (sub-MIP heuristics, root restarts and the strong-branching warm-up
-    off, presolve at the root node only) and the budget as HiGHS's time
-    limit.  Each thread solves on its own HiGHS instance
-    (:func:`_take_highs`), which keeps its options between solves and
-    holds no model between them.
+    objective.  A model with binaries is solved as its LP relaxation first
+    (:func:`_relaxation_is_integral`), under the whole budget; when that
+    optimum is not integral, the MIP is solved under the fixed options of
+    :data:`_HIGHS_OPTIONS` (sub-MIP heuristics, root restarts and the
+    strong-branching warm-up off, presolve at the root node only) and the
+    rest of the budget as HiGHS's time limit.  Each thread solves on its
+    own HiGHS instance (:func:`_take_highs`), which keeps its options
+    between solves and holds no model between them.
     """
 
     name = "scipy-highs"
@@ -383,16 +435,28 @@ class ScipyBackend:
         _bind_highs()
         names, c, matrix, lo, hi, lb, ub, binary = _model_arrays(model)
         is_mip = any(binary)
+        budget = max(0.0, float(budget))
         start = time.perf_counter()
         lp = _highs_lp(c, matrix, lo, hi, lb, ub, binary)
+        if is_mip:
+            integrality, lp.integrality_ = lp.integrality_, []
         # HiGHS writes to fd 1 when it rejects an option, and while it runs.
         with _fd1_silenced():
             highs = _take_highs()
-            _set_option(highs, "time_limit", max(0.0, float(budget)))
-            if highs.passModel(lp) == _highs.HighsStatus.kError:
-                raise SolverError(f"HiGHS rejected model {model.label!r}")
+            _set_option(highs, "time_limit", budget)
+            _pass_model(highs, lp, model)
             dropped = len(matrix[2]) - highs.getNumNz()
-            highs.run()
+            relaxed = is_mip and _relaxation_is_integral(highs, binary)
+            # Whether HiGHS ends with a branch and bound's results, or an LP's.
+            searched = is_mip and not relaxed
+            if searched:
+                # The MIP gets what is left of the budget.
+                lp.integrality_ = integrality
+                spent = time.perf_counter() - start
+                _set_option(highs, "time_limit", max(0.0, budget - spent))
+                _pass_model(highs, lp, model)
+            if not relaxed:
+                highs.run()
         elapsed = time.perf_counter() - start
         # HiGHS drops coefficients below its small_matrix_value (1e-9) and
         # says so only through a warning status; solve()'s re-check still
@@ -413,7 +477,7 @@ class ScipyBackend:
             )
         # An LP stopped early holds no feasible point; a MIP may hold one.
         has_point = model_status == _highs.HighsModelStatus.kOptimal or (
-            is_mip
+            searched
             and model_status in _HIGHS_LIMITS
             and math.isfinite(info.objective_function_value)
         )
@@ -423,7 +487,7 @@ class ScipyBackend:
         # A MIP ended optimal or at a limit keeps HiGHS's dual bound, with or
         # without an incumbent.
         ended = status in (STATUS_OPTIMAL, STATUS_BUDGET)
-        if is_mip and ended and math.isfinite(info.mip_dual_bound):
+        if searched and ended and math.isfinite(info.mip_dual_bound):
             bound = float(info.mip_dual_bound)
         if has_point:
             values = highs.getSolution().col_value
@@ -433,7 +497,7 @@ class ScipyBackend:
                 status = STATUS_FEASIBLE  # incumbent in hand, optimality unproven
             if bound is None and status == STATUS_OPTIMAL:
                 bound = objective
-        mip_nodes = max(0, int(info.mip_node_count)) if is_mip else 0
+        mip_nodes = max(0, int(info.mip_node_count)) if searched else 0
         highs.clearModel()
         _per_thread.highs = highs
         return SolveResult(

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bruteforce import pairs_reach_avoiding
+from tollgate import generator
 from tollgate.generator import (
     GenConfig,
     GenError,
@@ -220,3 +221,39 @@ def test_toll_free_connects_matches_a_search_per_commodity(cfg):
     all_edges = set(range(len(edges)))
     assert _toll_free_connects(net.num_nodes, edges, all_edges, commodities) is False
     assert _toll_free_connects(net.num_nodes, edges, set(), commodities) is True
+
+
+@pytest.mark.parametrize(
+    "cfg, path",
+    [
+        (GenConfig(("grid", (3, 4)), 3), False),
+        (GenConfig(("grid", (1, 5)), 2, toll_ratio=0.9), True),
+        (GenConfig(("grid", (5, 12)), 40, seed=3), False),
+        (GenConfig(("delaunay", 60), 40, seed=5), False),
+        (GenConfig(("voronoi", 30), 10, seed=2), False),
+        (GenConfig(("voronoi", 60), 20, seed=4, toll_ratio=0.6), False),
+    ],
+    ids=["grid3x4", "grid1x5", "grid5x12", "delaunay60", "voronoi30", "voronoi60"],
+)
+def test_a_search_per_candidate_tolls_what_a_labeling_per_candidate_does(
+    cfg, path, monkeypatch
+):
+    # Only a bridge of the toll-free graph is decided by a labeling; with the
+    # search switched off every candidate is, and the instance is the same.
+    # On a path graph every edge is a bridge.
+    labeled = []
+    connects = generator._toll_free_connects
+
+    def counted(*args):
+        labeled.append(args[2])
+        return connects(*args)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        monkeypatch.setattr(generator, "_toll_free_connects", counted)
+        searched = serialize_instance(generate(cfg))
+        bridges = len(labeled)
+        monkeypatch.setattr(generator, "_reaches", lambda adjacency, u, v: False)
+        assert serialize_instance(generate(cfg)) == searched
+    candidates = len(labeled) - bridges
+    assert (bridges == candidates) is path

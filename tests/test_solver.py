@@ -20,7 +20,7 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 import tollgate
-from conftest import fixture_model, perturbed
+from conftest import _qualifying_instance, fixture_model, perturbed
 from tollgate import solver
 from tollgate.experiments import run_sweep
 from tollgate.formulations import FORMULATIONS, build_single
@@ -147,8 +147,17 @@ def test_scipy_backend_keeps_the_dual_bound_without_an_incumbent(monkeypatch):
     assert res.gap is None
 
 
-def test_scipy_backend_counts_branch_and_bound_nodes(fig, fig_enum, fig_bigm):
-    res = ScipyBackend().solve(fig_model(fig, fig_enum, fig_bigm), budget=30)
+def branching_model():
+    """grid3x4-k3-s21 of the gate suite as PCS2: 19 columns, 7 binaries.
+
+    Its LP relaxation is fractional, so HiGHS branches on it.
+    """
+    entry = _qualifying_instance(21)
+    return build_single(entry["instance"], "PCS2", entry["bigm"], entry["enums"]).ir
+
+
+def test_scipy_backend_counts_branch_and_bound_nodes():
+    res = ScipyBackend().solve(branching_model(), budget=30)
     assert res.status == "optimal"
     assert res.mip_nodes >= 1
 
@@ -520,6 +529,171 @@ def test_scipy_backend_matches_milp(fig, kind, perturb, caplog):
     assert res.objective == math.fsum(cj * xj for cj, xj in zip(c, values))
 
 
+class _RunLog:
+    """A HiGHS instance that logs, for each of its runs, whether the model
+    passed has integer columns and which presolve setting it runs under."""
+
+    def __init__(self, highs):
+        self.highs = highs
+        self.runs = []
+        self.integer = None
+
+    def __getattr__(self, name):
+        return getattr(self.highs, name)
+
+    def passModel(self, lp):
+        kinteger = _highs.HighsVarType.kInteger
+        self.integer = any(t == kinteger for t in lp.integrality_)
+        return self.highs.passModel(lp)
+
+    def run(self):
+        self.runs.append((self.integer, self.highs.getOptionValue("presolve")[1]))
+        return self.highs.run()
+
+
+def _logged_solve(monkeypatch, model):
+    """``ScipyBackend().solve(model)`` on a new instance; its result and runs."""
+    # The solve hands its HiGHS instance back to the thread: restore the
+    # thread's own one afterwards.
+    monkeypatch.setattr(solver._per_thread, "highs", None, raising=False)
+    take = solver._take_highs
+    logs = []
+
+    def take_logged():
+        logs.append(_RunLog(take()))
+        return logs[-1]
+
+    monkeypatch.setattr(solver, "_take_highs", take_logged)
+    res = ScipyBackend().solve(model, budget=30)
+    assert len(logs) == 1
+    return res, logs[0].runs
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["exact", "perturbed"])
+@pytest.mark.parametrize("kind", [k.label for k in FORMULATIONS])
+def test_an_integral_relaxation_ends_the_solve(fig, kind, perturb, monkeypatch):
+    # Every fixture model's LP relaxation has an integral optimum: HiGHS runs
+    # once, as an LP without presolve, and that optimum is the MIP's.
+    model = fixture_model(perturbed(fig) if perturb else fig, kind)
+    res, runs = _logged_solve(monkeypatch, model)
+    assert runs == [(False, "off")]
+    assert res.status == "optimal"
+    assert res.mip_nodes == 0
+    assert res.objective == pytest.approx(milp_objective(model), rel=1e-9)
+    assert res.best_bound == res.objective
+
+
+def test_a_fractional_relaxation_goes_on_to_the_mip(monkeypatch):
+    # The knapsack's relaxation takes a quarter of a for 8.25; the MIP then
+    # runs under HiGHS's default presolve and ends at 8.  (HiGHS's MIP
+    # presolve solves this knapsack without a branch-and-bound node.)
+    res, runs = _logged_solve(monkeypatch, knapsack_model())
+    assert runs == [(False, "off"), (True, "choose")]
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(8.0)
+    assert res.best_bound == pytest.approx(8.0)
+    assert res.assignment == pytest.approx({"a": 1.0, "b": 0.0, "c": 1.0})
+
+
+class _ScriptedHighs:
+    """A HiGHS stand-in that ends the knapsack's relaxation optimal at
+    ``relaxed`` and its MIP optimal at a = c = 1 after three nodes.
+
+    Each run logs whether the model has integer columns and the time limit
+    it runs under; the relaxation's run advances ``clock`` by ``spend``.
+    """
+
+    def __init__(self, relaxed, clock=None, spend=0.0):
+        self.relaxed = relaxed
+        self.clock = clock
+        self.spend = spend
+        self.options = {}
+        self.runs = []
+        self.lp = None
+
+    def setOptionValue(self, key, value):
+        self.options[key] = value
+        return _highs.HighsStatus.kOk
+
+    def passModel(self, lp):
+        self.lp = lp
+        return _highs.HighsStatus.kOk
+
+    def _integer(self):
+        return any(t == _highs.HighsVarType.kInteger for t in self.lp.integrality_)
+
+    def getNumNz(self):
+        return len(self.lp.a_matrix_.value_)
+
+    def run(self):
+        self.runs.append((self._integer(), self.options["time_limit"]))
+        if not self._integer() and self.clock is not None:
+            self.clock.now += self.spend
+        return _highs.HighsStatus.kOk
+
+    def getModelStatus(self):
+        return _highs.HighsModelStatus.kOptimal
+
+    def getSolution(self):
+        values = [1.0, 0.0, 1.0] if self._integer() else self.relaxed
+        return SimpleNamespace(col_value=values)
+
+    def getInfo(self):
+        return SimpleNamespace(
+            objective_function_value=8.0,
+            mip_dual_bound=8.0 if self._integer() else 0.0,
+            mip_node_count=3 if self._integer() else -1,
+        )
+
+    def clearModel(self):
+        self.lp = None
+
+
+@pytest.mark.parametrize(
+    "b, searched", [(1e-5, True), (1e-7, False), (1 - 1e-7, False), (1 - 1e-5, True)]
+)
+def test_a_binary_off_by_more_than_the_tolerance_goes_on_to_the_mip(
+    monkeypatch, b, searched
+):
+    # A binary within CHECK_TOLERANCE (1e-6) of 0 or 1 counts as integral.
+    monkeypatch.setattr(solver._per_thread, "highs", None, raising=False)
+    fake = _ScriptedHighs([1.0, b, 1.0])
+    monkeypatch.setattr(solver, "_take_highs", lambda: fake)
+    res = ScipyBackend().solve(knapsack_model(), budget=30)
+    assert [integer for integer, _ in fake.runs] == [False, True][: 1 + searched]
+    assert res.status == "optimal"
+    assert res.mip_nodes == (3 if searched else 0)
+    assert res.assignment["b"] == (0.0 if searched else b)
+
+
+def test_the_mip_gets_the_budget_less_the_relaxations_time(monkeypatch):
+    clock = SimpleNamespace(now=1000.0)
+    monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: clock.now))
+    monkeypatch.setattr(solver._per_thread, "highs", None, raising=False)
+    fake = _ScriptedHighs([0.25, 1.0, 1.0], clock=clock, spend=12.5)
+    monkeypatch.setattr(solver, "_take_highs", lambda: fake)
+    res = ScipyBackend().solve(knapsack_model(), budget=30)
+    assert fake.runs == [(False, 30.0), (True, 17.5)]
+    assert res.wall_time == 12.5
+    assert res.objective == 8.0
+
+
+def test_presolve_is_back_at_highs_default_after_each_solve(fig):
+    # The relaxation runs without presolve.  After a solve that ended there
+    # (the fixture's STD) and after one that went on to the MIP (the
+    # knapsack), the thread's instance holds HiGHS's default again.
+    default = _highs._Highs().getOptionValue("presolve")
+
+    def in_turn():
+        read = []
+        for model in (fixture_model(fig, "STD"), knapsack_model()):
+            res = ScipyBackend().solve(model, budget=30)
+            read.append((res.status, _thread_instance().getOptionValue("presolve")))
+        return read
+
+    assert _on_a_new_thread(in_turn) == [("optimal", default)] * 2
+
+
 def _same_file(a, b):
     return (a.st_dev, a.st_ino) == (b.st_dev, b.st_ino)
 
@@ -581,7 +755,7 @@ def _thread_instance():
 def test_thread_instance_solves_each_model_as_a_fresh_one(fig):
     # One thread's instance solves A, then B stopped by a zero budget, then
     # A again: neither B's model nor its time limit may carry over into A.
-    a = fixture_model(perturbed(fig), "PCS2")
+    a = branching_model()
     b = fixture_model(fig, "STD")
     fresh = _on_a_new_thread(lambda: ScipyBackend().solve(a, budget=30))
 
