@@ -149,15 +149,17 @@ def run_one(
     whatever its kind.  ``enum_s`` is the time that preparation spent
     enumerating, so every kind of one (instance, breakpoint) reports the
     same ``enum_s``.  A run whose preparation fails reports the time it ran
-    before failing.
+    before failing; one that fails later, the rest of its time as ``solve_s``.
     """
     kind = get_kind(kind)
     label = instance.label
     if perturb:
         instance = perturbed(instance, seed=0)
     t0 = time.perf_counter()
+    prep = None
     try:
         prep = prepared(instance, breakpoint)
+        t1 = time.perf_counter()
         hybrid = assemble_hybrid(
             instance,
             breakpoint,
@@ -172,9 +174,11 @@ def run_one(
         result = solve_with_vfcs_cuts(hybrid, budget=budget, backend=backend)
     except Exception as exc:  # noqa: BLE001 - a sweep must survive bad cells
         log.warning("run %s/%s/N=%s failed: %s", label, kind.label, breakpoint, exc)
+        now = time.perf_counter()
+        times = (now - t0, 0.0) if prep is None else (prep.enum_s, now - t1)
         return RunRecord(
             label, kind.label, breakpoint, STATUS_ERROR, None, None,
-            time.perf_counter() - t0, 0.0, f"{type(exc).__name__}: {exc}",
+            *times, f"{type(exc).__name__}: {exc}",
         )
     gap = result.gap
     return RunRecord(

@@ -17,28 +17,29 @@ Each commodity block gathers its rows in a :class:`RowBlock`, which the
 model adds in one :meth:`ModelIR.add_block` call.  What depends only on a
 working graph is built once per graph and kept on it (``_GraphPattern``):
 variable names and row tags as templates that take the commodity index,
-the arc costs, and the flow balance, arc dual, direct and slackness rows
-of arc-flow blocks as :class:`RowPattern` objects.  Their columns are
-slots: a potential, a toll, a revenue or a flow of the graph.  A
-``_Block`` declares one commodity's variables and maps the slots to its
-model columns; the emitters stamp each pattern through that table and
-patch only what depends on the commodity: the balance right-hand sides at
-origin and destination, the potentials in the value tie, the big-M values
-and the demand.  A path block's direct and slackness rows depend on its
-feasible paths too, and are kept per graph for the last paths read
-(``_PathPatterns``); an arc slackness block's coefficients and right-hand
-sides depend on the big-M constants and the commodity, and are kept per
-graph and commodity for the last constants read (:func:`_slack_constants`).
-Every fallback block of a hybrid model shares the original graph's
-patterns, and every kind built from one hybrid plan shares the plan's.
-The model checks a pattern once, when it is made, and each stamp of it
-only where copies differ (see :mod:`tollgate.model_ir`).  Rows over
-feasible paths are gathered by column id one path at a time, get every
-check of :meth:`ModelIR.add_rows`, and every path slackness row comes
-from :func:`_path_slack`.  One emitter per modelling choice writes rows:
-primal, dual, direct, slackness, and the value tie of route cost plus
-revenue against the dual objective.  Cut-loop blocks stay on the
-:class:`HybridModel`.
+the arc costs, and the flow balance and arc dual rows as
+:class:`RowPattern` objects.  Their columns are slots: a potential, a
+toll, a revenue or a route of the graph.  What reads a block's routes
+(its direct and arc slackness rows, and its value tie's route costs)
+comes from a ``_RoutePatterns``, made from the routes through each arc:
+its flow, or the feasible paths through it.  A graph keeps the path ones
+for the last paths read.  A ``_Block`` declares one commodity's variables
+and maps the slots to its model columns; the emitters stamp each pattern
+through that table and patch only what depends on the commodity: the
+balance right-hand sides at origin and destination, the potentials in
+the value tie, the big-M values and the demand.  An arc slackness block's
+coefficients and right-hand sides depend on the big-M constants and the
+commodity, and are kept per graph and commodity for the last constants
+read (:func:`_slack_constants`).  Every fallback block of a hybrid model
+shares the original graph's patterns, and every kind built from one
+hybrid plan shares the plan's.  The model checks a pattern once, when it
+is made, and each stamp of it only where copies differ (see
+:mod:`tollgate.model_ir`).  Rows over feasible paths are gathered by
+column id one path at a time and get every check term by term, and every
+path slackness row comes from :func:`_path_slack`.  One emitter per
+modelling choice writes rows: primal, dual, direct, slackness, and the
+value tie of route cost plus revenue against the dual objective.
+Cut-loop blocks stay on the :class:`HybridModel`.
 Each commodity's modelling decision is one :class:`CommodityAssignment`:
 role, kind, working graph and feasible set.  Both builders,
 :func:`build_single` and :func:`assemble_hybrid`, only make the assignments
@@ -258,10 +259,7 @@ def _direct_rows(
     coefs: list[int] = []
     for j, rid in enumerate(net.tolled_ids):
         t, toll, use = revenue + j, toll_slot[rid], users[rid]
-        tags += [
-            _template(f"direct{side}1[{_K},{rid}]"),
-            _template(f"direct{side}2[{_K},{rid}]"),
-        ]
+        tags += [_template(f"direct{side}{n}[{_K},{rid}]") for n in (1, 2)]
         lengths += [1 + len(use), 2 + len(use)]
         cols += [t, *use, toll, t, *use]
         coefs += [_ONE, *[_NEG_M] * len(use), _ONE, _MINUS_ONE, *[_CAP] * len(use)]
@@ -317,8 +315,8 @@ class _GraphPattern:
     Names and tags are templates (see :func:`_template`).
 
     Holds the names, the arc costs, the flow balance and arc dual rows, and
-    the direct and slackness rows of arc-flow blocks, whose only route
-    through an arc is its flow.
+    the route patterns of arc-flow blocks (``by_flows``) and of the path
+    blocks over the last feasible paths read (``for_paths``).
     """
 
     def __init__(self, graph: ReducedGraph) -> None:
@@ -336,21 +334,32 @@ class _GraphPattern:
         # Per commodity: the big-M constants and the arc slackness constants
         # made from them (see _slack_constants).
         self.slack_constants: dict[int, tuple[BigMParams, list, list]] = {}
-        # The patterns of the last feasible paths a path block read here.
-        self.path_patterns: Optional[_PathPatterns] = None
+        # The last feasible paths a path block read here, and their patterns.
+        self.path_routes: Optional[tuple[tuple[Path, ...], _RoutePatterns]] = None
 
-    def for_paths(self, paths: tuple[Path, ...]) -> _PathPatterns:
-        """The patterns of the path blocks over ``paths``, kept until other paths come.
+    def for_paths(self, paths: tuple[Path, ...]) -> _RoutePatterns:
+        """The route patterns of the path blocks over ``paths``, kept until other paths come.
 
         On a plan's graphs every block reads the same paths, whatever its
         kind.  Threads that build them at once can at worst build them twice.
         """
-        held = self.path_patterns
-        if held is None or held.paths is not paths:
-            held = self.path_patterns = _PathPatterns(self, paths)
-        return held
+        held = self.path_routes
+        if held is None or held[0] is not paths:
+            users: list[list[int]] = [[] for _ in self.network.arcs]
+            for pos, path in enumerate(paths):
+                for rid in path.arcs:
+                    users[rid].append(self.paths + pos)
+            routes = _RoutePatterns(self, "p", users, [path.cost for path in paths])
+            held = self.path_routes = (paths, routes)
+        return held[1]
 
     # The rest is built on first use: a path block reads none of it.
+
+    @cached_property
+    def by_flows(self) -> _RoutePatterns:
+        """The route patterns of arc-flow blocks, whose only route through an arc is its flow."""
+        users = [[self.flows + arc.index] for arc in self.network.arcs]
+        return _RoutePatterns(self, "a", users, self.costs)
 
     @cached_property
     def revenue_names(self) -> list[tuple[str, str]]:
@@ -404,46 +413,27 @@ class _GraphPattern:
             coefs += [1, -1, -1][: len(slots)]
         return RowPattern(tags, lengths, cols, coefs)
 
-    @cached_property
-    def flow_users(self) -> list[list[int]]:
-        """The route slots through each arc under the arc primal: its flow."""
-        return [[self.flows + arc.index] for arc in self.network.arcs]
 
-    @cached_property
-    def direct(self) -> dict[bool, RowPattern]:
-        """The direct rows of an arc-flow block, one-sided (False) and two-sided."""
-        net = self.network
-        return {
-            two_sided: _direct_rows(
-                net, "a", self.flow_users, self.toll_slot, self.revenue, two_sided
-            )
-            for two_sided in (False, True)
-        }
+class _RoutePatterns:
+    """The rows of one primal representation on one graph that read its routes.
 
-    @cached_property
-    def slack(self) -> RowPattern:
-        """The slackness rows of an arc-flow, arc-dual block."""
-        return _slack_rows(self.network, "aa", self.flow_users, self.toll_slot)
-
-
-class _PathPatterns:
-    """The direct and slackness rows of the path blocks over one feasible path tuple.
-
-    ``users[a]`` holds the ``z`` slots of the paths through working arc
-    ``a``; the patterns are made from them on first use.  It keeps what it
-    reads of its graph's :class:`_GraphPattern`, not that object, which
-    holds it: a reference back would leave the pair to the cyclic collector.
+    ``users[a]`` holds the slots of the routes through working arc ``a``:
+    its flow under the arc primal, the ``z`` of every feasible path through
+    it under the path primal.  ``costs`` holds each route's cost, in slot
+    order, and ``side`` is the primal's letter in the tags, ``a`` or ``p``.
+    The direct rows, one- and two-sided, and the slackness rows under the
+    arc dual are made from them on first use.  It keeps what it reads of
+    its graph's :class:`_GraphPattern`, not that object, which holds it: a
+    reference back would leave the pair to the cyclic collector.
     """
 
-    def __init__(self, pattern: _GraphPattern, paths: tuple[Path, ...]) -> None:
-        self.paths = paths
-        self.network = net = pattern.network
+    def __init__(self, pattern: _GraphPattern, side: str, users: list, costs: list) -> None:
+        self.network = pattern.network
         self.toll_slot = pattern.toll_slot
         self.revenue = pattern.revenue
-        self.users: list[list[int]] = [[] for _ in net.arcs]
-        for pos, path in enumerate(paths):
-            for rid in path.arcs:
-                self.users[rid].append(pattern.paths + pos)
+        self.side = side
+        self.users = users
+        self.costs = costs
         self._direct: dict[bool, RowPattern] = {}
 
     def direct(self, two_sided: bool) -> RowPattern:
@@ -451,14 +441,14 @@ class _PathPatterns:
         rows = self._direct.get(two_sided)
         if rows is None:
             rows = self._direct[two_sided] = _direct_rows(
-                self.network, "p", self.users, self.toll_slot, self.revenue, two_sided
+                self.network, self.side, self.users, self.toll_slot, self.revenue, two_sided
             )
         return rows
 
     @cached_property
     def slack(self) -> RowPattern:
-        """The slackness rows of a path-primal, arc-dual block."""
-        return _slack_rows(self.network, "pa", self.users, self.toll_slot)
+        """The slackness rows under the arc dual."""
+        return _slack_rows(self.network, self.side + "a", self.users, self.toll_slot)
 
 
 def _graph_pattern(graph: ReducedGraph) -> _GraphPattern:
@@ -519,9 +509,9 @@ class _Block:
     columns, ``revenue_names`` the revenue names, and ``tolls`` the shared
     ``T`` column of each tolled working arc.  ``table`` maps the patterns'
     slots to model columns; the slots of variables the kind lacks map to
-    -1, which no row may use.  ``by_paths`` holds, under the path primal,
-    the patterns over its feasible paths.  ``rows`` gathers the block's
-    rows until one ``add_block`` call puts them in the model.
+    -1, which no row may use.  ``by_routes`` holds the route patterns of
+    its primal: its graph's flows, or its feasible paths.  ``rows`` gathers
+    the block's rows until one ``add_block`` call puts them in the model.
     """
 
     def __init__(self, model: ModelIR, part: CommodityAssignment, com: Commodity) -> None:
@@ -579,7 +569,7 @@ class _Block:
             *(() if arc_primal else self.routes),
         ]
         self.rows = RowBlock()
-        self.by_paths = None if arc_primal else pattern.for_paths(self.paths)
+        self.by_routes = pattern.by_flows if arc_primal else pattern.for_paths(self.paths)
 
     def stamp(
         self, family: RowPattern, sense: str, rhs: list,
@@ -633,9 +623,8 @@ def _emit_dual(b: _Block) -> None:
 
 def _emit_value_tie(b: _Block, tag: str, sense: str = "=") -> None:
     """Route cost (tolls included, as revenue) against the dual objective."""
-    costs = b.pattern.costs if b.kind.primal_rep == ARC else [p.cost for p in b.paths]
     cols = [*b.routes, *b.revenue]
-    coefs = [*costs, *[1] * len(b.revenue)]
+    coefs = [*b.by_routes.costs, *[1] * len(b.revenue)]
     if b.kind.dual_rep == ARC:
         cols += [b.duals[b.origin], b.duals[b.dest]]
         coefs += [-1, 1]
@@ -652,16 +641,11 @@ def _emit_direct_rows(b: _Block, bigm: BigMParams, two_sided: bool) -> None:
     emitted.  The lower row ``t ≤ T`` is only needed under complementary
     slackness; with a strong duality equality in the model it is implied.
     """
-    pattern = b.pattern
-    if b.kind.primal_rep == ARC:
-        family = pattern.direct[two_sided]
-    else:
-        family = b.by_paths.direct(two_sided)
     n_val = bigm.toll_cap
     # One -M object per block: the LP writer formats each coefficient object once.
     table = (1, -1, -bigm.m_value(b.k), n_val)
     rhs = [0, n_val, 0] if two_sided else [0, n_val]
-    b.stamp(family, "<=", rhs * len(pattern.toll_names), table)
+    b.stamp(b.by_routes.direct(two_sided), "<=", rhs * len(b.tolls), table)
 
 
 def _slack_constants(b: _Block, bigm: BigMParams) -> tuple[list[Coef], list[Coef]]:
@@ -685,15 +669,11 @@ def _emit_cs_rows(b: _Block, bigm: BigMParams) -> None:
     """Force the dual row of every used arc or path to be tight."""
     k = b.k
     if b.kind.dual_rep == ARC:
-        family = b.pattern.slack if b.kind.primal_rep == ARC else b.by_paths.slack
         table, rhs = _slack_constants(b, bigm)
-        b.stamp(family, ">=", rhs, table)
+        b.stamp(b.by_routes.slack, ">=", rhs, table)
         return
     for pos, path in enumerate(b.paths):
-        if b.kind.primal_rep == PATH:
-            uses = [b.routes[pos]]
-        else:
-            uses = [b.routes[rid] for rid in path.arcs]
+        uses = [b.routes[pos]] if b.kind.primal_rep == PATH else [b.routes[r] for r in path.arcs]
         s_val = bigm.s_value(k, path, pos)
         tag = f"lin-cs-{b.suffix}[{k},{pos}]"
         _path_slack(b.rows, tag, path, s_val, b.duals[0], b.tolls, uses)

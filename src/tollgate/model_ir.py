@@ -11,34 +11,33 @@ declares a block of variables that share their bounds: it checks the bounds
 once, gives the names the next column ids (``column[name]``) in one
 dictionary update, and extends the parallel lists ``names``, ``lower``,
 ``upper`` and ``binary``.  :meth:`ModelIR.add_variable` is the same call
-for one name, so there is one validation path.  Rows are
-compressed: row ``i`` has the column ids ``cols[starts[i]:starts[i + 1]]``
-with the coefficients at the same positions of ``coefs``, and ``tags``,
-``senses`` and ``rhs`` hold one entry per row.  :meth:`ModelIR.add_rows`
-adds a block of rows given by column id and checks the block as a whole;
-:meth:`ModelIR.add_constraint` looks one row's names up, merges repeated
-variables, and passes the row on to it.  The HiGHS backend, the solution
-check and the LP writer read these lists; ``variables``, ``constraints``
-and ``objective`` build record views on request (the rows one at a time,
-as they are read).
+for one name, so there is one validation path.  Rows are compressed: row
+``i`` has the column ids ``cols[starts[i]:starts[i + 1]]`` with the
+coefficients at the same positions of ``coefs``, and ``tags``, ``senses``
+and ``rhs`` hold one entry per row.  The HiGHS backend, the solution check
+and the LP writer read these lists; ``variables``, ``constraints`` and
+``objective`` build record views on request (the rows one at a time, as
+they are read).
 
-Most rows of a large model are copies of a few families: the same rows
-for every commodity block on one graph, over that block's own columns.
-Such a family is a :class:`RowPattern`, whose columns are slots and whose
-tags are templates, and the model checks it once, when it is made: every
-row has a term, no slot repeats within a row, coefficients are nonzero
-ints or Fractions or else positions in a coefficient table, and the
-templates are distinct.  A :class:`RowBlock` gathers one block's rows in
-order, rows given by column id and copies (stamps) of patterns, and
-:meth:`ModelIR.add_block` adds them in one call.  There a stamp checks
-only what changes from copy to copy: the block's columns at the slots the
-pattern uses, declared and distinct, so that no row can repeat a column;
-the coefficient table's entries, nonzero and exact; the right-hand sides,
-exact; and the tags, in the same update of the tag set as every row.  Its
-rows then go into the model's lists straight from the pattern.  Rows given
-by column id, and a stamp that misses one of these checks (a zero in its
-coefficient table, say, whose terms drop out), get every check of
-:meth:`ModelIR.add_rows` term by term.  So no row reaches a model
+Every row goes in through :meth:`ModelIR.add_block`, which adds the rows
+that a :class:`RowBlock` gathered in order: rows given by column id, and
+copies (stamps) of a :class:`RowPattern`.  :meth:`ModelIR.add_constraint`
+looks one row's names up, merges repeated variables, and adds the row as
+a block of one.  Most rows of a large model are copies of a few families:
+the same rows for every commodity block on one graph, over that block's
+own columns.  Such a family is a pattern, whose columns are slots and
+whose tags are templates, and the model checks it once, when it is made:
+every row has a term, no slot repeats within a row, coefficients are
+nonzero ints or Fractions or else positions in a coefficient table, and
+the templates are distinct.  Rows given by column id get every check term
+by term.  A stamp checks only what changes from copy to copy: the block's
+columns at the slots the pattern uses, declared and distinct, so that no
+row can repeat a column; the coefficient table's entries, nonzero and
+exact; and the right-hand sides, exact.  Its rows then go into the
+model's lists straight from the pattern.  A stamp that misses one of
+these checks (a zero in its coefficient table, say, whose terms drop out)
+is expanded into its rows, which get every check term by term.  Every tag
+is checked in one update of the tag set.  So no row reaches a model
 unchecked, and a call that raises leaves the model unchanged.
 
 Coefficients, right-hand sides and bounds are exact: each is a Python
@@ -52,8 +51,8 @@ and the check read one float view of the coefficients and right-hand sides
 (:func:`_floats`) on first read and extended by the rows appended since on
 each later read, so a cut loop's re-solves convert only their new rows.
 The view relies on the row lists being append-only: rows are only ever
-added, by :meth:`ModelIR.add_rows` and :meth:`ModelIR.add_block`, and no
-entry of ``coefs`` or ``rhs`` is changed in place.
+added, by :meth:`ModelIR.add_block`, and no entry of ``coefs`` or ``rhs``
+is changed in place.
 """
 
 from __future__ import annotations
@@ -170,7 +169,7 @@ def _check_terms(
 def _without_zeros(
     lengths: Sequence[int], cols: list[int], coefs: list[Coef]
 ) -> tuple[list[int], list[int], list[Coef]]:
-    """Rows given as in :meth:`ModelIR.add_rows`, less their zero terms."""
+    """Rows in the form of a :class:`RowBlock` run, less their zero terms."""
     keep = list(map(bool, coefs))
     kept = [sum(keep[a:b]) for a, b in pairwise(accumulate(lengths, initial=0))]
     return kept, list(compress(cols, keep)), list(compress(coefs, keep))
@@ -279,7 +278,7 @@ class RowBlock:
     __slots__ = ("parts", "tags", "senses", "rhs", "lengths", "cols", "coefs")
 
     def __init__(self) -> None:
-        # Runs of rows added one at a time, as add_rows takes them, and stamps.
+        # Runs of rows added one at a time, as parallel lists, and stamps.
         self.parts: list[Union[tuple, _Stamp]] = []
         self._open()
 
@@ -435,44 +434,29 @@ class ModelIR:
                 f"constraint {tag} references undeclared variable {missing.args[0]}"
             ) from None
         cols, coefs = _merge_terms(cols, [coef for coef, _ in terms])
-        self.add_rows((tag,), (sense,), (as_exact(rhs),), (len(cols),), cols, coefs)
-
-    def add_rows(
-        self,
-        tags: Sequence[str],
-        senses: Sequence[str],
-        rhs: Sequence[Coef],
-        lengths: Sequence[int],
-        cols: Sequence[int],
-        coefs: Sequence[Coef],
-    ) -> None:
-        """Add a block of rows given by column id.
-
-        Row ``i`` takes the next ``lengths[i]`` entries of ``cols`` and
-        ``coefs``.  The block is checked as a whole: tags are new and unique,
-        senses valid, every row has a term, column ids are declared, no
-        column repeats within a row, coefficients are nonzero ints or
-        Fractions and right-hand sides ints or Fractions.  A call that
-        raises leaves the model unchanged.
-        """
-        self._add_parts([self._checked(tags, senses, rhs, lengths, cols, coefs)])
+        rows = RowBlock()
+        rows.add(tag, cols, coefs, sense, as_exact(rhs))
+        self.add_block(rows)
 
     def add_block(self, block: RowBlock) -> None:
         """Add the rows ``block`` gathered, in the order it gathered them.
 
         The block is checked as a whole, and a call that raises leaves the
         model unchanged.  Rows given by column id (:meth:`RowBlock.add`)
-        get every check of :meth:`add_rows`.  A stamp's pattern was checked
-        when it was made (:class:`RowPattern`), so a stamp checks only what
-        changes from copy to copy: its sense and right-hand sides, the
-        table's columns at the slots the pattern uses (declared and
-        distinct, so no row can repeat a column) and the coefficient
-        table's entries at the positions it uses (nonzero ints or
-        Fractions).  Its rows then go into the model's lists straight from
-        the pattern.  A stamp that misses any of these, a table holding a
-        zero say, is expanded into its rows less their zero terms, and
-        those get every check of :meth:`add_rows`, which names the row at
-        fault.  Tags are checked last, for the whole block at once.
+        get every check term by term: senses valid, right-hand sides ints or
+        Fractions, every row with a term, column ids declared and none
+        repeated within a row, and coefficients nonzero ints or Fractions.
+        A stamp's pattern was checked when it was made (:class:`RowPattern`),
+        so a stamp checks only what changes from copy to copy: its sense and
+        right-hand sides, the table's columns at the slots the pattern uses
+        (declared and distinct, so no row can repeat a column) and the
+        coefficient table's entries at the positions it uses (nonzero ints
+        or Fractions).  Its rows then go into the model's lists straight
+        from the pattern.  A stamp that misses any of these, a table holding
+        a zero say, is expanded into its rows less their zero terms, and
+        those get every check term by term, which names the row at fault.
+        Tags are checked last, for the whole block at once: each is new and
+        given once.
         """
         block.close()
         self._add_parts([
@@ -489,7 +473,7 @@ class ModelIR:
         cols: Sequence[int],
         coefs: Sequence[Coef],
     ) -> tuple:
-        """The rows, once every check of :meth:`add_rows` but the tags' has passed."""
+        """The rows, once every term-by-term check of :meth:`add_block` has passed."""
         count = len(tags)
         if not len(senses) == len(rhs) == len(lengths) == count:
             raise ValueError(

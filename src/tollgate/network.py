@@ -343,6 +343,8 @@ def parse_instance(text: str, label: str = "instance") -> ProblemInstance:
         num_nodes, num_arcs, num_commodities = (int(tok) for tok in header[1:])
     except ValueError as exc:
         raise InstanceError(f"bad header counts: {lines[0]!r}") from exc
+    if min(num_nodes, num_arcs, num_commodities) < 0:
+        raise InstanceError(f"bad header counts: {lines[0]!r}")
     if len(lines) != 1 + num_arcs + num_commodities:
         raise InstanceError(
             f"expected {num_arcs} arc and {num_commodities} commodity lines, "

@@ -5,6 +5,7 @@ import gc
 import io
 import sys
 import threading
+import time
 import weakref
 from fractions import Fraction
 
@@ -99,6 +100,25 @@ def test_an_unmapped_highs_status_is_an_error_row_that_names_it(fig, monkeypatch
     assert rec.status == "error"
     assert rec.error.startswith("SolverError: HiGHS ended model ")
     assert rec.error.endswith("with model status Optimal (kOptimal)")
+
+
+def test_an_error_after_the_preparation_splits_its_time(fig, monkeypatch):
+    # The solve takes at least a fifth of a second and then fails: that
+    # time is the solve's, and enum_s stays the preparation's own.
+    known = dict(solver._HIGHS_STATUS)
+    del known[solver._highs.HighsModelStatus.kOptimal]
+    monkeypatch.setattr(solver, "_HIGHS_STATUS", known)
+    solve = experiments.solve_with_vfcs_cuts
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_with_vfcs_cuts", slow)
+    rec = run_one(fig, "STD", breakpoint=4, perturb=False)
+    assert rec.status == "error" and rec.error.startswith("SolverError: ")
+    assert rec.enum_s == experiments.prepared(fig, 4).enum_s < 0.2
+    assert rec.solve_s >= 0.2
 
 
 def test_sweep_covers_the_grid(tiny_instances):

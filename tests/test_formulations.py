@@ -487,6 +487,40 @@ def test_fallback_blocks_share_one_pattern(monkeypatch):
     assert len(graphs) >= 2 and len(built) - before == len(graphs)
 
 
+def test_kinds_built_from_one_plan_share_its_route_patterns(monkeypatch):
+    # Each (graph, primal, sidedness) direct pattern and each (graph, primal)
+    # slackness pattern is made once, whichever kinds read it.
+    inst, enums, bigm, breakpoint = _reference_case("delaunay:30")
+    made = []
+    direct, slack = formulations._direct_rows, formulations._slack_rows
+
+    def direct_spy(net, side, users, toll_slot, revenue, two_sided):
+        made.append((id(net), "direct" + side, two_sided))
+        return direct(net, side, users, toll_slot, revenue, two_sided)
+
+    def slack_spy(net, suffix, users, toll_slot):
+        made.append((id(net), "slack" + suffix, None))
+        return slack(net, suffix, users, toll_slot)
+
+    monkeypatch.setattr(formulations, "_direct_rows", direct_spy)
+    monkeypatch.setattr(formulations, "_slack_rows", slack_spy)
+    plan = plan_hybrid(inst, breakpoint, enums)
+    for kind in FORMULATIONS:
+        assemble_hybrid(inst, breakpoint, kind, "CS1", bigm, enums, allow_vfcs=True, plan=plan)
+    roles = {id(a.graph.network): a.role for a in plan if a.role != "dropped"}
+    assert list(roles.values()).count("fallback") == 1 and len(roles) > 2
+    # Every fallback block is CS1; the main blocks read every primal and sidedness.
+    families = {
+        "main": [
+            ("directa", False), ("directa", True), ("directp", False), ("directp", True),
+            ("slackaa", None), ("slackpa", None),
+        ],
+        "fallback": [("directa", True), ("slackaa", None)],
+    }
+    expected = [(net, *family) for net, role in roles.items() for family in families[role]]
+    assert sorted(made) == sorted(expected)
+
+
 def test_a_pattern_dies_with_its_graph():
     inst, enums, bigm, _ = _reference_case("grid:4x4")
     hybrid = assemble_hybrid(inst, 4, "PACS2", "STD", bigm, enums)

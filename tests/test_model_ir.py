@@ -3,7 +3,7 @@
 import gc
 import random
 from fractions import Fraction
-from itertools import pairwise
+from itertools import accumulate, pairwise
 
 import pytest
 
@@ -272,7 +272,7 @@ def test_views_copy_a_sweep_scale_model_exactly():
     assert lp_format.write_lp(copy) == lp_format.write_lp(ir)
 
 
-# -- add_rows ------------------------------------------------------------------
+# -- rows given by column id ------------------------------------------------------
 
 
 def _rows(m):
@@ -282,17 +282,43 @@ def _rows(m):
     )
 
 
+def _block(tags, senses, rhs, lengths, cols, coefs):
+    """The rows in one :class:`RowBlock`, one ``RowBlock.add`` each.
+
+    Rows whose lists disagree in length cannot be added one at a time: they
+    are set as the block's run of rows as given, for ``add_block`` to refuse.
+    """
+    block = RowBlock()
+    starts = list(accumulate(lengths, initial=0))
+    if len(tags) == len(senses) == len(rhs) == len(lengths) and (
+        starts[-1] == len(cols) == len(coefs)
+    ):
+        for tag, sense, value, a, b in zip(tags, senses, rhs, starts, starts[1:]):
+            block.add(tag, cols[a:b], coefs[a:b], sense, value)
+    else:
+        block.tags, block.senses, block.rhs = list(tags), list(senses), list(rhs)
+        block.lengths, block.cols, block.coefs = list(lengths), list(cols), list(coefs)
+    return block
+
+
+def _add_one_row(m):
+    block = RowBlock()
+    block.add("r", [0], [1], "<=", 1)
+    m.add_block(block)
+    assert m.tags[-1] == "r" and m.starts[-1] == len(m.cols)
+
+
 def test_add_rows_matches_one_add_constraint_per_row():
     block, loop = small_model(), small_model()
-    block.add_rows(
+    block.add_block(_block(
         ["r[0]", "r[1]", "r[2]"], ["<=", "=", ">="], [4, Fraction(1, 3), 0],
         [2, 1, 3], [0, 1, 2, 2, 0, 1], [1, Fraction(-5, 2), -1, 3, 2, Fraction(1, 7)],
-    )
+    ))
     loop.add_constraint("r[0]", [(1, "x"), (Fraction(-5, 2), "b")], "<=", 4)
     loop.add_constraint("r[1]", [(-1, "f")], "=", Fraction(1, 3))
     loop.add_constraint("r[2]", [(3, "f"), (2, "x"), (Fraction(1, 7), "b")], ">=", 0)
     assert _rows(block) == _rows(loop)
-    block.add_rows([], [], [], [], [], [])
+    block.add_block(RowBlock())
     assert _rows(block) == _rows(loop)
 
 
@@ -321,22 +347,29 @@ def test_a_failed_add_rows_leaves_the_model_unchanged(
 ):
     m = small_model()
     before = (_columns(m), _rows(m))
+    block = _block(tags, senses, rhs, lengths, cols, coefs)
     with pytest.raises(ValueError, match=message.replace("(", r"\(")):
-        m.add_rows(tags, senses, rhs, lengths, cols, coefs)
+        m.add_block(block)
     assert (_columns(m), _rows(m)) == before
-    m.add_rows(["r"], ["<="], [1], [1], [0], [1])
-    assert m.tags[-1] == "r" and m.starts[-1] == len(m.cols)
+    _add_one_row(m)
 
 
 def test_add_constraint_passes_merged_rows_to_add_rows(monkeypatch):
     m = small_model()
     seen = []
-    add_rows = ModelIR.add_rows
-    monkeypatch.setattr(
-        ModelIR, "add_rows", lambda self, *block: seen.append(block) or add_rows(self, *block)
-    )
+    add_block = ModelIR.add_block
+
+    def spy(self, block):
+        add_block(self, block)
+        seen.append(block.parts)
+
+    monkeypatch.setattr(ModelIR, "add_block", spy)
     m.add_constraint("merged", [(1, "x"), (2, "x"), (Fraction(1, 2), "b"), (0, "f")], ">=", "3/2")
-    assert seen == [(("merged",), (">=",), (Fraction(3, 2),), (2,), [0, 1], [3, Fraction(1, 2)])]
+    # One block of one run of one row.
+    assert seen == [[(["merged"], [">="], [Fraction(3, 2)], [2], [0, 1], [3, Fraction(1, 2)])]]
+    assert m.constraints[-1] == Constraint(
+        "merged", ((3, "x"), (Fraction(1, 2), "b")), ">=", Fraction(3, 2)
+    )
 
 
 def test_violations_match_a_term_by_term_evaluation(fig):
@@ -420,7 +453,7 @@ def test_a_zero_in_the_coefficient_table_drops_its_terms():
 
 
 def test_slots_of_two_rows_may_share_a_column():
-    # add_rows takes it, since no one row repeats a column; so must a stamp.
+    # Rows given by column id may, since no one row repeats a column; so may a stamp.
     m = small_model()
     block = RowBlock()
     block.stamp(_pattern(), "7", [0, 1, 0], "<=", [1, 1])
@@ -489,8 +522,7 @@ def test_a_failed_stamp_leaves_the_model_unchanged(table, sense, rhs, values, me
     with pytest.raises(ValueError, match=message.replace("[", r"\[")):
         m.add_block(block)
     assert (_columns(m), _rows(m)) == before
-    m.add_rows(["r"], ["<="], [1], [1], [0], [1])
-    assert m.tags[-1] == "r" and m.starts[-1] == len(m.cols)
+    _add_one_row(m)
 
 
 @pytest.fixture(
@@ -510,7 +542,8 @@ def sweep_scale(request):
 @pytest.mark.parametrize("kind", ["STD", "PCS2"])
 def test_every_stamped_row_passes_the_per_term_checks(sweep_scale, n, kind):
     # Assembly checks a pattern once and each stamp only where copies differ;
-    # every row must still pass add_rows' per-term checks, and come out the same.
+    # every row must still pass the per-term checks of a row given by column
+    # id, and come out the same.
     prep = prepared(sweep_scale, n)
     ir = formulations.assemble_hybrid(
         sweep_scale, n, kind, "STD", prep.bigm, prep.enum, plan=prep.plan
@@ -518,6 +551,8 @@ def test_every_stamped_row_passes_the_per_term_checks(sweep_scale, n, kind):
     copy = ModelIR(ir.label)
     for name, lower, upper, binary in zip(ir.names, ir.lower, ir.upper, ir.binary):
         copy.add_variable(name, lower, upper, binary)
-    lengths = [b - a for a, b in pairwise(ir.starts)]
-    copy.add_rows(ir.tags, ir.senses, ir.rhs, lengths, ir.cols, ir.coefs)
+    block = RowBlock()
+    for tag, sense, rhs, (a, b) in zip(ir.tags, ir.senses, ir.rhs, pairwise(ir.starts)):
+        block.add(tag, ir.cols[a:b], ir.coefs[a:b], sense, rhs)
+    copy.add_block(block)
     assert _rows(copy) == _rows(ir)

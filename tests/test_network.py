@@ -184,6 +184,21 @@ def test_parse_rejects_malformed_lines():
         parse_instance("npp 2 1 1\narc 0 1 1 F\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "npp 3 -1 2\ncommodity 0 2 1",
+        "npp 3 2 -1\narc 0 1 1 F",
+        "npp -3 1 1\narc 0 1 1 F\ncommodity 0 1 1",
+    ],
+)
+def test_parse_rejects_negative_header_counts(text):
+    # The body line counts can add up all the same, which must not let a
+    # line be read as the wrong kind.
+    with pytest.raises(InstanceError, match=r"^bad header counts: 'npp "):
+        parse_instance(text)
+
+
 def test_parse_costs_are_exact():
     text = "npp 2 1 1\narc 0 1 1/3 F\ncommodity 0 1 2\n"
     inst = parse_instance(text)
