@@ -148,8 +148,10 @@ def run_one(
     by every run on that instance object with the same ``breakpoint``,
     whatever its kind.  ``enum_s`` is the time that preparation spent
     enumerating, so every kind of one (instance, breakpoint) reports the
-    same ``enum_s``.  A run whose preparation fails reports the time it ran
-    before failing; one that fails later, the rest of its time as ``solve_s``.
+    same ``enum_s``.  ``solve_s`` is the time since the preparation ended:
+    the model's build and its solve, or as much of them as ran before an
+    error.  A run whose preparation fails reports the time it ran before
+    failing as ``enum_s``.
     """
     kind = get_kind(kind)
     label = instance.label
@@ -189,7 +191,7 @@ def run_one(
         result.objective,
         None if gap is None else 100.0 * gap,
         prep.enum_s,
-        result.wall_time,
+        time.perf_counter() - t1,
     )
 
 

@@ -4,10 +4,13 @@ All topologies are built as undirected planar-ish graphs and then doubled
 into symmetric twin arcs.  Costs are drawn per edge (both directions equal)
 with a fraction pinned to the top of the range, commodities are distant
 node pairs, and the most-travelled edges become tolled, keeping every
-commodity a toll-free route.  Everything is driven by one seeded RNG, so a
-config reproduces its instance bit for bit.  Delaunay and Voronoi graphs come
-from ``scipy.spatial.Delaunay``, imported on first use and given the points
-as a list; grids need no ``scipy.spatial``.
+commodity a toll-free route.  One breadth-first search (:func:`_reach`)
+answers every question of toll-free connectivity: a node's component when
+pairs are drawn, and whether a toll candidate cuts a pair off.  Everything
+is driven by one seeded RNG, so a config reproduces its instance bit for
+bit.  Delaunay and Voronoi graphs come from ``scipy.spatial.Delaunay``,
+imported on first use and given the points as a list; grids need no
+``scipy.spatial``.
 """
 
 from __future__ import annotations
@@ -58,8 +61,9 @@ class GenConfig:
             if rows * cols < 4:
                 raise GenError(f"grid {rows}x{cols} is below the 4-node minimum")
         elif shape in ("delaunay", "voronoi"):
-            if not isinstance(size, int) or size < 3:
-                raise GenError(f"{shape} needs at least 3 points, got {size}")
+            # qhull needs 4 points for its first simplex.
+            if not isinstance(size, int) or size < 4:
+                raise GenError(f"{shape} needs at least 4 points, got {size}")
         else:
             raise GenError(f"unknown topology {shape!r}")
         if not 0 < self.toll_ratio < 1:
@@ -152,48 +156,14 @@ def _build_edges(cfg: GenConfig, rng: random.Random) -> tuple[int, list[Edge]]:
     return voronoi_edges(size, rng)  # type: ignore[arg-type]
 
 
-def _components(num_nodes: int, adjacency: list[list[int]]) -> list[int]:
-    """Each node's connected component, labeled by its smallest node.
+def _reach(
+    adjacency: list[list[int]], source: int, target: int = -1
+) -> set[int] | None:
+    """The nodes reachable from ``source``, or None once ``target`` is met.
 
-    ``adjacency`` must be symmetric: ``v in adjacency[u]`` exactly when
-    ``u in adjacency[v]``.
+    Breadth first, so that a near ``target`` ends the search early; the
+    default, -1, is no node, and the search always runs to its end.
     """
-    label = [-1] * num_nodes
-    for root in range(num_nodes):
-        if label[root] >= 0:
-            continue
-        label[root] = root
-        stack = [root]
-        while stack:
-            for other in adjacency[stack.pop()]:
-                if label[other] < 0:
-                    label[other] = root
-                    stack.append(other)
-    return label
-
-
-def _toll_free_connects(
-    num_nodes: int, edges: Sequence[Edge], tolled_edges: set[int], pairs: Sequence[Edge]
-) -> bool:
-    """Would every commodity still reach its destination toll-free?
-
-    Each edge is a pair of twin arcs with the same toll state, so toll-free
-    reachability is connectivity of the undirected toll-free graph: one
-    component labeling of that graph decides every pair at once, instead
-    of one search per pair.
-    """
-    adjacency: list[list[int]] = [[] for _ in range(num_nodes)]
-    for pos, (u, v) in enumerate(edges):
-        if pos not in tolled_edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-    label = _components(num_nodes, adjacency)
-    return all(label[origin] == label[dest] for origin, dest in pairs)
-
-
-def _reaches(adjacency: list[list[int]], source: int, target: int) -> bool:
-    """Is ``target`` reachable from ``source``?  Breadth first, so that a
-    near ``target`` ends the search early."""
     seen = {source}
     frontier = [source]
     while frontier:
@@ -201,12 +171,22 @@ def _reaches(adjacency: list[list[int]], source: int, target: int) -> bool:
         for node in frontier:
             for other in adjacency[node]:
                 if other == target:
-                    return True
+                    return None
                 if other not in seen:
                     seen.add(other)
                     ahead.append(other)
         frontier = ahead
-    return source == target
+    return seen
+
+
+def _bridge_spares(side: set[int], pairs: Sequence[Edge]) -> bool:
+    """Does every pair keep its route once a bridge is gone?
+
+    ``side`` is what one end of the bridge still reaches.  Every pair was
+    connected before, so a pair is cut off exactly when the bridge now
+    parts its ends: when one lies on ``side`` and the other does not.
+    """
+    return all((origin in side) == (dest in side) for origin, dest in pairs)
 
 
 def generate(cfg: GenConfig) -> ProblemInstance:
@@ -220,14 +200,9 @@ def generate(cfg: GenConfig) -> ProblemInstance:
     undirected toll-free graph, whose adjacency is kept across
     conversions.  Every pair is connected before a conversion, so only a
     bridge of that graph can cut one off: a candidate whose tail still
-    reaches its head without it is converted after that one search.  Only
-    for a bridge does a component labeling of the whole graph
-    (:func:`_toll_free_connects`) decide, for all commodities at once.  The
-    answers are those of one search per commodity, so the same edges are
-    tolled.  On a 2-core machine, generating delaunay:300 with 200
-    commodities took 1.37-1.77 s with a search per commodity, 0.16-0.17 s
-    with a labeling per candidate, and takes 0.13-0.16 s this way (medians
-    of 7, six alternating rounds); none of its 177 candidates is a bridge.
+    reaches its head without it is converted, and for a bridge the nodes
+    that search reached decide every commodity at once
+    (:func:`_bridge_spares`).
     """
     rng = random.Random(cfg.seed)
     num_nodes, edges = _build_edges(cfg, rng)
@@ -244,17 +219,18 @@ def generate(cfg: GenConfig) -> ProblemInstance:
         adjacency[u].append(v)
         adjacency[v].append(u)
     # A pair lies at least two hops apart when it is connected, distinct
-    # and not adjacent.
-    label = _components(num_nodes, adjacency)
-    members: dict[int, list[int]] = {}
-    for node in range(num_nodes):
-        members.setdefault(label[node], []).append(node)
+    # and not adjacent.  ``members[node]`` is node's component, ascending.
+    members: list[list[int]] = [[] for _ in range(num_nodes)]
     eligible: list[Edge] = []
     for origin in range(num_nodes):
+        if not members[origin]:
+            component = sorted(_reach(adjacency, origin))
+            for node in component:
+                members[node] = component
         near = set(adjacency[origin])
         near.add(origin)
         eligible.extend(
-            (origin, dest) for dest in members[label[origin]] if dest not in near
+            (origin, dest) for dest in members[origin] if dest not in near
         )
     if len(eligible) < cfg.num_commodities:
         raise GenError(
@@ -286,18 +262,16 @@ def generate(cfg: GenConfig) -> ProblemInstance:
 
     # ``adjacency`` is the toll-free graph from here on: a conversion takes
     # its edge out for good.
-    def try_convert(pos: int) -> bool:
+    def try_convert(pos: int) -> None:
         u, v = edges[pos]
         adjacency[u].remove(v)
         adjacency[v].remove(u)
-        if _reaches(adjacency, u, v) or _toll_free_connects(
-            num_nodes, edges, tolled_edges | {pos}, chosen_pairs
-        ):
+        side = _reach(adjacency, u, v)
+        if side is None or _bridge_spares(side, chosen_pairs):
             tolled_edges.add(pos)
-            return True
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-        return False
+        else:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
 
     for pos in by_usage:
         if len(tolled_edges) >= from_usage:

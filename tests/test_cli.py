@@ -146,6 +146,9 @@ def test_build_refuses_cut_loop_main_kinds(fig_file, capsys):
         ["build", "--instance", "{missing}", "--kind", "STD"],
         ["generate", "--topology", "grid:3x4", "--commodities", "2",
          "--high-cost-fraction", "2"],
+        # qhull needs 4 points to start a triangulation.
+        ["generate", "--topology", "delaunay:3", "--commodities", "1"],
+        ["generate", "--topology", "voronoi:3", "--commodities", "1"],
         ["sweep", "--instances", "{fig}", "--kinds", "STD", "--breakpoints", "x"],
         ["sweep", "--instances", "{fig}", "--kinds", "STD", "--breakpoints", "4,0"],
         *(
@@ -161,6 +164,7 @@ def test_build_refuses_cut_loop_main_kinds(fig_file, capsys):
     ids=[
         "arc-node", "commodity-node", "enumerate-cap", "reduce-cap", "build-cap",
         "build-truncated", "breakpoint", "missing-file", "high-cost-fraction",
+        "delaunay-3-points", "voronoi-3-points",
         "breakpoints-word", "breakpoints-zero",
         "budget-nan", "budget-negative", "budget-zero", "budget-inf", "budget-word",
         "jobs-zero", "jobs-negative", "jobs-fraction",

@@ -121,6 +121,21 @@ def test_an_error_after_the_preparation_splits_its_time(fig, monkeypatch):
     assert rec.solve_s >= 0.2
 
 
+def test_a_solved_row_counts_the_model_build_in_solve_s(fig, monkeypatch):
+    # Building the model takes at least a fifth of a second: a successful
+    # row counts it in solve_s, as an error row after the preparation does.
+    assemble = experiments.assemble_hybrid
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "assemble_hybrid", slow)
+    rec = run_one(fig, "STD", breakpoint=4, perturb=False)
+    assert rec.status == "optimal"
+    assert rec.solve_s >= 0.2
+
+
 def test_sweep_covers_the_grid(tiny_instances):
     records = run_sweep(tiny_instances, ["STD", "PCS2"], [1, 8], budget=60)
     assert len(records) == 8

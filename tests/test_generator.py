@@ -12,7 +12,8 @@ from tollgate import generator
 from tollgate.generator import (
     GenConfig,
     GenError,
-    _toll_free_connects,
+    _bridge_spares,
+    _reach,
     generate,
     grid_edges,
     parse_topology,
@@ -35,6 +36,10 @@ def test_config_validation():
         GenConfig(("grid", (1, 3)), 1)
     with pytest.raises(GenError):
         GenConfig(("delaunay", 2), 1)
+    # qhull cannot start a triangulation from 3 points.
+    for shape in ("delaunay", "voronoi"):
+        with pytest.raises(GenError, match=f"{shape} needs at least 4 points, got 3"):
+            GenConfig((shape, 3), 1)
     with pytest.raises(GenError):
         GenConfig(("grid", (3, 3)), 1, toll_ratio=0.0)
     with pytest.raises(GenError):
@@ -157,10 +162,12 @@ def test_voronoi_is_deterministic():
     assert serialize_instance(generate(cfg)) == serialize_instance(generate(cfg))
 
 
-# Each config's label and the sha256 of its serialized instance, recorded
-# before toll conversions were decided by component labeling instead of a
-# search per commodity, and eligible pairs by labeling instead of a
-# breadth-first search per node.
+# Each config's label and the sha256 of its serialized instance.  The first
+# six were recorded before toll conversions were decided by component
+# labeling instead of a search per commodity, and eligible pairs by labeling
+# instead of a breadth-first search per node; the other five before one
+# breadth-first search replaced the labeling for both.  voronoi60 and
+# grid1x40 have many bridges among their toll candidates.
 _PINNED = [
     (GenConfig(("grid", (3, 4)), 3), "grid3x4-k3-s0",
      "21799a09fae7aff44e13b58c08b24cda028116bfc19cc9a3a562d3faed29bcf3"),
@@ -174,6 +181,17 @@ _PINNED = [
      "0e04cd80674273983bf01b9fc88ea4fc03cb0e73b741e7fdac7a4729372f69b8"),
     (GenConfig(("grid", (1, 5)), 2, toll_ratio=0.9), "grid1x5-k2-s0-short4",
      "e84c0f91c410df5361bfb1ed3fffd8e6017077cadd08a67a3255311b05431317"),
+    (GenConfig(("grid", (5, 12)), 40, seed=3), "grid5x12-k40-s3",
+     "cebbc3aaf66ce5561ee9d2c884573d187d8b6d2e303ec38a0b542ccaf0e7343a"),
+    (GenConfig(("delaunay", 60), 40, seed=5), "delaunay60-k40-s5",
+     "61ff7d7016312ba7ad735c0d0039ba2f216fc465b6d24fdc19cc8de701bf6733"),
+    (GenConfig(("voronoi", 30), 10, seed=2), "voronoi30-k10-s2",
+     "dbcdad919d26043b2efd719654d05ae10ef9db329cadd8a51af6fbcdb800d8c0"),
+    (GenConfig(("voronoi", 60), 20, seed=4, toll_ratio=0.6),
+     "voronoi60-k20-s4-short19",
+     "8d06969f8fd7097ad49822f975ea2f09615616e813f23c0037c371430bc6bd06"),
+    (GenConfig(("grid", (1, 40)), 5, toll_ratio=0.9), "grid1x40-k5-s0-short20",
+     "fc4a313415d47fcca4f9d991a472e0b58681133cd0e097ab956fc2bd56e66189"),
 ]
 
 
@@ -199,61 +217,66 @@ def test_generated_bytes_are_pinned(cfg, label, digest):
     ids=["grid3x4", "grid5x12", "delaunay60", "voronoi30"],
 )
 def test_toll_free_connects_matches_a_search_per_commodity(cfg):
-    inst = generate(cfg)
-    net = inst.network
+    # The bridge rule: once an edge whose ends no longer reach each other is
+    # taken out, the pairs stay connected exactly when none has one end on
+    # each side.  It assumes every pair was connected before.
+    net = generate(cfg).network
     edges = [(net.arcs[2 * pos].tail, net.arcs[2 * pos].head)
              for pos in range(net.num_arcs // 2)]
-    commodities = [(com.origin, com.destination) for com in inst.commodities]
     rng = random.Random(cfg.seed)
     outcomes = []
-    for trial in range(60):
-        tolled = set(rng.sample(range(len(edges)), rng.randint(0, len(edges))))
-        # Any node pairs too, isolated and repeated nodes included.
-        pairs = commodities if trial % 2 else [
-            (rng.randrange(net.num_nodes), rng.randrange(net.num_nodes))
-            for _ in range(rng.randint(1, 5))
-        ]
-        expected = pairs_reach_avoiding(net, tolled, pairs)
-        assert _toll_free_connects(net.num_nodes, edges, tolled, pairs) is expected
-        outcomes.append(expected)
-    # Both answers occur: some toll sets cut a pair off and some do not.
+    for _ in range(60):
+        tolled = set(rng.sample(range(len(edges)), rng.randint(0, len(edges) - 1)))
+        adjacency: list[list[int]] = [[] for _ in range(net.num_nodes)]
+        for pos, (u, v) in enumerate(edges):
+            if pos not in tolled:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+        # Pairs connected in this toll-free graph, with repeated nodes and an
+        # origin that is its own destination.
+        pairs = []
+        for _ in range(rng.randint(1, 5)):
+            origin = rng.randrange(net.num_nodes)
+            pairs.append((origin, rng.choice(sorted(_reach(adjacency, origin)))))
+        pairs += [pairs[0], (pairs[0][1], pairs[0][1])]
+        assert pairs_reach_avoiding(net, tolled, pairs)
+        pos = rng.choice([pos for pos in range(len(edges)) if pos not in tolled])
+        u, v = edges[pos]
+        adjacency[u].remove(v)
+        adjacency[v].remove(u)
+        expected = pairs_reach_avoiding(net, tolled | {pos}, pairs)
+        side = _reach(adjacency, u, v)
+        if side is None:
+            assert expected
+        else:
+            assert _bridge_spares(side, pairs) is expected
+            outcomes.append(expected)
+    # Both answers occur: some bridges cut a pair off and some do not.
     assert set(outcomes) == {False, True}
-    all_edges = set(range(len(edges)))
-    assert _toll_free_connects(net.num_nodes, edges, all_edges, commodities) is False
-    assert _toll_free_connects(net.num_nodes, edges, set(), commodities) is True
 
 
 @pytest.mark.parametrize(
-    "cfg, path",
+    "cfg, bridge",
     [
-        (GenConfig(("grid", (3, 4)), 3), False),
-        (GenConfig(("grid", (1, 5)), 2, toll_ratio=0.9), True),
-        (GenConfig(("grid", (5, 12)), 40, seed=3), False),
-        (GenConfig(("delaunay", 60), 40, seed=5), False),
-        (GenConfig(("voronoi", 30), 10, seed=2), False),
-        (GenConfig(("voronoi", 60), 20, seed=4, toll_ratio=0.6), False),
+        (GenConfig(("grid", (1, 40)), 5, toll_ratio=0.9), True),
+        (GenConfig(("delaunay", 60), 40), False),
     ],
-    ids=["grid3x4", "grid1x5", "grid5x12", "delaunay60", "voronoi30", "voronoi60"],
+    ids=["grid1x40", "delaunay60"],
 )
-def test_a_search_per_candidate_tolls_what_a_labeling_per_candidate_does(
-    cfg, path, monkeypatch
-):
-    # Only a bridge of the toll-free graph is decided by a labeling; with the
-    # search switched off every candidate is, and the instance is the same.
-    # On a path graph every edge is a bridge.
-    labeled = []
-    connects = generator._toll_free_connects
+def test_every_or_no_toll_candidate_is_a_bridge(cfg, bridge, monkeypatch):
+    # On a path graph every edge is a bridge, so each candidate goes to the
+    # bridge rule; on delaunay60 none does.
+    reach = generator._reach
+    bridges = []
 
-    def counted(*args):
-        labeled.append(args[2])
-        return connects(*args)
+    def counted(adjacency, source, target=-1):
+        side = reach(adjacency, source, target)
+        if target >= 0:
+            bridges.append(side is not None)
+        return side
 
+    monkeypatch.setattr(generator, "_reach", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        monkeypatch.setattr(generator, "_toll_free_connects", counted)
-        searched = serialize_instance(generate(cfg))
-        bridges = len(labeled)
-        monkeypatch.setattr(generator, "_reaches", lambda adjacency, u, v: False)
-        assert serialize_instance(generate(cfg)) == searched
-    candidates = len(labeled) - bridges
-    assert (bridges == candidates) is path
+        generate(cfg)
+    assert bridges and set(bridges) == {bridge}
