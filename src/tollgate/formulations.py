@@ -19,7 +19,10 @@ working graph is built once per graph and kept on it (``_GraphPattern``):
 variable names and row tags as templates that take the commodity index,
 the arc costs, and the flow balance and arc dual rows as
 :class:`RowPattern` objects.  Their columns are slots: a potential, a
-toll, a revenue or a route of the graph.  What reads a block's routes
+toll, a revenue or a route of the graph.  Their coefficients are
+positions in a table that each stamp passes: ``(1, -1)`` for the balance
+and arc dual rows, and the block's big-M or slackness constants for the
+direct and arc slackness rows.  What reads a block's routes
 (its direct and arc slackness rows, and its value tie's route costs)
 comes from a ``_RoutePatterns``, made from the routes through each arc:
 its flow, or the feasible paths through it.  A graph keeps the path ones
@@ -31,15 +34,16 @@ the value tie, the big-M values and the demand.  An arc slackness block's
 coefficients and right-hand sides depend on the big-M constants and the
 commodity, and are kept per graph and commodity for the last constants
 read (:func:`_slack_constants`).  Every fallback block of a hybrid model
-shares the original graph's patterns, and every kind built from one
-hybrid plan shares the plan's.  The model checks a pattern once, when it
-is made, and each stamp of it only where copies differ (see
-:mod:`tollgate.model_ir`).  Rows over feasible paths are gathered by
-column id one path at a time and get every check term by term, and every
-path slackness row comes from :func:`_path_slack`.  One emitter per
-modelling choice writes rows: primal, dual, direct, slackness, and the
-value tie of route cost plus revenue against the dual objective.
-Cut-loop blocks stay on the :class:`HybridModel`.
+and every block of an unreduced build shares the original graph's
+patterns, and every kind built from one hybrid plan shares the plan's.
+The model checks a pattern once, when it is made, and each stamp of it
+only where copies differ (see :mod:`tollgate.model_ir`).  Rows over
+feasible paths are gathered by column id one path at a time and get every
+check term by term, and every path slackness row comes from
+:func:`_path_slack`.  One emitter per modelling choice writes rows:
+primal, dual, direct, slackness, and the value tie of route cost plus
+revenue against the dual objective.  Cut-loop blocks stay on the
+:class:`HybridModel`.
 Each commodity's modelling decision is one :class:`CommodityAssignment`:
 role, kind, working graph and feasible set.  Both builders,
 :func:`build_single` and :func:`assemble_hybrid`, only make the assignments
@@ -237,9 +241,11 @@ def _template(name: str) -> tuple[str, str]:
     return _PARTS.setdefault(before, before), _PARTS.setdefault(after, after)
 
 
-# Positions in the coefficient tables: (1, -1, -M_k, N) of the direct rows,
-# and (1, -1, -r_0, -r_1, ...) of the slackness rows.
+# Positions in the coefficient tables: (1, -1) of the balance and arc dual
+# rows, (1, -1, -M_k, N) of the direct rows, and (1, -1, -r_0, -r_1, ...)
+# of the slackness rows.
 _ONE, _MINUS_ONE, _NEG_M, _CAP = range(4)
+_UNIT = (1, -1)
 
 
 def _direct_rows(
@@ -253,32 +259,26 @@ def _direct_rows(
     through working arc ``a``, ``toll_slot`` the slot of each tolled arc's
     ``T``, and the ``t`` of the ``j``-th tolled arc is slot ``revenue + j``.
     """
-    tags: list[tuple[str, str]] = []
-    lengths: list[int] = []
-    cols: list[int] = []
-    coefs: list[int] = []
+    rows = []
     for j, rid in enumerate(net.tolled_ids):
         t, toll, use = revenue + j, toll_slot[rid], users[rid]
-        tags += [_template(f"direct{side}{n}[{_K},{rid}]") for n in (1, 2)]
-        lengths += [1 + len(use), 2 + len(use)]
-        cols += [t, *use, toll, t, *use]
-        coefs += [_ONE, *[_NEG_M] * len(use), _ONE, _MINUS_ONE, *[_CAP] * len(use)]
+        rows += [
+            (_template(f"direct{side}1[{_K},{rid}]"), [t, *use], [_ONE, *[_NEG_M] * len(use)]),
+            (
+                _template(f"direct{side}2[{_K},{rid}]"),
+                [toll, t, *use], [_ONE, _MINUS_ONE, *[_CAP] * len(use)],
+            ),
+        ]
         if two_sided:
-            tags.append(_template(f"direct{side}2lo[{_K},{rid}]"))
-            lengths.append(2)
-            cols += [t, toll]
-            coefs += [_ONE, _MINUS_ONE]
-    return RowPattern(tags, lengths, cols, coefs, positions=True)
+            rows.append((_template(f"direct{side}2lo[{_K},{rid}]"), [t, toll], [_ONE, _MINUS_ONE]))
+    return RowPattern(rows)
 
 
-def _arc_dual(arc: Arc, toll_slot: Mapping[ArcId, int]) -> list[int]:
-    """The slots of the potential drop along ``arc`` less its toll.
-
-    Their coefficients are 1, -1 and, on a tolled arc, -1.
-    """
+def _arc_dual(arc: Arc, toll_slot: Mapping[ArcId, int]) -> tuple[list[int], list[int]]:
+    """The slots and coefficient positions of the potential drop along ``arc`` less its toll."""
     if arc.tolled:
-        return [arc.tail, arc.head, toll_slot[arc.index]]
-    return [arc.tail, arc.head]
+        return [arc.tail, arc.head, toll_slot[arc.index]], [_ONE, _MINUS_ONE, _MINUS_ONE]
+    return [arc.tail, arc.head], [_ONE, _MINUS_ONE]
 
 
 def _slack_rows(
@@ -290,18 +290,15 @@ def _slack_rows(
     r_a``, with ``users`` and ``toll_slot`` as in :func:`_direct_rows`.
     Coefficients are positions in the table ``(1, -1, -r_0, -r_1, ...)``.
     """
-    tags: list[tuple[str, str]] = []
-    lengths: list[int] = []
-    cols: list[int] = []
-    coefs: list[int] = []
+    rows = []
     for arc in net.arcs:
         use = users[arc.index]
-        tags.append(_template(f"lin-cs-{suffix}{1 if arc.tolled else 2}[{_K},{arc.index}]"))
-        slots = _arc_dual(arc, toll_slot)
-        lengths.append(len(slots) + len(use))
-        cols += slots + use
-        coefs += [_ONE, _MINUS_ONE, _MINUS_ONE][: len(slots)] + [2 + arc.index] * len(use)
-    return RowPattern(tags, lengths, cols, coefs, positions=True)
+        slots, positions = _arc_dual(arc, toll_slot)
+        rows.append((
+            _template(f"lin-cs-{suffix}{1 if arc.tolled else 2}[{_K},{arc.index}]"),
+            slots + use, positions + [2 + arc.index] * len(use),
+        ))
+    return RowPattern(rows)
 
 
 class _GraphPattern:
@@ -386,32 +383,34 @@ class _GraphPattern:
     def balance(self) -> tuple[RowPattern, dict[Node, int]]:
         """Flow balance rows, out minus in, and each node's row position.
 
-        Only nodes that an arc touches have a row.
+        Only nodes that an arc touches have a row.  Coefficients are
+        positions in ``_UNIT``.
         """
         net, flows = self.network, self.flows
-        tags, lengths, cols, coefs = [], [], [], []
+        rows = []
         position: dict[Node, int] = {}
         for node in range(net.num_nodes):
             out, into = net.out_adj[node], net.in_adj[node]
             if out or into:
-                position[node] = len(lengths)
-                tags.append(_template(f"pa[{_K},{node}]"))
-                lengths.append(len(out) + len(into))
-                cols += [flows + aid for _, aid in out] + [flows + aid for _, aid in into]
-                coefs += [1] * len(out) + [-1] * len(into)
-        return RowPattern(tags, lengths, cols, coefs), position
+                position[node] = len(rows)
+                rows.append((
+                    _template(f"pa[{_K},{node}]"),
+                    [flows + aid for _, aid in out] + [flows + aid for _, aid in into],
+                    [_ONE] * len(out) + [_MINUS_ONE] * len(into),
+                ))
+        return RowPattern(rows), position
 
     @cached_property
     def arc_dual(self) -> RowPattern:
-        """Per arc: the potential drop along it less its toll, at most its cost."""
-        tags, lengths, cols, coefs = [], [], [], []
-        for arc in self.network.arcs:
-            slots = _arc_dual(arc, self.toll_slot)
-            tags.append(_template(f"da{1 if arc.tolled else 2}[{_K},{arc.index}]"))
-            lengths.append(len(slots))
-            cols += slots
-            coefs += [1, -1, -1][: len(slots)]
-        return RowPattern(tags, lengths, cols, coefs)
+        """Per arc: the potential drop along it less its toll, at most its cost.
+
+        Coefficients are positions in ``_UNIT``.
+        """
+        return RowPattern([
+            (_template(f"da{1 if arc.tolled else 2}[{_K},{arc.index}]"),
+             *_arc_dual(arc, self.toll_slot))
+            for arc in self.network.arcs
+        ])
 
 
 class _RoutePatterns:
@@ -552,14 +551,9 @@ class _Block:
         self.revenue_names = (
             list(map(key.join, pattern.revenue_names)) if direct else [var_tau(k)]
         )
-        model.add_variables(routes, 0, 1, binary)
-        model.add_variables(duals, None, None)
-        model.add_variables(self.revenue_names, 0, None)
-        # The ids as the model holds them, so rows share its int objects.
-        column = model.column.__getitem__
-        self.routes = list(map(column, routes))
-        self.duals = list(map(column, duals))
-        self.revenue = list(map(column, self.revenue_names))
+        self.routes = model.add_variables(routes, 0, 1, binary)
+        self.duals = model.add_variables(duals, None, None)
+        self.revenue = model.add_variables(self.revenue_names, 0, None)
         absent = [-1]
         self.table = [
             *(self.duals if arc_dual else absent * net.num_nodes),
@@ -571,14 +565,10 @@ class _Block:
         self.rows = RowBlock()
         self.by_routes = pattern.by_flows if arc_primal else pattern.for_paths(self.paths)
 
-    def stamp(
-        self, family: RowPattern, sense: str, rhs: list,
-        table: Optional[Sequence[Coef]] = None,
-    ) -> None:
-        """Add ``family``'s rows for this commodity, with right-hand sides ``rhs``.
+    def stamp(self, family: RowPattern, table: Sequence[Coef], sense: str, rhs: list) -> None:
+        """Add ``family``'s rows for this commodity, with coefficients from ``table``.
 
-        ``table`` holds the coefficients of a family made with positions
-        (see :meth:`RowBlock.stamp`).
+        ``rhs`` holds the right-hand sides (see :meth:`RowBlock.stamp`).
         """
         self.rows.stamp(family, self.key, self.table, sense, rhs, table)
 
@@ -597,13 +587,13 @@ def _emit_primal(b: _Block) -> None:
         b.rows.add(f"pp[{k}]", b.routes, [1] * count, "=", 1)
         return
     balance, position = b.pattern.balance
-    rhs = [0] * len(balance.lengths)
+    rhs = [0] * len(balance.tags)
     for node, value in sorted([(b.origin, 1), (b.dest, -1)]):
         at = position.get(node)
         if at is None:
             raise BuildError(f"commodity {k}: node {node} is isolated but must carry flow")
         rhs[at] = value
-    b.stamp(balance, "=", rhs)
+    b.stamp(balance, _UNIT, "=", rhs)
 
 
 def _emit_dual(b: _Block) -> None:
@@ -614,7 +604,7 @@ def _emit_dual(b: _Block) -> None:
     representation: one row per feasible path bounding the free ``L[k]``.
     """
     if b.kind.dual_rep == ARC:
-        b.stamp(b.pattern.arc_dual, "<=", b.pattern.costs)
+        b.stamp(b.pattern.arc_dual, _UNIT, "<=", b.pattern.costs)
         return
     for pos, path in enumerate(b.paths):
         cols, coefs = _path_bound(b.duals[0], path, b.tolls)
@@ -645,7 +635,7 @@ def _emit_direct_rows(b: _Block, bigm: BigMParams, two_sided: bool) -> None:
     # One -M object per block: the LP writer formats each coefficient object once.
     table = (1, -1, -bigm.m_value(b.k), n_val)
     rhs = [0, n_val, 0] if two_sided else [0, n_val]
-    b.stamp(b.by_routes.direct(two_sided), "<=", rhs * len(b.tolls), table)
+    b.stamp(b.by_routes.direct(two_sided), table, "<=", rhs * len(b.tolls))
 
 
 def _slack_constants(b: _Block, bigm: BigMParams) -> tuple[list[Coef], list[Coef]]:
@@ -670,7 +660,7 @@ def _emit_cs_rows(b: _Block, bigm: BigMParams) -> None:
     k = b.k
     if b.kind.dual_rep == ARC:
         table, rhs = _slack_constants(b, bigm)
-        b.stamp(b.by_routes.slack, ">=", rhs, table)
+        b.stamp(b.by_routes.slack, table, ">=", rhs)
         return
     for pos, path in enumerate(b.paths):
         uses = [b.routes[pos]] if b.kind.primal_rep == PATH else [b.routes[r] for r in path.arcs]
@@ -910,6 +900,8 @@ def build_single(
         )
     parts = []
     sets = _feasible_sets(instance, enum_results)
+    # Every commodity of an unreduced build works on one graph.
+    identity = ReducedGraph.identity(instance.network) if preprocess == "none" else None
     for k, (com, bfset) in enumerate(zip(instance.commodities, sets)):
         if preprocess == "paths":
             if bfset is None:
@@ -925,7 +917,7 @@ def build_single(
         elif preprocess == "spgm":
             graph = spgm_transform(instance.network, com)
         else:
-            graph = ReducedGraph.identity(instance.network)
+            graph = identity
         # Only kinds that read paths get the set mapped: a reduction that
         # drops non-shortest splices may not hold its paths.
         working = None

@@ -61,9 +61,12 @@ class GenConfig:
             if rows * cols < 4:
                 raise GenError(f"grid {rows}x{cols} is below the 4-node minimum")
         elif shape in ("delaunay", "voronoi"):
-            # qhull needs 4 points for its first simplex.
-            if not isinstance(size, int) or size < 4:
-                raise GenError(f"{shape} needs at least 4 points, got {size}")
+            # qhull needs 4 points for its first simplex.  4 points make 2 or
+            # 3 mutually adjacent triangles, the nodes of the Voronoi graph, so
+            # no pair lies two hops apart and no commodity can be drawn.
+            least = 4 if shape == "delaunay" else 5
+            if not isinstance(size, int) or size < least:
+                raise GenError(f"{shape} needs at least {least} points, got {size}")
         else:
             raise GenError(f"unknown topology {shape!r}")
         if not 0 < self.toll_ratio < 1:

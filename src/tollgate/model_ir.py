@@ -25,14 +25,16 @@ copies (stamps) of a :class:`RowPattern`.  :meth:`ModelIR.add_constraint`
 looks one row's names up, merges repeated variables, and adds the row as
 a block of one.  Most rows of a large model are copies of a few families:
 the same rows for every commodity block on one graph, over that block's
-own columns.  Such a family is a pattern, whose columns are slots and
-whose tags are templates, and the model checks it once, when it is made:
-every row has a term, no slot repeats within a row, coefficients are
-nonzero ints or Fractions or else positions in a coefficient table, and
-the templates are distinct.  Rows given by column id get every check term
-by term.  A stamp checks only what changes from copy to copy: the block's
-columns at the slots the pattern uses, declared and distinct, so that no
-row can repeat a column; the coefficient table's entries, nonzero and
+own columns and with its own constants.  Such a family is a pattern of
+rows, each a tag template, slots and coefficient positions.  A stamp
+passes a column table, which maps slots to columns, and a coefficient
+table, which maps positions to coefficients.  The model checks a
+pattern once, when it is made: every row has a term, no slot repeats
+within a row, every slot and position is a nonnegative int, and the
+templates are distinct.  Rows given by column id get every check term by
+term.  A stamp checks only what changes from copy to copy: the columns
+at the slots the pattern uses, declared and distinct, so that no row can
+repeat a column; the coefficients at the positions it uses, nonzero and
 exact; and the right-hand sides, exact.  Its rows then go into the
 model's lists straight from the pattern.  A stamp that misses one of
 these checks (a zero in its coefficient table, say, whose terms drop out)
@@ -120,44 +122,28 @@ def _nonzero_exact(values: Sequence) -> bool:
     return _EXACT.issuperset(map(type, values)) and all(values)
 
 
-def _check_terms(
-    what: str,
-    tags: Sequence[str],
-    lengths: Sequence[int],
-    cols: Sequence[int],
-    coefs: Sequence,
-    width: float,
-    positions: bool = False,
-) -> None:
-    """Check rows term by term; an error names the first row at fault as ``what`` and its tag.
+def _in_range(ids: Sequence, width: float) -> bool:
+    """Whether ``ids`` is not empty and each of them is an int in ``range(width)``."""
+    return set(map(type, ids)) == {int} and min(ids) >= 0 and max(ids) < width
 
-    Every row has a term, every column is an int in ``range(width)`` and
-    none repeats within its row, and every coefficient is a nonzero int or
-    Fraction or, with ``positions``, a nonnegative int.
+
+def _check_terms(
+    what: str, tags: Sequence[str], lengths: Sequence[int], cols: Sequence[int], width: float
+) -> None:
+    """Check rows' columns; an error names the first row at fault as ``what`` and its tag.
+
+    Every row has a term, and every column is an int in ``range(width)``
+    and none repeats within its row.
     """
     if min(lengths) < 1:
         raise ValueError(f"{what} {tags[_first(lengths, lambda n: n < 1)]}: no terms")
-    top = max(cols) if set(map(type, cols)) == {int} else width
-    if top >= width or min(cols) < 0:
+    if not _in_range(cols, width):
         at = _first(cols, lambda j: type(j) is not int or not 0 <= j < width)
         raise ValueError(
             f"{what} {_row_tag(tags, lengths, at)}: column {cols[at]!r} is not declared"
         )
-    if positions:
-        if set(map(type, coefs)) != {int} or min(coefs) < 0:
-            at = _first(coefs, lambda j: type(j) is not int or j < 0)
-            raise ValueError(
-                f"{what} {_row_tag(tags, lengths, at)}: coefficient position {coefs[at]!r} "
-                "is not a nonnegative int"
-            )
-    elif not _nonzero_exact(coefs):
-        at = _first(coefs, lambda c: type(c) not in _EXACT or not c)
-        raise ValueError(
-            f"{what} {_row_tag(tags, lengths, at)}: coefficient {coefs[at]!r} "
-            "is not a nonzero int or Fraction"
-        )
     # Column j of row i as the int i * step + j, distinct for distinct pairs.
-    step = top + 1
+    step = max(cols) + 1
     rows = chain.from_iterable(map(repeat, range(0, len(lengths) * step, step), lengths))
     if len(set(map(add, rows, cols))) != len(cols):
         starts = list(accumulate(lengths, initial=0))
@@ -212,48 +198,53 @@ class _Rows(Sequence):
 class RowPattern:
     """One family of rows for any block of columns, checked once, when made.
 
-    ``tags`` are templates: pairs of strings, which ``key.join`` makes into
-    one copy's tags.  Row ``i`` takes the next ``lengths[i]`` entries of
-    ``slots`` and of ``coefs``.  Slots stand for columns: each copy maps
-    them through its own table (:meth:`RowBlock.stamp`).  ``coefs`` are the
-    coefficients or, made with ``positions``, positions in a table of
-    coefficients that each copy gives.
+    ``rows`` holds one ``(template, slots, positions)`` per row.  A template
+    is a pair of strings, which ``key.join`` makes into one copy's tag.
+    Slots stand for columns and positions for coefficients: each copy maps
+    them through its own column table and coefficient table
+    (:meth:`RowBlock.stamp`), and a row's ``j``-th term is the coefficient
+    at ``positions[j]`` times the column at ``slots[j]``.
 
-    Making one checks it: the tags are distinct templates, every row has a
-    term, slots and positions are nonnegative ints, no slot repeats within
-    a row, and coefficients are nonzero ints or Fractions.  An error names
-    the row by its template with ``k`` for the key, and a slot as its
-    column.  ``used`` holds the
-    distinct slots, and ``positions`` the distinct positions (None without
-    a coefficient table), in increasing order: they are what a copy still
+    Making one checks it: the templates are distinct, every row has a term
+    and as many positions as slots, slots and positions are nonnegative
+    ints, and no slot repeats within a row.  An error names the row by its
+    template with ``k`` for the key, and a slot as its column.  The rows
+    are kept flat: ``tags``, ``lengths`` (terms per row), and ``slots`` and
+    ``positions`` (per term).  ``used_slots`` and ``used_positions`` hold
+    the distinct ones in increasing order: they are what a copy still
     checks.  A pattern is read, never changed, once made.
     """
 
-    __slots__ = ("tags", "lengths", "slots", "coefs", "used", "positions")
+    __slots__ = ("tags", "lengths", "slots", "positions", "used_slots", "used_positions")
 
     def __init__(
-        self,
-        tags: list[tuple[str, str]],
-        lengths: list[int],
-        slots: list[int],
-        coefs: list,
-        positions: bool = False,
+        self, rows: Sequence[tuple[tuple[str, str], Sequence[int], Sequence[int]]]
     ) -> None:
-        count, total = len(tags), len(slots)
-        if len(lengths) != count or sum(lengths) != total or len(coefs) != total:
-            raise ValueError(
-                f"row pattern of {count} tags, {len(lengths)} row lengths summing "
-                f"to {sum(lengths)}, {total} slots and {len(coefs)} coefficients"
-            )
-        if count:
+        tags = [row[0] for row in rows]
+        lengths = [len(row[1]) for row in rows]
+        slots = list(chain.from_iterable(row[1] for row in rows))
+        positions = list(chain.from_iterable(row[2] for row in rows))
+        if rows:
             names = ["k".join(tag) for tag in tags]
-            if len(set(tags)) != count:
-                at = next(at for at in range(count) if tags[at] in tags[:at])
+            if [len(row[2]) for row in rows] != lengths:
+                at = _first(rows, lambda row: len(row[1]) != len(row[2]))
+                raise ValueError(
+                    f"row pattern {names[at]}: {lengths[at]} slots but "
+                    f"{len(rows[at][2])} coefficient positions"
+                )
+            if len(set(tags)) != len(tags):
+                at = next(at for at in range(len(tags)) if tags[at] in tags[:at])
                 raise ValueError(f"row pattern {names[at]} given twice")
-            _check_terms("row pattern", names, lengths, slots, coefs, math.inf, positions)
-        self.tags, self.lengths, self.slots, self.coefs = tags, lengths, slots, coefs
-        self.used = sorted(set(slots))
-        self.positions = sorted(set(coefs)) if positions else None
+            _check_terms("row pattern", names, lengths, slots, math.inf)
+            if not _in_range(positions, math.inf):
+                at = _first(positions, lambda j: type(j) is not int or j < 0)
+                raise ValueError(
+                    f"row pattern {_row_tag(names, lengths, at)}: coefficient position "
+                    f"{positions[at]!r} is not a nonnegative int"
+                )
+        self.tags, self.lengths, self.slots, self.positions = tags, lengths, slots, positions
+        self.used_slots = sorted(set(slots))
+        self.used_positions = sorted(set(positions))
 
 
 class _Stamp(NamedTuple):
@@ -264,7 +255,7 @@ class _Stamp(NamedTuple):
     table: Sequence[int]
     sense: str
     rhs: Sequence[Coef]
-    values: Optional[Sequence[Coef]]
+    values: Sequence[Coef]
 
 
 class RowBlock:
@@ -306,15 +297,14 @@ class RowBlock:
         table: Sequence[int],
         sense: str,
         rhs: Sequence[Coef],
-        values: Optional[Sequence[Coef]] = None,
+        values: Sequence[Coef],
     ) -> None:
         """Add a copy of ``pattern``'s rows, all of ``sense``.
 
         The copy's tags are ``key.join`` of the templates, its columns
-        ``table[slot]``, and its coefficients the pattern's own or, for a
-        pattern made with positions, ``values[position]``.  ``rhs`` holds
-        one right-hand side per row.  A zero in ``values`` drops its terms,
-        as it would drop out of a sum.
+        ``table[slot]`` and its coefficients ``values[position]``.  ``rhs``
+        holds one right-hand side per row.  A zero in ``values`` drops its
+        terms, as it would drop out of a sum.
         """
         self.close()
         self.parts.append(_Stamp(pattern, key, table, sense, rhs, values))
@@ -365,22 +355,23 @@ class ModelIR:
         lower: Optional[Coef] = 0,
         upper: Optional[Coef] = None,
         binary: Union[bool, Sequence[bool]] = False,
-    ) -> None:
-        """Declare a block of variables that share their bounds.
+    ) -> list[int]:
+        """Declare a block of variables that share their bounds; return their column ids.
 
         ``binary`` is one flag for the whole block or one per name.  The
         bounds are checked once for the block, and the names take the next
         column ids in order, as one :meth:`add_variable` call per name would
-        give them.  A name already declared, or given twice in one call, is
-        an error that names the variable.  A call that raises leaves the
-        model unchanged.
+        give them.  The ids returned are the int objects ``column`` holds.
+        A name already declared, or given twice in one call, is an error
+        that names the variable.  A call that raises leaves the model
+        unchanged.
         """
         count = len(names)
         flags = list(map(bool, binary)) if isinstance(binary, Sequence) else [bool(binary)] * count
         if len(flags) != count:
             raise ValueError(f"{count} variables but {len(flags)} binary flags")
         if not count:
-            return
+            return []
         lower = None if lower is None else as_exact(lower)
         upper = None if upper is None else as_exact(upper)
         if (lower != 0 or upper != 1) and any(flags):
@@ -391,7 +382,8 @@ class ModelIR:
             raise ValueError(f"variable {names[0]} has crossing bounds")
         column = self.column
         start = len(self.names)
-        column.update(zip(names, range(start, start + count)))
+        ids = list(range(start, start + count))
+        column.update(zip(names, ids))
         if len(column) != start + count:
             # A name was declared before or repeats in this call.  The update
             # overwrote ids: rebuild the map from the names, then name it.
@@ -408,6 +400,7 @@ class ModelIR:
         self.lower += [lower] * count
         self.upper += [upper] * count
         self.binary += flags
+        return ids
 
     @property
     def variables(self) -> tuple[Variable, ...]:
@@ -448,13 +441,14 @@ class ModelIR:
         repeated within a row, and coefficients nonzero ints or Fractions.
         A stamp's pattern was checked when it was made (:class:`RowPattern`),
         so a stamp checks only what changes from copy to copy: its sense and
-        right-hand sides, the table's columns at the slots the pattern uses
-        (declared and distinct, so no row can repeat a column) and the
-        coefficient table's entries at the positions it uses (nonzero ints
-        or Fractions).  Its rows then go into the model's lists straight
-        from the pattern.  A stamp that misses any of these, a table holding
-        a zero say, is expanded into its rows less their zero terms, and
-        those get every check term by term, which names the row at fault.
+        right-hand sides, the column table's entries at the slots the
+        pattern uses (declared and distinct, so no row can repeat a column)
+        and the coefficient table's entries at the positions it uses
+        (nonzero ints or Fractions).  Its rows then go into the model's
+        lists straight from the pattern.  A stamp that misses any of these,
+        a coefficient table holding a zero say, is expanded into its rows
+        less their zero terms, and those get every check term by term,
+        which names the row at fault.
         Tags are checked last, for the whole block at once: each is new and
         given once.
         """
@@ -494,7 +488,13 @@ class ModelIR:
         if not _EXACT.issuperset(map(type, rhs)):
             at = _first(rhs, lambda v: type(v) not in _EXACT)
             raise ValueError(f"constraint {tags[at]}: right-hand side {rhs[at]!r} is not exact")
-        _check_terms("constraint", tags, lengths, cols, coefs, len(self.names))
+        _check_terms("constraint", tags, lengths, cols, len(self.names))
+        if not _nonzero_exact(coefs):
+            at = _first(coefs, lambda c: type(c) not in _EXACT or not c)
+            raise ValueError(
+                f"constraint {_row_tag(tags, lengths, at)}: coefficient {coefs[at]!r} "
+                "is not a nonzero int or Fraction"
+            )
         return tags, senses, rhs, lengths, cols, coefs
 
     def _stamped(
@@ -504,56 +504,41 @@ class ModelIR:
         table: Sequence[int],
         sense: str,
         rhs: Sequence[Coef],
-        values: Optional[Sequence[Coef]],
+        values: Sequence[Coef],
     ) -> tuple:
         """One copy of ``pattern``'s rows, checked (see :meth:`add_block`)."""
         tags = list(map(key.join, pattern.tags))
         count = len(tags)
         if not count:
             return self._checked(tags, (), rhs, (), (), ())
-        used, slots = pattern.used, pattern.slots
+        lengths, slots, positions = pattern.lengths, pattern.slots, pattern.positions
+        used, read = pattern.used_slots, pattern.used_positions
         if len(table) <= used[-1]:
             raise ValueError(
-                f"constraint {_row_tag(tags, pattern.lengths, slots.index(used[-1]))}: "
+                f"constraint {_row_tag(tags, lengths, slots.index(used[-1]))}: "
                 f"slot {used[-1]} is beyond the column table"
             )
-        positions = pattern.positions
-        if (values is None) != (positions is None):
+        if len(values) <= read[-1]:
             raise ValueError(
-                f"constraint {tags[0]}: a pattern takes a coefficient table exactly "
-                "when it was made with positions"
-            )
-        if values is not None and len(values) <= positions[-1]:
-            at = pattern.coefs.index(positions[-1])
-            raise ValueError(
-                f"constraint {_row_tag(tags, pattern.lengths, at)}: "
-                f"position {positions[-1]} is beyond the coefficient table"
+                f"constraint {_row_tag(tags, lengths, positions.index(read[-1]))}: "
+                f"position {read[-1]} is beyond the coefficient table"
             )
         cols = list(map(table.__getitem__, used))
-        width = len(self.names)
         if (
             len(rhs) == count
             and sense in _SENSE_SET
             and _EXACT.issuperset(map(type, rhs))
-            and set(map(type, cols)) == {int}
-            and min(cols) >= 0
-            and max(cols) < width
+            and _in_range(cols, len(self.names))
             and len(set(cols)) == len(cols)
-            and (values is None or _nonzero_exact(list(map(values.__getitem__, positions))))
+            and _nonzero_exact(list(map(values.__getitem__, read)))
         ):
-            coefs = pattern.coefs
-            if values is not None:
-                coefs = map(values.__getitem__, coefs)
             return (
-                tags, repeat(sense, count), rhs, pattern.lengths,
-                map(table.__getitem__, slots), coefs,
+                tags, repeat(sense, count), rhs, lengths,
+                map(table.__getitem__, slots), map(values.__getitem__, positions),
             )
-        lengths, cols = pattern.lengths, list(map(table.__getitem__, slots))
-        coefs = pattern.coefs
-        if values is not None:
-            coefs = list(map(values.__getitem__, coefs))
-            if not all(coefs):
-                lengths, cols, coefs = _without_zeros(lengths, cols, coefs)
+        lengths, cols, coefs = _without_zeros(
+            lengths, list(map(table.__getitem__, slots)), list(map(values.__getitem__, positions))
+        )
         return self._checked(tags, [sense] * count, rhs, lengths, cols, coefs)
 
     def _add_parts(self, parts: list[tuple]) -> None:

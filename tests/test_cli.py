@@ -146,9 +146,11 @@ def test_build_refuses_cut_loop_main_kinds(fig_file, capsys):
         ["build", "--instance", "{missing}", "--kind", "STD"],
         ["generate", "--topology", "grid:3x4", "--commodities", "2",
          "--high-cost-fraction", "2"],
-        # qhull needs 4 points to start a triangulation.
+        # qhull needs 4 points to start a triangulation, and the Voronoi
+        # graph of 4 points has no pair two hops apart.
         ["generate", "--topology", "delaunay:3", "--commodities", "1"],
         ["generate", "--topology", "voronoi:3", "--commodities", "1"],
+        ["generate", "--topology", "voronoi:4", "--commodities", "1"],
         ["sweep", "--instances", "{fig}", "--kinds", "STD", "--breakpoints", "x"],
         ["sweep", "--instances", "{fig}", "--kinds", "STD", "--breakpoints", "4,0"],
         *(
@@ -164,7 +166,7 @@ def test_build_refuses_cut_loop_main_kinds(fig_file, capsys):
     ids=[
         "arc-node", "commodity-node", "enumerate-cap", "reduce-cap", "build-cap",
         "build-truncated", "breakpoint", "missing-file", "high-cost-fraction",
-        "delaunay-3-points", "voronoi-3-points",
+        "delaunay-3-points", "voronoi-3-points", "voronoi-4-points",
         "breakpoints-word", "breakpoints-zero",
         "budget-nan", "budget-negative", "budget-zero", "budget-inf", "budget-word",
         "jobs-zero", "jobs-negative", "jobs-fraction",

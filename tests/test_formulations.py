@@ -485,6 +485,13 @@ def test_fallback_blocks_share_one_pattern(monkeypatch):
         assemble_hybrid(inst, breakpoint, kind, "STD", bigm, enums, plan=plan)
     graphs = {id(a.graph) for a in plan if a.role != "dropped"}
     assert len(graphs) >= 2 and len(built) - before == len(graphs)
+    # Every block of an unreduced build shares one graph and its patterns.
+    for kind in ("CS1", "PCS2"):
+        before = len(built)
+        single = build_single(inst, kind, bigm, enums, preprocess="none")
+        graphs = [a.graph for a in single.assignments]
+        assert len(graphs) >= 2 and all(g is graphs[0] for g in graphs)
+        assert built[before:] == graphs[:1]
 
 
 def test_kinds_built_from_one_plan_share_its_route_patterns(monkeypatch):

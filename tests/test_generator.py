@@ -36,10 +36,11 @@ def test_config_validation():
         GenConfig(("grid", (1, 3)), 1)
     with pytest.raises(GenError):
         GenConfig(("delaunay", 2), 1)
-    # qhull cannot start a triangulation from 3 points.
-    for shape in ("delaunay", "voronoi"):
-        with pytest.raises(GenError, match=f"{shape} needs at least 4 points, got 3"):
-            GenConfig((shape, 3), 1)
+    # qhull cannot start a triangulation from 3 points, and the Voronoi
+    # graph of 4 points has no pair two hops apart.
+    for shape, size, least in (("delaunay", 3, 4), ("voronoi", 3, 5), ("voronoi", 4, 5)):
+        with pytest.raises(GenError, match=f"{shape} needs at least {least} points, got {size}"):
+            GenConfig((shape, size), 1)
     with pytest.raises(GenError):
         GenConfig(("grid", (3, 3)), 1, toll_ratio=0.0)
     with pytest.raises(GenError):

@@ -414,25 +414,29 @@ def test_float_view_follows_appended_rows():
 # -- row patterns and stamps -----------------------------------------------------
 #
 # small_model() has the columns x = 0, b = 1 and f = 2.  The pattern below
-# has two rows over three slots: r[k,0] is slot 0 less slot 1, r[k,1] is the
-# coefficient at position 2 times slot 2, or 2 times it without a table.
+# has two rows over three slots: r[k,0] is the coefficients at positions 0
+# and 1 times slots 0 and 1, r[k,1] the coefficient at position 2 times
+# slot 2.  With _TABLE that is slot 0 less slot 1, and 2 times slot 2.
+
+_TABLE = (1, -1, 2)
 
 
-def _pattern(positions=False, coefs=None):
-    return RowPattern(
-        [("r[", ",0]"), ("r[", ",1]")], [2, 1], [0, 1, 2],
-        coefs or ([0, 1, 2] if positions else [1, -1, 2]), positions,
-    )
+def _pattern():
+    return RowPattern([(("r[", ",0]"), [0, 1], [0, 1]), (("r[", ",1]"), [2], [2])])
 
 
 def test_a_stamped_block_matches_its_rows_added_one_by_one():
     stamped, loop = small_model(), small_model()
     block = RowBlock()
     block.add("first", [2], [1], ">=", 0)
-    block.stamp(_pattern(), "7", [0, 1, 2], "<=", [1, Fraction(1, 2)])
-    block.stamp(_pattern(positions=True), "8", [2, 0, 1], "=", [0, 3], (1, -3, Fraction(5, 3)))
+    block.stamp(_pattern(), "7", [0, 1, 2], "<=", [1, Fraction(1, 2)], _TABLE)
+    table = (1, -3, Fraction(5, 3))
+    block.stamp(_pattern(), "8", [2, 0, 1], "=", [0, 3], table)
     block.add("last", [0, 1], [1, 1], "<=", 1)
     stamped.add_block(block)
+    # A stamp's coefficients are its table's objects: the LP writer formats
+    # each coefficient object once.
+    assert stamped.coefs[-3] is table[2]
     loop.add_constraint("first", [(1, "f")], ">=", 0)
     loop.add_constraint("r[7,0]", [(1, "x"), (-1, "b")], "<=", 1)
     loop.add_constraint("r[7,1]", [(2, "f")], "<=", Fraction(1, 2))
@@ -445,7 +449,7 @@ def test_a_stamped_block_matches_its_rows_added_one_by_one():
 def test_a_zero_in_the_coefficient_table_drops_its_terms():
     m = small_model()
     block = RowBlock()
-    block.stamp(_pattern(positions=True), "7", [0, 1, 2], "<=", [1, 1], (1, 0, 2))
+    block.stamp(_pattern(), "7", [0, 1, 2], "<=", [1, 1], (1, 0, 2))
     m.add_block(block)
     assert m.constraints[-2:] == [
         Constraint("r[7,0]", ((1, "x"),), "<=", 1), Constraint("r[7,1]", ((2, "f"),), "<=", 1)
@@ -456,27 +460,30 @@ def test_slots_of_two_rows_may_share_a_column():
     # Rows given by column id may, since no one row repeats a column; so may a stamp.
     m = small_model()
     block = RowBlock()
-    block.stamp(_pattern(), "7", [0, 1, 0], "<=", [1, 1])
+    block.stamp(_pattern(), "7", [0, 1, 0], "<=", [1, 1], _TABLE)
     m.add_block(block)
     assert m.constraints[-1] == Constraint("r[7,1]", ((2, "x"),), "<=", 1)
 
 
+_R0, _R1 = ("r[", ",0]"), ("r[", ",1]")
+
+
 @pytest.mark.parametrize(
-    "tags, lengths, slots, coefs, positions, message",
+    "rows, message",
     [
-        ([("r[", ",0]")], [2], [0, 0], [1, 1], False, "row pattern r[k,0] repeats a column"),
-        ([("r[", ",0]"), ("r[", ",1]")], [2, 0], [0, 1], [1, 1], False, "row pattern r[k,1]: no terms"),
-        ([("r[", ",0]"), ("r[", ",1]")], [1, 1], [0, 1], [1, 0], False, "row pattern r[k,1]: coefficient 0 is not"),
-        ([("r[", ",0]"), ("r[", ",1]")], [1, 1], [0, 1], [0.5, 1], False, "row pattern r[k,0]: coefficient 0.5 is not"),
-        ([("r[", ",0]"), ("r[", ",1]")], [1, 1], [0, 1], [0, -1], True, "row pattern r[k,1]: coefficient position -1"),
-        ([("r[", ",0]"), ("r[", ",1]")], [1, 1], [0, -1], [1, 1], False, "row pattern r[k,1]: column -1 is not declared"),
-        ([("r[", ",0]"), ("r[", ",0]")], [1, 1], [0, 1], [1, 1], False, "row pattern r[k,0] given twice"),
-        ([("r[", ",0]")], [1], [0, 1], [1, 1], False, "row pattern of 1 tags"),
+        ([(_R0, [0, 0], [0, 0])], "row pattern r[k,0] repeats a column"),
+        ([(_R0, [0, 1], [0, 1]), (_R1, [], [])], "row pattern r[k,1]: no terms"),
+        ([(_R0, [0], [0.5]), (_R1, [1], [0])], "row pattern r[k,0]: coefficient position 0.5 is not"),
+        ([(_R0, [0], [0]), (_R1, [1], [-1])], "row pattern r[k,1]: coefficient position -1 is not"),
+        ([(_R0, [0], [0]), (_R1, [1], [True])], "row pattern r[k,1]: coefficient position True"),
+        ([(_R0, [0], [0]), (_R1, [-1], [0])], "row pattern r[k,1]: column -1 is not declared"),
+        ([(_R0, [0], [0]), (_R0, [1], [0])], "row pattern r[k,0] given twice"),
+        ([(_R0, [0, 1], [0])], "row pattern r[k,0]: 2 slots but 1 coefficient positions"),
     ],
 )
-def test_a_pattern_is_checked_when_made(tags, lengths, slots, coefs, positions, message):
+def test_a_pattern_is_checked_when_made(rows, message):
     with pytest.raises(ValueError, match=message.replace("[", r"\[")):
-        RowPattern(tags, lengths, slots, coefs, positions)
+        RowPattern(rows)
 
 
 @pytest.mark.parametrize(
@@ -492,33 +499,28 @@ def test_a_pattern_is_checked_when_made(tags, lengths, slots, coefs, positions, 
         ([0, 1, 2], "<=", [1], None, "2 tags but 2 senses, 1 right-hand sides"),
         ([0, 1, 2], "<=", [1, 1], (1, -1, 0.5), "constraint r[7,1]: coefficient 0.5 is not"),
         ([0, 1, 2], "<=", [1, 1], (1, -1), "constraint r[7,1]: position 2 is beyond"),
-        ([0, 1, 2], "<=", [1, 1], "plain", "a pattern takes a coefficient table exactly"),
-        ([0, 1, 2], "<=", [1, 1], "table", "a pattern takes a coefficient table exactly"),
+        ([0, 1, 2], "<=", [1, 1], (True, -1, 2), "constraint r[7,0]: coefficient True is not"),
+        # The zero drops its term, and the rows left still get every check.
+        ([0, 1, 3], "<=", [1, 1], (1, 0, 2), "constraint r[7,1]: column 3 is not declared"),
         ([0, 1, 2], "<=", [1, 1], "twice", "duplicate constraint tag r[7,0]"),
         ([0, 1, 2], "<=", [1, 1], "held", "duplicate constraint tag r[7,1]"),
     ],
 )
 def test_a_failed_stamp_leaves_the_model_unchanged(table, sense, rhs, values, message):
     # Each stamp follows a valid row and stamp in the same block, which must
-    # not reach the model either.
+    # not reach the model either.  Without values of its own a stamp takes
+    # _TABLE.
     m = small_model()
     before = (_columns(m), _rows(m))
     block = RowBlock()
     block.add("first", [2], [1], ">=", 0)
-    block.stamp(_pattern(), "6", [0, 1, 2], "<=", [1, 1])
-    pattern = _pattern(positions=True) if isinstance(values, tuple) else _pattern()
-    if values == "plain":
-        values = (1, -1, 2)
-    elif values == "table":
-        pattern, values = _pattern(positions=True), None
-    elif values == "twice":
-        block.stamp(pattern, "7", table, sense, rhs)
-        values = None
+    block.stamp(_pattern(), "6", [0, 1, 2], "<=", [1, 1], _TABLE)
+    if values == "twice":
+        block.stamp(_pattern(), "7", table, sense, rhs, _TABLE)
     elif values == "held":
         m.add_constraint("r[7,1]", [(1, "x")], "<=", 1)
         before = (_columns(m), _rows(m))
-        values = None
-    block.stamp(pattern, "7", table, sense, rhs, values)
+    block.stamp(_pattern(), "7", table, sense, rhs, values if type(values) is tuple else _TABLE)
     with pytest.raises(ValueError, match=message.replace("[", r"\[")):
         m.add_block(block)
     assert (_columns(m), _rows(m)) == before
